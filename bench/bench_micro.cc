@@ -62,7 +62,7 @@ std::string BuildLeafSegment(size_t entries) {
   while (added < entries) {
     LeafNodeBuilder builder(node.data(), node.size());
     while (!builder.Full() && added < entries) {
-      builder.Add(Key(key), (key << 18) | 128);
+      builder.Add(Key(key), (key << 18) | 128, KeyHash(Key(key)));
       key += 2;
       added++;
     }
@@ -113,7 +113,7 @@ void BM_IndexSegmentRebuild(benchmark::State& state) {
     while (added < entries) {
       LeafNodeBuilder builder(node.data(), node.size());
       while (!builder.Full() && added < entries) {
-        builder.Add(keys[added], offsets[added]);
+        builder.Add(keys[added], offsets[added], KeyHash(keys[added]));
         added++;
       }
       builder.Finish();
@@ -155,7 +155,8 @@ void BM_BTreeLookup(benchmark::State& state) {
   FullKeyLoader loader = [&](uint64_t off) -> StatusOr<std::string> { return stored.at(off); };
   Random rng(1);
   for (auto _ : state) {
-    auto found = reader.Find(Key(rng.Uniform(n)), loader);
+    const std::string key = Key(rng.Uniform(n));
+    auto found = reader.Find(key, KeyHash(key), loader);
     benchmark::DoNotOptimize(found.ok());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

@@ -8,11 +8,6 @@
 namespace tebis {
 namespace {
 
-// Hash-domain seeds: the same bytes must never fingerprint identically as a
-// full key and as a prefix.
-constexpr uint64_t kKeyDomainSeed = 0x7465'6269'732d'6b65ull;     // "tebis-ke"
-constexpr uint64_t kPrefixDomainSeed = 0x7465'6269'732d'7078ull;  // "tebis-px"
-
 constexpr uint32_t kMaxFilterProbes = 30;
 
 uint32_t ProbesForBitsPerKey(uint32_t bits_per_key) {
@@ -61,8 +56,8 @@ uint64_t FilterHash(Slice data, uint64_t seed) {
 BloomFilterBuilder::BloomFilterBuilder(uint32_t bits_per_key)
     : bits_per_key_(bits_per_key < 1 ? 1 : bits_per_key) {}
 
-void BloomFilterBuilder::AddKey(Slice key) {
-  key_hashes_.push_back(FilterHash(key, kKeyDomainSeed));
+void BloomFilterBuilder::AddKey(Slice key, uint64_t key_hash) {
+  key_hashes_.push_back(key_hash);
   char prefix[kPrefixSize];
   MakePrefix(key, prefix);
   // Keys arrive in sorted order (the compaction merge), so equal prefixes are
@@ -169,10 +164,6 @@ bool BloomFilterView::MayContainHash(uint64_t h) const {
     h += delta;
   }
   return true;
-}
-
-bool BloomFilterView::MayContain(Slice key) const {
-  return MayContainHash(FilterHash(key, kKeyDomainSeed));
 }
 
 bool BloomFilterView::MayContainPrefix(Slice key_or_prefix) const {

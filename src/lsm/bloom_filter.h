@@ -35,9 +35,19 @@ inline constexpr uint32_t kDefaultFilterBitsPerKey = 10;
 inline constexpr size_t kFilterHeaderSize = 4 + 1 + 1 + 2 + 4 + 4;
 inline constexpr size_t kFilterTrailerSize = 4;  // crc32c
 
+// Hash-domain seeds: the same bytes must never fingerprint identically as a
+// full key and as a prefix.
+inline constexpr uint64_t kKeyDomainSeed = 0x7465'6269'732d'6b65ull;     // "tebis-ke"
+inline constexpr uint64_t kPrefixDomainSeed = 0x7465'6269'732d'7078ull;  // "tebis-px"
+
 // 64-bit mixing hash over arbitrary bytes; `seed` separates the key and
 // prefix fingerprint domains within one bit array.
 uint64_t FilterHash(Slice data, uint64_t seed);
+
+// The engine's one key hash: the full-key filter fingerprint, also the source
+// of the leaf key tag (format.h KeyTag). Point lookups compute it once and
+// reuse it for every level's filter probe and leaf search.
+inline uint64_t KeyHash(Slice key) { return FilterHash(key, kKeyDomainSeed); }
 
 // Accumulates fingerprints during a compaction merge (keys arrive in sorted
 // order, so consecutive duplicate prefixes collapse) and serializes the block
@@ -47,8 +57,9 @@ class BloomFilterBuilder {
   explicit BloomFilterBuilder(uint32_t bits_per_key = kDefaultFilterBitsPerKey);
 
   // Adds the full-key fingerprint plus the padded kPrefixSize-prefix
-  // fingerprint of `key`.
-  void AddKey(Slice key);
+  // fingerprint of `key`. `key_hash` is KeyHash(key).
+  void AddKey(Slice key, uint64_t key_hash);
+  void AddKey(Slice key) { AddKey(key, KeyHash(key)); }
 
   size_t num_keys() const { return key_hashes_.size(); }
 
@@ -73,7 +84,10 @@ class BloomFilterView {
   static Status Parse(Slice block, BloomFilterView* out, bool verify_crc = true);
 
   // False means definitely absent; true means "maybe".
-  bool MayContain(Slice key) const;
+  bool MayContain(Slice key) const { return MayContainHash(KeyHash(key)); }
+
+  // Probes one fingerprint: a KeyHash for a point lookup that already has it.
+  bool MayContainHash(uint64_t h) const;
 
   // Probes the padded kPrefixSize prefix of `key_or_prefix`. Only sound when
   // the caller's query fixes at least the first kPrefixSize bytes of every
@@ -86,8 +100,6 @@ class BloomFilterView {
   uint32_t num_keys() const { return num_keys_; }
 
  private:
-  bool MayContainHash(uint64_t h) const;
-
   const uint8_t* bits_ = nullptr;
   uint32_t num_bits_ = 0;
   uint32_t num_keys_ = 0;

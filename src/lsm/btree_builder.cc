@@ -65,9 +65,11 @@ Status BTreeBuilder::Add(Slice key, uint64_t log_offset) {
   if (leaves.leaf->count() == 0) {
     leaves.first_key = key.ToString();
   }
-  leaves.leaf->Add(key, log_offset);
+  // One hash per key feeds both the leaf tag and the filter fingerprint.
+  const uint64_t key_hash = KeyHash(key);
+  leaves.leaf->Add(key, log_offset, key_hash);
   if (filter_builder_ != nullptr) {
-    filter_builder_->AddKey(key);
+    filter_builder_->AddKey(key, key_hash);
   }
   num_entries_++;
   last_key_ = key.ToString();

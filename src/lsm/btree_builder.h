@@ -39,15 +39,15 @@ struct BuiltTree {
   std::vector<SegmentId> segments;
   uint64_t bytes_written = 0;
   // Serialized bloom filter block (PR 7), or null for trees built without
-  // filters (pre-filter checkpoints, filter-less configurations, shipped
-  // trees whose filter message never arrived). Shared immutable bytes: the
-  // tree is copied by value through publication, checkpointing, shipping and
-  // promotion, and the filter must travel with every copy.
+  // filters (filter-less configurations, shipped trees whose filter message
+  // never arrived). Shared immutable bytes: the tree is copied by value
+  // through publication, checkpointing, shipping and promotion, and the
+  // filter must travel with every copy.
   std::shared_ptr<const std::string> filter;
   // Parallel to `segments` (PR 8): per-segment checksums in the same device
-  // space as the offsets in `segments`. Empty = unchecksummed (manifest <= v3
-  // stores, trees assembled before this field existed); read-path verification
-  // then degrades to the structural node checks.
+  // space as the offsets in `segments`. Empty = unchecksummed (trees
+  // assembled without checksums); read-path verification then degrades to the
+  // structural node checks.
   std::vector<SegmentChecksum> seg_checksums;
 
   bool empty() const { return root_offset == kInvalidOffset; }

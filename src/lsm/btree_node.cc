@@ -12,17 +12,26 @@ NodeHeader* MutableHeader(char* data) { return reinterpret_cast<NodeHeader*>(dat
 
 // --- LeafNodeView ---------------------------------------------------------
 
-StatusOr<int> LeafNodeView::CompareEntry(
-    uint32_t i, Slice key, const std::function<StatusOr<std::string>(uint64_t)>& full_key) const {
-  const LeafEntry& e = entry(i);
-  int c = ComparePrefix(e.prefix, key);
-  if (c != 0) {
-    return c;
+uint32_t LeafNodeView::PrefixBound(const char* probe, uint32_t from, bool upper) const {
+  uint32_t lo = from;
+  uint32_t hi = num_entries();
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    const int c = memcmp(entry(mid).prefix, probe, kPrefixSize);
+    if (c < 0 || (upper && c == 0)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
   }
-  // Prefixes tie. If both keys fit entirely in the prefix, the zero padding
-  // already decided equality for equal sizes; sizes break the remaining ties
-  // only when both fit.
-  if (e.key_size <= kPrefixSize && key.size() <= kPrefixSize) {
+  return lo;
+}
+
+StatusOr<int> LeafNodeView::CompareTied(const LeafEntry& e, Slice key,
+                                        const FullKeyLoader& full_key) {
+  // A key that fits the prefix is a prefix of every other key whose padded
+  // prefix ties with it, so the shorter key is the smaller.
+  if (e.key_size <= kPrefixSize || key.size() <= kPrefixSize) {
     if (e.key_size == key.size()) {
       return 0;
     }
@@ -32,13 +41,14 @@ StatusOr<int> LeafNodeView::CompareEntry(
   return Slice(stored).Compare(key);
 }
 
-StatusOr<uint32_t> LeafNodeView::LowerBound(
-    Slice key, const std::function<StatusOr<std::string>(uint64_t)>& full_key) const {
-  uint32_t lo = 0;
-  uint32_t hi = num_entries();
+StatusOr<uint32_t> LeafNodeView::LowerBound(Slice key, const FullKeyLoader& full_key) const {
+  char probe[kPrefixSize];
+  MakePrefix(key, probe);
+  uint32_t lo = PrefixBound(probe, 0, /*upper=*/false);
+  uint32_t hi = PrefixBound(probe, lo, /*upper=*/true);
   while (lo < hi) {
     const uint32_t mid = lo + (hi - lo) / 2;
-    TEBIS_ASSIGN_OR_RETURN(int c, CompareEntry(mid, key, full_key));
+    TEBIS_ASSIGN_OR_RETURN(int c, CompareTied(entry(mid), key, full_key));
     if (c < 0) {
       lo = mid + 1;
     } else {
@@ -48,17 +58,29 @@ StatusOr<uint32_t> LeafNodeView::LowerBound(
   return lo;
 }
 
-StatusOr<uint32_t> LeafNodeView::Find(
-    Slice key, const std::function<StatusOr<std::string>(uint64_t)>& full_key) const {
-  TEBIS_ASSIGN_OR_RETURN(uint32_t i, LowerBound(key, full_key));
-  if (i >= num_entries()) {
-    return Status::NotFound();
+StatusOr<uint32_t> LeafNodeView::Find(Slice key, uint64_t key_hash,
+                                      const FullKeyLoader& full_key) const {
+  char probe[kPrefixSize];
+  MakePrefix(key, probe);
+  const uint16_t tag = KeyTag(key_hash);
+  const uint32_t n = num_entries();
+  for (uint32_t i = PrefixBound(probe, 0, /*upper=*/false); i < n; ++i) {
+    const LeafEntry& e = entry(i);
+    if (memcmp(e.prefix, probe, kPrefixSize) != 0) {
+      break;  // past the tied run
+    }
+    if (e.key_size != key.size() || (key.size() > kPrefixSize && e.key_tag != tag)) {
+      continue;
+    }
+    TEBIS_ASSIGN_OR_RETURN(int c, CompareTied(e, key, full_key));
+    if (c == 0) {
+      return i;
+    }
+    if (c > 0) {
+      break;  // the run is sorted: every later entry is larger still
+    }
   }
-  TEBIS_ASSIGN_OR_RETURN(int c, CompareEntry(i, key, full_key));
-  if (c != 0) {
-    return Status::NotFound();
-  }
-  return i;
+  return Status::NotFound();
 }
 
 // --- LeafNodeBuilder --------------------------------------------------------
@@ -71,12 +93,13 @@ LeafNodeBuilder::LeafNodeBuilder(char* data, size_t node_size)
   Reset();
 }
 
-void LeafNodeBuilder::Add(Slice key, uint64_t log_offset) {
+void LeafNodeBuilder::Add(Slice key, uint64_t log_offset, uint64_t key_hash) {
   assert(!Full());
   auto* entries = reinterpret_cast<LeafEntry*>(data_ + sizeof(NodeHeader));
   LeafEntry& e = entries[count_++];
   e.log_offset = log_offset;
-  e.key_size = static_cast<uint32_t>(key.size());
+  e.key_size = static_cast<uint16_t>(key.size());
+  e.key_tag = KeyTag(key_hash);
   MakePrefix(key, e.prefix);
 }
 

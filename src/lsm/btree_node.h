@@ -16,6 +16,10 @@ namespace tebis {
 // Translates one device offset; used for backup rewriting.
 using OffsetTranslator = std::function<StatusOr<uint64_t>(uint64_t)>;
 
+// Loads the full key stored at a value-log offset (needed when a leaf prefix
+// ties with the probe key).
+using FullKeyLoader = std::function<StatusOr<std::string>(uint64_t log_offset)>;
+
 // --- leaf nodes ---------------------------------------------------------------
 
 // Read-only view of a leaf node buffer.
@@ -31,20 +35,25 @@ class LeafNodeView {
     return reinterpret_cast<const LeafEntry*>(data_ + sizeof(NodeHeader))[i];
   }
 
-  // Finds the candidate entry for `key`. Prefix comparison decides most
-  // cases; when prefixes tie, `full_key` loads the stored key from the value
-  // log. On success returns the entry index; NotFound when absent.
-  StatusOr<uint32_t> Find(Slice key,
-                          const std::function<StatusOr<std::string>(uint64_t)>& full_key) const;
+  // Finds the entry for `key`, whose KeyHash is `key_hash`. A prefix-only
+  // binary search finds the run of entries whose prefix ties with the probe,
+  // and the run is scanned: `full_key` loads a stored key from the value log
+  // only for an entry whose size and tag match (format.h). On success returns
+  // the entry index; NotFound when absent.
+  StatusOr<uint32_t> Find(Slice key, uint64_t key_hash, const FullKeyLoader& full_key) const;
 
-  // Index of the first entry whose key is >= `key` (num_entries() if none).
-  StatusOr<uint32_t> LowerBound(
-      Slice key, const std::function<StatusOr<std::string>(uint64_t)>& full_key) const;
+  // Index of the first entry whose key is >= `key` (num_entries() if none):
+  // a prefix-only binary search, then a full-key one inside the tied run.
+  StatusOr<uint32_t> LowerBound(Slice key, const FullKeyLoader& full_key) const;
 
  private:
-  // <0 / 0 / >0: entry i vs key. May call full_key.
-  StatusOr<int> CompareEntry(uint32_t i, Slice key,
-                             const std::function<StatusOr<std::string>(uint64_t)>& full_key) const;
+  // First entry at or after `from` whose prefix is >= `probe` (or > `probe`
+  // when `upper`); `probe` is a padded kPrefixSize prefix.
+  uint32_t PrefixBound(const char* probe, uint32_t from, bool upper) const;
+
+  // <0 / 0 / >0: entry `e` vs `key`, given that their prefixes tie. Sizes
+  // decide when either key fits kPrefixSize; otherwise calls full_key.
+  static StatusOr<int> CompareTied(const LeafEntry& e, Slice key, const FullKeyLoader& full_key);
 
   const char* data_;
   size_t node_size_;
@@ -58,8 +67,9 @@ class LeafNodeBuilder {
   bool Full() const { return count_ >= capacity_; }
   uint32_t count() const { return count_; }
 
-  // Key must be strictly greater than the previous key added.
-  void Add(Slice key, uint64_t log_offset);
+  // Key must be strictly greater than the previous key added. `key_hash` is
+  // KeyHash(key), the source of the entry's tag.
+  void Add(Slice key, uint64_t log_offset, uint64_t key_hash);
 
   // Finalizes the header. The buffer is then a valid leaf node image.
   void Finish();

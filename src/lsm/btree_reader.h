@@ -17,10 +17,6 @@
 
 namespace tebis {
 
-// Loads the full key stored at a value-log offset (needed when a leaf prefix
-// ties with the probe key).
-using FullKeyLoader = std::function<StatusOr<std::string>(uint64_t log_offset)>;
-
 class SegmentVerifier;
 
 class BTreeReader {
@@ -33,8 +29,10 @@ class BTreeReader {
   BTreeReader(BlockDevice* device, PageCache* cache, size_t node_size, const BuiltTree& tree,
               IoClass io_class, SegmentVerifier* verifier = nullptr);
 
-  // Returns the value-log offset of `key`, or NotFound.
-  StatusOr<uint64_t> Find(Slice key, const FullKeyLoader& full_key) const;
+  // Returns the value-log offset of `key`, or NotFound. `key_hash` is
+  // KeyHash(key); the caller computes it once per lookup and also probes
+  // each level's filter with it.
+  StatusOr<uint64_t> Find(Slice key, uint64_t key_hash, const FullKeyLoader& full_key) const;
 
   Status ReadNode(uint64_t offset, std::string* buf) const;
 

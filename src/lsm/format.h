@@ -12,6 +12,16 @@
 //               [u16 key_len][u64 child_offset][key bytes]
 // Leaf entries carry a key *prefix* plus the device offset of the full record
 // in the value log (KV separation, paper §2); index cells carry full pivots.
+//
+// Leaf entry (24 B, 170 per 4 KiB leaf):
+//   [u64 log_offset][u16 key_size][u16 key_tag][kPrefixSize prefix bytes]
+// `prefix` is the key's first kPrefixSize bytes, zero padded; `key_tag` is
+// KeyTag(KeyHash(key)), the top bits of the key's bloom-filter hash. A point
+// lookup searches a leaf by prefix alone, then scans the run of entries whose
+// prefix ties with the probe: a key of at most kPrefixSize bytes is decided
+// by its size, and a longer key is loaded from the value log only for an
+// entry whose size and tag both match. So, barring tag collisions, a
+// searched leaf costs one full-key read for a hit and none for a miss.
 #ifndef TEBIS_LSM_FORMAT_H_
 #define TEBIS_LSM_FORMAT_H_
 
@@ -54,16 +64,25 @@ struct NodeHeader {
 };
 static_assert(sizeof(NodeHeader) == 16);
 
-// Fixed-size leaf entry: <key_prefix, key_size, log_offset> (paper Fig. 3).
+// Fixed-size leaf entry: <key_prefix, key_size, log_offset> (paper Fig. 3)
+// plus a key tag.
 struct LeafEntry {
   uint64_t log_offset;  // device offset of the KV record in the value log
-  uint32_t key_size;
+  uint16_t key_size;
+  uint16_t key_tag;          // KeyTag of the key's filter hash
   char prefix[kPrefixSize];  // first bytes of the key, zero padded
 };
 static_assert(sizeof(LeafEntry) == 24);
+static_assert(kMaxKeySize <= UINT16_MAX, "key_size must fit the leaf entry");
 
 inline constexpr size_t LeafCapacity(size_t node_size) {
   return (node_size - sizeof(NodeHeader)) / sizeof(LeafEntry);
+}
+static_assert(LeafCapacity(kDefaultNodeSize) == 170);
+
+// The leaf tag of a key whose KeyHash (bloom_filter.h) is `key_hash`.
+inline constexpr uint16_t KeyTag(uint64_t key_hash) {
+  return static_cast<uint16_t>(key_hash >> 48);
 }
 
 // Fills `prefix` (kPrefixSize bytes) from `key`, zero padding.
@@ -73,15 +92,6 @@ inline void MakePrefix(Slice key, char* prefix) {
   if (n < kPrefixSize) {
     memset(prefix + n, 0, kPrefixSize - n);
   }
-}
-
-// Compares a stored (prefix, key_size) against a probe key using only the
-// prefix. Returns <0/>0 when the order is decided by the prefix alone and 0
-// when the full key is required (prefixes equal).
-inline int ComparePrefix(const char* prefix, Slice key) {
-  char probe[kPrefixSize];
-  MakePrefix(key, probe);
-  return memcmp(prefix, probe, kPrefixSize);
 }
 
 // --- index node cells --------------------------------------------------------

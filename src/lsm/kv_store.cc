@@ -971,6 +971,7 @@ StatusOr<ValueLocation> KvStore::FindLocation(Slice key, const ReadSnapshot& sna
     return loc;
   }
   FullKeyLoader loader = LookupKeyLoader();
+  const uint64_t key_hash = KeyHash(key);
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
     const BuiltTree& tree = snap.levels[i]->tree;
     if (tree.empty()) {
@@ -978,13 +979,13 @@ StatusOr<ValueLocation> KvStore::FindLocation(Slice key, const ReadSnapshot& sna
     }
     // Filter gate: skip the level's tree descent entirely on a definite
     // negative. Presence-gated, not option-gated — a tree without a filter
-    // (pre-filter checkpoint, filters disabled at build time) just descends.
+    // (filters disabled at build time) just descends.
     bool filter_said_maybe = false;
     if (tree.filter != nullptr) {
       BloomFilterView view;
       if (BloomFilterView::Parse(Slice(*tree.filter), &view, /*verify_crc=*/false).ok()) {
         counters_.filter_checks[i]->Increment();
-        if (!view.MayContain(key)) {
+        if (!view.MayContainHash(key_hash)) {
           counters_.filter_negatives[i]->Increment();
           continue;
         }
@@ -993,7 +994,7 @@ StatusOr<ValueLocation> KvStore::FindLocation(Slice key, const ReadSnapshot& sna
     }
     BTreeReader reader(device_, cache_.get(), options_.node_size, tree, IoClass::kLookup,
                        snap.levels[i]->verifier.get());
-    auto found = reader.Find(key, loader);
+    auto found = reader.Find(key, key_hash, loader);
     if (found.ok()) {
       // The tombstone flag lives in the log record; the caller reads it.
       return ValueLocation{*found, false};
@@ -1236,7 +1237,9 @@ StatusOr<KvStore::IntegrityReport> KvStore::CheckIntegrity() {
   std::lock_guard<std::mutex> wl(write_mutex_);
   TEBIS_RETURN_IF_ERROR(DrainBackgroundLocked());
   IntegrityReport report;
-  // Levels: in-order iteration with every entry's record readable.
+  // Levels: in-order iteration with every entry's record readable and every
+  // leaf entry's size, prefix and tag matching its key. A wrong tag passes
+  // every CRC when the builder wrote it, yet hides the key from Get.
   for (uint32_t level = 1; level <= options_.max_levels; ++level) {
     const BuiltTree& tree = levels_[level]->tree;
     if (tree.empty()) {
@@ -1248,17 +1251,20 @@ StatusOr<KvStore::IntegrityReport> KvStore::CheckIntegrity() {
     std::string prev;
     uint64_t entries = 0;
     while (it.Valid()) {
-      std::string key;
-      bool tombstone;
-      Status read = log_->ReadKey(it.entry().log_offset, &key, &tombstone, nullptr,
-                                  IoClass::kOther);
-      if (!read.ok()) {
-        return Status::Corruption("L" + std::to_string(level) + " entry " +
-                                  std::to_string(entries) + ": " + read.ToString());
-      }
+      const std::string where = "L" + std::to_string(level) + " entry " + std::to_string(entries);
+      const LeafEntry& e = it.entry();
       LogRecord record;
-      TEBIS_RETURN_IF_ERROR(
-          log_->ReadRecord(it.entry().log_offset, &record, nullptr, IoClass::kOther));
+      Status read = log_->ReadRecord(e.log_offset, &record, nullptr, IoClass::kOther);
+      if (!read.ok()) {
+        return Status::Corruption(where + ": " + read.ToString());
+      }
+      const std::string& key = record.key;
+      char prefix[kPrefixSize];
+      MakePrefix(key, prefix);
+      if (e.key_size != key.size() || memcmp(e.prefix, prefix, kPrefixSize) != 0 ||
+          e.key_tag != KeyTag(KeyHash(key))) {
+        return Status::Corruption(where + ": leaf entry does not match its key " + key);
+      }
       if (!prev.empty() && Slice(prev).Compare(Slice(key)) >= 0) {
         return Status::Corruption("L" + std::to_string(level) + " out of order at " + key);
       }

@@ -299,7 +299,7 @@ class KvStore {
 
   // --- integrity: scrub / quarantine / online repair (PR 8) ---------------
   //
-  // Every published level carries per-segment CRC32C checksums (manifest v4,
+  // Every published level carries per-segment CRC32C checksums (kept in the manifest,
   // computed by BTreeBuilder at seal time). Reads verify a segment the first
   // time they touch it; the scrubber re-verifies everything. A segment whose
   // check fails quarantines its level: every read of that level returns

@@ -5,9 +5,9 @@
 
 namespace tebis {
 
-std::string Manifest::Encode(uint32_t version) const {
+std::string Manifest::Encode() const {
   WireWriter w;
-  w.U32(kManifestMagic).U32(version);
+  w.U32(kManifestMagic).U32(kManifestVersion);
   w.U32(static_cast<uint32_t>(levels.size()));
   for (size_t i = 0; i < levels.size(); ++i) {
     const BuiltTree& tree = levels[i];
@@ -17,16 +17,12 @@ std::string Manifest::Encode(uint32_t version) const {
       w.U64(seg);
     }
     w.U32(i < level_crcs.size() ? level_crcs[i] : 0);
-    if (version >= 3) {
-      // Per-level filter block, empty when the tree carries none.
-      w.Bytes(tree.filter != nullptr ? Slice(*tree.filter) : Slice());
-    }
-    if (version >= 4) {
-      // Per-segment checksums; 0 entries when the tree is unchecksummed.
-      w.U32(static_cast<uint32_t>(tree.seg_checksums.size()));
-      for (const SegmentChecksum& sc : tree.seg_checksums) {
-        w.U32(sc.crc).U32(sc.length);
-      }
+    // Per-level filter block, empty when the tree carries none.
+    w.Bytes(tree.filter != nullptr ? Slice(*tree.filter) : Slice());
+    // Per-segment checksums; 0 entries when the tree is unchecksummed.
+    w.U32(static_cast<uint32_t>(tree.seg_checksums.size()));
+    for (const SegmentChecksum& sc : tree.seg_checksums) {
+      w.U32(sc.crc).U32(sc.length);
     }
   }
   w.U32(static_cast<uint32_t>(log_flushed_segments.size()));
@@ -81,25 +77,21 @@ StatusOr<Manifest> Manifest::Decode(Slice data) {
     uint32_t level_crc;
     TEBIS_RETURN_IF_ERROR(r.U32(&level_crc));
     manifest.level_crcs.push_back(level_crc);
-    if (version >= 3) {
-      std::string filter;
-      TEBIS_RETURN_IF_ERROR(r.Bytes(&filter));
-      if (!filter.empty()) {
-        tree.filter = std::make_shared<const std::string>(std::move(filter));
-      }
+    std::string filter;
+    TEBIS_RETURN_IF_ERROR(r.Bytes(&filter));
+    if (!filter.empty()) {
+      tree.filter = std::make_shared<const std::string>(std::move(filter));
     }
-    if (version >= 4) {
-      uint32_t num_checksums;
-      TEBIS_RETURN_IF_ERROR(r.U32(&num_checksums));
-      if (num_checksums != 0 && num_checksums != num_segments) {
-        return Status::Corruption("manifest segment-checksum count mismatch");
-      }
-      for (uint32_t s = 0; s < num_checksums; ++s) {
-        SegmentChecksum sc;
-        TEBIS_RETURN_IF_ERROR(r.U32(&sc.crc));
-        TEBIS_RETURN_IF_ERROR(r.U32(&sc.length));
-        tree.seg_checksums.push_back(sc);
-      }
+    uint32_t num_checksums;
+    TEBIS_RETURN_IF_ERROR(r.U32(&num_checksums));
+    if (num_checksums != 0 && num_checksums != num_segments) {
+      return Status::Corruption("manifest segment-checksum count mismatch");
+    }
+    for (uint32_t s = 0; s < num_checksums; ++s) {
+      SegmentChecksum sc;
+      TEBIS_RETURN_IF_ERROR(r.U32(&sc.crc));
+      TEBIS_RETURN_IF_ERROR(r.U32(&sc.length));
+      tree.seg_checksums.push_back(sc);
     }
     manifest.levels.push_back(std::move(tree));
   }

@@ -17,14 +17,14 @@
 namespace tebis {
 
 inline constexpr uint32_t kManifestMagic = 0x5442'4D46;  // "TBMF"
-// v2: per-level content CRCs (torn index-segment detection on recovery).
-// v3: per-level bloom filter blocks (PR 7). Decode still accepts v2 — a
-// pre-filter store opens with null filters and reads simply never skip.
-// v4: per-segment {crc, length} checksums (PR 8). Decode still accepts
-// v2/v3 — an old store opens with empty seg_checksums and the read path
-// falls back to the structural node checks until the next compaction.
-inline constexpr uint32_t kManifestVersion = 4;
-inline constexpr uint32_t kMinManifestVersion = 2;
+// Per level: the tree descriptor, a content CRC (torn index-segment
+// detection on recovery), the bloom filter block and per-segment
+// {crc, length} checksums. The version also names the leaf layout the levels
+// were built with: v5 leaves carry key tags (format.h), and an older leaf
+// would read back with tag 0 and hide its long keys, so Decode accepts v5
+// only.
+inline constexpr uint32_t kManifestVersion = 5;
+inline constexpr uint32_t kMinManifestVersion = 5;
 
 struct Manifest {
   // levels[0] unused, mirroring KvStore.
@@ -38,9 +38,7 @@ struct Manifest {
   // levels and must be replayed into L0.
   uint64_t l0_replay_from = 0;
 
-  // `version` exists for backward-compat tests (encode the pre-filter v2
-  // layout); production callers always write the current version.
-  std::string Encode(uint32_t version = kManifestVersion) const;
+  std::string Encode() const;
   static StatusOr<Manifest> Decode(Slice data);
 };
 

@@ -694,6 +694,7 @@ StatusOr<std::string> SendIndexBackupRegion::GetFromLevelsLocked(Slice key) {
     TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, &k, nullptr, nullptr, IoClass::kLookup));
     return k;
   };
+  const uint64_t key_hash = KeyHash(key);
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
     if (levels_[i].empty()) {
       continue;
@@ -705,7 +706,7 @@ StatusOr<std::string> SendIndexBackupRegion::GetFromLevelsLocked(Slice key) {
       BloomFilterView view;
       if (BloomFilterView::Parse(Slice(*levels_[i].filter), &view, /*verify_crc=*/false).ok()) {
         counters_.filter_checks->Increment();
-        if (!view.MayContain(key)) {
+        if (!view.MayContainHash(key_hash)) {
           counters_.filter_negatives->Increment();
           continue;
         }
@@ -714,7 +715,7 @@ StatusOr<std::string> SendIndexBackupRegion::GetFromLevelsLocked(Slice key) {
     }
     BTreeReader reader(device_, nullptr, options_.node_size, levels_[i], IoClass::kLookup,
                        verifiers_[i].get());
-    auto found = reader.Find(key, loader);
+    auto found = reader.Find(key, key_hash, loader);
     if (found.ok()) {
       LogRecord rec;
       Status read = log_->ReadRecord(*found, &rec, nullptr, IoClass::kLookup);
@@ -901,6 +902,7 @@ StatusOr<std::string> SendIndexBackupRegion::DebugGet(Slice key) {
     levels = levels_;
     verifiers = verifiers_;
   }
+  const uint64_t key_hash = KeyHash(key);
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
     if (levels[i].empty()) {
       continue;
@@ -910,7 +912,7 @@ StatusOr<std::string> SendIndexBackupRegion::DebugGet(Slice key) {
       BloomFilterView view;
       if (BloomFilterView::Parse(Slice(*levels[i].filter), &view, /*verify_crc=*/false).ok()) {
         counters_.filter_checks->Increment();
-        if (!view.MayContain(key)) {
+        if (!view.MayContainHash(key_hash)) {
           counters_.filter_negatives->Increment();
           continue;
         }
@@ -919,7 +921,7 @@ StatusOr<std::string> SendIndexBackupRegion::DebugGet(Slice key) {
     }
     BTreeReader reader(device_, nullptr, options_.node_size, levels[i], IoClass::kLookup,
                        verifiers[i].get());
-    auto found = reader.Find(key, loader);
+    auto found = reader.Find(key, key_hash, loader);
     if (found.ok()) {
       LogRecord rec;
       TEBIS_RETURN_IF_ERROR(log_->ReadRecord(*found, &rec, nullptr, IoClass::kLookup));

@@ -2,18 +2,20 @@
 // runs it plain and under TSan):
 //   * filter block unit tests — round trip, false-positive bound, prefix
 //     probes, corruption rejection
-//   * manifest versioning — v3 carries filter bytes, v2 decodes with null
-//     filters, checkpoint/recover preserves filters
+//   * manifest versioning — the manifest carries filter bytes, pre-v5
+//     images fail decode, checkpoint/recover preserves filters
 //   * shipping — the backup installs the primary's exact filter bytes,
 //     consults them on reads, and keeps them across promotion and FullSync
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/lsm/bloom_filter.h"
 #include "src/lsm/format.h"
 #include "src/lsm/kv_store.h"
@@ -191,23 +193,25 @@ TEST(ManifestVersionTest, V3RoundTripsFilterBytes) {
   }
 }
 
-TEST(ManifestVersionTest, V2DecodesWithNullFilters) {
-  // A pre-filter checkpoint (v2 layout) must still open; its trees just have
-  // no filters and reads never skip.
-  Manifest m = MakeManifestWithFilters();
-  std::string v2 = m.Encode(/*version=*/2);
-  std::string v3 = m.Encode();
-  EXPECT_LT(v2.size(), v3.size());  // v3 appends the filter bytes
+TEST(ManifestVersionTest, PreTagVersionsFailDecode) {
+  // Manifests older than v5 name leaves without key tags. Decoding one must
+  // fail outright rather than hand back trees whose long keys would miss.
+  const std::string encoded = MakeManifestWithFilters().Encode();
+  ASSERT_TRUE(Manifest::Decode(encoded).ok());
+  for (uint32_t version = 2; version < kMinManifestVersion; ++version) {
+    // Re-stamp the version (after the magic) with a matching trailing CRC, so
+    // the version is the only thing wrong with the image.
+    std::string old = encoded;
+    memcpy(old.data() + 4, &version, sizeof(version));
+    const size_t body_size = old.size() - 4;
+    const uint32_t crc = Crc32c(old.data(), body_size);
+    memcpy(old.data() + body_size, &crc, sizeof(crc));
 
-  auto decoded = Manifest::Decode(v2);
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->levels.size(), 3u);
-  for (const BuiltTree& tree : decoded->levels) {
-    EXPECT_EQ(tree.filter, nullptr);
+    auto decoded = Manifest::Decode(old);
+    ASSERT_FALSE(decoded.ok()) << "v" << version;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << "v" << version << ": " << decoded.status().ToString();
   }
-  EXPECT_EQ(decoded->levels[1].root_offset, m.levels[1].root_offset);
-  EXPECT_EQ(decoded->log_flushed_segments.size(), 2u);
-  EXPECT_EQ(decoded->l0_replay_from, 1u);
 }
 
 TEST(ManifestVersionTest, CheckpointRecoverPreservesFilters) {

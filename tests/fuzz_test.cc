@@ -397,7 +397,7 @@ TEST_P(WireFuzzTest, CorruptedFilterBlocksFailCrc) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzTest, testing::Values(1, 2, 3));
 
-// --- checksummed (v4) manifests reject damage, never misparse ------------------
+// --- checksummed manifests reject damage, never misparse -----------------------
 
 TEST(ManifestFuzzTest, CorruptedV4ManifestsAreRejected) {
   Random rng(77);

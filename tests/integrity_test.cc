@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <map>
 #include <memory>
@@ -407,7 +408,17 @@ TEST(IntegrityFaultTest, CorruptNthDeviceReadIsSeededAndReplayable) {
 
 // --- manifest compatibility ------------------------------------------------
 
-TEST(IntegrityManifestTest, V3ManifestStillOpensWithoutChecksums) {
+// Re-stamps an encoded manifest with `version` and a matching CRC, so the
+// version is the only thing wrong with it.
+std::string WithManifestVersion(std::string encoded, uint32_t version) {
+  memcpy(encoded.data() + 4, &version, sizeof(version));  // after the magic
+  const size_t body_size = encoded.size() - 4;
+  const uint32_t crc = Crc32c(encoded.data(), body_size);
+  memcpy(encoded.data() + body_size, &crc, sizeof(crc));
+  return encoded;
+}
+
+TEST(IntegrityManifestTest, PreTagManifestIsRejected) {
   Manifest m;
   m.levels.resize(3);
   m.levels[1].root_offset = 0x40;
@@ -419,26 +430,16 @@ TEST(IntegrityManifestTest, V3ManifestStillOpensWithoutChecksums) {
   m.log_flushed_segments = {3, 4, 5};
   m.l0_replay_from = 1;
 
-  // v4 round-trips the per-segment checksums.
-  auto v4 = Manifest::Decode(m.Encode());
-  ASSERT_TRUE(v4.ok());
-  ASSERT_EQ(v4->levels[1].seg_checksums.size(), 2u);
-  EXPECT_EQ(v4->levels[1].seg_checksums[0].crc, 0xdeadu);
-  EXPECT_EQ(v4->levels[1].seg_checksums[1].length, 1024u);
-  EXPECT_TRUE(v4->levels[1].checksummed());
-
-  // A v3 (pre-checksum) manifest still decodes: same trees, no checksums —
-  // the read path falls back to structural checks until the next compaction.
-  auto v3 = Manifest::Decode(m.Encode(/*version=*/3));
-  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
-  EXPECT_EQ(v3->levels[1].segments, (std::vector<SegmentId>{7, 8}));
-  EXPECT_EQ(v3->levels[1].num_entries, 100u);
-  EXPECT_TRUE(v3->levels[1].seg_checksums.empty());
-  EXPECT_FALSE(v3->levels[1].checksummed());
-  EXPECT_EQ(v3->log_flushed_segments, m.log_flushed_segments);
-
-  // Bit flips anywhere in a v4 image are caught by the manifest's own CRC.
+  // The current version round-trips the per-segment checksums.
   const std::string encoded = m.Encode();
+  auto current = Manifest::Decode(encoded);
+  ASSERT_TRUE(current.ok());
+  ASSERT_EQ(current->levels[1].seg_checksums.size(), 2u);
+  EXPECT_EQ(current->levels[1].seg_checksums[0].crc, 0xdeadu);
+  EXPECT_EQ(current->levels[1].seg_checksums[1].length, 1024u);
+  EXPECT_TRUE(current->levels[1].checksummed());
+
+  // Bit flips anywhere in a current image are caught by the manifest's CRC.
   Random rng(99);
   for (int i = 0; i < 64; ++i) {
     std::string mangled = encoded;
@@ -448,6 +449,27 @@ TEST(IntegrityManifestTest, V3ManifestStillOpensWithoutChecksums) {
       EXPECT_FALSE(decoded.ok()) << "flip " << i << " accepted";
     }
   }
+
+  // A store whose checkpoint carries a v4 manifest (leaves without key tags)
+  // does not open: it is refused, not misread.
+  auto ls = MakeLoadedStore("dev0");
+  ASSERT_TRUE(ls.store->value_log()->FlushTail().ok());
+  auto checkpoint = ls.store->Checkpoint();
+  ASSERT_TRUE(checkpoint.ok());
+  const uint64_t base = ls.device->geometry().BaseOffset(*checkpoint);
+  uint32_t length = 0;
+  ASSERT_TRUE(ls.device->Read(base, sizeof(length), reinterpret_cast<char*>(&length),
+                                IoClass::kOther).ok());
+  std::string image(length, 0);
+  ASSERT_TRUE(ls.device->Read(base + 4, length, image.data(), IoClass::kOther).ok());
+  ASSERT_TRUE(ls.device->Write(base + 4, Slice(WithManifestVersion(image, 4)), IoClass::kOther)
+                  .ok());
+  auto cloned = ls.device->CloneContents();
+  ASSERT_TRUE(cloned.ok());
+  auto recovered = KvStore::Recover(cloned->get(), SmallOptions(), *checkpoint);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument)
+      << recovered.status().ToString();
 }
 
 // --- crash during repair ---------------------------------------------------

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/lsm/bloom_filter.h"
 #include "src/lsm/btree_builder.h"
 #include "src/lsm/btree_node.h"
 #include "src/lsm/btree_reader.h"
@@ -283,6 +284,15 @@ TEST(MemtableTest, MemoryGrowsWithEntries) {
 
 // --- B+ tree node layer --------------------------------------------------------
 
+// Adds `key` at `offset` with the tag the builder derives from its hash.
+void AddLeafKey(LeafNodeBuilder* builder, Slice key, uint64_t offset) {
+  builder->Add(key, offset, KeyHash(key));
+}
+
+StatusOr<uint32_t> FindInLeaf(const LeafNodeView& view, Slice key, const FullKeyLoader& full_key) {
+  return view.Find(key, KeyHash(key), full_key);
+}
+
 TEST(BTreeNodeTest, LeafBuildAndSearch) {
   // Key(i) is 13 bytes, one longer than kPrefixSize, so equal-prefix ties
   // exercise the full-key loader exactly like KV separation does.
@@ -292,7 +302,7 @@ TEST(BTreeNodeTest, LeafBuildAndSearch) {
   for (int i = 0; i < 50; ++i) {
     const uint64_t offset = 1000 + i;
     by_offset[offset] = Key(i * 3);
-    builder.Add(Key(i * 3), offset);
+    AddLeafKey(&builder, Key(i * 3), offset);
   }
   builder.Finish();
 
@@ -300,23 +310,38 @@ TEST(BTreeNodeTest, LeafBuildAndSearch) {
   ASSERT_TRUE(view.IsValid());
   EXPECT_EQ(view.num_entries(), 50u);
   auto full_key = [&](uint64_t off) -> StatusOr<std::string> { return by_offset.at(off); };
-  auto found = view.Find(Key(9), full_key);
+  auto found = FindInLeaf(view, Key(9), full_key);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(view.entry(*found).log_offset, 1003u);
-  EXPECT_TRUE(view.Find(Key(10), full_key).status().IsNotFound());
+  EXPECT_TRUE(FindInLeaf(view, Key(10), full_key).status().IsNotFound());
+}
+
+TEST(BTreeNodeTest, LeafEntryCarriesSizeTagAndPrefix) {
+  std::vector<char> buf(kDefaultNodeSize);
+  LeafNodeBuilder builder(buf.data(), buf.size());
+  const std::string key = "a-key-longer-than-the-prefix";
+  AddLeafKey(&builder, key, 7);
+  builder.Finish();
+  const LeafEntry& e = LeafNodeView(buf.data(), buf.size()).entry(0);
+  EXPECT_EQ(e.key_size, key.size());
+  EXPECT_EQ(e.key_tag, KeyTag(KeyHash(key)));
+  EXPECT_EQ(std::string(e.prefix, kPrefixSize), key.substr(0, kPrefixSize));
 }
 
 TEST(BTreeNodeTest, LeafPrefixCollisionUsesFullKey) {
-  // Keys share the 12-byte prefix and differ afterwards.
+  // Keys share the 12-byte prefix and differ afterwards: the prefix search
+  // alone cannot tell them apart, the tag can.
   std::vector<char> buf(kDefaultNodeSize);
   LeafNodeBuilder builder(buf.data(), buf.size());
   std::string base = "sameprefix12";  // exactly kPrefixSize
   ASSERT_EQ(base.size(), kPrefixSize);
   std::map<uint64_t, std::string> stored;
+  std::set<uint16_t> stored_tags;
   for (int i = 0; i < 5; ++i) {
     std::string k = base + std::string(1, static_cast<char>('a' + i));
     stored[100 + i] = k;
-    builder.Add(k, 100 + i);
+    stored_tags.insert(KeyTag(KeyHash(k)));
+    AddLeafKey(&builder, k, 100 + i);
   }
   builder.Finish();
   LeafNodeView view(buf.data(), buf.size());
@@ -325,29 +350,142 @@ TEST(BTreeNodeTest, LeafPrefixCollisionUsesFullKey) {
     full_key_calls++;
     return stored.at(off);
   };
-  auto found = view.Find(base + "c", full_key);
+  auto found = FindInLeaf(view, base + "c", full_key);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(view.entry(*found).log_offset, 102u);
-  EXPECT_GT(full_key_calls, 0);
-  EXPECT_TRUE(view.Find(base + "z", full_key).status().IsNotFound());
+  EXPECT_EQ(full_key_calls, 1) << "a hit confirms exactly one full key";
+
+  // A miss whose tag matches no stored entry reads nothing from the log.
+  const std::string absent = base + "z";
+  ASSERT_EQ(stored_tags.count(KeyTag(KeyHash(absent))), 0u);
+  full_key_calls = 0;
+  EXPECT_TRUE(FindInLeaf(view, absent, full_key).status().IsNotFound());
+  EXPECT_EQ(full_key_calls, 0);
+}
+
+TEST(BTreeNodeTest, LeafTagCollisionFallsBackToFullKey) {
+  // Brute-force three suffixes whose keys tie on prefix, size and tag.
+  const std::string base = "collide-pfx:";  // exactly kPrefixSize
+  ASSERT_EQ(base.size(), kPrefixSize);
+  std::map<uint16_t, std::vector<std::string>> by_tag;
+  std::vector<std::string> colliding;
+  for (uint32_t i = 0; colliding.empty(); ++i) {
+    char suffix[16];
+    snprintf(suffix, sizeof(suffix), "%06u", i);
+    const std::string key = base + suffix;
+    std::vector<std::string>& bucket = by_tag[KeyTag(KeyHash(key))];
+    bucket.push_back(key);
+    if (bucket.size() == 3) {
+      colliding = bucket;
+    }
+  }
+  // Store the first two, plus neighbours in the same prefix run; keep the
+  // third absent.
+  std::map<std::string, uint64_t> model;
+  model[colliding[0]] = 1;
+  model[colliding[1]] = 2;
+  model[base + "000000x"] = 3;  // same prefix, different size
+  model[base + "~"] = 4;
+  std::vector<char> buf(kDefaultNodeSize);
+  LeafNodeBuilder builder(buf.data(), buf.size());
+  std::map<uint64_t, std::string> stored;
+  for (const auto& [key, offset] : model) {
+    AddLeafKey(&builder, key, offset);
+    stored[offset] = key;
+  }
+  builder.Finish();
+  LeafNodeView view(buf.data(), buf.size());
+  int full_key_calls = 0;
+  auto full_key = [&](uint64_t off) -> StatusOr<std::string> {
+    full_key_calls++;
+    return stored.at(off);
+  };
+  for (int k = 0; k < 2; ++k) {
+    auto found = FindInLeaf(view, colliding[k], full_key);
+    ASSERT_TRUE(found.ok()) << colliding[k];
+    EXPECT_EQ(view.entry(*found).log_offset, model[colliding[k]]);
+  }
+  full_key_calls = 0;
+  EXPECT_TRUE(FindInLeaf(view, colliding[2], full_key).status().IsNotFound());
+  EXPECT_GT(full_key_calls, 0) << "a colliding tag must be confirmed against the log";
 }
 
 TEST(BTreeNodeTest, ShortKeysDecidedWithoutLogRead) {
   std::vector<char> buf(kDefaultNodeSize);
   LeafNodeBuilder builder(buf.data(), buf.size());
-  builder.Add("ab", 1);
-  builder.Add("abc", 2);  // shares short prefix, both fit in kPrefixSize
+  AddLeafKey(&builder, "ab", 1);
+  AddLeafKey(&builder, "abc", 2);  // shares short prefix, both fit in kPrefixSize
   builder.Finish();
   LeafNodeView view(buf.data(), buf.size());
   auto no_full_key = [](uint64_t) -> StatusOr<std::string> {
     return Status::Internal("should not be called");
   };
-  auto found = view.Find("abc", no_full_key);
+  auto found = FindInLeaf(view, "abc", no_full_key);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(view.entry(*found).log_offset, 2u);
-  found = view.Find("ab", no_full_key);
+  found = FindInLeaf(view, "ab", no_full_key);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(view.entry(*found).log_offset, 1u);
+  // A probe longer than the prefix orders after a short key that is its
+  // prefix, without a log read.
+  auto lower = view.LowerBound("abc" + std::string(20, 'x'), no_full_key);
+  ASSERT_TRUE(lower.ok());
+  EXPECT_EQ(*lower, 2u);
+}
+
+// Random key of 1..40 bytes over a small alphabet that includes NUL, drawn
+// from a few shared stems so that prefix ties are common.
+std::string RandomLeafKey(Random* rng) {
+  static const char kAlphabet[] = {'\0', 'a', 'b', 'z'};
+  static const std::string kStems[] = {"", std::string("st\0m", 4), "stem-twelve!"};
+  const size_t size = rng->OneIn(4) ? kPrefixSize : rng->UniformRange(1, 40);
+  std::string key = kStems[rng->Uniform(3)].substr(0, size);
+  while (key.size() < size) {
+    key.push_back(kAlphabet[rng->Uniform(sizeof(kAlphabet))]);
+  }
+  return key;
+}
+
+TEST(BTreeNodeTest, LeafSearchMatchesOrderedMapProperty) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Random rng(seed);
+    std::map<std::string, uint64_t> model;
+    const size_t target = rng.UniformRange(1, LeafCapacity(kDefaultNodeSize));
+    for (size_t tries = 0; model.size() < target && tries < 4 * target; ++tries) {
+      model.emplace(RandomLeafKey(&rng), model.size() + 1);
+    }
+    std::vector<char> buf(kDefaultNodeSize);
+    LeafNodeBuilder builder(buf.data(), buf.size());
+    std::map<uint64_t, std::string> stored;
+    std::vector<std::string> sorted;
+    for (const auto& [key, offset] : model) {
+      AddLeafKey(&builder, key, offset);
+      stored[offset] = key;
+      sorted.push_back(key);
+    }
+    builder.Finish();
+    LeafNodeView view(buf.data(), buf.size());
+    auto full_key = [&](uint64_t off) -> StatusOr<std::string> { return stored.at(off); };
+
+    std::vector<std::string> probes = sorted;
+    for (int i = 0; i < 100; ++i) {
+      probes.push_back(RandomLeafKey(&rng));
+    }
+    for (const std::string& probe : probes) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " probe size " << probe.size());
+      auto found = FindInLeaf(view, probe, full_key);
+      auto it = model.find(probe);
+      if (it == model.end()) {
+        EXPECT_TRUE(found.status().IsNotFound());
+      } else {
+        ASSERT_TRUE(found.ok());
+        EXPECT_EQ(view.entry(*found).log_offset, it->second);
+      }
+      auto lower = view.LowerBound(probe, full_key);
+      ASSERT_TRUE(lower.ok());
+      EXPECT_EQ(*lower, std::lower_bound(sorted.begin(), sorted.end(), probe) - sorted.begin());
+    }
+  }
 }
 
 TEST(BTreeNodeTest, IndexNodeSearch) {
@@ -387,8 +525,8 @@ TEST(BTreeNodeTest, IndexNodeOverflowDetection) {
 TEST(BTreeNodeTest, RewriteLeafOffsetsTranslates) {
   std::vector<char> buf(kDefaultNodeSize);
   LeafNodeBuilder builder(buf.data(), buf.size());
-  builder.Add("k1", 0x10000 | 5);
-  builder.Add("k2", 0x20000 | 9);
+  AddLeafKey(&builder, "k1", 0x10000 | 5);
+  AddLeafKey(&builder, "k2", 0x20000 | 9);
   builder.Finish();
   ASSERT_TRUE(RewriteLeafOffsets(buf.data(), buf.size(), [](uint64_t off) -> StatusOr<uint64_t> {
                 return off + 0x100000;
@@ -417,7 +555,7 @@ TEST(BTreeNodeTest, RewriteIndexChildrenTranslates) {
 TEST(BTreeNodeTest, RewriteRejectsWrongNodeKind) {
   std::vector<char> buf(kDefaultNodeSize);
   LeafNodeBuilder builder(buf.data(), buf.size());
-  builder.Add("k", 1);
+  AddLeafKey(&builder, "k", 1);
   builder.Finish();
   auto identity = [](uint64_t off) -> StatusOr<uint64_t> { return off; };
   EXPECT_FALSE(RewriteIndexChildren(buf.data(), buf.size(), identity).ok());
@@ -497,13 +635,14 @@ TEST_P(BTreeRoundTripTest, FindEveryKeyAndMissAbsent) {
   BTreeReader reader(fx.device.get(), nullptr, kDefaultNodeSize, fx.tree, IoClass::kLookup);
   auto loader = LoaderFor(fx.log.get());
   for (const auto& [key, offset] : fx.entries) {
-    auto found = reader.Find(key, loader);
+    auto found = reader.Find(key, KeyHash(key), loader);
     ASSERT_TRUE(found.ok()) << key;
     EXPECT_EQ(*found, offset);
   }
   // Odd keys are absent.
   for (uint64_t i = 0; i < std::min<uint64_t>(n, 50); ++i) {
-    EXPECT_TRUE(reader.Find(Key(i * 2 + 1), loader).status().IsNotFound());
+    const std::string absent = Key(i * 2 + 1);
+    EXPECT_TRUE(reader.Find(absent, KeyHash(absent), loader).status().IsNotFound());
   }
 }
 
@@ -658,7 +797,7 @@ TEST(CompactionTest, NewestVersionWinsOnTies) {
   ASSERT_TRUE(tree.ok());
   BTreeReader reader(dev.get(), nullptr, kDefaultNodeSize, *tree, IoClass::kLookup);
   auto loader = [](uint64_t) -> StatusOr<std::string> { return Status::Internal("no log"); };
-  auto found = reader.Find("k1", loader);
+  auto found = reader.Find("k1", KeyHash("k1"), loader);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(*found, 100u);  // newest offset
 }

@@ -3,6 +3,7 @@
 // the L0 replay boundary restores everything down to the last flushed record.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -257,6 +258,41 @@ TEST(IntegrityTest, DetectsCorruptedLogRecord) {
   auto report = (*store)->CheckIntegrity();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsCorruption()) << report.status().ToString();
+}
+
+TEST(IntegrityTest, DetectsWrongLeafTag) {
+  // A tag the builder got wrong passes every CRC, yet Get would never confirm
+  // the key; CheckIntegrity compares each entry against its full key.
+  auto dev = BlockDevice::Create(DeviceOptions());
+  ASSERT_TRUE(dev.ok());
+  auto store = KvStore::Create(dev->get(), StoreOptions());
+  ASSERT_TRUE(store.ok());
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE((*store)->Put(Key(i), "tagged").ok());
+  }
+  ASSERT_TRUE((*store)->FlushL0().ok());
+  uint32_t level = 1;
+  while (level <= StoreOptions().max_levels && (*store)->level(level).empty()) {
+    level++;
+  }
+  ASSERT_LE(level, StoreOptions().max_levels);
+  // The first node of a level's first segment is its leftmost leaf.
+  const uint64_t leaf = dev->get()->geometry().BaseOffset((*store)->level(level).segments[0]);
+  std::string node(kDefaultNodeSize, 0);
+  ASSERT_TRUE(dev->get()->Read(leaf, node.size(), node.data(), IoClass::kOther).ok());
+  ASSERT_TRUE(LeafNodeView(node.data(), node.size()).IsValid());
+  constexpr uint32_t kVictim = 3;
+  const size_t tag_at =
+      sizeof(NodeHeader) + kVictim * sizeof(LeafEntry) + offsetof(LeafEntry, key_tag);
+  node[tag_at] ^= 0x01;
+  ASSERT_TRUE(dev->get()->Write(leaf, Slice(node), IoClass::kOther).ok());
+
+  auto report = (*store)->CheckIntegrity();
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsCorruption()) << report.status().ToString();
+  const std::string where = "L" + std::to_string(level) + " entry " + std::to_string(kVictim) + ":";
+  EXPECT_NE(report.status().ToString().find(where), std::string::npos)
+      << report.status().ToString();
 }
 
 TEST(IntegrityTest, RecoveredStorePassesIntegrity) {

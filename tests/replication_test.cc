@@ -426,7 +426,8 @@ TEST(PromotionTest, HalfShippedCompactionIsAborted) {
   leaf.Add("zzz", cluster.primary->store()->value_log()->flushed_segments().empty()
                       ? 0
                       : cluster.primary_device->geometry().BaseOffset(
-                            cluster.primary->store()->value_log()->flushed_segments()[0]));
+                            cluster.primary->store()->value_log()->flushed_segments()[0]),
+           KeyHash("zzz"));
   leaf.Finish();
   ASSERT_TRUE(backup->HandleIndexSegment(999, 2, 0, /*primary_segment=*/424242,
                                          Slice(fake_segment))

@@ -1,21 +1,25 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the fast test label, run twice — once plain, once under
-# ThreadSanitizer — plus the chaos label under AddressSanitizer. The
-# background compaction pipeline (PR 2) moves compactions off the writer
-# thread, so a plain pass alone no longer proves the absence of data races;
-# TSan over the same suite does. The chaos label replays the deterministic
-# fault-injection matrix (crash, partition, stall, deposed-primary) where
-# use-after-free bugs in teardown/failover paths hide; ASan catches those.
-# Run this before every merge:
+# ThreadSanitizer — plus the chaos label under AddressSanitizer. Compactions
+# run on background threads, so a plain pass alone does not prove the absence
+# of data races; TSan over the same suite does. The chaos label replays the
+# deterministic fault-injection matrix (crash, partition, stall,
+# deposed-primary) where use-after-free bugs in teardown/failover paths hide;
+# ASan catches those.
 #
-#   tools/check.sh            # all three passes (with their addenda)
-#   tools/check.sh --plain    # plain pass: fast + telemetry + filters + scrub + batch, BENCH gate
-#   tools/check.sh --tsan     # TSan pass: fast + streams + telemetry + replica + filters + scrub + batch
-#   tools/check.sh --chaos    # ASan pass: chaos + streams + replica labels
+# ctest's -L is a regex and every labelled suite is named fast-* (fast-batch,
+# fast-chaos-streams, ...), so `-L fast` already runs every labelled suite and
+# `-L chaos` every chaos one. Run this before every merge:
+#
+#   tools/check.sh            # all three passes
+#   tools/check.sh --plain    # plain pass: fast label + observability coverage gate
+#   tools/check.sh --tsan     # TSan pass: fast label
+#   tools/check.sh --chaos    # ASan pass: chaos label
 #
 # Build trees: build/ (plain), build-tsan/ (TEBIS_SANITIZE=thread) and
 # build-asan/ (TEBIS_SANITIZE=address). The slow label (soak/fuzz/stress) is
-# tier-2: `ctest --test-dir build -L slow`.
+# tier-2: `ctest --test-dir build -L slow`. The performance record is the
+# end-to-end benchmark in perfbench/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,69 +40,16 @@ if [[ $run_plain -eq 1 ]]; then
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs"
   ctest --test-dir build -L fast --no-tests=error --output-on-failure -j "$jobs"
-  # Unified telemetry plane (PR 5): the metrics/trace/scrape suite by itself,
-  # so a telemetry regression names itself instead of hiding in the fast run.
-  echo "== tier-1 pass 1/3 (addendum): plain build, telemetry label =="
-  ctest --test-dir build -L telemetry --no-tests=error --output-on-failure -j "$jobs"
-  # Emission gate: the bench harness must write BENCH_*.json sections from
-  # registry snapshots (not hand-plucked struct fields) and the overhead A/B
-  # must exist — cheap greps that catch an accidental revert.
-  echo "== tier-1 pass 1/3 (addendum): BENCH emission gate =="
-  grep -q "SetFromSnapshot" bench/bench_common.cc || {
-    echo "BENCH gate: bench_common.cc lost the registry-snapshot emission path" >&2; exit 1; }
-  grep -q "DiffSnapshots" bench/bench_common.cc || {
-    echo "BENCH gate: bench_common.cc lost the per-phase snapshot delta" >&2; exit 1; }
-  grep -q "BENCH_" bench/bench_common.cc || {
-    echo "BENCH gate: bench_common.cc no longer writes BENCH_*.json" >&2; exit 1; }
-  grep -q "RunTelemetryOverheadComparison" bench/bench_micro.cc || {
-    echo "BENCH gate: bench_micro.cc lost the telemetry-overhead A/B (BENCH_pr5.json)" >&2; exit 1; }
-  grep -q "RunReplicaReadComparison" bench/bench_micro.cc || {
-    echo "BENCH gate: bench_micro.cc lost the replica-read fan-out A/B (BENCH_pr6.json)" >&2; exit 1; }
-  grep -q "RunFilterComparison" bench/bench_micro.cc || {
-    echo "BENCH gate: bench_micro.cc lost the bloom-filter negative-lookup A/B (BENCH_pr7.json)" >&2; exit 1; }
-  grep -q "RunScrubOverheadComparison" bench/bench_micro.cc || {
-    echo "BENCH gate: bench_micro.cc lost the scrub-overhead A/B (BENCH_pr8.json)" >&2; exit 1; }
-  grep -q "RunWritePathComparison" bench/bench_micro.cc || {
-    echo "BENCH gate: bench_micro.cc lost the write-path group-commit A/B (BENCH_pr9.json)" >&2; exit 1; }
-  grep -q "RunRequestTracingComparison" bench/bench_micro.cc || {
-    echo "BENCH gate: bench_micro.cc lost the request-tracing overhead A/B (BENCH_pr10.json)" >&2; exit 1; }
-  # Telemetry-overhead regression gate (PR 10): the sampled-tracing A/B's last
-  # recorded run must be within its budget. bench_micro refreshes the file;
-  # the gate catches a committed regression without rerunning the bench here.
-  if [[ -f BENCH_pr10.json ]]; then
-    python3 - <<'EOF' || exit 1
-import json
-doc = json.load(open("BENCH_pr10.json"))
-section = doc["request_tracing"]
-overhead, budget = section["overhead_pct"], section["budget_pct"]
-if overhead > budget:
-    raise SystemExit(
-        f"BENCH gate: request-tracing overhead {overhead:.2f}% exceeds budget {budget:.2f}%")
-print(f"  request-tracing overhead {overhead:.2f}% within budget {budget:.2f}%")
-EOF
-  fi
-  # Observability coverage gates (PR 10): every health.*/wp.*/trace.*
-  # instrument registered in src/ must be understood by tebis_stats.py, and
-  # the README metrics-reference table must be regenerated when instruments
-  # change.
-  echo "== tier-1 pass 1/3 (addendum): observability coverage gate =="
+  # Observability coverage: every health.*/wp.*/trace.* instrument registered
+  # in src/ must be understood by tebis_stats.py, and the README
+  # metrics-reference table must be regenerated when instruments change.
+  echo "== tier-1 pass 1/3: observability coverage gate =="
   for name in $(grep -rhoE '"(health|wp|trace)\.[a-z0-9_.]+"' src | tr -d '"' | sort -u); do
     grep -qF "$name" tools/tebis_stats.py || {
       echo "coverage gate: instrument $name is not referenced in tools/tebis_stats.py" >&2
       exit 1; }
   done
   python3 tools/gen_metrics_table.py --check || exit 1
-  # Shipped bloom filters (PR 7): the filter suite by itself, so a filter or
-  # manifest-versioning regression names itself.
-  echo "== tier-1 pass 1/3 (addendum): plain build, filters label =="
-  ctest --test-dir build -L filters --no-tests=error --output-on-failure -j "$jobs"
-  # End-to-end integrity (PR 8): checksummed segments, scrub, online repair.
-  echo "== tier-1 pass 1/3 (addendum): plain build, scrub label =="
-  ctest --test-dir build -L scrub --no-tests=error --output-on-failure -j "$jobs"
-  # Write-path group commit (PR 9): batched frames, coalesced doorbells,
-  # large-value separation, and the group-commit crash points.
-  echo "== tier-1 pass 1/3 (addendum): plain build, batch label =="
-  ctest --test-dir build -L batch --no-tests=error --output-on-failure -j "$jobs"
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
@@ -107,40 +58,6 @@ if [[ $run_tsan -eq 1 ]]; then
   cmake --build build-tsan -j "$jobs"
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ctest --test-dir build-tsan -L fast --no-tests=error --output-on-failure -j "$jobs"
-  # Multiplexed shipping streams (PR 4): the concurrent-compaction suite must
-  # be race-free — rerun just the streams label so a regression names itself.
-  echo "== tier-1 pass 2/3 (addendum): ThreadSanitizer build, streams label =="
-  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
-    ctest --test-dir build-tsan -L streams --no-tests=error --output-on-failure -j "$jobs"
-  # Telemetry plane (PR 5): shared registry + span ring are touched from every
-  # worker/replication thread — the suite must be race-free under TSan too.
-  echo "== tier-1 pass 2/3 (addendum): ThreadSanitizer build, telemetry label =="
-  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
-    ctest --test-dir build-tsan -L telemetry --no-tests=error --output-on-failure -j "$jobs"
-  # Read-replica serving (PR 6): the history checker runs concurrent writers
-  # and replica readers over the shared backup read path — race-freedom here
-  # is the whole point of the suite.
-  echo "== tier-1 pass 2/3 (addendum): ThreadSanitizer build, replica label =="
-  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
-    ctest --test-dir build-tsan -L replica --no-tests=error --output-on-failure -j "$jobs"
-  # Shipped bloom filters (PR 7): filter installs race with replica reads over
-  # the same level trees; the suite must be race-free under TSan.
-  echo "== tier-1 pass 2/3 (addendum): ThreadSanitizer build, filters label =="
-  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
-    ctest --test-dir build-tsan -L filters --no-tests=error --output-on-failure -j "$jobs"
-  # Integrity (PR 8): background scrub runs on the compaction pool while
-  # foreground reads, repairs, and quarantine flags touch the same levels —
-  # the suite must be race-free under TSan. (The seeded corruption soak also
-  # rides the ASan chaos pass via its fast-chaos-scrub label.)
-  echo "== tier-1 pass 2/3 (addendum): ThreadSanitizer build, scrub label =="
-  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
-    ctest --test-dir build-tsan -L scrub --no-tests=error --output-on-failure -j "$jobs"
-  # Write-path group commit (PR 9): group appends race client threads against
-  # the replication doorbell path and both log-family tails — the suite must
-  # be race-free under TSan.
-  echo "== tier-1 pass 2/3 (addendum): ThreadSanitizer build, batch label =="
-  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
-    ctest --test-dir build-tsan -L batch --no-tests=error --output-on-failure -j "$jobs"
 fi
 
 if [[ $run_chaos -eq 1 ]]; then
@@ -153,12 +70,6 @@ if [[ $run_chaos -eq 1 ]]; then
     echo "    ctest --test-dir build-asan -L chaos -R <failing test> --output-on-failure" >&2
     exit 1
   fi
-  echo "== tier-1 pass 3/3 (addendum): AddressSanitizer build, streams label =="
-  ctest --test-dir build-asan -L streams --no-tests=error --output-on-failure -j "$jobs"
-  # Replica reads under failover / half-shipped streams (PR 6): the chaos
-  # scenarios where a read could touch freed state or torn stream buffers.
-  echo "== tier-1 pass 3/3 (addendum): AddressSanitizer build, replica label =="
-  ctest --test-dir build-asan -L replica --no-tests=error --output-on-failure -j "$jobs"
 fi
 
 echo "== tier-1 gate: OK =="
