@@ -45,7 +45,7 @@ int main() {
   auto backup_or = SendIndexBackupRegion::Create(backup_device.get(), options, buffer);
   auto backup = std::move(*backup_or);
   primary->AddBackup(std::make_unique<LocalBackupChannel>(&fabric, "primary0", buffer,
-                                                          backup.get(), nullptr));
+                                                          backup.get()));
 
   printf("step 1: 5000 puts — every record RDMA-written into the backup's buffer,\n");
   printf("        every full tail segment flushed and added to the backup log map\n");

@@ -1031,109 +1031,14 @@ void RegionServer::HandleReplicationOp(RegionHandle* region, const MessageHeader
     ReplyError(ctx, reply_type, Status::FailedPrecondition("replication op on primary"));
     return;
   }
-  SendIndexBackupRegion* send = region->send_backup.get();
-  BuildIndexBackupRegion* build = region->build_backup.get();
   // Fencing (§3.5): every replication message carries the sender's epoch;
-  // traffic from a deposed primary is rejected before the handler runs.
-  auto check_epoch = [&](uint64_t msg_epoch) {
-    return send != nullptr ? send->CheckEpoch(msg_epoch) : build->CheckEpoch(msg_epoch);
-  };
-  Status status;
-  switch (type) {
-    case MessageType::kFlushLog: {
-      FlushLogMsg msg{};
-      status = DecodeFlushLog(payload, &msg);
-      if (status.ok()) {
-        status = check_epoch(msg.epoch);
-      }
-      if (status.ok()) {
-        status = send != nullptr
-                     ? send->HandleLogFlush(msg.primary_segment, msg.commit_seq, msg.family)
-                     : build->HandleLogFlush(msg.primary_segment, msg.commit_seq, msg.family);
-      }
-      break;
-    }
-    case MessageType::kCompactionBegin: {
-      CompactionBeginMsg msg{};
-      status = DecodeCompactionBegin(payload, &msg);
-      if (status.ok()) {
-        status = check_epoch(msg.epoch);
-      }
-      if (status.ok() && send != nullptr) {
-        status = send->HandleCompactionBegin(msg.compaction_id, static_cast<int>(msg.src_level),
-                                             static_cast<int>(msg.dst_level), msg.stream_id);
-      }
-      break;
-    }
-    case MessageType::kIndexSegment: {
-      IndexSegmentMsg msg{};
-      status = DecodeIndexSegment(payload, &msg);
-      if (status.ok()) {
-        status = check_epoch(msg.epoch);
-      }
-      if (status.ok() && send != nullptr) {
-        status = send->HandleIndexSegment(msg.compaction_id, static_cast<int>(msg.dst_level),
-                                          static_cast<int>(msg.tree_level), msg.primary_segment,
-                                          msg.data, msg.stream_id, msg.payload_crc);
-      }
-      break;
-    }
-    case MessageType::kFilterBlock: {
-      FilterBlockMsg msg{};
-      status = DecodeFilterBlock(payload, &msg);
-      if (status.ok()) {
-        status = check_epoch(msg.epoch);
-      }
-      if (status.ok() && send != nullptr) {
-        status = send->HandleFilterBlock(msg.compaction_id, static_cast<int>(msg.dst_level),
-                                         msg.data, msg.stream_id);
-      }
-      break;
-    }
-    case MessageType::kCompactionEnd: {
-      CompactionEndMsg msg{};
-      status = DecodeCompactionEnd(payload, &msg);
-      if (status.ok()) {
-        status = check_epoch(msg.epoch);
-      }
-      if (status.ok() && send != nullptr) {
-        status = send->HandleCompactionEnd(msg.compaction_id, static_cast<int>(msg.src_level),
-                                           static_cast<int>(msg.dst_level), msg.tree,
-                                           msg.stream_id, msg.seg_checksums);
-      }
-      break;
-    }
-    case MessageType::kLogTrim: {
-      TrimLogMsg msg{};
-      status = DecodeTrimLog(payload, &msg);
-      if (status.ok()) {
-        status = check_epoch(msg.epoch);
-      }
-      if (status.ok()) {
-        status = send != nullptr ? send->HandleTrimLog(msg.segments)
-                                 : build->HandleTrimLog(msg.segments);
-      }
-      break;
-    }
-    case MessageType::kSetReplayStart: {
-      WireReader r(payload);
-      uint64_t msg_epoch = 0;
-      uint64_t index = 0;
-      status = r.U64(&msg_epoch);
-      if (status.ok()) {
-        status = r.U64(&index);
-      }
-      if (status.ok()) {
-        status = check_epoch(msg_epoch);
-      }
-      if (status.ok() && send != nullptr) {
-        send->set_replay_from(index);
-      }
-      break;
-    }
-    default:
-      status = Status::Internal("bad replication op");
+  // Handle rejects traffic from a deposed primary before applying it.
+  ReplicationMessageHandler* backup = region->build_backup.get();
+  if (region->send_backup != nullptr) {
+    backup = region->send_backup.get();
   }
+  StatusOr<ReplicationMessage> msg = DecodeReplicationMessage(type, payload);
+  Status status = msg.ok() ? backup->Handle(*msg) : msg.status();
   if (!status.ok()) {
     ReplyError(ctx, reply_type, status);
     return;

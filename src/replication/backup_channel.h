@@ -1,33 +1,30 @@
 // How a primary region talks to one backup replica. The data plane (value-log
 // records) goes through one-sided RDMA writes into the backup's registered
 // buffer — no backup CPU (paper §3.2). The control plane (flush, index
-// shipping, trim) is ordinary messages handled by the backup's workers.
+// shipping, trim, replay start) is one ReplicationMessage per call, handled by
+// the backup's workers.
 //
 // Two implementations: RpcBackupChannel runs the real protocol over the
-// simulated fabric; tests may implement the interface directly.
+// simulated fabric; LocalBackupChannel round-trips the same encoded bytes to an
+// in-process backup. Tests may implement the interface directly.
 //
-// Thread safety (PR 4): with multiplexed shipping streams the primary calls
-// the compaction-plane methods from several background workers concurrently
-// (one per stream) while the writer thread keeps driving RdmaWriteLog /
-// FlushLog. Implementations must tolerate that interleaving; per-stream
-// ordering (begin -> segments -> end with one stream id) is still guaranteed
-// by the caller.
+// Thread safety: with multiplexed shipping streams the primary sends
+// compaction-plane messages from several background workers concurrently (one
+// per stream) while the writer thread keeps driving RdmaWriteLog and log
+// flushes. Implementations must tolerate that interleaving; per-stream
+// ordering (begin -> segments -> filter -> end with one stream id) is
+// guaranteed by the caller.
 #ifndef TEBIS_REPLICATION_BACKUP_CHANNEL_H_
 #define TEBIS_REPLICATION_BACKUP_CHANNEL_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
+#include <variant>
 
 #include "src/common/slice.h"
 #include "src/common/status.h"
-#include "src/lsm/btree_builder.h"
-#include "src/replication/compaction_stream.h"
-#include "src/storage/segment.h"
+#include "src/replication/replication_wire.h"
 
 namespace tebis {
 
@@ -39,101 +36,29 @@ class BackupChannel {
   // at the record's offset within the tail segment.
   virtual Status RdmaWriteLog(uint64_t offset_in_segment, Slice record_bytes) = 0;
 
-  // Control plane (§3.2): the tail segment `primary_segment` is full and
-  // persisted on the primary; the backup must persist its RDMA buffer and add
-  // the log-map entry. Blocks until the backup acknowledges. `stream` is
-  // kNoStream for data-plane flushes; a flush issued inside a sync-mode
-  // compaction begin carries that compaction's stream. `commit_seq` is the
-  // primary's commit sequence as of this flush (PR 6): the backup folds it
-  // into the visible sequence its read path reports.
-  virtual Status FlushLog(SegmentId primary_segment, StreamId stream = kNoStream,
-                          uint64_t commit_seq = 0) = 0;
-
-  // Same, for the large-value tail (PR 9): the backup persists the
-  // [segment, 2*segment) half of its replication buffer instead of the main
-  // half. Default forwards to FlushLog for family 0 so family-unaware test
-  // doubles keep working; implementations that mirror large values override.
-  virtual Status FlushLogFamily(SegmentId primary_segment, uint32_t family,
-                                StreamId stream = kNoStream, uint64_t commit_seq = 0) {
-    (void)family;
-    return FlushLog(primary_segment, stream, commit_seq);
+  // Control plane: stamps this channel's epoch into `msg` and delivers it.
+  // Blocks until the backup acknowledges (or the delivery fails).
+  Status Send(ReplicationMessage msg) {
+    const uint64_t stamp = epoch();
+    std::visit([stamp](auto& m) { m.epoch = stamp; }, msg);
+    return Deliver(msg);
   }
-
-  // Control plane (§3.3): compaction lifecycle for Send-Index shipping. Every
-  // message is tagged with the compaction's shipping stream (PR 4) so the
-  // backup can run one rewrite state machine per stream.
-  virtual Status CompactionBegin(uint64_t compaction_id, int src_level, int dst_level,
-                                 StreamId stream = 0) = 0;
-  // `payload_crc` (PR 8), when non-zero, is the CRC32C of `bytes`; the backup
-  // rejects a segment mangled in flight before rewriting any pointer.
-  virtual Status ShipIndexSegment(uint64_t compaction_id, int dst_level, int tree_level,
-                                  SegmentId primary_segment, Slice bytes, StreamId stream = 0,
-                                  uint32_t payload_crc = 0) = 0;
-  // `seg_checksums` (PR 8), when non-empty, are the primary's per-segment
-  // CRCs parallel to primary_tree.segments; the backup retains them to serve
-  // and validate primary-space repair fetches.
-  virtual Status CompactionEnd(uint64_t compaction_id, int src_level, int dst_level,
-                               const BuiltTree& primary_tree, StreamId stream = 0,
-                               const std::vector<SegmentChecksum>& seg_checksums = {}) = 0;
-
-  // Shipped bloom filters (PR 7): the serialized filter block for the level
-  // this compaction produces, sent between the last index segment and
-  // CompactionEnd so the backup installs the primary's exact bytes alongside
-  // the tree. Default no-op keeps the many test doubles (and filter-unaware
-  // channels) compiling; backups that never receive one simply don't skip.
-  virtual Status ShipFilterBlock(uint64_t compaction_id, int dst_level, Slice bytes,
-                                 StreamId stream = 0) {
-    (void)compaction_id;
-    (void)dst_level;
-    (void)bytes;
-    (void)stream;
-    return Status::Ok();
-  }
-
-  // GC coordination (paper §4: backups "only perform the trim").
-  virtual Status TrimLog(size_t segments) = 0;
-
-  // Recovery/full-sync: after shipping the levels, tells the backup which
-  // flushed-log segment starts the un-indexed suffix (L0 replay point, §3.5).
-  // Build-Index backups ignore this.
-  virtual Status SetLogReplayStart(size_t flushed_segment_index) = 0;
 
   virtual const std::string& backup_name() const = 0;
 
   // Replication epoch stamped into every message this channel sends. The
   // primary raises it when the coordinator reconfigures the region; backups
   // reject older epochs (fencing, §3.5). Atomic because the primary's writer
-  // thread and the background compaction worker both read it.
+  // thread and the background compaction workers both read it.
   void set_epoch(uint64_t epoch) { epoch_.store(epoch, std::memory_order_release); }
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  // Reply-path flow control (PR 5): implementations invoke the listener after
-  // the backup acknowledged an index segment — i.e. completed its rewrite —
-  // so the primary returns the stream's shipping credit at the real RDMA
-  // window-update point instead of when the send call returns. Fired from
-  // inside compaction-plane calls, possibly on several streams concurrently.
-  using WindowUpdateListener = std::function<void(StreamId, uint64_t)>;
-  void set_window_update_listener(WindowUpdateListener listener) {
-    std::lock_guard<std::mutex> lock(listener_mutex_);
-    listener_ = std::move(listener);
-  }
-
  protected:
-  void NotifyWindowUpdate(StreamId stream, uint64_t bytes) {
-    WindowUpdateListener listener;
-    {
-      std::lock_guard<std::mutex> lock(listener_mutex_);
-      listener = listener_;
-    }
-    if (listener) {
-      listener(stream, bytes);
-    }
-  }
+  // Delivers one epoch-stamped control message to the backup.
+  virtual Status Deliver(const ReplicationMessage& msg) = 0;
 
  private:
   std::atomic<uint64_t> epoch_{0};
-  std::mutex listener_mutex_;
-  WindowUpdateListener listener_;
 };
 
 }  // namespace tebis

@@ -92,6 +92,17 @@ void BuildIndexBackupRegion::set_region_epoch(uint64_t epoch) {
   }
 }
 
+Status BuildIndexBackupRegion::Handle(const ReplicationMessage& msg) {
+  TEBIS_RETURN_IF_ERROR(CheckEpoch(ReplicationMessageEpoch(msg)));
+  if (const auto* flush = std::get_if<FlushLogMsg>(&msg)) {
+    return HandleLogFlush(flush->primary_segment, flush->commit_seq, flush->family);
+  }
+  if (const auto* trim = std::get_if<TrimLogMsg>(&msg)) {
+    return HandleTrimLog(trim->segments);
+  }
+  return Status::Ok();
+}
+
 Status BuildIndexBackupRegion::HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq,
                                               uint32_t family) {
   std::lock_guard<std::shared_mutex> lock(state_mutex_);

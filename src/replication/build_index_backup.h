@@ -13,6 +13,7 @@
 
 #include "src/lsm/kv_store.h"
 #include "src/net/fabric.h"
+#include "src/replication/replication_wire.h"
 #include "src/replication/segment_map.h"
 #include "src/storage/block_device.h"
 #include "src/telemetry/telemetry.h"
@@ -30,7 +31,7 @@ struct BuildIndexBackupStats {
   uint64_t read_rejects_seq = 0;    // reads fenced: commit seq behind fence
 };
 
-class BuildIndexBackupRegion {
+class BuildIndexBackupRegion : public ReplicationMessageHandler {
  public:
   static StatusOr<std::unique_ptr<BuildIndexBackupRegion>> Create(
       BlockDevice* device, const KvStoreOptions& options,
@@ -47,13 +48,10 @@ class BuildIndexBackupRegion {
   BuildIndexBackupRegion(const BuildIndexBackupRegion&) = delete;
   BuildIndexBackupRegion& operator=(const BuildIndexBackupRegion&) = delete;
 
-  // Persists the RDMA buffer as a local log segment, then replays every
-  // record into the local engine (L0 insert + any compactions it triggers).
-  // `commit_seq` is the primary's commit sequence as of this flush (PR 6).
-  // `family` (PR 9) selects the buffer half: kMainLogFamily is [0, segment),
-  // kLargeLogFamily is [segment, 2*segment) of a 2x-segment buffer.
-  Status HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq = 0,
-                        uint32_t family = kMainLogFamily);
+  // Control plane: checks the message's epoch (CheckEpoch), then applies
+  // log flushes and trims. This backup compacts on its own, so the
+  // compaction-plane messages and the replay start are acknowledged no-ops.
+  Status Handle(const ReplicationMessage& msg) override;
 
   // --- replica read path (PR 6), mirrors SendIndexBackupRegion ---
 
@@ -66,8 +64,6 @@ class BuildIndexBackupRegion {
   StatusOr<std::vector<KvPair>> Scan(Slice start, size_t limit, uint64_t min_epoch,
                                      uint64_t min_seq, uint64_t* visible_seq);
   uint64_t visible_seq() const;
-
-  Status HandleTrimLog(size_t segments);
 
   // Promotion is cheap for Build-Index: the engine is already complete; only
   // the unflushed RDMA buffer must be replayed (skipped when the caller
@@ -92,6 +88,14 @@ class BuildIndexBackupRegion {
  private:
   BuildIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
                          std::shared_ptr<RegisteredBuffer> rdma_buffer);
+
+  // Persists the RDMA buffer as a local log segment, then replays every
+  // record into the local engine (L0 insert + any compactions it triggers).
+  // `commit_seq` is the primary's commit sequence as of this flush. `family`
+  // selects the buffer half: kMainLogFamily is [0, segment), kLargeLogFamily
+  // is [segment, 2*segment) of a 2x-segment buffer.
+  Status HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq, uint32_t family);
+  Status HandleTrimLog(size_t segments);
 
   // Mirrors BuildIndexBackupStats as registry instruments.
   struct Instruments {

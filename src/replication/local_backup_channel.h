@@ -1,15 +1,17 @@
-// BackupChannel that invokes a backup region object in-process (no message
-// protocol). The data plane still flows through the registered RDMA buffer so
-// network traffic is accounted identically; control messages are modelled as
-// one accounted message each. Used by unit tests and by single-process
+// BackupChannel that hands each control message to an in-process backup
+// region. The data plane still flows through the registered RDMA buffer, and
+// every control message is encoded, accounted as one padded request plus one
+// ack, decoded from those same bytes and handed to the backup's Handle — the
+// decoder the RPC server runs. Used by unit tests and by single-process
 // benchmark setups where the full RPC path is not under test.
 //
-// Every control message is bracketed with fault-injection sites: the send site
-// fires before the backup handler runs (a lost request — the backup never saw
-// it), the ack site fires after (a lost acknowledgment — the backup DID apply
-// the message but the primary doesn't know). With `max_attempts` > 1 the
-// channel retries Unavailable outcomes, which is why the backup handlers are
-// idempotent: an ack-lost retry re-delivers an already-applied message.
+// Every control message is bracketed with the fault-injection sites of its
+// type (SitesFor): the send site fires before the backup handler runs (a
+// lost request — the backup never saw it), the ack site fires after (a lost
+// acknowledgment — the backup DID apply the message but the primary doesn't
+// know). With `max_attempts` > 1 the channel retries Unavailable outcomes,
+// which is why the backup handlers are idempotent: an ack-lost retry
+// re-delivers an already-applied message.
 #ifndef TEBIS_REPLICATION_LOCAL_BACKUP_CHANNEL_H_
 #define TEBIS_REPLICATION_LOCAL_BACKUP_CHANNEL_H_
 
@@ -21,9 +23,7 @@
 #include "src/net/fabric.h"
 #include "src/net/message.h"
 #include "src/replication/backup_channel.h"
-#include "src/replication/build_index_backup.h"
 #include "src/replication/replication_wire.h"
-#include "src/replication/send_index_backup.h"
 #include "src/telemetry/request_trace.h"
 #include "src/testing/fault_injector.h"
 
@@ -31,17 +31,16 @@ namespace tebis {
 
 class LocalBackupChannel : public BackupChannel {
  public:
-  // Exactly one of `send_backup` / `build_backup` is non-null. The channel
-  // does not own the backup. `buffer` is the backup's registered log buffer;
+  // `backup` is the Send-Index or Build-Index backup region; the channel
+  // does not own it. `buffer` is the backup's registered log buffer;
   // `primary_name` is used only for traffic accounting of control messages.
   LocalBackupChannel(Fabric* fabric, std::string primary_name,
-                     std::shared_ptr<RegisteredBuffer> buffer, SendIndexBackupRegion* send_backup,
-                     BuildIndexBackupRegion* build_backup, int max_attempts = 1)
+                     std::shared_ptr<RegisteredBuffer> buffer, ReplicationMessageHandler* backup,
+                     int max_attempts = 1)
       : fabric_(fabric),
         primary_name_(std::move(primary_name)),
         buffer_(std::move(buffer)),
-        send_backup_(send_backup),
-        build_backup_(build_backup),
+        backup_(backup),
         backup_name_(buffer_->owner()),
         max_attempts_(std::max(1, max_attempts)) {}
 
@@ -50,150 +49,19 @@ class LocalBackupChannel : public BackupChannel {
                                     CurrentRequestTrace());
   }
 
-  Status FlushLog(SegmentId primary_segment, StreamId stream = kNoStream,
-                  uint64_t commit_seq = 0) override {
-    return FlushLogFamily(primary_segment, kMainLogFamily, stream, commit_seq);
-  }
-
-  Status FlushLogFamily(SegmentId primary_segment, uint32_t family, StreamId stream = kNoStream,
-                        uint64_t commit_seq = 0) override {
-    return WithRetry(
-        FaultSite::kReplFlushSend, FaultSite::kReplFlushAck, /*has_ack=*/true,
-        EncodeFlushLog({epoch(), primary_segment, commit_seq, stream, family}).size(), [&] {
-          TEBIS_RETURN_IF_ERROR(CheckBackupEpoch());
-          if (send_backup_ != nullptr) {
-            return send_backup_->HandleLogFlush(primary_segment, commit_seq, family);
-          }
-          return build_backup_->HandleLogFlush(primary_segment, commit_seq, family);
-        });
-  }
-
-  Status CompactionBegin(uint64_t compaction_id, int src_level, int dst_level,
-                         StreamId stream = 0) override {
-    if (send_backup_ == nullptr) {
-      return Status::Ok();
-    }
-    return WithRetry(FaultSite::kReplCompactionBeginSend, FaultSite::kNumSites,
-                     /*has_ack=*/false,
-                     EncodeCompactionBegin({epoch(), compaction_id,
-                                            static_cast<uint32_t>(src_level),
-                                            static_cast<uint32_t>(dst_level), stream})
-                         .size(),
-                     [&] {
-                       TEBIS_RETURN_IF_ERROR(CheckBackupEpoch());
-                       return send_backup_->HandleCompactionBegin(compaction_id, src_level,
-                                                                  dst_level, stream);
-                     });
-  }
-
-  Status ShipIndexSegment(uint64_t compaction_id, int dst_level, int tree_level,
-                          SegmentId primary_segment, Slice bytes, StreamId stream = 0,
-                          uint32_t payload_crc = 0) override {
-    if (send_backup_ == nullptr) {
-      return Status::Ok();
-    }
-    // The segment body is the dominant network cost of Send-Index.
-    Status status =
-        WithRetry(FaultSite::kReplIndexSegmentSend, FaultSite::kReplIndexSegmentAck,
-                  /*has_ack=*/true, bytes.size() + 44, [&] {
-                    TEBIS_RETURN_IF_ERROR(CheckBackupEpoch());
-                    return send_backup_->HandleIndexSegment(compaction_id, dst_level, tree_level,
-                                                            primary_segment, bytes, stream,
-                                                            payload_crc);
-                  });
-    if (status.ok()) {
-      // The ack doubles as the window update: the backup has finished its
-      // rewrite, so its share of the replication buffer is free again.
-      NotifyWindowUpdate(stream, bytes.size());
-    }
-    return status;
-  }
-
-  Status CompactionEnd(uint64_t compaction_id, int src_level, int dst_level,
-                       const BuiltTree& primary_tree, StreamId stream = 0,
-                       const std::vector<SegmentChecksum>& seg_checksums = {}) override {
-    if (send_backup_ == nullptr) {
-      return Status::Ok();
-    }
-    CompactionEndMsg msg{epoch(),  compaction_id, static_cast<uint32_t>(src_level),
-                         static_cast<uint32_t>(dst_level), primary_tree, stream,
-                         seg_checksums};
-    return WithRetry(FaultSite::kReplCompactionEndSend, FaultSite::kReplCompactionEndAck,
-                     /*has_ack=*/true, EncodeCompactionEnd(msg).size(), [&] {
-                       TEBIS_RETURN_IF_ERROR(CheckBackupEpoch());
-                       return send_backup_->HandleCompactionEnd(compaction_id, src_level,
-                                                                dst_level, primary_tree, stream,
-                                                                seg_checksums);
-                     });
-  }
-
-  Status ShipFilterBlock(uint64_t compaction_id, int dst_level, Slice bytes,
-                         StreamId stream = 0) override {
-    if (send_backup_ == nullptr) {
-      return Status::Ok();
-    }
-    FilterBlockMsg msg{epoch(), compaction_id, static_cast<uint32_t>(dst_level), bytes, stream};
-    return WithRetry(FaultSite::kReplFilterBlockSend, FaultSite::kReplFilterBlockAck,
-                     /*has_ack=*/true, EncodeFilterBlock(msg).size(), [&] {
-                       TEBIS_RETURN_IF_ERROR(CheckBackupEpoch());
-                       return send_backup_->HandleFilterBlock(compaction_id, dst_level, bytes,
-                                                              stream);
-                     });
-  }
-
-  Status TrimLog(size_t segments) override {
-    return WithRetry(FaultSite::kReplTrimSend, FaultSite::kNumSites, /*has_ack=*/false,
-                     EncodeTrimLog({epoch(), static_cast<uint32_t>(segments)}).size(), [&] {
-                       TEBIS_RETURN_IF_ERROR(CheckBackupEpoch());
-                       if (send_backup_ != nullptr) {
-                         return send_backup_->HandleTrimLog(segments);
-                       }
-                       return build_backup_->HandleTrimLog(segments);
-                     });
-  }
-
-  Status SetLogReplayStart(size_t flushed_segment_index) override {
-    AccountControlMessage(16);
-    TEBIS_RETURN_IF_ERROR(CheckBackupEpoch());
-    if (send_backup_ != nullptr) {
-      send_backup_->set_replay_from(flushed_segment_index);
-    }
-    return Status::Ok();
-  }
-
   const std::string& backup_name() const override { return backup_name_; }
 
   // Control messages re-sent after an Unavailable outcome.
   uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
 
- private:
-  template <typename Handler>
-  Status DeliverOnce(FaultSite send_site, FaultSite ack_site, bool has_ack, size_t payload_size,
-                     Handler&& handler) {
-    FaultInjector* injector = fabric_->fault_injector();
-    if (injector != nullptr) {
-      // Request lost in flight: the backup never sees the message.
-      TEBIS_RETURN_IF_ERROR(injector->OnSite(send_site, primary_name_, backup_name_));
-    }
-    AccountControlMessage(payload_size);
-    TEBIS_RETURN_IF_ERROR(handler());
-    if (has_ack && injector != nullptr) {
-      // Ack lost in flight: the backup applied the message but the primary
-      // cannot tell — a retry re-delivers it.
-      TEBIS_RETURN_IF_ERROR(injector->OnSite(ack_site, backup_name_, primary_name_));
-    }
-    return Status::Ok();
-  }
-
-  template <typename Handler>
-  Status WithRetry(FaultSite send_site, FaultSite ack_site, bool has_ack, size_t payload_size,
-                   Handler&& handler) {
+ protected:
+  Status Deliver(const ReplicationMessage& msg) override {
     Status status = Status::Ok();
     for (int attempt = 0; attempt < max_attempts_; ++attempt) {
       if (attempt > 0) {
         retries_.fetch_add(1, std::memory_order_relaxed);
       }
-      status = DeliverOnce(send_site, ack_site, has_ack, payload_size, handler);
+      status = DeliverOnce(msg);
       if (!status.IsUnavailable()) {
         return status;
       }
@@ -201,13 +69,51 @@ class LocalBackupChannel : public BackupChannel {
     return status;
   }
 
-  // Fencing check the real protocol performs on the backup's server: reject
-  // messages stamped with an epoch older than the backup's configuration.
-  Status CheckBackupEpoch() {
-    if (send_backup_ != nullptr) {
-      return send_backup_->CheckEpoch(epoch());
+ private:
+  // Fault sites per message type; kNumSites means the type has no such site.
+  // Compaction begin and trim are fire-and-forget (no ack site); replay start
+  // has no site at all.
+  struct FaultSites {
+    FaultSite send;
+    FaultSite ack;
+  };
+  static FaultSites SitesFor(MessageType type) {
+    switch (type) {
+      case MessageType::kFlushLog:
+        return {FaultSite::kReplFlushSend, FaultSite::kReplFlushAck};
+      case MessageType::kCompactionBegin:
+        return {FaultSite::kReplCompactionBeginSend, FaultSite::kNumSites};
+      case MessageType::kIndexSegment:
+        return {FaultSite::kReplIndexSegmentSend, FaultSite::kReplIndexSegmentAck};
+      case MessageType::kFilterBlock:
+        return {FaultSite::kReplFilterBlockSend, FaultSite::kReplFilterBlockAck};
+      case MessageType::kCompactionEnd:
+        return {FaultSite::kReplCompactionEndSend, FaultSite::kReplCompactionEndAck};
+      case MessageType::kLogTrim:
+        return {FaultSite::kReplTrimSend, FaultSite::kNumSites};
+      default:
+        return {FaultSite::kNumSites, FaultSite::kNumSites};
     }
-    return build_backup_->CheckEpoch(epoch());
+  }
+
+  Status DeliverOnce(const ReplicationMessage& msg) {
+    const MessageType type = ReplicationMessageType(msg);
+    const FaultSites sites = SitesFor(type);
+    FaultInjector* injector = fabric_->fault_injector();
+    if (injector != nullptr && sites.send != FaultSite::kNumSites) {
+      // Request lost in flight: the backup never sees the message.
+      TEBIS_RETURN_IF_ERROR(injector->OnSite(sites.send, primary_name_, backup_name_));
+    }
+    const std::string payload = EncodeReplicationMessage(msg);
+    AccountControlMessage(payload.size());
+    TEBIS_ASSIGN_OR_RETURN(ReplicationMessage decoded, DecodeReplicationMessage(type, payload));
+    TEBIS_RETURN_IF_ERROR(backup_->Handle(decoded));
+    if (injector != nullptr && sites.ack != FaultSite::kNumSites) {
+      // Ack lost in flight: the backup applied the message but the primary
+      // cannot tell — a retry re-delivers it.
+      TEBIS_RETURN_IF_ERROR(injector->OnSite(sites.ack, backup_name_, primary_name_));
+    }
+    return Status::Ok();
   }
 
   void AccountControlMessage(size_t payload_size) {
@@ -222,11 +128,10 @@ class LocalBackupChannel : public BackupChannel {
   Fabric* const fabric_;
   const std::string primary_name_;
   std::shared_ptr<RegisteredBuffer> buffer_;
-  SendIndexBackupRegion* const send_backup_;
-  BuildIndexBackupRegion* const build_backup_;
+  ReplicationMessageHandler* const backup_;
   const std::string backup_name_;
   const int max_attempts_;
-  // Concurrent streams retry independently (PR 4).
+  // Concurrent streams retry independently.
   std::atomic<uint64_t> retries_{0};
 };
 

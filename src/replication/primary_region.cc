@@ -150,32 +150,6 @@ void PrimaryRegion::AddBackup(std::unique_ptr<BackupChannel> channel) {
     slot->credits_in_flight =
         store_->telemetry()->metrics()->GetGauge("repl.credits_in_flight", labels);
   }
-  // Reply-path credit return (PR 5): when the backup acknowledges a segment —
-  // its rewrite is done — return the stream's whole pending grant in one
-  // piece. The weak_ptr covers a detach racing an in-flight call; the
-  // leftover release in FanOut covers channels that never notify.
-  std::weak_ptr<BackupSlot> weak = slot;
-  slot->channel->set_window_update_listener([weak](StreamId stream, uint64_t) {
-    std::shared_ptr<BackupSlot> s = weak.lock();
-    if (s == nullptr || s->flow == nullptr) {
-      return;
-    }
-    uint64_t pending = 0;
-    {
-      std::lock_guard<std::mutex> credit(s->credit_mutex);
-      auto it = s->pending_credit.find(stream);
-      if (it != s->pending_credit.end()) {
-        pending = it->second;
-        it->second = 0;
-      }
-    }
-    if (pending > 0) {
-      s->flow->Release(stream, pending);
-    }
-    if (s->credits_in_flight != nullptr) {
-      s->credits_in_flight->Set(static_cast<int64_t>(s->flow->in_flight()));
-    }
-  });
   // Mirror invariant: the backup's RDMA buffer must hold exactly the
   // primary's unflushed tail, because a later FlushLog makes the backup
   // persist that buffer as the tail's segment image. A backup attached
@@ -386,37 +360,15 @@ void PrimaryRegion::FanOut(StreamId stream, uint64_t flow_bytes,
       if (charged) {
         TEBIS_RETURN_IF_ERROR(
             slot->flow->Acquire(stream, flow_bytes, deadline_ns, &credit_wait_ns));
-        {
-          std::lock_guard<std::mutex> credit(slot->credit_mutex);
-          slot->pending_credit[stream] += flow_bytes;
-        }
-        if (slot->credits_in_flight != nullptr) {
-          slot->credits_in_flight->Set(static_cast<int64_t>(slot->flow->in_flight()));
-        }
+        slot->credits_in_flight->Set(static_cast<int64_t>(slot->flow->in_flight()));
       }
       Status s = call(slot->channel.get());
       if (charged) {
-        // Credit normally comes back on the reply path — the channel's window
-        // update fires when the backup completes its rewrite and zeroes the
-        // pending grant. Whatever was NOT granted back (failed calls,
-        // channels that never notify) is returned here, in one piece:
-        // Acquire clamps oversized charges to the per-stream cap, so split
-        // releases would over-release.
-        uint64_t leftover = 0;
-        {
-          std::lock_guard<std::mutex> credit(slot->credit_mutex);
-          auto it = slot->pending_credit.find(stream);
-          if (it != slot->pending_credit.end()) {
-            leftover = it->second;
-            it->second = 0;
-          }
-        }
-        if (leftover > 0) {
-          slot->flow->Release(stream, leftover);
-        }
-        if (slot->credits_in_flight != nullptr) {
-          slot->credits_in_flight->Set(static_cast<int64_t>(slot->flow->in_flight()));
-        }
+        // The call returns once the backup acknowledged — its rewrite is done
+        // (or the call failed) — so the stream's share of the replication
+        // buffer is free again.
+        slot->flow->Release(stream, flow_bytes);
+        slot->credits_in_flight->Set(static_cast<int64_t>(slot->flow->in_flight()));
       }
       return s;
     });
@@ -491,7 +443,8 @@ StatusOr<size_t> PrimaryRegion::GarbageCollect(size_t max_segments) {
   {
     std::lock_guard<std::recursive_mutex> lock(region_mutex_);
     for (auto& slot : backups_) {
-      TEBIS_RETURN_IF_ERROR(slot->channel->TrimLog(freed));
+      TEBIS_RETURN_IF_ERROR(
+          slot->channel->Send(TrimLogMsg{.segments = static_cast<uint32_t>(freed)}));
     }
   }
   return freed;
@@ -516,7 +469,8 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
     TEBIS_RETURN_IF_ERROR(channel->RdmaWriteLog(0, Slice(buf)));
     // The backup is not read-leased during a sync, so stamping every flush
     // with the current commit sequence (early for older segments) is safe.
-    TEBIS_RETURN_IF_ERROR(channel->FlushLog(seg, kNoStream, commit_seq()));
+    TEBIS_RETURN_IF_ERROR(
+        channel->Send(FlushLogMsg{.primary_segment = seg, .commit_seq = commit_seq()}));
   }
   // 2) (Send-Index) every device level via synthetic compactions, each on its
   //    own shipping stream; the backup rewrites them exactly like live
@@ -535,25 +489,40 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
         stream = AcquireStreamLocked(sync_id);
       }
       Status status = [&]() -> Status {
-        TEBIS_RETURN_IF_ERROR(channel->CompactionBegin(sync_id, 0, static_cast<int>(i), stream));
+        TEBIS_RETURN_IF_ERROR(channel->Send(CompactionBeginMsg{
+            .compaction_id = sync_id, .src_level = 0, .dst_level = i, .stream_id = stream}));
         for (size_t s = 0; s < tree.segments.size(); ++s) {
           const SegmentId seg = tree.segments[s];
-          // With a checksummed level (PR 8) ship exactly the fingerprinted
-          // used prefix, CRC-stamped — the backup verifies the wire bytes and
-          // retains the primary checksums for repair interchange.
+          // A checksummed level ships exactly its fingerprinted used prefix,
+          // stamped with the stored CRC, and the backup retains the primary
+          // checksums for repair interchange; an unchecksummed one ships
+          // whole segments, CRC'd here. Either way the backup verifies the
+          // wire bytes.
           const uint64_t length = tree.checksummed() ? tree.seg_checksums[s].length : seg_size;
-          const uint32_t crc = tree.checksummed() ? tree.seg_checksums[s].crc : 0;
           TEBIS_RETURN_IF_ERROR(device_->Read(device_->geometry().BaseOffset(seg), length,
                                               buf.data(), IoClass::kRecovery));
-          TEBIS_RETURN_IF_ERROR(channel->ShipIndexSegment(sync_id, static_cast<int>(i), 0, seg,
-                                                          Slice(buf.data(), length), stream, crc));
+          const uint32_t crc =
+              tree.checksummed() ? tree.seg_checksums[s].crc : Crc32c(buf.data(), length);
+          TEBIS_RETURN_IF_ERROR(channel->Send(IndexSegmentMsg{.compaction_id = sync_id,
+                                                              .dst_level = i,
+                                                              .tree_level = 0,
+                                                              .primary_segment = seg,
+                                                              .data = Slice(buf.data(), length),
+                                                              .stream_id = stream,
+                                                              .payload_crc = crc}));
         }
         if (tree.filter != nullptr) {
-          TEBIS_RETURN_IF_ERROR(channel->ShipFilterBlock(sync_id, static_cast<int>(i),
-                                                         Slice(*tree.filter), stream));
+          TEBIS_RETURN_IF_ERROR(channel->Send(FilterBlockMsg{.compaction_id = sync_id,
+                                                             .dst_level = i,
+                                                             .data = Slice(*tree.filter),
+                                                             .stream_id = stream}));
         }
-        return channel->CompactionEnd(sync_id, 0, static_cast<int>(i), tree, stream,
-                                      tree.seg_checksums);
+        return channel->Send(CompactionEndMsg{.compaction_id = sync_id,
+                                              .src_level = 0,
+                                              .dst_level = i,
+                                              .tree = tree,
+                                              .stream_id = stream,
+                                              .seg_checksums = tree.seg_checksums});
       }();
       {
         std::lock_guard<std::recursive_mutex> lock(region_mutex_);
@@ -563,7 +532,7 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
     }
   }
   // 3) Where L0 replay starts if this backup is ever promoted.
-  return channel->SetLogReplayStart(l0_boundary_);
+  return channel->Send(SetReplayStartMsg{.flushed_segment_index = l0_boundary_});
 }
 
 Status PrimaryRegion::ReplayBufferImage(Slice image) {
@@ -745,11 +714,10 @@ void PrimaryRegion::OnTailFlush(SegmentId tail_segment, Slice segment_bytes) {
     // A flush forced by a sync-mode compaction begin is part of that
     // compaction's stream; ordinary data-plane flushes are stream-less.
     const StreamId stream = in_compaction_begin_ ? in_begin_stream_ : kNoStream;
-    const uint64_t commit_seq = commit_seq_;
+    const FlushLogMsg msg{
+        .primary_segment = tail_segment, .commit_seq = commit_seq_, .stream_id = stream};
     for (auto& slot : backups_) {
-      Status status = GuardedCall(slot, kNoStream, [&] {
-        return slot->channel->FlushLog(tail_segment, stream, commit_seq);
-      });
+      Status status = GuardedCall(slot, kNoStream, [&] { return slot->channel->Send(msg); });
       if (!StruckOutLocked(*slot, kNoStream)) {
         Park(status);
       }
@@ -772,11 +740,12 @@ void PrimaryRegion::OnLargeTailFlush(SegmentId tail_segment, Slice segment_bytes
   {
     ScopedCpuTimer timer(&cpu_ns);
     const StreamId stream = in_compaction_begin_ ? in_begin_stream_ : kNoStream;
-    const uint64_t commit_seq = commit_seq_;
+    const FlushLogMsg msg{.primary_segment = tail_segment,
+                          .commit_seq = commit_seq_,
+                          .stream_id = stream,
+                          .family = kLargeLogFamily};
     for (auto& slot : backups_) {
-      Status status = GuardedCall(slot, kNoStream, [&] {
-        return slot->channel->FlushLogFamily(tail_segment, kLargeLogFamily, stream, commit_seq);
-      });
+      Status status = GuardedCall(slot, kNoStream, [&] { return slot->channel->Send(msg); });
       if (!StruckOutLocked(*slot, kNoStream)) {
         Park(status);
       }
@@ -824,9 +793,11 @@ void PrimaryRegion::OnCompactionBegin(const CompactionInfo& info) {
   uint64_t cpu_ns = 0;
   {
     ScopedCpuTimer timer(&cpu_ns);
-    FanOut(stream, /*flow_bytes=*/0, [&](BackupChannel* channel) {
-      return channel->CompactionBegin(info.compaction_id, info.src_level, info.dst_level, stream);
-    });
+    const CompactionBeginMsg msg{.compaction_id = info.compaction_id,
+                                 .src_level = static_cast<uint32_t>(info.src_level),
+                                 .dst_level = static_cast<uint32_t>(info.dst_level),
+                                 .stream_id = stream};
+    FanOut(stream, /*flow_bytes=*/0, [&](BackupChannel* channel) { return channel->Send(msg); });
   }
   repl_.send_index_cpu_ns->Add(cpu_ns);
 }
@@ -846,12 +817,16 @@ void PrimaryRegion::OnIndexSegment(const CompactionInfo& info, int tree_level, S
   {
     ScopedCpuTimer timer(&cpu_ns);
     // Fingerprint once, fan out to every backup: each receiver proves the
-    // bytes survived the wire before rewriting a single pointer (PR 8).
-    const uint32_t payload_crc = Crc32c(bytes.data(), bytes.size());
-    FanOut(stream, /*flow_bytes=*/bytes.size(), [&](BackupChannel* channel) {
-      return channel->ShipIndexSegment(info.compaction_id, info.dst_level, tree_level, segment,
-                                       bytes, stream, payload_crc);
-    });
+    // bytes survived the wire before rewriting a single pointer.
+    const IndexSegmentMsg msg{.compaction_id = info.compaction_id,
+                              .dst_level = static_cast<uint32_t>(info.dst_level),
+                              .tree_level = static_cast<uint32_t>(tree_level),
+                              .primary_segment = segment,
+                              .data = bytes,
+                              .stream_id = stream,
+                              .payload_crc = Crc32c(bytes.data(), bytes.size())};
+    FanOut(stream, /*flow_bytes=*/bytes.size(),
+           [&](BackupChannel* channel) { return channel->Send(msg); });
   }
   RecordSpan(info, "ship_segment", ship_start_ns, NowNanos(), bytes.size());
   repl_.send_index_cpu_ns->Add(cpu_ns);
@@ -876,17 +851,21 @@ void PrimaryRegion::OnCompactionEnd(const CompactionInfo& info, const BuiltTree&
       // Ship the level's filter block before the end message: when the end
       // commits on the backup the filter installs atomically with the tree.
       // Control-plane sized (a few KB of fingerprints), so no flow credit.
-      FanOut(stream, /*flow_bytes=*/0, [&](BackupChannel* channel) {
-        return channel->ShipFilterBlock(info.compaction_id, info.dst_level,
-                                        Slice(*new_tree.filter), stream);
-      });
+      const FilterBlockMsg msg{.compaction_id = info.compaction_id,
+                               .dst_level = static_cast<uint32_t>(info.dst_level),
+                               .data = Slice(*new_tree.filter),
+                               .stream_id = stream};
+      FanOut(stream, /*flow_bytes=*/0, [&](BackupChannel* channel) { return channel->Send(msg); });
       repl_.filter_blocks_shipped->Increment();
       repl_.filter_bytes_shipped->Add(new_tree.filter->size());
     }
-    FanOut(stream, /*flow_bytes=*/0, [&](BackupChannel* channel) {
-      return channel->CompactionEnd(info.compaction_id, info.src_level, info.dst_level, new_tree,
-                                    stream, new_tree.seg_checksums);
-    });
+    const CompactionEndMsg msg{.compaction_id = info.compaction_id,
+                               .src_level = static_cast<uint32_t>(info.src_level),
+                               .dst_level = static_cast<uint32_t>(info.dst_level),
+                               .tree = new_tree,
+                               .stream_id = stream,
+                               .seg_checksums = new_tree.seg_checksums};
+    FanOut(stream, /*flow_bytes=*/0, [&](BackupChannel* channel) { return channel->Send(msg); });
   }
   {
     std::lock_guard<std::recursive_mutex> lock(region_mutex_);

@@ -220,13 +220,6 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
     std::map<StreamId, int> strikes;
     // Internally synchronized; null when flow control is disabled.
     std::unique_ptr<StreamFlowController> flow;
-    // Credit granted to an in-flight segment ship, not yet returned by the
-    // backup's window update (PR 5: credit comes back on the reply path, when
-    // the backup completes its rewrite — not at send return). Guarded by
-    // credit_mutex, never region_mutex_: the window-update listener fires
-    // from inside channel calls, which run without the region lock.
-    std::mutex credit_mutex;
-    std::map<StreamId, uint64_t> pending_credit;
     Gauge* credits_in_flight = nullptr;  // repl.credits_in_flight{backup}
   };
 

@@ -2,162 +2,179 @@
 
 namespace tebis {
 
-std::string EncodeFlushLog(const FlushLogMsg& msg) {
-  WireWriter w;
-  w.U64(msg.epoch).U64(msg.primary_segment).U64(msg.commit_seq).U32(msg.stream_id);
-  if (msg.family != 0) {
-    w.U32(msg.family);
-  }
-  return w.str();
+namespace {
+
+void Write(WireWriter* w, const FlushLogMsg& msg) {
+  w->U64(msg.epoch).U64(msg.primary_segment).U64(msg.commit_seq).U32(msg.stream_id);
+  w->U32(msg.family);
 }
 
-Status DecodeFlushLog(Slice payload, FlushLogMsg* out) {
-  WireReader r(payload);
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->epoch));
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->primary_segment));
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->commit_seq));
-  TEBIS_RETURN_IF_ERROR(r.U32(&out->stream_id));
-  out->family = 0;
-  if (r.remaining() > 0) {
-    return r.U32(&out->family);
-  }
-  return Status::Ok();
+Status Read(WireReader* r, FlushLogMsg* out) {
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->epoch));
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->primary_segment));
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->commit_seq));
+  TEBIS_RETURN_IF_ERROR(r->U32(&out->stream_id));
+  return r->U32(&out->family);
 }
 
-std::string EncodeCompactionBegin(const CompactionBeginMsg& msg) {
-  WireWriter w;
-  w.U64(msg.epoch).U64(msg.compaction_id).U32(msg.src_level).U32(msg.dst_level);
-  w.U32(msg.stream_id);
-  return w.str();
+void Write(WireWriter* w, const CompactionBeginMsg& msg) {
+  w->U64(msg.epoch).U64(msg.compaction_id).U32(msg.src_level).U32(msg.dst_level);
+  w->U32(msg.stream_id);
 }
 
-Status DecodeCompactionBegin(Slice payload, CompactionBeginMsg* out) {
-  WireReader r(payload);
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->epoch));
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->compaction_id));
-  TEBIS_RETURN_IF_ERROR(r.U32(&out->src_level));
-  TEBIS_RETURN_IF_ERROR(r.U32(&out->dst_level));
-  return r.U32(&out->stream_id);
+Status Read(WireReader* r, CompactionBeginMsg* out) {
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->epoch));
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->compaction_id));
+  TEBIS_RETURN_IF_ERROR(r->U32(&out->src_level));
+  TEBIS_RETURN_IF_ERROR(r->U32(&out->dst_level));
+  return r->U32(&out->stream_id);
 }
 
-std::string EncodeIndexSegment(const IndexSegmentMsg& msg) {
-  WireWriter w;
-  w.U64(msg.epoch)
+void Write(WireWriter* w, const IndexSegmentMsg& msg) {
+  w->U64(msg.epoch)
       .U64(msg.compaction_id)
       .U32(msg.dst_level)
       .U32(msg.tree_level)
       .U64(msg.primary_segment)
       .Bytes(msg.data)
-      .U32(msg.stream_id);
-  // Trailing (PR 8): written only when set, so an uncheck-summed message stays
-  // byte-identical to the pre-PR 8 encoding (any strict prefix still fails).
-  if (msg.payload_crc != 0) {
-    w.U32(msg.payload_crc);
-  }
-  return w.str();
+      .U32(msg.stream_id)
+      .U32(msg.payload_crc);
 }
 
-Status DecodeIndexSegment(Slice payload, IndexSegmentMsg* out) {
-  WireReader r(payload);
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->epoch));
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->compaction_id));
-  TEBIS_RETURN_IF_ERROR(r.U32(&out->dst_level));
-  TEBIS_RETURN_IF_ERROR(r.U32(&out->tree_level));
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->primary_segment));
-  TEBIS_RETURN_IF_ERROR(r.BytesView(&out->data));
-  TEBIS_RETURN_IF_ERROR(r.U32(&out->stream_id));
-  out->payload_crc = 0;  // pre-PR 8 sender: unchecked
-  if (r.remaining() > 0) {
-    TEBIS_RETURN_IF_ERROR(r.U32(&out->payload_crc));
-  }
-  return Status::Ok();
+Status Read(WireReader* r, IndexSegmentMsg* out) {
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->epoch));
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->compaction_id));
+  TEBIS_RETURN_IF_ERROR(r->U32(&out->dst_level));
+  TEBIS_RETURN_IF_ERROR(r->U32(&out->tree_level));
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->primary_segment));
+  TEBIS_RETURN_IF_ERROR(r->BytesView(&out->data));
+  TEBIS_RETURN_IF_ERROR(r->U32(&out->stream_id));
+  return r->U32(&out->payload_crc);
 }
 
-std::string EncodeCompactionEnd(const CompactionEndMsg& msg) {
-  WireWriter w;
-  w.U64(msg.epoch).U64(msg.compaction_id).U32(msg.src_level).U32(msg.dst_level);
-  w.U64(msg.tree.root_offset).U16(msg.tree.height).U64(msg.tree.num_entries);
-  w.U64(msg.tree.bytes_written);
-  w.U32(static_cast<uint32_t>(msg.tree.segments.size()));
+void Write(WireWriter* w, const FilterBlockMsg& msg) {
+  w->U64(msg.epoch).U64(msg.compaction_id).U32(msg.dst_level).Bytes(msg.data);
+  w->U32(msg.stream_id);
+}
+
+Status Read(WireReader* r, FilterBlockMsg* out) {
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->epoch));
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->compaction_id));
+  TEBIS_RETURN_IF_ERROR(r->U32(&out->dst_level));
+  TEBIS_RETURN_IF_ERROR(r->BytesView(&out->data));
+  return r->U32(&out->stream_id);
+}
+
+void Write(WireWriter* w, const CompactionEndMsg& msg) {
+  w->U64(msg.epoch).U64(msg.compaction_id).U32(msg.src_level).U32(msg.dst_level);
+  w->U64(msg.tree.root_offset).U16(msg.tree.height).U64(msg.tree.num_entries);
+  w->U64(msg.tree.bytes_written);
+  w->U32(static_cast<uint32_t>(msg.tree.segments.size()));
   for (SegmentId seg : msg.tree.segments) {
-    w.U64(seg);
+    w->U64(seg);
   }
-  w.U32(msg.stream_id);
-  // Trailing (PR 8): the primary's per-segment checksums, parallel to
-  // tree.segments. Old decoders stop at stream_id and never see them; written
-  // only when present so the unchecksummed encoding stays byte-identical to
-  // the pre-PR 8 format (any strict prefix of it still fails to decode).
-  if (!msg.seg_checksums.empty()) {
-    w.U32(static_cast<uint32_t>(msg.seg_checksums.size()));
-    for (const SegmentChecksum& sc : msg.seg_checksums) {
-      w.U32(sc.crc).U32(sc.length);
-    }
+  w->U32(msg.stream_id);
+  w->U32(static_cast<uint32_t>(msg.seg_checksums.size()));
+  for (const SegmentChecksum& sc : msg.seg_checksums) {
+    w->U32(sc.crc).U32(sc.length);
   }
-  return w.str();
 }
 
-Status DecodeCompactionEnd(Slice payload, CompactionEndMsg* out) {
-  WireReader r(payload);
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->epoch));
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->compaction_id));
-  TEBIS_RETURN_IF_ERROR(r.U32(&out->src_level));
-  TEBIS_RETURN_IF_ERROR(r.U32(&out->dst_level));
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->tree.root_offset));
-  TEBIS_RETURN_IF_ERROR(r.U16(&out->tree.height));
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->tree.num_entries));
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->tree.bytes_written));
+Status Read(WireReader* r, CompactionEndMsg* out) {
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->epoch));
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->compaction_id));
+  TEBIS_RETURN_IF_ERROR(r->U32(&out->src_level));
+  TEBIS_RETURN_IF_ERROR(r->U32(&out->dst_level));
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->tree.root_offset));
+  TEBIS_RETURN_IF_ERROR(r->U16(&out->tree.height));
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->tree.num_entries));
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->tree.bytes_written));
   uint32_t n;
-  TEBIS_RETURN_IF_ERROR(r.U32(&n));
-  out->tree.segments.clear();
+  TEBIS_RETURN_IF_ERROR(r->U32(&n));
   for (uint32_t i = 0; i < n; ++i) {
     uint64_t seg;
-    TEBIS_RETURN_IF_ERROR(r.U64(&seg));
+    TEBIS_RETURN_IF_ERROR(r->U64(&seg));
     out->tree.segments.push_back(seg);
   }
-  TEBIS_RETURN_IF_ERROR(r.U32(&out->stream_id));
-  out->seg_checksums.clear();
-  if (r.remaining() > 0) {
-    uint32_t num_checksums;
-    TEBIS_RETURN_IF_ERROR(r.U32(&num_checksums));
-    if (num_checksums != 0 && num_checksums != n) {
-      return Status::Corruption("CompactionEnd segment-checksum count mismatch");
-    }
-    for (uint32_t i = 0; i < num_checksums; ++i) {
-      SegmentChecksum sc;
-      TEBIS_RETURN_IF_ERROR(r.U32(&sc.crc));
-      TEBIS_RETURN_IF_ERROR(r.U32(&sc.length));
-      out->seg_checksums.push_back(sc);
-    }
+  TEBIS_RETURN_IF_ERROR(r->U32(&out->stream_id));
+  uint32_t num_checksums;
+  TEBIS_RETURN_IF_ERROR(r->U32(&num_checksums));
+  if (num_checksums != 0 && num_checksums != n) {
+    return Status::Corruption("CompactionEnd segment-checksum count mismatch");
+  }
+  for (uint32_t i = 0; i < num_checksums; ++i) {
+    SegmentChecksum sc;
+    TEBIS_RETURN_IF_ERROR(r->U32(&sc.crc));
+    TEBIS_RETURN_IF_ERROR(r->U32(&sc.length));
+    out->seg_checksums.push_back(sc);
   }
   return Status::Ok();
 }
 
-std::string EncodeFilterBlock(const FilterBlockMsg& msg) {
+void Write(WireWriter* w, const TrimLogMsg& msg) { w->U64(msg.epoch).U32(msg.segments); }
+
+Status Read(WireReader* r, TrimLogMsg* out) {
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->epoch));
+  return r->U32(&out->segments);
+}
+
+void Write(WireWriter* w, const SetReplayStartMsg& msg) {
+  w->U64(msg.epoch).U64(msg.flushed_segment_index);
+}
+
+Status Read(WireReader* r, SetReplayStartMsg* out) {
+  TEBIS_RETURN_IF_ERROR(r->U64(&out->epoch));
+  return r->U64(&out->flushed_segment_index);
+}
+
+template <typename Msg>
+StatusOr<ReplicationMessage> DecodeAs(Slice payload) {
+  WireReader r(payload);
+  Msg msg;
+  TEBIS_RETURN_IF_ERROR(Read(&r, &msg));
+  return ReplicationMessage(std::move(msg));
+}
+
+}  // namespace
+
+MessageType ReplicationMessageType(const ReplicationMessage& msg) {
+  return std::visit(Overloaded{
+                        [](const FlushLogMsg&) { return MessageType::kFlushLog; },
+                        [](const CompactionBeginMsg&) { return MessageType::kCompactionBegin; },
+                        [](const IndexSegmentMsg&) { return MessageType::kIndexSegment; },
+                        [](const FilterBlockMsg&) { return MessageType::kFilterBlock; },
+                        [](const CompactionEndMsg&) { return MessageType::kCompactionEnd; },
+                        [](const TrimLogMsg&) { return MessageType::kLogTrim; },
+                        [](const SetReplayStartMsg&) { return MessageType::kSetReplayStart; },
+                    },
+                    msg);
+}
+
+std::string EncodeReplicationMessage(const ReplicationMessage& msg) {
   WireWriter w;
-  w.U64(msg.epoch).U64(msg.compaction_id).U32(msg.dst_level).Bytes(msg.data);
-  w.U32(msg.stream_id);
+  std::visit([&w](const auto& m) { Write(&w, m); }, msg);
   return w.str();
 }
 
-Status DecodeFilterBlock(Slice payload, FilterBlockMsg* out) {
-  WireReader r(payload);
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->epoch));
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->compaction_id));
-  TEBIS_RETURN_IF_ERROR(r.U32(&out->dst_level));
-  TEBIS_RETURN_IF_ERROR(r.BytesView(&out->data));
-  return r.U32(&out->stream_id);
-}
-
-std::string EncodeTrimLog(const TrimLogMsg& msg) {
-  WireWriter w;
-  w.U64(msg.epoch).U32(msg.segments);
-  return w.str();
-}
-
-Status DecodeTrimLog(Slice payload, TrimLogMsg* out) {
-  WireReader r(payload);
-  TEBIS_RETURN_IF_ERROR(r.U64(&out->epoch));
-  return r.U32(&out->segments);
+StatusOr<ReplicationMessage> DecodeReplicationMessage(MessageType type, Slice payload) {
+  switch (type) {
+    case MessageType::kFlushLog:
+      return DecodeAs<FlushLogMsg>(payload);
+    case MessageType::kCompactionBegin:
+      return DecodeAs<CompactionBeginMsg>(payload);
+    case MessageType::kIndexSegment:
+      return DecodeAs<IndexSegmentMsg>(payload);
+    case MessageType::kFilterBlock:
+      return DecodeAs<FilterBlockMsg>(payload);
+    case MessageType::kCompactionEnd:
+      return DecodeAs<CompactionEndMsg>(payload);
+    case MessageType::kLogTrim:
+      return DecodeAs<TrimLogMsg>(payload);
+    case MessageType::kSetReplayStart:
+      return DecodeAs<SetReplayStartMsg>(payload);
+    default:
+      return Status::Internal("bad replication op");
+  }
 }
 
 std::string EncodeRepairFetch(const RepairFetchMsg& msg) {

@@ -1,12 +1,17 @@
 // Wire encodings of the replication control messages, shared by the
-// primary-side channel and the backup-side region server.
+// primary-side channels and the backup-side region server. Every control
+// message is one alternative of ReplicationMessage and goes through one codec
+// pair, so the in-process channel and the RPC path run the same decoder.
 #ifndef TEBIS_REPLICATION_REPLICATION_WIRE_H_
 #define TEBIS_REPLICATION_REPLICATION_WIRE_H_
 
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/lsm/btree_builder.h"
+#include "src/net/message.h"
 #include "src/net/wire.h"
 #include "src/replication/compaction_stream.h"
 #include "src/storage/segment.h"
@@ -16,79 +21,127 @@ namespace tebis {
 // Every control message carries the replication epoch (configuration
 // generation) of the sending primary. Backups reject messages whose epoch is
 // older than their own, fencing traffic from a deposed primary (§3.5).
-// Compaction-plane messages additionally carry their shipping stream id
-// (PR 4), encoded last so older encodings decode as a truncation error rather
-// than misparse.
+// Every field is always encoded, so any strict prefix of a valid message
+// fails to decode.
 struct FlushLogMsg {
   uint64_t epoch = 0;
-  SegmentId primary_segment;
-  // Primary's commit sequence as of this flush (PR 6): the backup's read path
+  SegmentId primary_segment = 0;
+  // Primary's commit sequence as of this flush: the backup's read path
   // derives its visible sequence from the highest commit_seq it has absorbed.
   uint64_t commit_seq = 0;
   // Data-plane flushes use kNoStream; a flush nested inside a sync-mode
   // compaction begin carries that compaction's stream.
   StreamId stream_id = kNoStream;
-  // Which tail sealed (PR 9): kMainLogFamily (0) or kLargeLogFamily (1).
-  // Encoded only when non-zero, so main-tail flushes stay byte-identical to
-  // the pre-PR-9 wire format (same trailing-field idiom as payload_crc).
+  // Which tail sealed: kMainLogFamily (0) or kLargeLogFamily (1).
   uint32_t family = 0;
 };
 
+// Compaction-plane messages carry their shipping stream id so the backup can
+// run one rewrite state machine per stream.
 struct CompactionBeginMsg {
   uint64_t epoch = 0;
-  uint64_t compaction_id;
-  uint32_t src_level;
-  uint32_t dst_level;
+  uint64_t compaction_id = 0;
+  uint32_t src_level = 0;
+  uint32_t dst_level = 0;
   StreamId stream_id = 0;
 };
 
 struct IndexSegmentMsg {
   uint64_t epoch = 0;
-  uint64_t compaction_id;
-  uint32_t dst_level;
-  uint32_t tree_level;
-  SegmentId primary_segment;
-  Slice data;  // view into the payload
+  uint64_t compaction_id = 0;
+  uint32_t dst_level = 0;
+  uint32_t tree_level = 0;
+  SegmentId primary_segment = 0;
+  Slice data{};  // view into the payload
   StreamId stream_id = 0;
-  // CRC32C of `data` (PR 8): lets the backup reject a segment mangled in
-  // flight before rewriting pointers. Trailing field — pre-PR 8 encodings
-  // decode with 0, which the receiver treats as "unchecked".
+  // CRC32C of `data`: the backup rejects a segment mangled in flight before
+  // rewriting any pointer.
   uint32_t payload_crc = 0;
+};
+
+// Bloom filter block for the level a compaction is producing: the primary's
+// exact serialized bytes, shipped between the last index segment and
+// CompactionEnd so the backup installs them with the published tree.
+struct FilterBlockMsg {
+  uint64_t epoch = 0;
+  uint64_t compaction_id = 0;
+  uint32_t dst_level = 0;
+  Slice data{};  // view into the payload (serialized filter block)
+  StreamId stream_id = 0;
 };
 
 struct CompactionEndMsg {
   uint64_t epoch = 0;
-  uint64_t compaction_id;
-  uint32_t src_level;
-  uint32_t dst_level;
-  BuiltTree tree;  // the primary's tree description (root, height, segments)
+  uint64_t compaction_id = 0;
+  uint32_t src_level = 0;
+  uint32_t dst_level = 0;
+  BuiltTree tree{};  // the primary's tree description (root, height, segments)
   StreamId stream_id = 0;
   // Per-segment checksums of the primary's level bytes, parallel to
-  // tree.segments (PR 8). Trailing; absent in pre-PR 8 encodings. The backup
-  // keeps them to serve (and validate) repair fetches in primary space.
-  std::vector<SegmentChecksum> seg_checksums;
+  // tree.segments, or empty for an unchecksummed tree. The backup keeps them
+  // to serve (and validate) repair fetches in primary space.
+  std::vector<SegmentChecksum> seg_checksums{};
 };
 
-// Bloom filter block for the level a compaction is producing (PR 7): the
-// primary's exact serialized bytes, shipped between the last index segment
-// and CompactionEnd so the backup installs them with the published tree.
-struct FilterBlockMsg {
-  uint64_t epoch = 0;
-  uint64_t compaction_id;
-  uint32_t dst_level;
-  Slice data;  // view into the payload (serialized filter block)
-  StreamId stream_id = 0;
-};
-
+// GC coordination (paper §4: backups "only perform the trim").
 struct TrimLogMsg {
   uint64_t epoch = 0;
-  uint32_t segments;
+  uint32_t segments = 0;
 };
 
-// Online repair (PR 8). A replica with a quarantined level asks any peer at
-// the same epoch for the good bytes of one index segment, addressed in
-// primary space: (level, seg_index) — the position within the level's segment
-// list — names identical bytes on every replica (§3.3 byte identity).
+// Recovery/full sync: the flushed-log segment that starts the un-indexed
+// suffix, i.e. where L0 replay begins if this backup is promoted (§3.5).
+struct SetReplayStartMsg {
+  uint64_t epoch = 0;
+  uint64_t flushed_segment_index = 0;
+};
+
+// The replication control plane (§3.2–§3.3): everything a primary sends a
+// backup besides the one-sided log writes.
+using ReplicationMessage =
+    std::variant<FlushLogMsg, CompactionBeginMsg, IndexSegmentMsg, FilterBlockMsg,
+                 CompactionEndMsg, TrimLogMsg, SetReplayStartMsg>;
+
+// The RPC request type each alternative travels as.
+MessageType ReplicationMessageType(const ReplicationMessage& msg);
+
+inline uint64_t ReplicationMessageEpoch(const ReplicationMessage& msg) {
+  return std::visit([](const auto& m) { return m.epoch; }, msg);
+}
+
+// The payload bytes of `msg`. Decoded slices view into `payload`, which must
+// outlive the decoded message. Decoding a type that is not a replication
+// request fails with Internal.
+std::string EncodeReplicationMessage(const ReplicationMessage& msg);
+StatusOr<ReplicationMessage> DecodeReplicationMessage(MessageType type, Slice payload);
+
+// Visitor built from lambdas, one per alternative.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
+
+// The backup side of the control plane. Both backup engines implement it: the
+// region server hands it every decoded request, the in-process channel every
+// message it round-trips through the codec.
+class ReplicationMessageHandler {
+ public:
+  // Rejects a message stamped with a stale epoch (FailedPrecondition, §3.5
+  // fencing), then applies it. Safe to call concurrently from different
+  // shipping streams.
+  virtual Status Handle(const ReplicationMessage& msg) = 0;
+
+ protected:
+  ~ReplicationMessageHandler() = default;
+};
+
+// Online repair. A replica with a quarantined level asks any peer at the same
+// epoch for the good bytes of one index segment, addressed in primary space:
+// (level, seg_index) — the position within the level's segment list — names
+// identical bytes on every replica (§3.3 byte identity). Peer-to-peer, not
+// part of the primary's control plane.
 struct RepairFetchMsg {
   uint64_t epoch = 0;
   uint32_t level = 0;
@@ -104,24 +157,6 @@ struct RepairSegmentMsg {
   uint32_t crc = 0;  // CRC32C of data
   Slice data;        // view into the payload
 };
-
-std::string EncodeFlushLog(const FlushLogMsg& msg);
-Status DecodeFlushLog(Slice payload, FlushLogMsg* out);
-
-std::string EncodeCompactionBegin(const CompactionBeginMsg& msg);
-Status DecodeCompactionBegin(Slice payload, CompactionBeginMsg* out);
-
-std::string EncodeIndexSegment(const IndexSegmentMsg& msg);
-Status DecodeIndexSegment(Slice payload, IndexSegmentMsg* out);
-
-std::string EncodeCompactionEnd(const CompactionEndMsg& msg);
-Status DecodeCompactionEnd(Slice payload, CompactionEndMsg* out);
-
-std::string EncodeFilterBlock(const FilterBlockMsg& msg);
-Status DecodeFilterBlock(Slice payload, FilterBlockMsg* out);
-
-std::string EncodeTrimLog(const TrimLogMsg& msg);
-Status DecodeTrimLog(Slice payload, TrimLogMsg* out);
 
 std::string EncodeRepairFetch(const RepairFetchMsg& msg);
 Status DecodeRepairFetch(Slice payload, RepairFetchMsg* out);

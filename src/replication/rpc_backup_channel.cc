@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/common/clock.h"
-#include "src/lsm/value_log.h"  // kMainLogFamily
 #include "src/replication/replication_wire.h"
 #include "src/telemetry/request_trace.h"
 
@@ -118,12 +117,12 @@ StatusOr<RpcReply> RpcBackupChannel::CallOnSlot(ClientSlot* slot, MessageType ty
   return last;
 }
 
-Status RpcBackupChannel::CallChecked(MessageType type, Slice payload, StreamId stream,
-                                     size_t reply_alloc) {
+Status RpcBackupChannel::CallChecked(MessageType type, Slice payload, StreamId stream) {
   // Held across the whole call: messages of one stream stay strictly ordered
   // (begin -> segments -> filter -> end) while other streams proceed.
   std::lock_guard<std::mutex> stream_lock(*StreamMutex(stream));
-  TEBIS_ASSIGN_OR_RETURN(RpcReply reply, CallOnSlot(SlotFor(stream), type, payload, reply_alloc));
+  TEBIS_ASSIGN_OR_RETURN(RpcReply reply,
+                         CallOnSlot(SlotFor(stream), type, payload, /*reply_alloc=*/16));
   if (reply.header.flags & kFlagError) {
     const std::string detail = "backup " + backup_name_ + " rejected " + MessageTypeName(type) +
                                ": " + reply.payload;
@@ -139,66 +138,20 @@ Status RpcBackupChannel::CallChecked(MessageType type, Slice payload, StreamId s
   return Status::Ok();
 }
 
-Status RpcBackupChannel::FlushLog(SegmentId primary_segment, StreamId stream,
-                                  uint64_t commit_seq) {
-  return FlushLogFamily(primary_segment, kMainLogFamily, stream, commit_seq);
-}
-
-Status RpcBackupChannel::FlushLogFamily(SegmentId primary_segment, uint32_t family,
-                                        StreamId stream, uint64_t commit_seq) {
-  return CallChecked(MessageType::kFlushLog,
-                     EncodeFlushLog({epoch(), primary_segment, commit_seq, stream, family}),
-                     stream);
-}
-
-Status RpcBackupChannel::CompactionBegin(uint64_t compaction_id, int src_level, int dst_level,
-                                         StreamId stream) {
-  return CallChecked(MessageType::kCompactionBegin,
-                     EncodeCompactionBegin({epoch(), compaction_id,
-                                            static_cast<uint32_t>(src_level),
-                                            static_cast<uint32_t>(dst_level), stream}),
-                     stream);
-}
-
-Status RpcBackupChannel::ShipIndexSegment(uint64_t compaction_id, int dst_level, int tree_level,
-                                          SegmentId primary_segment, Slice bytes,
-                                          StreamId stream, uint32_t payload_crc) {
-  IndexSegmentMsg msg{epoch(),         compaction_id, static_cast<uint32_t>(dst_level),
-                      static_cast<uint32_t>(tree_level), primary_segment, bytes,
-                      stream,          payload_crc};
-  Status status = CallChecked(MessageType::kIndexSegment, EncodeIndexSegment(msg), stream);
-  if (status.ok()) {
-    // The reply arrives after the backup's rewrite handler ran: it is the
-    // window update returning this stream's share of the replication buffer.
-    NotifyWindowUpdate(stream, bytes.size());
-  }
-  return status;
-}
-
-Status RpcBackupChannel::CompactionEnd(uint64_t compaction_id, int src_level, int dst_level,
-                                       const BuiltTree& primary_tree, StreamId stream,
-                                       const std::vector<SegmentChecksum>& seg_checksums) {
-  CompactionEndMsg msg{epoch(),      compaction_id, static_cast<uint32_t>(src_level),
-                       static_cast<uint32_t>(dst_level), primary_tree, stream,
-                       seg_checksums};
-  return CallChecked(MessageType::kCompactionEnd, EncodeCompactionEnd(msg), stream);
-}
-
-Status RpcBackupChannel::ShipFilterBlock(uint64_t compaction_id, int dst_level, Slice bytes,
-                                         StreamId stream) {
-  FilterBlockMsg msg{epoch(), compaction_id, static_cast<uint32_t>(dst_level), bytes, stream};
-  return CallChecked(MessageType::kFilterBlock, EncodeFilterBlock(msg), stream);
-}
-
-Status RpcBackupChannel::TrimLog(size_t segments) {
-  return CallChecked(MessageType::kLogTrim,
-                     EncodeTrimLog({epoch(), static_cast<uint32_t>(segments)}), kNoStream);
-}
-
-Status RpcBackupChannel::SetLogReplayStart(size_t flushed_segment_index) {
-  WireWriter w;
-  w.U64(epoch()).U64(flushed_segment_index);
-  return CallChecked(MessageType::kSetReplayStart, w.slice(), kNoStream);
+Status RpcBackupChannel::Deliver(const ReplicationMessage& msg) {
+  // Compaction-plane messages, and a log flush nested in a sync-mode
+  // compaction begin, travel on their shipping stream; trim and replay start
+  // are stream-less.
+  const StreamId stream = std::visit(
+      [](const auto& m) -> StreamId {
+        if constexpr (requires { m.stream_id; }) {
+          return m.stream_id;
+        } else {
+          return kNoStream;
+        }
+      },
+      msg);
+  return CallChecked(ReplicationMessageType(msg), EncodeReplicationMessage(msg), stream);
 }
 
 }  // namespace tebis

@@ -1,6 +1,6 @@
-// BackupChannel over the simulated RDMA message protocol: control messages go
-// through an RpcClient to the backup's region server; the data plane writes
-// the registered log buffer directly (one-sided).
+// BackupChannel over the simulated RDMA message protocol: each control message
+// is encoded and sent through an RpcClient to the backup's region server; the
+// data plane writes the registered log buffer directly (one-sided).
 #ifndef TEBIS_REPLICATION_RPC_BACKUP_CHANNEL_H_
 #define TEBIS_REPLICATION_RPC_BACKUP_CHANNEL_H_
 
@@ -17,11 +17,11 @@ namespace tebis {
 
 class RpcBackupChannel : public BackupChannel {
  public:
-  // Builds one dedicated connection per shipping stream (PR 9, closing the
-  // PR 4 follow-on): each stream gets its own rings — its own queue-pair
-  // slot — so concurrent streams no longer serialize on one connection's
-  // send lock. kNoStream traffic (data-plane flushes, trim) stays on the
-  // base `client`. May return null to keep a stream on the shared client.
+  // Builds one dedicated connection per shipping stream: each stream gets its
+  // own rings — its own queue-pair slot — so concurrent streams do not
+  // serialize on one connection's send lock. kNoStream traffic (data-plane
+  // flushes, trim, replay start) stays on the base `client`. May return null
+  // to keep a stream on the shared client.
   using StreamClientFactory = std::function<std::unique_ptr<RpcClient>(StreamId)>;
 
   // `client` is a dedicated connection from the primary server to the backup
@@ -35,28 +35,15 @@ class RpcBackupChannel : public BackupChannel {
                    StreamClientFactory stream_client_factory = nullptr);
 
   Status RdmaWriteLog(uint64_t offset_in_segment, Slice record_bytes) override;
-  Status FlushLog(SegmentId primary_segment, StreamId stream = kNoStream,
-                  uint64_t commit_seq = 0) override;
-  Status FlushLogFamily(SegmentId primary_segment, uint32_t family, StreamId stream = kNoStream,
-                        uint64_t commit_seq = 0) override;
-  Status CompactionBegin(uint64_t compaction_id, int src_level, int dst_level,
-                         StreamId stream = 0) override;
-  Status ShipIndexSegment(uint64_t compaction_id, int dst_level, int tree_level,
-                          SegmentId primary_segment, Slice bytes, StreamId stream = 0,
-                          uint32_t payload_crc = 0) override;
-  Status CompactionEnd(uint64_t compaction_id, int src_level, int dst_level,
-                       const BuiltTree& primary_tree, StreamId stream = 0,
-                       const std::vector<SegmentChecksum>& seg_checksums = {}) override;
-  Status ShipFilterBlock(uint64_t compaction_id, int dst_level, Slice bytes,
-                         StreamId stream = 0) override;
-  Status TrimLog(size_t segments) override;
-  Status SetLogReplayStart(size_t flushed_segment_index) override;
-
   const std::string& backup_name() const override { return backup_name_; }
 
   // The underlying connection (e.g. to set an RpcRetryPolicy for fault
   // tolerance, or read its stats).
   RpcClient* client() { return client_.get(); }
+
+ protected:
+  // Encodes `msg` and calls the backup on the message's stream.
+  Status Deliver(const ReplicationMessage& msg) override;
 
  private:
   // A connection slot: the (non-thread-safe) client plus the short lock held
@@ -68,7 +55,7 @@ class RpcBackupChannel : public BackupChannel {
     std::mutex mutex;
   };
 
-  Status CallChecked(MessageType type, Slice payload, StreamId stream, size_t reply_alloc = 16);
+  Status CallChecked(MessageType type, Slice payload, StreamId stream);
   // Sends under the slot's short client lock, then waits for the reply
   // polling the slot briefly per probe — the lock is never held across a
   // wait, so streams sharing a slot keep their own requests in flight.
@@ -76,9 +63,9 @@ class RpcBackupChannel : public BackupChannel {
                                 size_t reply_alloc);
   std::mutex* StreamMutex(StreamId stream);
   // The connection a stream's calls go out on: its dedicated per-stream
-  // client when the factory produced one (PR 9 queue-pair slots), else the
-  // shared base client. The caller must hold the stream's call mutex (slot
-  // creation for a stream races only with itself).
+  // client when the factory produced one, else the shared base client. The
+  // caller must hold the stream's call mutex (slot creation for a stream
+  // races only with itself).
   ClientSlot* SlotFor(StreamId stream);
 
   std::unique_ptr<RpcClient> client_;
@@ -87,11 +74,11 @@ class RpcBackupChannel : public BackupChannel {
   const std::string backup_name_;
   const uint64_t call_timeout_ns_;
   const StreamClientFactory stream_client_factory_;
-  // Per-stream call mutexes (PR 7): requests complete out of order (§3.4.1),
-  // so per-stream *ordering* needs a lock held across the whole call. With a
-  // StreamClientFactory each stream also gets its own ClientSlot (PR 9), so
-  // nothing below the call mutex is shared between streams anymore; without
-  // one, every stream's slot aliases the base client.
+  // Per-stream call mutexes: requests complete out of order (§3.4.1), so
+  // per-stream *ordering* needs a lock held across the whole call. With a
+  // StreamClientFactory each stream also gets its own ClientSlot, so nothing
+  // below the call mutex is shared between streams; without one, every
+  // stream's slot aliases the base client.
   std::mutex table_mutex_;
   std::map<StreamId, std::unique_ptr<std::mutex>> stream_mutexes_;
   std::map<StreamId, std::unique_ptr<ClientSlot>> stream_slots_;

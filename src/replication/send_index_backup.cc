@@ -160,6 +160,38 @@ size_t SendIndexBackupRegion::replay_from() const {
   return replay_from_;
 }
 
+Status SendIndexBackupRegion::Handle(const ReplicationMessage& msg) {
+  TEBIS_RETURN_IF_ERROR(CheckEpoch(ReplicationMessageEpoch(msg)));
+  return std::visit(
+      Overloaded{
+          [this](const FlushLogMsg& m) {
+            return HandleLogFlush(m.primary_segment, m.commit_seq, m.family);
+          },
+          [this](const CompactionBeginMsg& m) {
+            return HandleCompactionBegin(m.compaction_id, static_cast<int>(m.src_level),
+                                         static_cast<int>(m.dst_level), m.stream_id);
+          },
+          [this](const IndexSegmentMsg& m) {
+            return HandleIndexSegment(m.compaction_id, m.primary_segment, m.data, m.stream_id,
+                                      m.payload_crc);
+          },
+          [this](const FilterBlockMsg& m) {
+            return HandleFilterBlock(m.compaction_id, m.data, m.stream_id);
+          },
+          [this](const CompactionEndMsg& m) {
+            return HandleCompactionEnd(m.compaction_id, static_cast<int>(m.src_level),
+                                       static_cast<int>(m.dst_level), m.tree, m.stream_id,
+                                       m.seg_checksums);
+          },
+          [this](const TrimLogMsg& m) { return HandleTrimLog(m.segments); },
+          [this](const SetReplayStartMsg& m) {
+            set_replay_from(m.flushed_segment_index);
+            return Status::Ok();
+          },
+      },
+      msg);
+}
+
 Status SendIndexBackupRegion::HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq,
                                              uint32_t family) {
   std::lock_guard<std::shared_mutex> lock(state_mutex_);
@@ -280,13 +312,12 @@ Status SendIndexBackupRegion::RewriteSegment(CompactionStream* stream, char* byt
   return TranslateNodes(bytes, size, log_translate, index_translate);
 }
 
-Status SendIndexBackupRegion::HandleIndexSegment(uint64_t compaction_id, int dst_level,
-                                                 int tree_level, SegmentId primary_segment,
-                                                 Slice bytes, StreamId stream,
-                                                 uint32_t payload_crc) {
-  // Verify the shipped bytes before any pointer is rewritten (PR 8): a
-  // segment mangled in flight must never be installed. 0 = pre-PR 8 sender.
-  if (payload_crc != 0 && Crc32c(bytes.data(), bytes.size()) != payload_crc) {
+Status SendIndexBackupRegion::HandleIndexSegment(uint64_t compaction_id,
+                                                 SegmentId primary_segment, Slice bytes,
+                                                 StreamId stream, uint32_t payload_crc) {
+  // Verify the shipped bytes before any pointer is rewritten: a segment
+  // mangled in flight must never be installed.
+  if (Crc32c(bytes.data(), bytes.size()) != payload_crc) {
     counters_.segments_crc_rejected->Increment();
     return Status::Corruption("shipped index segment " + std::to_string(primary_segment) +
                               " fails its wire checksum");
@@ -335,9 +366,8 @@ Status SendIndexBackupRegion::HandleIndexSegment(uint64_t compaction_id, int dst
   return status;
 }
 
-Status SendIndexBackupRegion::HandleFilterBlock(uint64_t compaction_id, int dst_level,
-                                                Slice bytes, StreamId stream) {
-  (void)dst_level;
+Status SendIndexBackupRegion::HandleFilterBlock(uint64_t compaction_id, Slice bytes,
+                                                StreamId stream) {
   std::shared_ptr<CompactionStream> s;
   {
     std::lock_guard<std::shared_mutex> lock(state_mutex_);
@@ -418,9 +448,10 @@ Status SendIndexBackupRegion::HandleCompactionEnd(uint64_t compaction_id, int sr
       if (primary_tree.segments.size() != s->index_map.size()) {
         return Status::Corruption("reserved index segments never shipped");
       }
-      // Install the LOCAL checksums recorded at rewrite time (PR 8), in the
-      // primary's segment order — only when every segment was fingerprinted
-      // (a mid-upgrade primary may ship without CRCs).
+      // Install the LOCAL checksums recorded at rewrite time, in the
+      // primary's segment order — only when every listed segment was
+      // rewritten (one reserved by a forward reference but never shipped has
+      // no checksum).
       for (SegmentId seg : primary_tree.segments) {
         auto crc = s->local_crcs.find(seg);
         if (crc == s->local_crcs.end()) {

@@ -27,6 +27,7 @@
 #include "src/lsm/value_log.h"
 #include "src/net/fabric.h"
 #include "src/replication/compaction_stream.h"
+#include "src/replication/replication_wire.h"
 #include "src/replication/segment_map.h"
 #include "src/storage/block_device.h"
 #include "src/telemetry/telemetry.h"
@@ -61,7 +62,7 @@ struct SendIndexBackupStats {
   uint64_t read_corruptions = 0;
 };
 
-class SendIndexBackupRegion {
+class SendIndexBackupRegion : public ReplicationMessageHandler {
  public:
   // `rdma_buffer` is the log replication buffer the primary writes with
   // one-sided operations; it must be at least one segment large.
@@ -83,45 +84,10 @@ class SendIndexBackupRegion {
   SendIndexBackupRegion(const SendIndexBackupRegion&) = delete;
   SendIndexBackupRegion& operator=(const SendIndexBackupRegion&) = delete;
 
-  // --- control-plane handlers (run on the backup's worker threads; safe to
-  // call concurrently from different streams, PR 4) ---
-
-  // §3.2 step 2c/2d: persist the RDMA buffer as a local log segment and add
-  // the <primary segment, backup segment> log-map entry. `commit_seq` is the
-  // primary's commit sequence as of this flush (PR 6); the replica read path
-  // reports visible_seq = flushed high-water + records still in the buffer.
-  // `family` (PR 9) selects which half of the replication buffer persists:
-  // kMainLogFamily is [0, segment), kLargeLogFamily is [segment, 2*segment)
-  // and requires a 2x-segment buffer.
-  Status HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq = 0,
-                        uint32_t family = kMainLogFamily);
-
-  // §3.3: compaction lifecycle, one state machine per `stream`.
-  Status HandleCompactionBegin(uint64_t compaction_id, int src_level, int dst_level,
-                               StreamId stream = 0);
-  // `payload_crc`, when non-zero, is the primary's CRC32C of `bytes` (PR 8):
-  // a mismatch rejects the segment before any pointer is rewritten. After the
-  // rewrite the backup records the CRC of its *local* bytes so the installed
-  // level is checksummed end to end.
-  Status HandleIndexSegment(uint64_t compaction_id, int dst_level, int tree_level,
-                            SegmentId primary_segment, Slice bytes, StreamId stream = 0,
-                            uint32_t payload_crc = 0);
-  // Shipped bloom filter (PR 7): validates and stages the primary's filter
-  // block on the stream; the matching CompactionEnd installs it with the
-  // translated tree. Unlike index segments the bytes install verbatim —
-  // filters hold key fingerprints, not device offsets, so no rewrite.
-  Status HandleFilterBlock(uint64_t compaction_id, int dst_level, Slice bytes,
-                           StreamId stream = 0);
-  // `primary_checksums`, when non-empty, are the primary's per-segment CRCs
-  // parallel to primary_tree.segments (PR 8); the backup retains them so it
-  // can serve — and validate — repair fetches in primary space.
-  Status HandleCompactionEnd(uint64_t compaction_id, int src_level, int dst_level,
-                             const BuiltTree& primary_tree, StreamId stream = 0,
-                             const std::vector<SegmentChecksum>& primary_checksums = {});
-
-  // GC: trim the oldest `segments` local log segments (the primary moved all
-  // live data to the tail already).
-  Status HandleTrimLog(size_t segments);
+  // Control plane (§3.2–§3.3): checks the message's epoch (CheckEpoch), then
+  // applies it. Runs on the backup's worker threads; safe to call
+  // concurrently from different shipping streams.
+  Status Handle(const ReplicationMessage& msg) override;
 
   // --- promotion (§3.5) ---
 
@@ -193,8 +159,8 @@ class SendIndexBackupRegion {
   // (backups have no L0).
   StatusOr<std::string> DebugGet(Slice key);
 
-  // Recovery/full-sync (§3.5): overrides the L0-replay start point.
-  void set_replay_from(size_t flushed_segment_index);
+  // Where L0 replay starts on promotion (set by the replay-start message and
+  // by every committed L0 -> L1 compaction).
   size_t replay_from() const;
 
   // --- integrity: scrub / online repair (PR 8) ---
@@ -225,6 +191,46 @@ class SendIndexBackupRegion {
  private:
   SendIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
                         std::shared_ptr<RegisteredBuffer> rdma_buffer);
+
+  // --- control-plane handlers, dispatched by Handle ---
+
+  // §3.2 step 2c/2d: persist the RDMA buffer as a local log segment and add
+  // the <primary segment, backup segment> log-map entry. `commit_seq` is the
+  // primary's commit sequence as of this flush; the replica read path reports
+  // visible_seq = flushed high-water + records still in the buffer. `family`
+  // selects which half of the replication buffer persists: kMainLogFamily is
+  // [0, segment), kLargeLogFamily is [segment, 2*segment) and requires a
+  // 2x-segment buffer.
+  Status HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq, uint32_t family);
+
+  // §3.3: compaction lifecycle, one state machine per `stream`.
+  Status HandleCompactionBegin(uint64_t compaction_id, int src_level, int dst_level,
+                               StreamId stream);
+  // `payload_crc` is the primary's CRC32C of `bytes`: a mismatch rejects the
+  // segment before any pointer is rewritten. After the rewrite the backup
+  // records the CRC of its *local* bytes so the installed level is
+  // checksummed end to end.
+  Status HandleIndexSegment(uint64_t compaction_id, SegmentId primary_segment, Slice bytes,
+                            StreamId stream, uint32_t payload_crc);
+  // Shipped bloom filter: validates and stages the primary's filter block on
+  // the stream; the matching CompactionEnd installs it with the translated
+  // tree. Unlike index segments the bytes install verbatim — filters hold key
+  // fingerprints, not device offsets, so no rewrite.
+  Status HandleFilterBlock(uint64_t compaction_id, Slice bytes, StreamId stream);
+  // `primary_checksums`, when non-empty, are the primary's per-segment CRCs
+  // parallel to primary_tree.segments; the backup retains them so it can
+  // serve — and validate — repair fetches in primary space.
+  Status HandleCompactionEnd(uint64_t compaction_id, int src_level, int dst_level,
+                             const BuiltTree& primary_tree, StreamId stream,
+                             const std::vector<SegmentChecksum>& primary_checksums);
+
+  // GC: trim the oldest `segments` local log segments (the primary moved all
+  // live data to the tail already).
+  Status HandleTrimLog(size_t segments);
+
+  // Recovery/full sync (§3.5): overrides the L0-replay start point.
+  void set_replay_from(size_t flushed_segment_index);
+
 
   // One in-flight shipping stream's rewrite state machine (PR 4). `log_map`
   // is a snapshot taken at compaction begin: the primary seals its tail

@@ -128,7 +128,7 @@ StatusOr<std::unique_ptr<SimCluster>> SimCluster::Create(const SimClusterOptions
                                BuildIndexBackupRegion::Create(
                                    cluster->devices_[backup_server].get(), backup_kv, buffer));
         region.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-            cluster->fabric_.get(), info.primary, buffer, nullptr, backup.get(),
+            cluster->fabric_.get(), info.primary, buffer, backup.get(),
             options.channel_max_attempts));
         region.build_backups.push_back(std::move(backup));
       } else {
@@ -136,7 +136,7 @@ StatusOr<std::unique_ptr<SimCluster>> SimCluster::Create(const SimClusterOptions
                                SendIndexBackupRegion::Create(
                                    cluster->devices_[backup_server].get(), backup_kv, buffer));
         region.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-            cluster->fabric_.get(), info.primary, buffer, backup.get(), nullptr,
+            cluster->fabric_.get(), info.primary, buffer, backup.get(),
             options.channel_max_attempts));
         region.send_backups.push_back(std::move(backup));
       }

@@ -190,7 +190,7 @@ GroupCluster MakeGroupCluster(int num_backups, const KvStoreOptions& opts,
     EXPECT_TRUE(backup.ok());
     c.backups.push_back(std::move(*backup));
     c.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-        c.fabric.get(), "primary0", buffer, c.backups.back().get(), nullptr, max_attempts));
+        c.fabric.get(), "primary0", buffer, c.backups.back().get(), max_attempts));
   }
   return c;
 }
@@ -302,7 +302,7 @@ TEST(GroupCommitTest, BackupAttachedMidTailSeesBothFamilies) {
   ASSERT_TRUE(backup.ok());
   cluster.backups.push_back(std::move(*backup));
   cluster.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-      cluster.fabric.get(), "primary0", buffer, cluster.backups.back().get(), nullptr, 1));
+      cluster.fabric.get(), "primary0", buffer, cluster.backups.back().get(), 1));
   for (const auto& [key, value] : kvs) {
     auto got = cluster.backups.back()->Get(key, 0, 0, nullptr);
     ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();

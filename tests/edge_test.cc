@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 
+#include "src/common/crc32.h"
 #include "src/common/random.h"
 #include "src/net/fabric.h"
 #include "src/replication/local_backup_channel.h"
@@ -156,7 +157,7 @@ TEST(IndexRewriteEdgeTest, ParentSegmentShippedBeforeChild) {
                                 image.data(), IoClass::kOther)
                   .ok());
   ASSERT_TRUE(buffer->RdmaWrite(0, image).ok());
-  ASSERT_TRUE((*backup)->HandleLogFlush(log_seg).ok());
+  ASSERT_TRUE((*backup)->Handle(FlushLogMsg{.primary_segment = log_seg}).ok());
 
   const SegmentId leaf_seg = 70;   // primary segment numbers, never shipped yet
   const SegmentId index_seg = 71;
@@ -173,15 +174,28 @@ TEST(IndexRewriteEdgeTest, ParentSegmentShippedBeforeChild) {
   index.Finish(1);
 
   // Ship PARENT first: the rewrite must reserve a local segment for leaf_seg.
-  ASSERT_TRUE((*backup)->HandleCompactionBegin(1, 0, 1).ok());
-  ASSERT_TRUE((*backup)->HandleIndexSegment(1, 1, 1, index_seg, index_segment).ok());
-  ASSERT_TRUE((*backup)->HandleIndexSegment(1, 1, 0, leaf_seg, leaf_segment).ok());
+  auto ship = [&](uint32_t tree_level, SegmentId seg, const std::string& bytes) {
+    return (*backup)->Handle(IndexSegmentMsg{.compaction_id = 1,
+                                             .dst_level = 1,
+                                             .tree_level = tree_level,
+                                             .primary_segment = seg,
+                                             .data = Slice(bytes),
+                                             .payload_crc = Crc32c(bytes.data(), bytes.size())});
+  };
+  ASSERT_TRUE(
+      (*backup)->Handle(CompactionBeginMsg{.compaction_id = 1, .src_level = 0, .dst_level = 1})
+          .ok());
+  ASSERT_TRUE(ship(1, index_seg, index_segment).ok());
+  ASSERT_TRUE(ship(0, leaf_seg, leaf_segment).ok());
   BuiltTree primary_tree;
   primary_tree.root_offset = geometry.BaseOffset(index_seg);
   primary_tree.height = 1;
   primary_tree.num_entries = 1;
   primary_tree.segments = {leaf_seg, index_seg};
-  ASSERT_TRUE((*backup)->HandleCompactionEnd(1, 0, 1, primary_tree).ok());
+  ASSERT_TRUE((*backup)
+                  ->Handle(CompactionEndMsg{
+                      .compaction_id = 1, .src_level = 0, .dst_level = 1, .tree = primary_tree})
+                  .ok());
 
   // The backup serves the key through its rewritten two-level tree.
   auto value = (*backup)->DebugGet("only-key");
@@ -203,7 +217,7 @@ TEST(GcPromotionTest, PromoteAfterTrimServesEverything) {
   auto backup = SendIndexBackupRegion::Create(backup_dev.get(), opts, buffer);
   ASSERT_TRUE(backup.ok());
   (*primary)->AddBackup(std::make_unique<LocalBackupChannel>(&fabric, "p0", buffer,
-                                                             backup->get(), nullptr));
+                                                             backup->get()));
   for (int i = 0; i < 3000; ++i) {
     ASSERT_TRUE((*primary)->Put(Key(i % 50), std::string(120, 'x' + (i % 3))).ok());
   }
@@ -245,7 +259,7 @@ TEST(FullSyncTest, SyncedBackupMatchesLiveBackup) {
   auto live = SendIndexBackupRegion::Create(live_dev.get(), opts, live_buffer);
   ASSERT_TRUE(live.ok());
   (*primary)->AddBackup(std::make_unique<LocalBackupChannel>(&fabric, "p0", live_buffer,
-                                                             live->get(), nullptr));
+                                                             live->get()));
   Random rng(9);
   for (int i = 0; i < 3000; ++i) {
     ASSERT_TRUE((*primary)->Put(Key(rng.Uniform(700)), rng.Bytes(1 + rng.Uniform(100))).ok());
@@ -254,10 +268,10 @@ TEST(FullSyncTest, SyncedBackupMatchesLiveBackup) {
   auto late_buffer = fabric.RegisterBuffer("late", "p0", kSegmentSize);
   auto late = SendIndexBackupRegion::Create(late_dev.get(), opts, late_buffer);
   ASSERT_TRUE(late.ok());
-  LocalBackupChannel channel(&fabric, "p0", late_buffer, late->get(), nullptr);
+  LocalBackupChannel channel(&fabric, "p0", late_buffer, late->get());
   ASSERT_TRUE((*primary)->FullSync(&channel).ok());
   (*primary)->AddBackup(std::make_unique<LocalBackupChannel>(&fabric, "p0", late_buffer,
-                                                             late->get(), nullptr));
+                                                             late->get()));
   // More traffic after the sync, then flush everything down.
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE((*primary)->Put(Key(rng.Uniform(700)), "post-sync").ok());

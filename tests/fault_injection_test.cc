@@ -384,7 +384,7 @@ SendIndexCluster MakeSendIndexCluster(int num_backups, const KvStoreOptions& opt
     EXPECT_TRUE(backup.ok());
     c.backups.push_back(std::move(*backup));
     c.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-        c.fabric.get(), "primary0", buffer, c.backups.back().get(), nullptr, max_attempts));
+        c.fabric.get(), "primary0", buffer, c.backups.back().get(), max_attempts));
   }
   return c;
 }
@@ -412,7 +412,7 @@ BuildIndexCluster MakeBuildIndexCluster(int num_backups, const KvStoreOptions& o
     EXPECT_TRUE(backup.ok());
     c.backups.push_back(std::move(*backup));
     c.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-        c.fabric.get(), "primary0", buffer, nullptr, c.backups.back().get(), max_attempts));
+        c.fabric.get(), "primary0", buffer, c.backups.back().get(), max_attempts));
   }
   return c;
 }

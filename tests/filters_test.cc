@@ -373,7 +373,7 @@ SendIndexCluster MakeSendIndexCluster(int num_backups, KvStoreOptions opts) {
     EXPECT_TRUE(backup.ok());
     c.backups.push_back(std::move(*backup));
     c.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-        c.fabric.get(), "primary0", buffer, c.backups.back().get(), nullptr));
+        c.fabric.get(), "primary0", buffer, c.backups.back().get()));
   }
   return c;
 }
@@ -478,7 +478,7 @@ TEST(ShippedFilterTest, FullSyncReattachInstallsFilters) {
   ASSERT_TRUE(backup.ok());
   cluster.backups.push_back(std::move(*backup));
   auto channel = std::make_unique<LocalBackupChannel>(
-      cluster.fabric.get(), "primary0", buffer, cluster.backups.back().get(), nullptr);
+      cluster.fabric.get(), "primary0", buffer, cluster.backups.back().get());
   ASSERT_TRUE(cluster.primary->FullSync(channel.get()).ok());
   cluster.primary->AddBackup(std::move(channel));
 

@@ -41,6 +41,43 @@ std::unique_ptr<BlockDevice> MakeDevice() {
 
 class WireFuzzTest : public testing::TestWithParam<uint64_t> {};
 
+constexpr MessageType kReplicationTypes[] = {
+    MessageType::kFlushLog,    MessageType::kCompactionBegin, MessageType::kIndexSegment,
+    MessageType::kFilterBlock, MessageType::kCompactionEnd,   MessageType::kLogTrim,
+    MessageType::kSetReplayStart,
+};
+
+// One random instance of every ReplicationMessage alternative; `data` backs
+// the payload slices.
+std::vector<ReplicationMessage> RandomReplicationMessages(Random* rng, const std::string& data) {
+  const auto u32 = [rng] { return static_cast<uint32_t>(rng->Next()); };
+  BuiltTree tree;
+  tree.root_offset = rng->Next();
+  tree.height = static_cast<uint16_t>(1 + rng->Uniform(4));
+  tree.num_entries = rng->Uniform(1000);
+  tree.bytes_written = rng->Next();
+  // Checksummed and unchecksummed trees both, so the prefix invariant covers
+  // an empty and a full checksum list.
+  const bool checksummed = rng->Uniform(2) == 0;
+  std::vector<SegmentChecksum> checksums;
+  for (uint64_t i = 0, n = rng->Uniform(6); i < n; ++i) {
+    tree.segments.push_back(rng->Next());
+    if (checksummed) {
+      checksums.push_back({u32(), static_cast<uint32_t>(1 + rng->Uniform(1 << 16))});
+    }
+  }
+  return {
+      FlushLogMsg{rng->Next(), rng->Next(), rng->Next(), u32(), u32()},
+      CompactionBeginMsg{rng->Next(), rng->Next(), u32(), u32(), u32()},
+      IndexSegmentMsg{rng->Next(), rng->Next(), u32(), u32(), rng->Next(), Slice(data), u32(),
+                      Crc32c(data.data(), data.size())},
+      FilterBlockMsg{rng->Next(), rng->Next(), u32(), Slice(data), u32()},
+      CompactionEndMsg{rng->Next(), rng->Next(), u32(), u32(), tree, u32(), checksums},
+      TrimLogMsg{rng->Next(), u32()},
+      SetReplayStartMsg{rng->Next(), rng->Next()},
+  };
+}
+
 TEST_P(WireFuzzTest, RandomBytesFailCleanly) {
   Random rng(GetParam());
   for (int i = 0; i < 2000; ++i) {
@@ -54,14 +91,9 @@ TEST_P(WireFuzzTest, RandomBytesFailCleanly) {
     (void)DecodeScanRequest(junk, &start, &limit);
     std::vector<KvPair> pairs;
     (void)DecodeScanReply(junk, &pairs);
-    FlushLogMsg flush;
-    (void)DecodeFlushLog(junk, &flush);
-    IndexSegmentMsg seg;
-    (void)DecodeIndexSegment(junk, &seg);
-    CompactionEndMsg end;
-    (void)DecodeCompactionEnd(junk, &end);
-    FilterBlockMsg filter;
-    (void)DecodeFilterBlock(junk, &filter);
+    for (MessageType type : kReplicationTypes) {
+      (void)DecodeReplicationMessage(type, junk);
+    }
     RepairFetchMsg fetch;
     (void)DecodeRepairFetch(junk, &fetch);
     RepairSegmentMsg repair;
@@ -283,26 +315,18 @@ TEST_P(WireFuzzTest, CorruptKvBatchFramesNeverMisparse) {
 
 TEST_P(WireFuzzTest, TruncatedValidMessagesFail) {
   Random rng(GetParam() + 100);
-  for (int i = 0; i < 500; ++i) {
-    CompactionEndMsg msg{};
-    msg.compaction_id = rng.Next();
-    msg.tree.root_offset = rng.Next();
-    msg.tree.height = 2;
-    msg.tree.num_entries = rng.Uniform(1000);
-    for (int s = 0; s < 5; ++s) {
-      msg.tree.segments.push_back(rng.Next());
-      // Half the rounds ship a checksummed tree (PR 8 trailing field) so the
-      // prefix invariant covers both encodings.
-      if (i % 2 == 0) {
-        msg.tree.seg_checksums.push_back(
-            {static_cast<uint32_t>(rng.Next()), static_cast<uint32_t>(1 + rng.Uniform(1 << 16))});
+  for (int i = 0; i < 100; ++i) {
+    const std::string data = rng.Bytes(rng.Uniform(64));
+    for (const ReplicationMessage& msg : RandomReplicationMessages(&rng, data)) {
+      const MessageType type = ReplicationMessageType(msg);
+      const std::string encoded = EncodeReplicationMessage(msg);
+      ASSERT_TRUE(DecodeReplicationMessage(type, encoded).ok()) << MessageTypeName(type);
+      // Every field is on the wire, so every strict prefix must fail.
+      for (size_t cut = 0; cut < encoded.size(); ++cut) {
+        EXPECT_FALSE(DecodeReplicationMessage(type, Slice(encoded.data(), cut)).ok())
+            << MessageTypeName(type) << " decoded from a " << cut << "-byte prefix";
       }
     }
-    std::string encoded = EncodeCompactionEnd(msg);
-    // Any strict prefix must fail to decode.
-    const size_t cut = rng.Uniform(encoded.size());
-    CompactionEndMsg out{};
-    EXPECT_FALSE(DecodeCompactionEnd(Slice(encoded.data(), cut), &out).ok());
   }
 }
 
@@ -370,10 +394,10 @@ TEST_P(WireFuzzTest, TruncatedFilterBlocksFail) {
     msg.stream_id = rng.Uniform(8);
     std::string payload = rng.Bytes(1 + rng.Uniform(300));
     msg.data = payload;
-    std::string encoded = EncodeFilterBlock(msg);
+    std::string encoded = EncodeReplicationMessage(msg);
     const size_t cut = rng.Uniform(encoded.size());
-    FilterBlockMsg out{};
-    EXPECT_FALSE(DecodeFilterBlock(Slice(encoded.data(), cut), &out).ok());
+    EXPECT_FALSE(
+        DecodeReplicationMessage(MessageType::kFilterBlock, Slice(encoded.data(), cut)).ok());
   }
 }
 

@@ -562,7 +562,7 @@ SendIndexCluster MakeSendIndexCluster(int num_backups, KvStoreOptions opts,
     EXPECT_TRUE(backup.ok());
     c.backups.push_back(std::move(*backup));
     c.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-        c.fabric.get(), "primary0", buffer, c.backups.back().get(), nullptr));
+        c.fabric.get(), "primary0", buffer, c.backups.back().get()));
   }
   return c;
 }
@@ -583,21 +583,27 @@ std::map<std::string, std::string> LoadCluster(SendIndexCluster* cluster, int n 
 TEST(IntegrityShipTest, BackupRejectsMangledShippedSegment) {
   auto cluster = MakeSendIndexCluster(1, SmallOptions());
   auto* backup = cluster.backups[0].get();
-  ASSERT_TRUE(backup->HandleCompactionBegin(/*compaction_id=*/1, 0, 1).ok());
+  ASSERT_TRUE(
+      backup->Handle(CompactionBeginMsg{.compaction_id = 1, .src_level = 0, .dst_level = 1})
+          .ok());
   // Bytes mangled in flight: the wire CRC does not match the payload. The
   // backup must reject before rewriting a single pointer.
   const std::string garbage(2048, 'g');
-  const uint32_t crc_of_other_bytes = Crc32c("not the payload", 15);
-  Status s = backup->HandleIndexSegment(/*compaction_id=*/1, /*dst_level=*/1,
-                                        /*tree_level=*/0, /*primary_segment=*/7,
-                                        Slice(garbage), /*stream=*/0, crc_of_other_bytes);
+  IndexSegmentMsg segment{.compaction_id = 1,
+                          .dst_level = 1,
+                          .tree_level = 0,
+                          .primary_segment = 7,
+                          .data = Slice(garbage),
+                          .stream_id = 0,
+                          .payload_crc = Crc32c("not the payload", 15)};
+  Status s = backup->Handle(segment);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_EQ(backup->stats().segments_crc_rejected, 1u);
   // With a matching CRC the wire check passes; the same bytes now fail the
   // *structural* rewrite instead — a different guard, so the CRC-rejection
   // counter must not move.
-  Status structural = backup->HandleIndexSegment(1, 1, 0, 7, Slice(garbage), 0,
-                                                 Crc32c(garbage.data(), garbage.size()));
+  segment.payload_crc = Crc32c(garbage.data(), garbage.size());
+  Status structural = backup->Handle(segment);
   EXPECT_FALSE(structural.ok());
   EXPECT_EQ(backup->stats().segments_crc_rejected, 1u);
 }

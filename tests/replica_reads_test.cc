@@ -419,7 +419,7 @@ TEST(ReplicaReadsTest, FenceRejectsStaleEpochAndSequence) {
   ASSERT_TRUE(backup_or.ok());
   auto backup = std::move(*backup_or);
   primary->AddBackup(std::make_unique<LocalBackupChannel>(&fabric, "primary0", buffer,
-                                                          backup.get(), nullptr));
+                                                          backup.get()));
   for (int i = 0; i < 300; ++i) {
     ASSERT_TRUE(primary->Put(Key(i), VersionedValue(i + 1)).ok());
   }
@@ -539,57 +539,49 @@ std::unique_ptr<BlockDevice> MakeDevice() {
 
 // Forwards everything to the wrapped in-process channel, but starts failing
 // index-segment shipments after a seeded budget — leaving the backup with an
-// open stream whose tree never commits (the PR 4 abort path).
+// open stream whose tree never commits (the abort path). Records the
+// primary's filter bytes of every level whose compaction end landed.
 class HalfShipChannel : public BackupChannel {
  public:
   // `ships` is owned by the test: the primary destroys the channel when it
-  // detaches the struck-out backup, so the counter must outlive us.
+  // detaches the struck-out backup, so the counter (and `committed_filters`,
+  // dst level -> filter bytes) must outlive us.
   HalfShipChannel(std::unique_ptr<LocalBackupChannel> inner, uint64_t allowed_ships,
-                  std::atomic<uint64_t>* ships)
-      : inner_(std::move(inner)), allowed_ships_(allowed_ships), ships_(ships) {}
+                  std::atomic<uint64_t>* ships, std::map<int, std::string>* committed_filters)
+      : inner_(std::move(inner)),
+        allowed_ships_(allowed_ships),
+        ships_(ships),
+        committed_filters_(committed_filters) {}
 
   Status RdmaWriteLog(uint64_t offset, Slice bytes) override {
     inner_->set_epoch(epoch());
     return inner_->RdmaWriteLog(offset, bytes);
   }
-  Status FlushLog(SegmentId segment, StreamId stream, uint64_t commit_seq) override {
-    inner_->set_epoch(epoch());
-    return inner_->FlushLog(segment, stream, commit_seq);
-  }
-  Status CompactionBegin(uint64_t id, int src, int dst, StreamId stream) override {
-    inner_->set_epoch(epoch());
-    return inner_->CompactionBegin(id, src, dst, stream);
-  }
-  Status ShipIndexSegment(uint64_t id, int dst, int tree_level, SegmentId segment, Slice bytes,
-                          StreamId stream, uint32_t payload_crc) override {
-    if (ships_->fetch_add(1, std::memory_order_relaxed) >= allowed_ships_) {
+  const std::string& backup_name() const override { return inner_->backup_name(); }
+
+ protected:
+  Status Deliver(const ReplicationMessage& msg) override {
+    if (std::holds_alternative<IndexSegmentMsg>(msg) &&
+        ships_->fetch_add(1, std::memory_order_relaxed) >= allowed_ships_) {
       return Status::Unavailable("injected mid-ship drop");
     }
-    inner_->set_epoch(epoch());
-    return inner_->ShipIndexSegment(id, dst, tree_level, segment, bytes, stream, payload_crc);
-  }
-  Status CompactionEnd(uint64_t id, int src, int dst, const BuiltTree& tree, StreamId stream,
-                       const std::vector<SegmentChecksum>& seg_checksums) override {
-    if (ships_->load(std::memory_order_relaxed) >= allowed_ships_) {
+    const auto* end = std::get_if<CompactionEndMsg>(&msg);
+    if (end != nullptr && ships_->load(std::memory_order_relaxed) >= allowed_ships_) {
       return Status::Unavailable("injected end drop after mid-ship failure");
     }
     inner_->set_epoch(epoch());
-    return inner_->CompactionEnd(id, src, dst, tree, stream, seg_checksums);
+    Status status = inner_->Send(msg);
+    if (status.ok() && end != nullptr && end->tree.filter != nullptr) {
+      (*committed_filters_)[static_cast<int>(end->dst_level)] = *end->tree.filter;
+    }
+    return status;
   }
-  Status TrimLog(size_t segments) override {
-    inner_->set_epoch(epoch());
-    return inner_->TrimLog(segments);
-  }
-  Status SetLogReplayStart(size_t index) override {
-    inner_->set_epoch(epoch());
-    return inner_->SetLogReplayStart(index);
-  }
-  const std::string& backup_name() const override { return inner_->backup_name(); }
 
  private:
   std::unique_ptr<LocalBackupChannel> inner_;
   const uint64_t allowed_ships_;
   std::atomic<uint64_t>* const ships_;
+  std::map<int, std::string>* const committed_filters_;
 };
 
 TEST(ReplicaReadsChaosTest, HalfShippedStreamNeverLeaksIntoReads) {
@@ -614,9 +606,10 @@ TEST(ReplicaReadsChaosTest, HalfShippedStreamNeverLeaksIntoReads) {
   // The seeded budget lets a few segments of some compaction land before the
   // stream stalls; different seeds cut the stream at different points.
   std::atomic<uint64_t> ships{0};
+  std::map<int, std::string> committed_filters;
   auto channel = std::make_unique<HalfShipChannel>(
-      std::make_unique<LocalBackupChannel>(&fabric, "primary0", buffer, backup.get(), nullptr),
-      /*allowed_ships=*/2 + seed % 5, &ships);
+      std::make_unique<LocalBackupChannel>(&fabric, "primary0", buffer, backup.get()),
+      /*allowed_ships=*/2 + seed % 5, &ships, &committed_filters);
   ReplicationPolicy policy;
   policy.max_consecutive_failures = 1;  // strike out on the first drop
   primary->set_replication_policy(policy);
@@ -657,6 +650,20 @@ TEST(ReplicaReadsChaosTest, HalfShippedStreamNeverLeaksIntoReads) {
     EXPECT_GE(got, floor) << key;
     EXPECT_LE(got, committed[key]) << key;
   }
+  // Every level the backup committed carries the primary's exact filter
+  // bytes: the filter block rides the same channel as the index segments.
+  int committed_levels = 0;
+  for (uint32_t l = 1; l <= opts.max_levels; ++l) {
+    const BuiltTree& level = backup->level(l);
+    if (level.empty()) {
+      continue;
+    }
+    ++committed_levels;
+    ASSERT_EQ(committed_filters.count(static_cast<int>(l)), 1u) << "level " << l;
+    ASSERT_NE(level.filter, nullptr) << "level " << l << " lost its shipped filter";
+    EXPECT_EQ(*level.filter, committed_filters[static_cast<int>(l)]) << "level " << l;
+  }
+  EXPECT_GT(committed_levels, 0);
   // The half-shipped stream is still open on the backup — its tree never
   // committed, so it is invisible to every read above.
   EXPECT_GE(backup->active_streams(), 1u);

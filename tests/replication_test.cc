@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/random.h"
 #include "src/net/fabric.h"
 #include "src/replication/build_index_backup.h"
@@ -103,6 +105,45 @@ TEST(SegmentMapTest, RekeyForNewPrimary) {
 
 // --- replication wire codecs ------------------------------------------------
 
+TEST(ReplicationWireTest, EveryMessageRoundTrips) {
+  const std::string data(1000, 'n');
+  BuiltTree tree;
+  tree.root_offset = 0x123456;
+  tree.height = 3;
+  tree.num_entries = 777;
+  tree.bytes_written = 4096;
+  tree.segments = {5, 6, 7};
+  const uint32_t crc = Crc32c(data.data(), data.size());
+  // Each message next to its encoded size: every field is always on the wire.
+  const std::vector<std::pair<ReplicationMessage, size_t>> cases = {
+      {FlushLogMsg{1, 42, 900, 3, kLargeLogFamily}, 32},
+      {CompactionBeginMsg{2, 9, 1, 2, 4}, 28},
+      {IndexSegmentMsg{3, 4, 2, 1, 77, Slice(data), 5, crc}, 44 + data.size()},
+      {FilterBlockMsg{4, 4, 2, Slice(data), 5}, 28 + data.size()},
+      {CompactionEndMsg{5, 9, 1, 2, tree, 6, {{11, 100}, {12, 200}, {13, 300}}}, 110},
+      {CompactionEndMsg{5, 9, 1, 2, tree, 6, {}}, 86},  // unchecksummed tree
+      {TrimLogMsg{6, 12}, 12},
+      {SetReplayStartMsg{7, 31}, 16},
+  };
+  std::set<size_t> covered;
+  for (const auto& [msg, size] : cases) {
+    const std::string encoded = EncodeReplicationMessage(msg);
+    EXPECT_EQ(encoded.size(), size) << MessageTypeName(ReplicationMessageType(msg));
+    auto decoded = DecodeReplicationMessage(ReplicationMessageType(msg), encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->index(), msg.index());
+    EXPECT_EQ(ReplicationMessageEpoch(*decoded), ReplicationMessageEpoch(msg));
+    // The encoding covers every field, so equal re-encodings mean every field
+    // survived the round trip.
+    EXPECT_EQ(EncodeReplicationMessage(*decoded), encoded);
+    covered.insert(msg.index());
+  }
+  EXPECT_EQ(covered.size(), std::variant_size_v<ReplicationMessage>);
+  // Only replication requests decode.
+  const std::string segment_bytes = EncodeReplicationMessage(cases[2].first);
+  EXPECT_FALSE(DecodeReplicationMessage(MessageType::kFlushLogReply, segment_bytes).ok());
+}
+
 TEST(ReplicationWireTest, CompactionEndRoundTrip) {
   CompactionEndMsg msg{};
   msg.compaction_id = 9;
@@ -113,25 +154,32 @@ TEST(ReplicationWireTest, CompactionEndRoundTrip) {
   msg.tree.num_entries = 777;
   msg.tree.bytes_written = 4096;
   msg.tree.segments = {5, 6, 7};
-  std::string encoded = EncodeCompactionEnd(msg);
-  CompactionEndMsg out{};
-  ASSERT_TRUE(DecodeCompactionEnd(encoded, &out).ok());
+  msg.seg_checksums = {{11, 100}, {12, 200}, {13, 300}};
+  const std::string encoded = EncodeReplicationMessage(msg);
+  auto decoded = DecodeReplicationMessage(MessageType::kCompactionEnd, encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const auto& out = std::get<CompactionEndMsg>(*decoded);
   EXPECT_EQ(out.compaction_id, 9u);
   EXPECT_EQ(out.tree.root_offset, 0x123456u);
   EXPECT_EQ(out.tree.height, 3u);
   EXPECT_EQ(out.tree.segments, (std::vector<SegmentId>{5, 6, 7}));
+  ASSERT_EQ(out.seg_checksums.size(), 3u);
+  EXPECT_EQ(out.seg_checksums[2].length, 300u);
 }
 
 TEST(ReplicationWireTest, IndexSegmentRoundTrip) {
-  std::string data(1000, 'n');
-  IndexSegmentMsg msg{/*epoch=*/1, 4, 2, 0, 77, Slice(data)};
-  std::string encoded = EncodeIndexSegment(msg);
-  IndexSegmentMsg out{};
-  ASSERT_TRUE(DecodeIndexSegment(encoded, &out).ok());
+  const std::string data(1000, 'n');
+  const uint32_t crc = Crc32c(data.data(), data.size());
+  IndexSegmentMsg msg{/*epoch=*/1, 4, 2, 0, 77, Slice(data), 5, crc};
+  const std::string encoded = EncodeReplicationMessage(msg);
+  auto decoded = DecodeReplicationMessage(MessageType::kIndexSegment, encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const auto& out = std::get<IndexSegmentMsg>(*decoded);
   EXPECT_EQ(out.compaction_id, 4u);
   EXPECT_EQ(out.dst_level, 2u);
   EXPECT_EQ(out.primary_segment, 77u);
   EXPECT_EQ(out.data.ToString(), data);
+  EXPECT_EQ(out.payload_crc, crc);
 }
 
 // --- end-to-end replication fixtures --------------------------------------------
@@ -160,7 +208,7 @@ SendIndexCluster MakeSendIndexCluster(int num_backups, KvStoreOptions opts) {
     EXPECT_TRUE(backup.ok());
     c.backups.push_back(std::move(*backup));
     c.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-        c.fabric.get(), "primary0", buffer, c.backups.back().get(), nullptr));
+        c.fabric.get(), "primary0", buffer, c.backups.back().get()));
   }
   return c;
 }
@@ -189,7 +237,7 @@ BuildIndexCluster MakeBuildIndexCluster(int num_backups, KvStoreOptions opts) {
     EXPECT_TRUE(backup.ok());
     c.backups.push_back(std::move(*backup));
     c.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-        c.fabric.get(), "primary0", buffer, nullptr, c.backups.back().get()));
+        c.fabric.get(), "primary0", buffer, c.backups.back().get()));
   }
   return c;
 }
@@ -420,7 +468,9 @@ TEST(PromotionTest, HalfShippedCompactionIsAborted) {
   // no end.
   SendIndexBackupRegion* backup = cluster.backups[0].get();
   const uint64_t before_segments = cluster.backup_devices[0]->AllocatedSegments();
-  ASSERT_TRUE(backup->HandleCompactionBegin(999, 1, 2).ok());
+  ASSERT_TRUE(
+      backup->Handle(CompactionBeginMsg{.compaction_id = 999, .src_level = 1, .dst_level = 2})
+          .ok());
   std::string fake_segment(SmallOptions().node_size, 0);
   LeafNodeBuilder leaf(fake_segment.data(), fake_segment.size());
   leaf.Add("zzz", cluster.primary->store()->value_log()->flushed_segments().empty()
@@ -429,8 +479,13 @@ TEST(PromotionTest, HalfShippedCompactionIsAborted) {
                             cluster.primary->store()->value_log()->flushed_segments()[0]),
            KeyHash("zzz"));
   leaf.Finish();
-  ASSERT_TRUE(backup->HandleIndexSegment(999, 2, 0, /*primary_segment=*/424242,
-                                         Slice(fake_segment))
+  ASSERT_TRUE(backup
+                  ->Handle(IndexSegmentMsg{
+                      .compaction_id = 999,
+                      .dst_level = 2,
+                      .primary_segment = 424242,
+                      .data = Slice(fake_segment),
+                      .payload_crc = Crc32c(fake_segment.data(), fake_segment.size())})
                   .ok());
   auto promoted = backup->Promote();
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();

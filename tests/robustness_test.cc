@@ -74,7 +74,7 @@ LocalPair MakeLocalPair() {
   EXPECT_TRUE(backup.ok());
   c.backup = std::move(*backup);
   c.primary->AddBackup(std::make_unique<LocalBackupChannel>(c.fabric.get(), "primary0", c.buffer,
-                                                            c.backup.get(), nullptr));
+                                                            c.backup.get()));
   return c;
 }
 
@@ -99,11 +99,10 @@ TEST(EpochFencingTest, DeposedPrimaryRejectedOnDataAndControlPlane) {
 
   // Control plane too: a control message stamped with the stale generation is
   // rejected by the backup's epoch check before its handler runs.
-  LocalBackupChannel stale_channel(c.fabric.get(), "primary0", c.buffer, c.backup.get(),
-                                   /*build_backup=*/nullptr);
+  LocalBackupChannel stale_channel(c.fabric.get(), "primary0", c.buffer, c.backup.get());
   stale_channel.set_epoch(1);
   const uint64_t rejected_before = c.backup->stats().epoch_rejected;
-  Status ctrl = stale_channel.FlushLog(0);
+  Status ctrl = stale_channel.Send(FlushLogMsg{});
   EXPECT_TRUE(ctrl.IsFailedPrecondition()) << ctrl.ToString();
   EXPECT_GT(c.backup->stats().epoch_rejected, rejected_before);
 
@@ -116,7 +115,7 @@ TEST(EpochFencingTest, DeposedPrimaryRejectedOnDataAndControlPlane) {
   c.primary->set_epoch(3);
   EXPECT_TRUE(c.primary->Put("fresh-key", "fresh-value").ok());
   stale_channel.set_epoch(3);
-  EXPECT_TRUE(stale_channel.FlushLog(0).ok());
+  EXPECT_TRUE(stale_channel.Send(FlushLogMsg{}).ok());
   EXPECT_EQ(c.backup->region_epoch(), 3u);
   EXPECT_TRUE(c.backup->DebugGet("stale-key").status().IsNotFound());
 }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/lsm/kv_store.h"
 #include "src/net/worker_pool.h"
 #include "src/replication/local_backup_channel.h"
@@ -190,6 +191,19 @@ TEST(ShippingStreamsTest, MultiplexedShippingKeepsBackupsConsistent) {
   }
   EXPECT_GE(streams_opened, 8u);
   EXPECT_GE(background, 1u);
+
+  // Shipping has quiesced, so every segment's credit came back to its
+  // backup's flow controller.
+  int credit_gauges = 0;
+  const MetricsSnapshot metrics = cluster->MetricsNow();
+  for (const MetricSample& sample : metrics.samples()) {
+    if (sample.name == "repl.credits_in_flight") {
+      ++credit_gauges;
+      EXPECT_EQ(sample.value, 0) << "credits still in flight after quiesce";
+    }
+  }
+  EXPECT_EQ(credit_gauges,
+            static_cast<int>(options.num_regions) * (options.replication_factor - 1));
 }
 
 // --- transient per-stream faults are absorbed by retries --------------------
@@ -341,21 +355,18 @@ class MidShipFailChannel : public BackupChannel {
       : ship_calls_(ship_calls), last_stream_(last_stream) {}
 
   Status RdmaWriteLog(uint64_t, Slice) override { return Status::Ok(); }
-  Status FlushLog(SegmentId, StreamId, uint64_t) override { return Status::Ok(); }
-  Status CompactionBegin(uint64_t, int, int, StreamId) override { return Status::Ok(); }
-  Status ShipIndexSegment(uint64_t, int, int, SegmentId, Slice, StreamId stream,
-                          uint32_t) override {
-    last_stream_->store(stream, std::memory_order_relaxed);
+  const std::string& backup_name() const override { return name_; }
+
+ protected:
+  Status Deliver(const ReplicationMessage& msg) override {
+    const auto* segment = std::get_if<IndexSegmentMsg>(&msg);
+    if (segment == nullptr) {
+      return Status::Ok();
+    }
+    last_stream_->store(segment->stream_id, std::memory_order_relaxed);
     ship_calls_->fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("injected mid-ship drop");
   }
-  Status CompactionEnd(uint64_t, int, int, const BuiltTree&, StreamId,
-                       const std::vector<SegmentChecksum>&) override {
-    return Status::Ok();
-  }
-  Status TrimLog(size_t) override { return Status::Ok(); }
-  Status SetLogReplayStart(size_t) override { return Status::Ok(); }
-  const std::string& backup_name() const override { return name_; }
 
  private:
   const std::string name_ = "flaky-backup";
@@ -379,7 +390,7 @@ TEST(ShippingStreamsTest, MidShipFailureDetachesOnlyThatReplica) {
   ASSERT_TRUE(backup_or.ok());
   auto backup = std::move(*backup_or);
   primary->AddBackup(std::make_unique<LocalBackupChannel>(&fabric, "primary0", buffer,
-                                                          backup.get(), nullptr));
+                                                          backup.get()));
   std::atomic<uint64_t> ship_calls{0};
   std::atomic<StreamId> last_stream{kNoStream};
   primary->AddBackup(std::make_unique<MidShipFailChannel>(&ship_calls, &last_stream));
@@ -441,7 +452,7 @@ TEST(ShippingStreamsTest, PromoteAbortsActiveStreams) {
   ASSERT_TRUE(backup_or.ok());
   auto backup = std::move(*backup_or);
   primary->AddBackup(std::make_unique<LocalBackupChannel>(&fabric, "primary0", buffer,
-                                                          backup.get(), nullptr));
+                                                          backup.get()));
 
   for (int i = 0; i < 700; ++i) {
     ASSERT_TRUE(primary->Put(Key(i), Value(i)).ok());
@@ -450,20 +461,31 @@ TEST(ShippingStreamsTest, PromoteAbortsActiveStreams) {
 
   // Open two concurrent rewrite state machines by hand, as if two compactions
   // were mid-ship when the primary died.
-  ASSERT_TRUE(backup->HandleCompactionBegin(801, 1, 2, /*stream=*/5).ok());
+  auto begin = [&](uint64_t id, uint32_t src, uint32_t dst, StreamId stream) {
+    return backup->Handle(CompactionBeginMsg{
+        .compaction_id = id, .src_level = src, .dst_level = dst, .stream_id = stream});
+  };
+  ASSERT_TRUE(begin(801, 1, 2, /*stream=*/5).ok());
   // One stream carries one compaction at a time.
-  EXPECT_TRUE(backup->HandleCompactionBegin(802, 3, 4, 5).IsFailedPrecondition());
+  EXPECT_TRUE(begin(802, 3, 4, 5).IsFailedPrecondition());
   // Streams may not own overlapping level pairs.
-  EXPECT_TRUE(backup->HandleCompactionBegin(803, 2, 3, 6).IsFailedPrecondition());
-  ASSERT_TRUE(backup->HandleCompactionBegin(804, 3, 4, 6).ok());
+  EXPECT_TRUE(begin(803, 2, 3, 6).IsFailedPrecondition());
+  ASSERT_TRUE(begin(804, 3, 4, 6).ok());
   EXPECT_EQ(backup->active_streams(), 2u);
   // A begin retry (lost ack) is idempotent.
-  ASSERT_TRUE(backup->HandleCompactionBegin(801, 1, 2, 5).ok());
+  ASSERT_TRUE(begin(801, 1, 2, 5).ok());
   EXPECT_EQ(backup->active_streams(), 2u);
   // A segment tagged with a stream that carries a different compaction is
   // rejected before any rewrite work.
   std::string junk(256, 'x');
-  EXPECT_TRUE(backup->HandleIndexSegment(999, 2, 0, 77, Slice(junk), 5).IsFailedPrecondition());
+  EXPECT_TRUE(backup
+                  ->Handle(IndexSegmentMsg{.compaction_id = 999,
+                                           .dst_level = 2,
+                                           .primary_segment = 77,
+                                           .data = Slice(junk),
+                                           .stream_id = 5,
+                                           .payload_crc = Crc32c(junk.data(), junk.size())})
+                  .IsFailedPrecondition());
 
   auto promoted_or = backup->Promote();
   ASSERT_TRUE(promoted_or.ok()) << promoted_or.status().ToString();

@@ -352,7 +352,7 @@ TEST(ChaosScrapeTest, StalePrimaryFencingShowsInScrape) {
   ASSERT_TRUE(backup_or.ok()) << backup_or.status().ToString();
   auto backup = std::move(*backup_or);
   primary->AddBackup(
-      std::make_unique<LocalBackupChannel>(&fabric, "p0", buffer, backup.get(), nullptr));
+      std::make_unique<LocalBackupChannel>(&fabric, "p0", buffer, backup.get()));
 
   primary->set_epoch(1);
   for (int i = 0; i < 50; ++i) {
@@ -364,9 +364,9 @@ TEST(ChaosScrapeTest, StalePrimaryFencingShowsInScrape) {
   backup->set_region_epoch(2);
   Status fenced = primary->Put("stale-key", "stale-value");
   EXPECT_TRUE(fenced.IsFailedPrecondition()) << fenced.ToString();
-  LocalBackupChannel stale_channel(&fabric, "p0", buffer, backup.get(), nullptr);
+  LocalBackupChannel stale_channel(&fabric, "p0", buffer, backup.get());
   stale_channel.set_epoch(1);
-  EXPECT_TRUE(stale_channel.FlushLog(0).IsFailedPrecondition());
+  EXPECT_TRUE(stale_channel.Send(FlushLogMsg{}).IsFailedPrecondition());
 
   MetricsSnapshot snap = plane.Snapshot();
   EXPECT_GT(snap.Sum("repl.fence_errors"), 0u);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the fast test label, run twice — once plain, once under
-# ThreadSanitizer — plus the chaos label under AddressSanitizer. Compactions
-# run on background threads, so a plain pass alone does not prove the absence
-# of data races; TSan over the same suite does. The chaos label replays the
+# ThreadSanitizer — plus the chaos label and the replication wire fuzzers
+# under AddressSanitizer. Compactions run on background threads, so a plain
+# pass alone does not prove the absence of data races; TSan over the same
+# suite does. The chaos label replays the
 # deterministic fault-injection matrix (crash, partition, stall,
 # deposed-primary) where use-after-free bugs in teardown/failover paths hide;
 # ASan catches those.
@@ -14,12 +15,12 @@
 #   tools/check.sh            # all three passes
 #   tools/check.sh --plain    # plain pass: fast label + observability coverage gate
 #   tools/check.sh --tsan     # TSan pass: fast label
-#   tools/check.sh --chaos    # ASan pass: chaos label
+#   tools/check.sh --chaos    # ASan pass: chaos label + wire fuzzers
 #
 # Build trees: build/ (plain), build-tsan/ (TEBIS_SANITIZE=thread) and
-# build-asan/ (TEBIS_SANITIZE=address). The slow label (soak/fuzz/stress) is
-# tier-2: `ctest --test-dir build -L slow`. The performance record is the
-# end-to-end benchmark in perfbench/.
+# build-asan/ (TEBIS_SANITIZE=address). The rest of the slow label
+# (soak/fuzz/stress) is tier-2: `ctest --test-dir build -L slow`. The
+# performance record is the end-to-end benchmark in perfbench/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,6 +71,11 @@ if [[ $run_chaos -eq 1 ]]; then
     echo "    ctest --test-dir build-asan -L chaos -R <failing test> --output-on-failure" >&2
     exit 1
   fi
+  # The replication decoder runs under every in-process control message too,
+  # so its fuzzers (slow label, ~0.1 s) ride along in this pass.
+  echo "== tier-1 pass 3/3: AddressSanitizer build, replication wire fuzzers =="
+  ctest --test-dir build-asan -L slow -R WireFuzzTest --no-tests=error --output-on-failure \
+    -j "$jobs"
 fi
 
 echo "== tier-1 gate: OK =="
