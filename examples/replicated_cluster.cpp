@@ -100,12 +100,12 @@ int main() {
   // What the cluster did underneath.
   printf("\ncluster internals:\n");
   for (auto& server : servers) {
-    RegionServerStats stats = server->Aggregate();
+    const MetricsSnapshot snap = server->telemetry()->Snapshot();
     printf("  %s: %llu puts, %llu compactions, rewrite cpu %.1f ms, shipped %.1f KB\n",
-           server->name().c_str(), (unsigned long long)stats.puts,
-           (unsigned long long)stats.compactions,
-           static_cast<double>(stats.rewrite_index_cpu_ns) / 1e6,
-           static_cast<double>(stats.index_bytes_shipped) / 1024.0);
+           server->name().c_str(), (unsigned long long)snap.Sum("kv.puts", "role", "primary"),
+           (unsigned long long)snap.Sum("kv.compactions", "role", "primary"),
+           static_cast<double>(snap.Sum("backup.rewrite_cpu_ns", "role", "backup")) / 1e6,
+           static_cast<double>(snap.Sum("repl.index_bytes_shipped", "role", "primary")) / 1024.0);
   }
   printf("  fabric: %.1f KB moved\n", static_cast<double>(fabric.TotalBytes()) / 1024.0);
 

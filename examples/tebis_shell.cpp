@@ -125,11 +125,13 @@ int main() {
           printf("  %s: CRASHED\n", server->name().c_str());
           continue;
         }
-        RegionServerStats stats = server->Aggregate();
+        const MetricsSnapshot snap = server->telemetry()->Snapshot();
         printf("  %s: puts=%llu gets=%llu compactions=%llu shipped=%.1fKB\n",
-               server->name().c_str(), (unsigned long long)stats.puts,
-               (unsigned long long)stats.gets, (unsigned long long)stats.compactions,
-               static_cast<double>(stats.index_bytes_shipped) / 1024.0);
+               server->name().c_str(), (unsigned long long)snap.Sum("kv.puts", "role", "primary"),
+               (unsigned long long)snap.Sum("kv.gets", "role", "primary"),
+               (unsigned long long)snap.Sum("kv.compactions", "role", "primary"),
+               static_cast<double>(snap.Sum("repl.index_bytes_shipped", "role", "primary")) /
+                   1024.0);
       }
       printf("  fabric: %.1f KB, client retries: wrong-region=%llu truncated=%llu\n",
              static_cast<double>(fabric.TotalBytes()) / 1024.0,

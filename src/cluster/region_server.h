@@ -8,7 +8,6 @@
 #ifndef TEBIS_CLUSTER_REGION_SERVER_H_
 #define TEBIS_CLUSTER_REGION_SERVER_H_
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -16,15 +15,13 @@
 #include <vector>
 
 #include "src/cluster/coordinator.h"
+#include "src/cluster/region_host.h"
 #include "src/cluster/region_map.h"
 #include "src/net/server_endpoint.h"
 #include "src/net/worker_pool.h"
-#include "src/replication/build_index_backup.h"
 #include "src/replication/primary_region.h"
-#include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
 #include "src/telemetry/health.h"
-#include "src/telemetry/request_trace.h"
 #include "src/telemetry/slow_op.h"
 
 namespace tebis {
@@ -32,9 +29,9 @@ namespace tebis {
 struct RegionServerOptions {
   int num_spinners = 2;  // paper §4
   int num_workers = 8;   // paper §4
-  // Background compaction workers shared by this server's *primary* stores
-  // (PR 2). 0 = synchronous compactions (the seed behavior). Regions promoted
-  // from a backup role keep compacting synchronously until reopened.
+  // Background compaction workers shared by this server's *primary* stores.
+  // 0 = synchronous compactions. A region promoted from a backup role adopts
+  // the pool.
   int compaction_workers = 0;
   BlockDeviceOptions device_options;
   KvStoreOptions kv_options;
@@ -52,34 +49,16 @@ struct RegionServerOptions {
   // PageCache::ShardsForStores at Start(); 0 keeps kv_options.cache_shards
   // as configured (the standalone default).
   size_t expected_regions = 0;
-  // Span ring capacity for this server's telemetry plane (PR 5); 0 disables
-  // pipeline tracing.
+  // Span ring capacity for this server's telemetry plane; 0 disables pipeline
+  // tracing.
   size_t trace_capacity = 4096;
-  // Slow-op thresholds (PR 10); all-zero keeps the slow-op log silent. An op
+  // Slow-op thresholds; all-zero keeps the slow-op log silent. An op
   // type with a nonzero threshold is timed even when unsampled, so the log
   // catches outliers that sampling missed.
   SlowOpPolicy slow_op_policy;
-  // Health watchdog (PR 10): evaluated at every scrape, publishing the
+  // Health watchdog: evaluated at every scrape, publishing the
   // `health.*` gauge family into the snapshot.
   HealthThresholds health_thresholds;
-};
-
-// Aggregate counters for the experiment harness.
-struct RegionServerStats {
-  uint64_t puts = 0;
-  uint64_t gets = 0;
-  uint64_t deletes = 0;
-  uint64_t scans = 0;
-  uint64_t compactions = 0;
-  uint64_t insert_l0_cpu_ns = 0;
-  uint64_t compaction_cpu_ns = 0;
-  uint64_t get_cpu_ns = 0;
-  uint64_t log_replication_cpu_ns = 0;
-  uint64_t send_index_cpu_ns = 0;
-  uint64_t rewrite_index_cpu_ns = 0;
-  uint64_t backup_insert_cpu_ns = 0;
-  uint64_t l0_memory_bytes = 0;
-  uint64_t index_bytes_shipped = 0;
 };
 
 class RegionServer {
@@ -113,9 +92,10 @@ class RegionServer {
 
   // --- admin API (driven by the master; models open/close region commands) ---
 
-  // `epoch` arguments carry the coordinator-authoritative configuration
-  // generation. Defaults keep direct (master-less) test setups working:
-  // opens start at generation 1; 0 elsewhere means "derive locally".
+  // Opens require Start(). `epoch` arguments carry the
+  // coordinator-authoritative configuration generation. Defaults keep direct
+  // (master-less) test setups working: opens start at generation 1; 0
+  // elsewhere means "derive locally".
   Status OpenPrimaryRegion(uint32_t region_id, uint64_t epoch = 1);
   Status OpenBackupRegion(uint32_t region_id, uint64_t epoch = 1);
   Status CloseRegion(uint32_t region_id);
@@ -155,7 +135,7 @@ class RegionServer {
   // from promotion through the new primary (replicated).
   Status ReplayPromotionBuffer(uint32_t region_id);
 
-  // --- integrity (PR 8) ---
+  // --- integrity ---
 
   // Scrubs one hosted region (primary or Send-Index backup role) against its
   // segment checksums, quarantining levels that fail. Build-Index backups own
@@ -184,9 +164,7 @@ class RegionServer {
   // True if this server currently hosts `region_id` as primary.
   bool IsPrimaryFor(uint32_t region_id) const;
 
-  RegionServerStats Aggregate() const;
-
-  // --- telemetry plane (PR 5) ---
+  // --- telemetry plane ---
   // Shared by every region this server hosts; each store/region object is
   // stamped with {node, region, role} labels at open/promote/demote time.
   Telemetry* telemetry() { return telemetry_.get(); }
@@ -200,64 +178,23 @@ class RegionServer {
   StatusOr<ReplicationStats> PrimaryReplicationStats(uint32_t region_id) const;
 
  private:
-  struct RegionHandle {
-    mutable std::mutex mutex;
-    // Set by CloseRegion after draining in-flight operations. A thread that
-    // resolved this handle before the close finishes must re-check under
-    // `mutex` and fail the op — the engines below are about to be (or have
-    // been) torn down and anything written here is discarded.
-    bool closed = false;
-    bool is_primary = false;
-    std::unique_ptr<PrimaryRegion> primary;
-    std::unique_ptr<SendIndexBackupRegion> send_backup;
-    std::unique_ptr<BuildIndexBackupRegion> build_backup;
-    std::shared_ptr<RegisteredBuffer> replication_buffer;  // backup role
-    std::string promotion_buffer_image;                    // kept across promotion
-    std::string promotion_log_map;                         // serialized, for resume
-  };
-
   void HandleRequest(const MessageHeader& header, std::string payload, ReplyContext ctx);
-  void HandleKvOp(RegionHandle* region, const MessageHeader& header, Slice payload,
-                  const ReplyContext& ctx);
-  // Replica reads (PR 6): served from the local *backup* engine, fenced by
-  // the {min_epoch, min_seq} the request carries. A primary handle answers
-  // kFlagWrongRegion so replica traffic is never silently proxied.
-  void HandleReplicaRead(RegionHandle* region, const MessageHeader& header, Slice payload,
-                         const ReplyContext& ctx);
-  void HandleReplicationOp(RegionHandle* region, const MessageHeader& header, Slice payload,
-                           const ReplyContext& ctx);
-  // Donor side of online repair (PR 8): answers kRepairFetch with the good,
-  // verified bytes of one index segment in primary space. Unlike the other
-  // replication ops this is served by primary AND backup handles — any healthy
-  // replica at the requester's epoch can donate.
-  void HandleRepairFetch(RegionHandle* region, const MessageHeader& header, Slice payload,
-                         const ReplyContext& ctx);
-  // Returns a shared ref so a concurrent CloseRegion (handover discard path)
-  // cannot free the handle out from under an op that already resolved it.
-  std::shared_ptr<RegionHandle> FindRegion(uint32_t region_id) const;
-  // Request observability (PR 10): called when a KV op ran under a trace
-  // scope — records the primary_apply span and the request-latency exemplar
-  // for sampled ops, and feeds the slow-op log.
-  void ObserveRequest(SlowOpType op, Slice key, uint32_t region_id, uint64_t epoch,
-                      TraceId trace, uint64_t start_ns, const RequestStageTimings& stages);
-  // Installs the backup-commit span recorder on a backup region's registered
-  // log buffer. The listener captures this server's telemetry plane, so it is
-  // cleared (ClearCommitListener) before the plane can die.
-  void InstallCommitListener(RegisteredBuffer* buffer);
-  static void ClearCommitListener(RegionHandle* handle);
-  static void ReplyError(const ReplyContext& ctx, MessageType reply_type, const Status& status);
-  // kv_options with the server's telemetry plane and {node, region, role}
-  // labels stamped in, so every store's instruments are uniquely named.
-  KvStoreOptions RegionKvOptions(uint32_t region_id, const char* role) const;
+  // Decode → host → encode for one region-addressed request.
+  void HandleRegionOp(const MessageHeader& header, Slice payload, const ReplyContext& ctx);
+  // The host's handle for `region_id`, locked, in `role` (FailedPrecondition
+  // before Start).
+  StatusOr<RegionHost::Locked> LockRegion(uint32_t region_id, RegionHost::Role role) const;
   // Wires the health policy + detach listener into a primary region object.
   void InstallPrimaryPolicy(uint32_t region_id, PrimaryRegion* primary);
   // Builds the replication channel to one backup, with a per-stream client
-  // factory (PR 9, closing the PR 4 follow-on): each shipping stream gets its
-  // own connection — its own queue-pair slot — so concurrent streams stop
-  // serializing on one channel-wide send lock.
+  // factory: each shipping stream gets its own connection — its own
+  // queue-pair slot — so concurrent streams do not serialize on one
+  // channel-wide send lock.
   std::unique_ptr<BackupChannel> MakeBackupChannel(uint32_t region_id,
                                                    RegionServer* backup_server,
                                                    std::shared_ptr<RegisteredBuffer> buffer);
+  // Shared by AttachBackup and AttachBackupWithFullSync.
+  Status Attach(uint32_t region_id, RegionServer* backup_server, uint64_t epoch, bool full_sync);
   // Records a unilateral detach as a persistent coordinator znode, off-thread
   // (the listener runs under region locks; the master's watch fires on the
   // creating thread and re-enters this server). `stream` is the shipping
@@ -270,24 +207,20 @@ class RegionServer {
   const std::string name_;
   RegionServerOptions options_;
 
-  // Declared before regions_: instruments resolved against this plane must
+  // Declared before host_: instruments resolved against this plane must
   // outlive the stores updating them.
   std::unique_ptr<Telemetry> telemetry_;
-  // trace.request_latency_ns{node, op} histograms, pre-resolved per op type so
-  // the sampled path does one array index instead of a registry lookup.
-  HistogramInstrument* request_latency_[kNumSlowOpTypes] = {};
   std::unique_ptr<BlockDevice> device_;
-  // Declared before regions_: stores must be destroyed while the pool still
+  // Declared before host_: stores must be destroyed while the pool still
   // runs, so queued background compactions can finish.
   std::unique_ptr<WorkerPool> compaction_pool_;
   std::unique_ptr<ServerEndpoint> client_endpoint_;
   std::unique_ptr<ServerEndpoint> replication_endpoint_;
+  // The hosted regions; created by Start() over the device and pool.
+  std::unique_ptr<RegionHost> host_;
   Coordinator::SessionId session_ = Coordinator::kNoSession;
   bool started_ = false;
   bool crashed_ = false;
-
-  mutable std::mutex regions_mutex_;
-  std::map<uint32_t, std::shared_ptr<RegionHandle>> regions_;
 
   mutable std::mutex map_mutex_;
   std::shared_ptr<const RegionMap> map_;

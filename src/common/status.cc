@@ -26,6 +26,8 @@ const char* StatusCodeName(StatusCode code) {
       return "IoError";
     case StatusCode::kInternal:
       return "Internal";
+    case StatusCode::kWrongRegion:
+      return "WrongRegion";
   }
   return "Unknown";
 }

@@ -22,6 +22,9 @@ enum class StatusCode {
   kCorruption,
   kIoError,
   kInternal,
+  // The region is not hosted here in the role the request needs (closed, or
+  // the caller's map is stale); the RPC server answers kFlagWrongRegion.
+  kWrongRegion,
 };
 
 // Returns a stable, human-readable name for a status code.
@@ -60,6 +63,9 @@ class Status {
   static Status Internal(std::string m = "") {
     return Status(StatusCode::kInternal, std::move(m));
   }
+  static Status WrongRegion(std::string m = "") {
+    return Status(StatusCode::kWrongRegion, std::move(m));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -70,6 +76,7 @@ class Status {
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
   bool IsAlreadyExists() const { return code_ == StatusCode::kAlreadyExists; }
   bool IsFailedPrecondition() const { return code_ == StatusCode::kFailedPrecondition; }
+  bool IsWrongRegion() const { return code_ == StatusCode::kWrongRegion; }
 
   std::string ToString() const {
     if (ok()) {

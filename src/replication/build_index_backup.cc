@@ -33,7 +33,7 @@ StatusOr<std::unique_ptr<BuildIndexBackupRegion>> BuildIndexBackupRegion::Create
 
 BuildIndexBackupRegion::BuildIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
                                                std::shared_ptr<RegisteredBuffer> rdma_buffer)
-    : device_(device), options_(options), rdma_buffer_(std::move(rdma_buffer)) {
+    : BackupRegion(std::move(rdma_buffer)), device_(device), options_(options) {
   InitTelemetry();
 }
 
@@ -285,6 +285,14 @@ Status BuildIndexBackupRegion::HandleTrimLog(size_t segments) {
   log_map_ = std::move(fresh);
   primary_flush_order_.erase(primary_flush_order_.begin(),
                              primary_flush_order_.begin() + static_cast<long>(segments));
+  return Status::Ok();
+}
+
+Status BuildIndexBackupRegion::AdoptNewPrimaryLogMap(const SegmentMap& /*new_primary_log_map*/,
+                                                     uint64_t epoch) {
+  if (epoch != 0) {
+    set_region_epoch(epoch);
+  }
   return Status::Ok();
 }
 

@@ -13,6 +13,7 @@
 
 #include "src/lsm/kv_store.h"
 #include "src/net/fabric.h"
+#include "src/replication/backup_region.h"
 #include "src/replication/replication_wire.h"
 #include "src/replication/segment_map.h"
 #include "src/storage/block_device.h"
@@ -31,7 +32,7 @@ struct BuildIndexBackupStats {
   uint64_t read_rejects_seq = 0;    // reads fenced: commit seq behind fence
 };
 
-class BuildIndexBackupRegion : public ReplicationMessageHandler {
+class BuildIndexBackupRegion final : public BackupRegion {
  public:
   static StatusOr<std::unique_ptr<BuildIndexBackupRegion>> Create(
       BlockDevice* device, const KvStoreOptions& options,
@@ -60,30 +61,44 @@ class BuildIndexBackupRegion : public ReplicationMessageHandler {
   // (which already holds every flushed record). On success `*visible_seq`
   // (when non-null) is the replica's visible commit sequence.
   StatusOr<std::string> Get(Slice key, uint64_t min_epoch, uint64_t min_seq,
-                            uint64_t* visible_seq);
+                            uint64_t* visible_seq) override;
   StatusOr<std::vector<KvPair>> Scan(Slice start, size_t limit, uint64_t min_epoch,
-                                     uint64_t min_seq, uint64_t* visible_seq);
+                                     uint64_t min_seq, uint64_t* visible_seq) override;
   uint64_t visible_seq() const;
+  // The engine's own lookup: it already holds every flushed record.
+  StatusOr<std::string> DebugGet(Slice key) override { return store_->Get(key); }
 
   // Promotion is cheap for Build-Index: the engine is already complete; only
   // the unflushed RDMA buffer must be replayed (skipped when the caller
   // replays it through the wrapped PrimaryRegion instead).
-  StatusOr<std::unique_ptr<KvStore>> Promote(bool replay_rdma_buffer = true);
-
-  const RegisteredBuffer* rdma_buffer() const { return rdma_buffer_.get(); }
+  StatusOr<std::unique_ptr<KvStore>> Promote(bool replay_rdma_buffer = true) override;
+  Status AdoptNewPrimaryLogMap(const SegmentMap& new_primary_log_map, uint64_t epoch) override;
 
   KvStore* store() { return store_.get(); }
-  const SegmentMap& log_map() const { return log_map_; }
+  const SegmentMap& log_map() const override { return log_map_; }
   // By value: each field is an atomic registry instrument, so the snapshot is
   // safe to take while a flush handler is mutating the counters.
   BuildIndexBackupStats stats() const;
   Telemetry* telemetry() const { return telemetry_; }
-  uint64_t l0_memory_bytes() const { return store_->l0_memory_bytes(); }
+  uint64_t l0_memory_bytes() const override { return store_->l0_memory_bytes(); }
 
   // --- epoch fencing (§3.5), mirrors SendIndexBackupRegion ---
   Status CheckEpoch(uint64_t msg_epoch);
-  void set_region_epoch(uint64_t epoch);
-  uint64_t region_epoch() const { return region_epoch_.load(std::memory_order_acquire); }
+  void set_region_epoch(uint64_t epoch) override;
+  uint64_t region_epoch() const override { return region_epoch_.load(std::memory_order_acquire); }
+  uint64_t epoch_rejected() const override { return counters_.epoch_rejected->Value(); }
+
+  // --- integrity: nothing shipped to scrub or repair (see BackupRegion) ---
+  StatusOr<KvStore::ScrubReport> Scrub(const KvStore::ScrubOptions&) override {
+    return Status::FailedPrecondition("Build-Index backup has no shipped index to scrub");
+  }
+  std::vector<int> QuarantinedLevels() const override { return {}; }
+  Status RepairQuarantinedLevels(const KvStore::SegmentFetcher&) override {
+    return Status::FailedPrecondition("Build-Index backup repairs by rebuilding, not fetching");
+  }
+  StatusOr<std::string> ServeRepairFetch(uint32_t, uint64_t, uint32_t*) override {
+    return Status::FailedPrecondition("Build-Index backup holds no primary-space index segments");
+  }
 
  private:
   BuildIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
@@ -115,7 +130,6 @@ class BuildIndexBackupRegion : public ReplicationMessageHandler {
 
   BlockDevice* const device_;
   const KvStoreOptions options_;
-  std::shared_ptr<RegisteredBuffer> rdma_buffer_;
   std::unique_ptr<KvStore> store_;
   // Serializes flush handling against replica reads (PR 6): the visible
   // sequence must move in lock-step with record visibility in the engine, or

@@ -1,5 +1,7 @@
 #include "src/replication/primary_region.h"
 
+#include <algorithm>
+
 #include "src/common/clock.h"
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
@@ -44,6 +46,14 @@ StatusOr<std::unique_ptr<PrimaryRegion>> PrimaryRegion::CreateFromStore(
 
 PrimaryRegion::PrimaryRegion(BlockDevice* device, ReplicationMode mode)
     : device_(device), mode_(mode) {}
+
+PrimaryRegion::~PrimaryRegion() {
+  // A background compaction calls back into the stream table and backup set
+  // until it finishes; both are destroyed before store_, so drain it first.
+  if (store_ != nullptr) {
+    (void)store_->WaitForBackgroundWork();
+  }
+}
 
 void PrimaryRegion::InitTelemetry() {
   MetricsRegistry* reg = store_->telemetry()->metrics();
@@ -374,7 +384,10 @@ void PrimaryRegion::FanOut(StreamId stream, uint64_t flow_bytes,
     });
     repl_.flow_wait_ns->Add(credit_wait_ns);
     std::lock_guard<std::recursive_mutex> lock(region_mutex_);
-    if (!StruckOutLocked(*slot, stream)) {
+    // A replica detached since the snapshot (struck out on another stream,
+    // or removed) no longer fails client operations: its error is dropped.
+    const bool attached = std::find(backups_.begin(), backups_.end(), slot) != backups_.end();
+    if (attached && !StruckOutLocked(*slot, stream)) {
       Park(status);
     }
   }

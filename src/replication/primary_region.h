@@ -95,6 +95,10 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   static StatusOr<std::unique_ptr<PrimaryRegion>> CreateFromStore(
       BlockDevice* device, ReplicationMode mode, std::unique_ptr<KvStore> store);
 
+  // Drains the engine's background compactions before the replication state
+  // they call back into is destroyed.
+  ~PrimaryRegion() override;
+
   PrimaryRegion(const PrimaryRegion&) = delete;
   PrimaryRegion& operator=(const PrimaryRegion&) = delete;
 

@@ -56,9 +56,9 @@ StatusOr<std::unique_ptr<SendIndexBackupRegion>> SendIndexBackupRegion::CreateFr
 
 SendIndexBackupRegion::SendIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
                                              std::shared_ptr<RegisteredBuffer> rdma_buffer)
-    : device_(device),
+    : BackupRegion(std::move(rdma_buffer)),
+      device_(device),
       options_(options),
-      rdma_buffer_(std::move(rdma_buffer)),
       levels_(options.max_levels + 1),
       verifiers_(options.max_levels + 1),
       origins_(options.max_levels + 1) {

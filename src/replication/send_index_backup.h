@@ -26,6 +26,7 @@
 #include "src/lsm/segment_verifier.h"
 #include "src/lsm/value_log.h"
 #include "src/net/fabric.h"
+#include "src/replication/backup_region.h"
 #include "src/replication/compaction_stream.h"
 #include "src/replication/replication_wire.h"
 #include "src/replication/segment_map.h"
@@ -62,7 +63,7 @@ struct SendIndexBackupStats {
   uint64_t read_corruptions = 0;
 };
 
-class SendIndexBackupRegion : public ReplicationMessageHandler {
+class SendIndexBackupRegion final : public BackupRegion {
  public:
   // `rdma_buffer` is the log replication buffer the primary writes with
   // one-sided operations; it must be at least one segment large.
@@ -98,16 +99,15 @@ class SendIndexBackupRegion : public ReplicationMessageHandler {
   // pass false when the caller replays it through the wrapped PrimaryRegion
   // instead (so the re-appends replicate to the remaining backups). The
   // backup object is consumed.
-  StatusOr<std::unique_ptr<KvStore>> Promote(bool replay_rdma_buffer = true);
-
-  const RegisteredBuffer* rdma_buffer() const { return rdma_buffer_.get(); }
+  StatusOr<std::unique_ptr<KvStore>> Promote(bool replay_rdma_buffer = true) override;
 
   // A *different* backup was promoted: re-key this node's log map from
   // old-primary segment numbers to the new primary's (§3.2, in-memory only).
   // `epoch`, when non-zero, is the configuration generation of the promotion;
   // re-keying is destructive if repeated, so a retry carrying an epoch this
   // node already adopted is a no-op (reentrant recovery).
-  Status AdoptNewPrimaryLogMap(const SegmentMap& new_primary_log_map, uint64_t epoch = 0);
+  Status AdoptNewPrimaryLogMap(const SegmentMap& new_primary_log_map,
+                               uint64_t epoch = 0) override;
 
   // --- epoch fencing (§3.5) ---
 
@@ -116,21 +116,22 @@ class SendIndexBackupRegion : public ReplicationMessageHandler {
   // fence so the deposed primary's one-sided writes stop landing too).
   Status CheckEpoch(uint64_t msg_epoch);
   // Raise-to-at-least; also fences the RDMA buffer at the new epoch.
-  void set_region_epoch(uint64_t epoch);
-  uint64_t region_epoch() const { return region_epoch_.load(std::memory_order_acquire); }
+  void set_region_epoch(uint64_t epoch) override;
+  uint64_t region_epoch() const override { return region_epoch_.load(std::memory_order_acquire); }
+  uint64_t epoch_rejected() const override { return counters_.epoch_rejected->Value(); }
 
   // --- introspection ---
 
   // Only valid while no control traffic can arrive concurrently (quiesced
   // region — the same contract as KvStore::level()).
-  const SegmentMap& log_map() const { return log_map_; }
+  const SegmentMap& log_map() const override { return log_map_; }
   const BuiltTree& level(uint32_t i) const { return levels_[i]; }
   ValueLog* value_log() { return log_.get(); }
   SendIndexBackupStats stats() const;
   // Telemetry plane the region's instruments live in: the shared plane from
   // KvStoreOptions::telemetry, else a private one owned by this region.
   Telemetry* telemetry() const { return telemetry_; }
-  uint64_t l0_memory_bytes() const { return 0; }  // the headline saving
+  uint64_t l0_memory_bytes() const override { return 0; }  // the headline saving
   // Compaction streams currently mid-ship.
   size_t active_streams() const;
 
@@ -144,12 +145,12 @@ class SendIndexBackupRegion : public ReplicationMessageHandler {
   // non-null) is the replica's visible commit sequence, >= min_seq — the
   // client folds it into its monotonic-read high-water mark.
   StatusOr<std::string> Get(Slice key, uint64_t min_epoch, uint64_t min_seq,
-                            uint64_t* visible_seq);
+                            uint64_t* visible_seq) override;
 
   // Replica scan under the same fence: an overlay of not-yet-indexed records
   // merged with every device level.
   StatusOr<std::vector<KvPair>> Scan(Slice start, size_t limit, uint64_t min_epoch,
-                                     uint64_t min_seq, uint64_t* visible_seq);
+                                     uint64_t min_seq, uint64_t* visible_seq) override;
 
   // Commit sequence this replica can currently serve (flushed high-water plus
   // records sitting in the RDMA buffer).
@@ -157,7 +158,7 @@ class SendIndexBackupRegion : public ReplicationMessageHandler {
 
   // Test/verification read path: lookup through the local device levels only
   // (backups have no L0).
-  StatusOr<std::string> DebugGet(Slice key);
+  StatusOr<std::string> DebugGet(Slice key) override;
 
   // Where L0 replay starts on promotion (set by the replay-start message and
   // by every committed L0 -> L1 compaction).
@@ -169,9 +170,9 @@ class SendIndexBackupRegion : public ReplicationMessageHandler {
   // log, token-bucket paced like KvStore::Scrub. Corruption quarantines the
   // level; the report says what was found. Never fails on rot — only on I/O
   // errors.
-  StatusOr<KvStore::ScrubReport> Scrub(const KvStore::ScrubOptions& options);
+  StatusOr<KvStore::ScrubReport> Scrub(const KvStore::ScrubOptions& options) override;
   StatusOr<KvStore::ScrubReport> Scrub() { return Scrub(KvStore::ScrubOptions()); }
-  std::vector<int> QuarantinedLevels() const;
+  std::vector<int> QuarantinedLevels() const override;
 
   // Donor side: returns one index segment of `level` as the PRIMARY-space
   // bytes (re-deriving them by inverting this backup's rewrite through the
@@ -180,13 +181,13 @@ class SendIndexBackupRegion : public ReplicationMessageHandler {
   // when this level has no retained primary-space origin (e.g. installed by
   // demotion, not shipping); the requester then tries another peer.
   StatusOr<std::string> ServeRepairFetch(uint32_t level, uint64_t seg_index,
-                                         uint32_t* crc_out = nullptr);
+                                         uint32_t* crc_out = nullptr) override;
 
   // Repairer side: re-fetches every quarantined segment via `fetch` (which
   // returns PRIMARY-space bytes), verifies them against the retained primary
   // checksum, rewrites them back into local space, verifies against the local
   // checksum, installs, and lifts the quarantine.
-  Status RepairQuarantinedLevels(const KvStore::SegmentFetcher& fetch);
+  Status RepairQuarantinedLevels(const KvStore::SegmentFetcher& fetch) override;
 
  private:
   SendIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
@@ -325,7 +326,6 @@ class SendIndexBackupRegion : public ReplicationMessageHandler {
 
   BlockDevice* const device_;
   const KvStoreOptions options_;
-  std::shared_ptr<RegisteredBuffer> rdma_buffer_;
 
   // Reader-writer lock over region state. Shipping mutations (log flush,
   // compaction begin/end, promotion, epoch moves) take it exclusive; the

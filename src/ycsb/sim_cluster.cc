@@ -1,14 +1,10 @@
 #include "src/ycsb/sim_cluster.h"
 
-#include <algorithm>
 #include <functional>
 #include <map>
-#include <optional>
-#include <string_view>
 #include <utility>
 
 #include "src/common/clock.h"
-#include "src/telemetry/request_trace.h"
 
 namespace tebis {
 
@@ -18,46 +14,11 @@ SimCluster::SimCluster(const SimClusterOptions& options)
       fabric_(std::make_unique<Fabric>()),
       source_hash_(std::hash<std::string>{}("sim-cluster")) {}
 
-namespace {
-
-MetricLabels StoreLabels(const MetricLabels& base, const std::string& node, uint32_t region,
-                         const char* role) {
-  MetricLabels labels = base;
-  labels.emplace_back("node", node);
-  labels.emplace_back("region", std::to_string(region));
-  labels.emplace_back("role", role);
-  return labels;
+SimCluster::~SimCluster() {
+  for (Region& region : regions_) {
+    (void)region.primary->store()->WaitForBackgroundWork();
+  }
 }
-
-// Mirrors RegionServer::InstallCommitListener: the backup owner observes
-// sampled tagged writes landing in its registered buffer, accumulating the
-// commit time into the writer's stage breakdown (the listener runs on the
-// primary's thread, where the request-trace scope lives) and recording the
-// backup_commit span under the request's id. No clearing needed here: the
-// buffers die with the channels/regions, before telemetry_ (declared first).
-void InstallCommitSpanListener(RegisteredBuffer* buffer, Telemetry* telemetry,
-                               const std::string& node) {
-  buffer->set_commit_listener([telemetry, node](TraceId trace, uint64_t /*epoch*/,
-                                                uint64_t /*offset*/, size_t bytes,
-                                                uint64_t start_ns, uint64_t end_ns) {
-    if (RequestStageTimings* stages = CurrentRequestStages(); stages != nullptr) {
-      stages->backup_commit_ns += end_ns - start_ns;
-    }
-    TraceBuffer* traces = telemetry->traces();
-    if (traces->enabled()) {
-      SpanRecord span;
-      span.trace = trace;
-      span.name = "backup_commit";
-      span.node = node;
-      span.start_ns = start_ns;
-      span.end_ns = end_ns;
-      span.bytes = bytes;
-      traces->Record(std::move(span));
-    }
-  });
-}
-
-}  // namespace
 
 StatusOr<std::unique_ptr<SimCluster>> SimCluster::Create(const SimClusterOptions& options) {
   if (options.replication_factor < 1 || options.replication_factor > options.num_servers) {
@@ -68,78 +29,62 @@ StatusOr<std::unique_ptr<SimCluster>> SimCluster::Create(const SimClusterOptions
     cluster->compaction_pool_ = std::make_unique<WorkerPool>(options.compaction_workers);
     cluster->compaction_pool_->Start();
   }
+  // Size every store's page-cache stripes to the number of store instances a
+  // server hosts, like a real region server does at start.
+  const size_t stores_per_server =
+      (static_cast<size_t>(options.num_regions) * options.replication_factor +
+       options.num_servers - 1) /
+      options.num_servers;
+  cluster->options_.kv_options.cache_shards = PageCache::ShardsForStores(stores_per_server);
+  cluster->telemetry_->EnableHealthWatchdog();
+  cluster->telemetry_->ConfigureSlowOps(options.slow_op_policy);
+
+  std::map<std::string, RegionHost*> hosts;
   for (int i = 0; i < options.num_servers; ++i) {
-    cluster->server_names_.push_back("server" + std::to_string(i));
+    const std::string name = "server" + std::to_string(i);
+    cluster->server_names_.push_back(name);
     BlockDeviceOptions device_options = options.device_options;
-    device_options.name = cluster->server_names_.back();
+    device_options.name = name;
     TEBIS_ASSIGN_OR_RETURN(auto device, BlockDevice::Create(device_options));
     cluster->devices_.push_back(std::move(device));
+    cluster->hosts_.push_back(std::make_unique<RegionHost>(
+        name, cluster->fabric_.get(), cluster->telemetry_.get(), cluster->devices_.back().get(),
+        cluster->compaction_pool_.get(), cluster->options_.kv_options, options.mode));
+    hosts[name] = cluster->hosts_.back().get();
   }
   TEBIS_ASSIGN_OR_RETURN(
       cluster->map_,
       RegionMap::CreateUniform(options.num_regions, "user", 10, options.key_space,
                                cluster->server_names_, options.replication_factor));
 
-  // Size every store's page-cache stripes to the number of store instances a
-  // server hosts (PR 4), like a real region server does at start.
-  const size_t stores_per_server =
-      (static_cast<size_t>(options.num_regions) * options.replication_factor +
-       options.num_servers - 1) /
-      options.num_servers;
-  cluster->options_.kv_options.cache_shards = PageCache::ShardsForStores(stores_per_server);
-
-  cluster->telemetry_->EnableHealthWatchdog();
-  cluster->telemetry_->ConfigureSlowOps(options.slow_op_policy);
-  for (size_t t = 0; t < kNumSlowOpTypes; ++t) {
-    cluster->request_latency_[t] = cluster->telemetry_->metrics()->GetHistogram(
-        "trace.request_latency_ns",
-        {{"op", SlowOpTypeName(static_cast<SlowOpType>(t))}});
-  }
-
   for (const RegionInfo& info : cluster->map_.regions()) {
     Region region;
     region.id = info.region_id;
-    region.primary_node = info.primary;
-    const int primary_server = static_cast<int>(info.region_id) % options.num_servers;
-    KvStoreOptions primary_kv = cluster->options_.kv_options;
-    primary_kv.compaction_pool = cluster->compaction_pool_.get();  // null = synchronous
-    primary_kv.telemetry = cluster->telemetry_.get();
-    primary_kv.telemetry_labels = StoreLabels(cluster->options_.kv_options.telemetry_labels,
-                                              info.primary, info.region_id, "primary");
-    TEBIS_ASSIGN_OR_RETURN(region.primary,
-                           PrimaryRegion::Create(cluster->devices_[primary_server].get(),
-                                                 primary_kv, options.mode));
+    region.host = hosts.at(info.primary);
+    // Handle locks are taken one at a time and dropped before wiring, so
+    // setup never nests them in an order the serving path could invert.
+    TEBIS_RETURN_IF_ERROR(region.host->OpenPrimary(region.id, /*epoch=*/0));
+    {
+      TEBIS_ASSIGN_OR_RETURN(RegionHost::Locked primary,
+                             region.host->Lock(region.id, RegionHost::Role::kPrimary));
+      region.primary = primary->primary.get();
+    }
     for (const std::string& backup_name : info.backups) {
-      const int backup_server =
-          static_cast<int>(std::find(cluster->server_names_.begin(),
-                                     cluster->server_names_.end(), backup_name) -
-                           cluster->server_names_.begin());
-      // 2x a segment (PR 9): main tail mirror in [0, segment), large-value
-      // tail mirror in [segment, 2*segment).
-      auto buffer = cluster->fabric_->RegisterBuffer(backup_name, info.primary,
-                                                     2 * options.device_options.segment_size);
-      InstallCommitSpanListener(buffer.get(), cluster->telemetry_.get(), backup_name);
-      KvStoreOptions backup_kv = cluster->options_.kv_options;
-      backup_kv.telemetry = cluster->telemetry_.get();
-      backup_kv.telemetry_labels = StoreLabels(cluster->options_.kv_options.telemetry_labels,
-                                               backup_name, info.region_id, "backup");
-      if (options.mode == ReplicationMode::kBuildIndex) {
-        TEBIS_ASSIGN_OR_RETURN(auto backup,
-                               BuildIndexBackupRegion::Create(
-                                   cluster->devices_[backup_server].get(), backup_kv, buffer));
-        region.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-            cluster->fabric_.get(), info.primary, buffer, backup.get(),
-            options.channel_max_attempts));
-        region.build_backups.push_back(std::move(backup));
-      } else {
-        TEBIS_ASSIGN_OR_RETURN(auto backup,
-                               SendIndexBackupRegion::Create(
-                                   cluster->devices_[backup_server].get(), backup_kv, buffer));
-        region.primary->AddBackup(std::make_unique<LocalBackupChannel>(
-            cluster->fabric_.get(), info.primary, buffer, backup.get(),
-            options.channel_max_attempts));
-        region.send_backups.push_back(std::move(backup));
+      RegionHost* host = hosts.at(backup_name);
+      TEBIS_RETURN_IF_ERROR(host->OpenBackup(region.id, /*epoch=*/0, /*writer=*/info.primary));
+      std::shared_ptr<RegisteredBuffer> buffer;
+      {
+        TEBIS_ASSIGN_OR_RETURN(RegionHost::Locked backup,
+                               host->Lock(region.id, RegionHost::Role::kBackup));
+        region.backups.push_back(backup->backup.get());
+        buffer = backup->replication_buffer;
       }
+      region.backup_hosts.push_back(host);
+      region.channel_targets.push_back(
+          std::make_unique<RegionHost::ReplicationPort>(host, region.id));
+      region.primary->AddBackup(std::make_unique<LocalBackupChannel>(
+          cluster->fabric_.get(), info.primary, std::move(buffer),
+          region.channel_targets.back().get(), options.channel_max_attempts));
     }
     cluster->regions_.push_back(std::move(region));
   }
@@ -183,50 +128,28 @@ TraceId SimCluster::MaybeSampleTrace() {
   return MakeRequestTraceId(source_hash_, trace_seq_.fetch_add(1, std::memory_order_relaxed));
 }
 
-void SimCluster::ObserveOp(SlowOpType op, Slice key, const Region& region, TraceId trace,
-                           uint64_t start_ns, const RequestStageTimings& stages) {
-  const uint64_t end_ns = NowNanos();
-  const uint64_t total_ns = end_ns - start_ns;
-  if (trace != kNoTrace) {
-    request_latency_[static_cast<size_t>(op)]->Record(static_cast<int64_t>(total_ns), trace);
-    TraceBuffer* traces = telemetry_->traces();
-    if (traces->enabled()) {
-      // With direct channels there is no separate dispatch hop, so the client
-      // and primary_apply spans cover the same interval; both are recorded so
-      // the tree has the same shape as the RPC cluster's.
-      SpanRecord apply;
-      apply.trace = trace;
-      apply.name = "primary_apply";
-      apply.node = region.primary_node;
-      apply.start_ns = start_ns;
-      apply.end_ns = end_ns;
-      apply.bytes = key.size();
-      traces->Record(std::move(apply));
-      SpanRecord client;
-      client.trace = trace;
-      client.name = "client";
-      client.node = "client";
-      client.start_ns = start_ns;
-      client.end_ns = end_ns;
-      client.bytes = key.size();
-      traces->Record(std::move(client));
-    }
+void SimCluster::RecordClientSpan(TraceId trace, uint64_t start_ns, Slice key) {
+  TraceBuffer* traces = telemetry_->traces();
+  if (trace == kNoTrace || !traces->enabled()) {
+    return;
   }
-  telemetry_->slow_ops()->MaybeRecord(op, std::string_view(key.data(), key.size()), region.id,
-                                      region.primary->epoch(), trace, total_ns, &stages, end_ns);
+  SpanRecord client;
+  client.trace = trace;
+  client.name = "client";
+  client.node = "client";
+  client.start_ns = start_ns;
+  client.end_ns = NowNanos();
+  client.bytes = key.size();
+  traces->Record(std::move(client));
 }
 
 Status SimCluster::Put(Slice key, Slice value) {
   TEBIS_ASSIGN_OR_RETURN(Region * region, Route(key));
   const TraceId trace = MaybeSampleTrace();
-  if (trace == kNoTrace && telemetry_->slow_ops()->threshold(SlowOpType::kPut) == 0) {
-    return region->primary->Put(key, value);  // untraced: zero clock reads
-  }
-  ScopedRequestTrace scope(trace);
-  const uint64_t start_ns = NowNanos();
-  Status s = region->primary->Put(key, value);
+  const uint64_t start_ns = trace != kNoTrace ? NowNanos() : 0;  // untraced: no clock reads
+  Status s = region->host->Put(region->id, key, value, trace, /*token=*/nullptr);
   if (s.ok()) {
-    ObserveOp(SlowOpType::kPut, key, *region, trace, start_ns, scope.stages());
+    RecordClientSpan(trace, start_ns, key);
   }
   return s;
 }
@@ -234,14 +157,10 @@ Status SimCluster::Put(Slice key, Slice value) {
 StatusOr<std::string> SimCluster::Get(Slice key) {
   TEBIS_ASSIGN_OR_RETURN(Region * region, Route(key));
   const TraceId trace = MaybeSampleTrace();
-  if (trace == kNoTrace && telemetry_->slow_ops()->threshold(SlowOpType::kGet) == 0) {
-    return region->primary->Get(key);
-  }
-  ScopedRequestTrace scope(trace);
-  const uint64_t start_ns = NowNanos();
-  StatusOr<std::string> v = region->primary->Get(key);
+  const uint64_t start_ns = trace != kNoTrace ? NowNanos() : 0;
+  StatusOr<std::string> v = region->host->Get(region->id, key, trace);
   if (v.ok() || v.status().IsNotFound()) {
-    ObserveOp(SlowOpType::kGet, key, *region, trace, start_ns, scope.stages());
+    RecordClientSpan(trace, start_ns, key);
   }
   return v;
 }
@@ -249,14 +168,10 @@ StatusOr<std::string> SimCluster::Get(Slice key) {
 Status SimCluster::Delete(Slice key) {
   TEBIS_ASSIGN_OR_RETURN(Region * region, Route(key));
   const TraceId trace = MaybeSampleTrace();
-  if (trace == kNoTrace && telemetry_->slow_ops()->threshold(SlowOpType::kDelete) == 0) {
-    return region->primary->Delete(key);
-  }
-  ScopedRequestTrace scope(trace);
-  const uint64_t start_ns = NowNanos();
-  Status s = region->primary->Delete(key);
+  const uint64_t start_ns = trace != kNoTrace ? NowNanos() : 0;
+  Status s = region->host->Delete(region->id, key, trace, /*token=*/nullptr);
   if (s.ok()) {
-    ObserveOp(SlowOpType::kDelete, key, *region, trace, start_ns, scope.stages());
+    RecordClientSpan(trace, start_ns, key);
   }
   return s;
 }
@@ -271,17 +186,9 @@ Status SimCluster::WriteBatch(const std::vector<KvStore::BatchOp>& ops,
     TEBIS_ASSIGN_OR_RETURN(Region * region, Route(ops[i].key));
     groups[region].push_back(i);
   }
-  // One sampling decision per WriteBatch call (matching the client, which
-  // samples per kKvBatch frame rather than per carried op).
+  // One sampling decision per call; every group it sends carries the trace.
   const TraceId trace = MaybeSampleTrace();
-  const bool timed =
-      trace != kNoTrace || telemetry_->slow_ops()->threshold(SlowOpType::kBatch) != 0;
-  std::optional<ScopedRequestTrace> scope;
-  uint64_t start_ns = 0;
-  if (timed) {
-    scope.emplace(trace);
-    start_ns = NowNanos();
-  }
+  const uint64_t start_ns = trace != kNoTrace ? NowNanos() : 0;
   Status first;
   for (auto& [region, indexes] : groups) {
     std::vector<KvStore::BatchOp> group;
@@ -290,7 +197,9 @@ Status SimCluster::WriteBatch(const std::vector<KvStore::BatchOp>& ops,
       group.push_back(ops[i]);
     }
     std::vector<Status> group_statuses;
-    Status s = region->primary->WriteBatch(group, &group_statuses);
+    Status s = region->host->WriteBatch(region->id, group, &group_statuses, trace,
+                                        /*token=*/nullptr);
+    group_statuses.resize(indexes.size(), s);  // a fenced group fails as a unit
     for (size_t k = 0; k < indexes.size(); ++k) {
       (*statuses)[indexes[k]] = group_statuses[k];
     }
@@ -298,30 +207,22 @@ Status SimCluster::WriteBatch(const std::vector<KvStore::BatchOp>& ops,
       first = s;
     }
   }
-  if (timed && !groups.empty() && first.ok()) {
-    Region* front = groups.begin()->first;
-    ObserveOp(SlowOpType::kBatch, ops[groups.begin()->second.front()].key, *front, trace,
-              start_ns, scope->stages());
+  if (!groups.empty() && first.ok()) {
+    RecordClientSpan(trace, start_ns, ops[groups.begin()->second.front()].key);
   }
   return first;
 }
 
 StatusOr<std::string> SimCluster::ReplicaGet(Slice key) {
   TEBIS_ASSIGN_OR_RETURN(Region * region, Route(key));
-  const bool send_index = options_.mode == ReplicationMode::kSendIndex;
-  const size_t backups =
-      send_index ? region->send_backups.size() : region->build_backups.size();
-  const size_t pick = replica_rr_.fetch_add(1, std::memory_order_relaxed) % (1 + backups);
+  const size_t pick =
+      replica_rr_.fetch_add(1, std::memory_order_relaxed) % (1 + region->backup_hosts.size());
   if (pick == 0) {
-    return region->primary->Get(key);
+    return region->host->Get(region->id, key, kNoTrace);
   }
   uint64_t visible_seq = 0;
-  if (send_index) {
-    return region->send_backups[pick - 1]->Get(key, /*min_epoch=*/0, /*min_seq=*/0,
-                                               &visible_seq);
-  }
-  return region->build_backups[pick - 1]->Get(key, /*min_epoch=*/0, /*min_seq=*/0,
-                                              &visible_seq);
+  return region->backup_hosts[pick - 1]->ReplicaGet(region->id, key, /*min_epoch=*/0,
+                                                     /*min_seq=*/0, &visible_seq);
 }
 
 Status SimCluster::FlushAll() {
@@ -385,7 +286,7 @@ ClusterCpuBreakdown SimCluster::CpuBreakdownFrom(const MetricsSnapshot& snap) {
   out.rewrite_index_ns = snap.Sum("backup.rewrite_cpu_ns");
   out.backup_insert_ns = snap.Sum("backup.insert_cpu_ns");
   out.backup_compaction_ns = snap.Sum("kv.compaction_cpu_ns", "role", "backup");
-  // Values are RAW (inclusive) timings; with direct channels the calls nest:
+  // Values are RAW (inclusive) timings; with in-process channels the calls nest:
   //   put timer        ⊃ log replication (appends + most flushes)
   //   log replication  ⊃ backup flush handling (Build-Index: L0 insert ⊃ its
   //                      own compactions)
@@ -398,34 +299,25 @@ uint64_t SimCluster::TotalL0MemoryBytes() const {
   uint64_t total = 0;
   for (const auto& region : regions_) {
     total += region.primary->store()->l0_memory_bytes();
-    for (const auto& backup : region.build_backups) {
-      total += backup->l0_memory_bytes();
+    for (const BackupRegion* backup : region.backups) {
+      total += backup->l0_memory_bytes();  // 0 for Send-Index: the paper's memory saving
     }
-    // Send-Index backups keep no L0 — the paper's memory saving.
   }
   return total;
 }
 
 uint64_t SimCluster::TotalL0BudgetKeys() const {
-  uint64_t budget = 0;
-  for (const auto& region : regions_) {
-    budget += region.primary->store()->options().l0_max_entries;
-    for (const auto& backup : region.build_backups) {
-      budget += backup->store()->options().l0_max_entries;
-    }
-  }
-  return budget;
+  // Every primary keeps an L0, and so does every Build-Index backup.
+  const uint64_t stores_with_l0 =
+      options_.mode == ReplicationMode::kBuildIndex
+          ? static_cast<uint64_t>(regions_.size()) * options_.replication_factor
+          : regions_.size();
+  return stores_with_l0 * options_.kv_options.l0_max_entries;
 }
 
 uint64_t SimCluster::TotalCompactions() const {
-  uint64_t total = 0;
-  for (const auto& region : regions_) {
-    total += region.primary->store()->stats().compactions;
-    for (const auto& backup : region.build_backups) {
-      total += backup->store()->stats().compactions;
-    }
-  }
-  return total;
+  // Primaries and Build-Index backups: the stores that compact.
+  return telemetry_->Snapshot().Sum("kv.compactions");
 }
 
 void SimCluster::AttachFaultInjector(FaultInjector* injector) {
@@ -447,22 +339,13 @@ Status SimCluster::VerifyBackupsConsistent(const std::vector<std::string>& keys)
   for (const std::string& key : keys) {
     TEBIS_ASSIGN_OR_RETURN(Region * region, Route(key));
     auto primary_value = region->primary->Get(key);
-    for (auto& backup : region->send_backups) {
+    for (BackupRegion* backup : region->backups) {
       auto backup_value = backup->DebugGet(key);
       if (primary_value.ok() != backup_value.ok()) {
         return Status::Internal("backup divergence on " + key);
       }
       if (primary_value.ok() && *primary_value != *backup_value) {
         return Status::Internal("backup value mismatch on " + key);
-      }
-    }
-    for (auto& backup : region->build_backups) {
-      auto backup_value = backup->store()->Get(key);
-      if (primary_value.ok() != backup_value.ok()) {
-        return Status::Internal("build backup divergence on " + key);
-      }
-      if (primary_value.ok() && *primary_value != *backup_value) {
-        return Status::Internal("build backup value mismatch on " + key);
       }
     }
   }

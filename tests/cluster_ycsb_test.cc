@@ -90,9 +90,9 @@ TEST(ClusterYcsbTest, LoadAndRunAOverTheWire) {
   uint64_t total_puts = 0;
   uint64_t total_compactions = 0;
   for (auto& server : cluster.servers) {
-    RegionServerStats stats = server->Aggregate();
-    total_puts += stats.puts;
-    total_compactions += stats.compactions;
+    const MetricsSnapshot snap = server->telemetry()->Snapshot();
+    total_puts += snap.Sum("kv.puts", "role", "primary");
+    total_compactions += snap.Sum("kv.compactions", "role", "primary");
     EXPECT_GT(server->client_endpoint()->messages_received(), 0u) << server->name();
   }
   EXPECT_GE(total_puts, 3000u);

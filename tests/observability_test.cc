@@ -396,11 +396,27 @@ TEST(RequestTraceE2ETest, SampledPutBuildsOneTreeAcrossClientEngineDoorbellBacku
   EXPECT_EQ(by_name["backup_commit"], 1);
 
   // The sampled op landed an exemplar linking the latency histogram to it.
+  // Each simulated server keeps its own {node, op} histogram, like an RPC
+  // server does; only the primary's holds the put.
   MetricsSnapshot snap = (*cluster)->MetricsNow();
-  const MetricSample* hist = snap.Find("trace.request_latency_ns", "op", "put");
-  ASSERT_NE(hist, nullptr);
-  ASSERT_FALSE(hist->exemplars.empty());
-  EXPECT_EQ(hist->exemplars.back().trace, *request_traces.begin());
+  int put_histograms = 0;
+  std::vector<std::string> exemplar_nodes;
+  for (const MetricSample& sample : snap.samples()) {
+    if (sample.name != "trace.request_latency_ns" || !sample.HasLabel("op", "put")) {
+      continue;
+    }
+    ++put_histograms;
+    for (const auto& exemplar : sample.exemplars) {
+      EXPECT_EQ(exemplar.trace, *request_traces.begin());
+      for (const auto& [key, value] : sample.labels) {
+        if (key == "node") {
+          exemplar_nodes.push_back(value);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(put_histograms, 3);  // one per server
+  EXPECT_EQ(exemplar_nodes.size(), 1u);
 }
 
 TEST(RequestTraceE2ETest, StageBreakdownLandsInTheSlowOpLog) {
@@ -506,6 +522,68 @@ TEST(RequestTraceE2ETest, RpcClusterCarriesTheTraceIdThroughTheWire) {
     }
   }
   EXPECT_EQ(backup_commits, 1);
+  s0.Stop();
+  s1.Stop();
+}
+
+// One sampled put through the RPC cluster and one through SimCluster run the
+// same serving core, so they record the same set of span names under their
+// trace id.
+TEST(RequestTraceE2ETest, RpcAndSimClusterRecordTheSameSpanNames) {
+  std::set<std::string> sim_names;
+  {
+    auto cluster = SimCluster::Create(TracedClusterOptions());
+    ASSERT_TRUE(cluster.ok());
+    ASSERT_TRUE((*cluster)->Put(Key(1), "traced").ok());
+    std::set<TraceId> traces;
+    for (const SpanRecord& span : (*cluster)->Traces()) {
+      if (IsRequestTrace(span.trace)) {
+        traces.insert(span.trace);
+        sim_names.insert(span.name);
+      }
+    }
+    ASSERT_EQ(traces.size(), 1u);
+  }
+
+  Fabric fabric;
+  Coordinator zk;
+  std::map<std::string, RegionServer*> directory;
+  RegionServer s0(&fabric, &zk, "s0", SmallServerOptions());
+  RegionServer s1(&fabric, &zk, "s1", SmallServerOptions());
+  ASSERT_TRUE(s0.Start().ok());
+  ASSERT_TRUE(s1.Start().ok());
+  directory["s0"] = &s0;
+  directory["s1"] = &s1;
+  Master master(&zk, "m", directory);
+  ASSERT_TRUE(master.Campaign().ok());
+  auto map = RegionMap::CreateUniform(1, "user", 10, 1000, {"s0", "s1"}, 2);
+  ASSERT_TRUE(master.Bootstrap(*map).ok());
+  Telemetry client_plane(/*trace_capacity=*/64);
+  TebisClient client(
+      &fabric, "c",
+      [&](const std::string& name) -> ServerEndpoint* {
+        return directory.contains(name) ? directory[name]->client_endpoint() : nullptr;
+      },
+      {"s0", "s1"});
+  ASSERT_TRUE(client.Connect().ok());
+  client.set_request_sampling(1);
+  client.set_telemetry(&client_plane);
+  ASSERT_TRUE(client.Put("user0000000001", "traced").ok());
+
+  std::set<TraceId> traces;
+  std::set<std::string> rpc_names;
+  for (Telemetry* plane : {&client_plane, s0.telemetry(), s1.telemetry()}) {
+    for (const SpanRecord& span : plane->traces()->Snapshot()) {
+      if (IsRequestTrace(span.trace)) {
+        traces.insert(span.trace);
+        rpc_names.insert(span.name);
+      }
+    }
+  }
+  EXPECT_EQ(traces.size(), 1u);
+  EXPECT_EQ(rpc_names, sim_names);
+  EXPECT_EQ(sim_names, (std::set<std::string>{"client", "primary_apply", "engine_apply",
+                                              "doorbell", "backup_commit"}));
   s0.Stop();
   s1.Stop();
 }

@@ -15,6 +15,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <variant>
 #include <vector>
 
 #include "src/common/crc32.h"
@@ -327,8 +329,8 @@ TEST(ShippingStreamsTest, HaltedBackupDetachesWhileSurvivorCommits) {
   // The survivor must hold every key the primary holds — the dead replica's
   // stream failures never blocked or corrupted the healthy stream.
   size_t survivors = 0;
-  for (size_t b = 0; b < cluster->num_send_backups(0); ++b) {
-    SendIndexBackupRegion* backup = cluster->send_backup(0, b);
+  for (size_t b = 0; b < cluster->num_backups(0); ++b) {
+    BackupRegion* backup = cluster->backup(0, b);
     if (backup->rdma_buffer()->owner() == "server1") {
       continue;  // the halted replica is stale by design
     }
@@ -343,6 +345,82 @@ TEST(ShippingStreamsTest, HaltedBackupDetachesWhileSurvivorCommits) {
   }
   EXPECT_EQ(survivors, 1u);
   cluster->AttachFaultInjector(nullptr);
+}
+
+// --- teardown: a primary destroyed mid-compaction drains it first ----------
+
+// Holds the first compaction begin until released. The gate lives outside
+// the channel: the region owns (and destroys) the channel.
+struct BeginGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool reached = false;
+  bool open = false;
+};
+
+class GatedBeginChannel : public BackupChannel {
+ public:
+  explicit GatedBeginChannel(BeginGate* gate) : gate_(gate) {}
+
+  Status RdmaWriteLog(uint64_t, Slice) override { return Status::Ok(); }
+  const std::string& backup_name() const override { return name_; }
+
+ protected:
+  Status Deliver(const ReplicationMessage& msg) override {
+    if (std::holds_alternative<CompactionBeginMsg>(msg)) {
+      std::unique_lock<std::mutex> lock(gate_->mu);
+      gate_->reached = true;
+      gate_->cv.notify_all();
+      gate_->cv.wait(lock, [&] { return gate_->open; });
+    }
+    return Status::Ok();
+  }
+
+ private:
+  const std::string name_ = "gated-backup";
+  BeginGate* gate_;
+};
+
+// The background compaction calls back into the region's stream table and
+// backup set until it finishes. Destroying the region while it is parked
+// mid-fan-out must wait for it; tearing that state down first is a
+// use-after-free (visible under ASan when the job resumes).
+TEST(ShippingStreamsTest, DestroyingPrimaryDrainsInFlightCompaction) {
+  auto device = MakeDevice();
+  WorkerPool pool(1);
+  pool.Start();
+  KvStoreOptions opts = DeepOptions();
+  opts.compaction_pool = &pool;
+  auto primary_or = PrimaryRegion::Create(device.get(), opts, ReplicationMode::kSendIndex);
+  ASSERT_TRUE(primary_or.ok());
+  std::unique_ptr<PrimaryRegion> primary = std::move(*primary_or);
+  BeginGate gate;
+  primary->AddBackup(std::make_unique<GatedBeginChannel>(&gate));
+
+  // One memtable's worth seals L0 and dispatches its compaction, which then
+  // parks in the gate. Stop there: further puts could stall behind it.
+  for (int i = 0; i <= static_cast<int>(opts.l0_max_entries); ++i) {
+    ASSERT_TRUE(primary->Put(Key(i), Value(i)).ok());
+  }
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    ASSERT_TRUE(gate.cv.wait_for(lock, std::chrono::seconds(30), [&] { return gate.reached; }))
+        << "no compaction began";
+  }
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([&] {
+    primary.reset();
+    destroyed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(destroyed.load()) << "destructor returned with a compaction in flight";
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.open = true;
+  }
+  gate.cv.notify_all();
+  destroyer.join();
+  EXPECT_TRUE(destroyed.load());
 }
 
 // --- per-stream strikes: a mid-ship failure detaches only that replica ------

@@ -88,7 +88,7 @@ TEST(StressTest, ConcurrentClientsMixedWorkload) {
   // Every server saw traffic and the system compacted under concurrency.
   uint64_t total_puts = 0;
   for (auto& server : servers) {
-    total_puts += server->Aggregate().puts;
+    total_puts += server->telemetry()->Snapshot().Sum("kv.puts", "role", "primary");
   }
   EXPECT_GE(total_puts, static_cast<uint64_t>(kThreads) * kOpsPerThread / 2);
   for (auto& server : servers) {

@@ -196,8 +196,9 @@ TEST(SimClusterTelemetryTest, RegistryTotalsMatchLegacyStructsUnderConcurrentStr
     struct_bytes += rs.index_bytes_shipped;
     struct_streams += rs.streams_opened;
     struct_log_flushes += rs.log_flushes;
-    for (size_t b = 0; b < cluster->num_send_backups(r); ++b) {
-      const SendIndexBackupStats bs = cluster->send_backup(r, b)->stats();
+    for (size_t b = 0; b < cluster->num_backups(r); ++b) {
+      const SendIndexBackupStats bs =
+          static_cast<SendIndexBackupRegion*>(cluster->backup(r, b))->stats();
       struct_rewritten += bs.segments_rewritten;
       struct_backup_streams += bs.streams_opened;
     }
