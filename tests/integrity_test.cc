@@ -17,6 +17,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/cluster/client.h"
@@ -883,6 +884,38 @@ TEST(IntegrityWireTest, RepairFetchIsEpochFenced) {
     EXPECT_EQ(seg.level, 1u);
     EXPECT_EQ(Crc32c(seg.data.data(), seg.data.size()), seg.crc);
   }
+}
+
+// A paced scrub runs without the region lock. A close that drops the handle
+// meanwhile must leave the engine alive until the scrub is done (ASan sees
+// the use-after-free otherwise).
+TEST(IntegrityWireTest, CloseDuringPacedScrubKeepsEngineAlive) {
+  WireCluster cluster;
+  auto client = cluster.MakeClient("loader");
+  for (int i = 0; i < 2000; ++i) {
+    char key[32];
+    snprintf(key, sizeof(key), "user%010d", i);
+    ASSERT_TRUE(client->Put(key, "v" + std::to_string(i)).ok());
+  }
+  const RegionInfo& region = cluster.map.regions().front();
+  RegionServer* server = cluster.Server(region.primary);
+  auto full = server->ScrubRegion(region.region_id, KvStore::ScrubOptions());
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_GT(full->bytes_scrubbed, 4 * kSegmentSize) << "too little data to pace";
+
+  // Paced at twice the region per second: the scrub is still reading when
+  // the close lands.
+  KvStore::ScrubOptions paced;
+  paced.bytes_per_sec = full->bytes_scrubbed * 2;
+  auto scrub = std::async(std::launch::async,
+                          [&] { return server->ScrubRegion(region.region_id, paced); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_EQ(scrub.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+  ASSERT_TRUE(server->CloseRegion(region.region_id).ok());
+  auto report = scrub.get();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->bytes_scrubbed, full->bytes_scrubbed);
+  EXPECT_TRUE(server->ScrubRegion(region.region_id, paced).status().IsNotFound());
 }
 
 TEST(IntegrityClientTest, ClientRetriesCorruptReadOnReplica) {
