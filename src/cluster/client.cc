@@ -151,12 +151,10 @@ Status TebisClient::Issue(PendingOp* op) {
   if (map_ == nullptr) {
     TEBIS_RETURN_IF_ERROR(RefreshMap());
   }
-  if (!batch_queues_.empty() &&
-      (op->type == MessageType::kGet || op->type == MessageType::kScan)) {
+  if (op->type == MessageType::kGet || op->type == MessageType::kScan) {
     // Writes parked behind the batch threshold must not be overtaken by this
-    // client's own reads (the seed pipelined path preserved per-connection
-    // FIFO); push them onto the wire first.
-    TEBIS_RETURN_IF_ERROR(FlushAllBatches());
+    // client's own reads (per-connection FIFO); push them onto the wire first.
+    TEBIS_RETURN_IF_ERROR(FlushBeforeBlocking());
   }
   // Scans route by start key; everything else by exact key. If the cached
   // map routes to an unreachable server, refresh and re-route (§3.1).
@@ -204,7 +202,7 @@ Status TebisClient::Issue(PendingOp* op) {
   MessageType wire_type = op->type;
   std::string payload;
   if (op->replica) {
-    // Read fence (PR 6): the replica must have committed at least
+    // Read fence: the replica must have committed at least
     // {min_epoch, min_seq} or reject with FailedPrecondition.
     const RegionReadState& st = read_state_[region->region_id];
     uint64_t min_epoch;
@@ -327,8 +325,8 @@ Status TebisClient::FlushBatchQueue(uint32_t region_id) {
     }
   };
   if (handles.size() == 1) {
-    // A group of one gains nothing from the batch frame; keep the seed
-    // single-op wire shape (byte-compat acceptance of PR 9).
+    // A group of one gains nothing from the batch frame; send it as the
+    // single-op frame, byte-identical to an unbatched kPut/kDelete.
     fallback(0);
     return Status::Ok();
   }
@@ -355,7 +353,7 @@ Status TebisClient::FlushBatchQueue(uint32_t region_id) {
     fallback(0);
     return Status::Ok();
   }
-  // Sampled per frame (PR 10): the frame is the unit of work on the wire, so
+  // Sampled per frame: the frame is the unit of work on the wire, so
   // one trace id covers the whole group.
   const TraceId frame_trace = MaybeSampleTrace();
   const uint64_t frame_start_ns = frame_trace != kNoTrace ? NowNanos() : 0;
@@ -395,7 +393,7 @@ Status TebisClient::FlushBatchQueue(uint32_t region_id) {
   return Status::Ok();
 }
 
-Status TebisClient::FlushAllBatches() {
+Status TebisClient::FlushBeforeBlocking() {
   Status first;
   while (!batch_queues_.empty()) {
     const uint32_t region_id = batch_queues_.begin()->first;
@@ -463,7 +461,7 @@ void TebisClient::HarvestBatch(uint64_t batch_id) {
     return;
   }
   RecordClientSpan(batch.trace, batch.trace_start_ns, batch.trace_bytes);
-  // Fold the commit token (PR 6) once for the whole group.
+  // Fold the commit token into the read-your-writes state once per group.
   RegionReadState& st = read_state_[batch.region_id];
   if (token_epoch > st.token_epoch ||
       (token_epoch == st.token_epoch && token_seq > st.token_seq)) {
@@ -527,8 +525,10 @@ TebisClient::OpResult TebisClient::Complete(OpHandle handle) {
     return OpResult{Status::NotFound("unknown op handle"), ""};
   }
   if (it->second.staged) {
-    // Still parked in a batch queue: push the group onto the wire now.
-    (void)FlushBatchQueue(it->second.region_id);
+    // Still parked in a batch queue. Push every region's group onto the wire,
+    // not just this one's, so they all travel during the round trip we are
+    // about to wait out.
+    (void)FlushBeforeBlocking();
     it = pending_.find(handle);
   }
   if (it != pending_.end() && it->second.batch_id != 0) {
@@ -628,7 +628,7 @@ TebisClient::OpResult TebisClient::Complete(OpHandle handle) {
       if (message.rfind("Corruption", 0) == 0 && !op.corruption_retried &&
           op.attempts < kMaxAttempts &&
           (op.type == MessageType::kGet || op.type == MessageType::kScan)) {
-        // The serving replica hit rotten bytes on its device (PR 8). The same
+        // The serving replica hit rotten bytes on its device. The same
         // shape as the fenced-primary failover: flip the read to the other
         // side — a replica's corruption retries on the primary; the primary's
         // retries on a leased replica (healthy copies are byte-identical in
@@ -696,7 +696,7 @@ TebisClient::OpResult TebisClient::Complete(OpHandle handle) {
       }
       st.observed_seq = std::max(st.observed_seq, visible_seq);
     } else if (op.type == MessageType::kPut || op.type == MessageType::kDelete) {
-      // Write replies carry the commit token (PR 6); keep the per-region
+      // Write replies carry the commit token; keep the per-region
       // high-water mark for read-your-writes fences. Absent/short payloads
       // (a pre-token server) leave the state untouched.
       uint64_t token_epoch = 0, token_seq = 0;
@@ -718,7 +718,7 @@ TebisClient::OpResult TebisClient::Complete(OpHandle handle) {
 TebisClient::OpResult TebisClient::Wait(OpHandle handle) { return Complete(handle); }
 
 Status TebisClient::WaitAll() {
-  (void)FlushAllBatches();
+  (void)FlushBeforeBlocking();
   Status first;
   while (!pending_.empty() || !completed_.empty()) {
     const OpHandle handle =

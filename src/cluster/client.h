@@ -36,21 +36,21 @@ struct ClientStats {
   uint64_t truncated_retries = 0;
   uint64_t failover_retries = 0;
   uint64_t map_refreshes = 0;
-  uint64_t replica_reads = 0;      // reads issued to a leased backup (PR 6)
+  uint64_t replica_reads = 0;      // reads issued to a leased backup
   uint64_t replica_fallbacks = 0;  // replica rejected the fence -> primary
-  // Reads re-routed to the other side after a kCorruption reply (PR 8): a
+  // Reads re-routed to the other side after a kCorruption reply: a
   // replica served rotten bytes -> retry on the primary; the primary did ->
   // retry on a leased replica. One flip per op, then the error surfaces.
   uint64_t corruption_retries = 0;
-  // Write batching (PR 9).
+  // Write batching (set_batching).
   uint64_t batches_sent = 0;     // kKvBatch frames shipped
   uint64_t batched_ops = 0;      // writes carried by those frames
   uint64_t batch_fallbacks = 0;  // batch frames re-issued op-by-op
 };
 
-// Where reads are routed (PR 6). Writes always go to the primary.
+// Where reads are routed. Writes always go to the primary.
 enum class ReadMode {
-  // Seed behavior: every read is served by the region's primary.
+  // The default: every read is served by the region's primary.
   kPrimaryOnly,
   // Reads rotate across leased backups; a replica may serve as long as its
   // committed epoch is within `staleness_bound` epochs of the map's. Reads
@@ -77,10 +77,10 @@ class TebisClient {
   // initialization, §3.1).
   Status Connect();
 
-  // Admin scrape (PR 5): fetch `server`'s telemetry payload — metrics
+  // Admin scrape: fetch `server`'s telemetry payload — metrics
   // snapshot + recent pipeline spans — as JSON.
   StatusOr<std::string> ScrapeStats(const std::string& server);
-  // Binary scrape (PR 10): the structured NodeScrape payload the master's
+  // Binary scrape: the structured NodeScrape payload the master's
   // federation fan-out merges (decode with DecodeNodeScrape).
   StatusOr<std::string> ScrapeStatsBinary(const std::string& server);
 
@@ -111,7 +111,7 @@ class TebisClient {
   // re-routes via a fresh map.
   void set_rpc_timeout_ns(uint64_t ns) { rpc_timeout_ns_ = ns; }
 
-  // Read routing (PR 6). `staleness_bound` (kBoundedStaleness only) is the
+  // Read routing. `staleness_bound` (kBoundedStaleness only) is the
   // number of epochs a serving replica may lag the cached map; 0 requires the
   // replica to be at the map's epoch.
   void set_read_mode(ReadMode mode, uint64_t staleness_bound = 0) {
@@ -120,20 +120,26 @@ class TebisClient {
   }
   ReadMode read_mode() const { return read_mode_; }
 
-  // Write batching (PR 9): when batch_size > 1, PutAsync/DeleteAsync stage
-  // writes per destination region and ship each group as one kKvBatch frame
-  // once it reaches batch_size ops or batch_bytes of key+value payload
-  // (reads and Wait/WaitAll flush staged groups first). The server applies a
-  // group under one value-log reservation and replicates it with coalesced
-  // doorbells. batch_size = 1 (the default) keeps the seed single-op wire
-  // format byte-for-byte; a group of one is likewise sent as a plain kPut.
+  // Write batching: when batch_size > 1, PutAsync/DeleteAsync stage writes
+  // per destination region and ship each group as one kKvBatch frame once it
+  // reaches batch_size ops or batch_bytes of key+value payload. A call that
+  // is about to block first puts every staged group on the wire, whichever
+  // region it waits on: Wait on a staged op (sync Put/Delete wait this way),
+  // WaitAll, and any read (which must not overtake this client's parked
+  // writes). Wait on an op whose frame is already on the wire flushes
+  // nothing. So a blocked client keeps one frame per region in flight, not
+  // one in total; ops of one region still go out in FIFO order. The server
+  // applies a group under one value-log reservation and replicates it with
+  // coalesced doorbells. batch_size = 1 (the default) keeps the single-op
+  // wire format byte-for-byte; a group of one is likewise sent as a plain
+  // kPut/kDelete.
   void set_batching(size_t batch_size, size_t batch_bytes = 1 << 16) {
     batch_size_ = batch_size == 0 ? 1 : batch_size;
     batch_bytes_ = batch_bytes == 0 ? 1 : batch_bytes;
   }
   size_t batch_size() const { return batch_size_; }
 
-  // Request-scoped tracing (PR 10): sample one in `sample_every` ops (0
+  // Request-scoped tracing: sample one in `sample_every` ops (0
   // disables, the default — requests stay byte-identical on the wire). A
   // sampled op carries a request trace id in a trailing wire field; the
   // servers it touches record spans under that id.
@@ -154,24 +160,24 @@ class TebisClient {
     std::string server;    // where it was sent
     uint64_t request_id;
     int attempts = 0;
-    // Replica-read routing (PR 6).
+    // Replica-read routing.
     bool replica = false;        // currently issued to a backup
     bool force_primary = false;  // a replica rejected the fence: stay on primary
-    // Corruption failover (PR 8): the primary answered kCorruption, so prefer
+    // Corruption failover: the primary answered kCorruption, so prefer
     // a leased replica even under ReadMode::kPrimaryOnly. One retry only.
     bool force_replica = false;
     bool corruption_retried = false;
     uint32_t region_id = 0;      // region it routed to (read-state key)
-    // Write batching (PR 9).
+    // Write batching.
     bool staged = false;     // parked in a batch queue, not yet on the wire
     uint64_t batch_id = 0;   // in-flight kKvBatch frame it rode (0 = single-op)
-    // Request tracing (PR 10): allocated once at op creation; retries re-send
+    // Request tracing: allocated once at op creation; retries re-send
     // the same id so the trace tree stays whole across failover.
     TraceId trace = kNoTrace;
     uint64_t trace_start_ns = 0;
   };
 
-  // Per-region read-consistency state (PR 6).
+  // Per-region read-consistency state.
   struct RegionReadState {
     // Commit token of this client's latest write (read-your-writes fence).
     uint64_t token_epoch = 0;
@@ -192,7 +198,7 @@ class TebisClient {
     uint64_t request_id = 0;
     uint32_t region_id = 0;
     std::vector<OpHandle> handles;
-    // Request tracing (PR 10): sampled per frame, not per carried op.
+    // Request tracing: sampled per frame, not per carried op.
     TraceId trace = kNoTrace;
     uint64_t trace_start_ns = 0;
     uint64_t trace_bytes = 0;
@@ -209,7 +215,9 @@ class TebisClient {
   // Ships one region's staged writes as a kKvBatch frame (or re-issues them
   // through the single-op path when the frame cannot be sent).
   Status FlushBatchQueue(uint32_t region_id);
-  Status FlushAllBatches();
+  // The blocking-flush rule (see set_batching): ships every staged group.
+  // Called by Complete on a staged op, by WaitAll and before issuing a read.
+  Status FlushBeforeBlocking();
   // Waits for a batch reply and distributes per-op statuses; a frame that
   // fails as a unit falls back to single-op re-issue per carried write.
   void HarvestBatch(uint64_t batch_id);
@@ -244,7 +252,7 @@ class TebisClient {
   uint64_t staleness_bound_ = 0;
   uint64_t replica_rr_ = 0;  // round-robin cursor over a region's leases
   std::map<uint32_t, RegionReadState> read_state_;
-  // Request tracing (PR 10).
+  // Request tracing.
   uint64_t sample_every_ = 0;   // 0 = off
   uint64_t sample_counter_ = 0;
   uint64_t trace_seq_ = 0;

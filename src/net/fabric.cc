@@ -163,7 +163,6 @@ NodeTraffic& Fabric::TrafficFor(const std::string& node) {
 void Fabric::AccountWrite(const std::string& from, const std::string& to, uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
   TrafficFor(from).bytes_sent.fetch_add(bytes, std::memory_order_relaxed);
-  TrafficFor(from).writes.fetch_add(1, std::memory_order_relaxed);
   TrafficFor(to).bytes_received.fetch_add(bytes, std::memory_order_relaxed);
   total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
@@ -187,7 +186,6 @@ void Fabric::ResetTraffic() {
   for (auto& [name, traffic] : traffic_) {
     traffic->bytes_sent.store(0, std::memory_order_relaxed);
     traffic->bytes_received.store(0, std::memory_order_relaxed);
-    traffic->writes.store(0, std::memory_order_relaxed);
   }
   total_bytes_.store(0, std::memory_order_relaxed);
 }

@@ -32,7 +32,6 @@ inline constexpr uint64_t kWireOverheadPerWrite = 66;
 struct NodeTraffic {
   std::atomic<uint64_t> bytes_sent{0};
   std::atomic<uint64_t> bytes_received{0};
-  std::atomic<uint64_t> writes{0};
 };
 
 class Fabric;
@@ -110,7 +109,7 @@ class RegisteredBuffer {
   char* mutable_data() { return data_.data(); }
 
   // Owner-side consistent copy of the first `len` bytes. Serializes with
-  // tagged writes, so a replica read (PR 6) never parses a record a
+  // tagged writes, so a replica read never parses a record a
   // concurrent one-sided append is still landing.
   std::string SnapshotBytes(size_t len);
 

@@ -133,17 +133,20 @@ void WorkerPool::WorkerLoop(Worker* worker) {
   while (true) {
     Task task;
     {
+      // Mark busy in the same critical section as the pop: Drain() checks
+      // queue and busy under this mutex, so it never sees a popped task that
+      // has not run yet as idle.
       std::lock_guard<std::mutex> lock(worker->mutex);
       if (!worker->queue.empty()) {
         task = std::move(worker->queue.front());
         worker->queue.pop_front();
+        worker->busy.store(true, std::memory_order_release);
       }
     }
     if (task) {
-      worker->busy.store(true, std::memory_order_release);
       task();
-      worker->busy.store(false, std::memory_order_release);
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+      worker->busy.store(false, std::memory_order_release);
       idle_since = NowNanos();
       continue;
     }

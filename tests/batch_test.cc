@@ -530,6 +530,48 @@ TEST(ClientBatchingTest, ReadsFlushStagedWrites) {
   EXPECT_TRUE(client->WaitAll().ok());
 }
 
+TEST(ClientBatchingTest, WaitFlushesEveryStagedGroup) {
+  BatchClusterFixture cluster;  // 4 uniform regions over user0000000000..
+  auto client = cluster.MakeClient("client0");
+  client->set_batching(16);  // threshold far above what we stage
+  // Region r owns [r * 250000000, (r + 1) * 250000000): stage three writes in
+  // each of three regions, the first two of region 0 to the same key.
+  auto key = [](uint64_t region, uint64_t i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "user%010llu",
+             static_cast<unsigned long long>(region * 250000000ull + i));
+    return std::string(buf);
+  };
+  constexpr uint64_t kRegions = 3;
+  std::vector<TebisClient::OpHandle> handles;
+  for (uint64_t r = 0; r < kRegions; ++r) {
+    for (uint64_t i = 0; i < 3; ++i) {
+      const std::string k = r == 0 && i == 1 ? key(0, 0) : key(r, i);
+      auto h = client->PutAsync(k, "v" + std::to_string(r) + "-" + std::to_string(i));
+      ASSERT_TRUE(h.ok()) << h.status().ToString();
+      handles.push_back(*h);
+    }
+  }
+  EXPECT_EQ(client->stats().batches_sent, 0u);
+  // Waiting on one staged op puts every region's group on the wire.
+  ASSERT_TRUE(client->Wait(handles.back()).status.ok());
+  EXPECT_EQ(client->stats().batches_sent, kRegions);
+  EXPECT_EQ(client->stats().batched_ops, 3 * kRegions);
+  ASSERT_TRUE(client->WaitAll().ok());
+  EXPECT_EQ(client->stats().batches_sent, kRegions);
+  // Two writes to one key in one frame keep their order: the later wins.
+  auto v = client->Get(key(0, 0));
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(*v, "v0-1");
+  for (uint64_t r = 1; r < kRegions; ++r) {
+    for (uint64_t i = 0; i < 3; ++i) {
+      auto got = client->Get(key(r, i));
+      ASSERT_TRUE(got.ok()) << r << "/" << i << ": " << got.status().ToString();
+      EXPECT_EQ(*got, "v" + std::to_string(r) + "-" + std::to_string(i));
+    }
+  }
+}
+
 TEST(ClientBatchingTest, BatchSizeOneStaysOnSingleOpWire) {
   BatchClusterFixture cluster;
   auto client = cluster.MakeClient("client0");

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -257,6 +258,43 @@ TEST(FabricTest, ResetTrafficZeroes) {
   EXPECT_EQ(fabric.BytesSent("b"), 0u);
 }
 
+TEST(FabricTest, ConcurrentWritersAccountEveryByte) {
+  // Writers on separate buffers account concurrently; no write may be lost
+  // from the per-node or the total counters.
+  Fabric fabric;
+  constexpr int kWriters = 4;
+  constexpr int kWrites = 5000;
+  std::vector<std::shared_ptr<RegisteredBuffer>> buffers;
+  for (int w = 0; w < kWriters; ++w) {
+    // Two writers share each owner, so owner counters see concurrent adds.
+    buffers.push_back(
+        fabric.RegisterBuffer("owner" + std::to_string(w % 2), "writer" + std::to_string(w), 4096));
+  }
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      const std::string data(static_cast<size_t>(w + 1), 'x');
+      for (int i = 0; i < kWrites; ++i) {
+        ASSERT_TRUE(buffers[w]->RdmaWrite(0, data).ok());
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  uint64_t expected = 0;
+  uint64_t per_owner[2] = {0, 0};
+  for (int w = 0; w < kWriters; ++w) {
+    const uint64_t sent = kWrites * (static_cast<uint64_t>(w + 1) + kWireOverheadPerWrite);
+    EXPECT_EQ(fabric.BytesSent("writer" + std::to_string(w)), sent);
+    per_owner[w % 2] += sent;
+    expected += sent;
+  }
+  EXPECT_EQ(fabric.BytesReceived("owner0"), per_owner[0]);
+  EXPECT_EQ(fabric.BytesReceived("owner1"), per_owner[1]);
+  EXPECT_EQ(fabric.TotalBytes(), expected);
+}
+
 // --- worker pool ----------------------------------------------------------------
 
 TEST(WorkerPoolTest, ExecutesDispatchedTasks) {
@@ -290,6 +328,20 @@ TEST(WorkerPoolTest, WorkersSleepWhenIdle) {
   pool.Dispatch([&ran] { ran = true; });
   pool.Drain();
   EXPECT_TRUE(ran.load());
+  pool.Stop();
+}
+
+TEST(WorkerPoolTest, DrainWaitsForPoppedTask) {
+  // Drain must not return between a worker popping a task and running it.
+  WorkerPool pool(2);
+  pool.Start();
+  for (int i = 0; i < 10000; ++i) {
+    // Shared, so a task that outlives a failed iteration writes live memory.
+    auto ran = std::make_shared<std::atomic<bool>>(false);
+    pool.Dispatch([ran] { ran->store(true, std::memory_order_release); });
+    pool.Drain();
+    ASSERT_TRUE(ran->load(std::memory_order_acquire)) << "iteration " << i;
+  }
   pool.Stop();
 }
 

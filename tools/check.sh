@@ -59,6 +59,13 @@ if [[ $run_tsan -eq 1 ]]; then
   cmake --build build-tsan -j "$jobs"
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ctest --test-dir build-tsan -L fast --no-tests=error --output-on-failure -j "$jobs"
+  # WorkerPool::Drain once returned between a worker popping a task and
+  # marking itself busy, which showed only as a rare TSan-pass failure;
+  # rerun the pool tests so the fix stays guarded.
+  echo "== tier-1 pass 2/3: ThreadSanitizer build, worker-pool rerun =="
+  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    ctest --test-dir build-tsan -R WorkerPoolTest --no-tests=error --output-on-failure \
+    --repeat until-fail:20
 fi
 
 if [[ $run_chaos -eq 1 ]]; then
