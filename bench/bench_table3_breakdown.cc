@@ -68,17 +68,12 @@ int Main() {
         cpu.log_replication_ns - std::min(cpu.log_replication_ns, cpu.backup_insert_ns);
     const uint64_t send_pure =
         cpu.send_index_ns - std::min(cpu.send_index_ns, cpu.rewrite_index_ns);
-    // The compaction timer nests both the shipped segments and the tail flush
-    // forced at compaction begin; both move to their own buckets.
-    const uint64_t nested_in_compaction = cpu.send_index_ns + cpu.log_flush_in_compaction_ns;
+    // The compaction timer nests the index shipping (begin, segments, end).
     const uint64_t primary_compaction_pure =
-        cpu.compaction_ns - std::min(cpu.compaction_ns, nested_in_compaction);
-    // Only the put-context part of log replication nests in the insert timer.
-    const uint64_t put_context_log =
-        cpu.log_replication_ns -
-        std::min(cpu.log_replication_ns, cpu.log_flush_in_compaction_ns);
+        cpu.compaction_ns - std::min(cpu.compaction_ns, cpu.send_index_ns);
+    // Every tail flush, the seal's included, runs inside the insert timer.
     const uint64_t insert_pure =
-        cpu.insert_l0_ns - std::min(cpu.insert_l0_ns, put_context_log);
+        cpu.insert_l0_ns - std::min(cpu.insert_l0_ns, cpu.log_replication_ns);
     b.insert_l0 = insert_pure + backup_insert_pure;
     b.log_repl = log_repl_pure;
     b.compaction = primary_compaction_pure + cpu.backup_compaction_ns;
@@ -108,10 +103,10 @@ int Main() {
   row("Other", build_buckets.other, send_buckets.other);
   row("Total", build.cpu_ns, send.cpu_ns);
 
-  // PR 2: the primary compaction pipeline by stage (wall time inside the
+  // The primary compaction pipeline by stage (wall time inside the
   // compaction bucket — merge, B+ tree build, and the observer/ship
-  // callbacks; queue wait is the seal-to-pickup latency, zero when
-  // synchronous). These don't peel — they break the compaction row open.
+  // callbacks; queue wait is the seal-to-pickup latency, near zero when jobs
+  // run inline). These don't peel — they break the compaction row open.
   printf("\n%-22s %16s %16s\n", "pipeline stage", "Build-Index", "Send-Index");
   auto stage_row = [&](const char* name, uint64_t b_ns, uint64_t s_ns) {
     printf("%-22s %16.2f %16.2f\n", name, KcyclesPerOp(b_ns, build.ops),

@@ -17,7 +17,7 @@ namespace tebis {
 namespace {
 
 // Adapts a CompactionObserver to the builder's SegmentSink, accounting the
-// wall time spent inside the observer (index-shipping cost, PR 2).
+// wall time spent inside the observer (index-shipping cost).
 class ObserverSink : public SegmentSink {
  public:
   ObserverSink(CompactionObserver* observer, const CompactionInfo& info, uint64_t* ship_ns)
@@ -131,7 +131,7 @@ KvStore::KvStore(BlockDevice* device, const KvStoreOptions& options)
   counters_.compaction_merge_ns = reg->GetCounter("kv.compaction_merge_ns", l);
   counters_.compaction_build_ns = reg->GetCounter("kv.compaction_build_ns", l);
   counters_.compaction_ship_ns = reg->GetCounter("kv.compaction_ship_ns", l);
-  // Per-level filter instruments (PR 7): resolved up front, one label set per
+  // Per-level filter instruments: resolved up front, one label set per
   // device level, so Get never pays a registry lookup. Entry 0 stays null
   // (L0 is the memtable, no filter).
   counters_.filter_checks.assign(options.max_levels + 1, nullptr);
@@ -146,7 +146,7 @@ KvStore::KvStore(BlockDevice* device, const KvStoreOptions& options)
     counters_.filter_false_positives[i] = reg->GetCounter("kv.filter_false_positives", labels);
     counters_.filter_bits_per_key[i] = reg->GetGauge("kv.filter_bits_per_key", labels);
   }
-  // Integrity plane (PR 8).
+  // Integrity plane.
   counters_.scrub_bytes = reg->GetCounter("integrity.scrub_bytes", l);
   counters_.scrub_corruptions_found = reg->GetCounter("integrity.corruptions_found", l);
   counters_.corruptions_repaired = reg->GetCounter("integrity.corruptions_repaired", l);
@@ -160,7 +160,7 @@ KvStore::KvStore(BlockDevice* device, const KvStoreOptions& options)
     level_labels.emplace_back("source", "level");
     counters_.read_corruptions_level = reg->GetCounter("kv.read_corruptions", level_labels);
   }
-  // Write-path group commit (PR 9).
+  // Write-path group commit.
   counters_.batch_groups = reg->GetCounter("wp.batch_groups", l);
   counters_.batch_ops = reg->GetCounter("wp.batch_ops", l);
   counters_.large_value_separations = reg->GetCounter("wp.large_value_separations", l);
@@ -352,9 +352,6 @@ Status KvStore::WriteImplInner(Slice key, Slice value, bool tombstone) {
   if (flushed && options_.auto_checkpoint) {
     TEBIS_RETURN_IF_ERROR(Checkpoint().status());
   }
-  if (pool_ == nullptr) {
-    return MaybeCompactLocked();
-  }
   return MaybeScheduleL0(record_bytes);
 }
 
@@ -498,10 +495,7 @@ Status KvStore::WriteBatchInner(const std::vector<BatchOp>& ops, std::vector<Sta
     return result;
   }
   // Backpressure charged once for the whole group: one slowdown-bucket debit
-  // (or one synchronous compaction check) per doorbell, not per record.
-  if (pool_ == nullptr) {
-    return MaybeCompactLocked();
-  }
+  // (or one seal) per doorbell, not per record.
   return MaybeScheduleL0(appended_bytes);
 }
 
@@ -605,31 +599,37 @@ Status KvStore::SealL0Locked() {
   info.compaction_id = next_compaction_id_.fetch_add(1, std::memory_order_relaxed);
   info.src_level = 0;
   info.dst_level = 1;
-  info.tail_sealed = true;
   // The tail seal stays on the writer thread: the data-plane observer mirrors
-  // the flush to the backups and must never run off it. The compaction
-  // observer's begin fires later on the background job, keeping the index
-  // control messages strictly serialized (begin -> segments -> end) even when
-  // the writer seals the next memtable mid-shipment.
-  TEBIS_RETURN_IF_ERROR(log_->FlushTail());
+  // the flush to the backups and must never run off it. Its CPU is insert
+  // time, like every other tail flush on the writer thread. The compaction
+  // observer's begin fires later from the job, keeping the index control
+  // messages strictly serialized (begin -> segments -> end) even when the
+  // writer seals the next memtable mid-shipment.
+  uint64_t cpu_ns = 0;
+  Status sealed;
+  {
+    ScopedCpuTimer t(&cpu_ns);
+    sealed = log_->FlushTail();
+  }
+  counters_.insert_l0_cpu_ns->Add(cpu_ns);
+  TEBIS_RETURN_IF_ERROR(sealed);
   info.l0_boundary = log_->flushed_segment_count();
   std::vector<CompactionJob> jobs;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // Stream + trace assigned under the state lock so the id is fixed before
-    // the observer's begin fires on the background worker.
+    // the observer's begin fires.
     AssignStreamLocked(&info);
     imm_ = std::move(active_);
     active_ = std::make_shared<Memtable>();
     imm_info_ = info;
-    imm_boundary_ = info.l0_boundary;
     imm_queued_at_ns_ = NowNanos();
     imm_bytes_ = active_appended_bytes_;
     jobs = ClaimBackgroundJobsLocked();
   }
   active_appended_bytes_ = 0;
   DispatchBackgroundJobs(std::move(jobs));
-  return Status::Ok();
+  return BackgroundError();
 }
 
 std::vector<KvStore::CompactionJob> KvStore::ClaimBackgroundJobsLocked() {
@@ -637,68 +637,67 @@ std::vector<KvStore::CompactionJob> KvStore::ClaimBackgroundJobsLocked() {
   if (!bg_error_.ok()) {
     return jobs;
   }
-  const uint32_t cap = options_.max_background_compactions;
+  // Without a pool each job runs to completion on the claiming thread before
+  // the next claim, so cascades run one at a time, lowest level first.
+  const uint32_t cap = pool_ == nullptr ? 1 : options_.max_background_compactions;
   bool progressed = true;
-  while (progressed && (cap == 0 || bg_jobs_ + jobs.size() < cap)) {
+  while (progressed && (cap == 0 || static_cast<uint32_t>(bg_jobs_) < cap)) {
     progressed = false;
     // The sealed memtable owns {0, 1}. level_busy_[0] doubles as its claim
     // marker: imm_ stays set until the job publishes L1.
     if (imm_ != nullptr && !level_busy_[0] && !level_busy_[1]) {
-      CompactionJob job;
-      job.imm = imm_;
-      job.info = imm_info_;
-      job.boundary = imm_boundary_;
-      job.queued_at_ns = imm_queued_at_ns_;
-      job.imm_bytes = imm_bytes_;
-      level_busy_[0] = level_busy_[1] = true;
-      jobs.push_back(std::move(job));
+      jobs.push_back(ClaimLevelJobLocked(0));
       progressed = true;
       continue;
     }
     // Cascades: any over-capacity device level whose {src, dst} pair is free.
-    // The tail was sealed by the L0 spill that started the chain, and every
-    // offset in device levels is already flushed — the observer must not
-    // (and, off the writer thread, could not) flush it.
+    // Every offset in device levels is already flushed, so nothing is sealed.
     for (uint32_t i = 1; i < options_.max_levels; ++i) {
-      if (level_busy_[i] || level_busy_[i + 1]) {
+      if (level_busy_[i] || level_busy_[i + 1] ||
+          levels_[i]->tree.num_entries <= LevelCapacity(i)) {
         continue;
       }
-      if (levels_[i]->tree.num_entries <= LevelCapacity(i)) {
-        continue;
-      }
-      CompactionJob job;
-      job.info.compaction_id = next_compaction_id_.fetch_add(1, std::memory_order_relaxed);
-      job.info.src_level = static_cast<int>(i);
-      job.info.dst_level = static_cast<int>(i) + 1;
-      job.info.tail_sealed = true;
-      AssignStreamLocked(&job.info);
-      level_busy_[i] = level_busy_[i + 1] = true;
-      jobs.push_back(std::move(job));
+      jobs.push_back(ClaimLevelJobLocked(i));
       progressed = true;
       break;
     }
   }
-  bg_jobs_ += static_cast<int>(jobs.size());
-  counters_.concurrent_compaction_peak->SetMax(bg_jobs_);
   return jobs;
+}
+
+KvStore::CompactionJob KvStore::ClaimLevelJobLocked(uint32_t src_level) {
+  CompactionJob job;
+  if (src_level == 0) {
+    job.imm = imm_;
+    job.info = imm_info_;
+    job.queued_at_ns = imm_queued_at_ns_;
+    job.imm_bytes = imm_bytes_;
+  } else {
+    job.info.compaction_id = next_compaction_id_.fetch_add(1, std::memory_order_relaxed);
+    job.info.src_level = static_cast<int>(src_level);
+    job.info.dst_level = static_cast<int>(src_level) + 1;
+    AssignStreamLocked(&job.info);
+  }
+  level_busy_[src_level] = level_busy_[src_level + 1] = true;
+  ++bg_jobs_;
+  counters_.concurrent_compaction_peak->SetMax(bg_jobs_);
+  return job;
 }
 
 void KvStore::DispatchBackgroundJobs(std::vector<CompactionJob> jobs) {
   for (CompactionJob& job : jobs) {
-    pool_->DispatchLongRunning(
-        [this, job = std::move(job)]() mutable { BackgroundJob(std::move(job)); });
+    if (pool_ == nullptr) {
+      // Inline: the job's own reclaim hands the next job straight back here,
+      // so a cascade recurses at most once per level.
+      BackgroundJob(std::move(job));
+    } else {
+      pool_->DispatchLongRunning(
+          [this, job = std::move(job)]() mutable { BackgroundJob(std::move(job)); });
+    }
   }
 }
 
 void KvStore::BackgroundJob(CompactionJob job) {
-  if (observer_ != nullptr) {
-    uint64_t begin_ns = 0;
-    {
-      ScopedTimer t(&begin_ns);
-      observer_->OnCompactionBegin(job.info);
-    }
-    counters_.compaction_ship_ns->Add(begin_ns);
-  }
   Status done = RunCompaction(job);
   if (done.ok() && job.info.src_level == 0 && job.imm_bytes > 0 && job.queued_at_ns != 0) {
     // Update the slowdown bucket's drain-rate estimate: bytes the spill
@@ -720,7 +719,9 @@ void KvStore::BackgroundJob(CompactionJob job) {
     if (!done.ok()) {
       bg_error_ = done;
     } else {
-      counters_.background_compactions->Increment();
+      if (pool_ != nullptr) {
+        counters_.background_compactions->Increment();
+      }
       // Reclaim: this job may have filled dst past capacity, or freed the
       // levels an already-sealed memtable was waiting for.
       next = ClaimBackgroundJobsLocked();
@@ -736,14 +737,16 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
   const uint64_t run_start_ns = NowNanos();
   if (job.queued_at_ns != 0) {
     counters_.compaction_queue_wait_ns->Add(run_start_ns - job.queued_at_ns);
-    // Scheduler-claim span: seal (or claim) to the moment the job starts.
+    // Scheduler-claim span: seal to the moment the job starts.
     RecordSpan(job.info, "claim", job.queued_at_ns, run_start_ns);
+  }
+  uint64_t ship_ns = 0;
+  if (observer_ != nullptr) {
+    ScopedTimer t(&ship_ns);
+    observer_->OnCompactionBegin(job.info);
   }
   const int src_level = job.info.src_level;
   const int dst_level = job.info.dst_level;
-  if (dst_level > static_cast<int>(options_.max_levels)) {
-    return Status::FailedPrecondition("cannot compact past the last level");
-  }
 
   TreeRef src_ref, dst_ref;
   {
@@ -754,7 +757,6 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
     dst_ref = levels_[dst_level];
   }
 
-  uint64_t ship_ns = 0;
   ObserverSink sink(observer_, job.info, &ship_ns);
   BTreeBuilder builder(device_, options_.node_size, IoClass::kCompactionWrite, &sink);
   if (options_.enable_filters) {
@@ -797,7 +799,7 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (src_level == 0) {
       imm_.reset();
-      l0_replay_from_ = job.boundary;
+      l0_replay_from_ = job.info.l0_boundary;
       stall_cv_.notify_all();
     } else {
       levels_[src_level]->retire.store(true, std::memory_order_release);
@@ -811,7 +813,7 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
         static_cast<int64_t>(new_tree.filter->size() * 8 / new_tree.num_entries));
   }
   // Drop our references: with no concurrent readers this frees the retired
-  // segments right here — the same point the synchronous engine freed them.
+  // segments right here.
   src_ref.reset();
   dst_ref.reset();
 
@@ -848,65 +850,7 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
   return Status::Ok();
 }
 
-// --- synchronous compaction paths (write_mutex_ held, background drained) ------
-
-Status KvStore::MaybeCompactLocked() {
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    if (active_->entries() >= options_.l0_max_entries) {
-      TEBIS_RETURN_IF_ERROR(CompactIntoNextLocked(0));
-      progressed = true;
-    }
-    for (uint32_t i = 1; i < options_.max_levels; ++i) {
-      bool over;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        over = levels_[i]->tree.num_entries > LevelCapacity(i);
-      }
-      if (over) {
-        TEBIS_RETURN_IF_ERROR(CompactIntoNextLocked(static_cast<int>(i)));
-        progressed = true;
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-Status KvStore::CompactIntoNextLocked(int src_level) {
-  CompactionJob job;
-  job.info.src_level = src_level;
-  job.info.dst_level = src_level + 1;
-  if (job.info.dst_level > static_cast<int>(options_.max_levels)) {
-    return Status::FailedPrecondition("cannot compact past the last level");
-  }
-  job.info.compaction_id = next_compaction_id_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    AssignStreamLocked(&job.info);
-  }
-  // Claimed right here: the span/queue-wait window only covers the observer's
-  // begin (stream-open control message), but stamping it keeps the trace tree
-  // shape identical between the synchronous and background engines.
-  job.queued_at_ns = NowNanos();
-  if (observer_ != nullptr) {
-    observer_->OnCompactionBegin(job.info);
-  }
-  if (src_level == 0) {
-    // Seal the tail so the new level references only flushed log segments —
-    // required both by backup pointer rewriting (§3.3) and by local recovery
-    // (the replay boundary below). The replicated observer usually flushed
-    // already, making this a no-op.
-    TEBIS_RETURN_IF_ERROR(log_->FlushTail());
-    job.boundary = log_->flushed_segment_count();
-    active_appended_bytes_ = 0;
-    std::lock_guard<std::mutex> lock(mutex_);
-    imm_ = std::move(active_);
-    active_ = std::make_shared<Memtable>();
-    job.imm = imm_;
-  }
-  return RunCompaction(job);
-}
+// --- maintenance entry points (write_mutex_ held, jobs drained) ----------------
 
 Status KvStore::DrainBackgroundLocked() {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -922,7 +866,16 @@ Status KvStore::WaitForBackgroundWork() {
 Status KvStore::MaybeCompact() {
   std::lock_guard<std::mutex> wl(write_mutex_);
   TEBIS_RETURN_IF_ERROR(DrainBackgroundLocked());
-  return MaybeCompactLocked();
+  if (active_->entries() >= options_.l0_max_entries) {
+    return FlushL0Locked();
+  }
+  std::vector<CompactionJob> jobs;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    jobs = ClaimBackgroundJobsLocked();
+  }
+  DispatchBackgroundJobs(std::move(jobs));
+  return DrainBackgroundLocked();
 }
 
 Status KvStore::FlushL0() {
@@ -932,11 +885,10 @@ Status KvStore::FlushL0() {
 }
 
 Status KvStore::FlushL0Locked() {
-  if (active_->entries() == 0) {
-    return Status::Ok();
+  if (active_->entries() > 0) {
+    TEBIS_RETURN_IF_ERROR(SealL0Locked());
   }
-  TEBIS_RETURN_IF_ERROR(CompactIntoNextLocked(0));
-  return MaybeCompactLocked();
+  return DrainBackgroundLocked();
 }
 
 Status KvStore::ForceFullCompaction() {
@@ -948,14 +900,15 @@ Status KvStore::ForceFullCompaction() {
 Status KvStore::ForceFullCompactionLocked() {
   TEBIS_RETURN_IF_ERROR(FlushL0Locked());
   for (uint32_t i = 1; i < options_.max_levels; ++i) {
-    bool nonempty;
+    std::vector<CompactionJob> jobs;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      nonempty = !levels_[i]->tree.empty();
+      if (!levels_[i]->tree.empty()) {
+        jobs.push_back(ClaimLevelJobLocked(i));
+      }
     }
-    if (nonempty) {
-      TEBIS_RETURN_IF_ERROR(CompactIntoNextLocked(static_cast<int>(i)));
-    }
+    DispatchBackgroundJobs(std::move(jobs));
+    TEBIS_RETURN_IF_ERROR(DrainBackgroundLocked());
   }
   return Status::Ok();
 }
@@ -1294,7 +1247,7 @@ StatusOr<KvStore::IntegrityReport> KvStore::CheckIntegrity() {
   return report;
 }
 
-// --- integrity: scrub / quarantine / online repair (PR 8) ---------------------
+// --- integrity: scrub / quarantine / online repair ---------------------
 
 void KvStore::UpdateQuarantineGauge() {
   counters_.quarantined_levels->Set(static_cast<int64_t>(QuarantinedLevels().size()));
@@ -1313,7 +1266,7 @@ std::vector<int> KvStore::QuarantinedLevels() const {
 
 StatusOr<KvStore::ScrubReport> KvStore::Scrub(const ScrubOptions& options) {
   ScrubReport report;
-  // Token bucket, same shape as the write-slowdown bucket (PR 4): refilled at
+  // Token bucket, same shape as the write-slowdown bucket: refilled at
   // the configured rate, burst capped at one segment, charged per byte read.
   double tokens = static_cast<double>(device_->segment_size());
   uint64_t last_refill_ns = NowNanos();
@@ -1642,7 +1595,7 @@ KvStore::Parts KvStore::Decompose(std::unique_ptr<KvStore> store) {
   return parts;
 }
 
-Status KvStore::BackgroundErrorLocked() const {
+Status KvStore::BackgroundError() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return bg_error_;
 }

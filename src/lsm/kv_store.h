@@ -10,7 +10,7 @@
 //  * ReplayRecord/CreateFromParts — rebuilds L0 / adopts shipped levels when a
 //                               backup is promoted to primary (§3.5)
 //
-// Threading model (PR 2) — see DESIGN.md "Threading model":
+// Threading model — see DESIGN.md "Threading model":
 //  * One logical writer at a time (Put/Delete/ReplayRecord and every
 //    maintenance operation serialize on an internal writer lock).
 //  * Any number of concurrent Get/Scan threads. Readers take a snapshot of
@@ -18,19 +18,19 @@
 //    lock; level trees are refcounted so a compaction can retire them while a
 //    reader is still walking them — segments are freed only when the last
 //    reference drops.
-//  * With KvStoreOptions::compaction_pool set, L0 spills are double-buffered:
-//    the full memtable is sealed (tail flush + swap on the writer thread, so
-//    replication's data plane stays single-threaded) and merged into L1 by a
-//    background job. Compactions of *disjoint* level pairs run concurrently
-//    (PR 4): a scheduler claims {src, dst} level ownership under the state
-//    lock and dispatches each claimed job to the pool, so L0→L1 can overlap
-//    L2→L3 while L1→L2 waits for L1. Writers slow down when the fresh L0
-//    grows past l0_slowdown_entries (token-bucket paced against the measured
-//    L0 drain rate) and hard-stall at l0_stop_entries until the background
-//    flush catches up.
-//  * With a null pool the engine is fully synchronous and byte-for-byte
-//    equivalent to the pre-pipeline behavior (fault-injection crash points
-//    stay deterministic).
+//  * One compaction engine. A full memtable is sealed on the writer thread
+//    (tail flush + swap, so replication's data plane stays single-threaded);
+//    a scheduler then claims {src, dst} level ownership under the state lock
+//    and runs each claimed job: begin -> merge/build -> end. Compactions of
+//    disjoint level pairs may overlap (L0->L1 alongside L2->L3 while L1->L2
+//    waits for L1).
+//  * With KvStoreOptions::compaction_pool set, jobs run on the pool and
+//    writes overlap them. Writers slow down when the fresh L0 grows past
+//    l0_slowdown_entries (token-bucket paced against the measured L0 drain
+//    rate) and hard-stall at l0_stop_entries until the sealed memtable drains.
+//  * With a null pool each job runs inline on the thread that claimed it, one
+//    job at a time, lowest level first — single-threaded and deterministic
+//    (fault-injection crash points stay reproducible).
 #ifndef TEBIS_LSM_KV_STORE_H_
 #define TEBIS_LSM_KV_STORE_H_
 
@@ -76,7 +76,7 @@ struct KvStoreOptions {
   // Persist a checkpoint manifest after every compaction and tail flush, so
   // Recover() restores everything up to the last flushed log segment.
   bool auto_checkpoint = false;
-  // Per-level bloom filters (PR 7): compactions fingerprint every merged key
+  // Per-level bloom filters: compactions fingerprint every merged key
   // (plus its kPrefixSize prefix) and attach a filter block to the built
   // tree; point lookups and prefix scans consult it before descending the
   // level. Send-Index primaries ship the block so backups answer membership
@@ -84,15 +84,16 @@ struct KvStoreOptions {
   bool enable_filters = true;
   uint32_t filter_bits_per_key = kDefaultFilterBitsPerKey;
 
-  // WAL-time KV separation (PR 9): put values at or above this many bytes are
+  // WAL-time KV separation: put values at or above this many bytes are
   // appended to the value log's dedicated large-value tail instead of the main
   // tail, so the hot tail — and the memtable/L0/shipped-index footprint per
   // log byte — stays dense under value-heavy mixes. 0 disables separation.
   size_t large_value_threshold = 0;
 
-  // Background compaction (PR 2). When set, L0 spills and level cascades run
-  // as a long-running job on this pool and writes overlap compaction. The
-  // pool must be Start()ed and must outlive the store. Null = synchronous.
+  // Compaction pool. When set, L0 spills and level cascades run as
+  // long-running jobs on this pool and writes overlap compaction. The pool
+  // must be Start()ed and must outlive the store. Null = each job runs inline
+  // on the thread that claimed it (the writer or a maintenance call).
   WorkerPool* compaction_pool = nullptr;
   // Writers sleep briefly per operation once the active L0 exceeds this while
   // a flush is already in flight (0 = 3/2 × l0_max_entries).
@@ -100,18 +101,18 @@ struct KvStoreOptions {
   // Writers block until the in-flight flush finishes once the active L0
   // reaches this (0 = 2 × l0_max_entries).
   uint64_t l0_stop_entries = 0;
-  // Slowdown-band pacing (PR 4): writers are paced by a token bucket charged
+  // Slowdown-band pacing: writers are paced by a token bucket charged
   // per record byte and refilled at the measured L0 drain rate, so the delay
   // adapts to the value-size mix. Until a drain measurement exists (and as
   // the floor unit of pacing) this per-operation sleep applies.
   uint64_t slowdown_sleep_us = 200;
   // Cap on concurrently running background compactions for this store
   // (0 = unlimited; level ownership already bounds it at (max_levels+1)/2).
-  // 1 reproduces the PR 2 serialized pipeline — the A/B baseline in
-  // bench_micro's shipping comparison.
+  // 1 serializes the pipeline — the A/B baseline in bench_micro's shipping
+  // comparison. Without a pool the cap is always 1.
   uint32_t max_background_compactions = 0;
 
-  // Telemetry plane (PR 5). Null = the store owns a private Telemetry, so a
+  // Telemetry plane. Null = the store owns a private Telemetry, so a
   // standalone store's stats() view stays per-store. Node owners (SimCluster,
   // RegionServer) pass their shared plane instead and MUST stamp each store
   // with unique telemetry_labels ({node, region, role}), or instruments merge
@@ -124,17 +125,15 @@ struct CompactionInfo {
   uint64_t compaction_id = 0;
   int src_level = 0;  // 0 == L0
   int dst_level = 1;
-  // True when the engine already sealed the value-log tail for this
-  // compaction (background jobs: the seal ran on the writer thread when the
-  // memtable was swapped): observers must not flush the tail themselves —
-  // they are running off the writer thread where a flush would race appends.
-  bool tail_sealed = false;
-  // Valid when tail_sealed && src_level == 0: number of flushed log segments
-  // at seal time — the L0 replay boundary this compaction covers. (With
-  // tail_sealed unset the observer derives it from the log after flushing.)
+  // The engine sealed the value-log tail on the writer thread before any
+  // compaction starts, so observers never flush it. For src_level == 0 this
+  // is the number of flushed log segments at seal time — the L0 replay
+  // boundary this compaction covers. The writer may flush more segments
+  // before the job runs; their records live in the next memtable. 0 for
+  // level-to-level compactions.
   size_t l0_boundary = 0;
-  // Shipping stream the scheduler assigned to this compaction (PR 5): the
-  // engine owns the allocation so the stream id — and the trace id derived
+  // Shipping stream the scheduler assigned to this compaction: the engine
+  // owns the allocation so the stream id — and the trace id derived
   // from (epoch, stream) — exists before the observer's begin fires and is
   // identical in every span and wire message of the compaction. kNoStream
   // when the per-region allocator is exhausted (the replication layer then
@@ -144,12 +143,12 @@ struct CompactionInfo {
 };
 
 // Observer of the compaction lifecycle; the Send-Index primary attaches one
-// to stream index segments to its backups while the compaction runs.
-// Synchronous mode: every callback runs on the writer thread, one compaction
-// at a time. With a compaction pool (PR 4), compactions of disjoint level
-// pairs run concurrently: each compaction's callbacks stay ordered
-// (begin -> segments -> end on that compaction's worker), but callbacks from
-// *different* compactions interleave across threads — implementations must be
+// to stream index segments to its backups while the compaction runs. Each
+// compaction's callbacks stay ordered (begin -> segments -> end on the thread
+// running its job). Without a pool that is the claiming thread, one
+// compaction at a time. With a compaction pool, compactions of disjoint level
+// pairs run concurrently and callbacks from *different* compactions
+// interleave across threads — implementations must be
 // thread-safe both across compactions (key callbacks by
 // CompactionInfo::compaction_id) and against the data-plane (value log)
 // callbacks, which keep arriving on the writer thread.
@@ -177,31 +176,31 @@ struct KvStoreStats {
   uint64_t insert_l0_cpu_ns = 0;   // Put path excluding compaction work
   uint64_t compaction_cpu_ns = 0;  // merge + build + I/O issue (incl. observer time)
   uint64_t get_cpu_ns = 0;
-  // Write backpressure (PR 2; token bucket PR 4).
+  // Write backpressure (slowdown token bucket, hard stall).
   uint64_t write_slowdowns = 0;    // puts that entered the slowdown band
   uint64_t write_slowdown_ns = 0;  // wall time slept by the token bucket
   uint64_t write_stalls = 0;       // puts that hard-stalled on the L0 flush
   uint64_t write_stall_ns = 0;     // wall time spent hard-stalled
-  // High-water mark of background compactions in flight at once (PR 4); >= 2
+  // High-water mark of compactions in flight at once; >= 2
   // proves disjoint level pairs really ran concurrently.
   uint64_t concurrent_compaction_peak = 0;
-  // Compaction pipeline stages, wall time (PR 2).
-  uint64_t compaction_queue_wait_ns = 0;  // seal → background job start
+  // Compaction pipeline stages, wall time.
+  uint64_t compaction_queue_wait_ns = 0;  // seal → job start
   uint64_t compaction_merge_ns = 0;       // k-way merge incl. source reads
   uint64_t compaction_build_ns = 0;       // feeding the B+ tree builder
   uint64_t compaction_ship_ns = 0;        // observer callbacks (index shipping)
-  // Bloom filter effectiveness (PR 7), summed over levels.
+  // Bloom filter effectiveness, summed over levels.
   uint64_t filter_checks = 0;           // level probes that consulted a filter
   uint64_t filter_negatives = 0;        // probes the filter excluded (tree skipped)
   uint64_t filter_false_positives = 0;  // filter said maybe, tree said NotFound
-  // End-to-end integrity (PR 8).
+  // End-to-end integrity.
   uint64_t scrub_bytes = 0;             // bytes read back and CRC-checked by scrubs
   uint64_t corruptions_found = 0;       // segments whose CRC check failed
   uint64_t corruptions_repaired = 0;    // segments rewritten from a peer and re-verified
   uint64_t repair_fetches = 0;          // peer fetches issued during repair
   uint64_t read_corruptions = 0;        // reads that hit a corrupt record/segment
   uint64_t quarantined_levels = 0;      // levels currently refusing reads
-  // Write-path group commit (PR 9).
+  // Write-path group commit.
   uint64_t batch_groups = 0;             // WriteBatch calls that reached the log
   uint64_t batch_ops = 0;                // ops applied through WriteBatch
   uint64_t large_value_separations = 0;  // puts routed to the large-value tail
@@ -234,7 +233,7 @@ class KvStore {
   Status Delete(Slice key);
   StatusOr<std::string> Get(Slice key);
 
-  // Group commit (PR 9): applies `ops` in order under one writer-lock
+  // Group commit: applies `ops` in order under one writer-lock
   // acquisition and one value-log group reservation, firing the replication
   // observer once per contiguous run instead of once per record. The batch is
   // a transport artifact, not a transaction: an invalid op fails alone (its
@@ -254,7 +253,7 @@ class KvStore {
   // tombstones.
   StatusOr<std::vector<KvPair>> Scan(Slice start, size_t limit);
 
-  // Prefix scan (PR 7): up to `limit` pairs whose keys start with `prefix`,
+  // Prefix scan: up to `limit` pairs whose keys start with `prefix`,
   // ascending. When the prefix fixes at least the first kPrefixSize bytes,
   // levels whose bloom filter excludes the prefix fingerprint are skipped
   // without touching their on-device tree; shorter prefixes fall back to the
@@ -265,12 +264,15 @@ class KvStore {
   // (promotion replay).
   Status ReplayRecord(Slice key, uint64_t log_offset, bool tombstone);
 
+  // The three maintenance entry points drain in-flight jobs, seal or claim
+  // through the one scheduler, then drain again: they return once the work
+  // has finished, with the sticky compaction error if any job failed.
+  //
   // Forces an L0 -> L1 compaction (plus any cascade) even if L0 is not full.
-  // Drains any in-flight background work first and runs synchronously.
   Status FlushL0();
 
-  // Runs compactions until every level is within capacity (synchronously;
-  // drains background work first).
+  // Seals a full L0 or claims every over-capacity level, until every level
+  // is within capacity.
   Status MaybeCompact();
 
   // Flushes L0 and then compacts every non-empty level downwards, leaving all
@@ -278,8 +280,8 @@ class KvStore {
   // no surviving leaf entry references superseded record offsets.
   Status ForceFullCompaction();
 
-  // Blocks until no background compaction is queued or running; returns (and
-  // clears nothing — the error is sticky) any background compaction failure.
+  // Blocks until no compaction is queued or running; returns (and clears
+  // nothing — the error is sticky) any compaction failure.
   Status WaitForBackgroundWork();
 
   // Value-log GC: scans up to `max_segments` of the oldest flushed log
@@ -297,7 +299,7 @@ class KvStore {
   };
   StatusOr<IntegrityReport> CheckIntegrity();
 
-  // --- integrity: scrub / quarantine / online repair (PR 8) ---------------
+  // --- integrity: scrub / quarantine / online repair ----------------------
   //
   // Every published level carries per-segment CRC32C checksums (kept in the manifest,
   // computed by BTreeBuilder at seal time). Reads verify a segment the first
@@ -309,7 +311,7 @@ class KvStore {
 
   struct ScrubOptions {
     // Token-bucket pacing cap on scrub read bandwidth (0 = unpaced). Burst is
-    // one segment, matching the PR 4 write-slowdown bucket shape.
+    // one segment, matching the write-slowdown bucket shape.
     uint64_t bytes_per_sec = 0;
     // Also walk every flushed value-log segment end to end (record CRCs).
     bool include_value_log = true;
@@ -383,9 +385,9 @@ class KvStore {
 
   void set_compaction_observer(CompactionObserver* observer) { observer_ = observer; }
 
-  // Late-binds a background compaction pool onto a store opened without one
-  // (a promoted backup's engine: backups never compact, so their stores are
-  // built synchronous). Only legal while no pool is attached and no
+  // Late-binds a compaction pool onto a store opened without one (a promoted
+  // backup's engine: backups compact inline, if at all, so their stores are
+  // built without a pool). Only legal while no pool is attached and no
   // background job is scheduled; callers promote under the region lock before
   // any write reaches the new primary.
   Status AdoptCompactionPool(WorkerPool* pool);
@@ -422,7 +424,7 @@ class KvStore {
     BlockDevice* device = nullptr;
     PageCache* cache = nullptr;
     BuiltTree tree;
-    // Non-null when the tree carries segment checksums (PR 8): shared verdict
+    // Non-null when the tree carries segment checksums: shared verdict
     // state for every reader of this publication. Readers check it per node;
     // the scrubber force-re-verifies through it; repair resets it.
     std::unique_ptr<SegmentVerifier> verifier;
@@ -446,16 +448,15 @@ class KvStore {
   struct CompactionJob {
     CompactionInfo info;
     std::shared_ptr<Memtable> imm;  // non-null for L0 spills
-    size_t boundary = 0;            // L0 replay boundary captured at seal
-    // When the job was sealed/claimed; start of the "claim" trace span. The
-    // synchronous engine stamps it at claim too (queue wait ~0).
+    // When the memtable was sealed; start of the "claim" trace span and of
+    // the queue wait (near zero when the job runs inline). 0 for level jobs.
     uint64_t queued_at_ns = 0;
     // Log bytes appended while this memtable was active (L0 spills); feeds
     // the slowdown token bucket's drain-rate estimate.
     uint64_t imm_bytes = 0;
   };
 
-  // Registry instruments behind every KvStoreStats field (PR 5): resolved
+  // Registry instruments behind every KvStoreStats field: resolved
   // once at construction against the telemetry plane's MetricsRegistry (with
   // this store's labels), updated lock-free. stats() is a thin view that
   // reads these same instruments, so scrape totals and the legacy struct can
@@ -479,13 +480,13 @@ class KvStore {
     Counter* compaction_merge_ns = nullptr;
     Counter* compaction_build_ns = nullptr;
     Counter* compaction_ship_ns = nullptr;
-    // Per-level filter instruments (PR 7), indexed by level (entry 0 unused).
+    // Per-level filter instruments, indexed by level (entry 0 unused).
     // Pre-resolved so the hot read path never takes a registry lookup.
     std::vector<Counter*> filter_checks;
     std::vector<Counter*> filter_negatives;
     std::vector<Counter*> filter_false_positives;
     std::vector<Gauge*> filter_bits_per_key;  // set when a level publishes
-    // Integrity plane (PR 8).
+    // Integrity plane.
     Counter* scrub_bytes = nullptr;
     Counter* scrub_corruptions_found = nullptr;
     Counter* corruptions_repaired = nullptr;
@@ -493,7 +494,7 @@ class KvStore {
     Gauge* quarantined_levels = nullptr;
     Counter* read_corruptions_log = nullptr;    // kv.read_corruptions{source=value_log}
     Counter* read_corruptions_level = nullptr;  // kv.read_corruptions{source=level}
-    // Write-path group commit (PR 9).
+    // Write-path group commit.
     Counter* batch_groups = nullptr;
     Counter* batch_ops = nullptr;
     Counter* large_value_separations = nullptr;
@@ -518,7 +519,7 @@ class KvStore {
 
   ReadSnapshot TakeReadSnapshot() const;
 
-  // Request-trace wrapper (PR 10): times the apply and records an
+  // Request-trace wrapper: times the apply and records an
   // "engine_apply" span when the calling thread carries a sampled request
   // scope, then delegates to WriteImplInner. Costs one thread-local load on
   // untraced calls.
@@ -536,33 +537,35 @@ class KvStore {
   // measured L0 drain rate to absorb `record_bytes`. Writer thread only.
   void SlowdownDelay(size_t record_bytes);
   // Seals the active memtable: tail flush on this (writer) thread — the
-  // data-plane observer mirrors it — then the swap; dispatches any claimable
-  // background jobs. The compaction observer's begin fires later, on the
-  // background worker, with tail_sealed set. write_mutex_ held, imm_ must be
-  // empty.
+  // data-plane observer mirrors it, and its CPU is insert time — then the
+  // swap; dispatches any claimable jobs. The compaction observer's begin
+  // fires later, from the job. Returns the sticky compaction error, which an
+  // inline job may just have set. write_mutex_ held, imm_ must be empty.
   Status SealL0Locked();
 
-  // Compaction scheduler (PR 4). Claims every runnable unit of background
-  // work whose {src, dst} levels are free: the sealed memtable (owns levels
-  // {0, 1}) and any over-capacity device level i (owns {i, i+1}). Marks the
-  // levels busy and bumps bg_jobs_ for each claim. mutex_ must be held.
+  // Compaction scheduler. Claims every runnable unit of work whose
+  // {src, dst} levels are free: the sealed memtable (owns levels {0, 1}) and
+  // any over-capacity device level i (owns {i, i+1}). Without a pool at most
+  // one job is in flight. mutex_ must be held.
   std::vector<CompactionJob> ClaimBackgroundJobsLocked();
-  // Hands each claimed job to the pool. Must be called WITHOUT mutex_ (the
-  // pool enqueue takes its own locks).
+  // Claims levels {src_level, src_level + 1} for one job — the sealed
+  // memtable when src_level is 0, else device level src_level — marking
+  // both busy and counting the job in bg_jobs_. mutex_ held, levels free.
+  CompactionJob ClaimLevelJobLocked(uint32_t src_level);
+  // Hands each claimed job to the pool, or runs it inline on this thread
+  // when there is none. Must be called WITHOUT mutex_.
   void DispatchBackgroundJobs(std::vector<CompactionJob> jobs);
-  // Runs one claimed job on a pool worker: observer begin, the compaction
-  // itself, then completion bookkeeping (release level ownership, update the
-  // drain-rate estimate, reclaim any newly runnable work).
+  // Runs one claimed job, then its completion bookkeeping: release level
+  // ownership, latch a failure in bg_error_, update the drain-rate estimate,
+  // and claim any newly runnable work.
   void BackgroundJob(CompactionJob job);
 
-  // Synchronous paths (write_mutex_ held, background drained).
-  Status MaybeCompactLocked();
+  // Maintenance helpers (write_mutex_ held, jobs drained).
   Status FlushL0Locked();
   Status ForceFullCompactionLocked();
-  Status CompactIntoNextLocked(int src_level);
 
-  // Merge + publish + observer end + auto-checkpoint for one job. Runs on the
-  // writer thread (sync) or the background worker (async).
+  // Observer begin + merge + publish + observer end + auto-checkpoint for
+  // one job, on the thread running it.
   Status RunCompaction(const CompactionJob& job);
 
   // Assigns a shipping stream + trace id to a just-claimed compaction.
@@ -576,10 +579,10 @@ class KvStore {
   // Publishes the current quarantined-level count to the integrity gauge.
   void UpdateQuarantineGauge();
 
-  // Waits until every background job is idle; returns the sticky error.
+  // Waits until every claimed job is idle; returns the sticky error.
   // write_mutex_ must be held (blocks new seals).
   Status DrainBackgroundLocked();
-  Status BackgroundErrorLocked() const;
+  Status BackgroundError() const;
 
   StatusOr<ValueLocation> FindLocation(Slice key, const ReadSnapshot& snap);
   FullKeyLoader LookupKeyLoader();
@@ -606,23 +609,21 @@ class KvStore {
   std::shared_ptr<Memtable> active_;
   std::shared_ptr<Memtable> imm_;        // sealed memtable being flushed
   CompactionInfo imm_info_;
-  size_t imm_boundary_ = 0;
   uint64_t imm_queued_at_ns_ = 0;
   uint64_t imm_bytes_ = 0;               // log bytes appended into imm_
   // levels_[0] unused (L0 is the memtable); levels_[1..max_levels] on device.
-  // Entries are never null. Only the job owning a level (or the writer thread
-  // in sync paths, with the background drained) replaces it.
+  // Entries are never null. Only the job owning a level replaces it.
   std::vector<TreeRef> levels_;
-  // Level-ownership guard (PR 4): level_busy_[i] is set while a claimed job
+  // Level-ownership guard: level_busy_[i] is set while a claimed job
   // owns level i. Index 0 doubles as the claim marker for the sealed memtable
   // (imm_ stays non-null until its job publishes, so "imm_ && !level_busy_[0]"
   // means an unclaimed spill).
   std::vector<bool> level_busy_;
-  int bg_jobs_ = 0;                      // claimed-but-unfinished background jobs
+  int bg_jobs_ = 0;                      // claimed-but-unfinished jobs
   Status bg_error_;                      // sticky
   size_t l0_replay_from_ = 0;            // first flushed segment not in levels
 
-  // Slowdown token bucket (PR 4). tokens/refill are writer-thread state
+  // Slowdown token bucket. tokens/refill are writer-thread state
   // (write_mutex_); the drain-rate estimate is published by background jobs.
   double slowdown_tokens_ = 0;
   uint64_t slowdown_refill_ns_ = 0;
@@ -632,7 +633,7 @@ class KvStore {
   CompactionObserver* observer_ = nullptr;
   std::atomic<uint64_t> next_compaction_id_{1};
 
-  // Telemetry plane (PR 5). telemetry_ points at options_.telemetry or at
+  // Telemetry plane. telemetry_ points at options_.telemetry or at
   // owned_telemetry_ (standalone store). Instrument pointers are stable for
   // the registry's lifetime, so hot paths update them without any lock.
   std::unique_ptr<Telemetry> owned_telemetry_;
@@ -640,7 +641,7 @@ class KvStore {
   std::string node_name_;  // span node label, from telemetry_labels
   Instruments counters_;
 
-  // Shipping-stream allocator (PR 5): the scheduler assigns each compaction a
+  // Shipping-stream allocator: the scheduler assigns each compaction a
   // stream id at claim time (guarded by mutex_), so the id — and the trace id
   // derived from (trace_epoch_, stream) — is fixed before the observer begin.
   // Released when RunCompaction succeeds; leaked on failure (a reused id must

@@ -17,31 +17,6 @@ uint32_t DecodeU32(const char* p) {
 
 }  // namespace
 
-void ValueLogObserver::OnAppendGroup(SegmentId tail_segment, uint64_t offset_in_segment,
-                                     Slice run_bytes, size_t record_count, uint32_t family) {
-  // Default: replay the run record by record, so observers that only know the
-  // per-record callbacks behave identically under a batched writer.
-  size_t pos = 0;
-  for (size_t i = 0; i < record_count; ++i) {
-    if (pos + kLogRecordHeaderSize > run_bytes.size()) {
-      return;
-    }
-    const char* p = run_bytes.data() + pos;
-    const uint32_t key_size = DecodeU32(p);
-    const uint32_t value_size = DecodeU32(p + 4);
-    const size_t need = LogRecordSize(key_size, value_size);
-    if (pos + need > run_bytes.size()) {
-      return;
-    }
-    if (family == kLargeLogFamily) {
-      OnLargeAppend(tail_segment, offset_in_segment + pos, Slice(p, need));
-    } else {
-      OnAppend(tail_segment, offset_in_segment + pos, Slice(p, need));
-    }
-    pos += need;
-  }
-}
-
 StatusOr<std::unique_ptr<ValueLog>> ValueLog::Create(BlockDevice* device) {
   std::unique_ptr<ValueLog> log(new ValueLog(device));
   TEBIS_RETURN_IF_ERROR(log->OpenNewTail());
@@ -84,7 +59,7 @@ Status ValueLog::SealTail() {
   TEBIS_RETURN_IF_ERROR(
       device_->Write(base, Slice(tail_buffer_.get(), seg_size), IoClass::kLogFlush));
   if (observer_ != nullptr) {
-    observer_->OnTailFlush(tail_segment_, Slice(tail_buffer_.get(), seg_size));
+    observer_->OnTailFlush(kMainLogFamily, tail_segment_, Slice(tail_buffer_.get(), seg_size));
   }
   std::lock_guard<std::mutex> lock(tail_mutex_);
   flushed_segments_.push_back(tail_segment_);
@@ -112,7 +87,8 @@ Status ValueLog::SealLargeTail() {
   TEBIS_RETURN_IF_ERROR(
       device_->Write(base, Slice(large_tail_buffer_.get(), seg_size), IoClass::kLogFlush));
   if (observer_ != nullptr) {
-    observer_->OnLargeTailFlush(large_tail_segment_, Slice(large_tail_buffer_.get(), seg_size));
+    observer_->OnTailFlush(kLargeLogFamily, large_tail_segment_,
+                           Slice(large_tail_buffer_.get(), seg_size));
   }
   // Large segments join the one flushed list in seal order: GC, checkpoint,
   // full sync, and the backups' log maps all see a single segment sequence.
@@ -180,11 +156,8 @@ StatusOr<ValueLog::AppendResult> ValueLog::AppendToFamily(Slice key, Slice value
   if (group_active_) {
     ExtendRun(family, segment, offset_in_segment, need);
   } else if (observer_ != nullptr) {
-    if (large) {
-      observer_->OnLargeAppend(segment, offset_in_segment, Slice(p, need));
-    } else {
-      observer_->OnAppend(segment, offset_in_segment, Slice(p, need));
-    }
+    // The +4 covers the zero terminator the append path always reserves.
+    observer_->OnAppend(family, segment, offset_in_segment, Slice(p, need + 4), 1);
   }
   return result;
 }
@@ -256,8 +229,8 @@ void ValueLog::EmitRun(uint32_t family) {
         (family == kLargeLogFamily) ? large_tail_buffer_.get() : tail_buffer_.get();
     // The +4 covers the zero terminator after the run — the append path always
     // reserves it, and no later record has been written there yet.
-    observer_->OnAppendGroup(run.segment, run.start, Slice(buf + run.start, run.bytes + 4),
-                             run.count, family);
+    observer_->OnAppend(family, run.segment, run.start, Slice(buf + run.start, run.bytes + 4),
+                        run.count);
   }
   run = GroupRun{};
 }

@@ -3,7 +3,7 @@
 // write and observers are notified — that is the hook the replication layer
 // uses to mirror the log to backups (paper §3.2).
 //
-// Concurrency contract (PR 2): all mutating calls (Append, FlushTail,
+// Concurrency contract: all mutating calls (Append, FlushTail,
 // AppendRawSegment, TrimHead) come from ONE thread at a time — the engine's
 // writer path or a quiesced maintenance operation. ReadRecord/ReadKey are safe
 // from any number of concurrent threads: they take a short internal lock only
@@ -37,42 +37,30 @@ struct LogRecord {
   size_t encoded_size = 0;
 };
 
-// Log families (PR 9): the main tail takes every record below the large-value
+// Log families: the main tail takes every record below the large-value
 // threshold; values at or above it go to dedicated large-value segments at
 // write time (WAL-time KV separation), so the hot tail — and everything
 // mirrored from it — stays dense under value-heavy mixes.
 inline constexpr uint32_t kMainLogFamily = 0;
 inline constexpr uint32_t kLargeLogFamily = 1;
 
-// Observer of log appends/flushes. Callbacks run on the appending thread.
+// Observer of log appends/flushes: the replication data plane's doorbell.
+// Callbacks run on the appending thread, tagged with the log family.
 class ValueLogObserver {
  public:
   virtual ~ValueLogObserver() = default;
 
-  // A record was appended to the in-memory tail. `record_bytes` points into
-  // the tail buffer; `offset_in_segment` is its position within the tail.
-  virtual void OnAppend(SegmentId tail_segment, uint64_t offset_in_segment, Slice record_bytes) {}
+  // `record_count` consecutive records were appended to `family`'s tail at
+  // `offset_in_segment` of `segment`: one record per plain append, a whole
+  // per-family run per group commit. `run_with_terminator` points into the
+  // tail buffer and covers the records plus the 4 zero bytes the log always
+  // reserves after them.
+  virtual void OnAppend(uint32_t family, SegmentId segment, uint64_t offset_in_segment,
+                        Slice run_with_terminator, size_t record_count) {}
 
-  // The tail segment was persisted to the device. `segment_bytes` is the full
-  // segment image.
-  virtual void OnTailFlush(SegmentId tail_segment, Slice segment_bytes) {}
-
-  // A record above the large-value threshold was appended to the large-value
-  // tail (PR 9). Mirrors OnAppend but for the kLargeLogFamily tail.
-  virtual void OnLargeAppend(SegmentId tail_segment, uint64_t offset_in_segment,
-                             Slice record_bytes) {}
-
-  // The large-value tail segment was persisted to the device (PR 9).
-  virtual void OnLargeTailFlush(SegmentId tail_segment, Slice segment_bytes) {}
-
-  // A group commit appended `record_count` consecutive records occupying
-  // `run_bytes` at `offset_in_segment` of `family`'s tail (PR 9). The slice
-  // covers the contiguous run plus its 4-byte zero terminator. The default
-  // implementation decodes the run and forwards each record to
-  // OnAppend/OnLargeAppend, so observers that never override this keep exact
-  // per-record semantics under batched writers.
-  virtual void OnAppendGroup(SegmentId tail_segment, uint64_t offset_in_segment, Slice run_bytes,
-                             size_t record_count, uint32_t family);
+  // `family`'s tail segment was persisted to the device. `segment_bytes` is
+  // the full segment image.
+  virtual void OnTailFlush(uint32_t family, SegmentId segment, Slice segment_bytes) {}
 };
 
 class ValueLog {
@@ -91,7 +79,7 @@ class ValueLog {
 
   void set_observer(ValueLogObserver* observer) { observer_ = observer; }
 
-  // WAL-time KV separation (PR 9): values >= `threshold` bytes are appended
+  // WAL-time KV separation: values >= `threshold` bytes are appended
   // to the large-value tail instead of the main tail; 0 (the default)
   // disables separation entirely — no second tail is ever allocated. Set
   // before the first append (the engine configures it at Create/Recover).
@@ -108,10 +96,10 @@ class ValueLog {
   // (allocating a new one) when the record does not fit.
   StatusOr<AppendResult> Append(Slice key, Slice value, bool tombstone);
 
-  // Group commit (PR 9): between BeginGroup and EndGroup, appends accumulate
-  // into one contiguous per-family run instead of firing per-record observer
-  // callbacks; EndGroup (or a mid-group seal) emits OnAppendGroup once for
-  // the whole run. BeginGroup reserves one contiguous extent: when the whole
+  // Group commit: between BeginGroup and EndGroup, appends accumulate into
+  // one contiguous per-family run instead of firing per-record observer
+  // callbacks; EndGroup (or a mid-group seal) emits one OnAppend for the
+  // whole run. BeginGroup reserves one contiguous extent: when the whole
   // group would fit a fresh segment but not the current tail remainder, the
   // tail is pre-sealed so the group's bytes land adjacent. `main_bytes` /
   // `large_bytes` are the encoded sizes headed to each family; `*flushed` is
@@ -149,7 +137,7 @@ class ValueLog {
     std::lock_guard<std::mutex> lock(tail_mutex_);
     return large_tail_used_;
   }
-  // True while any family's tail holds unflushed records (PR 9): the
+  // True while any family's tail holds unflushed records: the
   // demotion/handover guard must cover the large-value tail too.
   bool HasUnflushedRecords() const {
     std::lock_guard<std::mutex> lock(tail_mutex_);
@@ -186,7 +174,7 @@ class ValueLog {
     return image;
   }
 
-  // Same, for the large-value tail (PR 9): seeds the [segment, 2*segment)
+  // Same, for the large-value tail: seeds the [segment, 2*segment)
   // half of a freshly attached backup's replication buffer.
   std::string LargeTailImageSnapshot() const {
     std::lock_guard<std::mutex> lock(tail_mutex_);
@@ -221,9 +209,9 @@ class ValueLog {
   Status SealLargeTail();
   StatusOr<AppendResult> AppendToFamily(Slice key, Slice value, bool tombstone, uint32_t family);
 
-  // One in-progress group-commit run per family (PR 9): the contiguous byte
-  // range the current group has appended to that family's tail. Emitted as
-  // one OnAppendGroup either at EndGroup or just before a mid-group seal.
+  // One in-progress group-commit run per family: the contiguous byte range
+  // the current group has appended to that family's tail. Emitted as one
+  // OnAppend either at EndGroup or just before a mid-group seal.
   struct GroupRun {
     bool open = false;
     SegmentId segment = kInvalidSegment;
@@ -251,13 +239,13 @@ class ValueLog {
   std::unique_ptr<char[]> tail_buffer_;
   uint64_t tail_used_ = 0;
 
-  // Large-value tail (PR 9): allocated lazily on the first large append so a
+  // Large-value tail: allocated lazily on the first large append so a
   // log with separation disabled never pays a second segment.
   SegmentId large_tail_segment_ = kInvalidSegment;
   std::unique_ptr<char[]> large_tail_buffer_;
   uint64_t large_tail_used_ = 0;
 
-  // Group-commit state (PR 9); touched only by the single writer thread.
+  // Group-commit state; touched only by the single writer thread.
   bool group_active_ = false;
   GroupRun runs_[2];
 

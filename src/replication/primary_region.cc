@@ -60,8 +60,6 @@ void PrimaryRegion::InitTelemetry() {
   const MetricLabels& l = store_->options().telemetry_labels;
   node_name_ = NodeLabel(l);
   repl_.log_replication_cpu_ns = reg->GetCounter("repl.log_replication_cpu_ns", l);
-  repl_.log_flush_in_compaction_cpu_ns =
-      reg->GetCounter("repl.log_flush_in_compaction_cpu_ns", l);
   repl_.send_index_cpu_ns = reg->GetCounter("repl.send_index_cpu_ns", l);
   repl_.log_records_replicated = reg->GetCounter("repl.log_records_replicated", l);
   repl_.log_flushes = reg->GetCounter("repl.log_flushes", l);
@@ -75,7 +73,7 @@ void PrimaryRegion::InitTelemetry() {
   repl_.fence_errors = reg->GetCounter("repl.fence_errors", l);
   repl_.streams_opened = reg->GetCounter("repl.streams_opened", l);
   repl_.flow_wait_ns = reg->GetCounter("repl.flow_wait_ns", l);
-  // Write-path group commit (PR 9): wp.* is the write-path instrument plane
+  // Write-path group commit: wp.* is the write-path instrument plane
   // (shared with the engine's wp.batch_* counters).
   repl_.doorbells = reg->GetCounter("wp.doorbells", l);
   repl_.doorbell_records = reg->GetCounter("wp.doorbell_records", l);
@@ -85,7 +83,6 @@ void PrimaryRegion::InitTelemetry() {
 ReplicationStats PrimaryRegion::replication_stats() const {
   ReplicationStats s;
   s.log_replication_cpu_ns = repl_.log_replication_cpu_ns->Value();
-  s.log_flush_in_compaction_cpu_ns = repl_.log_flush_in_compaction_cpu_ns->Value();
   s.send_index_cpu_ns = repl_.send_index_cpu_ns->Value();
   s.log_records_replicated = repl_.log_records_replicated->Value();
   s.log_flushes = repl_.log_flushes->Value();
@@ -144,11 +141,11 @@ void PrimaryRegion::FinishDoorbellSpan(uint64_t start_ns, uint64_t bytes,
 }
 
 void PrimaryRegion::AddBackup(std::unique_ptr<BackupChannel> channel) {
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+  std::lock_guard<std::mutex> lock(region_mutex_);
   channel->set_epoch(epoch_);
   // Re-attach replaces: a recovery retry must not leave two channels fanning
   // out to the same replica.
-  RemoveBackup(channel->backup_name());
+  RemoveBackupLocked(channel->backup_name());
   auto slot = std::make_shared<BackupSlot>();
   slot->channel = std::move(channel);
   if (stream_flow_pool_ > 0) {
@@ -179,10 +176,10 @@ void PrimaryRegion::AddBackup(std::unique_ptr<BackupChannel> channel) {
       // An unseeded backup is worse than a parked region: it acks flushes it
       // cannot honor. (Epoch fences mean *we* are deposed; the master will
       // tear this attach down, so they don't park.)
-      Park(s);
+      ParkLocked(s);
     }
   }
-  // Same invariant for the large-value tail (PR 9): its mirror lives in the
+  // Same invariant for the large-value tail: its mirror lives in the
   // second half of the backup's (2x segment) replication buffer.
   std::string large_image = store_->value_log()->LargeTailImageSnapshot();
   if (!large_image.empty()) {
@@ -193,14 +190,18 @@ void PrimaryRegion::AddBackup(std::unique_ptr<BackupChannel> channel) {
       s = slot->channel->RdmaWriteLog(device_->segment_size(), Slice(large_image));
     }
     if (!s.ok() && !s.IsFailedPrecondition()) {
-      Park(s);
+      ParkLocked(s);
     }
   }
   backups_.push_back(std::move(slot));
 }
 
 bool PrimaryRegion::RemoveBackup(const std::string& backup_name) {
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+  std::lock_guard<std::mutex> lock(region_mutex_);
+  return RemoveBackupLocked(backup_name);
+}
+
+bool PrimaryRegion::RemoveBackupLocked(const std::string& backup_name) {
   for (auto it = backups_.begin(); it != backups_.end(); ++it) {
     if ((*it)->channel->backup_name() == backup_name) {
       backups_.erase(it);
@@ -211,7 +212,7 @@ bool PrimaryRegion::RemoveBackup(const std::string& backup_name) {
 }
 
 void PrimaryRegion::set_epoch(uint64_t epoch) {
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+  std::lock_guard<std::mutex> lock(region_mutex_);
   epoch_ = epoch;
   // New compactions derive their trace ids from (epoch, stream); ones already
   // in flight keep the trace they started with.
@@ -222,7 +223,7 @@ void PrimaryRegion::set_epoch(uint64_t epoch) {
 }
 
 void PrimaryRegion::set_stream_flow_pool(uint64_t pool_bytes) {
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+  std::lock_guard<std::mutex> lock(region_mutex_);
   stream_flow_pool_ = pool_bytes;
   for (auto& slot : backups_) {
     slot->flow = pool_bytes > 0 ? std::make_unique<StreamFlowController>(pool_bytes,
@@ -231,7 +232,7 @@ void PrimaryRegion::set_stream_flow_pool(uint64_t pool_bytes) {
   }
 }
 
-// --- shipping-stream table (PR 4) -------------------------------------------------
+// --- shipping-stream table -------------------------------------------------------
 
 StreamId PrimaryRegion::AcquireStreamLocked(uint64_t compaction_id) {
   auto it = compaction_streams_.find(compaction_id);
@@ -259,7 +260,7 @@ StreamId PrimaryRegion::RegisterStreamLocked(const CompactionInfo& info) {
     return it->second.first;  // begin (or earlier segment) already registered
   }
   if (info.stream != kNoStream) {
-    // Engine-assigned stream (PR 5): the scheduler allocated it at claim
+    // Engine-assigned stream: the scheduler allocated it at claim
     // time, so spans and wire messages all carry the same id. Not
     // allocator-owned here — the engine releases it when the compaction
     // succeeds.
@@ -290,7 +291,12 @@ Status PrimaryRegion::GuardedCall(const std::shared_ptr<BackupSlot>& slot, Strea
   const uint64_t start = NowNanos();
   Status status = call();
   const uint64_t elapsed = NowNanos() - start;
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+  std::lock_guard<std::mutex> lock(region_mutex_);
+  return RecordCallLocked(slot.get(), stream, status, elapsed);
+}
+
+Status PrimaryRegion::RecordCallLocked(BackupSlot* slot, StreamId stream, const Status& status,
+                                       uint64_t elapsed) {
   if (status.IsFailedPrecondition()) {
     // Epoch fence: this primary has been deposed. Not a replica-health event.
     repl_.fence_errors->Increment();
@@ -356,7 +362,7 @@ void PrimaryRegion::FanOut(StreamId stream, uint64_t flow_bytes,
   std::vector<std::shared_ptr<BackupSlot>> snapshot;
   uint64_t deadline_ns;
   {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     snapshot = backups_;
     deadline_ns = policy_.call_deadline_ns;
   }
@@ -383,20 +389,31 @@ void PrimaryRegion::FanOut(StreamId stream, uint64_t flow_bytes,
       return s;
     });
     repl_.flow_wait_ns->Add(credit_wait_ns);
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     // A replica detached since the snapshot (struck out on another stream,
     // or removed) no longer fails client operations: its error is dropped.
     const bool attached = std::find(backups_.begin(), backups_.end(), slot) != backups_.end();
     if (attached && !StruckOutLocked(*slot, stream)) {
-      Park(status);
+      ParkLocked(status);
     }
   }
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+  std::lock_guard<std::mutex> lock(region_mutex_);
   DetachStruckBackupsLocked();
 }
 
-void PrimaryRegion::Park(const Status& status) {
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+void PrimaryRegion::DataPlaneFanOutLocked(const std::function<Status(BackupChannel*)>& call) {
+  for (auto& slot : backups_) {
+    const uint64_t start = NowNanos();
+    Status status = call(slot->channel.get());
+    status = RecordCallLocked(slot.get(), kNoStream, status, NowNanos() - start);
+    if (!StruckOutLocked(*slot, kNoStream)) {
+      ParkLocked(status);
+    }
+  }
+  DetachStruckBackupsLocked();
+}
+
+void PrimaryRegion::ParkLocked(const Status& status) {
   if (!status.ok() && parked_error_.ok()) {
     TEBIS_LOG(kError) << "replication error parked: " << status.ToString();
     parked_error_ = status;
@@ -404,7 +421,7 @@ void PrimaryRegion::Park(const Status& status) {
 }
 
 Status PrimaryRegion::TakeParkedError() {
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+  std::lock_guard<std::mutex> lock(region_mutex_);
   Status s = parked_error_;
   parked_error_ = Status::Ok();
   return s;
@@ -454,7 +471,9 @@ StatusOr<size_t> PrimaryRegion::GarbageCollect(size_t max_segments) {
   TEBIS_ASSIGN_OR_RETURN(size_t freed, store_->GarbageCollectHead(max_segments));
   TEBIS_RETURN_IF_ERROR(TakeParkedError());
   {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
+    // The boundary indexes the flushed-segment list, whose head just went.
+    l0_boundary_ -= std::min(l0_boundary_, freed);
     for (auto& slot : backups_) {
       TEBIS_RETURN_IF_ERROR(
           slot->channel->Send(TrimLogMsg{.segments = static_cast<uint32_t>(freed)}));
@@ -497,13 +516,16 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
       uint64_t sync_id;
       StreamId stream;
       {
-        std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+        std::lock_guard<std::mutex> lock(region_mutex_);
         sync_id = next_sync_id_++;
         stream = AcquireStreamLocked(sync_id);
       }
       Status status = [&]() -> Status {
-        TEBIS_RETURN_IF_ERROR(channel->Send(CompactionBeginMsg{
-            .compaction_id = sync_id, .src_level = 0, .dst_level = i, .stream_id = stream}));
+        TEBIS_RETURN_IF_ERROR(channel->Send(CompactionBeginMsg{.compaction_id = sync_id,
+                                                               .src_level = 0,
+                                                               .dst_level = i,
+                                                               .stream_id = stream,
+                                                               .l0_boundary = l0_boundary()}));
         for (size_t s = 0; s < tree.segments.size(); ++s) {
           const SegmentId seg = tree.segments[s];
           // A checksummed level ships exactly its fingerprinted used prefix,
@@ -538,14 +560,14 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
                                               .seg_checksums = tree.seg_checksums});
       }();
       {
-        std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+        std::lock_guard<std::mutex> lock(region_mutex_);
         ReleaseStreamLocked(sync_id);
       }
       TEBIS_RETURN_IF_ERROR(status);
     }
   }
   // 3) Where L0 replay starts if this backup is ever promoted.
-  return channel->Send(SetReplayStartMsg{.flushed_segment_index = l0_boundary_});
+  return channel->Send(SetReplayStartMsg{.flushed_segment_index = l0_boundary()});
 }
 
 Status PrimaryRegion::ReplayBufferImage(Slice image) {
@@ -562,7 +584,7 @@ Status PrimaryRegion::ReplayBufferImage(Slice image) {
     }
     return Status::Ok();
   };
-  // A 2x-segment image (PR 9) carries the main-tail mirror in the first half
+  // A 2x-segment image carries the main-tail mirror in the first half
   // and the large-value-tail mirror in the second; replay both. Within each
   // family, order is append order. Across families the halves replay
   // sequentially, so a small overwrite of a still-unflushed large value can
@@ -578,100 +600,12 @@ Status PrimaryRegion::ReplayBufferImage(Slice image) {
 
 // --- data plane (§3.2) ---------------------------------------------------------
 
-void PrimaryRegion::OnAppend(SegmentId tail_segment, uint64_t offset_in_segment,
-                             Slice record_bytes) {
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+void PrimaryRegion::OnAppend(uint32_t family, SegmentId segment, uint64_t offset_in_segment,
+                             Slice run_with_terminator, size_t record_count) {
+  std::lock_guard<std::mutex> lock(region_mutex_);
   // Every append advances the commit sequence, replicated or not: the token a
-  // writer receives must cover degraded-mode writes too (PR 6).
-  ++commit_seq_;
-  if (backups_.empty()) {
-    return;
-  }
-  RequestStageTimings* stages = CurrentRequestStages();
-  const uint64_t doorbell_start_ns = stages != nullptr ? NowNanos() : 0;
-  uint64_t cpu_ns = 0;
-  {
-    ScopedCpuTimer timer(&cpu_ns);
-    // Replicate the record plus the 4 zero bytes that follow it in the tail
-    // buffer (ValueLog reserves them). They act as an end-of-data terminator
-    // in the backup's RDMA buffer, so promotion never replays stale bytes
-    // from a previous tail image.
-    Slice with_terminator(record_bytes.data(), record_bytes.size() + 4);
-    constexpr int kAppendRetryLimit = 8;
-    for (auto& slot : backups_) {
-      Status status = GuardedCall(slot, kNoStream, [&] {
-        Status s = slot->channel->RdmaWriteLog(offset_in_segment, with_terminator);
-        // One-sided writes dropped by a transient fabric fault are simply
-        // re-posted; a halted/partitioned peer keeps failing and the error
-        // parks.
-        for (int retry = 0; retry < kAppendRetryLimit && s.IsUnavailable(); ++retry) {
-          repl_.append_retries->Increment();
-          s = slot->channel->RdmaWriteLog(offset_in_segment, with_terminator);
-        }
-        return s;
-      });
-      if (!StruckOutLocked(*slot, kNoStream)) {
-        Park(status);
-      }
-    }
-    DetachStruckBackupsLocked();
-  }
-  repl_.log_replication_cpu_ns->Add(cpu_ns);
-  repl_.log_records_replicated->Increment();
-  repl_.doorbells->Increment();
-  repl_.doorbell_records->Increment();
-  if (stages != nullptr) {
-    FinishDoorbellSpan(doorbell_start_ns, record_bytes.size(), stages);
-  }
-}
-
-void PrimaryRegion::OnLargeAppend(SegmentId tail_segment, uint64_t offset_in_segment,
-                                  Slice record_bytes) {
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
-  ++commit_seq_;
-  if (backups_.empty()) {
-    return;
-  }
-  RequestStageTimings* stages = CurrentRequestStages();
-  const uint64_t doorbell_start_ns = stages != nullptr ? NowNanos() : 0;
-  uint64_t cpu_ns = 0;
-  {
-    ScopedCpuTimer timer(&cpu_ns);
-    // Large-value records mirror into the second half of the backup's
-    // replication buffer (PR 9) — same terminator discipline as OnAppend.
-    Slice with_terminator(record_bytes.data(), record_bytes.size() + 4);
-    const uint64_t offset = device_->segment_size() + offset_in_segment;
-    constexpr int kAppendRetryLimit = 8;
-    for (auto& slot : backups_) {
-      Status status = GuardedCall(slot, kNoStream, [&] {
-        Status s = slot->channel->RdmaWriteLog(offset, with_terminator);
-        for (int retry = 0; retry < kAppendRetryLimit && s.IsUnavailable(); ++retry) {
-          repl_.append_retries->Increment();
-          s = slot->channel->RdmaWriteLog(offset, with_terminator);
-        }
-        return s;
-      });
-      if (!StruckOutLocked(*slot, kNoStream)) {
-        Park(status);
-      }
-    }
-    DetachStruckBackupsLocked();
-  }
-  repl_.log_replication_cpu_ns->Add(cpu_ns);
-  repl_.log_records_replicated->Increment();
-  repl_.large_records_replicated->Increment();
-  repl_.doorbells->Increment();
-  repl_.doorbell_records->Increment();
-  if (stages != nullptr) {
-    FinishDoorbellSpan(doorbell_start_ns, record_bytes.size(), stages);
-  }
-}
-
-void PrimaryRegion::OnAppendGroup(SegmentId tail_segment, uint64_t offset_in_segment,
-                                  Slice run_bytes, size_t record_count, uint32_t family) {
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
-  // The whole group advances the commit sequence at once: the batch reply
-  // carries one token covering every op in it (PR 9).
+  // writer receives must cover degraded-mode writes too. A group advances it
+  // once for all its records, so a batch reply's one token covers every op.
   commit_seq_ += record_count;
   if (backups_.empty()) {
     return;
@@ -681,27 +615,26 @@ void PrimaryRegion::OnAppendGroup(SegmentId tail_segment, uint64_t offset_in_seg
   uint64_t cpu_ns = 0;
   {
     ScopedCpuTimer timer(&cpu_ns);
-    // One coalesced doorbell: the run is contiguous in the tail, so a single
-    // one-sided write (run + its 4-byte terminator, already included in the
-    // slice) replaces record_count per-record writes.
+    // One doorbell: the run is contiguous in the tail, so a single one-sided
+    // write carries every record plus the 4 zero bytes the log reserves
+    // after them. Those act as an end-of-data terminator in the backup's RDMA
+    // buffer, so promotion never replays stale bytes from a previous tail
+    // image.
     const uint64_t offset = family == kLargeLogFamily
                                 ? device_->segment_size() + offset_in_segment
                                 : offset_in_segment;
     constexpr int kAppendRetryLimit = 8;
-    for (auto& slot : backups_) {
-      Status status = GuardedCall(slot, kNoStream, [&] {
-        Status s = slot->channel->RdmaWriteLog(offset, run_bytes);
-        for (int retry = 0; retry < kAppendRetryLimit && s.IsUnavailable(); ++retry) {
-          repl_.append_retries->Increment();
-          s = slot->channel->RdmaWriteLog(offset, run_bytes);
-        }
-        return s;
-      });
-      if (!StruckOutLocked(*slot, kNoStream)) {
-        Park(status);
+    DataPlaneFanOutLocked([&](BackupChannel* channel) {
+      Status s = channel->RdmaWriteLog(offset, run_with_terminator);
+      // One-sided writes dropped by a transient fabric fault are simply
+      // re-posted; a halted/partitioned peer keeps failing and the error
+      // parks.
+      for (int retry = 0; retry < kAppendRetryLimit && s.IsUnavailable(); ++retry) {
+        repl_.append_retries->Increment();
+        s = channel->RdmaWriteLog(offset, run_with_terminator);
       }
-    }
-    DetachStruckBackupsLocked();
+      return s;
+    });
   }
   repl_.log_replication_cpu_ns->Add(cpu_ns);
   repl_.log_records_replicated->Add(record_count);
@@ -711,59 +644,20 @@ void PrimaryRegion::OnAppendGroup(SegmentId tail_segment, uint64_t offset_in_seg
   repl_.doorbells->Increment();
   repl_.doorbell_records->Add(record_count);
   if (stages != nullptr) {
-    FinishDoorbellSpan(doorbell_start_ns, run_bytes.size(), stages);
+    FinishDoorbellSpan(doorbell_start_ns, run_with_terminator.size(), stages);
   }
 }
 
-void PrimaryRegion::OnTailFlush(SegmentId tail_segment, Slice segment_bytes) {
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+void PrimaryRegion::OnTailFlush(uint32_t family, SegmentId segment, Slice segment_bytes) {
+  std::lock_guard<std::mutex> lock(region_mutex_);
   if (backups_.empty()) {
     return;
   }
   uint64_t cpu_ns = 0;
   {
     ScopedCpuTimer timer(&cpu_ns);
-    const uint64_t start = ThreadCpuNanos();
-    // A flush forced by a sync-mode compaction begin is part of that
-    // compaction's stream; ordinary data-plane flushes are stream-less.
-    const StreamId stream = in_compaction_begin_ ? in_begin_stream_ : kNoStream;
-    const FlushLogMsg msg{
-        .primary_segment = tail_segment, .commit_seq = commit_seq_, .stream_id = stream};
-    for (auto& slot : backups_) {
-      Status status = GuardedCall(slot, kNoStream, [&] { return slot->channel->Send(msg); });
-      if (!StruckOutLocked(*slot, kNoStream)) {
-        Park(status);
-      }
-    }
-    DetachStruckBackupsLocked();
-    if (in_compaction_begin_) {
-      repl_.log_flush_in_compaction_cpu_ns->Add(ThreadCpuNanos() - start);
-    }
-  }
-  repl_.log_replication_cpu_ns->Add(cpu_ns);
-  repl_.log_flushes->Increment();
-}
-
-void PrimaryRegion::OnLargeTailFlush(SegmentId tail_segment, Slice segment_bytes) {
-  std::lock_guard<std::recursive_mutex> lock(region_mutex_);
-  if (backups_.empty()) {
-    return;
-  }
-  uint64_t cpu_ns = 0;
-  {
-    ScopedCpuTimer timer(&cpu_ns);
-    const StreamId stream = in_compaction_begin_ ? in_begin_stream_ : kNoStream;
-    const FlushLogMsg msg{.primary_segment = tail_segment,
-                          .commit_seq = commit_seq_,
-                          .stream_id = stream,
-                          .family = kLargeLogFamily};
-    for (auto& slot : backups_) {
-      Status status = GuardedCall(slot, kNoStream, [&] { return slot->channel->Send(msg); });
-      if (!StruckOutLocked(*slot, kNoStream)) {
-        Park(status);
-      }
-    }
-    DetachStruckBackupsLocked();
+    const FlushLogMsg msg{.primary_segment = segment, .commit_seq = commit_seq_, .family = family};
+    DataPlaneFanOutLocked([&](BackupChannel* channel) { return channel->Send(msg); });
   }
   repl_.log_replication_cpu_ns->Add(cpu_ns);
   repl_.log_flushes->Increment();
@@ -775,28 +669,14 @@ void PrimaryRegion::OnCompactionBegin(const CompactionInfo& info) {
   StreamId stream;
   bool ship;
   {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     stream = RegisterStreamLocked(info);
-    // Every log offset the compaction will emit must already be flushed (and
-    // therefore mapped on the backups): seal the tail first. Done even
-    // without backups so the L0 boundary stays exact for later FullSyncs.
-    // Background jobs arrive with tail_sealed set — the engine already sealed
-    // the tail at the L0 spill that started the chain, and this callback runs
-    // off the writer thread where flushing would race live appends.
-    if (!info.tail_sealed) {
-      in_compaction_begin_ = true;
-      in_begin_stream_ = stream;
-      Park(store_->value_log()->FlushTail());
-      in_begin_stream_ = kNoStream;
-      in_compaction_begin_ = false;
-    }
     if (info.src_level == 0) {
-      // With a pre-sealed tail the writer may have flushed more segments
-      // since the seal; those records live in the *new* memtable, so the
-      // boundary is the seal-time count the engine captured, not the current
-      // one.
-      l0_boundary_ =
-          info.tail_sealed ? info.l0_boundary : store_->value_log()->flushed_segment_count();
+      // The engine sealed the tail on the writer thread; the writer may have
+      // flushed more segments since, whose records live in the *new*
+      // memtable, so the boundary is the seal-time count. Kept even without
+      // backups so the L0 boundary stays exact for later FullSyncs.
+      l0_boundary_ = info.l0_boundary;
     }
     ship = !backups_.empty() && mode_ == ReplicationMode::kSendIndex;
   }
@@ -809,7 +689,8 @@ void PrimaryRegion::OnCompactionBegin(const CompactionInfo& info) {
     const CompactionBeginMsg msg{.compaction_id = info.compaction_id,
                                  .src_level = static_cast<uint32_t>(info.src_level),
                                  .dst_level = static_cast<uint32_t>(info.dst_level),
-                                 .stream_id = stream};
+                                 .stream_id = stream,
+                                 .l0_boundary = info.l0_boundary};
     FanOut(stream, /*flow_bytes=*/0, [&](BackupChannel* channel) { return channel->Send(msg); });
   }
   repl_.send_index_cpu_ns->Add(cpu_ns);
@@ -819,7 +700,7 @@ void PrimaryRegion::OnIndexSegment(const CompactionInfo& info, int tree_level, S
                                    Slice bytes) {
   StreamId stream;
   {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     if (mode_ != ReplicationMode::kSendIndex || backups_.empty()) {
       return;
     }
@@ -850,7 +731,7 @@ void PrimaryRegion::OnIndexSegment(const CompactionInfo& info, int tree_level, S
 void PrimaryRegion::OnCompactionEnd(const CompactionInfo& info, const BuiltTree& new_tree) {
   StreamId stream;
   {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     if (mode_ != ReplicationMode::kSendIndex || backups_.empty()) {
       ReleaseStreamLocked(info.compaction_id);
       return;
@@ -881,7 +762,7 @@ void PrimaryRegion::OnCompactionEnd(const CompactionInfo& info, const BuiltTree&
     FanOut(stream, /*flow_bytes=*/0, [&](BackupChannel* channel) { return channel->Send(msg); });
   }
   {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     ReleaseStreamLocked(info.compaction_id);
   }
   repl_.send_index_cpu_ns->Add(cpu_ns);

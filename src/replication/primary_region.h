@@ -5,14 +5,14 @@
 // (Send-Index, §3.3) or leave the backups to compact on their own
 // (Build-Index baseline).
 //
-// Multiplexed shipping streams (PR 4): with a background compaction pool the
-// engine runs compactions of disjoint level pairs concurrently, and each one
-// ships on its own stream. This region allocates a stream id per compaction,
+// Multiplexed shipping streams: with a compaction pool the engine runs
+// compactions of disjoint level pairs concurrently, and each one ships on its
+// own stream. This region allocates a stream id per compaction,
 // tags every shipped message with it, and fans compaction-plane calls out
 // WITHOUT holding the region lock — N streams ship to the backups at once
 // while the writer thread keeps replicating the log. Per-stream credit-based
 // flow control (StreamFlowController) bounds what any one stream can keep in
-// flight on a backup's shared replication buffer, and the PR 3 health policy
+// flight on a backup's shared replication buffer, and the health policy
 // counts strikes per (backup, stream) so one stalled stream detaches the
 // replica without the other streams' clean calls masking it.
 #ifndef TEBIS_REPLICATION_PRIMARY_REGION_H_
@@ -42,29 +42,25 @@ enum class ReplicationMode {
 
 const char* ReplicationModeName(ReplicationMode mode);
 
-// Thin view over the region's "repl.*" registry instruments (PR 5): the same
+// Thin view over the region's "repl.*" registry instruments: the same
 // atomics a telemetry scrape samples, kept as a struct so existing callers
 // and bench harnesses read one coherent copy.
 struct ReplicationStats {
   uint64_t log_replication_cpu_ns = 0;  // Table 3 "KV log replication"
-  // Portion of log_replication_cpu_ns spent in the tail flush that a
-  // compaction begin forces (nested inside the compaction timer; used to
-  // peel exclusive Table-3 buckets).
-  uint64_t log_flush_in_compaction_cpu_ns = 0;
   uint64_t send_index_cpu_ns = 0;       // Table 3 "Send index"
   uint64_t log_records_replicated = 0;
   uint64_t log_flushes = 0;
   uint64_t append_retries = 0;  // transient data-plane write failures retried
   uint64_t index_segments_shipped = 0;
   uint64_t index_bytes_shipped = 0;
-  uint64_t filter_blocks_shipped = 0;  // bloom filter blocks fanned out (PR 7)
+  uint64_t filter_blocks_shipped = 0;  // bloom filter blocks fanned out
   uint64_t filter_bytes_shipped = 0;
   uint64_t backups_detached = 0;   // replicas dropped by the health policy
   uint64_t slow_call_strikes = 0;  // calls that blew the per-call deadline
   uint64_t fence_errors = 0;       // calls rejected as stale-epoch (deposed)
-  uint64_t streams_opened = 0;     // shipping streams allocated (PR 4)
+  uint64_t streams_opened = 0;     // shipping streams allocated
   uint64_t flow_wait_ns = 0;       // time streams waited for shipping credit
-  // Write-path group commit (PR 9): doorbells are one-sided data-plane writes
+  // Write-path group commit: doorbells are one-sided data-plane writes
   // issued per backup-visible event; doorbell_records counts the log records
   // those writes carried. records/doorbells is the coalesce ratio.
   uint64_t doorbells = 0;
@@ -118,7 +114,7 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // it means that its operation has been replicated in the replica set").
   Status Put(Slice key, Slice value);
   Status Delete(Slice key);
-  // Group commit (PR 9): applies the whole batch under one engine reservation
+  // Group commit: applies the whole batch under one engine reservation
   // and replicates it with one coalesced doorbell per contiguous log run.
   // Batch semantics match KvStore::WriteBatch (transport artifact, not a
   // transaction); a replication failure parks and surfaces as the batch-level
@@ -143,7 +139,7 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
 
   // Index of the first flushed log segment not yet covered by the levels.
   size_t l0_boundary() const {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     return l0_boundary_;
   }
 
@@ -162,7 +158,7 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // The telemetry plane this region reports into (the engine's).
   Telemetry* telemetry() const { return store_->telemetry(); }
   size_t num_backups() const {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     return backups_.size();
   }
 
@@ -172,21 +168,21 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // attached channel; subsequent messages carry it.
   void set_epoch(uint64_t epoch);
   uint64_t epoch() const {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     return epoch_;
   }
 
-  // --- commit token (PR 6 read-your-writes) ---
+  // --- commit token (read-your-writes) ---
 
   // Monotonic count of records this primary has appended; paired with the
   // epoch it forms the commit token a writer folds into its read fence.
   uint64_t commit_seq() const {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     return commit_seq_;
   }
   // One consistent (epoch, seq) pair.
   void CommitToken(uint64_t* epoch, uint64_t* seq) const {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     *epoch = epoch_;
     *seq = commit_seq_;
   }
@@ -194,7 +190,7 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // --- health policy / degraded mode ---
 
   void set_replication_policy(const ReplicationPolicy& policy) {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     policy_ = policy;
   }
   // Invoked (with region_mutex_ held — do not call back into the region) when
@@ -203,11 +199,11 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // the data plane).
   using DetachListener = std::function<void(const std::string&, uint64_t, StreamId)>;
   void set_detach_listener(DetachListener listener) {
-    std::lock_guard<std::recursive_mutex> lock(region_mutex_);
+    std::lock_guard<std::mutex> lock(region_mutex_);
     detach_listener_ = std::move(listener);
   }
 
-  // Per-stream flow control (PR 4): bounds the index bytes each backup can
+  // Per-stream flow control: bounds the index bytes each backup can
   // have in flight across all shipping streams to `pool_bytes` (one shared
   // replication buffer per backup), with a per-stream cap of pool/kMax so a
   // stalled stream cannot starve the others. 0 disables (the default).
@@ -231,7 +227,6 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // engine's telemetry plane (same labels as the store).
   struct ReplInstruments {
     Counter* log_replication_cpu_ns = nullptr;
-    Counter* log_flush_in_compaction_cpu_ns = nullptr;
     Counter* send_index_cpu_ns = nullptr;
     Counter* log_records_replicated = nullptr;
     Counter* log_flushes = nullptr;
@@ -250,18 +245,12 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
     Counter* large_records_replicated = nullptr;
   };
 
-  // ValueLogObserver (data plane).
-  void OnAppend(SegmentId tail_segment, uint64_t offset_in_segment, Slice record_bytes) override;
-  void OnTailFlush(SegmentId tail_segment, Slice segment_bytes) override;
-  // Group commit (PR 9): one coalesced RDMA write covering the group's
-  // contiguous log bytes replaces the per-record doorbells.
-  void OnAppendGroup(SegmentId tail_segment, uint64_t offset_in_segment, Slice run_bytes,
-                     size_t record_count, uint32_t family) override;
-  // Large-value tail (PR 9): mirrored into the [segment, 2*segment) half of
-  // each backup's replication buffer.
-  void OnLargeAppend(SegmentId tail_segment, uint64_t offset_in_segment,
-                     Slice record_bytes) override;
-  void OnLargeTailFlush(SegmentId tail_segment, Slice segment_bytes) override;
+  // ValueLogObserver (data plane). Each append run is one doorbell: a single
+  // one-sided write of the run. The large-value family mirrors into the
+  // [segment, 2*segment) half of each backup's replication buffer.
+  void OnAppend(uint32_t family, SegmentId segment, uint64_t offset_in_segment,
+                Slice run_with_terminator, size_t record_count) override;
+  void OnTailFlush(uint32_t family, SegmentId segment, Slice segment_bytes) override;
 
   // CompactionObserver (index shipping). May run on several compaction
   // workers concurrently — one stream each; fan-outs drop region_mutex_
@@ -273,14 +262,15 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
 
   // Observers cannot return errors; failures park here and surface on the
   // next client operation.
-  void Park(const Status& status);
+  void ParkLocked(const Status& status);
   Status TakeParkedError();
+  bool RemoveBackupLocked(const std::string& backup_name);
 
   // Stream-id bookkeeping for one compaction. Acquire is idempotent per
   // compaction id (retries reuse the stream); Release frees the id.
   StreamId AcquireStreamLocked(uint64_t compaction_id);
   void ReleaseStreamLocked(uint64_t compaction_id);
-  // Prefers the engine-assigned stream carried in CompactionInfo (PR 5: the
+  // Prefers the engine-assigned stream carried in CompactionInfo (the
   // scheduler allocates it at claim time, so the id in every span and wire
   // message is identical); falls back to this region's own allocator for
   // observers called without one (tests, legacy paths).
@@ -292,7 +282,7 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // Records one shipping-plane span (no-op when untraced or disabled).
   void RecordSpan(const CompactionInfo& info, const char* name, uint64_t start_ns,
                   uint64_t end_ns, uint64_t bytes = 0) const;
-  // Request-trace bookkeeping for one doorbell fan-out (PR 10): accumulates
+  // Request-trace bookkeeping for one doorbell fan-out: accumulates
   // the stage timing and records a "doorbell" span when the calling thread
   // carries a sampled request scope. `stages` is the non-null result of
   // CurrentRequestStages() the caller already fetched.
@@ -307,6 +297,14 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // bookkeeping re-takes it), so concurrent streams overlap their calls.
   Status GuardedCall(const std::shared_ptr<BackupSlot>& slot, StreamId stream,
                      const std::function<Status()>& call);
+  // GuardedCall's bookkeeping for a call that returned `status` after
+  // `elapsed_ns`; returns `status`.
+  Status RecordCallLocked(BackupSlot* slot, StreamId stream, const Status& status,
+                          uint64_t elapsed_ns);
+  // Data-plane fan-out, region_mutex_ held throughout so the log mirror stays
+  // in append order: runs `call` against every backup under the health
+  // policy, parks errors and detaches struck-out replicas.
+  void DataPlaneFanOutLocked(const std::function<Status(BackupChannel*)>& call);
   // Fans `call` out to every attached backup on `stream`, charging
   // `flow_bytes` of per-stream shipping credit around each call (0 = no
   // charge), parking errors and detaching struck-out replicas.
@@ -325,11 +323,11 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   std::unique_ptr<KvStore> store_;
 
   // Serializes region state: the backup set, stream table, parked error and
-  // stats (recursive because an L0 compaction begin flushes the tail, which
-  // re-enters through OnTailFlush). NOT held across compaction-plane channel
-  // calls — that is what lets N streams ship concurrently. Never held across
-  // a call back into the engine.
-  mutable std::recursive_mutex region_mutex_;
+  // stats. Held across data-plane channel calls (the log mirror is ordered);
+  // NOT held across compaction-plane channel calls — that is what lets N
+  // streams ship concurrently. Never held across a call back into the engine,
+  // and never re-entered: helpers that run under it are named *Locked.
+  mutable std::mutex region_mutex_;
   // shared_ptr: a fan-out snapshots the set and keeps its slots alive even if
   // RemoveBackup/detach runs mid-flight.
   std::vector<std::shared_ptr<BackupSlot>> backups_;
@@ -342,10 +340,6 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   uint64_t commit_seq_ = 0;
   size_t l0_boundary_ = 0;
   uint64_t next_sync_id_ = 1ull << 62;  // synthetic compaction ids for FullSync
-  bool in_compaction_begin_ = false;    // attributes nested tail flushes
-  // Stream the in-progress sync-mode compaction begin runs on; a tail flush
-  // nested inside it is tagged with this stream.
-  StreamId in_begin_stream_ = kNoStream;
   // Shipping-stream table: compaction id -> (stream, allocator-owned).
   StreamIdAllocator stream_ids_;
   std::map<uint64_t, std::pair<StreamId, bool>> compaction_streams_;

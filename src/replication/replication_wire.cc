@@ -5,21 +5,19 @@ namespace tebis {
 namespace {
 
 void Write(WireWriter* w, const FlushLogMsg& msg) {
-  w->U64(msg.epoch).U64(msg.primary_segment).U64(msg.commit_seq).U32(msg.stream_id);
-  w->U32(msg.family);
+  w->U64(msg.epoch).U64(msg.primary_segment).U64(msg.commit_seq).U32(msg.family);
 }
 
 Status Read(WireReader* r, FlushLogMsg* out) {
   TEBIS_RETURN_IF_ERROR(r->U64(&out->epoch));
   TEBIS_RETURN_IF_ERROR(r->U64(&out->primary_segment));
   TEBIS_RETURN_IF_ERROR(r->U64(&out->commit_seq));
-  TEBIS_RETURN_IF_ERROR(r->U32(&out->stream_id));
   return r->U32(&out->family);
 }
 
 void Write(WireWriter* w, const CompactionBeginMsg& msg) {
   w->U64(msg.epoch).U64(msg.compaction_id).U32(msg.src_level).U32(msg.dst_level);
-  w->U32(msg.stream_id);
+  w->U32(msg.stream_id).U64(msg.l0_boundary);
 }
 
 Status Read(WireReader* r, CompactionBeginMsg* out) {
@@ -27,7 +25,8 @@ Status Read(WireReader* r, CompactionBeginMsg* out) {
   TEBIS_RETURN_IF_ERROR(r->U64(&out->compaction_id));
   TEBIS_RETURN_IF_ERROR(r->U32(&out->src_level));
   TEBIS_RETURN_IF_ERROR(r->U32(&out->dst_level));
-  return r->U32(&out->stream_id);
+  TEBIS_RETURN_IF_ERROR(r->U32(&out->stream_id));
+  return r->U64(&out->l0_boundary);
 }
 
 void Write(WireWriter* w, const IndexSegmentMsg& msg) {

@@ -29,21 +29,25 @@ struct FlushLogMsg {
   // Primary's commit sequence as of this flush: the backup's read path
   // derives its visible sequence from the highest commit_seq it has absorbed.
   uint64_t commit_seq = 0;
-  // Data-plane flushes use kNoStream; a flush nested inside a sync-mode
-  // compaction begin carries that compaction's stream.
-  StreamId stream_id = kNoStream;
   // Which tail sealed: kMainLogFamily (0) or kLargeLogFamily (1).
   uint32_t family = 0;
 };
 
 // Compaction-plane messages carry their shipping stream id so the backup can
-// run one rewrite state machine per stream.
+// run one rewrite state machine per stream. Log flushes are data plane and
+// stream-less.
 struct CompactionBeginMsg {
   uint64_t epoch = 0;
   uint64_t compaction_id = 0;
   uint32_t src_level = 0;
   uint32_t dst_level = 0;
   StreamId stream_id = 0;
+  // For src_level == 0: the primary's flushed-segment count when it sealed
+  // the tail for this compaction — the first segment the new L1 does not
+  // cover, and where promotion replay starts once the compaction commits.
+  // Segments flushed after the seal hold records of the next memtable. Same
+  // index space as SetReplayStartMsg. 0 for level-to-level compactions.
+  uint64_t l0_boundary = 0;
 };
 
 struct IndexSegmentMsg {

@@ -139,9 +139,8 @@ Status RpcBackupChannel::CallChecked(MessageType type, Slice payload, StreamId s
 }
 
 Status RpcBackupChannel::Deliver(const ReplicationMessage& msg) {
-  // Compaction-plane messages, and a log flush nested in a sync-mode
-  // compaction begin, travel on their shipping stream; trim and replay start
-  // are stream-less.
+  // Compaction-plane messages travel on their shipping stream; log flushes,
+  // trim and replay start are stream-less.
   const StreamId stream = std::visit(
       [](const auto& m) -> StreamId {
         if constexpr (requires { m.stream_id; }) {

@@ -169,7 +169,8 @@ Status SendIndexBackupRegion::Handle(const ReplicationMessage& msg) {
           },
           [this](const CompactionBeginMsg& m) {
             return HandleCompactionBegin(m.compaction_id, static_cast<int>(m.src_level),
-                                         static_cast<int>(m.dst_level), m.stream_id);
+                                         static_cast<int>(m.dst_level), m.stream_id,
+                                         m.l0_boundary);
           },
           [this](const IndexSegmentMsg& m) {
             return HandleIndexSegment(m.compaction_id, m.primary_segment, m.data, m.stream_id,
@@ -202,7 +203,7 @@ Status SendIndexBackupRegion::HandleLogFlush(SegmentId primary_segment, uint64_t
     return Status::Ok();
   }
   const uint64_t seg_size = device_->segment_size();
-  // The large-value tail mirrors into the second half of the buffer (PR 9).
+  // The large-value tail mirrors into the second half of the buffer.
   const uint64_t half = family == kLargeLogFamily ? seg_size : 0;
   if (rdma_buffer_->size() < half + seg_size) {
     // Not FailedPrecondition: that code means "you are deposed" on this wire.
@@ -227,7 +228,8 @@ Status SendIndexBackupRegion::HandleLogFlush(SegmentId primary_segment, uint64_t
 }
 
 Status SendIndexBackupRegion::HandleCompactionBegin(uint64_t compaction_id, int src_level,
-                                                    int dst_level, StreamId stream) {
+                                                    int dst_level, StreamId stream,
+                                                    uint64_t l0_boundary) {
   std::lock_guard<std::shared_mutex> lock(state_mutex_);
   auto it = streams_.find(stream);
   if (it != streams_.end()) {
@@ -249,11 +251,16 @@ Status SendIndexBackupRegion::HandleCompactionBegin(uint64_t compaction_id, int 
       return Status::FailedPrecondition("stream levels overlap an active stream");
     }
   }
+  if (l0_boundary > log_->flushed_segments().size()) {
+    // The primary flushes every segment below its seal-time boundary before
+    // the begin leaves it; a larger one means this replica missed a flush.
+    return Status::InvalidArgument("L0 boundary beyond the replicated log");
+  }
   auto fresh = std::make_shared<CompactionStream>();
   fresh->id = compaction_id;
   fresh->src_level = src_level;
   fresh->dst_level = dst_level;
-  fresh->replay_from_snapshot = log_->flushed_segments().size();
+  fresh->l0_boundary = l0_boundary;
   fresh->log_map = log_map_;
   // Same trace id the primary derived for this compaction: epoch and stream
   // ride on every shipped message, so both ends compute it independently.
@@ -353,7 +360,7 @@ Status SendIndexBackupRegion::HandleIndexSegment(uint64_t compaction_id,
                                          IoClass::kIndexRewrite));
     // Fingerprint the LOCAL bytes just written: the matching CompactionEnd
     // installs these as the level's checksums, so the backup's read path and
-    // scrubber verify exactly what this rewrite produced (PR 8).
+    // scrubber verify exactly what this rewrite produced.
     s->local_crcs[primary_segment] = SegmentChecksum{
         Crc32c(scratch.data(), scratch.size()), static_cast<uint32_t>(scratch.size())};
     return Status::Ok();
@@ -468,13 +475,15 @@ Status SendIndexBackupRegion::HandleCompactionEnd(uint64_t compaction_id, int sr
       verifiers_[src_level] = nullptr;
       origins_[src_level] = LevelOrigin{};
     } else {
-      // L0 -> L1 finished: everything up to the begin snapshot is indexed.
-      replay_from_ = s->replay_from_snapshot;
+      // L0 -> L1 finished: everything below the primary's seal-time
+      // boundary is indexed. Segments flushed after the seal hold records of
+      // the next memtable and stay in the unindexed suffix.
+      replay_from_ = s->l0_boundary;
     }
     TEBIS_RETURN_IF_ERROR(FreeTree(levels_[dst_level]));
     levels_[dst_level] = local_tree;
     InstallVerifierLocked(dst_level);
-    // Retain the level's primary-space identity for repair interchange (PR 8):
+    // Retain the level's primary-space identity for repair interchange:
     // valid only when the primary shipped its checksums and the rewrite kept
     // every segment's length (it always does — rewrites are in place).
     origins_[dst_level] = LevelOrigin{};
@@ -591,7 +600,7 @@ StatusOr<std::unique_ptr<KvStore>> SendIndexBackupRegion::Promote(bool replay_rd
     return Status::Ok();
   };
   TEBIS_RETURN_IF_ERROR(replay_half(Slice(rdma_buffer_->data(), seg_size)));
-  // The large-value mirror in the second half of a 2x buffer (PR 9).
+  // The large-value mirror in the second half of a 2x buffer.
   if (rdma_buffer_->size() >= 2 * seg_size) {
     TEBIS_RETURN_IF_ERROR(replay_half(Slice(rdma_buffer_->data() + seg_size, seg_size)));
   }
@@ -646,7 +655,7 @@ Status SendIndexBackupRegion::AdoptNewPrimaryLogMap(const SegmentMap& new_primar
   return Status::Ok();
 }
 
-// --- replica read path (PR 6) ----------------------------------------------------
+// --- replica read path ----------------------------------------------------
 
 uint64_t SendIndexBackupRegion::ParseBufferLocked(std::vector<LogRecord>* records) const {
   // SnapshotBytes serializes with the primary's tagged one-sided writes, so
@@ -660,7 +669,7 @@ uint64_t SendIndexBackupRegion::ParseBufferLocked(std::vector<LogRecord>* record
                                           });
   // A corruption marks the end of valid data, same as promotion replay.
   (void)status;
-  // The large-value mirror (PR 9) lives in the second half of a 2x buffer.
+  // The large-value mirror lives in the second half of a 2x buffer.
   if (rdma_buffer_->size() >= 2 * seg_size) {
     const std::string large = rdma_buffer_->SnapshotRange(seg_size, seg_size);
     status = ValueLog::ForEachRecord(Slice(large), /*segment_base=*/0,
@@ -971,7 +980,7 @@ StatusOr<std::string> SendIndexBackupRegion::DebugGet(Slice key) {
   return Status::NotFound();
 }
 
-// --- integrity: scrub / online repair (PR 8) ---------------------------------
+// --- integrity: scrub / online repair ---------------------------------
 
 void SendIndexBackupRegion::InstallVerifierLocked(int level) {
   const BuiltTree& tree = levels_[level];

@@ -4,7 +4,7 @@
 // through the log map (leaf entries) or the index map (index-node children) —
 // and written locally.
 //
-// Multiplexed shipping streams (PR 4): the primary runs compactions of
+// Multiplexed shipping streams: the primary runs compactions of
 // disjoint level pairs concurrently, so this backup keeps one rewrite state
 // machine per stream id — N compactions can be mid-ship at once. Handlers are
 // thread-safe: shared region state (log map, levels, stream table) is guarded
@@ -41,19 +41,19 @@ struct SendIndexBackupStats {
   uint64_t offsets_rewritten = 0;
   uint64_t log_flushes = 0;
   uint64_t epoch_rejected = 0;   // control messages fenced as stale (§3.5)
-  uint64_t streams_opened = 0;   // compaction streams begun (PR 4)
-  uint64_t streams_aborted = 0;  // streams abandoned by promotion (PR 4)
-  uint64_t replica_gets = 0;     // gets served from this replica (PR 6)
-  uint64_t replica_scans = 0;    // scans served from this replica (PR 6)
+  uint64_t streams_opened = 0;   // compaction streams begun
+  uint64_t streams_aborted = 0;  // streams abandoned by promotion
+  uint64_t replica_gets = 0;     // gets served from this replica
+  uint64_t replica_scans = 0;    // scans served from this replica
   uint64_t read_rejects_epoch = 0;  // reads fenced: replica epoch too old
   uint64_t read_rejects_seq = 0;    // reads fenced: commit seq behind fence
-  // Shipped bloom filters (PR 7): probes against filters installed from the
+  // Shipped bloom filters: probes against filters installed from the
   // primary's exact bytes, aggregated over levels.
   uint64_t filter_blocks_installed = 0;
   uint64_t filter_checks = 0;
   uint64_t filter_negatives = 0;
   uint64_t filter_false_positives = 0;
-  // End-to-end integrity (PR 8).
+  // End-to-end integrity.
   uint64_t segments_crc_rejected = 0;  // shipped segments failing their wire CRC
   uint64_t scrub_bytes = 0;
   uint64_t corruptions_found = 0;
@@ -135,7 +135,7 @@ class SendIndexBackupRegion final : public BackupRegion {
   // Compaction streams currently mid-ship.
   size_t active_streams() const;
 
-  // --- replica read path (PR 6) ---
+  // --- replica read path ---
 
   // Serves a get from the replicated log and the shipped index, fenced by the
   // client's read fence {min_epoch, min_seq}: a read this replica cannot
@@ -164,7 +164,7 @@ class SendIndexBackupRegion final : public BackupRegion {
   // by every committed L0 -> L1 compaction).
   size_t replay_from() const;
 
-  // --- integrity: scrub / online repair (PR 8) ---
+  // --- integrity: scrub / online repair ---
 
   // Walks every checksummed level (force re-verification) and the local value
   // log, token-bucket paced like KvStore::Scrub. Corruption quarantines the
@@ -205,8 +205,10 @@ class SendIndexBackupRegion final : public BackupRegion {
   Status HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq, uint32_t family);
 
   // §3.3: compaction lifecycle, one state machine per `stream`.
+  // `l0_boundary` (src_level == 0) is the primary's seal-time flushed-segment
+  // count; the committed compaction moves replay_from_ there.
   Status HandleCompactionBegin(uint64_t compaction_id, int src_level, int dst_level,
-                               StreamId stream);
+                               StreamId stream, uint64_t l0_boundary);
   // `payload_crc` is the primary's CRC32C of `bytes`: a mismatch rejects the
   // segment before any pointer is rewritten. After the rewrite the backup
   // records the CRC of its *local* bytes so the installed level is
@@ -233,7 +235,7 @@ class SendIndexBackupRegion final : public BackupRegion {
   void set_replay_from(size_t flushed_segment_index);
 
 
-  // One in-flight shipping stream's rewrite state machine (PR 4). `log_map`
+  // One in-flight shipping stream's rewrite state machine. `log_map`
   // is a snapshot taken at compaction begin: the primary seals its tail
   // before compacting, so every leaf offset the stream ships references an
   // already-mapped log segment — rewrites never need to see flushes that land
@@ -244,7 +246,7 @@ class SendIndexBackupRegion final : public BackupRegion {
     int dst_level = 1;
     SegmentMap index_map;
     SegmentMap log_map;           // snapshot at begin
-    size_t replay_from_snapshot;  // log segments flushed when it began
+    size_t l0_boundary = 0;       // primary's seal-time boundary (L0 -> L1)
     std::mutex mutex;             // serializes rewrites within the stream
     // Filter block staged by HandleFilterBlock, installed at CompactionEnd
     // (guarded by `mutex`, like the rewrite state).
@@ -259,7 +261,7 @@ class SendIndexBackupRegion final : public BackupRegion {
     std::map<SegmentId, SegmentChecksum> local_crcs;
   };
 
-  // Primary-space identity of one installed level (PR 8): the primary's
+  // Primary-space identity of one installed level: the primary's
   // segment ids and checksums, parallel to the local tree's segment list.
   // Lets this backup serve repair fetches (reverse rewrite) and validate
   // repair installs (forward rewrite). Empty when unknown — a level adopted
@@ -310,7 +312,7 @@ class SendIndexBackupRegion final : public BackupRegion {
   void InstallVerifierLocked(int level);
   Status FreeTree(const BuiltTree& tree);
 
-  // --- replica read helpers (PR 6; all require state_mutex_) ---
+  // --- replica read helpers (all require state_mutex_) ---
 
   // Consistent snapshot of the RDMA buffer decoded into records (append
   // order); returns the replica's visible commit sequence.
@@ -342,7 +344,7 @@ class SendIndexBackupRegion final : public BackupRegion {
   std::vector<SegmentId> primary_flush_order_;  // primary segs in flush order
   SegmentMap log_map_;
   std::vector<BuiltTree> levels_;  // [0] unused
-  // Parallel to levels_ (PR 8): read-path verifier per checksummed level
+  // Parallel to levels_: read-path verifier per checksummed level
   // (shared_ptr so DebugGet can snapshot it lock-free with the tree), and the
   // primary-space origin backing repair interchange.
   std::vector<std::shared_ptr<SegmentVerifier>> verifiers_;
@@ -355,7 +357,7 @@ class SendIndexBackupRegion final : public BackupRegion {
   // First flushed-segment index that is NOT yet reflected in the levels; L0
   // replay starts here on promotion.
   size_t replay_from_ = 0;
-  // Highest primary commit sequence absorbed by a log flush (PR 6).
+  // Highest primary commit sequence absorbed by a log flush.
   uint64_t flushed_commit_seq_ = 0;
   // Epoch whose primary keying the log map reflects (guards double re-keying).
   uint64_t log_map_epoch_ = 0;

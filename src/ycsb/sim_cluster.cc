@@ -281,13 +281,13 @@ ClusterCpuBreakdown SimCluster::CpuBreakdownFrom(const MetricsSnapshot& snap) {
   out.compaction_build_ns = snap.Sum("kv.compaction_build_ns", "role", "primary");
   out.compaction_ship_ns = snap.Sum("kv.compaction_ship_ns", "role", "primary");
   out.log_replication_ns = snap.Sum("repl.log_replication_cpu_ns");
-  out.log_flush_in_compaction_ns = snap.Sum("repl.log_flush_in_compaction_cpu_ns");
   out.send_index_ns = snap.Sum("repl.send_index_cpu_ns");
   out.rewrite_index_ns = snap.Sum("backup.rewrite_cpu_ns");
   out.backup_insert_ns = snap.Sum("backup.insert_cpu_ns");
   out.backup_compaction_ns = snap.Sum("kv.compaction_cpu_ns", "role", "backup");
   // Values are RAW (inclusive) timings; with in-process channels the calls nest:
-  //   put timer        ⊃ log replication (appends + most flushes)
+  //   put timer        ⊃ log replication (appends + every tail flush, the
+  //                      seal's included)
   //   log replication  ⊃ backup flush handling (Build-Index: L0 insert ⊃ its
   //                      own compactions)
   //   compaction timer ⊃ send index ⊃ rewrite index

@@ -37,9 +37,9 @@ struct SimClusterOptions {
   uint32_t num_regions = 8;   // paper: 32; scaled with the dataset
   int replication_factor = 2; // 1 => No-Replication
   ReplicationMode mode = ReplicationMode::kSendIndex;
-  // Background compaction workers shared by every primary store. 0 =
-  // synchronous compactions. Backup stores always compact synchronously
-  // (their work is driven by replication messages).
+  // Compaction workers shared by every primary store. 0 = each compaction
+  // job runs inline on the thread that claimed it. Backup stores always run
+  // theirs inline (their work is driven by replication messages).
   int compaction_workers = 0;
   KvStoreOptions kv_options;
   BlockDeviceOptions device_options;
@@ -64,7 +64,6 @@ struct SimClusterOptions {
 struct ClusterCpuBreakdown {
   uint64_t insert_l0_ns = 0;        // primary put path (incl. log replication)
   uint64_t log_replication_ns = 0;  // incl. backup flush handling
-  uint64_t log_flush_in_compaction_ns = 0;  // flushes forced by compaction begins
   uint64_t compaction_ns = 0;       // primary compactions (incl. shipping)
   uint64_t send_index_ns = 0;       // incl. backup rewrite (direct channel)
   uint64_t rewrite_index_ns = 0;

@@ -243,6 +243,51 @@ TEST(GcPromotionTest, PromoteAfterTrimServesEverything) {
   }
 }
 
+// A value-log trim drops the head of the flushed-segment list, so the L0
+// boundary a later full sync ships must drop with it, or the synced backup's
+// replay start points past its own log.
+TEST(GcPromotionTest, FullSyncAfterTrimStartsReplayInsideTheLog) {
+  auto primary_dev = MakeDevice();
+  auto late_dev = MakeDevice();
+  Fabric fabric;
+  KvStoreOptions opts = SmallOptions();
+  opts.l0_max_entries = 64;
+  auto primary = PrimaryRegion::Create(primary_dev.get(), opts, ReplicationMode::kSendIndex);
+  ASSERT_TRUE(primary.ok());
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE((*primary)->Put(Key(i % 50), std::string(120, 'x' + (i % 3))).ok());
+  }
+  auto freed = (*primary)->GarbageCollect(3);
+  ASSERT_TRUE(freed.ok()) << freed.status().ToString();
+  ASSERT_GT(*freed, 0u);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE((*primary)->Put(Key(i % 50), "final-" + std::to_string(i)).ok());
+  }
+  ASSERT_LE((*primary)->l0_boundary(),
+            (*primary)->store()->value_log()->flushed_segment_count());
+
+  auto late_buffer = fabric.RegisterBuffer("late", "p0", kSegmentSize);
+  auto late = SendIndexBackupRegion::Create(late_dev.get(), opts, late_buffer);
+  ASSERT_TRUE(late.ok());
+  LocalBackupChannel channel(&fabric, "p0", late_buffer, late->get());
+  ASSERT_TRUE((*primary)->FullSync(&channel).ok());
+  ASSERT_LE((*late)->replay_from(), (*late)->value_log()->flushed_segments().size());
+  std::map<std::string, std::string> expect;
+  for (int k = 0; k < 50; ++k) {
+    auto v = (*primary)->Get(Key(k));
+    ASSERT_TRUE(v.ok());
+    expect[Key(k)] = *v;
+  }
+  // Nothing is left in the primary's tail: the sync flushed it.
+  auto promoted = (*late)->Promote();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  for (const auto& [key, value] : expect) {
+    auto v = (*promoted)->Get(key);
+    ASSERT_TRUE(v.ok()) << key << " " << v.status().ToString();
+    EXPECT_EQ(*v, value) << key;
+  }
+}
+
 // --- FullSync equivalence ---------------------------------------------------------
 
 TEST(FullSyncTest, SyncedBackupMatchesLiveBackup) {

@@ -116,8 +116,8 @@ TEST(ReplicationWireTest, EveryMessageRoundTrips) {
   const uint32_t crc = Crc32c(data.data(), data.size());
   // Each message next to its encoded size: every field is always on the wire.
   const std::vector<std::pair<ReplicationMessage, size_t>> cases = {
-      {FlushLogMsg{1, 42, 900, 3, kLargeLogFamily}, 32},
-      {CompactionBeginMsg{2, 9, 1, 2, 4}, 28},
+      {FlushLogMsg{1, 42, 900, kLargeLogFamily}, 28},
+      {CompactionBeginMsg{2, 9, 1, 2, 4, 17}, 36},
       {IndexSegmentMsg{3, 4, 2, 1, 77, Slice(data), 5, crc}, 44 + data.size()},
       {FilterBlockMsg{4, 4, 2, Slice(data), 5}, 28 + data.size()},
       {CompactionEndMsg{5, 9, 1, 2, tree, 6, {{11, 100}, {12, 200}, {13, 300}}}, 110},
@@ -457,6 +457,25 @@ TEST(PromotionTest, DeletesSurvivePromotion) {
       ASSERT_TRUE(got.ok()) << i;
     }
   }
+}
+
+TEST(PromotionTest, BackupRejectsL0BoundaryPastItsLog) {
+  auto cluster = MakeSendIndexCluster(1, SmallOptions());
+  SendIndexBackupRegion* backup = cluster.backups[0].get();
+  // Nothing is flushed yet: a boundary of one segment names a flush this
+  // replica never absorbed, and committing it would start promotion replay
+  // past the end of its log.
+  EXPECT_EQ(backup
+                ->Handle(CompactionBeginMsg{
+                    .compaction_id = 1, .src_level = 0, .dst_level = 1, .l0_boundary = 1})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(backup->active_streams(), 0u);
+  EXPECT_TRUE(backup
+                  ->Handle(CompactionBeginMsg{
+                      .compaction_id = 1, .src_level = 0, .dst_level = 1, .l0_boundary = 0})
+                  .ok());
+  EXPECT_EQ(backup->active_streams(), 1u);
 }
 
 TEST(PromotionTest, HalfShippedCompactionIsAborted) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/common/crc32.h"
+#include "src/common/random.h"
 #include "src/lsm/kv_store.h"
 #include "src/net/worker_pool.h"
 #include "src/replication/local_backup_channel.h"
@@ -513,6 +514,96 @@ TEST(ShippingStreamsTest, MidShipFailureDetachesOnlyThatReplica) {
     ASSERT_TRUE(backup_value.ok()) << Key(i) << ": " << backup_value.status().ToString();
     EXPECT_EQ(*primary_value, *backup_value);
   }
+}
+
+// --- the seal-time L0 boundary travels with the begin -----------------------
+//
+// The primary seals its tail on the writer thread, but the L0 job's begin
+// leaves later, from the pool. With the only worker held busy, the writer
+// flushes another tail segment between the seal and the begin; that
+// segment's records belong to the next memtable, not to the new L1. The
+// backup must keep them in its unindexed suffix (replay starts at the
+// primary's seal-time boundary, not at the count it sees on arrival), or
+// they vanish from its reads until the next L0 compaction commits.
+TEST(ShippingStreamsTest, SealTimeL0BoundaryKeepsPostSealFlushesReadable) {
+  Random rng(18);
+  Fabric fabric;
+  auto primary_device = MakeDevice();
+  auto backup_device = MakeDevice();
+  WorkerPool pool(1);
+  pool.Start();
+  KvStoreOptions opts;
+  opts.l0_max_entries = 64;
+  // Declared before the primary so it outlives the primary's final drain.
+  auto buffer = fabric.RegisterBuffer("backup0", "primary0", kSegmentSize);
+  auto backup_or = SendIndexBackupRegion::Create(backup_device.get(), opts, buffer);
+  ASSERT_TRUE(backup_or.ok());
+  auto backup = std::move(*backup_or);
+  opts.compaction_pool = &pool;
+  auto primary_or = PrimaryRegion::Create(primary_device.get(), opts, ReplicationMode::kSendIndex);
+  ASSERT_TRUE(primary_or.ok());
+  auto primary = std::move(*primary_or);
+  primary->AddBackup(
+      std::make_unique<LocalBackupChannel>(&fabric, "primary0", buffer, backup.get()));
+
+  // Occupies the only worker so the sealed L0 job queues behind it. The gate
+  // also opens on scope exit, so a failed assertion cannot leave the
+  // primary's final drain waiting on a held worker.
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+    void Open() {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        open = true;
+      }
+      cv.notify_all();
+    }
+  };
+  auto gate = std::make_shared<Gate>();
+  struct OpenOnExit {
+    std::shared_ptr<Gate> gate;
+    ~OpenOnExit() { gate->Open(); }
+  } open_on_exit{gate};
+  pool.DispatchLongRunning([gate] {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    gate->cv.wait(lock, [&gate] { return gate->open; });
+  });
+
+  ValueLog* log = primary->store()->value_log();
+  std::vector<std::string> values;
+  auto put = [&]() {
+    const int i = static_cast<int>(values.size());
+    values.push_back(rng.Bytes(rng.UniformRange(1500, 2500)));
+    return primary->Put(Key(i), values.back());
+  };
+  // The put that fills L0 seals it; its boundary is the flushed count then.
+  for (uint64_t i = 0; i < opts.l0_max_entries; ++i) {
+    ASSERT_TRUE(put().ok());
+  }
+  const size_t boundary = log->flushed_segment_count();
+  // Write until one more tail segment flushes, plus a few records that stay
+  // in the tail; all of them land in the next memtable.
+  while (log->flushed_segment_count() == boundary) {
+    ASSERT_TRUE(put().ok());
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(put().ok());
+  }
+  ASSERT_LT(values.size(), 2 * opts.l0_max_entries) << "a second seal would stall the writer";
+
+  gate->Open();
+  ASSERT_TRUE(primary->store()->WaitForBackgroundWork().ok());
+  EXPECT_EQ(primary->store()->stats().compactions, 1u);
+  EXPECT_EQ(backup->replay_from(), boundary);
+  for (size_t i = 0; i < values.size(); ++i) {
+    auto got = backup->Get(Key(static_cast<int>(i)), 0, 0, nullptr);
+    ASSERT_TRUE(got.ok()) << Key(static_cast<int>(i)) << ": " << got.status().ToString();
+    EXPECT_EQ(*got, values[i]);
+  }
+  primary.reset();
+  pool.Stop();
 }
 
 // --- promotion aborts every half-shipped stream -----------------------------

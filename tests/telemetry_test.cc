@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/cluster/client.h"
@@ -213,6 +214,58 @@ TEST(SimClusterTelemetryTest, RegistryTotalsMatchLegacyStructsUnderConcurrentStr
   // The primary engines' put counters carry the whole workload, once.
   EXPECT_EQ(snap.Sum("kv.puts", "role", "primary"), static_cast<uint64_t>(kPuts));
 }
+
+// --- CPU attribution: every timer the Table 3 peel subtracts nests ------------
+//
+// bench_table3_breakdown turns inclusive CPU timers into exclusive buckets by
+// subtracting each nested timer from the one that contains it. That is only
+// sound if the nesting holds: on in-process channels, log replication runs
+// inside the primary's insert timer (appends and every tail flush, the seal's
+// included), index shipping inside the primary's compaction timer, and a
+// Build-Index backup's compactions inside its replay timer. Checked with
+// compactions inline (no pool) and on a one-worker pool.
+class CpuAttributionTest
+    : public ::testing::TestWithParam<std::tuple<ReplicationMode, int>> {};
+
+TEST_P(CpuAttributionTest, EveryPeeledTimerNestsInItsParent) {
+  const auto [mode, workers] = GetParam();
+  SimClusterOptions options = SmallClusterOptions(/*regions=*/2, workers);
+  options.mode = mode;
+  options.replication_factor = 2;
+  auto cluster_or = SimCluster::Create(options);
+  ASSERT_TRUE(cluster_or.ok()) << cluster_or.status().ToString();
+  auto cluster = std::move(*cluster_or);
+  const std::string value(200, 'v');
+  for (int i = 0; i < 4000; ++i) {
+    ASSERT_TRUE(cluster->Put(Key(i * 7919 % 100000), value).ok());
+  }
+  ASSERT_TRUE(cluster->FlushAll().ok());
+
+  const ClusterCpuBreakdown cpu = cluster->CpuBreakdown();
+  EXPECT_GT(cpu.log_replication_ns, 0u);
+  EXPECT_GE(cpu.insert_l0_ns, cpu.log_replication_ns)
+      << "kv.insert_l0_cpu_ns{primary} < repl.log_replication_cpu_ns";
+  EXPECT_GE(cpu.compaction_ns, cpu.send_index_ns)
+      << "kv.compaction_cpu_ns{primary} < repl.send_index_cpu_ns";
+  EXPECT_GE(cpu.backup_insert_ns, cpu.backup_compaction_ns)
+      << "backup.insert_cpu_ns < kv.compaction_cpu_ns{backup}";
+  if (mode == ReplicationMode::kSendIndex) {
+    EXPECT_GT(cpu.send_index_ns, 0u);
+  } else {
+    EXPECT_GT(cpu.backup_compaction_ns, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndPools, CpuAttributionTest,
+    ::testing::Combine(::testing::Values(ReplicationMode::kSendIndex,
+                                         ReplicationMode::kBuildIndex),
+                       ::testing::Values(0, 1)),
+    [](const ::testing::TestParamInfo<CpuAttributionTest::ParamType>& info) {
+      const bool send = std::get<0>(info.param) == ReplicationMode::kSendIndex;
+      return std::string(send ? "SendIndex" : "BuildIndex") +
+             (std::get<1>(info.param) == 0 ? "Inline" : "Pool");
+    });
 
 TEST(SimClusterTelemetryTest, TraceIdPropagatesFromPrimaryToBothBackups) {
   auto cluster_or = SimCluster::Create(SmallClusterOptions(/*regions=*/1, /*workers=*/0));

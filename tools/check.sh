@@ -66,6 +66,14 @@ if [[ $run_tsan -eq 1 ]]; then
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ctest --test-dir build-tsan -R WorkerPoolTest --no-tests=error --output-on-failure \
     --repeat until-fail:20
+  # A Send-Index backup once took its L0 replay boundary from its own
+  # flushed-segment count when the compaction begin arrived, so records the
+  # writer flushed between the seal and the begin vanished from its reads;
+  # rerun the reproduction (worker held busy across a post-seal flush).
+  echo "== tier-1 pass 2/3: ThreadSanitizer build, seal-time L0 boundary rerun =="
+  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    ctest --test-dir build-tsan -R SealTimeL0BoundaryKeepsPostSealFlushesReadable \
+    --no-tests=error --output-on-failure --repeat until-fail:20
 fi
 
 if [[ $run_chaos -eq 1 ]]; then
