@@ -152,7 +152,9 @@ void BM_BTreeLookup(benchmark::State& state) {
   }
   auto tree = builder.Finish();
   BTreeReader reader(device.get(), nullptr, kDefaultNodeSize, *tree, IoClass::kLookup);
-  FullKeyLoader loader = [&](uint64_t off) -> StatusOr<std::string> { return stored.at(off); };
+  FullKeyLoader loader = [&](uint64_t off, size_t) -> StatusOr<std::string> {
+    return stored.at(off);
+  };
   Random rng(1);
   for (auto _ : state) {
     const std::string key = Key(rng.Uniform(n));

@@ -1,4 +1,4 @@
-// Metrics federation (PR 10): the master-side scrape fan-out. A ClusterScraper
+// Metrics federation: the master-side scrape fan-out. A ClusterScraper
 // owns the node list and a fetch function (in production: the kStatsScrape RPC
 // with the binary format byte; in tests: any stand-in), pulls every node's
 // structured scrape, and merges the snapshots into one cluster document —

@@ -12,7 +12,7 @@
 
 namespace tebis {
 
-// Trailing request-trace field (PR 10). Requests append
+// Trailing request-trace field. Requests append
 // [u8 kTraceFieldTag][u64 trace id] after their fixed fields only when the op
 // is sampled, so unsampled frames stay byte-identical to the seed format
 // (decoders always tolerated trailing bytes; kKvBatch's strict check parses
@@ -46,7 +46,7 @@ Status DecodeScanReply(Slice payload, std::vector<KvPair>* pairs);
 std::string EncodeTruncatedReply(uint64_t needed_payload_bytes);
 Status DecodeTruncatedReply(Slice payload, uint64_t* needed_payload_bytes);
 
-// Read-replica requests (PR 6) carry a read fence: the serving replica must
+// Read-replica requests carry a read fence: the serving replica must
 // have committed at least {min_epoch, min_seq} or reject the read with
 // FailedPrecondition — the read-path twin of stale-write fencing.
 std::string EncodeReplicaGetRequest(Slice key, uint64_t min_epoch, uint64_t min_seq);
@@ -72,7 +72,7 @@ Status DecodeReplicaScanReply(Slice payload, std::vector<KvPair>* pairs,
 std::string EncodeCommitToken(uint64_t epoch, uint64_t seq);
 Status DecodeCommitToken(Slice payload, uint64_t* epoch, uint64_t* seq);
 
-// Write-path group commit (PR 9): a kKvBatch frame carries N puts/deletes the
+// Write-path group commit: a kKvBatch frame carries N puts/deletes the
 // client coalesced for one destination (server, region); the server applies
 // them as one group commit and answers one status per op plus the commit
 // token the *group* reached. Clients running batch_size=1 never emit this

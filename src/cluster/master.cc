@@ -251,7 +251,7 @@ Status Master::HandleBackupFailure(RegionMap* map, uint32_t region_id,
   // it out should it come back with stale state.
   (void)primary->DetachBackup(region_id, failed, epoch);
   std::erase(region->backups, failed);
-  // Revoke the read lease (PR 6) with the detach: clients must stop routing
+  // Revoke the read lease with the detach: clients must stop routing
   // reads to a replica the primary no longer replicates to.
   std::erase(region->read_leases, failed);
   // Replace the failed backup with a fresh node and transfer the region data
@@ -286,7 +286,7 @@ Status Master::HandleBackupFailure(RegionMap* map, uint32_t region_id,
     if (s.ok()) {
       region->backups.push_back(*replacement);
       // The full sync completed, so the replacement is caught up: grant its
-      // read lease (PR 6) in the same map push that announces it.
+      // read lease in the same map push that announces it.
       region->read_leases.push_back(*replacement);
       region->epoch = epoch;
       return Status::Ok();
@@ -368,7 +368,7 @@ Status Master::ExecutePrimaryFailover(RegionMap* map, uint32_t region_id,
       region->backups.end()) {
     region->backups.push_back(failed);  // now a (failed) backup slot: handled next
   }
-  // Leases (PR 6): the promoted server is the primary now, and the failed
+  // Leases: the promoted server is the primary now, and the failed
   // server must never serve reads again; surviving backups re-attached above
   // kept their state and stay leased.
   std::erase(region->read_leases, promoted);
@@ -470,7 +470,7 @@ void Master::ReconcileDetachRecords() {
     std::string backup_name;
     uint64_t detach_epoch = 0;
     std::string primary_name;
-    uint32_t stream = 0;  // shipping stream that struck out (PR 4)
+    uint32_t stream = 0;  // shipping stream that struck out
     if (!r.U32(&region_id).ok() || !r.Bytes(&backup_name).ok() || !r.U64(&detach_epoch).ok() ||
         !r.Bytes(&primary_name).ok() || !r.U32(&stream).ok()) {
       (void)coordinator_->Delete(Coordinator::kNoSession, path);
@@ -656,7 +656,7 @@ Status Master::ExecuteMovePrimary(RegionMap* map, uint32_t region_id,
       std::find(region->backups.begin(), region->backups.end(), old_primary) ==
           region->backups.end()) {
     region->backups.push_back(old_primary);
-    // Leased immediately (PR 6): whether it demoted cleanly or was rebuilt
+    // Leased immediately: whether it demoted cleanly or was rebuilt
     // with a full sync, the old primary holds the complete region state.
     region->read_leases.push_back(old_primary);
   }
@@ -674,7 +674,7 @@ void Master::Fail() {
   coordinator_->ExpireSession(session_);
 }
 
-// --- metrics federation (PR 10) --------------------------------------------
+// --- metrics federation --------------------------------------------
 
 void Master::set_scrape_fetcher(ClusterScraper::FetchFn fetch) {
   std::lock_guard<std::recursive_mutex> lock(mutex_);

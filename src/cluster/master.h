@@ -62,7 +62,7 @@ class Master {
 
   const std::string& name() const { return name_; }
 
-  // --- metrics federation (PR 10) ---
+  // --- metrics federation ---
 
   // Leader-only: one synchronous scrape fan-out round over every directory
   // server's kStatsScrape RPC (binary format). Builds the scraper on first
@@ -148,7 +148,7 @@ class Master {
   std::shared_ptr<const RegionMap> map_;
   std::function<void()> recheck_;
   StepHook step_hook_;
-  // Metrics federation (PR 10). scraper_ is built on first use and survives
+  // Metrics federation. scraper_ is built on first use and survives
   // DisableClusterScrape so the last federated state stays readable.
   std::unique_ptr<ClusterScraper> scraper_;
   ClusterScraper::FetchFn scrape_fetch_;  // null = FetchNodeScrape

@@ -26,7 +26,7 @@ struct RegionInfo {
   // promotion/attach/detach; stamped into replication traffic so stale
   // primaries are fenced.
   uint64_t epoch = 1;
-  // Backups the master currently allows to serve reads (PR 6). A lease is
+  // Backups the master currently allows to serve reads. A lease is
   // revoked before a backup is detached or enters full-sync, and re-granted
   // only once the replica is caught up, so clients never pick a degraded
   // replica. Subset of `backups`.

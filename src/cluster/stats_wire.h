@@ -1,4 +1,4 @@
-// Binary node-scrape encoding for metrics federation (PR 10). The master's
+// Binary node-scrape encoding for metrics federation. The master's
 // scrape fan-out needs the *structured* per-node snapshot — counters to sum,
 // gauges to label, histograms to merge bucket-wise, exemplars and slow-op
 // records to carry through — and the repo has no C++ JSON parser, so the

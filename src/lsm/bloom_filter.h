@@ -1,4 +1,4 @@
-// Per-level bloom filter blocks (PR 7). A filter is built once, during the
+// Per-level bloom filter blocks. A filter is built once, during the
 // compaction that produces a level's B+ tree, and carries two fingerprint
 // domains in one bit array:
 //

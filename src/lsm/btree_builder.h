@@ -20,7 +20,7 @@
 
 namespace tebis {
 
-// Integrity fingerprint of one index segment (PR 8): CRC32C over the used
+// Integrity fingerprint of one index segment: CRC32C over the used
 // prefix exactly as the builder wrote it in one large device write.
 struct SegmentChecksum {
   uint32_t crc = 0;
@@ -38,13 +38,13 @@ struct BuiltTree {
   uint64_t num_entries = 0;
   std::vector<SegmentId> segments;
   uint64_t bytes_written = 0;
-  // Serialized bloom filter block (PR 7), or null for trees built without
+  // Serialized bloom filter block, or null for trees built without
   // filters (filter-less configurations, shipped trees whose filter message
   // never arrived). Shared immutable bytes: the tree is copied by value
   // through publication, checkpointing, shipping and promotion, and the
   // filter must travel with every copy.
   std::shared_ptr<const std::string> filter;
-  // Parallel to `segments` (PR 8): per-segment checksums in the same device
+  // Parallel to `segments`: per-segment checksums in the same device
   // space as the offsets in `segments`. Empty = unchecksummed (trees
   // assembled without checksums); read-path verification then degrades to the
   // structural node checks.

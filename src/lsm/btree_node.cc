@@ -37,7 +37,7 @@ StatusOr<int> LeafNodeView::CompareTied(const LeafEntry& e, Slice key,
     }
     return e.key_size < key.size() ? -1 : 1;
   }
-  TEBIS_ASSIGN_OR_RETURN(std::string stored, full_key(e.log_offset));
+  TEBIS_ASSIGN_OR_RETURN(std::string stored, full_key(e.log_offset, e.key_size));
   return Slice(stored).Compare(key);
 }
 

@@ -17,8 +17,9 @@ namespace tebis {
 using OffsetTranslator = std::function<StatusOr<uint64_t>(uint64_t)>;
 
 // Loads the full key stored at a value-log offset (needed when a leaf prefix
-// ties with the probe key).
-using FullKeyLoader = std::function<StatusOr<std::string>(uint64_t log_offset)>;
+// ties with the probe key). `key_size` is the size the leaf entry records, so
+// the loader reads header + key in one I/O.
+using FullKeyLoader = std::function<StatusOr<std::string>(uint64_t log_offset, size_t key_size)>;
 
 // --- leaf nodes ---------------------------------------------------------------
 

@@ -35,19 +35,20 @@ Status MemtableMergeSource::Next() {
 
 LevelMergeSource::LevelMergeSource(BlockDevice* device, size_t node_size, const BuiltTree& tree,
                                    const ValueLog* log, SegmentVerifier* verifier,
-                                   IoClass io_class)
-    : reader_(device, /*cache=*/nullptr, node_size, tree, io_class, verifier),
+                                   PageCache* cache, IoClass io_class)
+    : reader_(device, cache, node_size, tree, io_class, verifier),
       it_(&reader_),
-      log_(log) {}
+      log_(log),
+      cache_(cache),
+      io_class_(io_class) {}
 
 Status LevelMergeSource::Init(Slice start) {
   if (start.empty()) {
     TEBIS_RETURN_IF_ERROR(it_.SeekToFirst());
   } else {
-    FullKeyLoader loader = [this](uint64_t off) -> StatusOr<std::string> {
+    FullKeyLoader loader = [this](uint64_t off, size_t key_size) -> StatusOr<std::string> {
       std::string key;
-      TEBIS_RETURN_IF_ERROR(
-          log_->ReadKey(off, &key, nullptr, /*cache=*/nullptr, IoClass::kCompactionRead));
+      TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, key_size, &key, nullptr, cache_, io_class_));
       return key;
     };
     TEBIS_RETURN_IF_ERROR(it_.Seek(start, loader));
@@ -65,9 +66,8 @@ Status LevelMergeSource::Load() {
   // Merging needs total key order, so the full key (and the tombstone flag)
   // comes from the log — read amplification the paper attributes to
   // compaction.
-  TEBIS_RETURN_IF_ERROR(log_->ReadKey(e.log_offset, &entry_.key, &entry_.tombstone,
-                                      /*cache=*/nullptr, IoClass::kCompactionRead));
-  return Status::Ok();
+  return log_->ReadKey(e.log_offset, e.key_size, &entry_.key, &entry_.tombstone, cache_,
+                       io_class_);
 }
 
 Status LevelMergeSource::Next() {

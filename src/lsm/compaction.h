@@ -50,16 +50,21 @@ class MemtableMergeSource : public MergeSource {
   bool valid_ = false;
 };
 
-// Streams a device level. Reads leaves/index nodes and the full key of every
-// entry from the value log with direct I/O (IoClass::kCompactionRead) — this
-// is precisely the read traffic Send-Index removes from backups.
+// Streams a device level: its leaves and index nodes, plus the full key of
+// every entry from the value log. Each key fetch is one read of the record's
+// header + key, sized by the key length the leaf entry records. Compaction
+// reads with a null cache as IoClass::kCompactionRead (direct I/O) — precisely
+// the read traffic Send-Index removes from backups; scans read through the
+// page cache (when the store has one) as IoClass::kLookup.
 class LevelMergeSource : public MergeSource {
  public:
   // `verifier`, when set, checks every node's segment CRC before the node is
-  // trusted (PR 8: scans and compaction reads refuse quarantined segments).
+  // trusted, so scans and compaction reads refuse quarantined segments.
+  // `cache` may be null (direct reads); every node and key read is accounted
+  // as `io_class`.
   LevelMergeSource(BlockDevice* device, size_t node_size, const BuiltTree& tree,
-                   const ValueLog* log, SegmentVerifier* verifier = nullptr,
-                   IoClass io_class = IoClass::kCompactionRead);
+                   const ValueLog* log, SegmentVerifier* verifier, PageCache* cache,
+                   IoClass io_class);
   // Positions at the first key >= `start` (whole level when `start` is empty).
   Status Init(Slice start = Slice());
 
@@ -72,12 +77,14 @@ class LevelMergeSource : public MergeSource {
   BTreeReader reader_;
   BTreeIterator it_;
   const ValueLog* log_;
+  PageCache* const cache_;
+  const IoClass io_class_;
   MergeEntry entry_;
   bool valid_ = false;
 };
 
 // Per-stage wall-clock split of one merge pass, for the compaction pipeline
-// breakdown (PR 2): `merge_ns` covers picking winners and advancing sources
+// breakdown: `merge_ns` covers picking winners and advancing sources
 // (including their log/level reads); `build_ns` covers feeding the builder.
 struct MergeStageTiming {
   uint64_t merge_ns = 0;

@@ -21,7 +21,10 @@
 // prefix ties with the probe: a key of at most kPrefixSize bytes is decided
 // by its size, and a longer key is loaded from the value log only for an
 // entry whose size and tag both match. So, barring tag collisions, a
-// searched leaf costs one full-key read for a hit and none for a miss.
+// searched leaf costs one full-key read for a hit and none for a miss. A
+// full-key read is one read of the record's header + key, sized by the
+// entry's key_size; a header that disagrees with it is corruption. Merges
+// and scans fetch every entry's key the same way: one read per entry.
 #ifndef TEBIS_LSM_FORMAT_H_
 #define TEBIS_LSM_FORMAT_H_
 

@@ -290,9 +290,10 @@ KvStore::ReadSnapshot KvStore::TakeReadSnapshot() const {
 }
 
 FullKeyLoader KvStore::LookupKeyLoader() {
-  return [this](uint64_t off) -> StatusOr<std::string> {
+  return [this](uint64_t off, size_t key_size) -> StatusOr<std::string> {
     std::string key;
-    TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, &key, nullptr, cache_.get(), IoClass::kLookup));
+    TEBIS_RETURN_IF_ERROR(
+        log_->ReadKey(off, key_size, &key, nullptr, cache_.get(), IoClass::kLookup));
     return key;
   };
 }
@@ -773,13 +774,15 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
     sources.push_back(mem_src.get());
   } else if (src_ref != nullptr && !src_ref->tree.empty()) {
     src_src = std::make_unique<LevelMergeSource>(device_, options_.node_size, src_ref->tree,
-                                                 log_.get(), src_ref->verifier.get());
+                                                 log_.get(), src_ref->verifier.get(),
+                                                 /*cache=*/nullptr, IoClass::kCompactionRead);
     TEBIS_RETURN_IF_ERROR(src_src->Init());
     sources.push_back(src_src.get());
   }
   if (!dst_ref->tree.empty()) {
     dst_src = std::make_unique<LevelMergeSource>(device_, options_.node_size, dst_ref->tree,
-                                                 log_.get(), dst_ref->verifier.get());
+                                                 log_.get(), dst_ref->verifier.get(),
+                                                 /*cache=*/nullptr, IoClass::kCompactionRead);
     TEBIS_RETURN_IF_ERROR(dst_src->Init());
     sources.push_back(dst_src.get());
   }
@@ -1015,7 +1018,8 @@ StatusOr<std::vector<KvPair>> KvStore::Scan(Slice start, size_t limit) {
       continue;
     }
     auto src = std::make_unique<LevelMergeSource>(device_, options_.node_size, tree, log_.get(),
-                                                  snap.levels[i]->verifier.get());
+                                                  snap.levels[i]->verifier.get(), cache_.get(),
+                                                  IoClass::kLookup);
     TEBIS_RETURN_IF_ERROR(src->Init(start));
     owned.push_back(std::move(src));
   }
@@ -1083,7 +1087,8 @@ StatusOr<std::vector<KvPair>> KvStore::ScanPrefix(Slice prefix, size_t limit) {
       }
     }
     auto src = std::make_unique<LevelMergeSource>(device_, options_.node_size, tree, log_.get(),
-                                                  snap.levels[i]->verifier.get());
+                                                  snap.levels[i]->verifier.get(), cache_.get(),
+                                                  IoClass::kLookup);
     TEBIS_RETURN_IF_ERROR(src->Init(prefix));
     owned.push_back(std::move(src));
   }

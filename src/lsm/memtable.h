@@ -3,7 +3,7 @@
 // Send-Index backups do NOT keep one (paper §3.3), which is where the memory
 // savings come from.
 //
-// Concurrency contract (PR 2 threading model, see DESIGN.md): at most one
+// Concurrency contract (threading model, see DESIGN.md): at most one
 // writer at a time (the engine serializes Puts), any number of concurrent
 // readers without locks. Nodes are published with release stores and read
 // with acquire loads; node keys are immutable and locations are updated in
@@ -41,7 +41,7 @@ class Memtable {
   // Inserts or overwrites the location of `key`. Single writer only.
   void Put(Slice key, ValueLocation location);
 
-  // Group-commit insert (PR 9): applies `count` entries in order (later
+  // Group-commit insert: applies `count` entries in order (later
   // duplicates win, same as repeated Put). When consecutive keys land
   // adjacently in the skiplist — sorted client batches, sequential loads —
   // the splice position is reused instead of re-searching from the head.

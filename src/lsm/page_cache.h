@@ -2,9 +2,9 @@
 // memory-mapped I/O cache. Lookups and scans read through it; compactions use
 // "direct I/O" (they bypass the cache entirely, paper §2).
 //
-// PR 2: the cache is striped into N independent shards (per-shard mutex, LRU
+// The cache is striped into N independent shards (per-shard mutex, LRU
 // list, and hash map) keyed by page number, so concurrent Gets on different
-// pages no longer serialize on one global lock. Hit/miss counters are atomics
+// pages do not serialize on one global lock. Hit/miss counters are atomics
 // and are mirrored into the device's IoStats so cache efficiency shows up in
 // the same place as the traffic it saves.
 #ifndef TEBIS_LSM_PAGE_CACHE_H_
@@ -52,8 +52,8 @@ class PageCache {
   static constexpr uint32_t kDefaultShards = 8;
   static constexpr uint64_t kMinPagesPerShard = 8;
 
-  // Shard-count request for a server hosting `stores` engines on one device
-  // (PR 4): a fixed budget of shard locks is split across the stores — a
+  // Shard-count request for a server hosting `stores` engines on one
+  // device: a fixed budget of shard locks is split across the stores — a
   // dedicated server gives its single store more stripes than the standalone
   // default, while a many-region server backs off so the total lock count
   // (and per-shard LRU granularity) stays bounded. Standalone KvStores keep

@@ -1,4 +1,4 @@
-// Read-path integrity verification for one published level (PR 8).
+// Read-path integrity verification for one published level.
 //
 // A verifier wraps the per-segment CRC32C fingerprints a BTreeBuilder
 // recorded when it wrote the level and checks the on-device bytes against

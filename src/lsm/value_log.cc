@@ -336,61 +336,62 @@ Status ValueLog::ReadRecord(uint64_t offset, LogRecord* out, PageCache* cache,
   return Status::Ok();
 }
 
-Status ValueLog::ReadKey(uint64_t offset, std::string* key, bool* tombstone, PageCache* cache,
-                         IoClass io_class) const {
+Status ValueLog::ReadKey(uint64_t offset, size_t key_size, std::string* key, bool* tombstone,
+                         PageCache* cache, IoClass io_class) const {
   const SegmentGeometry& geometry = device_->geometry();
   const SegmentId segment = geometry.SegmentOf(offset);
   const uint64_t in_segment = geometry.OffsetInSegment(offset);
-
+  auto where = [&] { return " on device " + device_->name() + " @" + std::to_string(offset); };
+  if (key_size == 0 || key_size > kMaxKeySize) {
+    return Status::Corruption("bad index key size " + std::to_string(key_size) + where());
+  }
+  // Header + key, sized by the index entry: one read, never two.
+  const size_t n = kLogRecordHeaderSize + key_size;
+  char buf[kLogRecordHeaderSize + kMaxKeySize];
+  bool from_tail = false;
   {
     std::lock_guard<std::mutex> lock(tail_mutex_);
     const char* tail_ptr = nullptr;
+    uint64_t available = 0;
     if (segment == tail_segment_) {
       if (in_segment >= tail_used_) {
         return Status::OutOfRange("offset past log tail");
       }
       tail_ptr = tail_buffer_.get() + in_segment;
+      available = tail_used_ - in_segment;
     } else if (segment == large_tail_segment_ && large_tail_buffer_ != nullptr) {
       if (in_segment >= large_tail_used_) {
         return Status::OutOfRange("offset past large-value log tail");
       }
       tail_ptr = large_tail_buffer_.get() + in_segment;
+      available = large_tail_used_ - in_segment;
     }
     if (tail_ptr != nullptr) {
-      const uint32_t key_size = DecodeU32(tail_ptr);
-      if (key_size == 0 || key_size > kMaxKeySize) {
-        return Status::Corruption("bad key size in tail record");
+      if (n > available) {
+        return Status::Corruption("record key overruns log tail" + where());
       }
-      key->assign(tail_ptr + kLogRecordHeaderSize, key_size);
-      if (tombstone != nullptr) {
-        *tombstone = (tail_ptr[8] & kRecordFlagTombstone) != 0;
-      }
-      return Status::Ok();
+      memcpy(buf, tail_ptr, n);
+      from_tail = true;
     }
   }
-
-  auto read = [&](uint64_t off, size_t n, char* dst) -> Status {
-    if (cache != nullptr) {
-      return cache->Read(off, n, dst, io_class);
+  if (!from_tail) {
+    if (n > geometry.segment_size() - in_segment) {
+      return Status::Corruption("record key overruns segment" + where());
     }
-    return device_->Read(off, n, dst, io_class);
-  };
-  char header[kLogRecordHeaderSize];
-  TEBIS_RETURN_IF_ERROR(read(offset, kLogRecordHeaderSize, header));
-  const uint32_t key_size = DecodeU32(header);
-  if (key_size == 0 || key_size == kPadMarker || key_size > kMaxKeySize) {
-    return Status::Corruption("bad key size in log record");
+    TEBIS_RETURN_IF_ERROR(cache != nullptr ? cache->Read(offset, n, buf, io_class)
+                                           : device_->Read(offset, n, buf, io_class));
   }
-  if (kLogRecordHeaderSize + static_cast<uint64_t>(key_size) >
-      geometry.segment_size() - in_segment) {
-    return Status::Corruption("record key overruns segment at offset " +
-                              std::to_string(offset));
+  const uint32_t stored_size = DecodeU32(buf);
+  if (stored_size != key_size) {
+    return Status::Corruption("log record key size " + std::to_string(stored_size) +
+                              " disagrees with index entry's " + std::to_string(key_size) +
+                              where());
   }
+  key->assign(buf + kLogRecordHeaderSize, key_size);
   if (tombstone != nullptr) {
-    *tombstone = (header[8] & kRecordFlagTombstone) != 0;
+    *tombstone = (buf[8] & kRecordFlagTombstone) != 0;
   }
-  key->resize(key_size);
-  return read(offset + kLogRecordHeaderSize, key_size, key->data());
+  return Status::Ok();
 }
 
 Status ValueLog::TrimHead(size_t n) {

@@ -117,9 +117,11 @@ class ValueLog {
   Status ReadRecord(uint64_t offset, LogRecord* out, PageCache* cache, IoClass io_class) const;
 
   // Reads only the key (and tombstone flag) of the record at `offset` — used
-  // by compaction merges, which never need the value.
-  Status ReadKey(uint64_t offset, std::string* key, bool* tombstone, PageCache* cache,
-                 IoClass io_class) const;
+  // by compaction merges and tied leaf searches, which never need the value.
+  // `key_size` is the size the leaf entry records, so header + key arrive in
+  // one read; a record header that disagrees with it is kCorruption.
+  Status ReadKey(uint64_t offset, size_t key_size, std::string* key, bool* tombstone,
+                 PageCache* cache, IoClass io_class) const;
 
   SegmentId tail_segment() const {
     std::lock_guard<std::mutex> lock(tail_mutex_);

@@ -54,7 +54,7 @@ class RegisteredBuffer {
   // memcpy — the simulation analogue of revoking a deposed primary's memory
   // registration so its in-flight RDMA writes complete with an error.
   //
-  // `trace` (PR 10): the request trace id of the sampled op whose doorbell
+  // `trace`: the request trace id of the sampled op whose doorbell
   // produced this write, kNoTrace otherwise. A sampled write that lands
   // invokes the owner's commit listener after the critical section, which is
   // how the backup records its commit span under the client's trace id —
@@ -118,7 +118,7 @@ class RegisteredBuffer {
   // empty prefix; a 4-byte zero key_size terminates record iteration.
   void ZeroPrefix(size_t len);
 
-  // Ranged variants (PR 9): the replication buffer now carries two tail
+  // Ranged variants: the replication buffer carries two tail
   // mirrors — main at [0, segment) and large-value at [segment, 2*segment) —
   // so backups snapshot and scrub each region independently. Out-of-range
   // requests clamp to the buffer like the prefix forms.

@@ -1,5 +1,5 @@
 // Per-stream credit-based flow control over a backup's shared replication
-// buffer (PR 4). The primary ships index segments for several concurrent
+// buffer. The primary ships index segments for several concurrent
 // compaction streams through one connection budget; without per-stream
 // accounting a single stalled stream (slow backup apply, injected stall,
 // congested link) could queue enough bytes to starve every other stream of
@@ -9,7 +9,7 @@
 //
 // Acquire() blocks until credit is available or the timeout expires; a
 // timeout returns Unavailable, which feeds the caller's strike/detach policy
-// (PR 3) — flow-control starvation on one stream strikes that stream, not the
+// — flow-control starvation on one stream strikes that stream, not the
 // whole backup.
 #ifndef TEBIS_NET_FLOW_CONTROL_H_
 #define TEBIS_NET_FLOW_CONTROL_H_

@@ -50,26 +50,26 @@ enum class MessageType : uint16_t {
   // Recovery/full-sync: tells a backup where L0 replay starts (§3.5).
   kSetReplayStart,
   kSetReplayStartReply,
-  // Admin scrape (PR 5): server-wide telemetry (metrics snapshot + recent
+  // Admin scrape: server-wide telemetry (metrics snapshot + recent
   // pipeline spans) as JSON. Region-independent, like kGetRegionMap.
   kStatsScrape,
   kStatsScrapeReply,
-  // Read-replica serving (PR 6): gets/scans answered by a leased backup over
+  // Read-replica serving: gets/scans answered by a leased backup over
   // its shipped (or rebuilt) index, fenced by the region's committed epoch.
   kReplicaGet,
   kReplicaGetReply,
   kReplicaScan,
   kReplicaScanReply,
-  // Shipped bloom filters (PR 7): the level filter block a Send-Index
+  // Shipped bloom filters: the level filter block a Send-Index
   // primary ships between the last index segment and CompactionEnd.
   kFilterBlock,
   kFilterBlockReply,
-  // Online repair (PR 8): a replica with a quarantined level re-fetches the
+  // Online repair: a replica with a quarantined level re-fetches the
   // good verbatim segment bytes from any peer at the same epoch. kRepairFetch
   // is the request; kRepairSegment is its reply, carrying the bytes.
   kRepairFetch,
   kRepairSegment,
-  // Write-path group commit (PR 9): one frame carrying N put/delete ops; the
+  // Write-path group commit: one frame carrying N put/delete ops; the
   // reply carries one status per op plus the commit token of the group.
   kKvBatch,
   kKvBatchReply,

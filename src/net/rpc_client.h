@@ -40,7 +40,7 @@ struct RpcRetryPolicy {
 };
 
 // View over the client's "net.rpc_*" registry instruments; returned by value
-// so a reader never races the caller thread mutating them (PR 5).
+// so a reader never races the caller thread mutating them.
 struct RpcClientStats {
   uint64_t calls = 0;           // Call() invocations
   uint64_t attempts = 0;        // send attempts across all calls

@@ -38,7 +38,7 @@ class WorkerPool {
   // threads).
   void Dispatch(Task task);
 
-  // Dispatches a long-running task (e.g. a background compaction, PR 2).
+  // Dispatches a long-running task (e.g. a background compaction).
   // Prefers an idle worker with no other long task queued, so compactions do
   // not serialize behind each other; short Dispatch() traffic in turn avoids
   // workers occupied by a long task while any other running worker has room.

@@ -112,7 +112,7 @@ Status BuildIndexBackupRegion::HandleLogFlush(SegmentId primary_segment, uint64_
     return Status::Ok();
   }
   const uint64_t seg_size = device_->segment_size();
-  // The large-value tail mirrors into the second half of the buffer (PR 9).
+  // The large-value tail mirrors into the second half of the buffer.
   const uint64_t half = family == kLargeLogFamily ? seg_size : 0;
   if (rdma_buffer_->size() < half + seg_size) {
     // Not FailedPrecondition: that code means "you are deposed" on this wire.
@@ -153,7 +153,7 @@ Status BuildIndexBackupRegion::HandleLogFlush(SegmentId primary_segment, uint64_
   return status;
 }
 
-// --- replica read path (PR 6) ----------------------------------------------------
+// --- replica read path ----------------------------------------------------
 
 uint64_t BuildIndexBackupRegion::ParseBufferLocked(std::vector<LogRecord>* records) const {
   const uint64_t seg_size = device_->segment_size();
@@ -164,7 +164,7 @@ uint64_t BuildIndexBackupRegion::ParseBufferLocked(std::vector<LogRecord>* recor
                                             return Status::Ok();
                                           });
   (void)status;  // a corruption marks the end of valid data
-  // The large-value mirror (PR 9) lives in the second half of a 2x buffer.
+  // The large-value mirror lives in the second half of a 2x buffer.
   if (rdma_buffer_->size() >= 2 * seg_size) {
     const std::string large = rdma_buffer_->SnapshotRange(seg_size, seg_size);
     status = ValueLog::ForEachRecord(Slice(large), /*segment_base=*/0,
@@ -315,7 +315,7 @@ StatusOr<std::unique_ptr<KvStore>> BuildIndexBackupRegion::Promote(bool replay_r
     return Status::Ok();
   };
   TEBIS_RETURN_IF_ERROR(replay_half(Slice(rdma_buffer_->data(), seg_size)));
-  // The large-value mirror in the second half of a 2x buffer (PR 9).
+  // The large-value mirror in the second half of a 2x buffer.
   if (rdma_buffer_->size() >= 2 * seg_size) {
     TEBIS_RETURN_IF_ERROR(replay_half(Slice(rdma_buffer_->data() + seg_size, seg_size)));
   }

@@ -26,8 +26,8 @@ struct BuildIndexBackupStats {
   uint64_t records_inserted = 0;
   uint64_t log_flushes = 0;
   uint64_t epoch_rejected = 0;  // control messages fenced as stale (§3.5)
-  uint64_t replica_gets = 0;    // gets served from this replica (PR 6)
-  uint64_t replica_scans = 0;   // scans served from this replica (PR 6)
+  uint64_t replica_gets = 0;    // gets served from this replica
+  uint64_t replica_scans = 0;   // scans served from this replica
   uint64_t read_rejects_epoch = 0;  // reads fenced: replica epoch too old
   uint64_t read_rejects_seq = 0;    // reads fenced: commit seq behind fence
 };
@@ -54,7 +54,7 @@ class BuildIndexBackupRegion final : public BackupRegion {
   // compaction-plane messages and the replay start are acknowledged no-ops.
   Status Handle(const ReplicationMessage& msg) override;
 
-  // --- replica read path (PR 6), mirrors SendIndexBackupRegion ---
+  // --- replica read path, mirrors SendIndexBackupRegion ---
 
   // Serves a get/scan fenced by {min_epoch, min_seq}; rejected reads return
   // FailedPrecondition. Newest wins: RDMA buffer first, then the engine
@@ -131,7 +131,7 @@ class BuildIndexBackupRegion final : public BackupRegion {
   BlockDevice* const device_;
   const KvStoreOptions options_;
   std::unique_ptr<KvStore> store_;
-  // Serializes flush handling against replica reads (PR 6): the visible
+  // Serializes flush handling against replica reads: the visible
   // sequence must move in lock-step with record visibility in the engine, or
   // a reader could observe data newer than the sequence it reports. Control
   // handlers were single-threaded before reads existed, so this lock is new

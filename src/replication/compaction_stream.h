@@ -1,4 +1,4 @@
-// Multiplexed shipping streams (PR 4). The engine can run several
+// Multiplexed shipping streams. The engine can run several
 // compactions of one region concurrently as long as their level pairs are
 // disjoint (L0->L1 alongside L2->L3, ...). Each in-flight compaction is
 // assigned a small dense *stream id*; every control message it emits —

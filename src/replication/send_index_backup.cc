@@ -728,12 +728,16 @@ StatusOr<LogRecord> SendIndexBackupRegion::FindUnindexedLocked(Slice key) {
   return Status::NotFound();
 }
 
-StatusOr<std::string> SendIndexBackupRegion::GetFromLevelsLocked(Slice key) {
-  FullKeyLoader loader = [this](uint64_t off) -> StatusOr<std::string> {
+FullKeyLoader SendIndexBackupRegion::LevelKeyLoader() const {
+  return [this](uint64_t off, size_t key_size) -> StatusOr<std::string> {
     std::string k;
-    TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, &k, nullptr, nullptr, IoClass::kLookup));
+    TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, key_size, &k, nullptr, nullptr, IoClass::kLookup));
     return k;
   };
+}
+
+StatusOr<std::string> SendIndexBackupRegion::GetFromLevelsLocked(Slice key) {
+  FullKeyLoader loader = LevelKeyLoader();
   const uint64_t key_hash = KeyHash(key);
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
     if (levels_[i].empty()) {
@@ -861,7 +865,8 @@ StatusOr<std::vector<KvPair>> SendIndexBackupRegion::Scan(Slice start, size_t li
       continue;
     }
     auto src = std::make_unique<LevelMergeSource>(device_, options_.node_size, levels_[i],
-                                                  log_.get(), verifiers_[i].get());
+                                                  log_.get(), verifiers_[i].get(),
+                                                  /*cache=*/nullptr, IoClass::kLookup);
     TEBIS_RETURN_IF_ERROR(src->Init(start));
     sources.push_back(std::move(src));
   }
@@ -927,11 +932,7 @@ uint64_t SendIndexBackupRegion::visible_seq() const {
 }
 
 StatusOr<std::string> SendIndexBackupRegion::DebugGet(Slice key) {
-  FullKeyLoader loader = [this](uint64_t off) -> StatusOr<std::string> {
-    std::string k;
-    TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, &k, nullptr, nullptr, IoClass::kLookup));
-    return k;
-  };
+  FullKeyLoader loader = LevelKeyLoader();
   // Snapshot the level descriptors (and their verifiers — shared_ptr copies
   // keep them alive); flushed log data is immutable so the reads below are
   // safe without the lock.

@@ -325,6 +325,9 @@ class SendIndexBackupRegion final : public BackupRegion {
   StatusOr<LogRecord> FindUnindexedLocked(Slice key);
   // Lookup through the local device levels (top = newest).
   StatusOr<std::string> GetFromLevelsLocked(Slice key);
+  // Full-key loader for tied leaf searches: one direct kLookup read of a
+  // record's header + key. Flushed log data is immutable, so no lock needed.
+  FullKeyLoader LevelKeyLoader() const;
 
   BlockDevice* const device_;
   const KvStoreOptions options_;

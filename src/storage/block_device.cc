@@ -126,7 +126,7 @@ uint64_t BlockDevice::AllocatedSegments() const {
   return n;
 }
 
-Status BlockDevice::CheckRange(uint64_t device_offset, size_t n) const {
+StatusOr<char*> BlockDevice::CheckedSegmentBuffer(uint64_t device_offset, size_t n) const {
   const SegmentId segment = geometry_.SegmentOf(device_offset);
   if (n == 0) {
     return Status::InvalidArgument("zero-length transfer");
@@ -138,11 +138,10 @@ Status BlockDevice::CheckRange(uint64_t device_offset, size_t n) const {
   if (segment >= allocated_.size() || !allocated_[segment]) {
     return Status::InvalidArgument("I/O to unallocated segment " + std::to_string(segment));
   }
-  return Status::Ok();
+  return SegmentBufferLocked(segment);
 }
 
-char* BlockDevice::SegmentBuffer(SegmentId segment) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+char* BlockDevice::SegmentBufferLocked(SegmentId segment) const {
   auto& buf = segments_[segment];
   if (buf == nullptr) {
     buf = std::make_unique<char[]>(geometry_.segment_size());
@@ -209,7 +208,7 @@ uint64_t BlockDevice::AccountedBytes(size_t n) const {
 }
 
 Status BlockDevice::Write(uint64_t device_offset, Slice data, IoClass io_class) {
-  TEBIS_RETURN_IF_ERROR(CheckRange(device_offset, data.size()));
+  TEBIS_ASSIGN_OR_RETURN(char* buf, CheckedSegmentBuffer(device_offset, data.size()));
   size_t apply = data.size();
   if (fault_hook_ != nullptr) {
     const uint64_t seq = write_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -222,8 +221,6 @@ Status BlockDevice::Write(uint64_t device_offset, Slice data, IoClass io_class) 
     }
     apply = std::min(apply, decision.keep_bytes);
   }
-  const SegmentId segment = geometry_.SegmentOf(device_offset);
-  char* buf = SegmentBuffer(segment);
   memcpy(buf + geometry_.OffsetInSegment(device_offset), data.data(), apply);
   if (fd_ >= 0 && apply > 0) {
     ssize_t w = pwrite(fd_, data.data(), apply, static_cast<off_t>(device_offset));
@@ -246,13 +243,14 @@ Status BlockDevice::Write(uint64_t device_offset, Slice data, IoClass io_class) 
 void BlockDevice::ApplyBitFlips(const std::vector<BlockDeviceFaultHook::BitFlip>& flips) const {
   for (const auto& flip : flips) {
     const SegmentId segment = geometry_.SegmentOf(flip.offset);
+    char* buf = nullptr;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (segment >= allocated_.size() || !allocated_[segment]) {
         continue;
       }
+      buf = SegmentBufferLocked(segment);
     }
-    char* buf = SegmentBuffer(segment);
     char* byte = buf + geometry_.OffsetInSegment(flip.offset);
     *byte = static_cast<char>(static_cast<uint8_t>(*byte) ^ flip.mask);
     if (fd_ >= 0) {
@@ -263,7 +261,7 @@ void BlockDevice::ApplyBitFlips(const std::vector<BlockDeviceFaultHook::BitFlip>
 }
 
 Status BlockDevice::Read(uint64_t device_offset, size_t n, char* out, IoClass io_class) const {
-  TEBIS_RETURN_IF_ERROR(CheckRange(device_offset, n));
+  TEBIS_ASSIGN_OR_RETURN(const char* buf, CheckedSegmentBuffer(device_offset, n));
   if (fault_hook_ != nullptr) {
     const uint64_t seq = read_seq_.fetch_add(1, std::memory_order_relaxed);
     BlockDeviceFaultHook::ReadDecision decision =
@@ -275,8 +273,6 @@ Status BlockDevice::Read(uint64_t device_offset, size_t n, char* out, IoClass io
       return decision.status;
     }
   }
-  const SegmentId segment = geometry_.SegmentOf(device_offset);
-  const char* buf = SegmentBuffer(segment);
   memcpy(out, buf + geometry_.OffsetInSegment(device_offset), n);
   const uint64_t accounted = AccountedBytes(n);
   stats_.AddRead(io_class, accounted);

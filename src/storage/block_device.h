@@ -80,7 +80,7 @@ struct DeviceCostModel {
   // per-device timeline and every caller waits for its slot: the device is a
   // single-queue resource whose aggregate bandwidth is capped no matter how
   // many threads drive it. Use for experiments where the contrast is *which
-  // device* absorbs the I/O (e.g. replica read fan-out, PR 6).
+  // device* absorbs the I/O (e.g. replica read fan-out).
   bool hard_cap = false;
 
   bool Enabled() const {
@@ -163,7 +163,9 @@ class BlockDevice {
   explicit BlockDevice(const BlockDeviceOptions& options);
   Status Init();
 
-  Status CheckRange(uint64_t device_offset, size_t n) const;
+  // Validates a transfer (non-empty, inside one allocated segment) and
+  // returns that segment's buffer, under one acquisition of mutex_.
+  StatusOr<char*> CheckedSegmentBuffer(uint64_t device_offset, size_t n) const;
   // Burns injected bit-rot into the stored image (and the backing file when
   // file-backed). Flips aimed at unallocated segments are dropped.
   void ApplyBitFlips(const std::vector<BlockDeviceFaultHook::BitFlip>& flips) const;
@@ -171,7 +173,8 @@ class BlockDevice {
   uint64_t AccountedBytes(size_t n) const;
 
   // Returns the in-memory buffer for `segment`, creating it on demand.
-  char* SegmentBuffer(SegmentId segment) const;
+  // Requires mutex_.
+  char* SegmentBufferLocked(SegmentId segment) const;
 
   const BlockDeviceOptions options_;
   const SegmentGeometry geometry_;

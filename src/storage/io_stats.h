@@ -54,7 +54,7 @@ class IoStats {
   uint64_t ReadOps() const { return read_ops_.load(std::memory_order_relaxed); }
   uint64_t WriteOps() const { return write_ops_.load(std::memory_order_relaxed); }
 
-  // Page-cache accounting in front of this device (PR 2: the cache is shared
+  // Page-cache accounting in front of this device (the cache is shared
   // by concurrent readers, so the counters are atomics and live next to the
   // traffic they avoid).
   void AddCacheHit() { cache_hits_.fetch_add(1, std::memory_order_relaxed); }

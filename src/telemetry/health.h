@@ -1,4 +1,4 @@
-// Health watchdogs (PR 10): per-node detectors layered over the instruments
+// Health watchdogs: per-node detectors layered over the instruments
 // the subsystems already publish, run at scrape time as a Telemetry collector.
 // Each detector compares the current registry snapshot against the previous
 // evaluation (deltas for counters, absolute values for gauges) and publishes

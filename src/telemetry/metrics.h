@@ -1,4 +1,4 @@
-// Unified metrics plane (PR 5): a lock-sharded registry of named instruments
+// Unified metrics plane: a lock-sharded registry of named instruments
 // — monotonic counters, gauges, and mergeable histograms — each identified by
 // (name, labels). Every pre-existing `*Stats` struct in lsm/replication/net/
 // cluster is a thin view over these instruments: hot paths update atomics,
@@ -71,7 +71,7 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-// Exemplar (PR 10): the trace id of a sampled request that landed a value in
+// Exemplar: the trace id of a sampled request that landed a value in
 // this histogram, so a tail-latency bucket links back to the trace tree that
 // produced it. A small ring keeps the most recent few.
 struct HistogramExemplar {

@@ -1,4 +1,4 @@
-// Thread-local request-trace context (PR 10). A sampled client request gets a
+// Thread-local request-trace context. A sampled client request gets a
 // trace id that must reach the engine apply, the group-commit doorbell, and
 // the replication fabric without threading a TraceId parameter through every
 // signature on the write path. Instead, the dispatch site (RegionServer's op

@@ -1,4 +1,4 @@
-// Slow-op log (PR 10): a bounded ring of structured records for any client op
+// Slow-op log: a bounded ring of structured records for any client op
 // that exceeded its per-type latency threshold. Each record keeps enough
 // context to chase the outlier after the fact — key prefix, region, epoch,
 // trace id (when the op was sampled), and the per-stage breakdown from the

@@ -2,7 +2,7 @@
 // shared by every store/region object a node hosts (each stamped with unique
 // labels), plus scrape-time collectors for subsystems whose hot-path counters
 // stay native (IoStats, page caches) and are sampled live instead of
-// migrated. PR 10 adds a bounded slow-op log and an optional health watchdog
+// migrated. It also keeps a bounded slow-op log and an optional health watchdog
 // whose `health.*` gauges ride every snapshot. SimCluster and RegionServer
 // each own one; a standalone KvStore creates a private one so its stats()
 // view stays per-store.

@@ -1,10 +1,10 @@
-// Pipeline span tracing (PR 5): every compaction the KvStore scheduler claims
+// Pipeline span tracing: every compaction the KvStore scheduler claims
 // gets a trace id derived from (replication epoch, shipping stream id) — the
 // two values already stamped on every shipped wire message (flush/begin/
 // segment/end), so the backup reconstructs the primary's trace id without any
 // wire-format change and attaches its rewrite/commit spans to the same trace.
 //
-// Request-scoped tracing (PR 10) extends the same buffer to client requests:
+// Request-scoped tracing extends the same buffer to client requests:
 // a sampled put/get/batch gets a request trace id (bit 63 set, so it can
 // never collide with a compaction trace id) carried in a trailing wire field,
 // and its client / primary-apply / engine / doorbell / backup-commit spans

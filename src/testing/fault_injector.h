@@ -51,7 +51,7 @@ enum class FaultSite : int {
   kReplCompactionEndSend,    // primary -> backup compaction end (root install)
   kReplCompactionEndAck,     // backup -> primary compaction end acknowledgment
   kReplTrimSend,             // primary -> backup GC trim
-  kReplFilterBlockSend,      // primary -> backup shipped filter block (PR 7)
+  kReplFilterBlockSend,      // primary -> backup shipped filter block
   kReplFilterBlockAck,       // backup -> primary filter block acknowledgment
   kNumSites,
 };
@@ -152,7 +152,7 @@ class FaultInjector : public BlockDeviceFaultHook {
   // BlockDevice::TakeCrashSnapshot) — the on-flash state at a crash point.
   void ArmCrashSnapshot(const std::string& device, uint64_t n);
 
-  // Bit-rot (PR 8): the nth read of `device` burns `bits` seeded-random
+  // Bit-rot: the nth read of `device` burns `bits` seeded-random
   // single-bit flips into the bytes the read covers — persistent damage to the
   // stored image, so the read (and every later one) returns corrupt bytes.
   // The flipped offsets/masks land in history() for replay assertions.

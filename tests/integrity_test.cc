@@ -234,6 +234,61 @@ TEST(IntegrityReadTest, ValueLogRotSurfacesAsReadCorruption) {
   EXPECT_GE(report->corruptions_found, 1u);
 }
 
+// A leaf records each key's size, and a key fetch reads exactly that many
+// bytes after the record header. A flushed record whose header disagrees —
+// here rewritten to another valid size — must fail the fetch as kCorruption
+// naming device and offset, for a point read and for a compaction merge
+// alike: never a wrong (truncated) key, never a silent NotFound.
+TEST(IntegrityReadTest, LogKeySizeMismatchIsCorruption) {
+  auto ls = MakeLoadedStore("dev0");
+  // Newest flushed record of every key: segments in flush order, records in
+  // append order.
+  std::map<std::string, std::pair<uint64_t, std::string>> newest;
+  for (SegmentId seg : ls.store->value_log()->FlushedSegmentsSnapshot()) {
+    std::string bytes(kSegmentSize, '\0');
+    const uint64_t base = ls.device->geometry().BaseOffset(seg);
+    ASSERT_TRUE(ls.device->Read(base, kSegmentSize, bytes.data(), IoClass::kOther).ok());
+    ASSERT_TRUE(ValueLog::ForEachRecord(Slice(bytes), base, [&](const LogRecord& rec) {
+                  newest[rec.key] = {rec.offset, rec.value};
+                  return Status::Ok();
+                }).ok());
+  }
+  // A key whose live version is one of those flushed records.
+  std::string key;
+  uint64_t offset = kInvalidOffset;
+  for (const auto& [k, rec] : newest) {
+    if (ls.model[k] == rec.second) {
+      key = k;
+      offset = rec.first;
+      break;
+    }
+  }
+  ASSERT_FALSE(key.empty()) << "no live record was flushed";
+  ASSERT_GT(key.size(), kPrefixSize) << "the lookup must fetch the full key";
+  ASSERT_TRUE(ls.store->Get(key).ok());
+
+  const uint32_t wrong_size = static_cast<uint32_t>(key.size() - 1);
+  char header[sizeof(wrong_size)];
+  memcpy(header, &wrong_size, sizeof(wrong_size));
+  ASSERT_TRUE(ls.device->Write(offset, Slice(header, sizeof(header)), IoClass::kOther).ok());
+
+  auto got = ls.store->Get(key);
+  ASSERT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  EXPECT_NE(got.status().ToString().find("dev0"), std::string::npos) << got.status().ToString();
+  EXPECT_NE(got.status().ToString().find(std::to_string(offset)), std::string::npos)
+      << got.status().ToString();
+
+  // Fresh keys put data in L1, so a full compaction merges every level and
+  // fetches every entry's key, the damaged one included.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(ls.store->Put(Key(100000 + i), ValueFor(i)).ok());
+  }
+  Status compaction = ls.store->ForceFullCompaction();
+  ASSERT_TRUE(compaction.IsCorruption()) << compaction.ToString();
+  EXPECT_NE(compaction.ToString().find(std::to_string(offset)), std::string::npos)
+      << compaction.ToString();
+}
+
 // --- KvStore: scrub --------------------------------------------------------
 
 TEST(IntegrityScrubTest, ScrubFindsSeededRotAndQuarantines) {

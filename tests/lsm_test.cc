@@ -66,7 +66,7 @@ TEST(ValueLogTest, TombstoneRoundTrip) {
   EXPECT_TRUE(rec.tombstone);
   std::string key;
   bool tomb = false;
-  ASSERT_TRUE((*log)->ReadKey(res->offset, &key, &tomb, nullptr, IoClass::kLookup).ok());
+  ASSERT_TRUE((*log)->ReadKey(res->offset, 4, &key, &tomb, nullptr, IoClass::kLookup).ok());
   EXPECT_EQ(key, "gone");
   EXPECT_TRUE(tomb);
 }
@@ -310,7 +310,7 @@ TEST(BTreeNodeTest, LeafBuildAndSearch) {
   LeafNodeView view(buf.data(), buf.size());
   ASSERT_TRUE(view.IsValid());
   EXPECT_EQ(view.num_entries(), 50u);
-  auto full_key = [&](uint64_t off) -> StatusOr<std::string> { return by_offset.at(off); };
+  auto full_key = [&](uint64_t off, size_t) -> StatusOr<std::string> { return by_offset.at(off); };
   auto found = FindInLeaf(view, Key(9), full_key);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(view.entry(*found).log_offset, 1003u);
@@ -347,7 +347,7 @@ TEST(BTreeNodeTest, LeafPrefixCollisionUsesFullKey) {
   builder.Finish();
   LeafNodeView view(buf.data(), buf.size());
   int full_key_calls = 0;
-  auto full_key = [&](uint64_t off) -> StatusOr<std::string> {
+  auto full_key = [&](uint64_t off, size_t) -> StatusOr<std::string> {
     full_key_calls++;
     return stored.at(off);
   };
@@ -397,7 +397,7 @@ TEST(BTreeNodeTest, LeafTagCollisionFallsBackToFullKey) {
   builder.Finish();
   LeafNodeView view(buf.data(), buf.size());
   int full_key_calls = 0;
-  auto full_key = [&](uint64_t off) -> StatusOr<std::string> {
+  auto full_key = [&](uint64_t off, size_t) -> StatusOr<std::string> {
     full_key_calls++;
     return stored.at(off);
   };
@@ -418,7 +418,7 @@ TEST(BTreeNodeTest, ShortKeysDecidedWithoutLogRead) {
   AddLeafKey(&builder, "abc", 2);  // shares short prefix, both fit in kPrefixSize
   builder.Finish();
   LeafNodeView view(buf.data(), buf.size());
-  auto no_full_key = [](uint64_t) -> StatusOr<std::string> {
+  auto no_full_key = [](uint64_t, size_t) -> StatusOr<std::string> {
     return Status::Internal("should not be called");
   };
   auto found = FindInLeaf(view, "abc", no_full_key);
@@ -466,7 +466,7 @@ TEST(BTreeNodeTest, LeafSearchMatchesOrderedMapProperty) {
     }
     builder.Finish();
     LeafNodeView view(buf.data(), buf.size());
-    auto full_key = [&](uint64_t off) -> StatusOr<std::string> { return stored.at(off); };
+    auto full_key = [&](uint64_t off, size_t) -> StatusOr<std::string> { return stored.at(off); };
 
     std::vector<std::string> probes = sorted;
     for (int i = 0; i < 100; ++i) {
@@ -594,9 +594,9 @@ TreeFixture BuildTree(uint64_t n, uint64_t segment_size = 1 << 16) {
 }
 
 FullKeyLoader LoaderFor(const ValueLog* log) {
-  return [log](uint64_t off) -> StatusOr<std::string> {
+  return [log](uint64_t off, size_t key_size) -> StatusOr<std::string> {
     std::string key;
-    TEBIS_RETURN_IF_ERROR(log->ReadKey(off, &key, nullptr, nullptr, IoClass::kLookup));
+    TEBIS_RETURN_IF_ERROR(log->ReadKey(off, key_size, &key, nullptr, nullptr, IoClass::kLookup));
     return key;
   };
 }
@@ -677,7 +677,9 @@ TEST(BTreeIteratorTest, SeekLandsOnLowerBound) {
   ASSERT_TRUE(it.Seek(Key(501), loader).ok());
   ASSERT_TRUE(it.Valid());
   std::string key;
-  ASSERT_TRUE(fx.log->ReadKey(it.entry().log_offset, &key, nullptr, nullptr, IoClass::kLookup)
+  ASSERT_TRUE(fx.log
+                  ->ReadKey(it.entry().log_offset, it.entry().key_size, &key, nullptr, nullptr,
+                            IoClass::kLookup)
                   .ok());
   EXPECT_EQ(key, Key(502));
   // Seek beyond the last key.
@@ -797,7 +799,7 @@ TEST(CompactionTest, NewestVersionWinsOnTies) {
   auto tree = builder.Finish();
   ASSERT_TRUE(tree.ok());
   BTreeReader reader(dev.get(), nullptr, kDefaultNodeSize, *tree, IoClass::kLookup);
-  auto loader = [](uint64_t) -> StatusOr<std::string> { return Status::Internal("no log"); };
+  auto loader = [](uint64_t, size_t) -> StatusOr<std::string> { return Status::Internal("no log"); };
   auto found = reader.Find("k1", KeyHash("k1"), loader);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(*found, 100u);  // newest offset
@@ -826,7 +828,8 @@ TEST(CompactionTest, TombstonesDroppedOnlyAtLastLevel) {
 
 TEST(CompactionTest, LevelMergeSourceStreamsWholeLevel) {
   TreeFixture fx = BuildTree(2000);
-  LevelMergeSource src(fx.device.get(), kDefaultNodeSize, fx.tree, fx.log.get());
+  LevelMergeSource src(fx.device.get(), kDefaultNodeSize, fx.tree, fx.log.get(),
+                       /*verifier=*/nullptr, /*cache=*/nullptr, IoClass::kCompactionRead);
   ASSERT_TRUE(src.Init().ok());
   uint64_t count = 0;
   std::string prev;
@@ -844,13 +847,62 @@ TEST(CompactionTest, LevelMergeSourceStreamsWholeLevel) {
 TEST(CompactionTest, CompactionReadsAccountedAsCompactionTraffic) {
   TreeFixture fx = BuildTree(2000);
   fx.device->stats().Reset();
-  LevelMergeSource src(fx.device.get(), kDefaultNodeSize, fx.tree, fx.log.get());
+  LevelMergeSource src(fx.device.get(), kDefaultNodeSize, fx.tree, fx.log.get(),
+                       /*verifier=*/nullptr, /*cache=*/nullptr, IoClass::kCompactionRead);
   ASSERT_TRUE(src.Init().ok());
   while (src.Valid()) {
     ASSERT_TRUE(src.Next().ok());
   }
   EXPECT_GT(fx.device->stats().ReadBytes(IoClass::kCompactionRead), 0u);
   EXPECT_EQ(fx.device->stats().ReadBytes(IoClass::kLookup), 0u);
+}
+
+// A compaction merge fetches each level entry's key with one read of the
+// record's header + key, sized by the leaf's key_size: the merge's read ops
+// are the nodes it walks plus exactly one per entry.
+TEST(CompactionTest, LevelKeyFetchIsOneReadPerEntry) {
+  auto dev = MakeDevice(1 << 16, 1 << 16);
+  KvStoreOptions opts;
+  opts.l0_max_entries = 256;
+  opts.growth_factor = 4;
+  opts.max_levels = 3;
+  opts.cache_bytes = 0;
+  auto store = KvStore::Create(dev.get(), opts);  // no pool: jobs run inline
+  ASSERT_TRUE(store.ok());
+  auto long_key = [](uint64_t i) { return "long-key-" + Key(i); };
+  ASSERT_GT(long_key(0).size(), kPrefixSize);
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE((*store)->Put(long_key(i * 2), "v" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE((*store)->FlushL0().ok());
+  const BuiltTree l1 = (*store)->level(1);
+  ASSERT_EQ(l1.num_entries, 200u);
+  ASSERT_GT(l1.height, 0u);
+
+  // Nodes the merge walks: a plain leaf walk of L1 reads each node once and
+  // no log record. A full scan first settles L1's segment checksum verdicts.
+  ASSERT_TRUE((*store)->Scan(Slice(), 1000).ok());
+  uint64_t nodes = dev->stats().ReadOps();
+  {
+    BTreeReader reader(dev.get(), nullptr, opts.node_size, l1, IoClass::kOther);
+    BTreeIterator it(&reader);
+    ASSERT_TRUE(it.SeekToFirst().ok());
+    while (it.Valid()) {
+      ASSERT_TRUE(it.Next().ok());
+    }
+  }
+  nodes = dev->stats().ReadOps() - nodes;
+  ASSERT_GT(nodes, 1u);
+
+  // L0 (overlapping and fresh keys) -> L1, small enough not to cascade.
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE((*store)->Put(long_key(i * 3), "w" + std::to_string(i)).ok());
+  }
+  dev->stats().Reset();
+  ASSERT_TRUE((*store)->FlushL0().ok());
+  EXPECT_TRUE((*store)->level(2).empty());
+  EXPECT_EQ(dev->stats().TotalReadBytes(), dev->stats().ReadBytes(IoClass::kCompactionRead));
+  EXPECT_EQ(dev->stats().ReadOps(), nodes + l1.num_entries);
 }
 
 // --- KvStore engine ---------------------------------------------------------------

@@ -288,6 +288,43 @@ TEST(SendIndexTest, BackupDoesNoCompactionReads) {
   EXPECT_GT(cluster.backups[0]->stats().offsets_rewritten, 0u);
 }
 
+// Scans are lookups on both sides: the primary's plain and prefix scans read
+// its levels through the page cache, the backup's replica scan reads its
+// shipped levels, and neither charges the traffic to compaction.
+TEST(SendIndexTest, ScansChargeLevelReadsToLookups) {
+  KvStoreOptions opts = SmallOptions();
+  opts.cache_bytes = 1 << 20;
+  auto cluster = MakeSendIndexCluster(1, opts);
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(cluster.primary->Put(Key(i), "value-" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(cluster.primary->FlushL0().ok());
+  ASSERT_TRUE(cluster.primary->store()->ForceFullCompaction().ok());
+
+  const IoStats& primary_io = cluster.primary_device->stats();
+  const IoStats& backup_io = cluster.backup_devices[0]->stats();
+  const uint64_t primary_compaction = primary_io.ReadBytes(IoClass::kCompactionRead);
+  const uint64_t primary_lookup = primary_io.ReadBytes(IoClass::kLookup);
+  const uint64_t primary_misses = primary_io.CacheMisses();
+  const uint64_t backup_lookup = backup_io.ReadBytes(IoClass::kLookup);
+
+  auto primary_scan = cluster.primary->Scan(Key(1000), 500);
+  ASSERT_TRUE(primary_scan.ok()) << primary_scan.status().ToString();
+  EXPECT_EQ(primary_scan->size(), 500u);
+  auto prefix_scan = cluster.primary->store()->ScanPrefix("key00000010", 20);
+  ASSERT_TRUE(prefix_scan.ok()) << prefix_scan.status().ToString();
+  EXPECT_EQ(prefix_scan->size(), 20u);
+  auto backup_scan = cluster.backups[0]->Scan(Key(1000), 500, 0, 0, nullptr);
+  ASSERT_TRUE(backup_scan.ok()) << backup_scan.status().ToString();
+  EXPECT_EQ(backup_scan->size(), 500u);
+
+  EXPECT_EQ(primary_io.ReadBytes(IoClass::kCompactionRead), primary_compaction);
+  EXPECT_GT(primary_io.ReadBytes(IoClass::kLookup), primary_lookup);
+  EXPECT_GT(primary_io.CacheMisses(), primary_misses);
+  EXPECT_EQ(backup_io.ReadBytes(IoClass::kCompactionRead), 0u);
+  EXPECT_GT(backup_io.ReadBytes(IoClass::kLookup), backup_lookup);
+}
+
 TEST(SendIndexTest, ThreeWayReplicationBothBackupsConsistent) {
   auto cluster = MakeSendIndexCluster(2, SmallOptions());
   std::map<std::string, std::string> model;

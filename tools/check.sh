@@ -13,7 +13,7 @@
 # `-L chaos` every chaos one. Run this before every merge:
 #
 #   tools/check.sh            # all three passes
-#   tools/check.sh --plain    # plain pass: fast label + observability coverage gate
+#   tools/check.sh --plain    # plain pass: fast label + coverage and history gates
 #   tools/check.sh --tsan     # TSan pass: fast label
 #   tools/check.sh --chaos    # ASan pass: chaos label + wire fuzzers
 #
@@ -51,6 +51,14 @@ if [[ $run_plain -eq 1 ]]; then
       exit 1; }
   done
   python3 tools/gen_metrics_table.py --check || exit 1
+  # Comments state current invariants; change history lives in CHANGES.md.
+  # A comment that cites a change number goes stale as the code moves on,
+  # so none may appear under src/.
+  echo "== tier-1 pass 1/3: history-comment gate =="
+  if grep -rnE 'PR [0-9]+' src; then
+    echo "history gate: the src/ lines above cite change numbers; state the invariant instead" >&2
+    exit 1
+  fi
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
