@@ -62,7 +62,7 @@ std::string BuildLeafSegment(size_t entries) {
   while (added < entries) {
     LeafNodeBuilder builder(node.data(), node.size());
     while (!builder.Full() && added < entries) {
-      builder.Add(Key(key), (key << 18) | 128, KeyHash(Key(key)));
+      builder.Add(Key(key), (key << 18) | 128, /*tombstone=*/false, KeyHash(Key(key)));
       key += 2;
       added++;
     }
@@ -113,7 +113,7 @@ void BM_IndexSegmentRebuild(benchmark::State& state) {
     while (added < entries) {
       LeafNodeBuilder builder(node.data(), node.size());
       while (!builder.Full() && added < entries) {
-        builder.Add(keys[added], offsets[added], KeyHash(keys[added]));
+        builder.Add(keys[added], offsets[added], /*tombstone=*/false, KeyHash(keys[added]));
         added++;
       }
       builder.Finish();
@@ -132,7 +132,7 @@ void BM_BTreeBulkLoad(benchmark::State& state) {
     auto device = MakeDevice();
     BTreeBuilder builder(device.get(), kDefaultNodeSize, IoClass::kCompactionWrite, nullptr);
     for (uint64_t i = 0; i < n; ++i) {
-      (void)builder.Add(Key(i), i << 18);
+      (void)builder.Add(Key(i), i << 18, /*tombstone=*/false);
     }
     auto tree = builder.Finish();
     benchmark::DoNotOptimize(tree->root_offset);
@@ -147,7 +147,7 @@ void BM_BTreeLookup(benchmark::State& state) {
   BTreeBuilder builder(device.get(), kDefaultNodeSize, IoClass::kCompactionWrite, nullptr);
   std::map<uint64_t, std::string> stored;
   for (uint64_t i = 0; i < n; ++i) {
-    (void)builder.Add(Key(i), i);
+    (void)builder.Add(Key(i), i, /*tombstone=*/false);
     stored[i] = Key(i);
   }
   auto tree = builder.Finish();

@@ -58,13 +58,13 @@ BloomFilterBuilder::BloomFilterBuilder(uint32_t bits_per_key)
 
 void BloomFilterBuilder::AddKey(Slice key, uint64_t key_hash) {
   key_hashes_.push_back(key_hash);
-  char prefix[kPrefixSize];
-  MakePrefix(key, prefix);
+  char prefix[kFilterPrefixSize];
+  MakePrefix(key, prefix, kFilterPrefixSize);
   // Keys arrive in sorted order (the compaction merge), so equal prefixes are
   // consecutive and one fingerprint per run suffices.
-  if (!has_last_prefix_ || memcmp(prefix, last_prefix_, kPrefixSize) != 0) {
-    prefix_hashes_.push_back(FilterHash(Slice(prefix, kPrefixSize), kPrefixDomainSeed));
-    memcpy(last_prefix_, prefix, kPrefixSize);
+  if (!has_last_prefix_ || memcmp(prefix, last_prefix_, kFilterPrefixSize) != 0) {
+    prefix_hashes_.push_back(FilterHash(Slice(prefix, kFilterPrefixSize), kPrefixDomainSeed));
+    memcpy(last_prefix_, prefix, kFilterPrefixSize);
     has_last_prefix_ = true;
   }
 }
@@ -167,9 +167,9 @@ bool BloomFilterView::MayContainHash(uint64_t h) const {
 }
 
 bool BloomFilterView::MayContainPrefix(Slice key_or_prefix) const {
-  char prefix[kPrefixSize];
-  MakePrefix(key_or_prefix, prefix);
-  return MayContainHash(FilterHash(Slice(prefix, kPrefixSize), kPrefixDomainSeed));
+  char prefix[kFilterPrefixSize];
+  MakePrefix(key_or_prefix, prefix, kFilterPrefixSize);
+  return MayContainHash(FilterHash(Slice(prefix, kFilterPrefixSize), kPrefixDomainSeed));
 }
 
 }  // namespace tebis

@@ -4,8 +4,8 @@
 //
 //   * full-key fingerprints — consulted by point lookups before descending
 //     the level's on-device tree;
-//   * kPrefixSize-prefix fingerprints — consulted by prefix scans, which may
-//     skip a level entirely when no stored key shares the seek prefix.
+//   * kFilterPrefixSize-prefix fingerprints — consulted by prefix scans, which
+//     may skip a level entirely when no stored key shares the seek prefix.
 //
 // The serialized block is immutable and self-validating (magic, version,
 // bounds, trailing CRC32C), so the primary's exact bytes can be shipped to
@@ -35,6 +35,13 @@ inline constexpr uint32_t kDefaultFilterBitsPerKey = 10;
 inline constexpr size_t kFilterHeaderSize = 4 + 1 + 1 + 2 + 4 + 4;
 inline constexpr size_t kFilterTrailerSize = 4;  // crc32c
 
+// Length of the prefix-scan fingerprints. It is independent of the leaf's
+// kPrefixSize, which is sized to hold short keys whole: a 12-byte prefix of
+// `user%010d` keys groups the hundred keys that differ only in their last two
+// digits, so the prefix domain costs one fingerprint per hundred keys rather
+// than one per key.
+inline constexpr size_t kFilterPrefixSize = 12;
+
 // Hash-domain seeds: the same bytes must never fingerprint identically as a
 // full key and as a prefix.
 inline constexpr uint64_t kKeyDomainSeed = 0x7465'6269'732d'6b65ull;     // "tebis-ke"
@@ -56,7 +63,7 @@ class BloomFilterBuilder {
  public:
   explicit BloomFilterBuilder(uint32_t bits_per_key = kDefaultFilterBitsPerKey);
 
-  // Adds the full-key fingerprint plus the padded kPrefixSize-prefix
+  // Adds the full-key fingerprint plus the padded kFilterPrefixSize-prefix
   // fingerprint of `key`. `key_hash` is KeyHash(key).
   void AddKey(Slice key, uint64_t key_hash);
   void AddKey(Slice key) { AddKey(key, KeyHash(key)); }
@@ -70,7 +77,7 @@ class BloomFilterBuilder {
   const uint32_t bits_per_key_;
   std::vector<uint64_t> key_hashes_;
   std::vector<uint64_t> prefix_hashes_;
-  char last_prefix_[kPrefixSize];
+  char last_prefix_[kFilterPrefixSize];
   bool has_last_prefix_ = false;
 };
 
@@ -89,10 +96,10 @@ class BloomFilterView {
   // Probes one fingerprint: a KeyHash for a point lookup that already has it.
   bool MayContainHash(uint64_t h) const;
 
-  // Probes the padded kPrefixSize prefix of `key_or_prefix`. Only sound when
-  // the caller's query fixes at least the first kPrefixSize bytes of every
-  // acceptable key (shorter prefixes cannot be checked — callers must treat
-  // them as "maybe").
+  // Probes the padded kFilterPrefixSize prefix of `key_or_prefix`. Only sound
+  // when the caller's query fixes at least the first kFilterPrefixSize bytes
+  // of every acceptable key (shorter prefixes cannot be checked — callers
+  // must treat them as "maybe").
   bool MayContainPrefix(Slice key_or_prefix) const;
 
   uint32_t num_probes() const { return num_probes_; }

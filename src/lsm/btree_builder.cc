@@ -28,6 +28,16 @@ struct BTreeBuilder::LevelState {
   uint64_t last_node_offset = kInvalidOffset;
 };
 
+Status CheckLeafAddressable(const BlockDevice* device) {
+  if (device->max_segments() > (kLeafOffsetMask + 1) / device->segment_size()) {
+    return Status::InvalidArgument(
+        "device of " + std::to_string(device->max_segments()) + " x " +
+        std::to_string(device->segment_size()) + " B segments exceeds the 2^" +
+        std::to_string(kLeafOffsetBits) + " B that leaf entries address");
+  }
+  return Status::Ok();
+}
+
 BTreeBuilder::BTreeBuilder(BlockDevice* device, size_t node_size, IoClass io_class,
                            SegmentSink* sink)
     : device_(device), node_size_(node_size), io_class_(io_class), sink_(sink) {}
@@ -51,12 +61,15 @@ BTreeBuilder::LevelState& BTreeBuilder::Level(size_t level) {
   return *levels_[level];
 }
 
-Status BTreeBuilder::Add(Slice key, uint64_t log_offset) {
+Status BTreeBuilder::Add(Slice key, uint64_t log_offset, bool tombstone) {
   if (finished_) {
     return Status::FailedPrecondition("builder already finished");
   }
   if (key.empty() || key.size() > kMaxKeySize) {
     return Status::InvalidArgument("bad key size");
+  }
+  if (log_offset > kLeafOffsetMask) {
+    return Status::InvalidArgument("log offset exceeds the leaf entry's 48 bits");
   }
   if (!last_key_.empty() && Slice(last_key_).Compare(key) >= 0) {
     return Status::InvalidArgument("keys must be strictly ascending");
@@ -67,7 +80,7 @@ Status BTreeBuilder::Add(Slice key, uint64_t log_offset) {
   }
   // One hash per key feeds both the leaf tag and the filter fingerprint.
   const uint64_t key_hash = KeyHash(key);
-  leaves.leaf->Add(key, log_offset, key_hash);
+  leaves.leaf->Add(key, log_offset, tombstone, key_hash);
   if (filter_builder_ != nullptr) {
     filter_builder_->AddKey(key, key_hash);
   }

@@ -67,6 +67,11 @@ class SegmentSink {
   virtual void OnSegmentComplete(int tree_level, SegmentId segment, Slice bytes) = 0;
 };
 
+// InvalidArgument unless every offset of `device` fits a leaf entry's 48
+// offset bits (format.h): checked on the configuration when a store or a
+// backup is created, never per entry at runtime.
+Status CheckLeafAddressable(const BlockDevice* device);
+
 class BTreeBuilder {
  public:
   // Writes through `device` accounting I/O as `io_class`. `sink` may be null.
@@ -80,8 +85,9 @@ class BTreeBuilder {
   // serialized filter block to the finished tree. Call before the first Add.
   void EnableFilter(uint32_t bits_per_key);
 
-  // Adds the next entry. Keys must arrive in strictly ascending order.
-  Status Add(Slice key, uint64_t log_offset);
+  // Adds the next entry; `tombstone` marks a deletion. Keys must arrive in
+  // strictly ascending order.
+  Status Add(Slice key, uint64_t log_offset, bool tombstone);
 
   // Completes all partial nodes and segments and returns the tree. The
   // builder must not be reused afterwards.

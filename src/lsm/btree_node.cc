@@ -31,13 +31,14 @@ StatusOr<int> LeafNodeView::CompareTied(const LeafEntry& e, Slice key,
                                         const FullKeyLoader& full_key) {
   // A key that fits the prefix is a prefix of every other key whose padded
   // prefix ties with it, so the shorter key is the smaller.
-  if (e.key_size <= kPrefixSize || key.size() <= kPrefixSize) {
-    if (e.key_size == key.size()) {
+  const size_t size = e.key_size();
+  if (size <= kPrefixSize || key.size() <= kPrefixSize) {
+    if (size == key.size()) {
       return 0;
     }
-    return e.key_size < key.size() ? -1 : 1;
+    return size < key.size() ? -1 : 1;
   }
-  TEBIS_ASSIGN_OR_RETURN(std::string stored, full_key(e.log_offset, e.key_size));
+  TEBIS_ASSIGN_OR_RETURN(std::string stored, full_key(e.log_offset(), size));
   return Slice(stored).Compare(key);
 }
 
@@ -69,7 +70,7 @@ StatusOr<uint32_t> LeafNodeView::Find(Slice key, uint64_t key_hash,
     if (memcmp(e.prefix, probe, kPrefixSize) != 0) {
       break;  // past the tied run
     }
-    if (e.key_size != key.size() || (key.size() > kPrefixSize && e.key_tag != tag)) {
+    if (e.key_size() != key.size() || (key.size() > kPrefixSize && e.key_tag != tag)) {
       continue;
     }
     TEBIS_ASSIGN_OR_RETURN(int c, CompareTied(e, key, full_key));
@@ -93,12 +94,12 @@ LeafNodeBuilder::LeafNodeBuilder(char* data, size_t node_size)
   Reset();
 }
 
-void LeafNodeBuilder::Add(Slice key, uint64_t log_offset, uint64_t key_hash) {
+void LeafNodeBuilder::Add(Slice key, uint64_t log_offset, bool tombstone, uint64_t key_hash) {
   assert(!Full());
+  assert(log_offset <= kLeafOffsetMask && !key.empty() && key.size() <= kMaxKeySize);
   auto* entries = reinterpret_cast<LeafEntry*>(data_ + sizeof(NodeHeader));
   LeafEntry& e = entries[count_++];
-  e.log_offset = log_offset;
-  e.key_size = static_cast<uint16_t>(key.size());
+  e.word = LeafEntry::Pack(log_offset, key.size(), tombstone);
   e.key_tag = KeyTag(key_hash);
   MakePrefix(key, e.prefix);
 }
@@ -125,7 +126,12 @@ Status RewriteLeafOffsets(char* data, size_t node_size, const OffsetTranslator& 
   auto* entries = reinterpret_cast<LeafEntry*>(data + sizeof(NodeHeader));
   const uint32_t n = view.num_entries();
   for (uint32_t i = 0; i < n; ++i) {
-    TEBIS_ASSIGN_OR_RETURN(entries[i].log_offset, translate(entries[i].log_offset));
+    TEBIS_ASSIGN_OR_RETURN(uint64_t translated, translate(entries[i].log_offset()));
+    if (translated > kLeafOffsetMask) {
+      return Status::InvalidArgument("translated offset " + std::to_string(translated) +
+                                     " exceeds the leaf entry's 48 bits");
+    }
+    entries[i].set_log_offset(translated);
   }
   return Status::Ok();
 }

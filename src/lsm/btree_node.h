@@ -68,9 +68,10 @@ class LeafNodeBuilder {
   bool Full() const { return count_ >= capacity_; }
   uint32_t count() const { return count_; }
 
-  // Key must be strictly greater than the previous key added. `key_hash` is
-  // KeyHash(key), the source of the entry's tag.
-  void Add(Slice key, uint64_t log_offset, uint64_t key_hash);
+  // Key must be strictly greater than the previous key added. `tombstone`
+  // marks a deletion; `key_hash` is KeyHash(key), the source of the entry's
+  // tag.
+  void Add(Slice key, uint64_t log_offset, bool tombstone, uint64_t key_hash);
 
   // Finalizes the header. The buffer is then a valid leaf node image.
   void Finish();
@@ -83,7 +84,9 @@ class LeafNodeBuilder {
   uint32_t count_;
 };
 
-// Rewrites every leaf entry's log offset via `translate` (backup §3.3).
+// Rewrites every leaf entry's log offset via `translate` (backup §3.3). Only
+// the offset bits change: key size, tombstone flag, tag and prefix stay
+// byte-identical.
 Status RewriteLeafOffsets(char* data, size_t node_size, const OffsetTranslator& translate);
 
 // --- index nodes ----------------------------------------------------------------

@@ -24,8 +24,8 @@ Status BTreeReader::ReadNode(uint64_t offset, std::string* buf) const {
   return device_->Read(offset, node_size_, buf->data(), io_class_);
 }
 
-StatusOr<uint64_t> BTreeReader::Find(Slice key, uint64_t key_hash,
-                                      const FullKeyLoader& full_key) const {
+StatusOr<LeafEntry> BTreeReader::Find(Slice key, uint64_t key_hash,
+                                       const FullKeyLoader& full_key) const {
   if (tree_.empty()) {
     return Status::NotFound();
   }
@@ -45,7 +45,7 @@ StatusOr<uint64_t> BTreeReader::Find(Slice key, uint64_t key_hash,
     return Status::Corruption("expected leaf node");
   }
   TEBIS_ASSIGN_OR_RETURN(uint32_t i, leaf.Find(key, key_hash, full_key));
-  return leaf.entry(i).log_offset;
+  return leaf.entry(i);
 }
 
 // --- BTreeIterator ----------------------------------------------------------

@@ -29,10 +29,10 @@ class BTreeReader {
   BTreeReader(BlockDevice* device, PageCache* cache, size_t node_size, const BuiltTree& tree,
               IoClass io_class, SegmentVerifier* verifier = nullptr);
 
-  // Returns the value-log offset of `key`, or NotFound. `key_hash` is
-  // KeyHash(key); the caller computes it once per lookup and also probes
-  // each level's filter with it.
-  StatusOr<uint64_t> Find(Slice key, uint64_t key_hash, const FullKeyLoader& full_key) const;
+  // Returns the leaf entry of `key` (its value-log offset and tombstone
+  // flag), or NotFound. `key_hash` is KeyHash(key); the caller computes it
+  // once per lookup and also probes each level's filter with it.
+  StatusOr<LeafEntry> Find(Slice key, uint64_t key_hash, const FullKeyLoader& full_key) const;
 
   Status ReadNode(uint64_t offset, std::string* buf) const;
 

@@ -62,12 +62,24 @@ Status LevelMergeSource::Load() {
     return Status::Ok();
   }
   const LeafEntry& e = it_.entry();
-  entry_.log_offset = e.log_offset;
-  // Merging needs total key order, so the full key (and the tombstone flag)
+  entry_.log_offset = e.log_offset();
+  entry_.tombstone = e.tombstone();
+  if (e.key_inline()) {
+    entry_.key = e.inline_key().ToString();
+    return Status::Ok();
+  }
+  // Merging needs total key order, so a key longer than the leaf prefix
   // comes from the log — read amplification the paper attributes to
-  // compaction.
-  return log_->ReadKey(e.log_offset, e.key_size, &entry_.key, &entry_.tombstone, cache_,
-                       io_class_);
+  // compaction. The log's tombstone flag rides along in the same read and
+  // must agree with the leaf's.
+  bool log_tombstone = false;
+  TEBIS_RETURN_IF_ERROR(log_->ReadKey(e.log_offset(), e.key_size(), &entry_.key, &log_tombstone,
+                                      cache_, io_class_));
+  if (log_tombstone != entry_.tombstone) {
+    return Status::Corruption("leaf tombstone flag disagrees with log record on device " +
+                              log_->device()->name() + " @" + std::to_string(e.log_offset()));
+  }
+  return Status::Ok();
 }
 
 Status LevelMergeSource::Next() {
@@ -110,7 +122,7 @@ StatusOr<uint64_t> MergeSources(std::vector<MergeSource*> sources, bool drop_tom
       continue;
     }
     stage_start = NowNanos();
-    TEBIS_RETURN_IF_ERROR(builder->Add(winner.key, winner.log_offset));
+    TEBIS_RETURN_IF_ERROR(builder->Add(winner.key, winner.log_offset, winner.tombstone));
     local.build_ns += NowNanos() - stage_start;
     written++;
   }

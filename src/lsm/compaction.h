@@ -50,12 +50,13 @@ class MemtableMergeSource : public MergeSource {
   bool valid_ = false;
 };
 
-// Streams a device level: its leaves and index nodes, plus the full key of
-// every entry from the value log. Each key fetch is one read of the record's
-// header + key, sized by the key length the leaf entry records. Compaction
-// reads with a null cache as IoClass::kCompactionRead (direct I/O) — precisely
-// the read traffic Send-Index removes from backups; scans read through the
-// page cache (when the store has one) as IoClass::kLookup.
+// Streams a device level: its leaves and index nodes. A key of at most
+// kPrefixSize bytes, and every entry's tombstone flag, come straight from the
+// leaf; a longer key is fetched from the value log in one read of the
+// record's header + key, sized by the key length the leaf entry records.
+// Compaction reads with a null cache as IoClass::kCompactionRead (direct
+// I/O) — precisely the read traffic Send-Index removes from backups; scans
+// read through the page cache (when the store has one) as IoClass::kLookup.
 class LevelMergeSource : public MergeSource {
  public:
   // `verifier`, when set, checks every node's segment CRC before the node is

@@ -10,24 +10,36 @@
 //   index node: NodeHeader + slot directory (u16) + variable-size cells
 //               growing from the end of the node, each
 //               [u16 key_len][u64 child_offset][key bytes]
-// Leaf entries carry a key *prefix* plus the device offset of the full record
-// in the value log (KV separation, paper §2); index cells carry full pivots.
+// Leaf entries carry a key *prefix* (the whole key when it fits) plus the
+// device offset of the full record in the value log (KV separation, paper
+// §2); index cells carry full pivots.
 //
 // Leaf entry (24 B, 170 per 4 KiB leaf):
-//   [u64 log_offset][u16 key_size][u16 key_tag][kPrefixSize prefix bytes]
-// `prefix` is the key's first kPrefixSize bytes, zero padded; `key_tag` is
-// KeyTag(KeyHash(key)), the top bits of the key's bloom-filter hash. A point
-// lookup searches a leaf by prefix alone, then scans the run of entries whose
-// prefix ties with the probe: a key of at most kPrefixSize bytes is decided
+//   [u64 word][u16 key_tag][kPrefixSize prefix bytes]
+// `word` packs the record's value-log device offset (bits 0-47), the key size
+// (bits 48-55) and a tombstone flag (bit 56); bits 57-63 are zero. `prefix`
+// is the key's first kPrefixSize bytes, zero padded; `key_tag` is
+// KeyTag(KeyHash(key)), the top bits of the key's bloom-filter hash.
+//
+// A key of at most kPrefixSize (14) bytes is stored whole: its prefix bytes
+// and size are the key, so merges, scans and lookups never read it from the
+// value log, and the entry's flag answers a deleted key without touching the
+// log either. A point lookup searches a leaf by prefix alone, then scans the
+// run of entries whose prefix ties with the probe: an inline key is decided
 // by its size, and a longer key is loaded from the value log only for an
 // entry whose size and tag both match. So, barring tag collisions, a
-// searched leaf costs one full-key read for a hit and none for a miss. A
-// full-key read is one read of the record's header + key, sized by the
-// entry's key_size; a header that disagrees with it is corruption. Merges
-// and scans fetch every entry's key the same way: one read per entry.
+// searched leaf costs at most one full-key read for a hit and none for a
+// miss. A full-key read is one read of the record's header + key, sized by
+// the entry's key size; a header that disagrees with it is corruption.
+// Merges and scans fetch a longer key the same way: one read per entry.
+//
+// Offsets are 48 bits, so a device whose segment_size * max_segments exceeds
+// 2^48 bytes cannot hold levels; stores and backups refuse it up front
+// (CheckLeafAddressable, btree_builder.h).
 #ifndef TEBIS_LSM_FORMAT_H_
 #define TEBIS_LSM_FORMAT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -53,7 +65,8 @@ inline constexpr size_t kMaxKeySize = 250;
 // --- B+ tree ---------------------------------------------------------------
 
 inline constexpr size_t kDefaultNodeSize = 4096;
-inline constexpr size_t kPrefixSize = 12;
+// Long enough to hold the 14-byte YCSB keys (`user%010d`) whole.
+inline constexpr size_t kPrefixSize = 14;
 
 inline constexpr uint32_t kLeafMagic = 0x4c656166;   // "Leaf"
 inline constexpr uint32_t kIndexMagic = 0x49647800;  // "Idx\0"
@@ -67,33 +80,55 @@ struct NodeHeader {
 };
 static_assert(sizeof(NodeHeader) == 16);
 
+inline constexpr int kLeafOffsetBits = 48;
+inline constexpr uint64_t kLeafOffsetMask = (1ull << kLeafOffsetBits) - 1;
+inline constexpr int kLeafKeySizeShift = kLeafOffsetBits;
+inline constexpr uint64_t kLeafKeySizeMask = 0xff;
+inline constexpr uint64_t kLeafTombstoneBit = 1ull << (kLeafKeySizeShift + 8);
+static_assert(kMaxKeySize <= kLeafKeySizeMask, "key size must fit the leaf entry");
+
 // Fixed-size leaf entry: <key_prefix, key_size, log_offset> (paper Fig. 3)
-// plus a key tag.
+// plus a tombstone flag and a key tag.
 struct LeafEntry {
-  uint64_t log_offset;  // device offset of the KV record in the value log
-  uint16_t key_size;
+  uint64_t word;             // log offset | key size | tombstone flag
   uint16_t key_tag;          // KeyTag of the key's filter hash
   char prefix[kPrefixSize];  // first bytes of the key, zero padded
+
+  static constexpr uint64_t Pack(uint64_t log_offset, size_t key_size, bool tombstone) {
+    return log_offset | (static_cast<uint64_t>(key_size) << kLeafKeySizeShift) |
+           (tombstone ? kLeafTombstoneBit : 0);
+  }
+
+  // Device offset of the KV record in the value log.
+  uint64_t log_offset() const { return word & kLeafOffsetMask; }
+  size_t key_size() const { return (word >> kLeafKeySizeShift) & kLeafKeySizeMask; }
+  bool tombstone() const { return (word & kLeafTombstoneBit) != 0; }
+  // The key is stored whole in `prefix`.
+  bool key_inline() const { return key_size() <= kPrefixSize; }
+  Slice inline_key() const { return Slice(prefix, key_size()); }
+
+  // Replaces the offset bits only; key size and flag are untouched.
+  void set_log_offset(uint64_t log_offset) { word = (word & ~kLeafOffsetMask) | log_offset; }
 };
-static_assert(sizeof(LeafEntry) == 24);
-static_assert(kMaxKeySize <= UINT16_MAX, "key_size must fit the leaf entry");
+static_assert(sizeof(LeafEntry) == 24, "170 entries per 4 KiB leaf: index bytes per key");
+static_assert(offsetof(LeafEntry, key_tag) == 8);
 
 inline constexpr size_t LeafCapacity(size_t node_size) {
   return (node_size - sizeof(NodeHeader)) / sizeof(LeafEntry);
 }
-static_assert(LeafCapacity(kDefaultNodeSize) == 170);
+static_assert(LeafCapacity(kDefaultNodeSize) == 170, "leaf fan-out sets index bytes shipped");
 
 // The leaf tag of a key whose KeyHash (bloom_filter.h) is `key_hash`.
 inline constexpr uint16_t KeyTag(uint64_t key_hash) {
   return static_cast<uint16_t>(key_hash >> 48);
 }
 
-// Fills `prefix` (kPrefixSize bytes) from `key`, zero padding.
-inline void MakePrefix(Slice key, char* prefix) {
-  const size_t n = key.size() < kPrefixSize ? key.size() : kPrefixSize;
+// Fills `prefix` (`size` bytes) from `key`, zero padding.
+inline void MakePrefix(Slice key, char* prefix, size_t size = kPrefixSize) {
+  const size_t n = key.size() < size ? key.size() : size;
   memcpy(prefix, key.data(), n);
-  if (n < kPrefixSize) {
-    memset(prefix + n, 0, kPrefixSize - n);
+  if (n < size) {
+    memset(prefix + n, 0, size - n);
   }
 }
 

@@ -62,6 +62,7 @@ StatusOr<std::unique_ptr<KvStore>> KvStore::Create(BlockDevice* device,
       device->segment_size() % options.node_size != 0) {
     return Status::InvalidArgument("node_size must divide segment_size");
   }
+  TEBIS_RETURN_IF_ERROR(CheckLeafAddressable(device));
   std::unique_ptr<KvStore> store(new KvStore(device, options));
   TEBIS_ASSIGN_OR_RETURN(store->log_, ValueLog::Create(device));
   store->log_->set_large_value_threshold(options.large_value_threshold);
@@ -75,6 +76,7 @@ StatusOr<std::unique_ptr<KvStore>> KvStore::CreateFromParts(BlockDevice* device,
   if (levels.size() != options.max_levels + 1) {
     return Status::InvalidArgument("levels vector must have max_levels+1 entries");
   }
+  TEBIS_RETURN_IF_ERROR(CheckLeafAddressable(device));
   std::unique_ptr<KvStore> store(new KvStore(device, options));
   store->log_ = std::move(log);
   store->log_->set_large_value_threshold(options.large_value_threshold);
@@ -952,8 +954,7 @@ StatusOr<ValueLocation> KvStore::FindLocation(Slice key, const ReadSnapshot& sna
                        snap.levels[i]->verifier.get());
     auto found = reader.Find(key, key_hash, loader);
     if (found.ok()) {
-      // The tombstone flag lives in the log record; the caller reads it.
-      return ValueLocation{*found, false};
+      return ValueLocation{found->log_offset(), found->tombstone()};
     }
     if (!found.status().IsNotFound()) {
       if (found.status().IsCorruption()) {
@@ -985,20 +986,15 @@ StatusOr<std::string> KvStore::Get(Slice key) {
     return finish(Status::NotFound());
   }
   LogRecord rec;
-  Status read = log_->ReadRecord(loc->log_offset, &rec, cache_.get(), IoClass::kLookup);
+  Status read =
+      log_->ReadIndexedRecord(loc->log_offset, key, &rec, cache_.get(), IoClass::kLookup);
   if (!read.ok()) {
     if (read.IsCorruption()) {
-      // Rot in the value log behind a live index entry: count it (per source)
-      // and name the device + offset so the operator can find the record.
+      // Rot in the value log behind a live index entry, or a record that is
+      // not the key's: count it per source (the status names device + offset).
       counters_.read_corruptions_log->Increment();
-      return finish(Status::Corruption("value-log record on device " + device_->name() + " @" +
-                                       std::to_string(loc->log_offset) + ": " +
-                                       read.ToString()));
     }
     return finish(read);
-  }
-  if (rec.tombstone) {
-    return finish(Status::NotFound());
   }
   return finish(std::move(rec.value));
 }
@@ -1049,8 +1045,8 @@ StatusOr<std::vector<KvPair>> KvStore::Scan(Slice start, size_t limit) {
       continue;
     }
     LogRecord rec;
-    TEBIS_RETURN_IF_ERROR(
-        log_->ReadRecord(winner.log_offset, &rec, cache_.get(), IoClass::kLookup));
+    TEBIS_RETURN_IF_ERROR(log_->ReadIndexedRecord(winner.log_offset, winner.key, &rec,
+                                                  cache_.get(), IoClass::kLookup));
     out.push_back(KvPair{std::move(rec.key), std::move(rec.value)});
   }
   return out;
@@ -1061,10 +1057,10 @@ StatusOr<std::vector<KvPair>> KvStore::ScanPrefix(Slice prefix, size_t limit) {
   ReadSnapshot snap = TakeReadSnapshot();
 
   // Level skipping via prefix fingerprints is only sound when the query pins
-  // at least kPrefixSize leading bytes: the filter stores zero-padded
-  // kPrefixSize fingerprints, so a shorter query prefix covers many stored
-  // prefixes and a single probe cannot rule the level out.
-  const bool can_skip = prefix.size() >= kPrefixSize;
+  // at least kFilterPrefixSize leading bytes: the filter stores zero-padded
+  // kFilterPrefixSize fingerprints, so a shorter query prefix covers many
+  // stored prefixes and a single probe cannot rule the level out.
+  const bool can_skip = prefix.size() >= kFilterPrefixSize;
 
   std::vector<std::unique_ptr<MergeSource>> owned;
   owned.push_back(std::make_unique<MemtableMergeSource>(snap.active.get(), prefix));
@@ -1123,8 +1119,8 @@ StatusOr<std::vector<KvPair>> KvStore::ScanPrefix(Slice prefix, size_t limit) {
       continue;
     }
     LogRecord rec;
-    TEBIS_RETURN_IF_ERROR(
-        log_->ReadRecord(winner.log_offset, &rec, cache_.get(), IoClass::kLookup));
+    TEBIS_RETURN_IF_ERROR(log_->ReadIndexedRecord(winner.log_offset, winner.key, &rec,
+                                                  cache_.get(), IoClass::kLookup));
     out.push_back(KvPair{std::move(rec.key), std::move(rec.value)});
   }
   return out;
@@ -1196,8 +1192,9 @@ StatusOr<KvStore::IntegrityReport> KvStore::CheckIntegrity() {
   TEBIS_RETURN_IF_ERROR(DrainBackgroundLocked());
   IntegrityReport report;
   // Levels: in-order iteration with every entry's record readable and every
-  // leaf entry's size, prefix and tag matching its key. A wrong tag passes
-  // every CRC when the builder wrote it, yet hides the key from Get.
+  // leaf entry's size, prefix, tag and tombstone flag matching its record. A
+  // wrong tag or flag passes every CRC when the builder wrote it, yet hides
+  // the key from Get (or answers a deleted key with a value).
   for (uint32_t level = 1; level <= options_.max_levels; ++level) {
     const BuiltTree& tree = levels_[level]->tree;
     if (tree.empty()) {
@@ -1212,16 +1209,24 @@ StatusOr<KvStore::IntegrityReport> KvStore::CheckIntegrity() {
       const std::string where = "L" + std::to_string(level) + " entry " + std::to_string(entries);
       const LeafEntry& e = it.entry();
       LogRecord record;
-      Status read = log_->ReadRecord(e.log_offset, &record, nullptr, IoClass::kOther);
+      Status read = log_->ReadRecord(e.log_offset(), &record, nullptr, IoClass::kOther);
       if (!read.ok()) {
         return Status::Corruption(where + ": " + read.ToString());
       }
       const std::string& key = record.key;
+      // Size plus zero-padded prefix compare the whole key of an inline entry.
       char prefix[kPrefixSize];
       MakePrefix(key, prefix);
-      if (e.key_size != key.size() || memcmp(e.prefix, prefix, kPrefixSize) != 0 ||
+      if (e.key_size() != key.size() || memcmp(e.prefix, prefix, kPrefixSize) != 0 ||
           e.key_tag != KeyTag(KeyHash(key))) {
         return Status::Corruption(where + ": leaf entry does not match its key " + key);
+      }
+      if (e.tombstone() != record.tombstone) {
+        return Status::Corruption(where + ": leaf tombstone flag disagrees with the record of " +
+                                  key);
+      }
+      if (e.word != LeafEntry::Pack(e.log_offset(), e.key_size(), e.tombstone())) {
+        return Status::Corruption(where + ": reserved leaf entry bits set for " + key);
       }
       if (!prev.empty() && Slice(prev).Compare(Slice(key)) >= 0) {
         return Status::Corruption("L" + std::to_string(level) + " out of order at " + key);

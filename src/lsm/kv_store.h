@@ -77,7 +77,7 @@ struct KvStoreOptions {
   // Recover() restores everything up to the last flushed log segment.
   bool auto_checkpoint = false;
   // Per-level bloom filters: compactions fingerprint every merged key
-  // (plus its kPrefixSize prefix) and attach a filter block to the built
+  // (plus its kFilterPrefixSize prefix) and attach a filter block to the built
   // tree; point lookups and prefix scans consult it before descending the
   // level. Send-Index primaries ship the block so backups answer membership
   // probes from the primary's exact bytes.
@@ -254,7 +254,7 @@ class KvStore {
   StatusOr<std::vector<KvPair>> Scan(Slice start, size_t limit);
 
   // Prefix scan: up to `limit` pairs whose keys start with `prefix`,
-  // ascending. When the prefix fixes at least the first kPrefixSize bytes,
+  // ascending. When the prefix fixes at least the first kFilterPrefixSize bytes,
   // levels whose bloom filter excludes the prefix fingerprint are skipped
   // without touching their on-device tree; shorter prefixes fall back to the
   // plain merged scan (correct, just never skips).

@@ -20,11 +20,12 @@ inline constexpr uint32_t kManifestMagic = 0x5442'4D46;  // "TBMF"
 // Per level: the tree descriptor, a content CRC (torn index-segment
 // detection on recovery), the bloom filter block and per-segment
 // {crc, length} checksums. The version also names the leaf layout the levels
-// were built with: v5 leaves carry key tags (format.h), and an older leaf
-// would read back with tag 0 and hide its long keys, so Decode accepts v5
-// only.
-inline constexpr uint32_t kManifestVersion = 5;
-inline constexpr uint32_t kMinManifestVersion = 5;
+// were built with: v6 leaves pack a 48-bit offset, the key size and a
+// tombstone flag into one word and hold keys of up to 14 bytes whole
+// (format.h). An older leaf would read back with wrong offsets and sizes, so
+// Decode accepts v6 only.
+inline constexpr uint32_t kManifestVersion = 6;
+inline constexpr uint32_t kMinManifestVersion = 6;
 
 struct Manifest {
   // levels[0] unused, mirroring KvStore.

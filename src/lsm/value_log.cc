@@ -336,6 +336,20 @@ Status ValueLog::ReadRecord(uint64_t offset, LogRecord* out, PageCache* cache,
   return Status::Ok();
 }
 
+Status ValueLog::ReadIndexedRecord(uint64_t offset, Slice key, LogRecord* out, PageCache* cache,
+                                   IoClass io_class) const {
+  Status read = ReadRecord(offset, out, cache, io_class);
+  if (read.ok() && (Slice(out->key) != key || out->tombstone)) {
+    read = Status::Corruption((out->tombstone ? "tombstone of key " : "key ") + out->key +
+                              " where the index expects live key " + key.ToString());
+  }
+  if (read.IsCorruption()) {
+    return Status::Corruption("value-log record on device " + device_->name() + " @" +
+                              std::to_string(offset) + ": " + read.ToString());
+  }
+  return read;
+}
+
 Status ValueLog::ReadKey(uint64_t offset, size_t key_size, std::string* key, bool* tombstone,
                          PageCache* cache, IoClass io_class) const {
   const SegmentGeometry& geometry = device_->geometry();

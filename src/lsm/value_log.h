@@ -78,6 +78,7 @@ class ValueLog {
   ValueLog& operator=(const ValueLog&) = delete;
 
   void set_observer(ValueLogObserver* observer) { observer_ = observer; }
+  const BlockDevice* device() const { return device_; }
 
   // WAL-time KV separation: values >= `threshold` bytes are appended
   // to the large-value tail instead of the main tail; 0 (the default)
@@ -117,11 +118,19 @@ class ValueLog {
   Status ReadRecord(uint64_t offset, LogRecord* out, PageCache* cache, IoClass io_class) const;
 
   // Reads only the key (and tombstone flag) of the record at `offset` — used
-  // by compaction merges and tied leaf searches, which never need the value.
+  // by merges and tied leaf searches over keys longer than kPrefixSize, which
+  // never need the value.
   // `key_size` is the size the leaf entry records, so header + key arrive in
   // one read; a record header that disagrees with it is kCorruption.
   Status ReadKey(uint64_t offset, size_t key_size, std::string* key, bool* tombstone,
                  PageCache* cache, IoClass io_class) const;
+
+  // Reads the record an index entry for live key `key` points at. A record
+  // that fails to decode, holds another key or is a tombstone is kCorruption
+  // naming the device and offset: the index, not the log, decides which key
+  // an offset serves, so this is the guard against a wrong record.
+  Status ReadIndexedRecord(uint64_t offset, Slice key, LogRecord* out, PageCache* cache,
+                           IoClass io_class) const;
 
   SegmentId tail_segment() const {
     std::lock_guard<std::mutex> lock(tail_mutex_);

@@ -20,6 +20,7 @@ StatusOr<std::unique_ptr<SendIndexBackupRegion>> SendIndexBackupRegion::Create(
   if (rdma_buffer == nullptr || rdma_buffer->size() < device->segment_size()) {
     return Status::InvalidArgument("RDMA buffer must hold at least one segment");
   }
+  TEBIS_RETURN_IF_ERROR(CheckLeafAddressable(device));
   std::unique_ptr<SendIndexBackupRegion> backup(
       new SendIndexBackupRegion(device, options, std::move(rdma_buffer)));
   TEBIS_ASSIGN_OR_RETURN(backup->log_, ValueLog::Create(device));
@@ -37,6 +38,7 @@ StatusOr<std::unique_ptr<SendIndexBackupRegion>> SendIndexBackupRegion::CreateFr
   if (levels.size() != options.max_levels + 1) {
     return Status::InvalidArgument("levels vector must have max_levels+1 entries");
   }
+  TEBIS_RETURN_IF_ERROR(CheckLeafAddressable(device));
   std::unique_ptr<SendIndexBackupRegion> backup(
       new SendIndexBackupRegion(device, options, std::move(rdma_buffer)));
   backup->log_ = std::move(log);
@@ -736,6 +738,19 @@ FullKeyLoader SendIndexBackupRegion::LevelKeyLoader() const {
   };
 }
 
+StatusOr<std::string> SendIndexBackupRegion::ReadLevelValue(Slice key, const LeafEntry& entry) {
+  if (entry.tombstone()) {
+    return Status::NotFound();
+  }
+  LogRecord rec;
+  Status read = log_->ReadIndexedRecord(entry.log_offset(), key, &rec, nullptr, IoClass::kLookup);
+  if (read.IsCorruption()) {
+    counters_.read_corruptions->Increment();
+  }
+  TEBIS_RETURN_IF_ERROR(read);
+  return std::move(rec.value);
+}
+
 StatusOr<std::string> SendIndexBackupRegion::GetFromLevelsLocked(Slice key) {
   FullKeyLoader loader = LevelKeyLoader();
   const uint64_t key_hash = KeyHash(key);
@@ -761,16 +776,7 @@ StatusOr<std::string> SendIndexBackupRegion::GetFromLevelsLocked(Slice key) {
                        verifiers_[i].get());
     auto found = reader.Find(key, key_hash, loader);
     if (found.ok()) {
-      LogRecord rec;
-      Status read = log_->ReadRecord(*found, &rec, nullptr, IoClass::kLookup);
-      if (read.IsCorruption()) {
-        counters_.read_corruptions->Increment();
-      }
-      TEBIS_RETURN_IF_ERROR(read);
-      if (rec.tombstone) {
-        return Status::NotFound();
-      }
-      return std::move(rec.value);
+      return ReadLevelValue(key, *found);
     }
     if (!found.status().IsNotFound()) {
       if (found.status().IsCorruption()) {
@@ -917,7 +923,8 @@ StatusOr<std::vector<KvPair>> SendIndexBackupRegion::Scan(Slice start, size_t li
     }
     if (!overlay_wins) {
       LogRecord rec;
-      TEBIS_RETURN_IF_ERROR(log_->ReadRecord(level_offset, &rec, nullptr, IoClass::kLookup));
+      TEBIS_RETURN_IF_ERROR(
+          log_->ReadIndexedRecord(level_offset, winner_key, &rec, nullptr, IoClass::kLookup));
       value = std::move(rec.value);
     }
     out.push_back(KvPair{winner_key, std::move(value)});
@@ -964,12 +971,7 @@ StatusOr<std::string> SendIndexBackupRegion::DebugGet(Slice key) {
                        verifiers[i].get());
     auto found = reader.Find(key, key_hash, loader);
     if (found.ok()) {
-      LogRecord rec;
-      TEBIS_RETURN_IF_ERROR(log_->ReadRecord(*found, &rec, nullptr, IoClass::kLookup));
-      if (rec.tombstone) {
-        return Status::NotFound();
-      }
-      return std::move(rec.value);
+      return ReadLevelValue(key, *found);
     }
     if (!found.status().IsNotFound()) {
       return found.status();

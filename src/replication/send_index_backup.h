@@ -325,6 +325,10 @@ class SendIndexBackupRegion final : public BackupRegion {
   StatusOr<LogRecord> FindUnindexedLocked(Slice key);
   // Lookup through the local device levels (top = newest).
   StatusOr<std::string> GetFromLevelsLocked(Slice key);
+  // The value of a level hit: NotFound for a tombstone entry (no log read),
+  // else the record the entry points at, which must be `key`'s live record
+  // (ValueLog::ReadIndexedRecord); a corrupt one bumps read_corruptions.
+  StatusOr<std::string> ReadLevelValue(Slice key, const LeafEntry& entry);
   // Full-key loader for tied leaf searches: one direct kLookup read of a
   // record's header + key. Flushed log data is immutable, so no lock needed.
   FullKeyLoader LevelKeyLoader() const;

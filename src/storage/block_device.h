@@ -117,6 +117,7 @@ class BlockDevice {
 
   const SegmentGeometry& geometry() const { return geometry_; }
   uint64_t segment_size() const { return geometry_.segment_size(); }
+  uint64_t max_segments() const { return options_.max_segments; }
 
   // Allocates a fresh segment and returns its id. Freed segments are recycled.
   StatusOr<SegmentId> AllocateSegment();

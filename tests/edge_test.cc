@@ -164,7 +164,7 @@ TEST(IndexRewriteEdgeTest, ParentSegmentShippedBeforeChild) {
   SegmentGeometry geometry(kSegmentSize);
   std::string leaf_segment(opts.node_size, 0);
   LeafNodeBuilder leaf(leaf_segment.data(), opts.node_size);
-  leaf.Add("only-key", rec->offset, KeyHash("only-key"));
+  leaf.Add("only-key", rec->offset, /*tombstone=*/false, KeyHash("only-key"));
   leaf.Finish();
   const uint64_t leaf_offset = geometry.BaseOffset(leaf_seg);  // node at offset 0
 

@@ -98,8 +98,8 @@ TEST(FilterBlockTest, FalsePositiveRateBounded) {
 
 TEST(FilterBlockTest, PrefixProbesSkipAbsentPrefixes) {
   // All keys share per-thousand prefixes: Key(i) = "key%010u", so the first
-  // kPrefixSize (12) bytes fix i / 10.
-  static_assert(kPrefixSize == 12, "Key() prefix math assumes 12-byte prefixes");
+  // kFilterPrefixSize (12) bytes fix i / 10.
+  static_assert(kFilterPrefixSize == 12, "Key() prefix math assumes 12-byte prefixes");
   BloomFilterBuilder builder(/*bits_per_key=*/10);
   for (uint64_t i = 0; i < 2000; ++i) {
     builder.AddKey(Key(i));
@@ -111,7 +111,7 @@ TEST(FilterBlockTest, PrefixProbesSkipAbsentPrefixes) {
   // Present prefixes always answer maybe.
   for (uint64_t i = 0; i < 2000; i += 37) {
     std::string key = Key(i);
-    EXPECT_TRUE(view.MayContainPrefix(Slice(key.data(), kPrefixSize)));
+    EXPECT_TRUE(view.MayContainPrefix(Slice(key.data(), kFilterPrefixSize)));
   }
   // Absent prefixes answer no almost always (they are subject to the same
   // false-positive rate as point probes).
@@ -119,7 +119,7 @@ TEST(FilterBlockTest, PrefixProbesSkipAbsentPrefixes) {
   constexpr uint64_t kProbes = 1000;
   for (uint64_t i = 0; i < kProbes; ++i) {
     std::string probe = Key(2'000'000 + i * 10);
-    if (!view.MayContainPrefix(Slice(probe.data(), kPrefixSize))) {
+    if (!view.MayContainPrefix(Slice(probe.data(), kFilterPrefixSize))) {
       ++negatives;
     }
   }
@@ -330,7 +330,7 @@ TEST(PrimaryFilterTest, ScanPrefixSkipsAbsentPrefixes) {
 
   // Key(i) fixes the first 12 bytes to "key%09u" of i/10: prefix "key000000012"
   // selects exactly i = 120..129.
-  std::string prefix = Key(120).substr(0, kPrefixSize);
+  std::string prefix = Key(120).substr(0, kFilterPrefixSize);
   auto rows = (*store)->ScanPrefix(prefix, /*limit=*/100);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 10u);
@@ -340,7 +340,7 @@ TEST(PrimaryFilterTest, ScanPrefixSkipsAbsentPrefixes) {
 
   // An absent prefix comes back empty and the filters answered some levels.
   KvStoreStats before = (*store)->stats();
-  std::string absent = Key(8'000'000).substr(0, kPrefixSize);
+  std::string absent = Key(8'000'000).substr(0, kFilterPrefixSize);
   auto empty_rows = (*store)->ScanPrefix(absent, /*limit=*/100);
   ASSERT_TRUE(empty_rows.ok());
   EXPECT_TRUE(empty_rows->empty());

@@ -595,7 +595,7 @@ TEST(MergeFuzzTest, KWayMergeKeepsNewestAndSorts) {
     auto want = expected.begin();
     while (it.Valid()) {
       ASSERT_NE(want, expected.end());
-      EXPECT_EQ(it.entry().log_offset, want->second) << want->first;
+      EXPECT_EQ(it.entry().log_offset(), want->second) << want->first;
       ++want;
       ASSERT_TRUE(it.Next().ok());
     }

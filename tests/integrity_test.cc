@@ -27,6 +27,8 @@
 #include "src/cluster/region_server.h"
 #include "src/common/crc32.h"
 #include "src/common/random.h"
+#include "src/lsm/bloom_filter.h"
+#include "src/lsm/btree_reader.h"
 #include "src/lsm/kv_store.h"
 #include "src/lsm/manifest.h"
 #include "src/net/fabric.h"
@@ -67,6 +69,10 @@ std::string Key(uint64_t i) {
   snprintf(buf, sizeof(buf), "key%010llu", static_cast<unsigned long long>(i));
   return buf;
 }
+
+// Longer than kPrefixSize, so leaves hold only its prefix and every merge or
+// tied lookup fetches it from the value log.
+std::string LongKey(uint64_t i) { return "long-" + Key(i); }
 
 std::string ValueFor(uint64_t i) { return "value-" + std::to_string(i); }
 
@@ -116,7 +122,7 @@ struct LoadedStore {
 };
 
 LoadedStore MakeLoadedStore(const std::string& device_name, FaultInjector* injector = nullptr,
-                            int keys = 2000) {
+                            int keys = 2000, std::string (*key_of)(uint64_t) = Key) {
   LoadedStore ls;
   ls.device = MakeDevice(device_name);
   if (injector != nullptr) {
@@ -126,7 +132,7 @@ LoadedStore MakeLoadedStore(const std::string& device_name, FaultInjector* injec
   EXPECT_TRUE(store.ok());
   ls.store = std::move(*store);
   for (int i = 0; i < keys; ++i) {
-    const std::string key = Key(i % (keys / 2));
+    const std::string key = key_of(i % (keys / 2));
     const std::string value = ValueFor(i);
     EXPECT_TRUE(ls.store->Put(key, value).ok());
     ls.model[key] = value;
@@ -234,43 +240,97 @@ TEST(IntegrityReadTest, ValueLogRotSurfacesAsReadCorruption) {
   EXPECT_GE(report->corruptions_found, 1u);
 }
 
-// A leaf records each key's size, and a key fetch reads exactly that many
-// bytes after the record header. A flushed record whose header disagrees —
-// here rewritten to another valid size — must fail the fetch as kCorruption
-// naming device and offset, for a point read and for a compaction merge
-// alike: never a wrong (truncated) key, never a silent NotFound.
-TEST(IntegrityReadTest, LogKeySizeMismatchIsCorruption) {
-  auto ls = MakeLoadedStore("dev0");
-  // Newest flushed record of every key: segments in flush order, records in
-  // append order.
-  std::map<std::string, std::pair<uint64_t, std::string>> newest;
-  for (SegmentId seg : ls.store->value_log()->FlushedSegmentsSnapshot()) {
-    std::string bytes(kSegmentSize, '\0');
-    const uint64_t base = ls.device->geometry().BaseOffset(seg);
-    ASSERT_TRUE(ls.device->Read(base, kSegmentSize, bytes.data(), IoClass::kOther).ok());
-    ASSERT_TRUE(ValueLog::ForEachRecord(Slice(bytes), base, [&](const LogRecord& rec) {
-                  newest[rec.key] = {rec.offset, rec.value};
+// Every record in the flushed segments of `log`, in flush then append order,
+// with the segment images they were parsed from.
+struct FlushedRecords {
+  std::vector<LogRecord> records;
+  std::map<uint64_t, std::string> images;  // segment base offset -> bytes
+};
+
+FlushedRecords ReadFlushedRecords(BlockDevice* device, ValueLog* log) {
+  FlushedRecords out;
+  for (SegmentId seg : log->FlushedSegmentsSnapshot()) {
+    const uint64_t base = device->geometry().BaseOffset(seg);
+    std::string& bytes = out.images[base];
+    bytes.assign(device->segment_size(), '\0');
+    EXPECT_TRUE(device->Read(base, bytes.size(), bytes.data(), IoClass::kOther).ok());
+    EXPECT_TRUE(ValueLog::ForEachRecord(Slice(bytes), base, [&](const LogRecord& rec) {
+                  out.records.push_back(rec);
                   return Status::Ok();
                 }).ok());
   }
-  // A key whose live version is one of those flushed records.
-  std::string key;
-  uint64_t offset = kInvalidOffset;
+  return out;
+}
+
+// The offset of the flushed record holding the live version of some key of
+// `model`, or kInvalidOffset; sets `*key`.
+uint64_t LiveFlushedRecord(const FlushedRecords& flushed,
+                           const std::map<std::string, std::string>& model, std::string* key) {
+  std::map<std::string, const LogRecord*> newest;
+  for (const LogRecord& rec : flushed.records) {
+    newest[rec.key] = &rec;
+  }
   for (const auto& [k, rec] : newest) {
-    if (ls.model[k] == rec.second) {
-      key = k;
-      offset = rec.first;
-      break;
+    auto it = model.find(k);
+    if (!rec->tombstone && it != model.end() && it->second == rec->value) {
+      *key = k;
+      return rec->offset;
     }
   }
-  ASSERT_FALSE(key.empty()) << "no live record was flushed";
+  return kInvalidOffset;
+}
+
+// Copies another valid, live record of the same encoded size over the
+// record at `victim`: every CRC still passes, but the record no longer holds
+// the key whose index entry points at it. Returns the donor's key, or an
+// empty string when no donor exists.
+std::string CopyOtherRecordOver(BlockDevice* device, const FlushedRecords& flushed,
+                                uint64_t victim) {
+  const LogRecord* target = nullptr;
+  for (const LogRecord& rec : flushed.records) {
+    if (rec.offset == victim) {
+      target = &rec;
+    }
+  }
+  if (target == nullptr) {
+    return "";
+  }
+  for (const LogRecord& rec : flushed.records) {
+    if (rec.tombstone || rec.key == target->key || rec.encoded_size != target->encoded_size) {
+      continue;
+    }
+    const uint64_t base = device->geometry().BaseOffset(device->geometry().SegmentOf(rec.offset));
+    const std::string& image = flushed.images.at(base);
+    const Slice donor(image.data() + (rec.offset - base), rec.encoded_size);
+    EXPECT_TRUE(device->Write(victim, donor, IoClass::kOther).ok());
+    return rec.key;
+  }
+  return "";
+}
+
+// Rewrites the key-size field of the record header at `offset` to `size`.
+void RewriteRecordKeySize(BlockDevice* device, uint64_t offset, uint32_t size) {
+  char header[sizeof(size)];
+  memcpy(header, &size, sizeof(size));
+  ASSERT_TRUE(device->Write(offset, Slice(header, sizeof(header)), IoClass::kOther).ok());
+}
+
+// A leaf records each key's size, and a fetch of a key longer than the leaf
+// prefix reads exactly that many bytes after the record header. A flushed
+// record whose header disagrees — here rewritten to another valid size —
+// must fail the fetch as kCorruption naming device and offset, for a point
+// read and for a compaction merge alike: never a wrong (truncated) key,
+// never a silent NotFound.
+TEST(IntegrityReadTest, LogKeySizeMismatchIsCorruption) {
+  auto ls = MakeLoadedStore("dev0", nullptr, 2000, LongKey);
+  std::string key;
+  const uint64_t offset = LiveFlushedRecord(
+      ReadFlushedRecords(ls.device.get(), ls.store->value_log()), ls.model, &key);
+  ASSERT_NE(offset, kInvalidOffset) << "no live record was flushed";
   ASSERT_GT(key.size(), kPrefixSize) << "the lookup must fetch the full key";
   ASSERT_TRUE(ls.store->Get(key).ok());
 
-  const uint32_t wrong_size = static_cast<uint32_t>(key.size() - 1);
-  char header[sizeof(wrong_size)];
-  memcpy(header, &wrong_size, sizeof(wrong_size));
-  ASSERT_TRUE(ls.device->Write(offset, Slice(header, sizeof(header)), IoClass::kOther).ok());
+  RewriteRecordKeySize(ls.device.get(), offset, static_cast<uint32_t>(key.size() - 1));
 
   auto got = ls.store->Get(key);
   ASSERT_TRUE(got.status().IsCorruption()) << got.status().ToString();
@@ -281,12 +341,85 @@ TEST(IntegrityReadTest, LogKeySizeMismatchIsCorruption) {
   // Fresh keys put data in L1, so a full compaction merges every level and
   // fetches every entry's key, the damaged one included.
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(ls.store->Put(Key(100000 + i), ValueFor(i)).ok());
+    ASSERT_TRUE(ls.store->Put(LongKey(100000 + i), ValueFor(i)).ok());
   }
   Status compaction = ls.store->ForceFullCompaction();
   ASSERT_TRUE(compaction.IsCorruption()) << compaction.ToString();
   EXPECT_NE(compaction.ToString().find(std::to_string(offset)), std::string::npos)
       << compaction.ToString();
+}
+
+// The inline-key sibling: a leaf holds a key of at most kPrefixSize bytes
+// whole, so neither a lookup nor a merge reads the damaged header's key. A
+// Get still reads the record for its value and fails its CRC (kCorruption
+// naming device and offset); a full compaction merges the leaf's key
+// correctly and keeps pointing it at the same record.
+TEST(IntegrityReadTest, InlineKeyLogSizeMismatchFailsGetButNotMerge) {
+  auto ls = MakeLoadedStore("dev0");
+  std::string key;
+  const uint64_t offset = LiveFlushedRecord(
+      ReadFlushedRecords(ls.device.get(), ls.store->value_log()), ls.model, &key);
+  ASSERT_NE(offset, kInvalidOffset) << "no live record was flushed";
+  ASSERT_LE(key.size(), kPrefixSize) << "the leaf must hold the key whole";
+  ASSERT_TRUE(ls.store->Get(key).ok());
+
+  RewriteRecordKeySize(ls.device.get(), offset, static_cast<uint32_t>(key.size() - 1));
+
+  auto got = ls.store->Get(key);
+  ASSERT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  EXPECT_NE(got.status().ToString().find("dev0"), std::string::npos) << got.status().ToString();
+  EXPECT_NE(got.status().ToString().find(std::to_string(offset)), std::string::npos)
+      << got.status().ToString();
+
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(ls.store->Put(Key(100000 + i), ValueFor(i)).ok());
+  }
+  ASSERT_TRUE(ls.store->ForceFullCompaction().ok());
+  const uint32_t last = SmallOptions().max_levels;
+  BTreeReader reader(ls.device.get(), nullptr, SmallOptions().node_size, ls.store->level(last),
+                     IoClass::kOther);
+  auto no_log = [](uint64_t, size_t) -> StatusOr<std::string> {
+    return Status::Internal("an inline key needs no log read");
+  };
+  auto entry = reader.Find(key, KeyHash(key), no_log);
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  EXPECT_EQ(entry->log_offset(), offset);
+  EXPECT_EQ(entry->inline_key().ToString(), key);
+  EXPECT_TRUE(ls.store->Get(key).status().IsCorruption());
+  // Every other key survived the merge.
+  for (const auto& [k, value] : ls.model) {
+    if (k == key) {
+      continue;
+    }
+    auto other = ls.store->Get(k);
+    ASSERT_TRUE(other.ok()) << k << ": " << other.status().ToString();
+    EXPECT_EQ(*other, value);
+  }
+}
+
+// An index entry decides which key an offset serves, and a lookup of a key
+// the leaf holds whole never reads the log's copy of it. So the record a Get
+// reads for the value must be compared with the probe key: a valid record of
+// another key, copied over the live one (every CRC intact), is kCorruption
+// naming device and offset and counted as a read corruption, never the
+// other key's value.
+TEST(IntegrityReadTest, WrongRecordUnderLiveKeyIsCorruption) {
+  auto ls = MakeLoadedStore("dev0");
+  const FlushedRecords flushed = ReadFlushedRecords(ls.device.get(), ls.store->value_log());
+  std::string key;
+  const uint64_t offset = LiveFlushedRecord(flushed, ls.model, &key);
+  ASSERT_NE(offset, kInvalidOffset) << "no live record was flushed";
+  ASSERT_TRUE(ls.store->Get(key).ok());
+  const std::string donor = CopyOtherRecordOver(ls.device.get(), flushed, offset);
+  ASSERT_FALSE(donor.empty()) << "no same-size record to copy";
+
+  const uint64_t corruptions = ls.store->stats().read_corruptions;
+  auto got = ls.store->Get(key);
+  ASSERT_TRUE(got.status().IsCorruption()) << (got.ok() ? *got : got.status().ToString());
+  EXPECT_NE(got.status().ToString().find("dev0"), std::string::npos) << got.status().ToString();
+  EXPECT_NE(got.status().ToString().find(std::to_string(offset)), std::string::npos)
+      << got.status().ToString();
+  EXPECT_EQ(ls.store->stats().read_corruptions, corruptions + 1);
 }
 
 // --- KvStore: scrub --------------------------------------------------------
@@ -507,7 +640,8 @@ TEST(IntegrityManifestTest, PreTagManifestIsRejected) {
   }
 
   // A store whose checkpoint carries a v4 manifest (leaves without key tags)
-  // does not open: it is refused, not misread.
+  // or a v5 one (leaves with a 12-byte prefix and unpacked offsets) does not
+  // open: it is refused, not misread.
   auto ls = MakeLoadedStore("dev0");
   ASSERT_TRUE(ls.store->value_log()->FlushTail().ok());
   auto checkpoint = ls.store->Checkpoint();
@@ -518,14 +652,19 @@ TEST(IntegrityManifestTest, PreTagManifestIsRejected) {
                                 IoClass::kOther).ok());
   std::string image(length, 0);
   ASSERT_TRUE(ls.device->Read(base + 4, length, image.data(), IoClass::kOther).ok());
-  ASSERT_TRUE(ls.device->Write(base + 4, Slice(WithManifestVersion(image, 4)), IoClass::kOther)
-                  .ok());
-  auto cloned = ls.device->CloneContents();
-  ASSERT_TRUE(cloned.ok());
-  auto recovered = KvStore::Recover(cloned->get(), SmallOptions(), *checkpoint);
-  ASSERT_FALSE(recovered.ok());
-  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument)
-      << recovered.status().ToString();
+  for (uint32_t old_version : {4u, 5u}) {
+    SCOPED_TRACE(old_version);
+    ASSERT_TRUE(ls.device
+                    ->Write(base + 4, Slice(WithManifestVersion(image, old_version)),
+                            IoClass::kOther)
+                    .ok());
+    auto cloned = ls.device->CloneContents();
+    ASSERT_TRUE(cloned.ok());
+    auto recovered = KvStore::Recover(cloned->get(), SmallOptions(), *checkpoint);
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument)
+        << recovered.status().ToString();
+  }
 }
 
 // --- crash during repair ---------------------------------------------------
@@ -662,6 +801,67 @@ TEST(IntegrityShipTest, BackupRejectsMangledShippedSegment) {
   Status structural = backup->Handle(segment);
   EXPECT_FALSE(structural.ok());
   EXPECT_EQ(backup->stats().segments_crc_rejected, 1u);
+}
+
+// The backup's level reads compare the record they read with the probe key
+// too: a valid record of another key copied over a live key's record in the
+// backup's log is kCorruption naming the backup device and offset, on the
+// replica Get path and on DebugGet, and bumps backup.read_corruptions.
+TEST(IntegrityShipTest, BackupLevelReadRejectsAnotherKeysRecord) {
+  auto cluster = MakeSendIndexCluster(1, SmallOptions());
+  auto model = LoadCluster(&cluster);
+  auto* backup = cluster.backups[0].get();
+  BlockDevice* device = cluster.backup_devices[0].get();
+  const FlushedRecords flushed = ReadFlushedRecords(device, backup->value_log());
+  std::map<uint64_t, const LogRecord*> by_offset;
+  for (const LogRecord& rec : flushed.records) {
+    by_offset[rec.offset] = &rec;
+  }
+  auto no_log = [](uint64_t, size_t) -> StatusOr<std::string> {
+    return Status::Internal("an inline key needs no log read");
+  };
+  // A key whose newest version sits in a backup level, at a flushed record.
+  std::string key;
+  uint64_t offset = kInvalidOffset;
+  for (const auto& [k, value] : model) {
+    for (uint32_t i = 1; i <= SmallOptions().max_levels && offset == kInvalidOffset; ++i) {
+      if (backup->level(i).empty()) {
+        continue;
+      }
+      BTreeReader reader(device, nullptr, SmallOptions().node_size, backup->level(i),
+                         IoClass::kOther);
+      auto entry = reader.Find(k, KeyHash(k), no_log);
+      if (!entry.ok()) {
+        continue;
+      }
+      auto rec = by_offset.find(entry->log_offset());
+      if (!entry->tombstone() && rec != by_offset.end() && rec->second->value == value) {
+        key = k;
+        offset = entry->log_offset();
+      }
+      break;  // the newest level holding k decides
+    }
+    if (offset != kInvalidOffset) {
+      break;
+    }
+  }
+  ASSERT_NE(offset, kInvalidOffset) << "no live level record on the backup";
+  auto before = backup->DebugGet(key);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(*before, model[key]);
+  ASSERT_FALSE(CopyOtherRecordOver(device, flushed, offset).empty()) << "no same-size record";
+
+  const uint64_t corruptions = backup->stats().read_corruptions;
+  for (int round = 0; round < 2; ++round) {
+    auto got = round == 0 ? backup->Get(key, /*min_epoch=*/0, /*min_seq=*/0, nullptr)
+                          : backup->DebugGet(key);
+    ASSERT_TRUE(got.status().IsCorruption()) << (got.ok() ? *got : got.status().ToString());
+    EXPECT_NE(got.status().ToString().find("backup-dev0"), std::string::npos)
+        << got.status().ToString();
+    EXPECT_NE(got.status().ToString().find(std::to_string(offset)), std::string::npos)
+        << got.status().ToString();
+  }
+  EXPECT_EQ(backup->stats().read_corruptions, corruptions + 2);
 }
 
 TEST(IntegrityShipTest, ShippedLevelsAreChecksummedOnTheBackup) {

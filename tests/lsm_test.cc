@@ -286,8 +286,8 @@ TEST(MemtableTest, MemoryGrowsWithEntries) {
 // --- B+ tree node layer --------------------------------------------------------
 
 // Adds `key` at `offset` with the tag the builder derives from its hash.
-void AddLeafKey(LeafNodeBuilder* builder, Slice key, uint64_t offset) {
-  builder->Add(key, offset, KeyHash(key));
+void AddLeafKey(LeafNodeBuilder* builder, Slice key, uint64_t offset, bool tombstone = false) {
+  builder->Add(key, offset, tombstone, KeyHash(key));
 }
 
 StatusOr<uint32_t> FindInLeaf(const LeafNodeView& view, Slice key, const FullKeyLoader& full_key) {
@@ -295,15 +295,21 @@ StatusOr<uint32_t> FindInLeaf(const LeafNodeView& view, Slice key, const FullKey
 }
 
 TEST(BTreeNodeTest, LeafBuildAndSearch) {
-  // Key(i) is 13 bytes, one longer than kPrefixSize, so equal-prefix ties
+  // Keys are 15 bytes, one longer than kPrefixSize, so equal-prefix ties
   // exercise the full-key loader exactly like KV separation does.
+  auto wide_key = [](uint64_t i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "key%012llu", static_cast<unsigned long long>(i));
+    return std::string(buf);
+  };
+  ASSERT_EQ(wide_key(0).size(), kPrefixSize + 1);
   std::vector<char> buf(kDefaultNodeSize);
   LeafNodeBuilder builder(buf.data(), buf.size());
   std::map<uint64_t, std::string> by_offset;
   for (int i = 0; i < 50; ++i) {
     const uint64_t offset = 1000 + i;
-    by_offset[offset] = Key(i * 3);
-    AddLeafKey(&builder, Key(i * 3), offset);
+    by_offset[offset] = wide_key(i * 3);
+    AddLeafKey(&builder, wide_key(i * 3), offset);
   }
   builder.Finish();
 
@@ -311,10 +317,10 @@ TEST(BTreeNodeTest, LeafBuildAndSearch) {
   ASSERT_TRUE(view.IsValid());
   EXPECT_EQ(view.num_entries(), 50u);
   auto full_key = [&](uint64_t off, size_t) -> StatusOr<std::string> { return by_offset.at(off); };
-  auto found = FindInLeaf(view, Key(9), full_key);
+  auto found = FindInLeaf(view, wide_key(9), full_key);
   ASSERT_TRUE(found.ok());
-  EXPECT_EQ(view.entry(*found).log_offset, 1003u);
-  EXPECT_TRUE(FindInLeaf(view, Key(10), full_key).status().IsNotFound());
+  EXPECT_EQ(view.entry(*found).log_offset(), 1003u);
+  EXPECT_TRUE(FindInLeaf(view, wide_key(10), full_key).status().IsNotFound());
 }
 
 TEST(BTreeNodeTest, LeafEntryCarriesSizeTagAndPrefix) {
@@ -324,17 +330,46 @@ TEST(BTreeNodeTest, LeafEntryCarriesSizeTagAndPrefix) {
   AddLeafKey(&builder, key, 7);
   builder.Finish();
   const LeafEntry& e = LeafNodeView(buf.data(), buf.size()).entry(0);
-  EXPECT_EQ(e.key_size, key.size());
+  EXPECT_EQ(e.key_size(), key.size());
   EXPECT_EQ(e.key_tag, KeyTag(KeyHash(key)));
   EXPECT_EQ(std::string(e.prefix, kPrefixSize), key.substr(0, kPrefixSize));
+  EXPECT_EQ(e.log_offset(), 7u);
+  EXPECT_FALSE(e.tombstone());
+  EXPECT_FALSE(e.key_inline());
+}
+
+// A key of at most kPrefixSize bytes is stored whole, next to its tombstone
+// flag, in one packed word with the 48-bit log offset.
+TEST(BTreeNodeTest, LeafEntryHoldsShortKeyWholeWithTombstone) {
+  std::vector<char> buf(kDefaultNodeSize);
+  LeafNodeBuilder builder(buf.data(), buf.size());
+  const std::string live = "user0000000042";
+  const std::string dead = "user0000000043";
+  ASSERT_EQ(live.size(), kPrefixSize);
+  const uint64_t max_offset = kLeafOffsetMask;
+  AddLeafKey(&builder, live, max_offset);
+  AddLeafKey(&builder, dead, 9, /*tombstone=*/true);
+  builder.Finish();
+  LeafNodeView view(buf.data(), buf.size());
+  const LeafEntry& e0 = view.entry(0);
+  EXPECT_TRUE(e0.key_inline());
+  EXPECT_EQ(e0.inline_key().ToString(), live);
+  EXPECT_EQ(e0.log_offset(), max_offset);
+  EXPECT_EQ(e0.key_size(), live.size());
+  EXPECT_FALSE(e0.tombstone());
+  const LeafEntry& e1 = view.entry(1);
+  EXPECT_EQ(e1.inline_key().ToString(), dead);
+  EXPECT_EQ(e1.log_offset(), 9u);
+  EXPECT_TRUE(e1.tombstone());
+  EXPECT_EQ(e1.word >> (kLeafKeySizeShift + 9), 0u) << "reserved bits stay zero";
 }
 
 TEST(BTreeNodeTest, LeafPrefixCollisionUsesFullKey) {
-  // Keys share the 12-byte prefix and differ afterwards: the prefix search
-  // alone cannot tell them apart, the tag can.
+  // Keys share the kPrefixSize-byte prefix and differ afterwards: the prefix
+  // search alone cannot tell them apart, the tag can.
   std::vector<char> buf(kDefaultNodeSize);
   LeafNodeBuilder builder(buf.data(), buf.size());
-  std::string base = "sameprefix12";  // exactly kPrefixSize
+  std::string base = "same-prefix-14";  // exactly kPrefixSize
   ASSERT_EQ(base.size(), kPrefixSize);
   std::map<uint64_t, std::string> stored;
   std::set<uint16_t> stored_tags;
@@ -353,7 +388,7 @@ TEST(BTreeNodeTest, LeafPrefixCollisionUsesFullKey) {
   };
   auto found = FindInLeaf(view, base + "c", full_key);
   ASSERT_TRUE(found.ok());
-  EXPECT_EQ(view.entry(*found).log_offset, 102u);
+  EXPECT_EQ(view.entry(*found).log_offset(), 102u);
   EXPECT_EQ(full_key_calls, 1) << "a hit confirms exactly one full key";
 
   // A miss whose tag matches no stored entry reads nothing from the log.
@@ -366,7 +401,7 @@ TEST(BTreeNodeTest, LeafPrefixCollisionUsesFullKey) {
 
 TEST(BTreeNodeTest, LeafTagCollisionFallsBackToFullKey) {
   // Brute-force three suffixes whose keys tie on prefix, size and tag.
-  const std::string base = "collide-pfx:";  // exactly kPrefixSize
+  const std::string base = "collide-prefix";  // exactly kPrefixSize
   ASSERT_EQ(base.size(), kPrefixSize);
   std::map<uint16_t, std::vector<std::string>> by_tag;
   std::vector<std::string> colliding;
@@ -404,7 +439,7 @@ TEST(BTreeNodeTest, LeafTagCollisionFallsBackToFullKey) {
   for (int k = 0; k < 2; ++k) {
     auto found = FindInLeaf(view, colliding[k], full_key);
     ASSERT_TRUE(found.ok()) << colliding[k];
-    EXPECT_EQ(view.entry(*found).log_offset, model[colliding[k]]);
+    EXPECT_EQ(view.entry(*found).log_offset(), model[colliding[k]]);
   }
   full_key_calls = 0;
   EXPECT_TRUE(FindInLeaf(view, colliding[2], full_key).status().IsNotFound());
@@ -423,10 +458,10 @@ TEST(BTreeNodeTest, ShortKeysDecidedWithoutLogRead) {
   };
   auto found = FindInLeaf(view, "abc", no_full_key);
   ASSERT_TRUE(found.ok());
-  EXPECT_EQ(view.entry(*found).log_offset, 2u);
+  EXPECT_EQ(view.entry(*found).log_offset(), 2u);
   found = FindInLeaf(view, "ab", no_full_key);
   ASSERT_TRUE(found.ok());
-  EXPECT_EQ(view.entry(*found).log_offset, 1u);
+  EXPECT_EQ(view.entry(*found).log_offset(), 1u);
   // A probe longer than the prefix orders after a short key that is its
   // prefix, without a log read.
   auto lower = view.LowerBound("abc" + std::string(20, 'x'), no_full_key);
@@ -438,7 +473,7 @@ TEST(BTreeNodeTest, ShortKeysDecidedWithoutLogRead) {
 // from a few shared stems so that prefix ties are common.
 std::string RandomLeafKey(Random* rng) {
   static const char kAlphabet[] = {'\0', 'a', 'b', 'z'};
-  static const std::string kStems[] = {"", std::string("st\0m", 4), "stem-twelve!"};
+  static const std::string kStems[] = {"", std::string("st\0m", 4), "stem-fourteen!"};
   const size_t size = rng->OneIn(4) ? kPrefixSize : rng->UniformRange(1, 40);
   std::string key = kStems[rng->Uniform(3)].substr(0, size);
   while (key.size() < size) {
@@ -480,7 +515,7 @@ TEST(BTreeNodeTest, LeafSearchMatchesOrderedMapProperty) {
         EXPECT_TRUE(found.status().IsNotFound());
       } else {
         ASSERT_TRUE(found.ok());
-        EXPECT_EQ(view.entry(*found).log_offset, it->second);
+        EXPECT_EQ(view.entry(*found).log_offset(), it->second);
       }
       auto lower = view.LowerBound(probe, full_key);
       ASSERT_TRUE(lower.ok());
@@ -533,8 +568,49 @@ TEST(BTreeNodeTest, RewriteLeafOffsetsTranslates) {
                 return off + 0x100000;
               }).ok());
   LeafNodeView view(buf.data(), buf.size());
-  EXPECT_EQ(view.entry(0).log_offset, (0x10000u | 5) + 0x100000u);
-  EXPECT_EQ(view.entry(1).log_offset, (0x20000u | 9) + 0x100000u);
+  EXPECT_EQ(view.entry(0).log_offset(), (0x10000u | 5) + 0x100000u);
+  EXPECT_EQ(view.entry(1).log_offset(), (0x20000u | 9) + 0x100000u);
+}
+
+// The backup rewrite translates only the offset bits of each entry: key
+// size, tombstone flag, tag and prefix (the whole key, when inline) come
+// through byte-identical, for inline and long keys alike.
+TEST(BTreeNodeTest, RewriteLeafOffsetsKeepsEverythingButTheOffset) {
+  std::vector<char> buf(kDefaultNodeSize);
+  LeafNodeBuilder builder(buf.data(), buf.size());
+  const std::vector<std::string> keys = {"a", "user0000000001", "user0000000002",
+                                         "user00000000020-long-key"};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    AddLeafKey(&builder, keys[i], (i << 20) | (100 + i), /*tombstone=*/i % 2 == 1);
+  }
+  builder.Finish();
+  const std::vector<char> before = buf;
+  const uint64_t high = kLeafOffsetMask & ~0xfffffull;  // top of the 48-bit space
+  ASSERT_TRUE(RewriteLeafOffsets(buf.data(), buf.size(), [&](uint64_t off) -> StatusOr<uint64_t> {
+                return high | (off & 0xfffff);
+              }).ok());
+  LeafNodeView old_view(before.data(), before.size());
+  LeafNodeView view(buf.data(), buf.size());
+  ASSERT_EQ(view.num_entries(), keys.size());
+  for (uint32_t i = 0; i < keys.size(); ++i) {
+    const LeafEntry& was = old_view.entry(i);
+    const LeafEntry& now = view.entry(i);
+    EXPECT_EQ(now.log_offset(), high | (100 + i));
+    EXPECT_EQ(now.key_size(), was.key_size());
+    EXPECT_EQ(now.tombstone(), was.tombstone());
+    EXPECT_EQ(now.tombstone(), i % 2 == 1);
+    // Everything after the 6 offset bytes is untouched.
+    EXPECT_EQ(memcmp(reinterpret_cast<const char*>(&now) + 6,
+                     reinterpret_cast<const char*>(&was) + 6, sizeof(LeafEntry) - 6),
+              0)
+        << keys[i];
+  }
+  // The header is untouched too.
+  EXPECT_EQ(memcmp(buf.data(), before.data(), sizeof(NodeHeader)), 0);
+  // A translation past the 48 offset bits is refused, not truncated.
+  EXPECT_FALSE(RewriteLeafOffsets(buf.data(), buf.size(), [](uint64_t) -> StatusOr<uint64_t> {
+                 return kLeafOffsetMask + 1;
+               }).ok());
 }
 
 TEST(BTreeNodeTest, RewriteIndexChildrenTranslates) {
@@ -584,7 +660,7 @@ TreeFixture BuildTree(uint64_t n, uint64_t segment_size = 1 << 16) {
     const std::string key = Key(i * 2);
     auto res = fx.log->Append(key, "value" + std::to_string(i), false);
     EXPECT_TRUE(res.ok());
-    EXPECT_TRUE(builder.Add(key, res->offset).ok());
+    EXPECT_TRUE(builder.Add(key, res->offset, false).ok());
     fx.entries.emplace_back(key, res->offset);
   }
   auto tree = builder.Finish();
@@ -613,17 +689,19 @@ TEST(BTreeBuilderTest, EmptyTree) {
 TEST(BTreeBuilderTest, RejectsOutOfOrderKeys) {
   auto dev = MakeDevice();
   BTreeBuilder builder(dev.get(), kDefaultNodeSize, IoClass::kCompactionWrite, nullptr);
-  ASSERT_TRUE(builder.Add("b", 1).ok());
-  EXPECT_FALSE(builder.Add("a", 2).ok());
-  EXPECT_FALSE(builder.Add("b", 3).ok());  // duplicates also rejected
+  ASSERT_TRUE(builder.Add("b", 1, false).ok());
+  EXPECT_FALSE(builder.Add("a", 2, false).ok());
+  EXPECT_FALSE(builder.Add("b", 3, false).ok());  // duplicates also rejected
+  // An offset past the leaf entry's 48 bits is refused.
+  EXPECT_FALSE(builder.Add("c", kLeafOffsetMask + 1, false).ok());
 }
 
 TEST(BTreeBuilderTest, RejectsUseAfterFinish) {
   auto dev = MakeDevice();
   BTreeBuilder builder(dev.get(), kDefaultNodeSize, IoClass::kCompactionWrite, nullptr);
-  ASSERT_TRUE(builder.Add("a", 1).ok());
+  ASSERT_TRUE(builder.Add("a", 1, false).ok());
   ASSERT_TRUE(builder.Finish().ok());
-  EXPECT_FALSE(builder.Add("b", 2).ok());
+  EXPECT_FALSE(builder.Add("b", 2, false).ok());
   EXPECT_FALSE(builder.Finish().ok());
 }
 
@@ -638,7 +716,7 @@ TEST_P(BTreeRoundTripTest, FindEveryKeyAndMissAbsent) {
   for (const auto& [key, offset] : fx.entries) {
     auto found = reader.Find(key, KeyHash(key), loader);
     ASSERT_TRUE(found.ok()) << key;
-    EXPECT_EQ(*found, offset);
+    EXPECT_EQ(found->log_offset(), offset);
   }
   // Odd keys are absent.
   for (uint64_t i = 0; i < std::min<uint64_t>(n, 50); ++i) {
@@ -656,7 +734,7 @@ TEST_P(BTreeRoundTripTest, IteratorVisitsAllInOrder) {
   uint64_t count = 0;
   while (it.Valid()) {
     ASSERT_LT(count, fx.entries.size());
-    EXPECT_EQ(it.entry().log_offset, fx.entries[count].second);
+    EXPECT_EQ(it.entry().log_offset(), fx.entries[count].second);
     count++;
     ASSERT_TRUE(it.Next().ok());
   }
@@ -678,7 +756,7 @@ TEST(BTreeIteratorTest, SeekLandsOnLowerBound) {
   ASSERT_TRUE(it.Valid());
   std::string key;
   ASSERT_TRUE(fx.log
-                  ->ReadKey(it.entry().log_offset, it.entry().key_size, &key, nullptr, nullptr,
+                  ->ReadKey(it.entry().log_offset(), it.entry().key_size(), &key, nullptr, nullptr,
                             IoClass::kLookup)
                   .ok());
   EXPECT_EQ(key, Key(502));
@@ -704,7 +782,7 @@ TEST(BTreeBuilderTest, SinkSeesSegmentsInBuildOrder) {
   for (uint64_t i = 0; i < n; ++i) {
     auto res = (*log)->Append(Key(i), "v", false);
     ASSERT_TRUE(res.ok());
-    ASSERT_TRUE(builder.Add(Key(i), res->offset).ok());
+    ASSERT_TRUE(builder.Add(Key(i), res->offset, false).ok());
   }
   auto tree = builder.Finish();
   ASSERT_TRUE(tree.ok());
@@ -802,7 +880,7 @@ TEST(CompactionTest, NewestVersionWinsOnTies) {
   auto loader = [](uint64_t, size_t) -> StatusOr<std::string> { return Status::Internal("no log"); };
   auto found = reader.Find("k1", KeyHash("k1"), loader);
   ASSERT_TRUE(found.ok());
-  EXPECT_EQ(*found, 100u);  // newest offset
+  EXPECT_EQ(found->log_offset(), 100u);  // newest offset
 }
 
 TEST(CompactionTest, TombstonesDroppedOnlyAtLastLevel) {
@@ -905,6 +983,126 @@ TEST(CompactionTest, LevelKeyFetchIsOneReadPerEntry) {
   EXPECT_EQ(dev->stats().ReadOps(), nodes + l1.num_entries);
 }
 
+// Node reads of a plain leaf walk of `tree`: each node once, no log record.
+uint64_t NodeReadOps(BlockDevice* dev, size_t node_size, const BuiltTree& tree) {
+  const uint64_t before = dev->stats().ReadOps();
+  BTreeReader reader(dev, nullptr, node_size, tree, IoClass::kOther);
+  BTreeIterator it(&reader);
+  EXPECT_TRUE(it.SeekToFirst().ok());
+  while (it.Valid()) {
+    EXPECT_TRUE(it.Next().ok());
+  }
+  return dev->stats().ReadOps() - before;
+}
+
+// The sibling of LevelKeyFetchIsOneReadPerEntry for keys of at most
+// kPrefixSize bytes (YCSB's 14-byte `user%010d`): the leaf holds each key
+// whole, so an L0 -> L1 merge reads the level's nodes and no log record.
+TEST(CompactionTest, InlineKeyMergeReadsNoLogRecord) {
+  auto dev = MakeDevice(1 << 16, 1 << 16);
+  KvStoreOptions opts;
+  opts.l0_max_entries = 256;
+  opts.growth_factor = 4;
+  opts.max_levels = 3;
+  opts.cache_bytes = 0;
+  auto store = KvStore::Create(dev.get(), opts);  // no pool: jobs run inline
+  ASSERT_TRUE(store.ok());
+  auto user_key = [](uint64_t i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "user%010llu", static_cast<unsigned long long>(i));
+    return std::string(buf);
+  };
+  ASSERT_EQ(user_key(0).size(), kPrefixSize);
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE((*store)->Put(user_key(i * 2), "v" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE((*store)->FlushL0().ok());
+  const BuiltTree l1 = (*store)->level(1);
+  ASSERT_EQ(l1.num_entries, 200u);
+  ASSERT_GT(l1.height, 0u);
+  // A full scan first settles L1's segment checksum verdicts.
+  ASSERT_TRUE((*store)->Scan(Slice(), 1000).ok());
+  const uint64_t nodes = NodeReadOps(dev.get(), opts.node_size, l1);
+  ASSERT_GT(nodes, 1u);
+
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE((*store)->Put(user_key(i * 3), "w" + std::to_string(i)).ok());
+  }
+  dev->stats().Reset();
+  ASSERT_TRUE((*store)->FlushL0().ok());
+  EXPECT_TRUE((*store)->level(2).empty());
+  EXPECT_EQ(dev->stats().TotalReadBytes(), dev->stats().ReadBytes(IoClass::kCompactionRead));
+  EXPECT_EQ(dev->stats().ReadOps(), nodes);
+  for (uint64_t i = 0; i < 600; ++i) {
+    auto v = (*store)->Get(user_key(i));
+    if (i % 3 == 0) {
+      ASSERT_TRUE(v.ok()) << user_key(i);
+      EXPECT_EQ(*v, "w" + std::to_string(i / 3));
+    } else if (i % 2 == 0 && i < 400) {
+      ASSERT_TRUE(v.ok()) << user_key(i);
+      EXPECT_EQ(*v, "v" + std::to_string(i / 2));
+    } else {
+      EXPECT_TRUE(v.status().IsNotFound()) << user_key(i);
+    }
+  }
+}
+
+// A tombstone the leaf holds (inline key, flag in the entry) is elided when
+// its level merges into the last level, and the whole merge reads only the
+// two levels' nodes: no log record for the surviving keys, none for the
+// deleted ones.
+TEST(CompactionTest, InlineTombstoneElidedAtLastLevelWithoutLogReads) {
+  auto dev = MakeDevice(1 << 16, 1 << 16);
+  KvStoreOptions opts;
+  opts.l0_max_entries = 1024;
+  opts.growth_factor = 4;
+  opts.max_levels = 2;
+  opts.cache_bytes = 0;
+  auto store = KvStore::Create(dev.get(), opts);
+  ASSERT_TRUE(store.ok());
+  for (uint64_t i = 0; i < 400; ++i) {
+    ASSERT_TRUE((*store)->Put(Key(i), "v" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE((*store)->ForceFullCompaction().ok());  // all in L2, the last level
+  ASSERT_TRUE((*store)->level(1).empty());
+  for (uint64_t i = 0; i < 400; i += 4) {
+    ASSERT_TRUE((*store)->Delete(Key(i)).ok());
+  }
+  ASSERT_TRUE((*store)->FlushL0().ok());  // tombstones land in L1 and stay
+  const BuiltTree l1 = (*store)->level(1);
+  const BuiltTree l2 = (*store)->level(2);
+  ASSERT_EQ(l1.num_entries, 100u);
+  {
+    BTreeReader reader(dev.get(), nullptr, opts.node_size, l1, IoClass::kOther);
+    BTreeIterator it(&reader);
+    ASSERT_TRUE(it.SeekToFirst().ok());
+    while (it.Valid()) {
+      EXPECT_TRUE(it.entry().tombstone());
+      EXPECT_TRUE(it.entry().key_inline());
+      ASSERT_TRUE(it.Next().ok());
+    }
+  }
+  // Settle both levels' checksum verdicts, then count their node reads.
+  ASSERT_TRUE((*store)->Scan(Slice(), 1000).ok());
+  const uint64_t nodes = NodeReadOps(dev.get(), opts.node_size, l1) +
+                         NodeReadOps(dev.get(), opts.node_size, l2);
+
+  dev->stats().Reset();
+  ASSERT_TRUE((*store)->ForceFullCompaction().ok());
+  EXPECT_EQ(dev->stats().ReadOps(), nodes);
+  EXPECT_EQ(dev->stats().TotalReadBytes(), dev->stats().ReadBytes(IoClass::kCompactionRead));
+  ASSERT_TRUE((*store)->level(1).empty());
+  EXPECT_EQ((*store)->level(2).num_entries, 300u);
+  for (uint64_t i = 0; i < 400; ++i) {
+    auto v = (*store)->Get(Key(i));
+    if (i % 4 == 0) {
+      EXPECT_TRUE(v.status().IsNotFound()) << Key(i);
+    } else {
+      ASSERT_TRUE(v.ok()) << Key(i);
+    }
+  }
+}
+
 // --- KvStore engine ---------------------------------------------------------------
 
 KvStoreOptions SmallStoreOptions() {
@@ -949,6 +1147,33 @@ TEST(KvStoreTest, DeleteHidesKeyAcrossCompactions) {
   EXPECT_TRUE((*store)->Get("doomed").status().IsNotFound());
   ASSERT_TRUE((*store)->FlushL0().ok());  // tombstone merges into L1
   EXPECT_TRUE((*store)->Get("doomed").status().IsNotFound());
+}
+
+// A deleted key found in a level answers NotFound from the leaf's tombstone
+// flag: the Get reads the index nodes on its path and no log record.
+TEST(KvStoreTest, GetOfDeletedCompactedKeyReadsNoLogRecord) {
+  auto dev = MakeDevice(1 << 16, 1 << 16);
+  auto store = KvStore::Create(dev.get(), SmallStoreOptions());
+  ASSERT_TRUE(store.ok());
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE((*store)->Put(Key(i), "value").ok());
+  }
+  ASSERT_TRUE((*store)->FlushL0().ok());
+  ASSERT_TRUE((*store)->Delete(Key(7)).ok());
+  ASSERT_TRUE((*store)->FlushL0().ok());  // the tombstone merges into L1
+  const BuiltTree& l1 = (*store)->level(1);
+  ASSERT_FALSE(l1.empty());
+  ASSERT_TRUE((*store)->level(2).empty());
+  ASSERT_GT(l1.height, 0u);
+  // A live Get settles L1's checksum verdicts and reads header + body.
+  ASSERT_TRUE((*store)->Get(Key(8)).ok());
+
+  dev->stats().Reset();
+  EXPECT_TRUE((*store)->Get(Key(7)).status().IsNotFound());
+  EXPECT_EQ(dev->stats().ReadOps(), l1.height + 1u) << "index path only, no log record";
+  dev->stats().Reset();
+  ASSERT_TRUE((*store)->Get(Key(8)).ok());
+  EXPECT_EQ(dev->stats().ReadOps(), l1.height + 1u + 2u) << "index path + the value record";
 }
 
 TEST(KvStoreTest, CompactionTriggersWhenL0Full) {

@@ -8,9 +8,12 @@
 #include <memory>
 #include <string>
 
+#include "src/common/crc32.h"
 #include "src/common/random.h"
+#include "src/lsm/btree_builder.h"
 #include "src/lsm/kv_store.h"
 #include "src/lsm/manifest.h"
+#include "src/lsm/value_log.h"
 #include "src/storage/block_device.h"
 
 namespace tebis {
@@ -292,6 +295,57 @@ TEST(IntegrityTest, DetectsWrongLeafTag) {
   EXPECT_TRUE(report.status().IsCorruption()) << report.status().ToString();
   const std::string where = "L" + std::to_string(level) + " entry " + std::to_string(kVictim) + ":";
   EXPECT_NE(report.status().ToString().find(where), std::string::npos)
+      << report.status().ToString();
+}
+
+TEST(IntegrityTest, DetectsWrongLeafTombstoneFlag) {
+  // A leaf's tombstone flag answers Get without a log read, so a flipped flag
+  // hides a live key (or serves a deleted one). With the segment CRC fixed
+  // up, as if the builder had written the wrong flag, the CRC scrub passes
+  // the level; CheckIntegrity compares each entry's flag with its record.
+  auto dev = BlockDevice::Create(DeviceOptions());
+  ASSERT_TRUE(dev.ok());
+  auto log = ValueLog::Create(dev->get());
+  ASSERT_TRUE(log.ok());
+  BTreeBuilder builder(dev->get(), kDefaultNodeSize, IoClass::kCompactionWrite, nullptr);
+  for (int i = 0; i < 300; ++i) {
+    auto appended = (*log)->Append(Key(i), "live-" + std::to_string(i), false);
+    ASSERT_TRUE(appended.ok());
+    ASSERT_TRUE(builder.Add(Key(i), appended->offset, false).ok());
+  }
+  ASSERT_TRUE((*log)->FlushTail().ok());
+  auto tree = builder.Finish();
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE(tree->checksummed());
+
+  // The first node of the tree's first segment is its leftmost leaf.
+  const uint64_t base = dev->get()->geometry().BaseOffset(tree->segments[0]);
+  std::string segment(tree->seg_checksums[0].length, 0);
+  ASSERT_TRUE(dev->get()->Read(base, segment.size(), segment.data(), IoClass::kOther).ok());
+  ASSERT_TRUE(LeafNodeView(segment.data(), kDefaultNodeSize).IsValid());
+  constexpr uint32_t kVictim = 3;
+  auto* victim = reinterpret_cast<LeafEntry*>(segment.data() + sizeof(NodeHeader)) + kVictim;
+  ASSERT_FALSE(victim->tombstone());
+  victim->word |= kLeafTombstoneBit;
+  ASSERT_TRUE(dev->get()->Write(base, Slice(segment), IoClass::kOther).ok());
+  tree->seg_checksums[0].crc = Crc32c(segment.data(), segment.size());
+
+  std::vector<BuiltTree> levels(StoreOptions().max_levels + 1);
+  levels[1] = *tree;
+  auto store = KvStore::CreateFromParts(dev->get(), StoreOptions(), std::move(*log), levels);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto scrub = (*store)->Scrub();
+  ASSERT_TRUE(scrub.ok());
+  EXPECT_EQ(scrub->corruptions_found, 0u) << "the fixed-up CRC must pass the CRC scrub";
+  EXPECT_TRUE((*store)->Get(Key(kVictim)).status().IsNotFound());
+
+  auto report = (*store)->CheckIntegrity();
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsCorruption()) << report.status().ToString();
+  const std::string where = "L1 entry " + std::to_string(kVictim) + ":";
+  EXPECT_NE(report.status().ToString().find(where), std::string::npos)
+      << report.status().ToString();
+  EXPECT_NE(report.status().ToString().find("tombstone"), std::string::npos)
       << report.status().ToString();
 }
 

@@ -242,6 +242,45 @@ BuildIndexCluster MakeBuildIndexCluster(int num_backups, KvStoreOptions opts) {
   return c;
 }
 
+// --- leaf offset space -------------------------------------------------------
+
+// Leaf entries hold 48-bit log offsets. A primary store or either backup
+// engine on a device whose segment_size x max_segments exceeds 2^48 bytes is
+// refused when it is created, from the configuration alone; a device of
+// exactly 2^48 bytes is accepted.
+TEST(LeafOffsetSpaceTest, DeviceBeyond48BitOffsetsIsRefused) {
+  auto device_of = [](uint64_t max_segments) {
+    BlockDeviceOptions opts;
+    opts.segment_size = kSegmentSize;
+    opts.max_segments = max_segments;
+    auto dev = BlockDevice::Create(opts);
+    EXPECT_TRUE(dev.ok());
+    return std::move(*dev);
+  };
+  const uint64_t fits = (1ull << 48) / kSegmentSize;
+  Fabric fabric;
+  auto buffer = fabric.RegisterBuffer("backup0", "primary0", kSegmentSize);
+
+  auto edge = device_of(fits);
+  EXPECT_TRUE(KvStore::Create(edge.get(), SmallOptions()).ok());
+  EXPECT_TRUE(SendIndexBackupRegion::Create(edge.get(), SmallOptions(), buffer).ok());
+
+  auto big = device_of(fits + 1);
+  auto store = KvStore::Create(big.get(), SmallOptions());
+  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument) << store.status().ToString();
+  std::vector<BuiltTree> levels(SmallOptions().max_levels + 1);
+  auto log = ValueLog::Create(big.get());
+  ASSERT_TRUE(log.ok());
+  auto parts = KvStore::CreateFromParts(big.get(), SmallOptions(), std::move(*log), levels);
+  EXPECT_EQ(parts.status().code(), StatusCode::kInvalidArgument);
+  auto send_index = SendIndexBackupRegion::Create(big.get(), SmallOptions(), buffer);
+  EXPECT_EQ(send_index.status().code(), StatusCode::kInvalidArgument);
+  auto build_index = BuildIndexBackupRegion::Create(big.get(), SmallOptions(), buffer);
+  EXPECT_EQ(build_index.status().code(), StatusCode::kInvalidArgument);
+  // Nothing was allocated for the refused engines beyond the probe log.
+  EXPECT_LE(big->AllocatedSegments(), 1u);
+}
+
 // --- Send-Index end-to-end --------------------------------------------------------
 
 TEST(SendIndexTest, BackupIndexMatchesPrimaryAfterCompactions) {
@@ -533,7 +572,7 @@ TEST(PromotionTest, HalfShippedCompactionIsAborted) {
                       ? 0
                       : cluster.primary_device->geometry().BaseOffset(
                             cluster.primary->store()->value_log()->flushed_segments()[0]),
-           KeyHash("zzz"));
+           /*tombstone=*/false, KeyHash("zzz"));
   leaf.Finish();
   ASSERT_TRUE(backup
                   ->Handle(IndexSegmentMsg{
