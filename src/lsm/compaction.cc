@@ -87,45 +87,63 @@ Status LevelMergeSource::Next() {
   return Load();
 }
 
+// --- MergeIterator ---------------------------------------------------------------
+
+MergeIterator::MergeIterator(std::vector<MergeSource*> sources) : sources_(std::move(sources)) {
+  Pick();
+}
+
+void MergeIterator::Pick() {
+  // The smallest key; on ties the lowest source index (newest) wins.
+  current_ = -1;
+  for (size_t i = 0; i < sources_.size(); ++i) {
+    if (!sources_[i]->Valid()) {
+      continue;
+    }
+    if (current_ < 0 ||
+        Slice(sources_[i]->entry().key).Compare(Slice(sources_[current_]->entry().key)) < 0) {
+      current_ = static_cast<int>(i);
+    }
+  }
+}
+
+Status MergeIterator::Next() {
+  key_.assign(entry().key);
+  for (MergeSource* src : sources_) {
+    while (src->Valid() && Slice(src->entry().key) == Slice(key_)) {
+      TEBIS_RETURN_IF_ERROR(src->Next());
+    }
+  }
+  Pick();
+  return Status::Ok();
+}
+
 // --- MergeSources ---------------------------------------------------------------
 
 StatusOr<uint64_t> MergeSources(std::vector<MergeSource*> sources, bool drop_tombstones,
                                 BTreeBuilder* builder, MergeStageTiming* timing) {
   uint64_t written = 0;
   MergeStageTiming local;
-  while (true) {
-    uint64_t stage_start = NowNanos();
-    // Pick the smallest key; on ties the lowest source index (newest) wins.
-    int best = -1;
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (!sources[i]->Valid()) {
-        continue;
-      }
-      if (best < 0 ||
-          Slice(sources[i]->entry().key).Compare(Slice(sources[best]->entry().key)) < 0) {
-        best = static_cast<int>(i);
-      }
+  // One clock chain: picking winners and advancing sources (with their
+  // log/level reads) is merge time, feeding the builder is build time.
+  uint64_t mark = NowNanos();
+  auto charge = [&mark](uint64_t* stage) {
+    const uint64_t now = NowNanos();
+    *stage += now - mark;
+    mark = now;
+  };
+  MergeIterator merged(std::move(sources));
+  while (merged.Valid()) {
+    const MergeEntry& winner = merged.entry();
+    if (!winner.tombstone || !drop_tombstones) {
+      charge(&local.merge_ns);
+      TEBIS_RETURN_IF_ERROR(builder->Add(winner.key, winner.log_offset, winner.tombstone));
+      charge(&local.build_ns);
+      written++;
     }
-    if (best < 0) {
-      local.merge_ns += NowNanos() - stage_start;
-      break;
-    }
-    const MergeEntry winner = sources[best]->entry();
-    // Advance every source positioned at this key (drops older versions).
-    for (auto* src : sources) {
-      while (src->Valid() && Slice(src->entry().key) == Slice(winner.key)) {
-        TEBIS_RETURN_IF_ERROR(src->Next());
-      }
-    }
-    local.merge_ns += NowNanos() - stage_start;
-    if (winner.tombstone && drop_tombstones) {
-      continue;
-    }
-    stage_start = NowNanos();
-    TEBIS_RETURN_IF_ERROR(builder->Add(winner.key, winner.log_offset, winner.tombstone));
-    local.build_ns += NowNanos() - stage_start;
-    written++;
+    TEBIS_RETURN_IF_ERROR(merged.Next());
   }
+  charge(&local.merge_ns);
   if (timing != nullptr) {
     timing->merge_ns += local.merge_ns;
     timing->build_ns += local.build_ns;

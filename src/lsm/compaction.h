@@ -1,8 +1,10 @@
-// Leveled compaction: k-way merge of a newer source into an older level,
-// producing a fresh on-device B+ tree through BTreeBuilder. Sources are
-// ordered newest-first; on key ties the newest version wins and older ones
-// are dropped. Tombstones are elided only when compacting into the last
-// level.
+// The newest-wins k-way merge and its two users. MergeIterator walks key
+// versions from sources ordered newest first: on key ties the newest version
+// wins and older ones are dropped. Compaction (MergeSources) feeds its
+// winners into a fresh on-device B+ tree through BTreeBuilder, eliding
+// tombstones only when compacting into the last level; the read paths
+// (KvStore::Scan / ScanPrefix, the Send-Index backup's replica Scan) read
+// the winners' records and skip tombstones.
 #ifndef TEBIS_LSM_COMPACTION_H_
 #define TEBIS_LSM_COMPACTION_H_
 
@@ -84,6 +86,28 @@ class LevelMergeSource : public MergeSource {
   bool valid_ = false;
 };
 
+// Newest-wins k-way merge over `sources`, ordered newest first (the caller
+// owns them and has positioned each; they must outlive the iterator). The
+// iterator sits on the smallest key across all sources with that key's
+// newest version; source() says which source won. Next() skips every older
+// version of the key, then picks the next smallest key.
+class MergeIterator {
+ public:
+  explicit MergeIterator(std::vector<MergeSource*> sources);
+
+  bool Valid() const { return current_ >= 0; }
+  const MergeEntry& entry() const { return sources_[current_]->entry(); }
+  size_t source() const { return static_cast<size_t>(current_); }
+  Status Next();
+
+ private:
+  void Pick();
+
+  std::vector<MergeSource*> sources_;
+  std::string key_;  // the key being skipped while its sources advance
+  int current_ = -1;
+};
+
 // Per-stage wall-clock split of one merge pass, for the compaction pipeline
 // breakdown: `merge_ns` covers picking winners and advancing sources
 // (including their log/level reads); `build_ns` covers feeding the builder.
@@ -92,10 +116,11 @@ struct MergeStageTiming {
   uint64_t build_ns = 0;
 };
 
-// Merges `sources` (newest first) into `builder`. Returns the number of
-// entries written. Duplicate keys keep only the newest version; when
-// `drop_tombstones` is set, surviving tombstones are not written out. When
-// `timing` is non-null, stage times are accumulated into it.
+// Merges `sources` (newest first) into `builder` through a MergeIterator.
+// Returns the number of entries written. Duplicate keys keep only the newest
+// version; when `drop_tombstones` is set, surviving tombstones are not
+// written out. When `timing` is non-null, stage times are accumulated into
+// it.
 StatusOr<uint64_t> MergeSources(std::vector<MergeSource*> sources, bool drop_tombstones,
                                 BTreeBuilder* builder, MergeStageTiming* timing = nullptr);
 

@@ -136,24 +136,17 @@ KvStore::KvStore(BlockDevice* device, const KvStoreOptions& options)
   // Per-level filter instruments: resolved up front, one label set per
   // device level, so Get never pays a registry lookup. Entry 0 stays null
   // (L0 is the memtable, no filter).
-  counters_.filter_checks.assign(options.max_levels + 1, nullptr);
-  counters_.filter_negatives.assign(options.max_levels + 1, nullptr);
-  counters_.filter_false_positives.assign(options.max_levels + 1, nullptr);
+  counters_.filters.assign(options.max_levels + 1, FilterCounters{});
   counters_.filter_bits_per_key.assign(options.max_levels + 1, nullptr);
   for (uint32_t i = 1; i <= options.max_levels; ++i) {
     MetricLabels labels = l;
     labels.emplace_back("level", "L" + std::to_string(i));
-    counters_.filter_checks[i] = reg->GetCounter("kv.filter_checks", labels);
-    counters_.filter_negatives[i] = reg->GetCounter("kv.filter_negatives", labels);
-    counters_.filter_false_positives[i] = reg->GetCounter("kv.filter_false_positives", labels);
+    counters_.filters[i] = FilterCounters{reg->GetCounter("kv.filter_checks", labels),
+                                          reg->GetCounter("kv.filter_negatives", labels),
+                                          reg->GetCounter("kv.filter_false_positives", labels)};
     counters_.filter_bits_per_key[i] = reg->GetGauge("kv.filter_bits_per_key", labels);
   }
-  // Integrity plane.
-  counters_.scrub_bytes = reg->GetCounter("integrity.scrub_bytes", l);
-  counters_.scrub_corruptions_found = reg->GetCounter("integrity.corruptions_found", l);
-  counters_.corruptions_repaired = reg->GetCounter("integrity.corruptions_repaired", l);
-  counters_.repair_fetches = reg->GetCounter("integrity.repair_fetches", l);
-  counters_.quarantined_levels = reg->GetGauge("integrity.quarantined_levels", l);
+  counters_.integrity = RegisterIntegrityCounters(reg, l);
   {
     MetricLabels log_labels = l;
     log_labels.emplace_back("source", "value_log");
@@ -264,14 +257,14 @@ KvStoreStats KvStore::stats() const {
   s.compaction_build_ns = counters_.compaction_build_ns->Value();
   s.compaction_ship_ns = counters_.compaction_ship_ns->Value();
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
-    s.filter_checks += counters_.filter_checks[i]->Value();
-    s.filter_negatives += counters_.filter_negatives[i]->Value();
-    s.filter_false_positives += counters_.filter_false_positives[i]->Value();
+    s.filter_checks += counters_.filters[i].checks->Value();
+    s.filter_negatives += counters_.filters[i].negatives->Value();
+    s.filter_false_positives += counters_.filters[i].false_positives->Value();
   }
-  s.scrub_bytes = counters_.scrub_bytes->Value();
-  s.corruptions_found = counters_.scrub_corruptions_found->Value();
-  s.corruptions_repaired = counters_.corruptions_repaired->Value();
-  s.repair_fetches = counters_.repair_fetches->Value();
+  s.scrub_bytes = counters_.integrity.scrub_bytes->Value();
+  s.corruptions_found = counters_.integrity.corruptions_found->Value();
+  s.corruptions_repaired = counters_.integrity.corruptions_repaired->Value();
+  s.repair_fetches = counters_.integrity.repair_fetches->Value();
   s.read_corruptions =
       counters_.read_corruptions_log->Value() + counters_.read_corruptions_level->Value();
   s.batch_groups = counters_.batch_groups->Value();
@@ -289,15 +282,6 @@ KvStore::ReadSnapshot KvStore::TakeReadSnapshot() const {
   snap.imm = imm_;
   snap.levels = levels_;
   return snap;
-}
-
-FullKeyLoader KvStore::LookupKeyLoader() {
-  return [this](uint64_t off, size_t key_size) -> StatusOr<std::string> {
-    std::string key;
-    TEBIS_RETURN_IF_ERROR(
-        log_->ReadKey(off, key_size, &key, nullptr, cache_.get(), IoClass::kLookup));
-    return key;
-  };
 }
 
 // --- write path ----------------------------------------------------------------
@@ -928,31 +912,12 @@ StatusOr<ValueLocation> KvStore::FindLocation(Slice key, const ReadSnapshot& sna
   if (snap.imm != nullptr && snap.imm->Get(key, &loc)) {
     return loc;
   }
-  FullKeyLoader loader = LookupKeyLoader();
+  FullKeyLoader loader = LookupKeyLoader(log_.get(), cache_.get());
   const uint64_t key_hash = KeyHash(key);
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
-    const BuiltTree& tree = snap.levels[i]->tree;
-    if (tree.empty()) {
-      continue;
-    }
-    // Filter gate: skip the level's tree descent entirely on a definite
-    // negative. Presence-gated, not option-gated — a tree without a filter
-    // (filters disabled at build time) just descends.
-    bool filter_said_maybe = false;
-    if (tree.filter != nullptr) {
-      BloomFilterView view;
-      if (BloomFilterView::Parse(Slice(*tree.filter), &view, /*verify_crc=*/false).ok()) {
-        counters_.filter_checks[i]->Increment();
-        if (!view.MayContainHash(key_hash)) {
-          counters_.filter_negatives[i]->Increment();
-          continue;
-        }
-        filter_said_maybe = true;
-      }
-    }
-    BTreeReader reader(device_, cache_.get(), options_.node_size, tree, IoClass::kLookup,
-                       snap.levels[i]->verifier.get());
-    auto found = reader.Find(key, key_hash, loader);
+    const TreeHandle& level = *snap.levels[i];
+    auto found = ProbeLevel(device_, options_.node_size, cache_.get(), level.tree,
+                            level.verifier.get(), key, key_hash, loader, counters_.filters[i]);
     if (found.ok()) {
       return ValueLocation{found->log_offset(), found->tombstone()};
     }
@@ -962,9 +927,6 @@ StatusOr<ValueLocation> KvStore::FindLocation(Slice key, const ReadSnapshot& sna
         UpdateQuarantineGauge();
       }
       return found.status();
-    }
-    if (filter_said_maybe) {
-      counters_.filter_false_positives[i]->Increment();
     }
   }
   return Status::NotFound();
@@ -1000,8 +962,22 @@ StatusOr<std::string> KvStore::Get(Slice key) {
 }
 
 StatusOr<std::vector<KvPair>> KvStore::Scan(Slice start, size_t limit) {
+  return ScanRange(start, Slice(), limit);
+}
+
+StatusOr<std::vector<KvPair>> KvStore::ScanPrefix(Slice prefix, size_t limit) {
+  return ScanRange(prefix, prefix, limit);
+}
+
+StatusOr<std::vector<KvPair>> KvStore::ScanRange(Slice start, Slice prefix, size_t limit) {
   counters_.scans->Increment();
   ReadSnapshot snap = TakeReadSnapshot();
+
+  // Level skipping via prefix fingerprints is only sound when the query pins
+  // at least kFilterPrefixSize leading bytes: the filter stores zero-padded
+  // kFilterPrefixSize fingerprints, so a shorter query prefix covers many
+  // stored prefixes and a single probe cannot rule the level out.
+  const bool can_skip = prefix.size() >= kFilterPrefixSize;
 
   std::vector<std::unique_ptr<MergeSource>> owned;
   owned.push_back(std::make_unique<MemtableMergeSource>(snap.active.get(), start));
@@ -1013,71 +989,12 @@ StatusOr<std::vector<KvPair>> KvStore::Scan(Slice start, size_t limit) {
     if (tree.empty()) {
       continue;
     }
-    auto src = std::make_unique<LevelMergeSource>(device_, options_.node_size, tree, log_.get(),
-                                                  snap.levels[i]->verifier.get(), cache_.get(),
-                                                  IoClass::kLookup);
-    TEBIS_RETURN_IF_ERROR(src->Init(start));
-    owned.push_back(std::move(src));
-  }
-
-  std::vector<KvPair> out;
-  while (out.size() < limit) {
-    int best = -1;
-    for (size_t i = 0; i < owned.size(); ++i) {
-      if (!owned[i]->Valid()) {
-        continue;
-      }
-      if (best < 0 ||
-          Slice(owned[i]->entry().key).Compare(Slice(owned[best]->entry().key)) < 0) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) {
-      break;
-    }
-    const MergeEntry winner = owned[best]->entry();
-    for (auto& src : owned) {
-      while (src->Valid() && Slice(src->entry().key) == Slice(winner.key)) {
-        TEBIS_RETURN_IF_ERROR(src->Next());
-      }
-    }
-    if (winner.tombstone) {
-      continue;
-    }
-    LogRecord rec;
-    TEBIS_RETURN_IF_ERROR(log_->ReadIndexedRecord(winner.log_offset, winner.key, &rec,
-                                                  cache_.get(), IoClass::kLookup));
-    out.push_back(KvPair{std::move(rec.key), std::move(rec.value)});
-  }
-  return out;
-}
-
-StatusOr<std::vector<KvPair>> KvStore::ScanPrefix(Slice prefix, size_t limit) {
-  counters_.scans->Increment();
-  ReadSnapshot snap = TakeReadSnapshot();
-
-  // Level skipping via prefix fingerprints is only sound when the query pins
-  // at least kFilterPrefixSize leading bytes: the filter stores zero-padded
-  // kFilterPrefixSize fingerprints, so a shorter query prefix covers many
-  // stored prefixes and a single probe cannot rule the level out.
-  const bool can_skip = prefix.size() >= kFilterPrefixSize;
-
-  std::vector<std::unique_ptr<MergeSource>> owned;
-  owned.push_back(std::make_unique<MemtableMergeSource>(snap.active.get(), prefix));
-  if (snap.imm != nullptr) {
-    owned.push_back(std::make_unique<MemtableMergeSource>(snap.imm.get(), prefix));
-  }
-  for (uint32_t i = 1; i <= options_.max_levels; ++i) {
-    const BuiltTree& tree = snap.levels[i]->tree;
-    if (tree.empty()) {
-      continue;
-    }
     if (can_skip && tree.filter != nullptr) {
       BloomFilterView view;
       if (BloomFilterView::Parse(Slice(*tree.filter), &view, /*verify_crc=*/false).ok()) {
-        counters_.filter_checks[i]->Increment();
+        counters_.filters[i].checks->Increment();
         if (!view.MayContainPrefix(prefix)) {
-          counters_.filter_negatives[i]->Increment();
+          counters_.filters[i].negatives->Increment();
           continue;
         }
       }
@@ -1085,43 +1002,28 @@ StatusOr<std::vector<KvPair>> KvStore::ScanPrefix(Slice prefix, size_t limit) {
     auto src = std::make_unique<LevelMergeSource>(device_, options_.node_size, tree, log_.get(),
                                                   snap.levels[i]->verifier.get(), cache_.get(),
                                                   IoClass::kLookup);
-    TEBIS_RETURN_IF_ERROR(src->Init(prefix));
+    TEBIS_RETURN_IF_ERROR(src->Init(start));
     owned.push_back(std::move(src));
   }
 
+  std::vector<MergeSource*> sources;
+  for (const auto& src : owned) {
+    sources.push_back(src.get());
+  }
+  MergeIterator merged(std::move(sources));
   std::vector<KvPair> out;
-  while (out.size() < limit) {
-    int best = -1;
-    for (size_t i = 0; i < owned.size(); ++i) {
-      if (!owned[i]->Valid()) {
-        continue;
-      }
-      if (best < 0 ||
-          Slice(owned[i]->entry().key).Compare(Slice(owned[best]->entry().key)) < 0) {
-        best = static_cast<int>(i);
-      }
+  while (merged.Valid() && out.size() < limit) {
+    const MergeEntry& winner = merged.entry();
+    if (!Slice(winner.key).StartsWith(prefix)) {
+      break;  // sorted sources: the first key past the prefix range ends the scan
     }
-    if (best < 0) {
-      break;
+    if (!winner.tombstone) {
+      LogRecord rec;
+      TEBIS_RETURN_IF_ERROR(log_->ReadIndexedRecord(winner.log_offset, winner.key, &rec,
+                                                    cache_.get(), IoClass::kLookup));
+      out.push_back(KvPair{std::move(rec.key), std::move(rec.value)});
     }
-    const MergeEntry winner = owned[best]->entry();
-    if (Slice(winner.key).size() < prefix.size() ||
-        Slice(winner.key.data(), prefix.size()).Compare(prefix) != 0) {
-      // Sorted sources: the first key past the prefix range ends the scan.
-      break;
-    }
-    for (auto& src : owned) {
-      while (src->Valid() && Slice(src->entry().key) == Slice(winner.key)) {
-        TEBIS_RETURN_IF_ERROR(src->Next());
-      }
-    }
-    if (winner.tombstone) {
-      continue;
-    }
-    LogRecord rec;
-    TEBIS_RETURN_IF_ERROR(log_->ReadIndexedRecord(winner.log_offset, winner.key, &rec,
-                                                  cache_.get(), IoClass::kLookup));
-    out.push_back(KvPair{std::move(rec.key), std::move(rec.value)});
+    TEBIS_RETURN_IF_ERROR(merged.Next());
   }
   return out;
 }
@@ -1140,15 +1042,9 @@ StatusOr<size_t> KvStore::GarbageCollectHead(size_t max_segments) {
   // writer) and PutLocked only grows the active memtable, so one snapshot
   // serves every liveness check.
   ReadSnapshot snap = TakeReadSnapshot();
-  const uint64_t seg_size = device_->segment_size();
-  std::string buf;
-  buf.resize(seg_size);
   for (size_t s = 0; s < n; ++s) {
-    const SegmentId seg = flushed[s];
-    const uint64_t base = device_->geometry().BaseOffset(seg);
-    TEBIS_RETURN_IF_ERROR(device_->Read(base, seg_size, buf.data(), IoClass::kGc));
-    TEBIS_RETURN_IF_ERROR(ValueLog::ForEachRecord(
-        Slice(buf.data(), buf.size()), base, [&](const LogRecord& rec) -> Status {
+    TEBIS_RETURN_IF_ERROR(log_->ForEachRecordIn(
+        flushed[s], IoClass::kGc, [&](const LogRecord& rec) -> Status {
           if (rec.tombstone) {
             return Status::Ok();  // tombstones live in the index, not the log head
           }
@@ -1243,16 +1139,11 @@ StatusOr<KvStore::IntegrityReport> KvStore::CheckIntegrity() {
     report.level_entries_checked += entries;
   }
   // Value log: every flushed segment parses with valid CRCs.
-  const uint64_t seg_size = device_->segment_size();
-  std::string buf(seg_size, 0);
   for (SegmentId seg : log_->FlushedSegmentsSnapshot()) {
-    const uint64_t base = device_->geometry().BaseOffset(seg);
-    TEBIS_RETURN_IF_ERROR(device_->Read(base, seg_size, buf.data(), IoClass::kOther));
-    TEBIS_RETURN_IF_ERROR(ValueLog::ForEachRecord(Slice(buf.data(), buf.size()), base,
-                                                  [&](const LogRecord&) {
-                                                    report.log_records_checked++;
-                                                    return Status::Ok();
-                                                  }));
+    TEBIS_RETURN_IF_ERROR(log_->ForEachRecordIn(seg, IoClass::kOther, [&](const LogRecord&) {
+      report.log_records_checked++;
+      return Status::Ok();
+    }));
   }
   return report;
 }
@@ -1260,7 +1151,7 @@ StatusOr<KvStore::IntegrityReport> KvStore::CheckIntegrity() {
 // --- integrity: scrub / quarantine / online repair ---------------------
 
 void KvStore::UpdateQuarantineGauge() {
-  counters_.quarantined_levels->Set(static_cast<int64_t>(QuarantinedLevels().size()));
+  counters_.integrity.quarantined_levels->Set(static_cast<int64_t>(QuarantinedLevels().size()));
 }
 
 std::vector<int> KvStore::QuarantinedLevels() const {
@@ -1275,87 +1166,14 @@ std::vector<int> KvStore::QuarantinedLevels() const {
 }
 
 StatusOr<KvStore::ScrubReport> KvStore::Scrub(const ScrubOptions& options) {
-  ScrubReport report;
-  // Token bucket, same shape as the write-slowdown bucket: refilled at
-  // the configured rate, burst capped at one segment, charged per byte read.
-  double tokens = static_cast<double>(device_->segment_size());
-  uint64_t last_refill_ns = NowNanos();
-  auto pace = [&](uint64_t bytes) {
-    if (options.bytes_per_sec == 0 || bytes == 0) {
-      return;
-    }
-    const uint64_t now = NowNanos();
-    tokens += static_cast<double>(now - last_refill_ns) *
-              static_cast<double>(options.bytes_per_sec) / 1e9;
-    last_refill_ns = now;
-    const double burst = static_cast<double>(device_->segment_size());
-    if (tokens > burst) {
-      tokens = burst;
-    }
-    tokens -= static_cast<double>(bytes);
-    if (tokens >= 0) {
-      return;
-    }
-    const uint64_t sleep_ns =
-        static_cast<uint64_t>(-tokens * 1e9 / static_cast<double>(options.bytes_per_sec));
-    std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
-    tokens = 0;
-  };
-
-  // Levels: force re-verification through each publication's shared verifier,
-  // so damage that landed after a read cached an ok verdict is still caught.
   // The snapshot keeps each tree alive; a level compacted away mid-scrub is
   // simply verified one last time on its way out.
   ReadSnapshot snap = TakeReadSnapshot();
-  for (uint32_t i = 1; i <= options_.max_levels; ++i) {
-    SegmentVerifier* verifier = snap.levels[i]->verifier.get();
-    if (verifier == nullptr) {
-      continue;
-    }
-    const size_t bad_before = verifier->BadSegments().size();
-    uint64_t bytes = 0;
-    Status checked = verifier->VerifyAll(IoClass::kScrub, /*force=*/true, &bytes, pace);
-    report.bytes_scrubbed += bytes;
-    const size_t bad_after = verifier->BadSegments().size();
-    if (bad_after > bad_before) {
-      report.corruptions_found += bad_after - bad_before;
-    }
-    if (verifier->quarantined()) {
-      report.quarantined_levels.push_back(static_cast<int>(i));
-    }
-    if (!checked.ok() && !checked.IsCorruption()) {
-      return checked;  // an I/O failure, not rot — the scrub cannot continue
-    }
+  std::vector<SegmentVerifier*> verifiers;
+  for (const TreeRef& level : snap.levels) {
+    verifiers.push_back(level->verifier.get());
   }
-
-  // Value log: every flushed segment parses end to end with valid record
-  // CRCs. A segment that vanishes mid-scrub (concurrent GC trim) is skipped —
-  // its liveness already moved to the tail.
-  if (options.include_value_log) {
-    const uint64_t seg_size = device_->segment_size();
-    std::string buf(seg_size, 0);
-    for (SegmentId seg : log_->FlushedSegmentsSnapshot()) {
-      const uint64_t base = device_->geometry().BaseOffset(seg);
-      Status read = device_->Read(base, seg_size, buf.data(), IoClass::kScrub);
-      if (!read.ok()) {
-        continue;
-      }
-      report.bytes_scrubbed += seg_size;
-      pace(seg_size);
-      Status parsed = ValueLog::ForEachRecord(Slice(buf.data(), buf.size()), base,
-                                              [](const LogRecord&) { return Status::Ok(); });
-      if (parsed.IsCorruption()) {
-        report.corruptions_found++;
-      } else if (!parsed.ok()) {
-        return parsed;
-      }
-    }
-  }
-
-  counters_.scrub_bytes->Add(report.bytes_scrubbed);
-  counters_.scrub_corruptions_found->Add(report.corruptions_found);
-  UpdateQuarantineGauge();
-  return report;
+  return PacedScrub(device_, verifiers, *log_, options, counters_.integrity);
 }
 
 Status KvStore::ScheduleScrub(const ScrubOptions& options,
@@ -1391,27 +1209,7 @@ StatusOr<std::string> KvStore::ReadLevelSegmentVerified(int level, size_t seg_in
     }
     ref = levels_[level];
   }
-  if (ref->verifier == nullptr) {
-    return Status::FailedPrecondition("level " + std::to_string(level) +
-                                      " has no segment checksums");
-  }
-  const auto& checksums = ref->verifier->checksums();
-  if (seg_index >= checksums.size()) {
-    return Status::InvalidArgument("segment index out of range for L" + std::to_string(level));
-  }
-  const SegmentChecksum& expected = checksums[seg_index];
-  std::string bytes(expected.length, '\0');
-  if (expected.length > 0) {
-    const uint64_t base = device_->geometry().BaseOffset(ref->verifier->segments()[seg_index]);
-    TEBIS_RETURN_IF_ERROR(device_->Read(base, expected.length, bytes.data(), IoClass::kScrub));
-  }
-  if (Crc32c(bytes.data(), bytes.size()) != expected.crc) {
-    // A corrupt donor must never propagate its rot to the repairing replica.
-    return Status::Corruption("repair source segment " + std::to_string(seg_index) + " of L" +
-                              std::to_string(level) + " on device " + device_->name() +
-                              " fails its own checksum");
-  }
-  return bytes;
+  return ReadSegmentVerified(device_, ref->tree, level, seg_index);
 }
 
 Status KvStore::RepairQuarantinedLevels(const SegmentFetcher& fetch) {
@@ -1428,24 +1226,16 @@ Status KvStore::RepairQuarantinedLevels(const SegmentFetcher& fetch) {
       continue;
     }
     for (size_t idx : verifier->BadSegments()) {
-      counters_.repair_fetches->Increment();
+      counters_.integrity.repair_fetches->Increment();
       TEBIS_ASSIGN_OR_RETURN(std::string bytes, fetch(static_cast<int>(i), idx));
-      const SegmentChecksum& expected = verifier->checksums()[idx];
-      if (bytes.size() != expected.length ||
-          Crc32c(bytes.data(), bytes.size()) != expected.crc) {
+      if (!MatchesChecksum(Slice(bytes), verifier->checksums()[idx])) {
         return Status::Corruption("repair fetch for segment " + std::to_string(idx) + " of L" +
                                   std::to_string(i) +
                                   " returned bytes that fail the expected checksum");
       }
-      const SegmentId seg = verifier->segments()[idx];
-      TEBIS_RETURN_IF_ERROR(device_->Write(device_->geometry().BaseOffset(seg), Slice(bytes),
-                                           IoClass::kScrub));
-      if (cache_ != nullptr) {
-        cache_->InvalidateSegment(seg);  // stale pages may hold the rotten bytes
-      }
-      verifier->ResetSegment(idx);
-      TEBIS_RETURN_IF_ERROR(verifier->VerifySegment(idx, IoClass::kScrub, /*force=*/true));
-      counters_.corruptions_repaired->Increment();
+      TEBIS_RETURN_IF_ERROR(
+          InstallRepairedSegment(device_, cache_.get(), verifier, idx, Slice(bytes)));
+      counters_.integrity.corruptions_repaired->Increment();
     }
   }
   UpdateQuarantineGauge();
@@ -1571,13 +1361,9 @@ StatusOr<std::unique_ptr<KvStore>> KvStore::Recover(BlockDevice* device,
   // Rebuild L0 from the flushed-but-unindexed log suffix (same mechanism as
   // backup promotion).
   const std::vector<SegmentId> flushed = store->log_->FlushedSegmentsSnapshot();
-  std::string segment(device->segment_size(), 0);
   for (size_t i = manifest.l0_replay_from; i < flushed.size(); ++i) {
-    const uint64_t base = device->geometry().BaseOffset(flushed[i]);
-    TEBIS_RETURN_IF_ERROR(
-        device->Read(base, segment.size(), segment.data(), IoClass::kRecovery));
-    Status replay = ValueLog::ForEachRecord(
-        Slice(segment.data(), segment.size()), base, [&](const LogRecord& rec) {
+    Status replay = store->log_->ForEachRecordIn(
+        flushed[i], IoClass::kRecovery, [&](const LogRecord& rec) {
           return store->ReplayRecord(rec.key, rec.offset, rec.tombstone);
         });
     if (replay.IsCorruption() && i + 1 == flushed.size()) {

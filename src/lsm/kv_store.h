@@ -46,6 +46,7 @@
 #include "src/lsm/bloom_filter.h"
 #include "src/lsm/btree_builder.h"
 #include "src/lsm/btree_reader.h"
+#include "src/lsm/level_read.h"
 #include "src/lsm/memtable.h"
 #include "src/lsm/page_cache.h"
 #include "src/lsm/segment_verifier.h"
@@ -309,18 +310,10 @@ class KvStore {
   // bytes from a peer replica (byte-identical in primary space, §3.3) and the
   // re-check passes.
 
-  struct ScrubOptions {
-    // Token-bucket pacing cap on scrub read bandwidth (0 = unpaced). Burst is
-    // one segment, matching the write-slowdown bucket shape.
-    uint64_t bytes_per_sec = 0;
-    // Also walk every flushed value-log segment end to end (record CRCs).
-    bool include_value_log = true;
-  };
-  struct ScrubReport {
-    uint64_t bytes_scrubbed = 0;
-    uint64_t corruptions_found = 0;
-    std::vector<int> quarantined_levels;
-  };
+  // The scrub is PacedScrub (level_read.h), the one a Send-Index backup runs
+  // over its shipped copy of these levels.
+  using ScrubOptions = tebis::ScrubOptions;
+  using ScrubReport = tebis::ScrubReport;
   // Force-re-verifies every checksummed segment of every published level
   // (plus the value log) against its CRC. Concurrent with reads and writes;
   // corrupt segments are quarantined, not repaired. Returns the report even
@@ -482,16 +475,9 @@ class KvStore {
     Counter* compaction_ship_ns = nullptr;
     // Per-level filter instruments, indexed by level (entry 0 unused).
     // Pre-resolved so the hot read path never takes a registry lookup.
-    std::vector<Counter*> filter_checks;
-    std::vector<Counter*> filter_negatives;
-    std::vector<Counter*> filter_false_positives;
+    std::vector<FilterCounters> filters;
     std::vector<Gauge*> filter_bits_per_key;  // set when a level publishes
-    // Integrity plane.
-    Counter* scrub_bytes = nullptr;
-    Counter* scrub_corruptions_found = nullptr;
-    Counter* corruptions_repaired = nullptr;
-    Counter* repair_fetches = nullptr;
-    Gauge* quarantined_levels = nullptr;
+    IntegrityCounters integrity;
     Counter* read_corruptions_log = nullptr;    // kv.read_corruptions{source=value_log}
     Counter* read_corruptions_level = nullptr;  // kv.read_corruptions{source=level}
     // Write-path group commit.
@@ -585,7 +571,11 @@ class KvStore {
   Status BackgroundError() const;
 
   StatusOr<ValueLocation> FindLocation(Slice key, const ReadSnapshot& snap);
-  FullKeyLoader LookupKeyLoader();
+  // Scan and ScanPrefix: up to `limit` live pairs with key >= start, ending
+  // at the first key that does not begin with `prefix` (empty = no end).
+  // A prefix of at least kFilterPrefixSize bytes lets level filters skip
+  // levels.
+  StatusOr<std::vector<KvPair>> ScanRange(Slice start, Slice prefix, size_t limit);
 
   BlockDevice* const device_;
   const KvStoreOptions options_;

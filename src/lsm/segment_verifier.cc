@@ -74,24 +74,6 @@ Status SegmentVerifier::VerifySegment(size_t idx, IoClass io_class, bool force) 
   return Status::Ok();
 }
 
-Status SegmentVerifier::VerifyAll(IoClass io_class, bool force, uint64_t* bytes_read,
-                                  const std::function<void(uint64_t)>& pace) {
-  Status first = Status::Ok();
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    Status s = VerifySegment(i, io_class, force);
-    if (!s.ok() && first.ok()) {
-      first = s;
-    }
-    if (bytes_read != nullptr) {
-      *bytes_read += checksums_[i].length;
-    }
-    if (pace) {
-      pace(checksums_[i].length);
-    }
-  }
-  return first;
-}
-
 std::vector<size_t> SegmentVerifier::BadSegments() const {
   std::vector<size_t> bad;
   for (size_t i = 0; i < segments_.size(); ++i) {

@@ -7,13 +7,13 @@
 // verdict, so steady-state lookups pay one atomic load. A mismatch marks the
 // segment bad and quarantines the level — every subsequent read through the
 // verifier fails with kCorruption until repair re-installs good bytes and
-// resets the verdict. The scrubber reuses the same object with force=true so
-// bit-rot that lands *after* the first verification is still caught.
+// resets the verdict. The scrubber (PacedScrub, level_read.h) re-verifies
+// every segment through the same object with force=true, so bit-rot that
+// lands *after* the first verification is still caught.
 #ifndef TEBIS_LSM_SEGMENT_VERIFIER_H_
 #define TEBIS_LSM_SEGMENT_VERIFIER_H_
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -42,13 +42,6 @@ class SegmentVerifier {
   // Verifies one segment by index. force=true recomputes even when a cached
   // ok verdict exists (scrub: catch damage that landed after the last check).
   Status VerifySegment(size_t idx, IoClass io_class, bool force);
-
-  // Walks every segment (scrub). Returns the first corruption seen but keeps
-  // checking the rest so all bad segments are marked. `pace`, when set, is
-  // called with the byte count after each segment read (token-bucket hook);
-  // `bytes_read` accumulates the total.
-  Status VerifyAll(IoClass io_class, bool force, uint64_t* bytes_read = nullptr,
-                   const std::function<void(uint64_t)>& pace = nullptr);
 
   // True once any segment failed verification and has not been repaired.
   bool quarantined() const { return quarantined_.load(std::memory_order_acquire); }

@@ -451,4 +451,31 @@ Status ValueLog::ForEachRecord(Slice segment_bytes, uint64_t segment_base,
   return Status::Ok();
 }
 
+Status ValueLog::ForEachRecordIn(SegmentId segment, IoClass io_class,
+                                 const std::function<Status(const LogRecord&)>& fn) const {
+  const uint64_t base = device_->geometry().BaseOffset(segment);
+  const size_t size = device_->segment_size();
+  std::unique_ptr<char[]> buf(new char[size]);
+  TEBIS_RETURN_IF_ERROR(device_->Read(base, size, buf.get(), io_class));
+  return ForEachRecord(Slice(buf.get(), size), base, fn);
+}
+
+std::vector<LogRecord> ValueLog::DecodeBufferImage(Slice image, uint64_t segment_size) {
+  std::vector<LogRecord> records;
+  const auto decode = [&records](Slice half) {
+    // A corruption marks the end of valid data, so its status is dropped.
+    (void)ForEachRecord(half, /*segment_base=*/0, [&records](const LogRecord& rec) {
+      records.push_back(rec);
+      return Status::Ok();
+    });
+  };
+  if (image.size() < 2 * segment_size) {
+    decode(image);
+  } else {
+    decode(Slice(image.data(), segment_size));
+    decode(Slice(image.data() + segment_size, image.size() - segment_size));
+  }
+  return records;
+}
+
 }  // namespace tebis

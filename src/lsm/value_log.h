@@ -212,6 +212,19 @@ class ValueLog {
   static Status ForEachRecord(Slice segment_bytes, uint64_t segment_base,
                               const std::function<Status(const LogRecord&)>& fn);
 
+  // Reads flushed `segment` from the device as `io_class` and decodes its
+  // records through ForEachRecord: a read error, a corrupt record, or the
+  // first error `fn` returns ends the walk with that status.
+  Status ForEachRecordIn(SegmentId segment, IoClass io_class,
+                         const std::function<Status(const LogRecord&)>& fn) const;
+
+  // The records of a replication-buffer image in append order per family:
+  // the main-tail mirror in [0, segment_size), then, in an image of at least
+  // two segments, the large-value mirror in [segment_size, end). A record
+  // that does not decode — a torn trailing one-sided write — ends its half.
+  // Backups read and replay their RDMA buffer through this.
+  static std::vector<LogRecord> DecodeBufferImage(Slice image, uint64_t segment_size);
+
  private:
   explicit ValueLog(BlockDevice* device);
   Status OpenNewTail();

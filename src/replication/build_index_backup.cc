@@ -156,24 +156,8 @@ Status BuildIndexBackupRegion::HandleLogFlush(SegmentId primary_segment, uint64_
 // --- replica read path ----------------------------------------------------
 
 uint64_t BuildIndexBackupRegion::ParseBufferLocked(std::vector<LogRecord>* records) const {
-  const uint64_t seg_size = device_->segment_size();
-  const std::string image = rdma_buffer_->SnapshotBytes(seg_size);
-  Status status = ValueLog::ForEachRecord(Slice(image), /*segment_base=*/0,
-                                          [records](const LogRecord& rec) {
-                                            records->push_back(rec);
-                                            return Status::Ok();
-                                          });
-  (void)status;  // a corruption marks the end of valid data
-  // The large-value mirror lives in the second half of a 2x buffer.
-  if (rdma_buffer_->size() >= 2 * seg_size) {
-    const std::string large = rdma_buffer_->SnapshotRange(seg_size, seg_size);
-    status = ValueLog::ForEachRecord(Slice(large), /*segment_base=*/0,
-                                     [records](const LogRecord& rec) {
-                                       records->push_back(rec);
-                                       return Status::Ok();
-                                     });
-    (void)status;
-  }
+  *records = ValueLog::DecodeBufferImage(Slice(rdma_buffer_->SnapshotBytes(rdma_buffer_->size())),
+                                         device_->segment_size());
   return flushed_commit_seq_ + records->size();
 }
 
@@ -300,24 +284,10 @@ StatusOr<std::unique_ptr<KvStore>> BuildIndexBackupRegion::Promote(bool replay_r
   if (!replay_rdma_buffer) {
     return std::move(store_);
   }
-  const uint64_t seg_size = device_->segment_size();
-  const auto replay_half = [&](Slice half) -> Status {
-    Status replay_status =
-        ValueLog::ForEachRecord(half, /*segment_base=*/0, [&](const LogRecord& rec) {
-          if (rec.tombstone) {
-            return store_->Delete(rec.key);
-          }
-          return store_->Put(rec.key, rec.value);
-        });
-    if (!replay_status.ok() && !replay_status.IsCorruption()) {
-      return replay_status;
-    }
-    return Status::Ok();
-  };
-  TEBIS_RETURN_IF_ERROR(replay_half(Slice(rdma_buffer_->data(), seg_size)));
-  // The large-value mirror in the second half of a 2x buffer.
-  if (rdma_buffer_->size() >= 2 * seg_size) {
-    TEBIS_RETURN_IF_ERROR(replay_half(Slice(rdma_buffer_->data() + seg_size, seg_size)));
+  for (const LogRecord& rec : ValueLog::DecodeBufferImage(
+           Slice(rdma_buffer_->data(), rdma_buffer_->size()), device_->segment_size())) {
+    TEBIS_RETURN_IF_ERROR(rec.tombstone ? store_->Delete(rec.key)
+                                        : store_->Put(rec.key, rec.value));
   }
   return std::move(store_);
 }

@@ -571,31 +571,14 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
 }
 
 Status PrimaryRegion::ReplayBufferImage(Slice image) {
-  const auto replay = [this](Slice half) -> Status {
-    Status status = ValueLog::ForEachRecord(half, /*segment_base=*/0,
-                                            [this](const LogRecord& rec) {
-                                              if (rec.tombstone) {
-                                                return Delete(rec.key);
-                                              }
-                                              return Put(rec.key, rec.value);
-                                            });
-    if (!status.ok() && !status.IsCorruption()) {
-      return status;  // a torn trailing record marks the end of valid data
-    }
-    return Status::Ok();
-  };
-  // A 2x-segment image carries the main-tail mirror in the first half
-  // and the large-value-tail mirror in the second; replay both. Within each
-  // family, order is append order. Across families the halves replay
-  // sequentially, so a small overwrite of a still-unflushed large value can
-  // replay before it — see DESIGN.md "write path" for why promotions
-  // tolerate this window.
-  const uint64_t seg_size = device_->segment_size();
-  if (image.size() >= 2 * seg_size) {
-    TEBIS_RETURN_IF_ERROR(replay(Slice(image.data(), seg_size)));
-    return replay(Slice(image.data() + seg_size, image.size() - seg_size));
+  // Within each family, order is append order. Across families the halves
+  // replay sequentially, so a small overwrite of a still-unflushed large
+  // value can replay before it — see DESIGN.md "write path" for why
+  // promotions tolerate this window.
+  for (const LogRecord& rec : ValueLog::DecodeBufferImage(image, device_->segment_size())) {
+    TEBIS_RETURN_IF_ERROR(rec.tombstone ? Delete(rec.key) : Put(rec.key, rec.value));
   }
-  return replay(image);
+  return Status::Ok();
 }
 
 // --- data plane (§3.2) ---------------------------------------------------------

@@ -1,15 +1,12 @@
 #include "src/replication/send_index_backup.h"
 
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "src/common/clock.h"
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
 #include "src/lsm/bloom_filter.h"
 #include "src/lsm/btree_node.h"
-#include "src/lsm/btree_reader.h"
 #include "src/lsm/compaction.h"
 
 namespace tebis {
@@ -88,14 +85,11 @@ void SendIndexBackupRegion::InitTelemetry() {
   counters_.read_rejects_epoch = reg->GetCounter("backup.read_rejects_epoch", l);
   counters_.read_rejects_seq = reg->GetCounter("backup.read_rejects_seq", l);
   counters_.filter_blocks_installed = reg->GetCounter("backup.filter_blocks_installed", l);
-  counters_.filter_checks = reg->GetCounter("backup.filter_checks", l);
-  counters_.filter_negatives = reg->GetCounter("backup.filter_negatives", l);
-  counters_.filter_false_positives = reg->GetCounter("backup.filter_false_positives", l);
+  counters_.filters = FilterCounters{reg->GetCounter("backup.filter_checks", l),
+                                     reg->GetCounter("backup.filter_negatives", l),
+                                     reg->GetCounter("backup.filter_false_positives", l)};
   counters_.segments_crc_rejected = reg->GetCounter("backup.segments_crc_rejected", l);
-  counters_.scrub_bytes = reg->GetCounter("integrity.scrub_bytes", l);
-  counters_.corruptions_found = reg->GetCounter("integrity.corruptions_found", l);
-  counters_.corruptions_repaired = reg->GetCounter("integrity.corruptions_repaired", l);
-  counters_.repair_fetches = reg->GetCounter("integrity.repair_fetches", l);
+  counters_.integrity = RegisterIntegrityCounters(reg, l);
   counters_.repair_serves = reg->GetCounter("integrity.repair_serves", l);
   counters_.read_corruptions = reg->GetCounter("backup.read_corruptions", l);
 }
@@ -134,14 +128,14 @@ SendIndexBackupStats SendIndexBackupRegion::stats() const {
   s.read_rejects_epoch = counters_.read_rejects_epoch->Value();
   s.read_rejects_seq = counters_.read_rejects_seq->Value();
   s.filter_blocks_installed = counters_.filter_blocks_installed->Value();
-  s.filter_checks = counters_.filter_checks->Value();
-  s.filter_negatives = counters_.filter_negatives->Value();
-  s.filter_false_positives = counters_.filter_false_positives->Value();
+  s.filter_checks = counters_.filters.checks->Value();
+  s.filter_negatives = counters_.filters.negatives->Value();
+  s.filter_false_positives = counters_.filters.false_positives->Value();
   s.segments_crc_rejected = counters_.segments_crc_rejected->Value();
-  s.scrub_bytes = counters_.scrub_bytes->Value();
-  s.corruptions_found = counters_.corruptions_found->Value();
-  s.corruptions_repaired = counters_.corruptions_repaired->Value();
-  s.repair_fetches = counters_.repair_fetches->Value();
+  s.scrub_bytes = counters_.integrity.scrub_bytes->Value();
+  s.corruptions_found = counters_.integrity.corruptions_found->Value();
+  s.corruptions_repaired = counters_.integrity.corruptions_repaired->Value();
+  s.repair_fetches = counters_.integrity.repair_fetches->Value();
   s.repair_serves = counters_.repair_serves->Value();
   s.read_corruptions = counters_.read_corruptions->Value();
   return s;
@@ -485,6 +479,7 @@ Status SendIndexBackupRegion::HandleCompactionEnd(uint64_t compaction_id, int sr
     TEBIS_RETURN_IF_ERROR(FreeTree(levels_[dst_level]));
     levels_[dst_level] = local_tree;
     InstallVerifierLocked(dst_level);
+    PublishQuarantineLocked();  // a replaced quarantined level no longer counts
     // Retain the level's primary-space identity for repair interchange:
     // valid only when the primary shipped its checksums and the rewrite kept
     // every segment's length (it always does — rewrites are in place).
@@ -570,13 +565,9 @@ StatusOr<std::unique_ptr<KvStore>> SendIndexBackupRegion::Promote(bool replay_rd
 
   // Rebuild L0: replay flushed segments newer than the last L0 compaction
   // (existing offsets, no re-append)...
-  const uint64_t seg_size = device_->segment_size();
-  std::string buf(seg_size, 0);
   for (SegmentId seg : replay_segments) {
-    const uint64_t base = device_->geometry().BaseOffset(seg);
-    TEBIS_RETURN_IF_ERROR(device_->Read(base, seg_size, buf.data(), IoClass::kRecovery));
-    TEBIS_RETURN_IF_ERROR(ValueLog::ForEachRecord(
-        Slice(buf.data(), buf.size()), base, [&](const LogRecord& rec) {
+    TEBIS_RETURN_IF_ERROR(store->value_log()->ForEachRecordIn(
+        seg, IoClass::kRecovery, [&](const LogRecord& rec) {
           return store->ReplayRecord(rec.key, rec.offset, rec.tombstone);
         }));
   }
@@ -585,26 +576,9 @@ StatusOr<std::unique_ptr<KvStore>> SendIndexBackupRegion::Promote(bool replay_rd
   if (!replay_rdma_buffer) {
     return store;
   }
-  const auto replay_half = [&](Slice half) -> Status {
-    Status replay_status =
-        ValueLog::ForEachRecord(half, /*segment_base=*/0, [&](const LogRecord& rec) {
-          if (rec.tombstone) {
-            return store->Delete(rec.key);
-          }
-          return store->Put(rec.key, rec.value);
-        });
-    if (!replay_status.ok() && !replay_status.IsCorruption()) {
-      // A torn trailing record (primary died mid-RDMA-write) reads as
-      // corruption and marks the end of the replicated data; anything else is
-      // a real error.
-      return replay_status;
-    }
-    return Status::Ok();
-  };
-  TEBIS_RETURN_IF_ERROR(replay_half(Slice(rdma_buffer_->data(), seg_size)));
-  // The large-value mirror in the second half of a 2x buffer.
-  if (rdma_buffer_->size() >= 2 * seg_size) {
-    TEBIS_RETURN_IF_ERROR(replay_half(Slice(rdma_buffer_->data() + seg_size, seg_size)));
+  for (const LogRecord& rec : ValueLog::DecodeBufferImage(
+           Slice(rdma_buffer_->data(), rdma_buffer_->size()), device_->segment_size())) {
+    TEBIS_RETURN_IF_ERROR(rec.tombstone ? store->Delete(rec.key) : store->Put(rec.key, rec.value));
   }
   return store;
 }
@@ -662,25 +636,8 @@ Status SendIndexBackupRegion::AdoptNewPrimaryLogMap(const SegmentMap& new_primar
 uint64_t SendIndexBackupRegion::ParseBufferLocked(std::vector<LogRecord>* records) const {
   // SnapshotBytes serializes with the primary's tagged one-sided writes, so
   // the image never contains a half-landed record.
-  const uint64_t seg_size = device_->segment_size();
-  const std::string image = rdma_buffer_->SnapshotBytes(seg_size);
-  Status status = ValueLog::ForEachRecord(Slice(image), /*segment_base=*/0,
-                                          [records](const LogRecord& rec) {
-                                            records->push_back(rec);
-                                            return Status::Ok();
-                                          });
-  // A corruption marks the end of valid data, same as promotion replay.
-  (void)status;
-  // The large-value mirror lives in the second half of a 2x buffer.
-  if (rdma_buffer_->size() >= 2 * seg_size) {
-    const std::string large = rdma_buffer_->SnapshotRange(seg_size, seg_size);
-    status = ValueLog::ForEachRecord(Slice(large), /*segment_base=*/0,
-                                     [records](const LogRecord& rec) {
-                                       records->push_back(rec);
-                                       return Status::Ok();
-                                     });
-    (void)status;
-  }
+  *records = ValueLog::DecodeBufferImage(Slice(rdma_buffer_->SnapshotBytes(rdma_buffer_->size())),
+                                         device_->segment_size());
   return flushed_commit_seq_ + records->size();
 }
 
@@ -702,48 +659,38 @@ Status SendIndexBackupRegion::CheckReadFenceLocked(uint64_t min_epoch, uint64_t 
   return Status::Ok();
 }
 
-StatusOr<LogRecord> SendIndexBackupRegion::FindUnindexedLocked(Slice key) {
+Status SendIndexBackupRegion::ForEachUnindexedLocked(
+    const std::function<Status(const LogRecord&)>& fn) {
   const std::vector<SegmentId> flushed = log_->FlushedSegmentsSnapshot();
-  const uint64_t seg_size = device_->segment_size();
-  std::string buf(seg_size, 0);
-  for (size_t i = flushed.size(); i > replay_from_; --i) {
-    const SegmentId seg = flushed[i - 1];
-    TEBIS_RETURN_IF_ERROR(device_->Read(device_->geometry().BaseOffset(seg), seg_size,
-                                        buf.data(), IoClass::kLookup));
-    LogRecord newest;
-    bool found = false;
-    Status status = ValueLog::ForEachRecord(Slice(buf), device_->geometry().BaseOffset(seg),
-                                            [&](const LogRecord& rec) {
-                                              if (Slice(rec.key) == key) {
-                                                newest = rec;  // last match = newest
-                                                found = true;
-                                              }
-                                              return Status::Ok();
-                                            });
-    if (!status.ok() && !status.IsCorruption()) {
-      return status;
+  for (size_t i = replay_from_; i < flushed.size(); ++i) {
+    Status status = log_->ForEachRecordIn(flushed[i], IoClass::kLookup, fn);
+    if (status.IsCorruption()) {
+      counters_.read_corruptions->Increment();
     }
-    if (found) {
-      return newest;
-    }
+    TEBIS_RETURN_IF_ERROR(status);
   }
-  return Status::NotFound();
+  return Status::Ok();
 }
 
-FullKeyLoader SendIndexBackupRegion::LevelKeyLoader() const {
-  return [this](uint64_t off, size_t key_size) -> StatusOr<std::string> {
-    std::string k;
-    TEBIS_RETURN_IF_ERROR(log_->ReadKey(off, key_size, &k, nullptr, nullptr, IoClass::kLookup));
-    return k;
-  };
-}
-
-StatusOr<std::string> SendIndexBackupRegion::ReadLevelValue(Slice key, const LeafEntry& entry) {
-  if (entry.tombstone()) {
+StatusOr<LogRecord> SendIndexBackupRegion::FindUnindexedLocked(Slice key) {
+  LogRecord newest;
+  bool found = false;
+  TEBIS_RETURN_IF_ERROR(ForEachUnindexedLocked([&](const LogRecord& rec) {
+    if (Slice(rec.key) == key) {
+      newest = rec;
+      found = true;
+    }
+    return Status::Ok();
+  }));
+  if (!found) {
     return Status::NotFound();
   }
+  return newest;
+}
+
+StatusOr<std::string> SendIndexBackupRegion::ReadLevelValue(Slice key, uint64_t log_offset) {
   LogRecord rec;
-  Status read = log_->ReadIndexedRecord(entry.log_offset(), key, &rec, nullptr, IoClass::kLookup);
+  Status read = log_->ReadIndexedRecord(log_offset, key, &rec, nullptr, IoClass::kLookup);
   if (read.IsCorruption()) {
     counters_.read_corruptions->Increment();
   }
@@ -752,40 +699,23 @@ StatusOr<std::string> SendIndexBackupRegion::ReadLevelValue(Slice key, const Lea
 }
 
 StatusOr<std::string> SendIndexBackupRegion::GetFromLevelsLocked(Slice key) {
-  FullKeyLoader loader = LevelKeyLoader();
+  FullKeyLoader loader = LookupKeyLoader(log_.get(), /*cache=*/nullptr);
   const uint64_t key_hash = KeyHash(key);
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
-    if (levels_[i].empty()) {
-      continue;
-    }
-    // Consult the shipped (or promoted-over) filter before descending: the
-    // primary's exact bytes, so a skip here matches a skip on the primary.
-    bool filter_said_maybe = false;
-    if (levels_[i].filter != nullptr) {
-      BloomFilterView view;
-      if (BloomFilterView::Parse(Slice(*levels_[i].filter), &view, /*verify_crc=*/false).ok()) {
-        counters_.filter_checks->Increment();
-        if (!view.MayContainHash(key_hash)) {
-          counters_.filter_negatives->Increment();
-          continue;
-        }
-        filter_said_maybe = true;
-      }
-    }
-    BTreeReader reader(device_, nullptr, options_.node_size, levels_[i], IoClass::kLookup,
-                       verifiers_[i].get());
-    auto found = reader.Find(key, key_hash, loader);
+    auto found = ProbeLevel(device_, options_.node_size, /*cache=*/nullptr, levels_[i],
+                            verifiers_[i].get(), key, key_hash, loader, counters_.filters);
     if (found.ok()) {
-      return ReadLevelValue(key, *found);
+      if (found->tombstone()) {
+        return Status::NotFound();
+      }
+      return ReadLevelValue(key, found->log_offset());
     }
     if (!found.status().IsNotFound()) {
       if (found.status().IsCorruption()) {
         counters_.read_corruptions->Increment();
+        PublishQuarantineLocked();
       }
       return found.status();
-    }
-    if (filter_said_maybe) {
-      counters_.filter_false_positives->Increment();
     }
   }
   return Status::NotFound();
@@ -794,12 +724,12 @@ StatusOr<std::string> SendIndexBackupRegion::GetFromLevelsLocked(Slice key) {
 StatusOr<std::string> SendIndexBackupRegion::Get(Slice key, uint64_t min_epoch,
                                                  uint64_t min_seq, uint64_t* visible_seq) {
   // The whole read runs under the state lock (shared side): HandleCompactionEnd
-  // frees the segments of replaced level trees, so a lock-free snapshot
-  // (DebugGet's quiesced-region shortcut) is not safe against live shipping
-  // traffic. Reads only share the lock with each other — everything below is
-  // read-only against region state, and the device/log/buffer layers carry
-  // their own synchronization — so concurrent replica gets proceed in parallel
-  // and only exclude the (rare, exclusive) shipping mutations.
+  // frees the segments of replaced level trees, so a lock-free snapshot of
+  // the levels is not safe against live shipping traffic. Reads only share
+  // the lock with each other — everything below is read-only against region
+  // state, and the device/log/buffer layers carry their own synchronization —
+  // so concurrent replica gets proceed in parallel and only exclude the
+  // (rare, exclusive) shipping mutations.
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
   counters_.replica_gets->Increment();
   std::vector<LogRecord> buffered;
@@ -832,6 +762,41 @@ StatusOr<std::string> SendIndexBackupRegion::Get(Slice key, uint64_t min_epoch,
   return GetFromLevelsLocked(key);
 }
 
+namespace {
+
+// The records the shipped levels do not cover yet, keyed and deduplicated
+// (later writes replaced earlier ones), as a merge source. A scan puts it
+// first, so it is the newest source and wins every tie.
+class OverlayMergeSource : public MergeSource {
+ public:
+  OverlayMergeSource(const std::map<std::string, LogRecord>& overlay, Slice start)
+      : it_(overlay.lower_bound(start.ToString())), end_(overlay.end()) {
+    Load();
+  }
+  bool Valid() const override { return it_ != end_; }
+  const MergeEntry& entry() const override { return entry_; }
+  Status Next() override {
+    ++it_;
+    Load();
+    return Status::Ok();
+  }
+  // The current record's value: overlay records are read already.
+  const std::string& value() const { return it_->second.value; }
+
+ private:
+  void Load() {
+    if (Valid()) {
+      entry_.key = it_->first;
+      entry_.tombstone = it_->second.tombstone;
+    }
+  }
+  std::map<std::string, LogRecord>::const_iterator it_;
+  const std::map<std::string, LogRecord>::const_iterator end_;
+  MergeEntry entry_;
+};
+
+}  // namespace
+
 StatusOr<std::vector<KvPair>> SendIndexBackupRegion::Scan(Slice start, size_t limit,
                                                           uint64_t min_epoch, uint64_t min_seq,
                                                           uint64_t* visible_seq) {
@@ -843,29 +808,20 @@ StatusOr<std::vector<KvPair>> SendIndexBackupRegion::Scan(Slice start, size_t li
   if (visible_seq != nullptr) {
     *visible_seq = visible;
   }
-  // Overlay of every record the levels do not cover yet: unindexed flushed
-  // segments oldest -> newest, then the buffer, so later writes win.
+  // Every record the levels do not cover yet: the unindexed suffix oldest
+  // first, then the buffer, so later writes win.
   std::map<std::string, LogRecord> overlay;
-  const std::vector<SegmentId> flushed = log_->FlushedSegmentsSnapshot();
-  const uint64_t seg_size = device_->segment_size();
-  std::string buf(seg_size, 0);
-  for (size_t i = replay_from_; i < flushed.size(); ++i) {
-    TEBIS_RETURN_IF_ERROR(device_->Read(device_->geometry().BaseOffset(flushed[i]), seg_size,
-                                        buf.data(), IoClass::kLookup));
-    Status status = ValueLog::ForEachRecord(Slice(buf), device_->geometry().BaseOffset(flushed[i]),
-                                            [&overlay](const LogRecord& rec) {
-                                              overlay[rec.key] = rec;
-                                              return Status::Ok();
-                                            });
-    if (!status.ok() && !status.IsCorruption()) {
-      return status;
-    }
-  }
-  for (const LogRecord& rec : buffered) {
+  TEBIS_RETURN_IF_ERROR(ForEachUnindexedLocked([&overlay](const LogRecord& rec) {
     overlay[rec.key] = rec;
+    return Status::Ok();
+  }));
+  for (LogRecord& rec : buffered) {
+    overlay[rec.key] = std::move(rec);
   }
 
-  std::vector<std::unique_ptr<LevelMergeSource>> sources;
+  OverlayMergeSource newest(overlay, start);
+  std::vector<MergeSource*> sources{&newest};
+  std::vector<std::unique_ptr<LevelMergeSource>> levels;
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
     if (levels_[i].empty()) {
       continue;
@@ -874,60 +830,23 @@ StatusOr<std::vector<KvPair>> SendIndexBackupRegion::Scan(Slice start, size_t li
                                                   log_.get(), verifiers_[i].get(),
                                                   /*cache=*/nullptr, IoClass::kLookup);
     TEBIS_RETURN_IF_ERROR(src->Init(start));
-    sources.push_back(std::move(src));
+    sources.push_back(src.get());
+    levels.push_back(std::move(src));
   }
 
-  auto overlay_it = overlay.lower_bound(start.ToString());
+  MergeIterator merged(std::move(sources));
   std::vector<KvPair> out;
-  while (out.size() < limit) {
-    // Smallest key across the overlay and every level; the overlay is the
-    // newest source, so it wins ties.
-    int best = -1;
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (!sources[i]->Valid()) {
-        continue;
-      }
-      if (best < 0 ||
-          Slice(sources[i]->entry().key).Compare(Slice(sources[best]->entry().key)) < 0) {
-        best = static_cast<int>(i);
+  while (merged.Valid() && out.size() < limit) {
+    const MergeEntry& winner = merged.entry();
+    if (!winner.tombstone) {
+      if (merged.source() == 0) {
+        out.push_back(KvPair{winner.key, newest.value()});
+      } else {
+        TEBIS_ASSIGN_OR_RETURN(std::string value, ReadLevelValue(winner.key, winner.log_offset));
+        out.push_back(KvPair{winner.key, std::move(value)});
       }
     }
-    const bool overlay_wins =
-        overlay_it != overlay.end() &&
-        (best < 0 || Slice(overlay_it->first).Compare(Slice(sources[best]->entry().key)) <= 0);
-    if (!overlay_wins && best < 0) {
-      break;
-    }
-    const std::string winner_key =
-        overlay_wins ? overlay_it->first : sources[best]->entry().key;
-    bool tombstone;
-    std::string value;
-    if (overlay_wins) {
-      tombstone = overlay_it->second.tombstone;
-      value = overlay_it->second.value;
-      ++overlay_it;
-    } else {
-      tombstone = sources[best]->entry().tombstone;
-    }
-    uint64_t level_offset = kInvalidOffset;
-    for (auto& src : sources) {
-      while (src->Valid() && Slice(src->entry().key) == Slice(winner_key)) {
-        if (!overlay_wins && level_offset == kInvalidOffset) {
-          level_offset = src->entry().log_offset;
-        }
-        TEBIS_RETURN_IF_ERROR(src->Next());
-      }
-    }
-    if (tombstone) {
-      continue;
-    }
-    if (!overlay_wins) {
-      LogRecord rec;
-      TEBIS_RETURN_IF_ERROR(
-          log_->ReadIndexedRecord(level_offset, winner_key, &rec, nullptr, IoClass::kLookup));
-      value = std::move(rec.value);
-    }
-    out.push_back(KvPair{winner_key, std::move(value)});
+    TEBIS_RETURN_IF_ERROR(merged.Next());
   }
   return out;
 }
@@ -939,48 +858,8 @@ uint64_t SendIndexBackupRegion::visible_seq() const {
 }
 
 StatusOr<std::string> SendIndexBackupRegion::DebugGet(Slice key) {
-  FullKeyLoader loader = LevelKeyLoader();
-  // Snapshot the level descriptors (and their verifiers — shared_ptr copies
-  // keep them alive); flushed log data is immutable so the reads below are
-  // safe without the lock.
-  std::vector<BuiltTree> levels;
-  std::vector<std::shared_ptr<SegmentVerifier>> verifiers;
-  {
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
-    levels = levels_;
-    verifiers = verifiers_;
-  }
-  const uint64_t key_hash = KeyHash(key);
-  for (uint32_t i = 1; i <= options_.max_levels; ++i) {
-    if (levels[i].empty()) {
-      continue;
-    }
-    bool filter_said_maybe = false;
-    if (levels[i].filter != nullptr) {
-      BloomFilterView view;
-      if (BloomFilterView::Parse(Slice(*levels[i].filter), &view, /*verify_crc=*/false).ok()) {
-        counters_.filter_checks->Increment();
-        if (!view.MayContainHash(key_hash)) {
-          counters_.filter_negatives->Increment();
-          continue;
-        }
-        filter_said_maybe = true;
-      }
-    }
-    BTreeReader reader(device_, nullptr, options_.node_size, levels[i], IoClass::kLookup,
-                       verifiers[i].get());
-    auto found = reader.Find(key, key_hash, loader);
-    if (found.ok()) {
-      return ReadLevelValue(key, *found);
-    }
-    if (!found.status().IsNotFound()) {
-      return found.status();
-    }
-    if (filter_said_maybe) {
-      counters_.filter_false_positives->Increment();
-    }
-  }
-  return Status::NotFound();
+  std::shared_lock<std::shared_mutex> lock(state_mutex_);
+  return GetFromLevelsLocked(key);
 }
 
 // --- integrity: scrub / online repair ---------------------------------
@@ -997,6 +876,10 @@ void SendIndexBackupRegion::InstallVerifierLocked(int level) {
 
 std::vector<int> SendIndexBackupRegion::QuarantinedLevels() const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
+  return QuarantinedLevelsLocked();
+}
+
+std::vector<int> SendIndexBackupRegion::QuarantinedLevelsLocked() const {
   std::vector<int> out;
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
     if (verifiers_[i] != nullptr && verifiers_[i]->quarantined()) {
@@ -1006,89 +889,35 @@ std::vector<int> SendIndexBackupRegion::QuarantinedLevels() const {
   return out;
 }
 
+void SendIndexBackupRegion::PublishQuarantineLocked() {
+  counters_.integrity.quarantined_levels->Set(
+      static_cast<int64_t>(QuarantinedLevelsLocked().size()));
+}
+
 StatusOr<KvStore::ScrubReport> SendIndexBackupRegion::Scrub(
     const KvStore::ScrubOptions& options) {
-  KvStore::ScrubReport report;
-  // Same token bucket as KvStore::Scrub: refilled at the configured rate,
-  // burst capped at one segment, charged per byte read.
-  double tokens = static_cast<double>(device_->segment_size());
-  uint64_t last_refill_ns = NowNanos();
-  auto pace = [&](uint64_t bytes) {
-    if (options.bytes_per_sec == 0 || bytes == 0) {
-      return;
-    }
-    const uint64_t now = NowNanos();
-    tokens += static_cast<double>(now - last_refill_ns) *
-              static_cast<double>(options.bytes_per_sec) / 1e9;
-    last_refill_ns = now;
-    const double burst = static_cast<double>(device_->segment_size());
-    if (tokens > burst) {
-      tokens = burst;
-    }
-    tokens -= static_cast<double>(bytes);
-    if (tokens >= 0) {
-      return;
-    }
-    const uint64_t sleep_ns =
-        static_cast<uint64_t>(-tokens * 1e9 / static_cast<double>(options.bytes_per_sec));
-    std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
-    tokens = 0;
-  };
-
-  // Snapshot the verifiers (shared_ptr) so the device reads run without the
-  // state lock — a level retired mid-scrub is simply verified on its way out.
-  std::vector<std::shared_ptr<SegmentVerifier>> verifiers;
+  // The verifier snapshot (shared_ptr) outlives the pass; the pin keeps each
+  // segment allocated while it is read, since a level install frees the
+  // segments of the level it replaces.
+  std::vector<std::shared_ptr<SegmentVerifier>> held;
   {
     std::shared_lock<std::shared_mutex> lock(state_mutex_);
-    verifiers = verifiers_;
+    held = verifiers_;
   }
-  for (uint32_t i = 1; i <= options_.max_levels; ++i) {
-    SegmentVerifier* verifier = verifiers[i].get();
-    if (verifier == nullptr) {
-      continue;
-    }
-    const size_t bad_before = verifier->BadSegments().size();
-    uint64_t bytes = 0;
-    Status checked = verifier->VerifyAll(IoClass::kScrub, /*force=*/true, &bytes, pace);
-    report.bytes_scrubbed += bytes;
-    const size_t bad_after = verifier->BadSegments().size();
-    if (bad_after > bad_before) {
-      report.corruptions_found += bad_after - bad_before;
-    }
-    if (verifier->quarantined()) {
-      report.quarantined_levels.push_back(static_cast<int>(i));
-    }
-    if (!checked.ok() && !checked.IsCorruption()) {
-      return checked;  // an I/O failure, not rot — the scrub cannot continue
-    }
+  std::vector<SegmentVerifier*> verifiers;
+  for (const auto& verifier : held) {
+    verifiers.push_back(verifier.get());
   }
-
-  // Replicated value log: every flushed segment parses end to end with valid
-  // record CRCs. A segment that vanishes mid-scrub (trim) is skipped.
-  if (options.include_value_log) {
-    const uint64_t seg_size = device_->segment_size();
-    std::string buf(seg_size, 0);
-    for (SegmentId seg : log_->FlushedSegmentsSnapshot()) {
-      const uint64_t base = device_->geometry().BaseOffset(seg);
-      Status read = device_->Read(base, seg_size, buf.data(), IoClass::kScrub);
-      if (!read.ok()) {
-        continue;
-      }
-      report.bytes_scrubbed += seg_size;
-      pace(seg_size);
-      Status parsed = ValueLog::ForEachRecord(Slice(buf.data(), buf.size()), base,
-                                              [](const LogRecord&) { return Status::Ok(); });
-      if (parsed.IsCorruption()) {
-        report.corruptions_found++;
-      } else if (!parsed.ok()) {
-        return parsed;
-      }
-    }
-  }
-
-  counters_.scrub_bytes->Add(report.bytes_scrubbed);
-  counters_.corruptions_found->Add(report.corruptions_found);
-  return report;
+  return PacedScrub(device_, verifiers, *log_, options, counters_.integrity,
+                    [this](int level, const SegmentVerifier* verifier,
+                           const std::function<void()>& verify) {
+                      std::shared_lock<std::shared_mutex> lock(state_mutex_);
+                      if (verifiers_[level].get() != verifier) {
+                        return false;
+                      }
+                      verify();
+                      return true;
+                    });
 }
 
 StatusOr<std::string> SendIndexBackupRegion::ServeRepairFetch(uint32_t level,
@@ -1105,23 +934,10 @@ StatusOr<std::string> SendIndexBackupRegion::ServeRepairFetch(uint32_t level,
     return Status::FailedPrecondition("no primary-space origin retained for level " +
                                       std::to_string(level));
   }
-  if (seg_index >= tree.segments.size()) {
-    return Status::InvalidArgument("repair fetch segment index out of range for L" +
-                                   std::to_string(level));
-  }
   // Read and self-check the LOCAL bytes first: a corrupt donor must never
   // propagate its rot to the repairing replica.
-  const SegmentChecksum& local_sum = tree.seg_checksums[seg_index];
-  std::string bytes(local_sum.length, '\0');
-  if (local_sum.length > 0) {
-    TEBIS_RETURN_IF_ERROR(device_->Read(device_->geometry().BaseOffset(tree.segments[seg_index]),
-                                        local_sum.length, bytes.data(), IoClass::kScrub));
-  }
-  if (Crc32c(bytes.data(), bytes.size()) != local_sum.crc) {
-    return Status::Corruption("repair source segment " + std::to_string(seg_index) + " of L" +
-                              std::to_string(level) + " on device " + device_->name() +
-                              " fails its own checksum");
-  }
+  TEBIS_ASSIGN_OR_RETURN(std::string bytes,
+                         ReadSegmentVerified(device_, tree, static_cast<int>(level), seg_index));
   // Reverse-rewrite back into primary space: invert the log map for leaf
   // offsets, and pair the level's local/primary segment lists for index
   // children (a tree's children only ever point at its own segments).
@@ -1145,8 +961,7 @@ StatusOr<std::string> SendIndexBackupRegion::ServeRepairFetch(uint32_t level,
   // The reconstruction must be bit-identical to what the primary built (§3.3
   // byte identity) — prove it against the retained primary checksum.
   const SegmentChecksum& primary_sum = origin.primary_checksums[seg_index];
-  if (bytes.size() != primary_sum.length ||
-      Crc32c(bytes.data(), bytes.size()) != primary_sum.crc) {
+  if (!MatchesChecksum(Slice(bytes), primary_sum)) {
     return Status::Corruption("reverse-rewritten repair bytes for segment " +
                               std::to_string(seg_index) + " of L" + std::to_string(level) +
                               " do not match the primary checksum");
@@ -1185,7 +1000,7 @@ Status SendIndexBackupRegion::RepairQuarantinedLevels(const KvStore::SegmentFetc
     std::vector<std::pair<size_t, std::string>> fetched;
     fetched.reserve(bad.size());
     for (size_t idx : bad) {
-      counters_.repair_fetches->Increment();
+      counters_.integrity.repair_fetches->Increment();
       TEBIS_ASSIGN_OR_RETURN(std::string bytes, fetch(static_cast<int>(level), idx));
       fetched.emplace_back(idx, std::move(bytes));
     }
@@ -1219,28 +1034,23 @@ Status SendIndexBackupRegion::RepairQuarantinedLevels(const KvStore::SegmentFetc
       return device_->geometry().Translate(offset, local);
     };
     for (auto& [idx, bytes] : fetched) {
-      const SegmentChecksum& primary_sum = origin.primary_checksums[idx];
-      if (bytes.size() != primary_sum.length ||
-          Crc32c(bytes.data(), bytes.size()) != primary_sum.crc) {
+      if (!MatchesChecksum(Slice(bytes), origin.primary_checksums[idx])) {
         return Status::Corruption("repair fetch for segment " + std::to_string(idx) + " of L" +
                                   std::to_string(level) +
                                   " returned bytes that fail the expected checksum");
       }
       TEBIS_RETURN_IF_ERROR(TranslateNodes(bytes.data(), bytes.size(), leaf_translate,
                                            index_translate));
-      const SegmentChecksum& local_sum = tree.seg_checksums[idx];
-      if (bytes.size() != local_sum.length ||
-          Crc32c(bytes.data(), bytes.size()) != local_sum.crc) {
+      if (!MatchesChecksum(Slice(bytes), tree.seg_checksums[idx])) {
         return Status::Corruption("rewritten repair bytes for segment " + std::to_string(idx) +
                                   " of L" + std::to_string(level) +
                                   " do not match the local checksum");
       }
-      TEBIS_RETURN_IF_ERROR(device_->Write(device_->geometry().BaseOffset(tree.segments[idx]),
-                                           Slice(bytes), IoClass::kScrub));
-      verifier->ResetSegment(idx);
-      TEBIS_RETURN_IF_ERROR(verifier->VerifySegment(idx, IoClass::kScrub, /*force=*/true));
-      counters_.corruptions_repaired->Increment();
+      TEBIS_RETURN_IF_ERROR(
+          InstallRepairedSegment(device_, /*cache=*/nullptr, verifier, idx, Slice(bytes)));
+      counters_.integrity.corruptions_repaired->Increment();
     }
+    PublishQuarantineLocked();
   }
   return Status::Ok();
 }

@@ -14,6 +14,7 @@
 #define TEBIS_REPLICATION_SEND_INDEX_BACKUP_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,6 +24,7 @@
 
 #include "src/lsm/btree_node.h"
 #include "src/lsm/kv_store.h"
+#include "src/lsm/level_read.h"
 #include "src/lsm/segment_verifier.h"
 #include "src/lsm/value_log.h"
 #include "src/net/fabric.h"
@@ -147,8 +149,9 @@ class SendIndexBackupRegion final : public BackupRegion {
   StatusOr<std::string> Get(Slice key, uint64_t min_epoch, uint64_t min_seq,
                             uint64_t* visible_seq) override;
 
-  // Replica scan under the same fence: an overlay of not-yet-indexed records
-  // merged with every device level.
+  // Replica scan under the same fence: the not-yet-indexed records (log
+  // suffix, then RDMA buffer) join the device levels as the newest source of
+  // the primary's newest-wins merge (MergeIterator).
   StatusOr<std::vector<KvPair>> Scan(Slice start, size_t limit, uint64_t min_epoch,
                                      uint64_t min_seq, uint64_t* visible_seq) override;
 
@@ -157,7 +160,8 @@ class SendIndexBackupRegion final : public BackupRegion {
   uint64_t visible_seq() const;
 
   // Test/verification read path: lookup through the local device levels only
-  // (backups have no L0).
+  // (backups have no L0), under the shared state lock like Get — a level
+  // installed meanwhile frees the segments of the one it replaces.
   StatusOr<std::string> DebugGet(Slice key) override;
 
   // Where L0 replay starts on promotion (set by the replay-start message and
@@ -166,10 +170,12 @@ class SendIndexBackupRegion final : public BackupRegion {
 
   // --- integrity: scrub / online repair ---
 
-  // Walks every checksummed level (force re-verification) and the local value
-  // log, token-bucket paced like KvStore::Scrub. Corruption quarantines the
-  // level; the report says what was found. Never fails on rot — only on I/O
-  // errors.
+  // The primary's scrub (PacedScrub) over this replica's shipped levels and
+  // local value log: force re-verification, token-bucket paced. Each segment
+  // is verified under the shared state lock, pacing sleeps without it, and a
+  // level replaced mid-scrub is dropped from the pass. Corruption quarantines
+  // the level and raises integrity.quarantined_levels; the report says what
+  // was found. Never fails on rot — only on I/O errors.
   StatusOr<KvStore::ScrubReport> Scrub(const KvStore::ScrubOptions& options) override;
   StatusOr<KvStore::ScrubReport> Scrub() { return Scrub(KvStore::ScrubOptions()); }
   std::vector<int> QuarantinedLevels() const override;
@@ -286,14 +292,9 @@ class SendIndexBackupRegion final : public BackupRegion {
     Counter* read_rejects_epoch = nullptr;
     Counter* read_rejects_seq = nullptr;
     Counter* filter_blocks_installed = nullptr;
-    Counter* filter_checks = nullptr;
-    Counter* filter_negatives = nullptr;
-    Counter* filter_false_positives = nullptr;
+    FilterCounters filters;  // backup.filter_*, summed over levels
     Counter* segments_crc_rejected = nullptr;
-    Counter* scrub_bytes = nullptr;
-    Counter* corruptions_found = nullptr;
-    Counter* corruptions_repaired = nullptr;
-    Counter* repair_fetches = nullptr;
+    IntegrityCounters integrity;  // the integrity.* set every replica registers
     Counter* repair_serves = nullptr;
     Counter* read_corruptions = nullptr;
   };
@@ -320,25 +321,33 @@ class SendIndexBackupRegion final : public BackupRegion {
   // Read-fence check shared by Get/Scan; fills `records`/`visible`.
   Status CheckReadFenceLocked(uint64_t min_epoch, uint64_t min_seq,
                               std::vector<LogRecord>* records, uint64_t* visible);
-  // Newest match for `key` in the flushed-but-unindexed log suffix
-  // [replay_from_, end), newest segment first. NotFound when absent.
+  // Calls `fn` on every record of the flushed-but-unindexed log suffix
+  // [replay_from_, end), oldest first, so a later record of a key is a newer
+  // version. A record that fails its checksum ends the walk with kCorruption
+  // (counted in read_corruptions): a read must not fall through to an older
+  // version of the key the damaged record may hold.
+  Status ForEachUnindexedLocked(const std::function<Status(const LogRecord&)>& fn);
+  // Newest match for `key` in the unindexed suffix. NotFound when absent.
   StatusOr<LogRecord> FindUnindexedLocked(Slice key);
-  // Lookup through the local device levels (top = newest).
+  // Lookup through the local device levels (top = newest), one ProbeLevel
+  // per level.
   StatusOr<std::string> GetFromLevelsLocked(Slice key);
-  // The value of a level hit: NotFound for a tombstone entry (no log read),
-  // else the record the entry points at, which must be `key`'s live record
-  // (ValueLog::ReadIndexedRecord); a corrupt one bumps read_corruptions.
-  StatusOr<std::string> ReadLevelValue(Slice key, const LeafEntry& entry);
-  // Full-key loader for tied leaf searches: one direct kLookup read of a
-  // record's header + key. Flushed log data is immutable, so no lock needed.
-  FullKeyLoader LevelKeyLoader() const;
+  // The value of the record a level entry points at, which must be `key`'s
+  // live record (ValueLog::ReadIndexedRecord); a corrupt one bumps
+  // read_corruptions.
+  StatusOr<std::string> ReadLevelValue(Slice key, uint64_t log_offset);
+  // Levels whose verifier is quarantined, and their count published to
+  // integrity.quarantined_levels.
+  std::vector<int> QuarantinedLevelsLocked() const;
+  void PublishQuarantineLocked();
 
   BlockDevice* const device_;
   const KvStoreOptions options_;
 
   // Reader-writer lock over region state. Shipping mutations (log flush,
   // compaction begin/end, promotion, epoch moves) take it exclusive; the
-  // replica read path (Get/Scan/visible_seq) takes it shared so concurrent
+  // replica read path (Get/Scan/DebugGet/visible_seq, and Scrub per segment)
+  // takes it shared so concurrent
   // reads proceed in parallel — the read path touches only immutable flushed
   // log data, the level descriptors, and layers with their own locks (device,
   // value-log tail, RDMA buffer). Lock order: state_mutex_ before any
@@ -352,8 +361,8 @@ class SendIndexBackupRegion final : public BackupRegion {
   SegmentMap log_map_;
   std::vector<BuiltTree> levels_;  // [0] unused
   // Parallel to levels_: read-path verifier per checksummed level
-  // (shared_ptr so DebugGet can snapshot it lock-free with the tree), and the
-  // primary-space origin backing repair interchange.
+  // (shared_ptr so a scrub keeps it alive between its per-segment locks),
+  // and the primary-space origin backing repair interchange.
   std::vector<std::shared_ptr<SegmentVerifier>> verifiers_;
   std::vector<LevelOrigin> origins_;
   // In-flight streams; shared_ptr so a handler can keep working on a stream

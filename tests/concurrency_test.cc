@@ -6,13 +6,18 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/lsm/kv_store.h"
+#include "src/net/fabric.h"
 #include "src/net/worker_pool.h"
+#include "src/replication/local_backup_channel.h"
+#include "src/replication/primary_region.h"
+#include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
 #include "src/ycsb/sim_cluster.h"
 
@@ -175,6 +180,115 @@ TEST(ConcurrencyTest, ScansSeeCompleteSnapshotsAcrossLevelPublication) {
   EXPECT_FALSE(failed.load());
   ASSERT_TRUE(store->WaitForBackgroundWork().ok());
   store_or->reset();
+  pool.Stop();
+}
+
+// The Send-Index backup's counterpart: replica Get / Scan / DebugGet and a
+// backup Scrub race the installs of shipped levels (compaction end frees the
+// replaced level's segments). After round 0 is indexed, every scan must see
+// exactly the full key set, every get and level-only DebugGet must find
+// each key, and the scrub must find no rot in levels it races.
+TEST(ConcurrencyTest, BackupReadsAndScrubSeeCompleteLevelsAcrossShippedInstalls) {
+  constexpr uint64_t kSegmentSize = 1 << 16;
+  auto primary_dev = MakeDevice(kSegmentSize);
+  auto backup_dev = MakeDevice(kSegmentSize);
+  WorkerPool pool(2);
+  pool.Start();
+  Fabric fabric;
+
+  KvStoreOptions opts;
+  opts.l0_max_entries = 128;
+  opts.compaction_pool = &pool;
+  auto primary_or = PrimaryRegion::Create(primary_dev.get(), opts, ReplicationMode::kSendIndex);
+  ASSERT_TRUE(primary_or.ok());
+  PrimaryRegion* primary = primary_or->get();
+  auto buffer = fabric.RegisterBuffer("backup0", "primary0", kSegmentSize);
+  KvStoreOptions backup_opts = opts;
+  backup_opts.compaction_pool = nullptr;
+  auto backup_or = SendIndexBackupRegion::Create(backup_dev.get(), backup_opts, buffer);
+  ASSERT_TRUE(backup_or.ok());
+  SendIndexBackupRegion* backup = backup_or->get();
+  primary->AddBackup(std::make_unique<LocalBackupChannel>(&fabric, "primary0", buffer, backup));
+
+  constexpr uint64_t kKeys = 300;
+  constexpr int kRounds = 20;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(primary->Put(Key(i), Value(0)).ok());
+  }
+  ASSERT_TRUE(primary->FlushL0().ok());
+
+  std::atomic<bool> writing{true};
+  std::atomic<bool> failed{false};
+  std::mutex failure_mutex;
+  std::string failure;
+  auto fail = [&](const std::string& what) {
+    std::lock_guard<std::mutex> lock(failure_mutex);
+    if (failure.empty()) {
+      failure = what;
+    }
+    failed.store(true);
+  };
+
+  std::thread writer([&] {
+    for (int round = 1; round < kRounds && !failed.load(); ++round) {
+      for (uint64_t i = 0; i < kKeys; ++i) {
+        Status put = primary->Put(Key(i), "round-" + std::to_string(round));
+        if (!put.ok()) {
+          fail("put: " + put.ToString());
+          break;
+        }
+      }
+    }
+    writing.store(false);
+  });
+
+  std::vector<std::thread> readers;
+  readers.emplace_back([&] {
+    while (writing.load(std::memory_order_acquire)) {
+      auto scan = backup->Scan(Key(0), kKeys + 10, /*min_epoch=*/0, /*min_seq=*/0, nullptr);
+      if (!scan.ok() || scan->size() != kKeys) {
+        fail("scan: " + (scan.ok() ? std::to_string(scan->size()) + " keys"
+                                   : scan.status().ToString()));
+        return;
+      }
+      for (uint64_t i = 0; i < kKeys; ++i) {
+        if ((*scan)[i].key != Key(i)) {
+          fail("scan: hole at " + Key(i));
+          return;
+        }
+      }
+    }
+  });
+  readers.emplace_back([&] {
+    for (uint64_t n = 0; writing.load(std::memory_order_acquire); ++n) {
+      const std::string key = Key(n * 7 % kKeys);
+      auto got = backup->Get(key, /*min_epoch=*/0, /*min_seq=*/0, nullptr);
+      auto indexed = backup->DebugGet(key);
+      if (!got.ok() || !indexed.ok()) {
+        fail("get " + key + ": " + got.status().ToString() + " / " +
+             indexed.status().ToString());
+        return;
+      }
+    }
+  });
+  readers.emplace_back([&] {
+    while (writing.load(std::memory_order_acquire)) {
+      auto report = backup->Scrub();
+      if (!report.ok() || report->corruptions_found != 0) {
+        fail("scrub: " + (report.ok() ? std::to_string(report->corruptions_found) + " found"
+                                      : report.status().ToString()));
+        return;
+      }
+    }
+  });
+
+  writer.join();
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_FALSE(failed.load()) << failure;
+  ASSERT_TRUE(primary->store()->WaitForBackgroundWork().ok());
+  primary_or->reset();
   pool.Stop();
 }
 

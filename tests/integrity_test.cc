@@ -39,6 +39,8 @@
 #include "src/replication/replication_wire.h"
 #include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
+#include "src/telemetry/health.h"
+#include "src/telemetry/telemetry.h"
 #include "src/testing/fault_injector.h"
 
 namespace tebis {
@@ -943,6 +945,105 @@ TEST(IntegrityShipTest, BackupScrubsAndRepairsFromPrimary) {
     ASSERT_TRUE(got.ok()) << key;
     EXPECT_EQ(*got, value) << key;
   }
+}
+
+// A quarantined backup level is data this node cannot serve, exactly like a
+// quarantined primary level: the backup publishes integrity.quarantined_levels
+// under its own labels, so its health watchdog turns red, and repair clears
+// both.
+TEST(IntegrityShipTest, QuarantinedBackupLevelTurnsItsWatchdogRed) {
+  FaultInjector injector(ChaosSeed(13));
+  auto cluster = MakeSendIndexCluster(1, SmallOptions(), &injector);
+  LoadCluster(&cluster);
+  auto* backup = cluster.backups[0].get();
+  Telemetry* plane = backup->telemetry();
+  plane->EnableHealthWatchdog();
+  auto gauge_and_color = [&](int64_t* gauge, int64_t* color) {
+    MetricsSnapshot snap = plane->Snapshot();
+    const MetricSample* quarantined = snap.Find("integrity.quarantined_levels");
+    ASSERT_NE(quarantined, nullptr) << "the backup publishes no quarantine gauge";
+    *gauge = quarantined->value;
+    *color = snap.Find("health.integrity")->value;
+  };
+  int64_t gauge = -1;
+  int64_t color = -1;
+  ASSERT_NO_FATAL_FAILURE(gauge_and_color(&gauge, &color));
+  EXPECT_EQ(gauge, 0);
+  EXPECT_EQ(color, kHealthGreen);
+
+  const int level = DeepestChecksummedLevel(*backup, SmallOptions().max_levels);
+  ASSERT_GE(level, 1);
+  BurnFlipsIntoSegment(cluster.backup_devices[0].get(), &injector, backup->level(level), 0);
+  ASSERT_TRUE(backup->Scrub().ok());
+  ASSERT_EQ(backup->QuarantinedLevels(), std::vector<int>{level});
+  ASSERT_NO_FATAL_FAILURE(gauge_and_color(&gauge, &color));
+  EXPECT_EQ(gauge, 1);
+  EXPECT_EQ(color, kHealthRed);
+
+  ASSERT_TRUE(backup
+                  ->RepairQuarantinedLevels([&](int l, size_t seg) -> StatusOr<std::string> {
+                    return cluster.primary->store()->ReadLevelSegmentVerified(l, seg);
+                  })
+                  .ok());
+  ASSERT_TRUE(backup->QuarantinedLevels().empty());
+  ASSERT_NO_FATAL_FAILURE(gauge_and_color(&gauge, &color));
+  EXPECT_EQ(gauge, 0);
+  EXPECT_EQ(color, kHealthGreen);
+}
+
+// A replica read never answers below its fence: when the newest version of a
+// key sits in the backup's flushed-but-unindexed log suffix and that record
+// rots, Get and Scan fail with kCorruption (counted in
+// backup.read_corruptions; the client retries on the primary) instead of
+// falling through to the older version in a shipped level. Promotion refuses
+// the same bytes.
+TEST(IntegrityShipTest, UnindexedSuffixRotIsCorruptionNotAnOlderVersion) {
+  FaultInjector injector(ChaosSeed(5));
+  auto cluster = MakeSendIndexCluster(1, SmallOptions(), &injector);
+  auto* backup = cluster.backups[0].get();
+  BlockDevice* device = cluster.backup_devices[0].get();
+  const std::string key = Key(1);
+  ASSERT_TRUE(cluster.primary->Put(key, "old").ok());
+  ASSERT_TRUE(cluster.primary->FlushL0().ok());
+  auto indexed = backup->DebugGet(key);
+  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  ASSERT_EQ(*indexed, "old");
+
+  // The new version, then filler until the tail flushes — far below the L0
+  // limit, so nothing seals and the flushed segment stays unindexed.
+  ASSERT_TRUE(cluster.primary->Put(key, "new").ok());
+  const size_t flushed_before = backup->value_log()->flushed_segments().size();
+  for (int i = 0; backup->value_log()->flushed_segments().size() == flushed_before; ++i) {
+    ASSERT_LT(i, 100);
+    ASSERT_TRUE(cluster.primary->Put(Key(1000 + i), std::string(4000, 'f')).ok());
+  }
+  ASSERT_LT(backup->replay_from(), backup->value_log()->flushed_segments().size());
+  auto fresh = backup->Get(key, /*min_epoch=*/0, /*min_seq=*/0, nullptr);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_EQ(*fresh, "new");
+
+  uint64_t offset = kInvalidOffset;
+  for (const LogRecord& rec : ReadFlushedRecords(device, backup->value_log()).records) {
+    if (rec.key == key && rec.value == "new") {
+      offset = rec.offset;
+    }
+  }
+  ASSERT_NE(offset, kInvalidOffset);
+  // One flipped bit in the value: the record's CRC fails.
+  injector.FlipBitsInRange(device->name(), offset + kLogRecordHeaderSize + key.size(), 3,
+                           /*bits=*/1);
+  char probe = 0;
+  ASSERT_TRUE(device->Read(offset, 1, &probe, IoClass::kOther).ok());
+
+  const uint64_t corruptions = backup->stats().read_corruptions;
+  auto got = backup->Get(key, /*min_epoch=*/0, /*min_seq=*/0, nullptr);
+  EXPECT_TRUE(got.status().IsCorruption()) << (got.ok() ? "read " + *got : got.status().ToString());
+  auto scanned = backup->Scan(key, 10, /*min_epoch=*/0, /*min_seq=*/0, nullptr);
+  EXPECT_TRUE(scanned.status().IsCorruption())
+      << (scanned.ok() ? std::to_string(scanned->size()) + " pairs, first " +
+                             (scanned->empty() ? "" : (*scanned)[0].value)
+                       : scanned.status().ToString());
+  EXPECT_EQ(backup->stats().read_corruptions, corruptions + 2);
 }
 
 TEST(IntegrityShipTest, PrimaryRepairsFromBackupReplica) {
