@@ -25,7 +25,10 @@ class BTreeReader {
   // tree); when set, every node read first checks its segment's CRC verdict —
   // a quarantined segment fails the read with kCorruption rather than serving
   // possibly-rotten bytes (even ones already sitting clean in the page
-  // cache, so readers and the scrubber agree). The reader owns nothing.
+  // cache, so readers and the scrubber agree). The reader owns nothing: it
+  // holds `tree` by reference, so the caller keeps the tree (a level handle,
+  // a read snapshot, a backup's level under its state lock) alive for the
+  // reader's lifetime and that of its iterators.
   BTreeReader(BlockDevice* device, PageCache* cache, size_t node_size, const BuiltTree& tree,
               IoClass io_class, SegmentVerifier* verifier = nullptr);
 
@@ -40,7 +43,7 @@ class BTreeReader {
   BlockDevice* const device_;
   PageCache* const cache_;
   const size_t node_size_;
-  const BuiltTree tree_;
+  const BuiltTree& tree_;
   const IoClass io_class_;
   SegmentVerifier* const verifier_;
 

@@ -2,8 +2,12 @@
 //
 // Value log record:
 //   [u32 key_size][u32 value_size][u8 flags][key bytes][value bytes][u32 crc32c]
-// A record never crosses a segment boundary; the remainder of a segment is
-// padded with a record whose key_size is kPadMarker.
+// A record never crosses a segment boundary. A sealed segment ends in a pad
+// marker: a u32 kPadMarker where the next record's key_size would go. A seal
+// writes only the records and the marker; the bytes past it are never
+// written, so they hold zeros or a reused segment's old bytes, and every
+// reader stops at the marker. Appends keep 4 bytes free after the last
+// record, so the marker always fits.
 //
 // B+ tree nodes are fixed-size blocks (kDefaultNodeSize) packed into segments:
 //   leaf node : NodeHeader + array of fixed-size LeafEntry

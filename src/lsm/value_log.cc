@@ -1,5 +1,6 @@
 #include "src/lsm/value_log.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/crc32.h"
@@ -42,27 +43,34 @@ Status ValueLog::OpenNewTail() {
   // tail-path readers: once tail_segment_ changes, in-flight reads of the old
   // segment fall through to the device (the seal already persisted it).
   std::lock_guard<std::mutex> lock(tail_mutex_);
-  memset(tail_buffer_.get(), 0, device_->segment_size());
+  // Only the sealed prefix and its pad marker were ever written: zeroing
+  // them restores an all-zero buffer.
+  memset(tail_buffer_.get(), 0, tail_used_ + sizeof(kPadMarker));
   tail_segment_ = fresh;
   tail_used_ = 0;
   return Status::Ok();
 }
 
 Status ValueLog::SealTail() {
-  const uint64_t seg_size = device_->segment_size();
-  if (tail_used_ < seg_size) {
-    // Pad the remainder so readers stop at the marker. The pad bytes sit past
-    // the published tail_used_, which no reader touches.
-    EncodeU32(tail_buffer_.get() + tail_used_, kPadMarker);
-  }
-  const uint64_t base = device_->geometry().BaseOffset(tail_segment_);
+  return Seal(kMainLogFamily, tail_segment_, tail_buffer_.get(), tail_used_);
+}
+
+Status ValueLog::Seal(uint32_t family, SegmentId segment, char* buffer, uint64_t used) {
+  // Appends always leave 4 bytes free after the last record, so the pad
+  // marker fits. It sits past the published used mark, which no reader
+  // touches. Only the used prefix and the marker reach the device: every
+  // reader of a flushed segment stops at the marker, never looking past it.
+  EncodeU32(buffer + used, kPadMarker);
+  const Slice sealed(buffer, used + sizeof(kPadMarker));
   TEBIS_RETURN_IF_ERROR(
-      device_->Write(base, Slice(tail_buffer_.get(), seg_size), IoClass::kLogFlush));
+      device_->Write(device_->geometry().BaseOffset(segment), sealed, IoClass::kLogFlush));
   if (observer_ != nullptr) {
-    observer_->OnTailFlush(kMainLogFamily, tail_segment_, Slice(tail_buffer_.get(), seg_size));
+    observer_->OnTailFlush(family, segment, sealed);
   }
+  // Large segments join the one flushed list in seal order: GC, checkpoint,
+  // full sync, and the backups' log maps all see a single segment sequence.
   std::lock_guard<std::mutex> lock(tail_mutex_);
-  flushed_segments_.push_back(tail_segment_);
+  flushed_segments_.push_back(segment);
   return Status::Ok();
 }
 
@@ -72,29 +80,14 @@ Status ValueLog::OpenNewLargeTail() {
     large_tail_buffer_ = std::make_unique<char[]>(device_->segment_size());
   }
   std::lock_guard<std::mutex> lock(tail_mutex_);
-  memset(large_tail_buffer_.get(), 0, device_->segment_size());
+  memset(large_tail_buffer_.get(), 0, large_tail_used_ + sizeof(kPadMarker));
   large_tail_segment_ = fresh;
   large_tail_used_ = 0;
   return Status::Ok();
 }
 
 Status ValueLog::SealLargeTail() {
-  const uint64_t seg_size = device_->segment_size();
-  if (large_tail_used_ < seg_size) {
-    EncodeU32(large_tail_buffer_.get() + large_tail_used_, kPadMarker);
-  }
-  const uint64_t base = device_->geometry().BaseOffset(large_tail_segment_);
-  TEBIS_RETURN_IF_ERROR(
-      device_->Write(base, Slice(large_tail_buffer_.get(), seg_size), IoClass::kLogFlush));
-  if (observer_ != nullptr) {
-    observer_->OnTailFlush(kLargeLogFamily, large_tail_segment_,
-                           Slice(large_tail_buffer_.get(), seg_size));
-  }
-  // Large segments join the one flushed list in seal order: GC, checkpoint,
-  // full sync, and the backups' log maps all see a single segment sequence.
-  std::lock_guard<std::mutex> lock(tail_mutex_);
-  flushed_segments_.push_back(large_tail_segment_);
-  return Status::Ok();
+  return Seal(kLargeLogFamily, large_tail_segment_, large_tail_buffer_.get(), large_tail_used_);
 }
 
 StatusOr<ValueLog::AppendResult> ValueLog::Append(Slice key, Slice value, bool tombstone) {
@@ -420,13 +413,13 @@ Status ValueLog::TrimHead(size_t n) {
   return Status::Ok();
 }
 
-StatusOr<SegmentId> ValueLog::AppendRawSegment(Slice segment_bytes) {
-  if (segment_bytes.size() > device_->segment_size()) {
+StatusOr<SegmentId> ValueLog::AppendRawSegment(Slice sealed_bytes) {
+  if (sealed_bytes.size() > device_->segment_size()) {
     return Status::InvalidArgument("raw segment larger than device segment");
   }
   TEBIS_ASSIGN_OR_RETURN(SegmentId seg, device_->AllocateSegment());
   const uint64_t base = device_->geometry().BaseOffset(seg);
-  TEBIS_RETURN_IF_ERROR(device_->Write(base, segment_bytes, IoClass::kLogFlush));
+  TEBIS_RETURN_IF_ERROR(device_->Write(base, sealed_bytes, IoClass::kLogFlush));
   std::lock_guard<std::mutex> lock(tail_mutex_);
   flushed_segments_.push_back(seg);
   return seg;
@@ -449,6 +442,24 @@ Status ValueLog::ForEachRecord(Slice segment_bytes, uint64_t segment_base,
     pos += rec->encoded_size;
   }
   return Status::Ok();
+}
+
+size_t ValueLog::SealedPrefixLength(Slice segment_bytes) {
+  const size_t size = segment_bytes.size();
+  size_t pos = 0;
+  while (pos + kLogRecordHeaderSize <= size) {
+    const char* p = segment_bytes.data() + pos;
+    const uint32_t key_size = DecodeU32(p);
+    if (key_size == kPadMarker || key_size == 0) {
+      break;
+    }
+    const size_t need = LogRecordSize(key_size, DecodeU32(p + 4));
+    if (key_size > kMaxKeySize || need + sizeof(kPadMarker) > size - pos) {
+      return size;  // a damaged header: the whole image
+    }
+    pos += need;
+  }
+  return std::min(pos + sizeof(kPadMarker), size);
 }
 
 Status ValueLog::ForEachRecordIn(SegmentId segment, IoClass io_class,

@@ -1,7 +1,9 @@
 // Segmented append-only value log (KV separation, paper §2). The tail segment
-// lives in memory; when it fills, it is flushed to the device with one large
-// write and observers are notified — that is the hook the replication layer
-// uses to mirror the log to backups (paper §3.2).
+// lives in memory; when it fills or the engine seals it, its used prefix and
+// a 4-byte pad marker go to the device in one write and observers are
+// notified — that is the hook the replication layer uses to mirror the log to
+// backups (paper §3.2). The rest of the segment is never written: every
+// reader stops at the marker.
 //
 // Concurrency contract: all mutating calls (Append, FlushTail,
 // AppendRawSegment, TrimHead) come from ONE thread at a time — the engine's
@@ -58,9 +60,10 @@ class ValueLogObserver {
   virtual void OnAppend(uint32_t family, SegmentId segment, uint64_t offset_in_segment,
                         Slice run_with_terminator, size_t record_count) {}
 
-  // `family`'s tail segment was persisted to the device. `segment_bytes` is
-  // the full segment image.
-  virtual void OnTailFlush(uint32_t family, SegmentId segment, Slice segment_bytes) {}
+  // `family`'s tail segment was persisted to the device. `sealed_bytes` is
+  // exactly what the seal wrote: the used prefix followed by the 4-byte pad
+  // marker, at most one segment.
+  virtual void OnTailFlush(uint32_t family, SegmentId segment, Slice sealed_bytes) {}
 };
 
 class ValueLog {
@@ -109,7 +112,8 @@ class ValueLog {
   void EndGroup();
 
   // Forces the current tail (and the large-value tail, when open) to the
-  // device (pads the remainder) and opens fresh tails. No-op on empty tails.
+  // device (its used prefix plus the pad marker) and opens fresh tails. No-op
+  // on empty tails.
   Status FlushTail();
 
   // Reads the record at `offset`. Serves from the in-memory tail when the
@@ -200,17 +204,24 @@ class ValueLog {
   // Frees the oldest `n` flushed segments (value-log trim after GC).
   Status TrimHead(size_t n);
 
-  // Installs a raw segment image produced elsewhere — a backup persisting its
-  // replication buffer on a flush message (§3.2). Allocates a local segment,
-  // writes the bytes with IoClass::kLogFlush, registers it as flushed, and
-  // returns the local segment id (the backup side of the log map entry).
-  StatusOr<SegmentId> AppendRawSegment(Slice segment_bytes);
+  // Installs a sealed segment prefix produced elsewhere — a backup persisting
+  // its replication buffer on a flush message (§3.2): the bytes the primary's
+  // seal wrote, at most one segment. Allocates a local segment, writes the
+  // bytes with IoClass::kLogFlush, registers it as flushed, and returns the
+  // local segment id (the backup side of the log map entry).
+  StatusOr<SegmentId> AppendRawSegment(Slice sealed_bytes);
 
   // Decodes every record in a raw segment image, calling `fn(record)`; stops
   // at the pad marker or at a zeroed header. Used by Build-Index backups and
   // by L0 replay during promotion.
   static Status ForEachRecord(Slice segment_bytes, uint64_t segment_base,
                               const std::function<Status(const LogRecord&)>& fn);
+
+  // The length a seal wrote for flushed segment image `segment_bytes`: its
+  // records plus the pad marker after them. Walks record headers only (no
+  // checksums) to the first pad marker or zeroed header; a header that would
+  // overrun the image answers the whole image's size.
+  static size_t SealedPrefixLength(Slice segment_bytes);
 
   // Reads flushed `segment` from the device as `io_class` and decodes its
   // records through ForEachRecord: a read error, a corrupt record, or the
@@ -231,6 +242,9 @@ class ValueLog {
   Status SealTail();
   Status OpenNewLargeTail();
   Status SealLargeTail();
+  // Writes `buffer`'s `used` bytes and a pad marker to `segment`, notifies
+  // the observer and registers the segment as flushed.
+  Status Seal(uint32_t family, SegmentId segment, char* buffer, uint64_t used);
   StatusOr<AppendResult> AppendToFamily(Slice key, Slice value, bool tombstone, uint32_t family);
 
   // One in-progress group-commit run per family: the contiguous byte range

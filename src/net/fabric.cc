@@ -1,5 +1,6 @@
 #include "src/net/fabric.h"
 
+#include <cassert>
 #include <cstring>
 
 #include "src/common/clock.h"
@@ -118,6 +119,12 @@ void RegisteredBuffer::ZeroRange(size_t offset, size_t len) {
     len = data_.size() - offset;
   }
   memset(data_.data() + offset, 0, len);
+}
+
+void RegisteredBuffer::StoreRange(size_t offset, Slice bytes) {
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  assert(offset <= data_.size() && bytes.size() <= data_.size() - offset);
+  memcpy(data_.data() + offset, bytes.data(), bytes.size());
 }
 
 Status RegisteredBuffer::RdmaWriteMessage(uint64_t offset, const MessageHeader& header,

@@ -124,6 +124,9 @@ class RegisteredBuffer {
   // requests clamp to the buffer like the prefix forms.
   std::string SnapshotRange(size_t offset, size_t len);
   void ZeroRange(size_t offset, size_t len);
+  // Owner-side store of `bytes` at `offset`, serialized with tagged writes
+  // like the scrubs; no traffic is accounted. The range must fit the buffer.
+  void StoreRange(size_t offset, Slice bytes);
 
   const std::string& owner() const { return owner_; }
   const std::string& writer() const { return writer_; }

@@ -8,14 +8,19 @@
 #ifndef TEBIS_REPLICATION_BACKUP_REGION_H_
 #define TEBIS_REPLICATION_BACKUP_REGION_H_
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/lsm/compaction.h"
 #include "src/lsm/kv_store.h"
+#include "src/lsm/value_log.h"
 #include "src/net/fabric.h"
 #include "src/replication/replication_wire.h"
 #include "src/replication/segment_map.h"
+#include "src/telemetry/metrics.h"
 
 namespace tebis {
 
@@ -77,12 +82,60 @@ class BackupRegion : public ReplicationMessageHandler {
                                                  uint32_t* crc_out) = 0;
 
  protected:
-  explicit BackupRegion(std::shared_ptr<RegisteredBuffer> rdma_buffer)
-      : rdma_buffer_(std::move(rdma_buffer)) {}
+  BackupRegion(std::shared_ptr<RegisteredBuffer> rdma_buffer, uint64_t segment_size)
+      : rdma_buffer_(std::move(rdma_buffer)), segment_size_(segment_size) {}
+
+  // --- log flushes (§3.2); the caller holds its state lock exclusive ---
+
+  // The image a flush of `tail_bytes` persists from `family`'s buffer half
+  // (main at [0, segment), large-value at [segment, 2*segment)). Puts the
+  // pad marker in the image's last 4 bytes, where the buffer holds the zero
+  // terminator of the tail's last append, so the image equals the bytes the
+  // primary's seal wrote. InvalidArgument — not FailedPrecondition, which
+  // means "you are deposed" on this wire — for `tail_bytes` below 4 or
+  // above a segment, or a large-family flush into a one-segment buffer.
+  StatusOr<Slice> SealBufferHalf(uint32_t family, uint64_t tail_bytes);
+  // After the sealed image is persisted: raises the flushed commit sequence
+  // to `commit_seq` and scrubs the half's first header, so buffer parsing
+  // restarts empty rather than counting the absorbed records twice toward
+  // the visible sequence. Safe exactly then: FlushLog is synchronous, so the
+  // primary is blocked on the ack and is not appending the next tail yet.
+  void AbsorbBufferHalf(uint32_t family, uint64_t commit_seq);
+
+  // --- replica reads; the caller holds its state lock (shared or more) ---
+
+  // A consistent snapshot of the RDMA buffer decoded into records (append
+  // order per family); returns the replica's visible commit sequence.
+  uint64_t ParseBufferLocked(std::vector<LogRecord>* records) const;
+  // The read fence (§3.5) of every replica read: rejects a read whose
+  // `min_epoch` is above this replica's epoch, or whose `min_seq` is above
+  // its visible sequence, with FailedPrecondition (counted in
+  // read_rejects_epoch_ / read_rejects_seq_). On success `*records` holds
+  // the decoded buffer and `*visible` the visible sequence.
+  Status CheckReadFenceLocked(uint64_t min_epoch, uint64_t min_seq,
+                              std::vector<LogRecord>* records, uint64_t* visible) const;
 
   // The log buffer the primary writes one-sided.
   std::shared_ptr<RegisteredBuffer> rdma_buffer_;
+  const uint64_t segment_size_;
+  // Highest primary commit sequence absorbed by a log flush. Guarded by the
+  // engine's state lock.
+  uint64_t flushed_commit_seq_ = 0;
+  // backup.read_rejects_{epoch,seq}, registered by the engine.
+  Counter* read_rejects_epoch_ = nullptr;
+  Counter* read_rejects_seq_ = nullptr;
 };
+
+// A replica scan from `start`: merges `overlay` — the records the replica's
+// index does not cover yet, one version per key — as the newest source over
+// `older` (newest first, each positioned at `start`, outliving the call) and
+// returns up to `limit` live pairs. An overlay winner's value is its
+// record's; a winner from `older` gets its value from `older_value`.
+using MergeValueReader = std::function<StatusOr<std::string>(const MergeEntry& winner)>;
+StatusOr<std::vector<KvPair>> ScanOverOverlay(const std::map<std::string, LogRecord>& overlay,
+                                              Slice start, size_t limit,
+                                              const std::vector<MergeSource*>& older,
+                                              const MergeValueReader& older_value);
 
 }  // namespace tebis
 

@@ -33,7 +33,9 @@ StatusOr<std::unique_ptr<BuildIndexBackupRegion>> BuildIndexBackupRegion::Create
 
 BuildIndexBackupRegion::BuildIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
                                                std::shared_ptr<RegisteredBuffer> rdma_buffer)
-    : BackupRegion(std::move(rdma_buffer)), device_(device), options_(options) {
+    : BackupRegion(std::move(rdma_buffer), device->segment_size()),
+      device_(device),
+      options_(options) {
   InitTelemetry();
 }
 
@@ -51,8 +53,8 @@ void BuildIndexBackupRegion::InitTelemetry() {
   counters_.epoch_rejected = reg->GetCounter("backup.epoch_rejected", l);
   counters_.replica_gets = reg->GetCounter("backup.replica_gets", l);
   counters_.replica_scans = reg->GetCounter("backup.replica_scans", l);
-  counters_.read_rejects_epoch = reg->GetCounter("backup.read_rejects_epoch", l);
-  counters_.read_rejects_seq = reg->GetCounter("backup.read_rejects_seq", l);
+  read_rejects_epoch_ = reg->GetCounter("backup.read_rejects_epoch", l);
+  read_rejects_seq_ = reg->GetCounter("backup.read_rejects_seq", l);
 }
 
 BuildIndexBackupStats BuildIndexBackupRegion::stats() const {
@@ -63,8 +65,8 @@ BuildIndexBackupStats BuildIndexBackupRegion::stats() const {
   s.epoch_rejected = counters_.epoch_rejected->Value();
   s.replica_gets = counters_.replica_gets->Value();
   s.replica_scans = counters_.replica_scans->Value();
-  s.read_rejects_epoch = counters_.read_rejects_epoch->Value();
-  s.read_rejects_seq = counters_.read_rejects_seq->Value();
+  s.read_rejects_epoch = read_rejects_epoch_->Value();
+  s.read_rejects_seq = read_rejects_seq_->Value();
   return s;
 }
 
@@ -95,7 +97,8 @@ void BuildIndexBackupRegion::set_region_epoch(uint64_t epoch) {
 Status BuildIndexBackupRegion::Handle(const ReplicationMessage& msg) {
   TEBIS_RETURN_IF_ERROR(CheckEpoch(ReplicationMessageEpoch(msg)));
   if (const auto* flush = std::get_if<FlushLogMsg>(&msg)) {
-    return HandleLogFlush(flush->primary_segment, flush->commit_seq, flush->family);
+    return HandleLogFlush(flush->primary_segment, flush->commit_seq, flush->family,
+                          flush->tail_bytes);
   }
   if (const auto* trim = std::get_if<TrimLogMsg>(&msg)) {
     return HandleTrimLog(trim->segments);
@@ -104,21 +107,14 @@ Status BuildIndexBackupRegion::Handle(const ReplicationMessage& msg) {
 }
 
 Status BuildIndexBackupRegion::HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq,
-                                              uint32_t family) {
+                                              uint32_t family, uint64_t tail_bytes) {
   std::lock_guard<std::shared_mutex> lock(state_mutex_);
   if (log_map_.Contains(primary_segment)) {
-    // Duplicate delivery (the ack was lost, not the flush). No buffer scrub
+    // Duplicate delivery (the ack was lost, not the flush). No buffer change
     // here: the primary may already be appending the new tail into it.
     return Status::Ok();
   }
-  const uint64_t seg_size = device_->segment_size();
-  // The large-value tail mirrors into the second half of the buffer.
-  const uint64_t half = family == kLargeLogFamily ? seg_size : 0;
-  if (rdma_buffer_->size() < half + seg_size) {
-    // Not FailedPrecondition: that code means "you are deposed" on this wire.
-    return Status::InvalidArgument("large-family flush needs a 2x-segment replication buffer");
-  }
-  Slice image(rdma_buffer_->data() + half, seg_size);
+  TEBIS_ASSIGN_OR_RETURN(Slice image, SealBufferHalf(family, tail_bytes));
   TEBIS_ASSIGN_OR_RETURN(SegmentId local, store_->value_log()->AppendRawSegment(image));
   TEBIS_RETURN_IF_ERROR(log_map_.Insert(primary_segment, local));
   primary_flush_order_.push_back(primary_segment);
@@ -140,44 +136,20 @@ Status BuildIndexBackupRegion::HandleLogFlush(SegmentId primary_segment, uint64_
         });
   }();
   counters_.insert_cpu_ns->Add(cpu_ns);
-  if (!status.ok()) {
-    return status;
-  }
-  if (commit_seq > flushed_commit_seq_) {
-    flushed_commit_seq_ = commit_seq;
-  }
-  // The absorbed tail image is in the engine now; scrub it so the replica
-  // read path does not double-count it toward the visible sequence. Safe:
-  // FlushLog is synchronous, the primary is blocked on this ack.
-  rdma_buffer_->ZeroRange(half, sizeof(uint32_t));
-  return status;
+  TEBIS_RETURN_IF_ERROR(status);
+  AbsorbBufferHalf(family, commit_seq);
+  return Status::Ok();
 }
 
 // --- replica read path ----------------------------------------------------
-
-uint64_t BuildIndexBackupRegion::ParseBufferLocked(std::vector<LogRecord>* records) const {
-  *records = ValueLog::DecodeBufferImage(Slice(rdma_buffer_->SnapshotBytes(rdma_buffer_->size())),
-                                         device_->segment_size());
-  return flushed_commit_seq_ + records->size();
-}
 
 StatusOr<std::string> BuildIndexBackupRegion::Get(Slice key, uint64_t min_epoch,
                                                   uint64_t min_seq, uint64_t* visible_seq) {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
   counters_.replica_gets->Increment();
-  const uint64_t epoch = region_epoch_.load(std::memory_order_acquire);
-  if (epoch < min_epoch) {
-    counters_.read_rejects_epoch->Increment();
-    return Status::FailedPrecondition("replica epoch " + std::to_string(epoch) +
-                                      " behind read fence " + std::to_string(min_epoch));
-  }
   std::vector<LogRecord> buffered;
-  const uint64_t visible = ParseBufferLocked(&buffered);
-  if (visible < min_seq) {
-    counters_.read_rejects_seq->Increment();
-    return Status::FailedPrecondition("replica commit seq " + std::to_string(visible) +
-                                      " behind read fence " + std::to_string(min_seq));
-  }
+  uint64_t visible = 0;
+  TEBIS_RETURN_IF_ERROR(CheckReadFenceLocked(min_epoch, min_seq, &buffered, &visible));
   if (visible_seq != nullptr) {
     *visible_seq = visible;
   }
@@ -193,57 +165,57 @@ StatusOr<std::string> BuildIndexBackupRegion::Get(Slice key, uint64_t min_epoch,
   return store_->Get(key);
 }
 
+namespace {
+
+// An engine scan's result as a merge source: sorted, live pairs only.
+class PairsMergeSource : public MergeSource {
+ public:
+  explicit PairsMergeSource(const std::vector<KvPair>* pairs) : pairs_(pairs) { Load(); }
+  bool Valid() const override { return next_ < pairs_->size(); }
+  const MergeEntry& entry() const override { return entry_; }
+  Status Next() override {
+    ++next_;
+    Load();
+    return Status::Ok();
+  }
+  const std::string& value() const { return (*pairs_)[next_].value; }
+
+ private:
+  void Load() {
+    if (Valid()) {
+      entry_.key = (*pairs_)[next_].key;
+    }
+  }
+  const std::vector<KvPair>* const pairs_;
+  size_t next_ = 0;
+  MergeEntry entry_;
+};
+
+}  // namespace
+
 StatusOr<std::vector<KvPair>> BuildIndexBackupRegion::Scan(Slice start, size_t limit,
                                                            uint64_t min_epoch, uint64_t min_seq,
                                                            uint64_t* visible_seq) {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
   counters_.replica_scans->Increment();
-  const uint64_t epoch = region_epoch_.load(std::memory_order_acquire);
-  if (epoch < min_epoch) {
-    counters_.read_rejects_epoch->Increment();
-    return Status::FailedPrecondition("replica epoch " + std::to_string(epoch) +
-                                      " behind read fence " + std::to_string(min_epoch));
-  }
   std::vector<LogRecord> buffered;
-  const uint64_t visible = ParseBufferLocked(&buffered);
-  if (visible < min_seq) {
-    counters_.read_rejects_seq->Increment();
-    return Status::FailedPrecondition("replica commit seq " + std::to_string(visible) +
-                                      " behind read fence " + std::to_string(min_seq));
-  }
+  uint64_t visible = 0;
+  TEBIS_RETURN_IF_ERROR(CheckReadFenceLocked(min_epoch, min_seq, &buffered, &visible));
   if (visible_seq != nullptr) {
     *visible_seq = visible;
   }
-  // Overlay (buffer records, newest wins) merged over the engine's scan.
+  // The buffer records (later writes win) over the engine's scan. Each
+  // overlay key shadows at most one engine pair, so fetching that many more
+  // keeps `limit` live pairs.
   std::map<std::string, LogRecord> overlay;
-  for (const LogRecord& rec : buffered) {
-    if (start.empty() || Slice(rec.key).Compare(start) >= 0) {
-      overlay[rec.key] = rec;
-    }
+  for (LogRecord& rec : buffered) {
+    overlay[rec.key] = std::move(rec);
   }
   TEBIS_ASSIGN_OR_RETURN(std::vector<KvPair> engine,
                          store_->Scan(start, limit + overlay.size()));
-  std::vector<KvPair> out;
-  auto oit = overlay.begin();
-  size_t ei = 0;
-  while (out.size() < limit && (oit != overlay.end() || ei < engine.size())) {
-    const bool overlay_wins =
-        oit != overlay.end() &&
-        (ei >= engine.size() || Slice(oit->first).Compare(Slice(engine[ei].key)) <= 0);
-    if (overlay_wins) {
-      if (ei < engine.size() && Slice(engine[ei].key) == Slice(oit->first)) {
-        ++ei;  // shadowed engine entry
-      }
-      if (!oit->second.tombstone) {
-        out.push_back(KvPair{oit->first, oit->second.value});
-      }
-      ++oit;
-    } else {
-      out.push_back(engine[ei]);
-      ++ei;
-    }
-  }
-  return out;
+  PairsMergeSource older(&engine);
+  return ScanOverOverlay(overlay, start, limit, {&older},
+                         [&older](const MergeEntry&) { return older.value(); });
 }
 
 uint64_t BuildIndexBackupRegion::visible_seq() const {

@@ -108,8 +108,10 @@ class BuildIndexBackupRegion final : public BackupRegion {
   // record into the local engine (L0 insert + any compactions it triggers).
   // `commit_seq` is the primary's commit sequence as of this flush. `family`
   // selects the buffer half: kMainLogFamily is [0, segment), kLargeLogFamily
-  // is [segment, 2*segment) of a 2x-segment buffer.
-  Status HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq, uint32_t family);
+  // is [segment, 2*segment) of a 2x-segment buffer. Exactly `tail_bytes` of
+  // the half persist: the bytes the primary's seal wrote (SealBufferHalf).
+  Status HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq, uint32_t family,
+                        uint64_t tail_bytes);
   Status HandleTrimLog(size_t segments);
 
   // Mirrors BuildIndexBackupStats as registry instruments.
@@ -120,13 +122,9 @@ class BuildIndexBackupRegion final : public BackupRegion {
     Counter* epoch_rejected = nullptr;
     Counter* replica_gets = nullptr;
     Counter* replica_scans = nullptr;
-    Counter* read_rejects_epoch = nullptr;
-    Counter* read_rejects_seq = nullptr;
   };
 
   void InitTelemetry();
-  // Decodes a consistent RDMA-buffer snapshot; returns the visible sequence.
-  uint64_t ParseBufferLocked(std::vector<LogRecord>* records) const;
 
   BlockDevice* const device_;
   const KvStoreOptions options_;
@@ -142,7 +140,6 @@ class BuildIndexBackupRegion final : public BackupRegion {
   mutable std::shared_mutex state_mutex_;
   SegmentMap log_map_;
   std::vector<SegmentId> primary_flush_order_;
-  uint64_t flushed_commit_seq_ = 0;  // guarded by state_mutex_
   std::unique_ptr<Telemetry> owned_telemetry_;
   Telemetry* telemetry_ = nullptr;
   Instruments counters_;

@@ -494,15 +494,17 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
   const uint64_t seg_size = device_->segment_size();
   std::string buf(seg_size, 0);
   // 1) The value log, oldest first, through the normal §3.2 path: buffer
-  //    write + flush message builds the backup's log and log map.
+  //    write + flush message builds the backup's log and log map. Each
+  //    segment moves only what its seal wrote: records plus pad marker.
   for (SegmentId seg : store_->value_log()->FlushedSegmentsSnapshot()) {
     TEBIS_RETURN_IF_ERROR(device_->Read(device_->geometry().BaseOffset(seg), seg_size, buf.data(),
                                         IoClass::kRecovery));
-    TEBIS_RETURN_IF_ERROR(channel->RdmaWriteLog(0, Slice(buf)));
+    const Slice sealed(buf.data(), ValueLog::SealedPrefixLength(Slice(buf)));
+    TEBIS_RETURN_IF_ERROR(channel->RdmaWriteLog(0, sealed));
     // The backup is not read-leased during a sync, so stamping every flush
     // with the current commit sequence (early for older segments) is safe.
-    TEBIS_RETURN_IF_ERROR(
-        channel->Send(FlushLogMsg{.primary_segment = seg, .commit_seq = commit_seq()}));
+    TEBIS_RETURN_IF_ERROR(channel->Send(FlushLogMsg{
+        .primary_segment = seg, .commit_seq = commit_seq(), .tail_bytes = sealed.size()}));
   }
   // 2) (Send-Index) every device level via synthetic compactions, each on its
   //    own shipping stream; the backup rewrites them exactly like live
@@ -631,7 +633,7 @@ void PrimaryRegion::OnAppend(uint32_t family, SegmentId segment, uint64_t offset
   }
 }
 
-void PrimaryRegion::OnTailFlush(uint32_t family, SegmentId segment, Slice segment_bytes) {
+void PrimaryRegion::OnTailFlush(uint32_t family, SegmentId segment, Slice sealed_bytes) {
   std::lock_guard<std::mutex> lock(region_mutex_);
   if (backups_.empty()) {
     return;
@@ -639,7 +641,12 @@ void PrimaryRegion::OnTailFlush(uint32_t family, SegmentId segment, Slice segmen
   uint64_t cpu_ns = 0;
   {
     ScopedCpuTimer timer(&cpu_ns);
-    const FlushLogMsg msg{.primary_segment = segment, .commit_seq = commit_seq_, .family = family};
+    // The backups already hold these bytes but the pad marker: the appends
+    // carried every record and the zero terminator it replaces.
+    const FlushLogMsg msg{.primary_segment = segment,
+                          .commit_seq = commit_seq_,
+                          .family = family,
+                          .tail_bytes = sealed_bytes.size()};
     DataPlaneFanOutLocked([&](BackupChannel* channel) { return channel->Send(msg); });
   }
   repl_.log_replication_cpu_ns->Add(cpu_ns);

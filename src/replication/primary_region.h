@@ -250,7 +250,7 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // [segment, 2*segment) half of each backup's replication buffer.
   void OnAppend(uint32_t family, SegmentId segment, uint64_t offset_in_segment,
                 Slice run_with_terminator, size_t record_count) override;
-  void OnTailFlush(uint32_t family, SegmentId segment, Slice segment_bytes) override;
+  void OnTailFlush(uint32_t family, SegmentId segment, Slice sealed_bytes) override;
 
   // CompactionObserver (index shipping). May run on several compaction
   // workers concurrently — one stream each; fan-outs drop region_mutex_

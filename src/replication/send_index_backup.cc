@@ -55,7 +55,7 @@ StatusOr<std::unique_ptr<SendIndexBackupRegion>> SendIndexBackupRegion::CreateFr
 
 SendIndexBackupRegion::SendIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
                                              std::shared_ptr<RegisteredBuffer> rdma_buffer)
-    : BackupRegion(std::move(rdma_buffer)),
+    : BackupRegion(std::move(rdma_buffer), device->segment_size()),
       device_(device),
       options_(options),
       levels_(options.max_levels + 1),
@@ -82,8 +82,8 @@ void SendIndexBackupRegion::InitTelemetry() {
   counters_.streams_aborted = reg->GetCounter("backup.streams_aborted", l);
   counters_.replica_gets = reg->GetCounter("backup.replica_gets", l);
   counters_.replica_scans = reg->GetCounter("backup.replica_scans", l);
-  counters_.read_rejects_epoch = reg->GetCounter("backup.read_rejects_epoch", l);
-  counters_.read_rejects_seq = reg->GetCounter("backup.read_rejects_seq", l);
+  read_rejects_epoch_ = reg->GetCounter("backup.read_rejects_epoch", l);
+  read_rejects_seq_ = reg->GetCounter("backup.read_rejects_seq", l);
   counters_.filter_blocks_installed = reg->GetCounter("backup.filter_blocks_installed", l);
   counters_.filters = FilterCounters{reg->GetCounter("backup.filter_checks", l),
                                      reg->GetCounter("backup.filter_negatives", l),
@@ -125,8 +125,8 @@ SendIndexBackupStats SendIndexBackupRegion::stats() const {
   s.streams_aborted = counters_.streams_aborted->Value();
   s.replica_gets = counters_.replica_gets->Value();
   s.replica_scans = counters_.replica_scans->Value();
-  s.read_rejects_epoch = counters_.read_rejects_epoch->Value();
-  s.read_rejects_seq = counters_.read_rejects_seq->Value();
+  s.read_rejects_epoch = read_rejects_epoch_->Value();
+  s.read_rejects_seq = read_rejects_seq_->Value();
   s.filter_blocks_installed = counters_.filter_blocks_installed->Value();
   s.filter_checks = counters_.filters.checks->Value();
   s.filter_negatives = counters_.filters.negatives->Value();
@@ -161,7 +161,7 @@ Status SendIndexBackupRegion::Handle(const ReplicationMessage& msg) {
   return std::visit(
       Overloaded{
           [this](const FlushLogMsg& m) {
-            return HandleLogFlush(m.primary_segment, m.commit_seq, m.family);
+            return HandleLogFlush(m.primary_segment, m.commit_seq, m.family, m.tail_bytes);
           },
           [this](const CompactionBeginMsg& m) {
             return HandleCompactionBegin(m.compaction_id, static_cast<int>(m.src_level),
@@ -190,35 +190,20 @@ Status SendIndexBackupRegion::Handle(const ReplicationMessage& msg) {
 }
 
 Status SendIndexBackupRegion::HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq,
-                                             uint32_t family) {
+                                             uint32_t family, uint64_t tail_bytes) {
   std::lock_guard<std::shared_mutex> lock(state_mutex_);
   if (log_map_.Contains(primary_segment)) {
-    // Duplicate delivery (the ack was lost, not the flush). Do NOT scrub the
+    // Duplicate delivery (the ack was lost, not the flush). Do NOT touch the
     // buffer here: the primary has already resumed appending the new tail
     // into it, and those records are live.
     return Status::Ok();
   }
-  const uint64_t seg_size = device_->segment_size();
-  // The large-value tail mirrors into the second half of the buffer.
-  const uint64_t half = family == kLargeLogFamily ? seg_size : 0;
-  if (rdma_buffer_->size() < half + seg_size) {
-    // Not FailedPrecondition: that code means "you are deposed" on this wire.
-    return Status::InvalidArgument("large-family flush needs a 2x-segment replication buffer");
-  }
-  // Persist the replicated tail (one large write, like the primary's flush).
-  TEBIS_ASSIGN_OR_RETURN(
-      SegmentId local,
-      log_->AppendRawSegment(Slice(rdma_buffer_->data() + half, seg_size)));
+  TEBIS_ASSIGN_OR_RETURN(Slice sealed, SealBufferHalf(family, tail_bytes));
+  // Persist the replicated tail (one write, like the primary's seal).
+  TEBIS_ASSIGN_OR_RETURN(SegmentId local, log_->AppendRawSegment(sealed));
   TEBIS_RETURN_IF_ERROR(log_map_.Insert(primary_segment, local));
   primary_flush_order_.push_back(primary_segment);
-  if (commit_seq > flushed_commit_seq_) {
-    flushed_commit_seq_ = commit_seq;
-  }
-  // The absorbed tail image would otherwise double-count toward the visible
-  // sequence (its records are now in the flushed segment AND still in the
-  // buffer). Safe exactly here: FlushLog is synchronous, so the primary is
-  // blocked on this ack and cannot be appending the next tail yet.
-  rdma_buffer_->ZeroRange(half, sizeof(uint32_t));
+  AbsorbBufferHalf(family, commit_seq);
   counters_.log_flushes->Increment();
   return Status::Ok();
 }
@@ -633,32 +618,6 @@ Status SendIndexBackupRegion::AdoptNewPrimaryLogMap(const SegmentMap& new_primar
 
 // --- replica read path ----------------------------------------------------
 
-uint64_t SendIndexBackupRegion::ParseBufferLocked(std::vector<LogRecord>* records) const {
-  // SnapshotBytes serializes with the primary's tagged one-sided writes, so
-  // the image never contains a half-landed record.
-  *records = ValueLog::DecodeBufferImage(Slice(rdma_buffer_->SnapshotBytes(rdma_buffer_->size())),
-                                         device_->segment_size());
-  return flushed_commit_seq_ + records->size();
-}
-
-Status SendIndexBackupRegion::CheckReadFenceLocked(uint64_t min_epoch, uint64_t min_seq,
-                                                   std::vector<LogRecord>* records,
-                                                   uint64_t* visible) {
-  const uint64_t epoch = region_epoch_.load(std::memory_order_acquire);
-  if (epoch < min_epoch) {
-    counters_.read_rejects_epoch->Increment();
-    return Status::FailedPrecondition("replica epoch " + std::to_string(epoch) +
-                                      " behind read fence " + std::to_string(min_epoch));
-  }
-  *visible = ParseBufferLocked(records);
-  if (*visible < min_seq) {
-    counters_.read_rejects_seq->Increment();
-    return Status::FailedPrecondition("replica commit seq " + std::to_string(*visible) +
-                                      " behind read fence " + std::to_string(min_seq));
-  }
-  return Status::Ok();
-}
-
 Status SendIndexBackupRegion::ForEachUnindexedLocked(
     const std::function<Status(const LogRecord&)>& fn) {
   const std::vector<SegmentId> flushed = log_->FlushedSegmentsSnapshot();
@@ -762,41 +721,6 @@ StatusOr<std::string> SendIndexBackupRegion::Get(Slice key, uint64_t min_epoch,
   return GetFromLevelsLocked(key);
 }
 
-namespace {
-
-// The records the shipped levels do not cover yet, keyed and deduplicated
-// (later writes replaced earlier ones), as a merge source. A scan puts it
-// first, so it is the newest source and wins every tie.
-class OverlayMergeSource : public MergeSource {
- public:
-  OverlayMergeSource(const std::map<std::string, LogRecord>& overlay, Slice start)
-      : it_(overlay.lower_bound(start.ToString())), end_(overlay.end()) {
-    Load();
-  }
-  bool Valid() const override { return it_ != end_; }
-  const MergeEntry& entry() const override { return entry_; }
-  Status Next() override {
-    ++it_;
-    Load();
-    return Status::Ok();
-  }
-  // The current record's value: overlay records are read already.
-  const std::string& value() const { return it_->second.value; }
-
- private:
-  void Load() {
-    if (Valid()) {
-      entry_.key = it_->first;
-      entry_.tombstone = it_->second.tombstone;
-    }
-  }
-  std::map<std::string, LogRecord>::const_iterator it_;
-  const std::map<std::string, LogRecord>::const_iterator end_;
-  MergeEntry entry_;
-};
-
-}  // namespace
-
 StatusOr<std::vector<KvPair>> SendIndexBackupRegion::Scan(Slice start, size_t limit,
                                                           uint64_t min_epoch, uint64_t min_seq,
                                                           uint64_t* visible_seq) {
@@ -819,8 +743,7 @@ StatusOr<std::vector<KvPair>> SendIndexBackupRegion::Scan(Slice start, size_t li
     overlay[rec.key] = std::move(rec);
   }
 
-  OverlayMergeSource newest(overlay, start);
-  std::vector<MergeSource*> sources{&newest};
+  std::vector<MergeSource*> sources;
   std::vector<std::unique_ptr<LevelMergeSource>> levels;
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
     if (levels_[i].empty()) {
@@ -833,22 +756,9 @@ StatusOr<std::vector<KvPair>> SendIndexBackupRegion::Scan(Slice start, size_t li
     sources.push_back(src.get());
     levels.push_back(std::move(src));
   }
-
-  MergeIterator merged(std::move(sources));
-  std::vector<KvPair> out;
-  while (merged.Valid() && out.size() < limit) {
-    const MergeEntry& winner = merged.entry();
-    if (!winner.tombstone) {
-      if (merged.source() == 0) {
-        out.push_back(KvPair{winner.key, newest.value()});
-      } else {
-        TEBIS_ASSIGN_OR_RETURN(std::string value, ReadLevelValue(winner.key, winner.log_offset));
-        out.push_back(KvPair{winner.key, std::move(value)});
-      }
-    }
-    TEBIS_RETURN_IF_ERROR(merged.Next());
-  }
-  return out;
+  return ScanOverOverlay(overlay, start, limit, sources, [this](const MergeEntry& winner) {
+    return ReadLevelValue(winner.key, winner.log_offset);
+  });
 }
 
 uint64_t SendIndexBackupRegion::visible_seq() const {

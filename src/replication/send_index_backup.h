@@ -207,8 +207,10 @@ class SendIndexBackupRegion final : public BackupRegion {
   // visible_seq = flushed high-water + records still in the buffer. `family`
   // selects which half of the replication buffer persists: kMainLogFamily is
   // [0, segment), kLargeLogFamily is [segment, 2*segment) and requires a
-  // 2x-segment buffer.
-  Status HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq, uint32_t family);
+  // 2x-segment buffer. Exactly `tail_bytes` of the half persist: the bytes
+  // the primary's seal wrote (SealBufferHalf).
+  Status HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq, uint32_t family,
+                        uint64_t tail_bytes);
 
   // §3.3: compaction lifecycle, one state machine per `stream`.
   // `l0_boundary` (src_level == 0) is the primary's seal-time flushed-segment
@@ -289,8 +291,6 @@ class SendIndexBackupRegion final : public BackupRegion {
     Counter* streams_aborted = nullptr;
     Counter* replica_gets = nullptr;
     Counter* replica_scans = nullptr;
-    Counter* read_rejects_epoch = nullptr;
-    Counter* read_rejects_seq = nullptr;
     Counter* filter_blocks_installed = nullptr;
     FilterCounters filters;  // backup.filter_*, summed over levels
     Counter* segments_crc_rejected = nullptr;
@@ -315,12 +315,6 @@ class SendIndexBackupRegion final : public BackupRegion {
 
   // --- replica read helpers (all require state_mutex_) ---
 
-  // Consistent snapshot of the RDMA buffer decoded into records (append
-  // order); returns the replica's visible commit sequence.
-  uint64_t ParseBufferLocked(std::vector<LogRecord>* records) const;
-  // Read-fence check shared by Get/Scan; fills `records`/`visible`.
-  Status CheckReadFenceLocked(uint64_t min_epoch, uint64_t min_seq,
-                              std::vector<LogRecord>* records, uint64_t* visible);
   // Calls `fn` on every record of the flushed-but-unindexed log suffix
   // [replay_from_, end), oldest first, so a later record of a key is a newer
   // version. A record that fails its checksum ends the walk with kCorruption
@@ -373,8 +367,6 @@ class SendIndexBackupRegion final : public BackupRegion {
   // First flushed-segment index that is NOT yet reflected in the levels; L0
   // replay starts here on promotion.
   size_t replay_from_ = 0;
-  // Highest primary commit sequence absorbed by a log flush.
-  uint64_t flushed_commit_seq_ = 0;
   // Epoch whose primary keying the log map reflects (guards double re-keying).
   uint64_t log_map_epoch_ = 0;
 

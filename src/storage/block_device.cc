@@ -126,7 +126,8 @@ uint64_t BlockDevice::AllocatedSegments() const {
   return n;
 }
 
-StatusOr<char*> BlockDevice::CheckedSegmentBuffer(uint64_t device_offset, size_t n) const {
+StatusOr<BlockDevice::SegmentImage> BlockDevice::PinImage(uint64_t device_offset,
+                                                          size_t n) const {
   const SegmentId segment = geometry_.SegmentOf(device_offset);
   if (n == 0) {
     return Status::InvalidArgument("zero-length transfer");
@@ -138,23 +139,45 @@ StatusOr<char*> BlockDevice::CheckedSegmentBuffer(uint64_t device_offset, size_t
   if (segment >= allocated_.size() || !allocated_[segment]) {
     return Status::InvalidArgument("I/O to unallocated segment " + std::to_string(segment));
   }
-  return SegmentBufferLocked(segment);
+  return ImageLocked(segment);
 }
 
-char* BlockDevice::SegmentBufferLocked(SegmentId segment) const {
-  auto& buf = segments_[segment];
-  if (buf == nullptr) {
-    buf = std::make_unique<char[]>(geometry_.segment_size());
-    memset(buf.get(), 0, geometry_.segment_size());
-    if (fd_ >= 0 && options_.reopen_existing) {
-      // Fault the segment image from the backing file (short reads leave
-      // zeros — the file may end before segments that were never written).
-      ssize_t r = pread(fd_, buf.get(), geometry_.segment_size(),
-                        static_cast<off_t>(geometry_.BaseOffset(segment)));
-      (void)r;
-    }
+BlockDevice::SegmentImage BlockDevice::ImageLocked(SegmentId segment) const {
+  SegmentImage& image = segments_[segment];
+  if (image == nullptr && fd_ >= 0 && options_.reopen_existing) {
+    // Fault the segment image from the backing file (short reads leave
+    // zeros — the file may end before segments that were never written).
+    std::shared_ptr<char[]> faulted(new char[geometry_.segment_size()]());
+    ssize_t r = pread(fd_, faulted.get(), geometry_.segment_size(),
+                      static_cast<off_t>(geometry_.BaseOffset(segment)));
+    (void)r;
+    image = std::move(faulted);
   }
-  return buf.get();
+  return image;
+}
+
+Status BlockDevice::ReplaceImage(SegmentId segment,
+                                 const std::function<void(char* image)>& edit) const {
+  const uint64_t size = geometry_.segment_size();
+  for (;;) {
+    TEBIS_ASSIGN_OR_RETURN(SegmentImage old, PinImage(geometry_.BaseOffset(segment), 1));
+    std::shared_ptr<char[]> image(new char[size]);
+    if (old != nullptr) {
+      memcpy(image.get(), old.get(), size);
+    } else {
+      memset(image.get(), 0, size);
+    }
+    edit(image.get());
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!allocated_[segment]) {
+      return Status::InvalidArgument("I/O to unallocated segment " + std::to_string(segment));
+    }
+    if (segments_[segment] == old) {
+      segments_[segment] = std::move(image);
+      return Status::Ok();
+    }
+    // Another write installed an image meanwhile: redo the edit on top of it.
+  }
 }
 
 void BlockDevice::Throttle(bool is_write, size_t n) const {
@@ -208,7 +231,8 @@ uint64_t BlockDevice::AccountedBytes(size_t n) const {
 }
 
 Status BlockDevice::Write(uint64_t device_offset, Slice data, IoClass io_class) {
-  TEBIS_ASSIGN_OR_RETURN(char* buf, CheckedSegmentBuffer(device_offset, data.size()));
+  // An invalid transfer fails before the fault hook counts it.
+  TEBIS_RETURN_IF_ERROR(PinImage(device_offset, data.size()).status());
   size_t apply = data.size();
   if (fault_hook_ != nullptr) {
     const uint64_t seq = write_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -221,7 +245,12 @@ Status BlockDevice::Write(uint64_t device_offset, Slice data, IoClass io_class) 
     }
     apply = std::min(apply, decision.keep_bytes);
   }
-  memcpy(buf + geometry_.OffsetInSegment(device_offset), data.data(), apply);
+  if (apply > 0) {
+    const uint64_t in_segment = geometry_.OffsetInSegment(device_offset);
+    TEBIS_RETURN_IF_ERROR(ReplaceImage(geometry_.SegmentOf(device_offset), [&](char* image) {
+      memcpy(image + in_segment, data.data(), apply);
+    }));
+  }
   if (fd_ >= 0 && apply > 0) {
     ssize_t w = pwrite(fd_, data.data(), apply, static_cast<off_t>(device_offset));
     if (w != static_cast<ssize_t>(apply)) {
@@ -242,38 +271,38 @@ Status BlockDevice::Write(uint64_t device_offset, Slice data, IoClass io_class) 
 
 void BlockDevice::ApplyBitFlips(const std::vector<BlockDeviceFaultHook::BitFlip>& flips) const {
   for (const auto& flip : flips) {
-    const SegmentId segment = geometry_.SegmentOf(flip.offset);
-    char* buf = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (segment >= allocated_.size() || !allocated_[segment]) {
-        continue;
-      }
-      buf = SegmentBufferLocked(segment);
-    }
-    char* byte = buf + geometry_.OffsetInSegment(flip.offset);
-    *byte = static_cast<char>(static_cast<uint8_t>(*byte) ^ flip.mask);
-    if (fd_ >= 0) {
-      ssize_t w = pwrite(fd_, byte, 1, static_cast<off_t>(flip.offset));
+    char flipped = 0;
+    Status burned = ReplaceImage(geometry_.SegmentOf(flip.offset), [&](char* image) {
+      char* byte = image + geometry_.OffsetInSegment(flip.offset);
+      *byte = static_cast<char>(static_cast<uint8_t>(*byte) ^ flip.mask);
+      flipped = *byte;
+    });
+    if (burned.ok() && fd_ >= 0) {
+      ssize_t w = pwrite(fd_, &flipped, 1, static_cast<off_t>(flip.offset));
       (void)w;
     }
   }
 }
 
 Status BlockDevice::Read(uint64_t device_offset, size_t n, char* out, IoClass io_class) const {
-  TEBIS_ASSIGN_OR_RETURN(const char* buf, CheckedSegmentBuffer(device_offset, n));
+  TEBIS_ASSIGN_OR_RETURN(SegmentImage image, PinImage(device_offset, n));
   if (fault_hook_ != nullptr) {
     const uint64_t seq = read_seq_.fetch_add(1, std::memory_order_relaxed);
     BlockDeviceFaultHook::ReadDecision decision =
         fault_hook_->OnDeviceRead(options_.name, seq, device_offset, n);
     if (!decision.image_flips.empty()) {
       ApplyBitFlips(decision.image_flips);
+      TEBIS_ASSIGN_OR_RETURN(image, PinImage(device_offset, n));  // serve the damage
     }
     if (!decision.status.ok()) {
       return decision.status;
     }
   }
-  memcpy(out, buf + geometry_.OffsetInSegment(device_offset), n);
+  if (image != nullptr) {
+    memcpy(out, image.get() + geometry_.OffsetInSegment(device_offset), n);
+  } else {
+    memset(out, 0, n);
+  }
   const uint64_t accounted = AccountedBytes(n);
   stats_.AddRead(io_class, accounted);
   Throttle(/*is_write=*/false, accounted);
@@ -292,22 +321,10 @@ StatusOr<std::unique_ptr<BlockDevice>> BlockDevice::CloneContents() const {
   std::lock_guard<std::mutex> lock(mutex_);
   clone->segments_.resize(segments_.size());
   for (size_t i = 0; i < segments_.size(); ++i) {
-    const char* src = segments_[i] != nullptr ? segments_[i].get() : nullptr;
-    std::unique_ptr<char[]> faulted;
-    if (src == nullptr && i < allocated_.size() && allocated_[i] && fd_ >= 0 &&
-        options_.reopen_existing) {
-      // File-backed segment not yet resident: fault it in for the clone.
-      faulted = std::make_unique<char[]>(geometry_.segment_size());
-      memset(faulted.get(), 0, geometry_.segment_size());
-      ssize_t r = pread(fd_, faulted.get(), geometry_.segment_size(),
-                        static_cast<off_t>(geometry_.BaseOffset(i)));
-      (void)r;
-      src = faulted.get();
-    }
-    if (src != nullptr) {
-      clone->segments_[i] = std::make_unique<char[]>(geometry_.segment_size());
-      memcpy(clone->segments_[i].get(), src, geometry_.segment_size());
-    }
+    // Images are immutable, so the clone shares them. A file-backed segment
+    // not yet resident is faulted in for the clone.
+    clone->segments_[i] =
+        i < allocated_.size() && allocated_[i] ? ImageLocked(i) : segments_[i];
   }
   // Allocation state deliberately left clean (nothing allocated, next id 0):
   // the clone behaves like a freshly reopened device whose owners must adopt

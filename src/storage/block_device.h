@@ -10,6 +10,7 @@
 #define TEBIS_STORAGE_BLOCK_DEVICE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -164,26 +165,37 @@ class BlockDevice {
   explicit BlockDevice(const BlockDeviceOptions& options);
   Status Init();
 
-  // Validates a transfer (non-empty, inside one allocated segment) and
-  // returns that segment's buffer, under one acquisition of mutex_.
-  StatusOr<char*> CheckedSegmentBuffer(uint64_t device_offset, size_t n) const;
+  // An immutable segment image. A transfer pins one under mutex_ and copies
+  // outside it; a write installs a fresh image rather than editing the
+  // pinned one, so a read racing a write or a free copies whole old bytes
+  // from memory it keeps alive.
+  using SegmentImage = std::shared_ptr<const char[]>;
+
+  // Validates a transfer (non-empty, inside one allocated segment) and pins
+  // that segment's image, under one acquisition of mutex_. Null for a
+  // segment never written, which reads as zeros.
+  StatusOr<SegmentImage> PinImage(uint64_t device_offset, size_t n) const;
+  // Installs a copy of `segment`'s image edited by `edit`. A concurrent
+  // install of the same segment makes it redo the copy on the newer image.
+  // Fails like an I/O when the segment is not allocated.
+  Status ReplaceImage(SegmentId segment, const std::function<void(char* image)>& edit) const;
   // Burns injected bit-rot into the stored image (and the backing file when
   // file-backed). Flips aimed at unallocated segments are dropped.
   void ApplyBitFlips(const std::vector<BlockDeviceFaultHook::BitFlip>& flips) const;
   void Throttle(bool is_write, size_t n) const;
   uint64_t AccountedBytes(size_t n) const;
 
-  // Returns the in-memory buffer for `segment`, creating it on demand.
-  // Requires mutex_.
-  char* SegmentBufferLocked(SegmentId segment) const;
+  // `segment`'s image, faulted from the backing file on first access when
+  // reopening one. Requires mutex_.
+  SegmentImage ImageLocked(SegmentId segment) const;
 
   const BlockDeviceOptions options_;
   const SegmentGeometry geometry_;
 
   mutable std::mutex mutex_;
-  // One lazily-allocated buffer per segment (memory-backed mode). In
-  // file-backed mode buffers act as a write-through image of the file.
-  mutable std::vector<std::unique_ptr<char[]>> segments_;
+  // One image per segment, null until first written (memory-backed mode). In
+  // file-backed mode images act as a write-through copy of the file.
+  mutable std::vector<SegmentImage> segments_;
   std::vector<bool> allocated_;
   std::vector<SegmentId> free_list_;
   SegmentId next_segment_ = 0;

@@ -302,6 +302,69 @@ class SlowShippingObserver : public CompactionObserver {
   }
 };
 
+// The device itself: reads race a writer that frees, reallocates and
+// rewrites the one segment they read. Each read returns one whole image —
+// a generation's uniform fill, or zeros between a reallocation and its first
+// write — or fails because the segment is unallocated; never a mix, and
+// never bytes from a freed image (ASan) or a racing copy (TSan).
+TEST(ConcurrencyTest, DeviceReadsRacingFreeAndRewriteSeeWholeImages) {
+  constexpr uint64_t kSegmentSize = 4096;
+  auto dev = MakeDevice(kSegmentSize, 4);
+  auto first = dev->AllocateSegment();
+  ASSERT_TRUE(first.ok());
+  const SegmentId segment = *first;
+  const uint64_t base = dev->geometry().BaseOffset(segment);
+  ASSERT_TRUE(dev->Write(base, std::string(kSegmentSize, '\x01'), IoClass::kOther).ok());
+
+  constexpr int kGenerations = 20000;
+  std::atomic<int> reading{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> filled_reads{0};
+  std::thread writer([&] {
+    while (reading.load() < 2) {
+      std::this_thread::yield();
+    }
+    for (int gen = 2; gen < kGenerations; ++gen) {
+      if (gen % 2 == 0) {
+        // Free and reallocate: the free list hands the same segment back.
+        ASSERT_TRUE(dev->FreeSegment(segment).ok());
+        auto again = dev->AllocateSegment();
+        ASSERT_TRUE(again.ok());
+        ASSERT_EQ(*again, segment);
+      }
+      // Odd generations overwrite the live image in place.
+      const std::string fill(kSegmentSize, static_cast<char>(1 + gen % 250));
+      ASSERT_TRUE(dev->Write(base, fill, IoClass::kOther).ok());
+    }
+    done = true;
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      std::string buf(kSegmentSize, '\0');
+      reading++;
+      while (!done) {
+        Status read = dev->Read(base, buf.size(), buf.data(), IoClass::kOther);
+        if (!read.ok()) {
+          ASSERT_EQ(read.code(), StatusCode::kInvalidArgument) << read.ToString();
+          ASSERT_NE(read.ToString().find("unallocated"), std::string::npos) << read.ToString();
+          continue;
+        }
+        const size_t mixed = buf.find_first_not_of(buf[0]);
+        ASSERT_EQ(mixed, std::string::npos)
+            << "torn read: byte 0 is " << int(buf[0]) << ", byte " << mixed << " is "
+            << int(buf[mixed]);
+        filled_reads += buf[0] != 0 ? 1 : 0;
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_GT(filled_reads.load(), 0u);
+}
+
 TEST(ConcurrencyTest, BackpressureEngagesWhenFlushFallsBehind) {
   auto dev = MakeDevice();
   WorkerPool pool(1);

@@ -1,13 +1,18 @@
 // Edge cases and deeper scenarios across module boundaries.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/crc32.h"
 #include "src/common/random.h"
 #include "src/net/fabric.h"
+#include "src/net/message.h"
+#include "src/replication/build_index_backup.h"
 #include "src/replication/local_backup_channel.h"
 #include "src/replication/primary_region.h"
 #include "src/replication/send_index_backup.h"
@@ -157,7 +162,10 @@ TEST(IndexRewriteEdgeTest, ParentSegmentShippedBeforeChild) {
                                 image.data(), IoClass::kOther)
                   .ok());
   ASSERT_TRUE(buffer->RdmaWrite(0, image).ok());
-  ASSERT_TRUE((*backup)->Handle(FlushLogMsg{.primary_segment = log_seg}).ok());
+  ASSERT_TRUE((*backup)
+                  ->Handle(FlushLogMsg{.primary_segment = log_seg,
+                                       .tail_bytes = ValueLog::SealedPrefixLength(image)})
+                  .ok());
 
   const SegmentId leaf_seg = 70;   // primary segment numbers, never shipped yet
   const SegmentId index_seg = 71;
@@ -336,6 +344,271 @@ TEST(FullSyncTest, SyncedBackupMatchesLiveBackup) {
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
   ASSERT_TRUE((*promoted)->Get(Key(0)).ok() ||
               (*promoted)->Get(Key(0)).status().IsNotFound());
+}
+
+// --- sealed log prefixes (§3.2) -----------------------------------------------------
+//
+// A seal writes a tail's used prefix and a pad marker, nothing more, and a
+// backup persists exactly the prefix the flush message names.
+
+// The bytes a seal wrote to flushed log segment `segment` of `device`.
+std::string SealedPrefix(BlockDevice* device, SegmentId segment) {
+  std::string image(device->segment_size(), '\0');
+  EXPECT_TRUE(device
+                  ->Read(device->geometry().BaseOffset(segment), image.size(), image.data(),
+                         IoClass::kOther)
+                  .ok());
+  image.resize(ValueLog::SealedPrefixLength(image));
+  return image;
+}
+
+// Ghost and fresh records have one size, so a fresh prefix ends where a ghost
+// record begins: a reader that walked past the pad marker would decode ghosts.
+constexpr size_t kValueSize = 100;
+std::string GhostKey(int i) {
+  char buf[16];
+  snprintf(buf, sizeof(buf), "ghost%06d", i);
+  return buf;
+}
+std::string FreshKey(int i) {
+  char buf[16];
+  snprintf(buf, sizeof(buf), "fresh%06d", i);
+  return buf;
+}
+
+// Fills the first `segments` segments of a new backing `file` with valid
+// ghost records, then returns a device that reopens the file without
+// adopting any segment: every segment it allocates is a reused one whose old
+// bytes are ghosts.
+std::unique_ptr<BlockDevice> DeviceOverGhosts(const std::string& file, int segments) {
+  BlockDeviceOptions opts;
+  opts.segment_size = kSegmentSize;
+  opts.max_segments = 1 << 16;
+  opts.backing_file = file;
+  {
+    auto dev = BlockDevice::Create(opts);
+    EXPECT_TRUE(dev.ok());
+    auto log = ValueLog::Create(dev->get());
+    EXPECT_TRUE(log.ok());
+    for (int i = 0; (*log)->flushed_segment_count() < static_cast<size_t>(segments); ++i) {
+      EXPECT_TRUE((*log)->Append(GhostKey(i), std::string(kValueSize, 'g'), false).ok());
+    }
+  }
+  opts.reopen_existing = true;
+  auto dev = BlockDevice::Create(opts);
+  EXPECT_TRUE(dev.ok());
+  return std::move(*dev);
+}
+
+// `segment` of `device` holds a sealed prefix followed by intact ghost records.
+void ExpectGhostsPastPrefix(BlockDevice* device, SegmentId segment) {
+  const size_t record = LogRecordSize(GhostKey(0).size(), kValueSize);
+  std::string image(device->segment_size(), '\0');
+  ASSERT_TRUE(device
+                  ->Read(device->geometry().BaseOffset(segment), image.size(), image.data(),
+                         IoClass::kOther)
+                  .ok());
+  const size_t used = ValueLog::SealedPrefixLength(image) - sizeof(kPadMarker);
+  ASSERT_EQ(used % record, 0u);
+  std::vector<std::string> past;
+  const Slice rest(image.data() + used + record, image.size() - used - record);
+  ASSERT_TRUE(ValueLog::ForEachRecord(rest, /*segment_base=*/0,
+                                      [&past](const LogRecord& rec) {
+                                        past.push_back(rec.key);
+                                        return Status::Ok();
+                                      })
+                  .ok());
+  ASSERT_FALSE(past.empty());
+  EXPECT_EQ(past[0].substr(0, 5), "ghost");
+}
+
+// Exactly the fresh keys, each with its value; no ghost.
+void ExpectOnlyFresh(KvStore* store, int fresh) {
+  for (int i = 0; i < fresh; ++i) {
+    auto v = store->Get(FreshKey(i));
+    ASSERT_TRUE(v.ok()) << FreshKey(i) << " " << v.status().ToString();
+    EXPECT_EQ(*v, std::string(kValueSize, 'a' + i % 26));
+  }
+  for (int i = 0; i < fresh; i += 7) {
+    EXPECT_TRUE(store->Get(GhostKey(i)).status().IsNotFound()) << GhostKey(i);
+  }
+  auto all = store->Scan(Slice(), 100000);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->size(), static_cast<size_t>(fresh));
+}
+
+class SealedPrefixTest : public testing::TestWithParam<ReplicationMode> {
+ protected:
+  static std::unique_ptr<BackupRegion> MakeBackup(BlockDevice* device,
+                                                  std::shared_ptr<RegisteredBuffer> buffer) {
+    if (GetParam() == ReplicationMode::kSendIndex) {
+      auto backup = SendIndexBackupRegion::Create(device, SmallOptions(), std::move(buffer));
+      EXPECT_TRUE(backup.ok());
+      return std::move(*backup);
+    }
+    auto backup = BuildIndexBackupRegion::Create(device, SmallOptions(), std::move(buffer));
+    EXPECT_TRUE(backup.ok());
+    return std::move(*backup);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Modes, SealedPrefixTest,
+                         testing::Values(ReplicationMode::kSendIndex,
+                                         ReplicationMode::kBuildIndex),
+                         [](const testing::TestParamInfo<ReplicationMode>& info) {
+                           return info.param == ReplicationMode::kSendIndex ? "SendIndex"
+                                                                            : "BuildIndex";
+                         });
+
+TEST_P(SealedPrefixTest, BackupLogSegmentsEqualThePrimarysWrittenPrefixes) {
+  auto primary_dev = MakeDevice();
+  auto backup_dev = MakeDevice();
+  Fabric fabric;
+  auto primary = PrimaryRegion::Create(primary_dev.get(), SmallOptions(), GetParam());
+  ASSERT_TRUE(primary.ok());
+  auto buffer = fabric.RegisterBuffer("b0", "p0", kSegmentSize);
+  std::unique_ptr<BackupRegion> backup = MakeBackup(backup_dev.get(), buffer);
+  (*primary)->AddBackup(std::make_unique<LocalBackupChannel>(&fabric, "p0", buffer, backup.get()));
+  // Seals by fill (large values) and by L0 seal (a partial tail each time).
+  Random rng(5);
+  for (int i = 0; i < 1500; ++i) {
+    ASSERT_TRUE((*primary)->Put(Key(rng.Uniform(400)), rng.Bytes(1 + rng.Uniform(300))).ok());
+    if (i % 300 == 299) {
+      ASSERT_TRUE((*primary)->FlushL0().ok());
+    }
+  }
+  ASSERT_TRUE((*primary)->store()->value_log()->FlushTail().ok());
+
+  const std::vector<SegmentId> flushed =
+      (*primary)->store()->value_log()->FlushedSegmentsSnapshot();
+  ASSERT_GT(flushed.size(), 3u);
+  size_t partial = 0;
+  for (SegmentId seg : flushed) {
+    const std::string primary_prefix = SealedPrefix(primary_dev.get(), seg);
+    // A seal by fill leaves less than one record (< 350 B) unused.
+    partial += primary_prefix.size() + 1024 < kSegmentSize ? 1 : 0;
+    auto local = backup->log_map().Lookup(seg);
+    ASSERT_TRUE(local.ok()) << seg;
+    std::string mirrored(primary_prefix.size(), '\0');
+    ASSERT_TRUE(backup_dev
+                    ->Read(backup_dev->geometry().BaseOffset(*local), mirrored.size(),
+                           mirrored.data(), IoClass::kOther)
+                    .ok());
+    EXPECT_EQ(mirrored, primary_prefix) << "primary segment " << seg;
+  }
+  EXPECT_GT(partial, 0u);
+  // Both sides wrote exactly the sealed prefixes, nothing past them.
+  EXPECT_EQ(backup_dev->stats().WriteBytes(IoClass::kLogFlush),
+            primary_dev->stats().WriteBytes(IoClass::kLogFlush));
+}
+
+TEST_P(SealedPrefixTest, FlushLengthOutsideOneSegmentIsRejected) {
+  auto backup_dev = MakeDevice();
+  Fabric fabric;
+  auto buffer = fabric.RegisterBuffer("b0", "p0", kSegmentSize);
+  std::unique_ptr<BackupRegion> backup = MakeBackup(backup_dev.get(), buffer);
+  for (uint64_t bad : {uint64_t{0}, uint64_t{3}, kSegmentSize + 1}) {
+    Status s = backup->Handle(FlushLogMsg{.primary_segment = 9, .tail_bytes = bad});
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad << ": " << s.ToString();
+  }
+  EXPECT_EQ(backup_dev->stats().WriteBytes(IoClass::kLogFlush), 0u);
+  // The bounds themselves are valid: an empty sealed tail and a full one.
+  EXPECT_TRUE(backup->Handle(FlushLogMsg{.primary_segment = 9, .tail_bytes = 4}).ok());
+  EXPECT_TRUE(backup->Handle(FlushLogMsg{.primary_segment = 10, .tail_bytes = kSegmentSize}).ok());
+  EXPECT_EQ(backup_dev->stats().WriteBytes(IoClass::kLogFlush), 4 + kSegmentSize);
+}
+
+TEST_P(SealedPrefixTest, PromotionOverReusedSegmentsReplaysOnlyTheNewPrefix) {
+  // One file per mode: ctest may run both modes at once.
+  const std::string file = testing::TempDir() + "/tebis_ghosts_backup_" +
+                           std::to_string(static_cast<int>(GetParam())) + ".img";
+  auto backup_dev = DeviceOverGhosts(file, 6);
+  auto primary_dev = MakeDevice();
+  Fabric fabric;
+  auto primary = PrimaryRegion::Create(primary_dev.get(), SmallOptions(), GetParam());
+  ASSERT_TRUE(primary.ok());
+  auto buffer = fabric.RegisterBuffer("b0", "p0", kSegmentSize);
+  std::unique_ptr<BackupRegion> backup = MakeBackup(backup_dev.get(), buffer);
+  (*primary)->AddBackup(std::make_unique<LocalBackupChannel>(&fabric, "p0", buffer, backup.get()));
+  // Fewer records than one memtable: nothing compacts, so promotion rebuilds
+  // them from the persisted log (Send-Index) or holds them from the flushes
+  // (Build-Index).
+  constexpr int kFresh = 200;
+  for (int i = 0; i < kFresh; ++i) {
+    ASSERT_TRUE((*primary)->Put(FreshKey(i), std::string(kValueSize, 'a' + i % 26)).ok());
+    if (i == kFresh / 2) {
+      ASSERT_TRUE((*primary)->store()->value_log()->FlushTail().ok());
+    }
+  }
+  ASSERT_TRUE((*primary)->store()->value_log()->FlushTail().ok());
+  for (SegmentId seg : (*primary)->store()->value_log()->FlushedSegmentsSnapshot()) {
+    auto local = backup->log_map().Lookup(seg);
+    ASSERT_TRUE(local.ok());
+    ASSERT_NO_FATAL_FAILURE(ExpectGhostsPastPrefix(backup_dev.get(), *local));
+  }
+  primary->reset();
+  auto promoted = backup->Promote(/*replay_rdma_buffer=*/true);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  ExpectOnlyFresh(promoted->get(), kFresh);
+  promoted->reset();
+  std::remove(file.c_str());
+}
+
+// A full sync moves each flushed segment's sealed prefix, not the segment.
+TEST(FullSyncTest, ShipsSealedPrefixesAndTheSyncedBackupServesEveryKey) {
+  auto primary_dev = MakeDevice();
+  auto late_dev = MakeDevice();
+  Fabric fabric;
+  auto primary =
+      PrimaryRegion::Create(primary_dev.get(), SmallOptions(), ReplicationMode::kSendIndex);
+  ASSERT_TRUE(primary.ok());
+  // Several partly filled segments, and fewer records than one memtable, so
+  // no level exists and the sync is all log phase.
+  std::map<std::string, std::string> expect;
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      const std::string key = Key(round * 40 + i);
+      expect[key] = std::string(50 + i, 'a' + round);
+      ASSERT_TRUE((*primary)->Put(key, expect[key]).ok());
+    }
+    ASSERT_TRUE((*primary)->store()->value_log()->FlushTail().ok());
+  }
+  ASSERT_TRUE((*primary)->store()->level(1).empty());
+  const std::vector<SegmentId> flushed =
+      (*primary)->store()->value_log()->FlushedSegmentsSnapshot();
+  ASSERT_EQ(flushed.size(), 5u);
+  uint64_t prefixes = 0;
+  for (SegmentId seg : flushed) {
+    const uint64_t prefix = SealedPrefix(primary_dev.get(), seg).size();
+    EXPECT_LT(prefix, kSegmentSize / 4);
+    prefixes += prefix;
+  }
+
+  auto late_buffer = fabric.RegisterBuffer("late", "p0", kSegmentSize);
+  auto late = SendIndexBackupRegion::Create(late_dev.get(), SmallOptions(), late_buffer);
+  ASSERT_TRUE(late.ok());
+  LocalBackupChannel channel(&fabric, "p0", late_buffer, late->get());
+  fabric.ResetTraffic();
+  ASSERT_TRUE((*primary)->FullSync(&channel).ok());
+
+  // One-sided writes of the prefixes, plus one flush request and ack per
+  // segment and the replay-start request and ack.
+  const auto control = [](const ReplicationMessage& msg) {
+    return MessageWireSize(PaddedPayloadSize(EncodeReplicationMessage(msg).size(), false)) +
+           MessageWireSize(PaddedPayloadSize(0, false)) + 2 * kWireOverheadPerWrite;
+  };
+  EXPECT_EQ(fabric.TotalBytes(), prefixes + flushed.size() * kWireOverheadPerWrite +
+                                     flushed.size() * control(FlushLogMsg{}) +
+                                     control(SetReplayStartMsg{}));
+  EXPECT_EQ(late_dev->stats().WriteBytes(IoClass::kLogFlush), prefixes);
+
+  auto promoted = (*late)->Promote();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  for (const auto& [key, value] : expect) {
+    auto v = (*promoted)->Get(key);
+    ASSERT_TRUE(v.ok()) << key << " " << v.status().ToString();
+    EXPECT_EQ(*v, value) << key;
+  }
 }
 
 // --- SimCluster GC through PrimaryRegion handles -----------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
@@ -116,13 +117,20 @@ class TrackingLogObserver : public ValueLogObserver {
   void OnTailFlush(uint32_t family, SegmentId seg, Slice bytes) override {
     flushes++;
     flushed_segments.push_back(seg);
-    EXPECT_EQ(bytes.size(), 4096u);
+    sealed.push_back(bytes.ToString());
   }
   int appends = 0;
   uint64_t append_bytes = 0;
   int flushes = 0;
   std::vector<SegmentId> flushed_segments;
+  std::vector<std::string> sealed;  // the bytes each seal handed over
 };
+
+uint32_t LastWord(const std::string& bytes) {
+  uint32_t word;
+  memcpy(&word, bytes.data() + bytes.size() - sizeof(word), sizeof(word));
+  return word;
+}
 
 TEST(ValueLogTest, ObserverSeesAppendsAndFlushes) {
   auto dev = MakeDevice(4096);
@@ -137,6 +145,51 @@ TEST(ValueLogTest, ObserverSeesAppendsAndFlushes) {
   EXPECT_EQ(obs.appends, 8);
   EXPECT_GE(obs.flushes, 1);
   EXPECT_EQ(obs.flushed_segments, (*log)->flushed_segments());
+  // A seal by fill hands over exactly what it wrote: the records that fit
+  // (three 1 KiB records per 4 KiB segment) and the pad marker, never the
+  // unused rest of the segment.
+  const size_t record = LogRecordSize(Key(0).size(), value.size());
+  for (const std::string& sealed : obs.sealed) {
+    EXPECT_EQ(sealed.size(), 3 * record + sizeof(kPadMarker));
+    EXPECT_EQ(LastWord(sealed), kPadMarker);
+    EXPECT_EQ(ValueLog::SealedPrefixLength(sealed), sealed.size());
+  }
+}
+
+TEST(ValueLogTest, PartialTailFlushWritesUsedPrefixAndPadMarkerOnly) {
+  auto dev = MakeDevice(4096);  // byte-accurate accounting
+  auto log = ValueLog::Create(dev.get());
+  ASSERT_TRUE(log.ok());
+  TrackingLogObserver obs;
+  (*log)->set_observer(&obs);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*log)->Append(Key(i), "value" + std::to_string(i), false).ok());
+  }
+  const uint64_t used = (*log)->tail_used();
+  const SegmentId segment = (*log)->tail_segment();
+  ASSERT_TRUE((*log)->FlushTail().ok());
+
+  EXPECT_EQ(dev->stats().WriteBytes(IoClass::kLogFlush), used + sizeof(kPadMarker));
+  ASSERT_EQ(obs.sealed.size(), 1u);
+  const std::string& sealed = obs.sealed[0];
+  ASSERT_EQ(sealed.size(), used + sizeof(kPadMarker));
+  EXPECT_EQ(LastWord(sealed), kPadMarker);
+  // The observer's slice is the device's prefix, byte for byte.
+  std::string on_device(sealed.size(), '\0');
+  ASSERT_TRUE(dev->Read(dev->geometry().BaseOffset(segment), on_device.size(), on_device.data(),
+                        IoClass::kOther)
+                  .ok());
+  EXPECT_EQ(on_device, sealed);
+  EXPECT_EQ(ValueLog::SealedPrefixLength(on_device), sealed.size());
+}
+
+TEST(ValueLogTest, SealedPrefixLengthStopsAtMarkerOrDamage) {
+  std::string image(4096, '\0');
+  EXPECT_EQ(ValueLog::SealedPrefixLength(image), sizeof(kPadMarker));  // empty, unsealed
+  // A header whose sizes overrun the image: the whole image.
+  const uint32_t huge[2] = {10, 1u << 30};
+  memcpy(image.data(), huge, sizeof(huge));
+  EXPECT_EQ(ValueLog::SealedPrefixLength(image), image.size());
 }
 
 TEST(ValueLogTest, FlushTailPersistsAndOpensNewTail) {

@@ -1,20 +1,22 @@
-// Model-checked reads: one seed per iteration drives a Send-Index primary and
-// its backup through random puts and deletes with forced seals and
-// compactions, and checks every read path of both replicas against a
-// std::map model of the acknowledged writes.
+// Model-checked reads: one seed per iteration drives a primary and its
+// backup — a Send-Index pair, then a Build-Index pair — through random puts
+// and deletes with forced seals and compactions, and checks every read path
+// of both replicas against a std::map model of the acknowledged writes.
 //
 // Keys come from a small space, so each key's versions spread across every
 // place a read has to look and in the order it has to look there: the
-// backup's RDMA buffer (acked, not flushed), its flushed-but-unindexed log
-// suffix, and several shipped levels (a newer version in L1 over an older one
-// in L2 is a cross-level tie). Deletes leave tombstones in levels above the
+// backup's RDMA buffer (acked, not flushed), a Send-Index backup's
+// flushed-but-unindexed log suffix, and several levels (a newer version in
+// L1 over an older one in L2 is a cross-level tie): shipped ones on a
+// Send-Index backup, the backup's own on a Build-Index one. Deletes leave tombstones in levels above the
 // last. Key lengths straddle the 14-byte inline limit of a leaf entry, so
 // merges and tied lookups both take keys from the leaf and fetch them from
 // the value log.
 //
 // Checked on every round: primary Get / Scan / ScanPrefix, backup Get / Scan;
 // after each forced flush, when every acked write is indexed, also the
-// backup's level-only DebugGet. A failure names its seed; replay one with
+// backup's DebugGet (Send-Index: its levels only; Build-Index: its engine).
+// A failure names its seed and mode; replay one seed with
 // TEBIS_CHAOS_SEED=<n>.
 #include <gtest/gtest.h>
 
@@ -28,6 +30,7 @@
 #include "src/lsm/bloom_filter.h"
 #include "src/lsm/kv_store.h"
 #include "src/net/fabric.h"
+#include "src/replication/build_index_backup.h"
 #include "src/replication/local_backup_channel.h"
 #include "src/replication/primary_region.h"
 #include "src/replication/send_index_backup.h"
@@ -131,7 +134,10 @@ struct Pair {
   std::unique_ptr<BlockDevice> primary_device = MakeDevice("primary-dev");
   std::unique_ptr<BlockDevice> backup_device = MakeDevice("backup-dev");
   std::shared_ptr<RegisteredBuffer> buffer;
-  std::unique_ptr<SendIndexBackupRegion> backup;
+  std::unique_ptr<BackupRegion> backup;
+  // The backup's engine, by mode; the other is null.
+  SendIndexBackupRegion* send_index = nullptr;
+  BuildIndexBackupRegion* build_index = nullptr;
   std::unique_ptr<PrimaryRegion> primary;
 };
 
@@ -143,19 +149,39 @@ KvStoreOptions ModelOptions() {
   return opts;
 }
 
-std::unique_ptr<Pair> MakePair() {
+std::unique_ptr<Pair> MakePair(ReplicationMode mode) {
   auto p = std::make_unique<Pair>();
-  auto primary = PrimaryRegion::Create(p->primary_device.get(), ModelOptions(),
-                                       ReplicationMode::kSendIndex);
+  auto primary = PrimaryRegion::Create(p->primary_device.get(), ModelOptions(), mode);
   EXPECT_TRUE(primary.ok());
   p->primary = std::move(*primary);
   p->buffer = p->fabric.RegisterBuffer("backup0", "primary0", kSegmentSize);
-  auto backup = SendIndexBackupRegion::Create(p->backup_device.get(), ModelOptions(), p->buffer);
-  EXPECT_TRUE(backup.ok());
-  p->backup = std::move(*backup);
+  if (mode == ReplicationMode::kSendIndex) {
+    auto backup =
+        SendIndexBackupRegion::Create(p->backup_device.get(), ModelOptions(), p->buffer);
+    EXPECT_TRUE(backup.ok());
+    p->send_index = backup->get();
+    p->backup = std::move(*backup);
+  } else {
+    auto backup =
+        BuildIndexBackupRegion::Create(p->backup_device.get(), ModelOptions(), p->buffer);
+    EXPECT_TRUE(backup.ok());
+    p->build_index = backup->get();
+    p->backup = std::move(*backup);
+  }
   p->primary->AddBackup(std::make_unique<LocalBackupChannel>(&p->fabric, "primary0", p->buffer,
                                                              p->backup.get()));
   return p;
+}
+
+// Non-empty levels of the backup's index: shipped (Send-Index) or its own.
+int BackupLevels(const Pair& p) {
+  int levels = 0;
+  for (uint32_t i = 1; i <= ModelOptions().max_levels; ++i) {
+    const BuiltTree& tree =
+        p.send_index != nullptr ? p.send_index->level(i) : p.build_index->store()->level(i);
+    levels += tree.empty() ? 0 : 1;
+  }
+  return levels;
 }
 
 // What one seed's reads covered; summed over seeds, every field must be
@@ -173,19 +199,16 @@ struct Coverage {
 void CheckReads(Pair* p, const Model& model, const std::vector<std::string>& keys,
                 std::mt19937_64* rng, bool indexed, size_t point_reads, Coverage* coverage) {
   KvStore* store = p->primary->store();
-  SendIndexBackupRegion* backup = p->backup.get();
-  if (backup->replay_from() < backup->value_log()->flushed_segments().size()) {
+  BackupRegion* backup = p->backup.get();
+  if (p->send_index != nullptr &&
+      p->send_index->replay_from() < p->send_index->value_log()->flushed_segments().size()) {
     coverage->checks_with_unindexed_suffix++;
   }
   // A non-zero first record header: acked records wait in the RDMA buffer.
   if (p->buffer->SnapshotBytes(1) != std::string(1, '\0')) {
     coverage->checks_with_buffered_records++;
   }
-  int levels = 0;
-  for (uint32_t i = 1; i <= ModelOptions().max_levels; ++i) {
-    levels += backup->level(i).empty() ? 0 : 1;
-  }
-  if (levels >= 2) {
+  if (BackupLevels(*p) >= 2) {
     coverage->checks_with_two_levels++;
   }
   const size_t reads = point_reads == 0 ? keys.size() : point_reads;
@@ -228,9 +251,10 @@ void CheckReads(Pair* p, const Model& model, const std::vector<std::string>& key
   }
 }
 
-void RunSeed(uint64_t seed, Coverage* coverage) {
-  SCOPED_TRACE("seed " + std::to_string(seed));
-  auto p = MakePair();
+void RunSeed(ReplicationMode mode, uint64_t seed, Coverage* coverage) {
+  SCOPED_TRACE(std::string(mode == ReplicationMode::kSendIndex ? "Send-Index" : "Build-Index") +
+               " seed " + std::to_string(seed));
+  auto p = MakePair(mode);
   std::mt19937_64 rng(seed);
   const std::vector<std::string> keys = AllKeys();
   Model model;
@@ -254,6 +278,12 @@ void RunSeed(uint64_t seed, Coverage* coverage) {
       CheckReads(p.get(), model, keys, &rng, /*indexed=*/true, kPointReads, coverage);
     } else if (dice < 96) {
       ASSERT_TRUE(p->primary->store()->ForceFullCompaction().ok()) << op;
+      // A Build-Index backup compacts on its own schedule, which this small
+      // key space never pushes past L1; a full compaction of its engine too
+      // spreads its versions over several levels.
+      if (p->build_index != nullptr) {
+        ASSERT_TRUE(p->build_index->store()->ForceFullCompaction().ok()) << op;
+      }
     } else {
       CheckReads(p.get(), model, keys, &rng, /*indexed=*/false, kPointReads, coverage);
     }
@@ -266,23 +296,29 @@ void RunSeed(uint64_t seed, Coverage* coverage) {
 }
 
 TEST(ReadModelTest, EveryReadPathMatchesTheModelAcrossSeeds) {
-  Coverage coverage;
   uint64_t first = 1;
   uint64_t count = kSeeds;
   if (const char* env = std::getenv("TEBIS_CHAOS_SEED"); env != nullptr && *env != '\0') {
     first = std::strtoull(env, nullptr, 10);
     count = 1;
   }
-  for (uint64_t seed = first; seed < first + count; ++seed) {
-    RunSeed(seed, &coverage);
-    if (HasFatalFailure()) {
-      return;
+  for (ReplicationMode mode : {ReplicationMode::kSendIndex, ReplicationMode::kBuildIndex}) {
+    Coverage coverage;
+    for (uint64_t seed = first; seed < first + count; ++seed) {
+      RunSeed(mode, seed, &coverage);
+      if (HasFatalFailure()) {
+        return;
+      }
     }
+    // A Build-Index backup indexes every record as its segment flushes, so
+    // it has no unindexed suffix.
+    if (mode == ReplicationMode::kSendIndex) {
+      EXPECT_GT(coverage.checks_with_unindexed_suffix, 0u);
+    }
+    EXPECT_GT(coverage.checks_with_buffered_records, 0u);
+    EXPECT_GT(coverage.checks_with_two_levels, 0u);
+    EXPECT_GT(coverage.deleted_keys_checked, 0u);
   }
-  EXPECT_GT(coverage.checks_with_unindexed_suffix, 0u);
-  EXPECT_GT(coverage.checks_with_buffered_records, 0u);
-  EXPECT_GT(coverage.checks_with_two_levels, 0u);
-  EXPECT_GT(coverage.deleted_keys_checked, 0u);
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/crc32.h"
 #include "src/common/random.h"
@@ -225,6 +227,91 @@ TEST(RecoveryTest, UnflushedTailIsNotRecoveredLocally) {
   ASSERT_TRUE(store.ok());
   EXPECT_TRUE((*store)->Get("durable").ok());
   EXPECT_TRUE((*store)->Get("volatile").status().IsNotFound());
+}
+
+TEST(RecoveryTest, ReusedLogSegmentRecoversOnlyItsNewPrefix) {
+  // A seal writes the tail's used prefix and a pad marker only, so a reused
+  // segment keeps its old bytes past the marker. Ghost and fresh records
+  // have one size: a replay that walked past the marker would decode ghosts.
+  const std::string file = testing::TempDir() + "/tebis_recovery_ghosts.img";
+  const std::string value(100, 'v');
+  const auto ghost = [](int i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "ghost%06d", i);
+    return std::string(buf);
+  };
+  const auto fresh = [](int i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "fresh%06d", i);
+    return std::string(buf);
+  };
+  {
+    auto dev = BlockDevice::Create(DeviceOptions(file));
+    ASSERT_TRUE(dev.ok());
+    auto log = ValueLog::Create(dev->get());
+    ASSERT_TRUE(log.ok());
+    for (int i = 0; (*log)->flushed_segment_count() < 6; ++i) {
+      ASSERT_TRUE((*log)->Append(ghost(i), value, false).ok());
+    }
+  }
+  constexpr int kFresh = 150;  // under one memtable: recovery replays them all
+  SegmentId superblock;
+  SegmentId reused;
+  {
+    // Nothing adopted: every segment the store allocates is a ghost one.
+    auto dev = BlockDevice::Create(DeviceOptions(file, /*reopen=*/true));
+    ASSERT_TRUE(dev.ok());
+    auto store = KvStore::Create(dev->get(), StoreOptions());
+    ASSERT_TRUE(store.ok());
+    for (int i = 0; i < kFresh; ++i) {
+      ASSERT_TRUE((*store)->Put(fresh(i), value).ok());
+    }
+    ASSERT_TRUE((*store)->value_log()->FlushTail().ok());
+    ASSERT_EQ((*store)->value_log()->flushed_segments().size(), 1u);
+    reused = (*store)->value_log()->flushed_segments()[0];
+    superblock = *(*store)->Checkpoint();
+  }
+  auto dev = BlockDevice::Create(DeviceOptions(file, /*reopen=*/true));
+  ASSERT_TRUE(dev.ok());
+  {
+    // The reused segment: the fresh prefix, the marker, then intact ghosts.
+    auto probe = BlockDevice::Create(DeviceOptions(file, /*reopen=*/true));
+    ASSERT_TRUE(probe.ok());
+    ASSERT_TRUE((*probe)->AdoptAllocated({reused}).ok());
+    std::string image(kSegmentSize, '\0');
+    ASSERT_TRUE((*probe)
+                    ->Read((*probe)->geometry().BaseOffset(reused), image.size(), image.data(),
+                           IoClass::kOther)
+                    .ok());
+    const size_t record = LogRecordSize(fresh(0).size(), value.size());
+    ASSERT_EQ(ValueLog::SealedPrefixLength(image), kFresh * record + sizeof(kPadMarker));
+    std::vector<std::string> past;
+    ASSERT_TRUE(ValueLog::ForEachRecord(Slice(image.data() + (kFresh + 1) * record,
+                                              image.size() - (kFresh + 1) * record),
+                                        /*segment_base=*/0,
+                                        [&past](const LogRecord& rec) {
+                                          past.push_back(rec.key);
+                                          return Status::Ok();
+                                        })
+                    .ok());
+    ASSERT_FALSE(past.empty());
+    EXPECT_EQ(past[0].substr(0, 5), "ghost");
+  }
+  auto store = KvStore::Recover(dev->get(), StoreOptions(), superblock);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (int i = 0; i < kFresh; ++i) {
+    auto v = (*store)->Get(fresh(i));
+    ASSERT_TRUE(v.ok()) << fresh(i) << " " << v.status().ToString();
+    EXPECT_EQ(*v, value);
+  }
+  for (int i = 0; i < 600; i += 13) {
+    EXPECT_TRUE((*store)->Get(ghost(i)).status().IsNotFound()) << ghost(i);
+  }
+  auto all = (*store)->Scan(Slice(), 100000);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->size(), static_cast<size_t>(kFresh));
+  store->reset();
+  std::remove(file.c_str());
 }
 
 TEST(IntegrityTest, CleanStorePassesAndCountsEverything) {

@@ -115,7 +115,7 @@ TEST(EpochFencingTest, DeposedPrimaryRejectedOnDataAndControlPlane) {
   c.primary->set_epoch(3);
   EXPECT_TRUE(c.primary->Put("fresh-key", "fresh-value").ok());
   stale_channel.set_epoch(3);
-  EXPECT_TRUE(stale_channel.Send(FlushLogMsg{}).ok());
+  EXPECT_TRUE(stale_channel.Send(FlushLogMsg{.tail_bytes = kSegmentSize}).ok());
   EXPECT_EQ(c.backup->region_epoch(), 3u);
   EXPECT_TRUE(c.backup->DebugGet("stale-key").status().IsNotFound());
 }

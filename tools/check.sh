@@ -94,6 +94,13 @@ if [[ $run_tsan -eq 1 ]]; then
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ctest --test-dir build-tsan -R BackupReadsAndScrubSeeCompleteLevelsAcrossShippedInstalls \
     --no-tests=error --output-on-failure --repeat until-fail:20
+  # A device read once copied from a segment buffer after dropping the device
+  # lock, so a racing free or rewrite tore it or freed the memory under it;
+  # rerun the race of reads against free/reallocate/rewrite of one segment.
+  echo "== tier-1 pass 2/3: ThreadSanitizer build, device read/free race rerun =="
+  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    ctest --test-dir build-tsan -R DeviceReadsRacingFreeAndRewriteSeeWholeImages \
+    --no-tests=error --output-on-failure --repeat until-fail:20
 fi
 
 if [[ $run_chaos -eq 1 ]]; then
@@ -111,6 +118,11 @@ if [[ $run_chaos -eq 1 ]]; then
   # 4-way ASan load); rerun that test so the fix stays guarded.
   echo "== tier-1 pass 3/3: AddressSanitizer build, detach-race rerun =="
   ctest --test-dir build-asan -R HaltedBackupDetachesWhileSurvivorCommits --no-tests=error \
+    --output-on-failure --repeat until-fail:20
+  # The same device read/free race as the TSan pass: under ASan a read that
+  # copies from a freed segment buffer is a use-after-free.
+  echo "== tier-1 pass 3/3: AddressSanitizer build, device read/free race rerun =="
+  ctest --test-dir build-asan -R DeviceReadsRacingFreeAndRewriteSeeWholeImages --no-tests=error \
     --output-on-failure --repeat until-fail:20
   # The replication decoder runs under every in-process control message too,
   # so its fuzzers (slow label, ~0.1 s) ride along in this pass.
