@@ -118,10 +118,10 @@ Status BTreeBuilder::FlushStream(size_t level) {
   Slice bytes(state.segment_buf.get(), state.segment_pos);
   TEBIS_RETURN_IF_ERROR(device_->Write(base, bytes, io_class_));
   bytes_written_ += state.segment_pos;
-  seg_crcs_[state.segment] = SegmentChecksum{Crc32c(bytes.data(), bytes.size()),
-                                             static_cast<uint32_t>(bytes.size())};
+  const uint32_t crc = Crc32c(bytes.data(), bytes.size());
+  seg_crcs_[state.segment] = SegmentChecksum{crc, static_cast<uint32_t>(bytes.size())};
   if (sink_ != nullptr) {
-    sink_->OnSegmentComplete(static_cast<int>(level), state.segment, bytes);
+    sink_->OnSegmentComplete(static_cast<int>(level), state.segment, bytes, crc);
   }
   state.segment = kInvalidSegment;
   state.segment_pos = 0;

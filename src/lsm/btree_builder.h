@@ -61,10 +61,12 @@ class SegmentSink {
  public:
   virtual ~SegmentSink() = default;
 
-  // `bytes` is the used prefix of the segment image (whole nodes only).
-  // tree_level 0 = leaf segments. Called in build order; partial segments are
-  // emitted leaf-level-first when the tree finishes.
-  virtual void OnSegmentComplete(int tree_level, SegmentId segment, Slice bytes) = 0;
+  // `bytes` is the used prefix of the segment image (whole nodes only) and
+  // `crc` its CRC32C, the segment's SegmentChecksum. tree_level 0 = leaf
+  // segments. Called in build order; partial segments are emitted
+  // leaf-level-first when the tree finishes.
+  virtual void OnSegmentComplete(int tree_level, SegmentId segment, Slice bytes,
+                                 uint32_t crc) = 0;
 };
 
 // InvalidArgument unless every offset of `device` fits a leaf entry's 48

@@ -180,9 +180,10 @@ IndexNodeBuilder::IndexNodeBuilder(char* data, size_t node_size)
 }
 
 bool IndexNodeBuilder::WouldOverflow(size_t key_len) const {
+  // Summed, not subtracted: a cell larger than the space left below the
+  // cells must not wrap around and read as fitting.
   const size_t slots_end = sizeof(NodeHeader) + (count_ + 1) * kIndexSlotSize;
-  const size_t cells_start = node_size_ - cell_bytes_ - IndexCellSize(key_len);
-  return slots_end > cells_start;
+  return slots_end + cell_bytes_ + IndexCellSize(key_len) > node_size_;
 }
 
 void IndexNodeBuilder::Add(Slice key, uint64_t child_offset) {

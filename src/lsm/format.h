@@ -40,6 +40,28 @@
 // Offsets are 48 bits, so a device whose segment_size * max_segments exceeds
 // 2^48 bytes cannot hold levels; stores and backups refuse it up front
 // (CheckLeafAddressable, btree_builder.h).
+//
+// Wire form of a shipped index segment (index_codec.h). Send-Index ships
+// each segment encoded; the backup decodes it to these exact on-device bytes
+// before rewriting offsets. Varints are LEB128.
+//   segment : [varint decoded size] then one node record per node_size bytes
+//             (the last may be short), each [u8 tag][body]:
+//   raw  (0): the node's bytes verbatim — any node not proven canonical
+//   zero (1): nothing; the node is all zeros
+//   leaf (2): [varint count] then per entry
+//             [u8 lead][u8 key size, absent when equal to the previous
+//             entry's][suffix][u16 key_tag][varint log offset]
+//             `lead` holds the bytes its prefix shares with the previous
+//             entry's (bits 0-3), a same-key-size flag (bit 6) and the
+//             tombstone flag (bit 7); `suffix` is the rest of the stored
+//             prefix, min(key size, kPrefixSize) bytes in all. Prefix
+//             padding and the unused tail of the node are elided.
+//   index (3): [varint height][varint count] then per cell
+//             [varint key_len][varint child][key bytes]; the slot directory
+//             and cell positions are rebuilt from IndexNodeBuilder's layout
+//             (cells packed back to back from the node end in slot order).
+// Leaf and index records encode only nodes exactly as LeafNodeBuilder and
+// IndexNodeBuilder write them, and only when smaller than raw.
 #ifndef TEBIS_LSM_FORMAT_H_
 #define TEBIS_LSM_FORMAT_H_
 

@@ -23,10 +23,10 @@ class ObserverSink : public SegmentSink {
   ObserverSink(CompactionObserver* observer, const CompactionInfo& info, uint64_t* ship_ns)
       : observer_(observer), info_(info), ship_ns_(ship_ns) {}
 
-  void OnSegmentComplete(int tree_level, SegmentId segment, Slice bytes) override {
+  void OnSegmentComplete(int tree_level, SegmentId segment, Slice bytes, uint32_t crc) override {
     if (observer_ != nullptr) {
       ScopedTimer t(ship_ns_);
-      observer_->OnIndexSegment(info_, tree_level, segment, bytes);
+      observer_->OnIndexSegment(info_, tree_level, segment, bytes, crc);
     }
   }
 

@@ -157,9 +157,10 @@ class CompactionObserver {
  public:
   virtual ~CompactionObserver() = default;
   virtual void OnCompactionBegin(const CompactionInfo& info) {}
-  // `bytes` is the used prefix of a just-sealed index segment (whole nodes).
+  // `bytes` is the used prefix of a just-sealed index segment (whole nodes)
+  // and `crc` its CRC32C, as the builder fingerprinted it.
   virtual void OnIndexSegment(const CompactionInfo& info, int tree_level, SegmentId segment,
-                              Slice bytes) {}
+                              Slice bytes, uint32_t crc) {}
   // The compaction produced `new_tree` for dst_level; src and old-dst
   // segments have been freed on the primary device.
   virtual void OnCompactionEnd(const CompactionInfo& info, const BuiltTree& new_tree) {}

@@ -16,6 +16,28 @@ uint32_t DecodeU32(const char* p) {
   return v;
 }
 
+// The walk ValueLog::SealedPrefixLength documents, over a segment image of
+// `size` bytes: `view(n)` returns the image with at least its first n <= size
+// bytes resident, so a reader can fetch the image as the walk goes.
+template <typename View>
+StatusOr<size_t> SealedLength(size_t size, const View& view) {
+  size_t pos = 0;
+  while (pos + kLogRecordHeaderSize <= size) {
+    TEBIS_ASSIGN_OR_RETURN(const char* image, view(pos + kLogRecordHeaderSize));
+    const char* p = image + pos;
+    const uint32_t key_size = DecodeU32(p);
+    if (key_size == kPadMarker || key_size == 0) {
+      break;
+    }
+    const size_t need = LogRecordSize(key_size, DecodeU32(p + 4));
+    if (key_size > kMaxKeySize || need + sizeof(kPadMarker) > size - pos) {
+      return size;  // a damaged header: the whole image
+    }
+    pos += need;
+  }
+  return std::min(pos + sizeof(kPadMarker), size);
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<ValueLog>> ValueLog::Create(BlockDevice* device) {
@@ -445,30 +467,36 @@ Status ValueLog::ForEachRecord(Slice segment_bytes, uint64_t segment_base,
 }
 
 size_t ValueLog::SealedPrefixLength(Slice segment_bytes) {
-  const size_t size = segment_bytes.size();
-  size_t pos = 0;
-  while (pos + kLogRecordHeaderSize <= size) {
-    const char* p = segment_bytes.data() + pos;
-    const uint32_t key_size = DecodeU32(p);
-    if (key_size == kPadMarker || key_size == 0) {
-      break;
+  return *SealedLength(segment_bytes.size(),
+                       [&](size_t) -> StatusOr<const char*> { return segment_bytes.data(); });
+}
+
+StatusOr<std::string> ValueLog::ReadSealedPrefix(SegmentId segment, IoClass io_class) const {
+  // The first chunk covers a lightly used segment whole; each later one
+  // quadruples what has been read, so a full segment costs a few reads.
+  constexpr size_t kFirstChunk = 16 << 10;
+  const uint64_t base = device_->geometry().BaseOffset(segment);
+  const size_t size = device_->segment_size();
+  std::string buf;
+  auto view = [&](size_t n) -> StatusOr<const char*> {
+    if (n > buf.size()) {
+      const size_t have = buf.size();
+      buf.resize(std::min(size, std::max({n, kFirstChunk, 4 * have})));
+      TEBIS_RETURN_IF_ERROR(
+          device_->Read(base + have, buf.size() - have, buf.data() + have, io_class));
     }
-    const size_t need = LogRecordSize(key_size, DecodeU32(p + 4));
-    if (key_size > kMaxKeySize || need + sizeof(kPadMarker) > size - pos) {
-      return size;  // a damaged header: the whole image
-    }
-    pos += need;
-  }
-  return std::min(pos + sizeof(kPadMarker), size);
+    return buf.data();
+  };
+  TEBIS_ASSIGN_OR_RETURN(size_t sealed, SealedLength(size, view));
+  TEBIS_RETURN_IF_ERROR(view(sealed).status());
+  buf.resize(sealed);
+  return buf;
 }
 
 Status ValueLog::ForEachRecordIn(SegmentId segment, IoClass io_class,
                                  const std::function<Status(const LogRecord&)>& fn) const {
-  const uint64_t base = device_->geometry().BaseOffset(segment);
-  const size_t size = device_->segment_size();
-  std::unique_ptr<char[]> buf(new char[size]);
-  TEBIS_RETURN_IF_ERROR(device_->Read(base, size, buf.get(), io_class));
-  return ForEachRecord(Slice(buf.get(), size), base, fn);
+  TEBIS_ASSIGN_OR_RETURN(std::string sealed, ReadSealedPrefix(segment, io_class));
+  return ForEachRecord(sealed, device_->geometry().BaseOffset(segment), fn);
 }
 
 std::vector<LogRecord> ValueLog::DecodeBufferImage(Slice image, uint64_t segment_size) {

@@ -223,8 +223,14 @@ class ValueLog {
   // overrun the image answers the whole image's size.
   static size_t SealedPrefixLength(Slice segment_bytes);
 
-  // Reads flushed `segment` from the device as `io_class` and decodes its
-  // records through ForEachRecord: a read error, a corrupt record, or the
+  // Reads the sealed prefix of flushed `segment` from the device as
+  // `io_class`: the SealedPrefixLength bytes, fetched in growing chunks that
+  // stop at the pad marker, so a segment sealed early costs its used bytes,
+  // not a whole segment. A damaged header reads the whole image.
+  StatusOr<std::string> ReadSealedPrefix(SegmentId segment, IoClass io_class) const;
+
+  // Reads flushed `segment`'s sealed prefix (ReadSealedPrefix) and decodes
+  // its records through ForEachRecord: a read error, a corrupt record, or the
   // first error `fn` returns ends the walk with that status.
   Status ForEachRecordIn(SegmentId segment, IoClass io_class,
                          const std::function<Status(const LogRecord&)>& fn) const;

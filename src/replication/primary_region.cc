@@ -5,6 +5,7 @@
 #include "src/common/clock.h"
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
+#include "src/lsm/index_codec.h"
 
 namespace tebis {
 
@@ -491,15 +492,12 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
   TEBIS_RETURN_IF_ERROR(store_->value_log()->FlushTail());
   TEBIS_RETURN_IF_ERROR(TakeParkedError());
 
-  const uint64_t seg_size = device_->segment_size();
-  std::string buf(seg_size, 0);
   // 1) The value log, oldest first, through the normal §3.2 path: buffer
   //    write + flush message builds the backup's log and log map. Each
   //    segment moves only what its seal wrote: records plus pad marker.
   for (SegmentId seg : store_->value_log()->FlushedSegmentsSnapshot()) {
-    TEBIS_RETURN_IF_ERROR(device_->Read(device_->geometry().BaseOffset(seg), seg_size, buf.data(),
-                                        IoClass::kRecovery));
-    const Slice sealed(buf.data(), ValueLog::SealedPrefixLength(Slice(buf)));
+    TEBIS_ASSIGN_OR_RETURN(std::string sealed,
+                           store_->value_log()->ReadSealedPrefix(seg, IoClass::kRecovery));
     TEBIS_RETURN_IF_ERROR(channel->RdmaWriteLog(0, sealed));
     // The backup is not read-leased during a sync, so stamping every flush
     // with the current commit sequence (early for older segments) is safe.
@@ -510,6 +508,8 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
   //    own shipping stream; the backup rewrites them exactly like live
   //    shipments.
   if (mode_ == ReplicationMode::kSendIndex) {
+    const uint64_t seg_size = device_->segment_size();
+    std::string buf(seg_size, 0);
     for (uint32_t i = 1; i <= store_->max_levels(); ++i) {
       const BuiltTree& tree = store_->level(i);
       if (tree.empty()) {
@@ -533,18 +533,20 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
           // A checksummed level ships exactly its fingerprinted used prefix,
           // stamped with the stored CRC, and the backup retains the primary
           // checksums for repair interchange; an unchecksummed one ships
-          // whole segments, CRC'd here. Either way the backup verifies the
-          // wire bytes.
+          // whole segments, CRC'd here. Either way the segment travels
+          // encoded and the backup verifies the bytes it decodes.
           const uint64_t length = tree.checksummed() ? tree.seg_checksums[s].length : seg_size;
           TEBIS_RETURN_IF_ERROR(device_->Read(device_->geometry().BaseOffset(seg), length,
                                               buf.data(), IoClass::kRecovery));
           const uint32_t crc =
               tree.checksummed() ? tree.seg_checksums[s].crc : Crc32c(buf.data(), length);
+          const std::string wire =
+              EncodeIndexSegment(Slice(buf.data(), length), store_->options().node_size);
           TEBIS_RETURN_IF_ERROR(channel->Send(IndexSegmentMsg{.compaction_id = sync_id,
                                                               .dst_level = i,
                                                               .tree_level = 0,
                                                               .primary_segment = seg,
-                                                              .data = Slice(buf.data(), length),
+                                                              .data = Slice(wire),
                                                               .stream_id = stream,
                                                               .payload_crc = crc}));
         }
@@ -687,7 +689,7 @@ void PrimaryRegion::OnCompactionBegin(const CompactionInfo& info) {
 }
 
 void PrimaryRegion::OnIndexSegment(const CompactionInfo& info, int tree_level, SegmentId segment,
-                                   Slice bytes) {
+                                   Slice bytes, uint32_t crc) {
   StreamId stream;
   {
     std::lock_guard<std::mutex> lock(region_mutex_);
@@ -697,25 +699,29 @@ void PrimaryRegion::OnIndexSegment(const CompactionInfo& info, int tree_level, S
     stream = RegisterStreamLocked(info);
   }
   uint64_t cpu_ns = 0;
+  uint64_t wire_bytes = 0;
   const uint64_t ship_start_ns = NowNanos();
   {
     ScopedCpuTimer timer(&cpu_ns);
-    // Fingerprint once, fan out to every backup: each receiver proves the
-    // bytes survived the wire before rewriting a single pointer.
+    // Encode once, fan out to every backup. The builder's checksum of the
+    // segment rides along: each receiver decodes and proves the bytes
+    // survived the wire before rewriting a single pointer.
+    const std::string wire = EncodeIndexSegment(bytes, store_->options().node_size);
+    wire_bytes = wire.size();
     const IndexSegmentMsg msg{.compaction_id = info.compaction_id,
                               .dst_level = static_cast<uint32_t>(info.dst_level),
                               .tree_level = static_cast<uint32_t>(tree_level),
                               .primary_segment = segment,
-                              .data = bytes,
+                              .data = Slice(wire),
                               .stream_id = stream,
-                              .payload_crc = Crc32c(bytes.data(), bytes.size())};
-    FanOut(stream, /*flow_bytes=*/bytes.size(),
+                              .payload_crc = crc};
+    FanOut(stream, /*flow_bytes=*/wire_bytes,
            [&](BackupChannel* channel) { return channel->Send(msg); });
   }
-  RecordSpan(info, "ship_segment", ship_start_ns, NowNanos(), bytes.size());
+  RecordSpan(info, "ship_segment", ship_start_ns, NowNanos(), wire_bytes);
   repl_.send_index_cpu_ns->Add(cpu_ns);
   repl_.index_segments_shipped->Increment();
-  repl_.index_bytes_shipped->Add(bytes.size());
+  repl_.index_bytes_shipped->Add(wire_bytes);
 }
 
 void PrimaryRegion::OnCompactionEnd(const CompactionInfo& info, const BuiltTree& new_tree) {

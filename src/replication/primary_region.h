@@ -52,7 +52,7 @@ struct ReplicationStats {
   uint64_t log_flushes = 0;
   uint64_t append_retries = 0;  // transient data-plane write failures retried
   uint64_t index_segments_shipped = 0;
-  uint64_t index_bytes_shipped = 0;
+  uint64_t index_bytes_shipped = 0;    // encoded wire bytes, once per segment
   uint64_t filter_blocks_shipped = 0;  // bloom filter blocks fanned out
   uint64_t filter_bytes_shipped = 0;
   uint64_t backups_detached = 0;   // replicas dropped by the health policy
@@ -257,7 +257,7 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
   // around the channel calls.
   void OnCompactionBegin(const CompactionInfo& info) override;
   void OnIndexSegment(const CompactionInfo& info, int tree_level, SegmentId segment,
-                      Slice bytes) override;
+                      Slice bytes, uint32_t crc) override;
   void OnCompactionEnd(const CompactionInfo& info, const BuiltTree& new_tree) override;
 
   // Observers cannot return errors; failures park here and surface on the

@@ -60,9 +60,12 @@ struct IndexSegmentMsg {
   uint32_t dst_level = 0;
   uint32_t tree_level = 0;
   SegmentId primary_segment = 0;
-  Slice data{};  // view into the payload
+  // The segment's wire form, EncodeIndexSegment of the used prefix the
+  // builder wrote (index_codec.h); a view into the payload.
+  Slice data{};
   StreamId stream_id = 0;
-  // CRC32C of `data`: the backup rejects a segment mangled in flight before
+  // CRC32C of the *decoded* segment, the builder's SegmentChecksum: the
+  // backup decodes `data` and rejects a segment mangled in flight before
   // rewriting any pointer.
   uint32_t payload_crc = 0;
 };

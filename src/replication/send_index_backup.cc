@@ -8,6 +8,7 @@
 #include "src/lsm/bloom_filter.h"
 #include "src/lsm/btree_node.h"
 #include "src/lsm/compaction.h"
+#include "src/lsm/index_codec.h"
 
 namespace tebis {
 
@@ -301,14 +302,29 @@ Status SendIndexBackupRegion::RewriteSegment(CompactionStream* stream, char* byt
 }
 
 Status SendIndexBackupRegion::HandleIndexSegment(uint64_t compaction_id,
-                                                 SegmentId primary_segment, Slice bytes,
+                                                 SegmentId primary_segment, Slice encoded,
                                                  StreamId stream, uint32_t payload_crc) {
-  // Verify the shipped bytes before any pointer is rewritten: a segment
-  // mangled in flight must never be installed.
-  if (Crc32c(bytes.data(), bytes.size()) != payload_crc) {
+  // Decode into the rewrite's scratch copy and verify the decoded bytes
+  // before any pointer is rewritten: a segment mangled in flight must never
+  // be installed.
+  uint64_t cpu_ns = 0;
+  const uint64_t rewrite_start_ns = NowNanos();
+  std::string scratch;
+  Status verified = [&]() -> Status {
+    ScopedCpuTimer timer(&cpu_ns);
+    Status decoded =
+        DecodeIndexSegment(encoded, options_.node_size, device_->segment_size(), &scratch);
+    if (decoded.ok() && Crc32c(scratch.data(), scratch.size()) != payload_crc) {
+      decoded = Status::Corruption("decoded bytes fail the wire checksum");
+    }
+    return decoded;
+  }();
+  counters_.rewrite_cpu_ns->Add(cpu_ns);
+  cpu_ns = 0;
+  if (!verified.ok()) {
     counters_.segments_crc_rejected->Increment();
     return Status::Corruption("shipped index segment " + std::to_string(primary_segment) +
-                              " fails its wire checksum");
+                              ": " + verified.ToString());
   }
   std::shared_ptr<CompactionStream> s;
   {
@@ -325,8 +341,6 @@ Status SendIndexBackupRegion::HandleIndexSegment(uint64_t compaction_id,
   if (s->aborted) {
     return Status::FailedPrecondition("stream aborted by promotion");
   }
-  uint64_t cpu_ns = 0;
-  const uint64_t rewrite_start_ns = NowNanos();
   Status status = [&]() -> Status {
     ScopedCpuTimer timer(&cpu_ns);
     // Allocate (or claim the reserved) local segment for this primary segment.
@@ -334,8 +348,7 @@ Status SendIndexBackupRegion::HandleIndexSegment(uint64_t compaction_id,
         SegmentId local,
         s->index_map.GetOrReserve(primary_segment,
                                   [this] { return device_->AllocateSegment(); }));
-    // Rewrite in a scratch copy, then one large local write.
-    std::string scratch(bytes.data(), bytes.size());
+    // Rewrite the scratch copy, then one large local write.
     TEBIS_RETURN_IF_ERROR(RewriteSegment(s.get(), scratch.data(), scratch.size()));
     TEBIS_RETURN_IF_ERROR(device_->Write(device_->geometry().BaseOffset(local), Slice(scratch),
                                          IoClass::kIndexRewrite));
@@ -349,7 +362,7 @@ Status SendIndexBackupRegion::HandleIndexSegment(uint64_t compaction_id,
   counters_.rewrite_cpu_ns->Add(cpu_ns);
   if (status.ok()) {
     counters_.segments_rewritten->Increment();
-    RecordSpan(*s, "rewrite_segment", rewrite_start_ns, NowNanos(), bytes.size());
+    RecordSpan(*s, "rewrite_segment", rewrite_start_ns, NowNanos(), scratch.size());
   }
   return status;
 }

@@ -217,11 +217,12 @@ class SendIndexBackupRegion final : public BackupRegion {
   // count; the committed compaction moves replay_from_ there.
   Status HandleCompactionBegin(uint64_t compaction_id, int src_level, int dst_level,
                                StreamId stream, uint64_t l0_boundary);
-  // `payload_crc` is the primary's CRC32C of `bytes`: a mismatch rejects the
-  // segment before any pointer is rewritten. After the rewrite the backup
-  // records the CRC of its *local* bytes so the installed level is
-  // checksummed end to end.
-  Status HandleIndexSegment(uint64_t compaction_id, SegmentId primary_segment, Slice bytes,
+  // `encoded` is the segment's wire form (index_codec.h) and `payload_crc`
+  // the primary's CRC32C of the decoded image: a decode failure or a
+  // mismatch rejects the segment before any pointer is rewritten. After the
+  // rewrite the backup records the CRC of its *local* bytes so the installed
+  // level is checksummed end to end.
+  Status HandleIndexSegment(uint64_t compaction_id, SegmentId primary_segment, Slice encoded,
                             StreamId stream, uint32_t payload_crc);
   // Shipped bloom filter: validates and stages the primary's filter block on
   // the stream; the matching CompactionEnd installs it with the translated

@@ -297,7 +297,7 @@ TEST(ConcurrencyTest, BackupReadsAndScrubSeeCompleteLevelsAcrossShippedInstalls)
 class SlowShippingObserver : public CompactionObserver {
  public:
   void OnIndexSegment(const CompactionInfo& info, int tree_level, SegmentId segment,
-                      Slice bytes) override {
+                      Slice bytes, uint32_t crc) override {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 };

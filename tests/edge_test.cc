@@ -10,6 +10,7 @@
 
 #include "src/common/crc32.h"
 #include "src/common/random.h"
+#include "src/lsm/index_codec.h"
 #include "src/net/fabric.h"
 #include "src/net/message.h"
 #include "src/replication/build_index_backup.h"
@@ -183,11 +184,12 @@ TEST(IndexRewriteEdgeTest, ParentSegmentShippedBeforeChild) {
 
   // Ship PARENT first: the rewrite must reserve a local segment for leaf_seg.
   auto ship = [&](uint32_t tree_level, SegmentId seg, const std::string& bytes) {
+    const std::string wire = EncodeIndexSegment(bytes, opts.node_size);
     return (*backup)->Handle(IndexSegmentMsg{.compaction_id = 1,
                                              .dst_level = 1,
                                              .tree_level = tree_level,
                                              .primary_segment = seg,
-                                             .data = Slice(bytes),
+                                             .data = Slice(wire),
                                              .payload_crc = Crc32c(bytes.data(), bytes.size())});
   };
   ASSERT_TRUE(

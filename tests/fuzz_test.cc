@@ -18,6 +18,7 @@
 #include "src/lsm/btree_builder.h"
 #include "src/lsm/btree_reader.h"
 #include "src/lsm/compaction.h"
+#include "src/lsm/index_codec.h"
 #include "src/lsm/manifest.h"
 #include "src/lsm/value_log.h"
 #include "src/net/message.h"
@@ -98,6 +99,8 @@ TEST_P(WireFuzzTest, RandomBytesFailCleanly) {
     (void)DecodeRepairFetch(junk, &fetch);
     RepairSegmentMsg repair;
     (void)DecodeRepairSegment(junk, &repair);
+    std::string segment;
+    (void)DecodeIndexSegment(junk, kDefaultNodeSize, 1 << 16, &segment);
     BloomFilterView view;
     (void)BloomFilterView::Parse(junk, &view);
     (void)RegionMap::Deserialize(junk);
@@ -416,6 +419,100 @@ TEST_P(WireFuzzTest, CorruptedFilterBlocksFailCrc) {
     std::string corrupt = block;
     corrupt[rng.Uniform(corrupt.size())] ^= static_cast<char>(1 << rng.Uniform(8));
     EXPECT_FALSE(BloomFilterView::Parse(corrupt, &view).ok());
+  }
+}
+
+// --- shipped index segments: the decoder never trusts the wire -----------------
+
+constexpr size_t kFuzzNodeSize = 512;
+constexpr size_t kFuzzSegmentSize = 1 << 16;
+
+// Index segments a builder emits over random keys (inline, tied long
+// prefixes, tombstones), plus one holding every node kind the codec tells
+// apart: canonical, raw, zero and a short trailing node.
+std::vector<std::string> FuzzIndexSegments(Random* rng) {
+  struct Sink : SegmentSink {
+    void OnSegmentComplete(int, SegmentId, Slice bytes, uint32_t) override {
+      segments.push_back(bytes.ToString());
+    }
+    std::vector<std::string> segments;
+  } sink;
+  const std::string pools[] = {"", "user", "tenant-0042/ob/"};
+  std::set<std::string> keys;
+  while (keys.size() < 200) {
+    std::string key = pools[rng->Uniform(3)] + std::to_string(rng->Uniform(1000000));
+    key += rng->Bytes(rng->Uniform(8));
+    keys.insert(key.substr(0, kMaxKeySize));
+  }
+  auto dev = MakeDevice();
+  BTreeBuilder builder(dev.get(), kFuzzNodeSize, IoClass::kCompactionWrite, &sink);
+  for (const std::string& key : keys) {
+    EXPECT_TRUE(builder.Add(key, rng->Uniform(1ull << 40), rng->OneIn(4)).ok());
+  }
+  EXPECT_TRUE(builder.Finish().ok());
+  std::string odd_leaf = sink.segments.front().substr(0, kFuzzNodeSize);
+  odd_leaf.back() = '\x5a';
+  sink.segments.push_back(sink.segments.front().substr(0, kFuzzNodeSize) + odd_leaf +
+                          std::string(kFuzzNodeSize, '\0') + rng->Bytes(37));
+  return std::move(sink.segments);
+}
+
+// Damaged wire bytes either fail with Corruption or decode, within the
+// segment bound, to bytes whose CRC is not the payload's.
+void ExpectRejectedOrCrcMismatch(Slice wire, uint32_t payload_crc) {
+  std::string out;
+  const Status s = DecodeIndexSegment(wire, kFuzzNodeSize, kFuzzSegmentSize, &out);
+  if (!s.ok()) {
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    return;
+  }
+  EXPECT_LE(out.size(), kFuzzSegmentSize);
+  EXPECT_NE(Crc32c(out.data(), out.size()), payload_crc);
+}
+
+TEST_P(WireFuzzTest, IndexSegmentDecoderRejectsRandomBytes) {
+  Random rng(GetParam() + 1100);
+  const std::vector<std::string> segments = FuzzIndexSegments(&rng);
+  const uint32_t crc = Crc32c(segments[0].data(), segments[0].size());
+  for (int i = 0; i < 2000; ++i) {
+    std::string junk = rng.Bytes(rng.Uniform(300));
+    if (rng.OneIn(2)) {
+      // A plausible size and a leaf or index tag reach the node decoders.
+      const char head[] = {'\x80', static_cast<char>(1 + rng.Uniform(8)),
+                           static_cast<char>(2 + rng.Uniform(2))};
+      junk.insert(0, head, sizeof(head));
+    }
+    ExpectRejectedOrCrcMismatch(junk, crc);
+  }
+}
+
+TEST_P(WireFuzzTest, IndexSegmentDecoderRejectsEveryTruncation) {
+  Random rng(GetParam() + 1200);
+  for (const std::string& segment : FuzzIndexSegments(&rng)) {
+    const std::string wire = EncodeIndexSegment(segment, kFuzzNodeSize);
+    std::string out;
+    ASSERT_TRUE(DecodeIndexSegment(wire, kFuzzNodeSize, kFuzzSegmentSize, &out).ok());
+    ASSERT_TRUE(out == segment);
+    // The decoder consumes every byte of a valid encoding, so every strict
+    // prefix runs out of input.
+    for (size_t cut = 0; cut < wire.size(); ++cut) {
+      const Status s =
+          DecodeIndexSegment(Slice(wire.data(), cut), kFuzzNodeSize, kFuzzSegmentSize, &out);
+      EXPECT_TRUE(s.IsCorruption()) << cut << "-byte prefix: " << s.ToString();
+    }
+  }
+}
+
+TEST_P(WireFuzzTest, IndexSegmentDecoderRejectsSingleByteFlips) {
+  Random rng(GetParam() + 1300);
+  for (const std::string& segment : FuzzIndexSegments(&rng)) {
+    const std::string wire = EncodeIndexSegment(segment, kFuzzNodeSize);
+    const uint32_t crc = Crc32c(segment.data(), segment.size());
+    for (size_t pos = 0; pos < wire.size(); ++pos) {
+      std::string corrupt = wire;
+      corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1 + rng.Uniform(255)));
+      ExpectRejectedOrCrcMismatch(corrupt, crc);
+    }
   }
 }
 

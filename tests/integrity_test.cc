@@ -29,6 +29,7 @@
 #include "src/common/random.h"
 #include "src/lsm/bloom_filter.h"
 #include "src/lsm/btree_reader.h"
+#include "src/lsm/index_codec.h"
 #include "src/lsm/kv_store.h"
 #include "src/lsm/manifest.h"
 #include "src/net/fabric.h"
@@ -783,26 +784,35 @@ TEST(IntegrityShipTest, BackupRejectsMangledShippedSegment) {
   ASSERT_TRUE(
       backup->Handle(CompactionBeginMsg{.compaction_id = 1, .src_level = 0, .dst_level = 1})
           .ok());
-  // Bytes mangled in flight: the wire CRC does not match the payload. The
-  // backup must reject before rewriting a single pointer.
+  // Bytes mangled in flight: the CRC of the decoded bytes does not match
+  // the payload's. The backup must reject before rewriting a single pointer.
   const std::string garbage(2048, 'g');
+  const std::string wire = EncodeIndexSegment(garbage, SmallOptions().node_size);
   IndexSegmentMsg segment{.compaction_id = 1,
                           .dst_level = 1,
                           .tree_level = 0,
                           .primary_segment = 7,
-                          .data = Slice(garbage),
+                          .data = Slice(wire),
                           .stream_id = 0,
                           .payload_crc = Crc32c("not the payload", 15)};
   Status s = backup->Handle(segment);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_EQ(backup->stats().segments_crc_rejected, 1u);
+  // Bytes that are no encoding at all fail to decode: the same rejection.
+  segment.data = Slice(garbage);
+  segment.payload_crc = Crc32c(garbage.data(), garbage.size());
+  s = backup->Handle(segment);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(backup->stats().segments_crc_rejected, 2u);
+  // Nothing reached the backup's device.
+  EXPECT_EQ(cluster.backup_devices[0]->stats().WriteBytes(IoClass::kIndexRewrite), 0u);
   // With a matching CRC the wire check passes; the same bytes now fail the
   // *structural* rewrite instead — a different guard, so the CRC-rejection
   // counter must not move.
-  segment.payload_crc = Crc32c(garbage.data(), garbage.size());
+  segment.data = Slice(wire);
   Status structural = backup->Handle(segment);
   EXPECT_FALSE(structural.ok());
-  EXPECT_EQ(backup->stats().segments_crc_rejected, 1u);
+  EXPECT_EQ(backup->stats().segments_crc_rejected, 2u);
 }
 
 // The backup's level reads compare the record they read with the probe key

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/random.h"
 #include "src/lsm/bloom_filter.h"
 #include "src/lsm/btree_builder.h"
@@ -15,6 +16,7 @@
 #include "src/lsm/btree_reader.h"
 #include "src/lsm/compaction.h"
 #include "src/lsm/format.h"
+#include "src/lsm/index_codec.h"
 #include "src/lsm/kv_store.h"
 #include "src/lsm/memtable.h"
 #include "src/lsm/page_cache.h"
@@ -190,6 +192,63 @@ TEST(ValueLogTest, SealedPrefixLengthStopsAtMarkerOrDamage) {
   const uint32_t huge[2] = {10, 1u << 30};
   memcpy(image.data(), huge, sizeof(huge));
   EXPECT_EQ(ValueLog::SealedPrefixLength(image), image.size());
+}
+
+// A walk of a flushed segment reads its sealed prefix in growing chunks that
+// stop at the pad marker: a 3-record segment costs one chunk, not a segment.
+TEST(ValueLogTest, WalkingASealedSegmentReadsItsPrefixNotTheSegment) {
+  constexpr uint64_t kSegment = 1 << 18;
+  auto dev = MakeDevice(kSegment);
+  auto log = ValueLog::Create(dev.get());
+  ASSERT_TRUE(log.ok());
+  TrackingLogObserver obs;
+  (*log)->set_observer(&obs);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*log)->Append(Key(i), "value" + std::to_string(i), false).ok());
+  }
+  const SegmentId small = (*log)->tail_segment();
+  ASSERT_TRUE((*log)->FlushTail().ok());
+
+  const uint64_t ops_before = dev->stats().ReadOps();
+  int records = 0;
+  ASSERT_TRUE((*log)
+                  ->ForEachRecordIn(small, IoClass::kGc,
+                                    [&](const LogRecord& rec) {
+                                      EXPECT_EQ(rec.key, Key(records++));
+                                      return Status::Ok();
+                                    })
+                  .ok());
+  EXPECT_EQ(records, 3);
+  EXPECT_EQ(dev->stats().ReadOps() - ops_before, 1u);
+  EXPECT_LT(dev->stats().ReadBytes(IoClass::kGc), kSegment / 8);
+  // The prefix read is exactly what the seal wrote.
+  auto sealed = (*log)->ReadSealedPrefix(small, IoClass::kOther);
+  ASSERT_TRUE(sealed.ok());
+  ASSERT_EQ(obs.sealed.size(), 1u);
+  EXPECT_EQ(*sealed, obs.sealed[0]);
+
+  // A full segment grows the chunks: every byte up to the marker, few reads.
+  int full_records = 0;
+  while (obs.sealed.size() < 2) {
+    ASSERT_TRUE((*log)->Append(Key(1000 + full_records++), std::string(1000, 'v'), false).ok());
+  }
+  const SegmentId full = (*log)->FlushedSegmentsSnapshot()[1];
+  const uint64_t full_ops_before = dev->stats().ReadOps();
+  sealed = (*log)->ReadSealedPrefix(full, IoClass::kScrub);
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(*sealed, obs.sealed[1]);
+  EXPECT_LE(dev->stats().ReadOps() - full_ops_before, 3u);
+  EXPECT_LE(dev->stats().ReadBytes(IoClass::kScrub), kSegment);
+
+  // A damaged header reads the whole image and fails the walk.
+  const uint32_t huge[2] = {10, 1u << 30};
+  auto damaged = (*log)->AppendRawSegment(Slice(reinterpret_cast<const char*>(huge), sizeof(huge)));
+  ASSERT_TRUE(damaged.ok());
+  EXPECT_TRUE((*log)
+                  ->ForEachRecordIn(*damaged, IoClass::kRecovery,
+                                    [](const LogRecord&) { return Status::Ok(); })
+                  .IsCorruption());
+  EXPECT_EQ(dev->stats().ReadBytes(IoClass::kRecovery), kSegment);
 }
 
 TEST(ValueLogTest, FlushTailPersistsAndOpensNewTail) {
@@ -611,6 +670,21 @@ TEST(BTreeNodeTest, IndexNodeOverflowDetection) {
   EXPECT_EQ(view.num_entries(), static_cast<uint32_t>(added));
 }
 
+// Long pivots: a cell larger than the space left below the cells overflows,
+// even while the slot directory is still short.
+TEST(BTreeNodeTest, IndexNodeOverflowDetectionWithLongKeys) {
+  std::vector<char> buf(kDefaultNodeSize);
+  IndexNodeBuilder builder(buf.data(), buf.size());
+  const std::string pivot(kMaxKeySize, 'p');
+  int added = 0;
+  while (!builder.WouldOverflow(pivot.size())) {
+    builder.Add(pivot, added);
+    added++;
+  }
+  // 15 cells of 2 + 260 B fit beside the header; a 16th does not.
+  EXPECT_EQ(added, 15);
+}
+
 TEST(BTreeNodeTest, RewriteLeafOffsetsTranslates) {
   std::vector<char> buf(kDefaultNodeSize);
   LeafNodeBuilder builder(buf.data(), buf.size());
@@ -820,12 +894,17 @@ TEST(BTreeIteratorTest, SeekLandsOnLowerBound) {
 
 TEST(BTreeBuilderTest, SinkSeesSegmentsInBuildOrder) {
   struct Sink : SegmentSink {
-    void OnSegmentComplete(int tree_level, SegmentId segment, Slice bytes) override {
+    void OnSegmentComplete(int tree_level, SegmentId segment, Slice bytes,
+                           uint32_t crc) override {
       events.emplace_back(tree_level, segment, bytes.size());
       total_bytes += bytes.size();
+      checksums[segment] = SegmentChecksum{crc, static_cast<uint32_t>(bytes.size())};
+      crcs_match = crcs_match && crc == Crc32c(bytes.data(), bytes.size());
     }
     std::vector<std::tuple<int, SegmentId, size_t>> events;
     uint64_t total_bytes = 0;
+    std::map<SegmentId, SegmentChecksum> checksums;
+    bool crcs_match = true;
   } sink;
   auto dev = MakeDevice(1 << 16, 1 << 16);
   auto log = ValueLog::Create(dev.get());
@@ -847,9 +926,235 @@ TEST(BTreeBuilderTest, SinkSeesSegmentsInBuildOrder) {
     EXPECT_TRUE(emitted.insert(seg).second);
   }
   EXPECT_EQ(emitted.size(), tree->segments.size());
+  // The sink receives each segment's checksum, the one the tree keeps.
+  EXPECT_TRUE(sink.crcs_match);
+  for (size_t i = 0; i < tree->segments.size(); ++i) {
+    EXPECT_EQ(sink.checksums[tree->segments[i]], tree->seg_checksums[i]);
+  }
   // Leaf segments (level 0) must exist.
   EXPECT_TRUE(std::any_of(sink.events.begin(), sink.events.end(),
                           [](const auto& e) { return std::get<0>(e) == 0; }));
+}
+
+// --- index segment codec ---------------------------------------------------------
+
+struct CapturedSegment {
+  int tree_level;
+  std::string bytes;
+  uint32_t crc;
+};
+
+// Builds a tree of ascending `keys` with random value-log offsets below
+// 2^24, every `tombstone_every`-th key (when > 0) a tombstone, and returns
+// every segment the builder emitted.
+std::vector<CapturedSegment> BuildSegments(const std::vector<std::string>& keys,
+                                           int tombstone_every, uint16_t* height) {
+  struct Sink : SegmentSink {
+    void OnSegmentComplete(int tree_level, SegmentId, Slice bytes, uint32_t crc) override {
+      segments.push_back({tree_level, bytes.ToString(), crc});
+    }
+    std::vector<CapturedSegment> segments;
+  } sink;
+  auto dev = MakeDevice(1 << 16, 1 << 16);
+  BTreeBuilder builder(dev.get(), kDefaultNodeSize, IoClass::kCompactionWrite, &sink);
+  Random rng(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const bool tombstone = tombstone_every > 0 && i % tombstone_every == 0;
+    const Status added = builder.Add(keys[i], rng.Uniform(1 << 24), tombstone);
+    EXPECT_TRUE(added.ok()) << i << ": " << added.ToString();
+  }
+  auto tree = builder.Finish();
+  EXPECT_TRUE(tree.ok());
+  *height = tree->height;
+  return std::move(sink.segments);
+}
+
+// Encodes and decodes `segment`; returns the encoding after checking that
+// the decode gives back the exact bytes.
+std::string ExpectRoundTrip(const std::string& segment) {
+  const std::string wire = EncodeIndexSegment(segment, kDefaultNodeSize);
+  std::string decoded;
+  const Status status = DecodeIndexSegment(wire, kDefaultNodeSize, 1 << 16, &decoded);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(decoded == segment) << "decoded " << decoded.size() << " B differ from the "
+                                  << segment.size() << " B segment";
+  return wire;
+}
+
+std::string UserKey(uint64_t i) {
+  char buf[32];
+  snprintf(buf, sizeof(buf), "user%010llu", static_cast<unsigned long long>(i));
+  return buf;
+}
+
+TEST(IndexCodecTest, RoundTripsBuilderOutputByteForByte) {
+  struct Case {
+    const char* name;
+    std::vector<std::string> keys;
+    int tombstone_every;
+    uint16_t min_height;
+  };
+  std::vector<Case> cases;
+  // Inline 14-byte keys with tombstones; 5000 keys leave a partial last leaf.
+  cases.push_back({"inline", {}, 7, 1});
+  for (uint64_t i = 0; i < 5000; ++i) {
+    cases.back().keys.push_back(UserKey(3 * i));
+  }
+  // Longer keys whose 14-byte prefixes all tie, so only size and tag differ.
+  cases.push_back({"long", {}, 5, 1});
+  for (uint64_t i = 0; i < 3000; ++i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "tenant-0042/ob/%08llu", static_cast<unsigned long long>(i));
+    cases.back().keys.push_back(buf);
+  }
+  // Inline keys that are prefixes of the long keys beside them.
+  cases.push_back({"mixed", {}, 3, 1});
+  for (uint64_t i = 0; i < 1000; ++i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "a%05llu", static_cast<unsigned long long>(i));
+    cases.back().keys.push_back(buf);
+    cases.back().keys.push_back(std::string(buf) + "-and-a-long-tail");
+  }
+  // A single-leaf tree.
+  cases.push_back({"single-leaf", {"k1", "k2", "k3", "k4", "k5"}, 2, 0});
+  // 200-byte pivots: 19 cells per index node, so index nodes at heights 1-2.
+  cases.push_back({"long-pivots", {}, 0, 2});
+  for (uint64_t i = 0; i < 4000; ++i) {
+    cases.back().keys.push_back(std::string(190, 'p') + Key(i).substr(3));
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    uint16_t height = 0;
+    const std::vector<CapturedSegment> segments = BuildSegments(c.keys, c.tombstone_every, &height);
+    EXPECT_GE(height, c.min_height);
+    ASSERT_FALSE(segments.empty());
+    size_t raw = 0, wire = 0;
+    for (const CapturedSegment& segment : segments) {
+      wire += ExpectRoundTrip(segment.bytes).size();
+      raw += segment.bytes.size();
+      EXPECT_EQ(Crc32c(segment.bytes.data(), segment.bytes.size()), segment.crc);
+    }
+    // Every case's leaves are canonical, so nothing travels raw.
+    EXPECT_LT(wire, raw) << c.name;
+  }
+}
+
+// A leaf of sorted user%010d keys drawn from one region's 37,500-key slice,
+// with offsets below 2^24: neighbours share 10-13 prefix bytes and each
+// entry costs about 10 B on the wire instead of 24.
+TEST(IndexCodecTest, FullUserKeyLeafEncodesUnder45Percent) {
+  Random rng(7);
+  std::set<uint64_t> ids;
+  while (ids.size() < LeafCapacity(kDefaultNodeSize)) {
+    ids.insert(1000000 + rng.Uniform(37500));
+  }
+  std::string node(kDefaultNodeSize, 0);
+  LeafNodeBuilder leaf(node.data(), kDefaultNodeSize);
+  for (uint64_t id : ids) {
+    AddLeafKey(&leaf, UserKey(id), rng.Uniform(1 << 24));
+  }
+  ASSERT_TRUE(leaf.Full());
+  leaf.Finish();
+  const std::string wire = ExpectRoundTrip(node);
+  EXPECT_LE(wire.size(), kDefaultNodeSize * 45 / 100);
+}
+
+// Nodes the encoder cannot prove canonical travel raw behind their tag and
+// still decode to the exact bytes, beside canonical, zero and short nodes.
+TEST(IndexCodecTest, NonCanonicalNodesTravelRawAndRoundTrip) {
+  std::string leaf_node(kDefaultNodeSize, 0);
+  LeafNodeBuilder leaf(leaf_node.data(), kDefaultNodeSize);
+  for (int i = 0; i < 10; ++i) {
+    AddLeafKey(&leaf, Key(i), 4096 * i, /*tombstone=*/i % 2 == 1);
+  }
+  leaf.Finish();
+  std::string index_node(kDefaultNodeSize, 0);
+  IndexNodeBuilder index(index_node.data(), kDefaultNodeSize);
+  index.Add(Key(0), 0);
+  index.Add(Key(5), kDefaultNodeSize);
+  index.Finish(1);
+  EXPECT_LT(ExpectRoundTrip(leaf_node).size(), kDefaultNodeSize / 4);
+  EXPECT_LT(ExpectRoundTrip(index_node).size(), kDefaultNodeSize / 4);
+
+  const auto stray = [](std::string node, size_t at) {
+    node[at] = '\x5a';
+    return node;
+  };
+  LeafEntry entry;
+  memcpy(&entry, leaf_node.data() + sizeof(NodeHeader), sizeof(entry));
+  entry.word |= 1ull << 60;  // above the tombstone flag
+  std::string unused_bits = leaf_node;
+  memcpy(unused_bits.data() + sizeof(NodeHeader), &entry, sizeof(entry));
+  const std::vector<std::pair<const char*, std::string>> odd = {
+      {"leaf tail", stray(leaf_node, kDefaultNodeSize - 1)},
+      // Key(0) is 13 bytes: its prefix's last byte is padding.
+      {"prefix padding", stray(leaf_node, sizeof(NodeHeader) + offsetof(LeafEntry, prefix) + 13)},
+      {"entry word", unused_bits},
+      {"index gap", stray(index_node, kDefaultNodeSize / 2)},
+      {"index header", stray(index_node, offsetof(NodeHeader, reserved))},
+  };
+  for (const auto& [name, node] : odd) {
+    SCOPED_TRACE(name);
+    EXPECT_GT(ExpectRoundTrip(node).size(), kDefaultNodeSize);
+  }
+  // One segment of every kind of node, ending in a short one.
+  const std::string segment = leaf_node + odd[0].second + std::string(kDefaultNodeSize, 0) +
+                              index_node + std::string(100, 'z');
+  EXPECT_LT(ExpectRoundTrip(segment).size(), segment.size());
+}
+
+// Offsets and children at every varint length boundary, up to the widest
+// leaf offset and the widest child.
+TEST(IndexCodecTest, VarintBoundariesRoundTrip) {
+  std::vector<uint64_t> values = {0, 1};
+  for (int bits = 7; bits < 64; bits += 7) {
+    values.push_back((uint64_t{1} << bits) - 1);
+    values.push_back(uint64_t{1} << bits);
+  }
+  values.push_back(~uint64_t{0});
+  std::string leaf_node(kDefaultNodeSize, 0);
+  LeafNodeBuilder leaf(leaf_node.data(), kDefaultNodeSize);
+  std::string index_node(kDefaultNodeSize, 0);
+  IndexNodeBuilder index(index_node.data(), kDefaultNodeSize);
+  for (size_t i = 0; i < values.size(); ++i) {
+    AddLeafKey(&leaf, Key(i), std::min(values[i], kLeafOffsetMask));
+    index.Add(Key(i), values[i]);
+  }
+  leaf.Finish();
+  index.Finish(2);
+  EXPECT_LT(ExpectRoundTrip(leaf_node).size(), kDefaultNodeSize / 2);
+  EXPECT_LT(ExpectRoundTrip(index_node).size(), kDefaultNodeSize / 2);
+}
+
+TEST(IndexCodecTest, DecoderRefusesSizesAndCountsPastItsBounds) {
+  std::string leaf_node(kDefaultNodeSize, 0);
+  LeafNodeBuilder leaf(leaf_node.data(), kDefaultNodeSize);
+  AddLeafKey(&leaf, Key(1), 1);
+  leaf.Finish();
+  std::string out;
+  // A segment larger than the decoder's bound.
+  const std::string two = EncodeIndexSegment(leaf_node + leaf_node, kDefaultNodeSize);
+  EXPECT_TRUE(DecodeIndexSegment(two, kDefaultNodeSize, kDefaultNodeSize, &out).IsCorruption());
+  EXPECT_TRUE(DecodeIndexSegment(two, kDefaultNodeSize, 2 * kDefaultNodeSize, &out).ok());
+  // Hand-made node headers: size 4096 (varint 0x80 0x20), tag, count.
+  const auto node = [](uint8_t tag, std::string body) {
+    return std::string("\x80\x20", 2) + static_cast<char>(tag) + body;
+  };
+  // 171 leaf entries (varint 0xab 0x01) overflow a 170-entry leaf.
+  EXPECT_TRUE(DecodeIndexSegment(node(2, "\xab\x01"), kDefaultNodeSize, 1 << 16, &out)
+                  .IsCorruption());
+  // 2041 index slots (varint 0xf9 0x0f) overflow the node before any cell.
+  EXPECT_TRUE(DecodeIndexSegment(node(3, std::string("\x01\xf9\x0f", 3)), kDefaultNodeSize,
+                                 1 << 16, &out)
+                  .IsCorruption());
+  // One cell whose 4096-byte key (varint 0x80 0x20) cannot fit.
+  EXPECT_TRUE(DecodeIndexSegment(node(3, std::string("\x01\x01\x80\x20\x00", 5)),
+                                 kDefaultNodeSize, 1 << 16, &out)
+                  .IsCorruption());
+  // A leaf or index tag on a short trailing node.
+  EXPECT_TRUE(DecodeIndexSegment(std::string("\x10\x02\x00", 3), kDefaultNodeSize, 1 << 16, &out)
+                  .IsCorruption());
 }
 
 // --- PageCache -----------------------------------------------------------------
@@ -1318,7 +1623,7 @@ TEST(KvStoreTest, CascadingCompactionsReachDeeperLevels) {
 TEST(KvStoreTest, CompactionObserverLifecycle) {
   struct Obs : CompactionObserver {
     void OnCompactionBegin(const CompactionInfo& info) override { begins.push_back(info); }
-    void OnIndexSegment(const CompactionInfo&, int, SegmentId, Slice bytes) override {
+    void OnIndexSegment(const CompactionInfo&, int, SegmentId, Slice bytes, uint32_t) override {
       segment_bytes += bytes.size();
     }
     void OnCompactionEnd(const CompactionInfo& info, const BuiltTree& tree) override {

@@ -8,6 +8,7 @@
 
 #include "src/common/crc32.h"
 #include "src/common/random.h"
+#include "src/lsm/index_codec.h"
 #include "src/net/fabric.h"
 #include "src/replication/build_index_backup.h"
 #include "src/replication/local_backup_channel.h"
@@ -113,12 +114,24 @@ TEST(ReplicationWireTest, EveryMessageRoundTrips) {
   tree.num_entries = 777;
   tree.bytes_written = 4096;
   tree.segments = {5, 6, 7};
-  const uint32_t crc = Crc32c(data.data(), data.size());
+  // A one-leaf index segment of three 13-byte keys travels encoded: a 2 B
+  // size, the leaf's tag and count, 18 B for the first entry (whole key, 1 B
+  // offset), then 6 B for each same-size neighbour sharing 12 bytes (2 B
+  // offset).
+  std::string leaf_segment(kDefaultNodeSize, 0);
+  LeafNodeBuilder leaf(leaf_segment.data(), kDefaultNodeSize);
+  for (int i = 1; i <= 3; ++i) {
+    leaf.Add(Key(i), 100 * i, /*tombstone=*/false, KeyHash(Key(i)));
+  }
+  leaf.Finish();
+  const std::string wire = EncodeIndexSegment(leaf_segment, kDefaultNodeSize);
+  ASSERT_EQ(wire.size(), 34u);
+  const uint32_t crc = Crc32c(leaf_segment.data(), leaf_segment.size());
   // Each message next to its encoded size: every field is always on the wire.
   const std::vector<std::pair<ReplicationMessage, size_t>> cases = {
       {FlushLogMsg{1, 42, 900, kLargeLogFamily, 4097}, 36},
       {CompactionBeginMsg{2, 9, 1, 2, 4, 17}, 36},
-      {IndexSegmentMsg{3, 4, 2, 1, 77, Slice(data), 5, crc}, 44 + data.size()},
+      {IndexSegmentMsg{3, 4, 2, 1, 77, Slice(wire), 5, crc}, 78},
       {FilterBlockMsg{4, 4, 2, Slice(data), 5}, 28 + data.size()},
       {CompactionEndMsg{5, 9, 1, 2, tree, 6, {{11, 100}, {12, 200}, {13, 300}}}, 110},
       {CompactionEndMsg{5, 9, 1, 2, tree, 6, {}}, 86},  // unchecksummed tree
@@ -574,12 +587,13 @@ TEST(PromotionTest, HalfShippedCompactionIsAborted) {
                             cluster.primary->store()->value_log()->flushed_segments()[0]),
            /*tombstone=*/false, KeyHash("zzz"));
   leaf.Finish();
+  const std::string wire = EncodeIndexSegment(fake_segment, SmallOptions().node_size);
   ASSERT_TRUE(backup
                   ->Handle(IndexSegmentMsg{
                       .compaction_id = 999,
                       .dst_level = 2,
                       .primary_segment = 424242,
-                      .data = Slice(fake_segment),
+                      .data = Slice(wire),
                       .payload_crc = Crc32c(fake_segment.data(), fake_segment.size())})
                   .ok());
   auto promoted = backup->Promote();

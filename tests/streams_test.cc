@@ -21,6 +21,7 @@
 
 #include "src/common/crc32.h"
 #include "src/common/random.h"
+#include "src/lsm/index_codec.h"
 #include "src/lsm/kv_store.h"
 #include "src/net/worker_pool.h"
 #include "src/replication/local_backup_channel.h"
@@ -86,7 +87,7 @@ class GateObserver : public CompactionObserver {
   }
 
   void OnIndexSegment(const CompactionInfo& info, int /*tree_level*/, SegmentId /*segment*/,
-                      Slice /*bytes*/) override {
+                      Slice /*bytes*/, uint32_t /*crc*/) override {
     if (info.src_level < 2) {
       return;
     }
@@ -646,12 +647,13 @@ TEST(ShippingStreamsTest, PromoteAbortsActiveStreams) {
   EXPECT_EQ(backup->active_streams(), 2u);
   // A segment tagged with a stream that carries a different compaction is
   // rejected before any rewrite work.
-  std::string junk(256, 'x');
+  const std::string junk(256, 'x');
+  const std::string wire = EncodeIndexSegment(junk, opts.node_size);
   EXPECT_TRUE(backup
                   ->Handle(IndexSegmentMsg{.compaction_id = 999,
                                            .dst_level = 2,
                                            .primary_segment = 77,
-                                           .data = Slice(junk),
+                                           .data = Slice(wire),
                                            .stream_id = 5,
                                            .payload_crc = Crc32c(junk.data(), junk.size())})
                   .IsFailedPrecondition());
