@@ -125,28 +125,6 @@ StatusOr<std::string> TebisClient::ScrapeStats(const std::string& server) {
   return Status::Unavailable("scrape reply kept outgrowing the allocation");
 }
 
-StatusOr<std::string> TebisClient::ScrapeStatsBinary(const std::string& server) {
-  TEBIS_ASSIGN_OR_RETURN(RpcClient * client, ClientFor(server));
-  const std::string request = EncodeScrapeRequest(kScrapeFormatBinary);
-  size_t alloc = 16384;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    TEBIS_ASSIGN_OR_RETURN(
-        RpcReply reply,
-        client->Call(MessageType::kStatsScrape, 0, request, alloc, 0, rpc_timeout_ns_));
-    if (reply.header.flags & kFlagTruncatedReply) {
-      uint64_t needed;
-      TEBIS_RETURN_IF_ERROR(DecodeTruncatedReply(reply.payload, &needed));
-      alloc = needed + 64;
-      continue;
-    }
-    if (reply.header.flags & kFlagError) {
-      return Status::Internal("scrape rejected: " + reply.payload);
-    }
-    return std::move(reply.payload);
-  }
-  return Status::Unavailable("scrape reply kept outgrowing the allocation");
-}
-
 Status TebisClient::Issue(PendingOp* op) {
   if (map_ == nullptr) {
     TEBIS_RETURN_IF_ERROR(RefreshMap());

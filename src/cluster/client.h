@@ -80,9 +80,6 @@ class TebisClient {
   // Admin scrape: fetch `server`'s telemetry payload — metrics
   // snapshot + recent pipeline spans — as JSON.
   StatusOr<std::string> ScrapeStats(const std::string& server);
-  // Binary scrape: the structured NodeScrape payload the master's
-  // federation fan-out merges (decode with DecodeNodeScrape).
-  StatusOr<std::string> ScrapeStatsBinary(const std::string& server);
 
   // --- synchronous API ---
   Status Put(Slice key, Slice value);

@@ -1,16 +1,22 @@
-// The backup half of a hosted region, whichever engine maintains it:
+// The backup half of a hosted region, whichever engine maintains its index:
 // Send-Index (rewrites the primary's shipped index, §3.3) or Build-Index
-// (re-inserts flushed records and compacts on its own, §4). A region handle
-// holds one of these, so every role-dependent call dispatches once here.
-// Calls only Send-Index supports (scrub, repair, re-keying to a new primary's
-// log map) are answered by the Build-Index engine itself: FailedPrecondition
-// or a no-op, as each declaration says.
+// (re-inserts flushed records and compacts on its own, §4). Both replicate
+// the value log alike (§3.2), so this base owns that frame once: epoch
+// fencing, log flushes into local segments and the primary -> local log map,
+// trims, re-keying the map to a promoted backup's (§3.5), the fenced replica
+// read frame, and promotion's replay of the RDMA buffer. An engine supplies
+// only what differs, through the protected hooks. A region handle holds one
+// of these, so every role-dependent call dispatches once here. Calls only
+// Send-Index supports (scrub, repair) are answered by the Build-Index engine
+// itself: FailedPrecondition or empty, as each declaration says.
 #ifndef TEBIS_REPLICATION_BACKUP_REGION_H_
 #define TEBIS_REPLICATION_BACKUP_REGION_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -20,7 +26,8 @@
 #include "src/net/fabric.h"
 #include "src/replication/replication_wire.h"
 #include "src/replication/segment_map.h"
-#include "src/telemetry/metrics.h"
+#include "src/storage/block_device.h"
+#include "src/telemetry/telemetry.h"
 
 namespace tebis {
 
@@ -28,15 +35,25 @@ class BackupRegion : public ReplicationMessageHandler {
  public:
   virtual ~BackupRegion() = default;
 
+  // Control plane (§3.2–§3.5): checks the message's epoch (CheckEpoch), then
+  // applies log flushes and trims here and hands every other message to the
+  // engine. Safe to call concurrently from different shipping streams.
+  Status Handle(const ReplicationMessage& msg) final;
+
   // --- replica reads, fenced by the client's {min_epoch, min_seq} ---
 
   // A read this replica cannot answer consistently yet is rejected with
-  // FailedPrecondition. On success `*visible_seq` (when non-null) is the
-  // replica's visible commit sequence, >= min_seq.
-  virtual StatusOr<std::string> Get(Slice key, uint64_t min_epoch, uint64_t min_seq,
-                                    uint64_t* visible_seq) = 0;
-  virtual StatusOr<std::vector<KvPair>> Scan(Slice start, size_t limit, uint64_t min_epoch,
-                                             uint64_t min_seq, uint64_t* visible_seq) = 0;
+  // FailedPrecondition, exactly like a stale write. Newest wins: the RDMA
+  // buffer, then what the engine holds below it. On success `*visible_seq`
+  // (when non-null) is the replica's visible commit sequence, >= min_seq —
+  // the client folds it into its monotonic-read high-water mark.
+  StatusOr<std::string> Get(Slice key, uint64_t min_epoch, uint64_t min_seq,
+                            uint64_t* visible_seq);
+  StatusOr<std::vector<KvPair>> Scan(Slice start, size_t limit, uint64_t min_epoch,
+                                     uint64_t min_seq, uint64_t* visible_seq);
+  // Commit sequence this replica can currently serve (flushed high-water plus
+  // records sitting in the RDMA buffer).
+  uint64_t visible_seq() const;
   // Unfenced lookup through what the replica has persisted (Send-Index: its
   // device levels; Build-Index: its engine), for consistency checks on a
   // quiesced region.
@@ -44,29 +61,44 @@ class BackupRegion : public ReplicationMessageHandler {
 
   // --- epoch fencing (§3.5) ---
 
+  // Rejects control traffic stamped with an epoch older than this region's
+  // configuration generation; adopts newer epochs (and raises the RDMA-buffer
+  // fence so the deposed primary's one-sided writes stop landing too).
+  Status CheckEpoch(uint64_t msg_epoch);
   // Raise-to-at-least; also fences the RDMA buffer at the new epoch.
-  virtual void set_region_epoch(uint64_t epoch) = 0;
-  virtual uint64_t region_epoch() const = 0;
+  void set_region_epoch(uint64_t epoch);
+  uint64_t region_epoch() const { return region_epoch_.load(std::memory_order_acquire); }
   // Control messages rejected as stale-epoch.
-  virtual uint64_t epoch_rejected() const = 0;
+  uint64_t epoch_rejected() const { return frame_.epoch_rejected->Value(); }
 
   // --- promotion (§3.5) ---
 
-  // Primary segment -> local segment. Only valid on a quiesced region.
-  virtual const SegmentMap& log_map() const = 0;
-  // Converts the backup into a primary engine; the object is consumed. With
-  // `replay_rdma_buffer` false the caller replays the unflushed buffer
-  // through the wrapped PrimaryRegion instead, so the re-appends replicate.
-  virtual StatusOr<std::unique_ptr<KvStore>> Promote(bool replay_rdma_buffer) = 0;
-  // A different backup was promoted: re-key the log map to the new primary's
-  // segments (idempotent per `epoch`). Build-Index keys nothing on primary
-  // segments, so it only adopts a non-zero `epoch`.
-  virtual Status AdoptNewPrimaryLogMap(const SegmentMap& new_primary_log_map,
-                                       uint64_t epoch) = 0;
+  // Primary segment -> local segment. Only valid while no control traffic can
+  // arrive concurrently (quiesced region — the same contract as
+  // KvStore::level()).
+  const SegmentMap& log_map() const { return log_map_; }
+  // Converts the backup into a primary engine; the object is consumed. When
+  // `replay_rdma_buffer` is set the unflushed RDMA buffer (records the
+  // primary acked but had not flushed) is re-applied too; pass false when the
+  // caller replays it through the wrapped PrimaryRegion instead, so the
+  // re-appends replicate to the remaining backups.
+  StatusOr<std::unique_ptr<KvStore>> Promote(bool replay_rdma_buffer = true);
+  // A *different* backup was promoted: re-key the log map (and the flush
+  // order) from old-primary segment numbers to the new primary's (§3.2,
+  // in-memory only), so the new primary's flushes are told apart from the
+  // old one's. `epoch`, when non-zero, is the configuration generation of the
+  // promotion; re-keying is destructive if repeated, so a retry carrying an
+  // epoch this node already adopted is a no-op (reentrant recovery).
+  Status AdoptNewPrimaryLogMap(const SegmentMap& new_primary_log_map, uint64_t epoch = 0);
 
+  // The local value log flushes persist into and trims cut.
+  virtual ValueLog* value_log() = 0;
   // Memtable bytes; Send-Index keeps no L0 (the §5.5 saving).
   virtual uint64_t l0_memory_bytes() const = 0;
   const RegisteredBuffer* rdma_buffer() const { return rdma_buffer_.get(); }
+  // Telemetry plane the region's instruments live in: the shared plane from
+  // KvStoreOptions::telemetry, else a private one owned by this region.
+  Telemetry* telemetry() const { return telemetry_; }
 
   // --- integrity: scrub and online repair ---
 
@@ -82,10 +114,84 @@ class BackupRegion : public ReplicationMessageHandler {
                                                  uint32_t* crc_out) = 0;
 
  protected:
-  BackupRegion(std::shared_ptr<RegisteredBuffer> rdma_buffer, uint64_t segment_size)
-      : rdma_buffer_(std::move(rdma_buffer)), segment_size_(segment_size) {}
+  // Registers the backup.* instruments every engine counts alike.
+  BackupRegion(BlockDevice* device, const KvStoreOptions& options,
+               std::shared_ptr<RegisteredBuffer> rdma_buffer);
 
-  // --- log flushes (§3.2); the caller holds its state lock exclusive ---
+  // InvalidArgument unless `rdma_buffer` holds at least one of `device`'s
+  // segments; every engine factory checks it before constructing.
+  static Status CheckRdmaBuffer(const BlockDevice* device, const RegisteredBuffer* rdma_buffer);
+
+  // Copies the frame's counters into an engine's stats view.
+  template <typename Stats>
+  void FillFrameStats(Stats* s) const {
+    s->log_flushes = frame_.log_flushes->Value();
+    s->epoch_rejected = frame_.epoch_rejected->Value();
+    s->replica_gets = frame_.replica_gets->Value();
+    s->replica_scans = frame_.replica_scans->Value();
+    s->read_rejects_epoch = frame_.read_rejects_epoch->Value();
+    s->read_rejects_seq = frame_.read_rejects_seq->Value();
+  }
+
+  // --- engine hooks ---
+
+  // Runs after a log flush persisted the primary's sealed `image` as local
+  // segment `local`, before the buffer half is absorbed; the state lock is
+  // held exclusive. Send-Index has nothing to do; Build-Index replays the
+  // records into its engine.
+  virtual Status OnLogFlushedLocked(SegmentId local, Slice image) = 0;
+  // Runs before the oldest `segments` flushed segments are trimmed; the state
+  // lock is held exclusive and an error rejects the trim. Must leave no index
+  // entry pointing into those segments.
+  virtual Status PrepareTrimLocked(size_t segments) = 0;
+  // Every control message other than a log flush or trim, epoch-checked.
+  virtual Status HandleIndexMessage(const ReplicationMessage& msg) = 0;
+  // Replica lookup of `key` below the RDMA buffer; the state lock is held
+  // shared.
+  virtual StatusOr<std::string> GetBelowBufferLocked(Slice key) = 0;
+  // Replica scan from `start`: `overlay` holds the RDMA buffer's records, one
+  // version per key, and wins over everything the engine holds below it
+  // (ScanOverOverlay). The state lock is held shared.
+  virtual StatusOr<std::vector<KvPair>> ScanBelowBufferLocked(
+      std::map<std::string, LogRecord> overlay, Slice start, size_t limit) = 0;
+  // Hands the engine's state over as a primary engine holding every flushed
+  // record; the RDMA buffer is the caller's (Promote).
+  virtual StatusOr<std::unique_ptr<KvStore>> ReleaseStore() = 0;
+
+  BlockDevice* const device_;
+  const KvStoreOptions options_;
+
+  // Reader-writer lock over region state. Shipping mutations (log flush,
+  // trim, re-keying, the engine's index installs) take it exclusive; the
+  // replica read path takes it shared so concurrent reads proceed in
+  // parallel — it touches only immutable flushed log data, the engine's
+  // read-only state and layers with their own locks (device, value-log tail,
+  // RDMA buffer). The visible sequence moves in lock-step with record
+  // visibility, so a reader never observes data newer than what it reports.
+  mutable std::shared_mutex state_mutex_;
+  // --- guarded by state_mutex_ ---
+  SegmentMap log_map_;
+  std::vector<SegmentId> primary_flush_order_;  // primary segments in flush order
+
+ private:
+  // The backup.* instruments of the frame.
+  struct FrameCounters {
+    Counter* log_flushes = nullptr;
+    Counter* epoch_rejected = nullptr;
+    Counter* replica_gets = nullptr;
+    Counter* replica_scans = nullptr;
+    Counter* read_rejects_epoch = nullptr;  // reads fenced: replica epoch too old
+    Counter* read_rejects_seq = nullptr;    // reads fenced: commit seq behind fence
+  };
+
+  // §3.2 step 2c/2d: persists exactly `tail_bytes` of `family`'s buffer half
+  // — the bytes the primary's seal wrote (SealBufferHalf) — as a local log
+  // segment and maps `primary_segment` to it. `commit_seq` is the primary's
+  // commit sequence as of this flush.
+  Status HandleLogFlush(const FlushLogMsg& msg);
+  // GC: drops the oldest `segments` flushed segments (the primary moved all
+  // live data to the tail already) and their log-map entries.
+  Status HandleTrimLog(size_t segments);
 
   // The image a flush of `tail_bytes` persists from `family`'s buffer half
   // (main at [0, segment), large-value at [segment, 2*segment)). Puts the
@@ -102,28 +208,33 @@ class BackupRegion : public ReplicationMessageHandler {
   // primary is blocked on the ack and is not appending the next tail yet.
   void AbsorbBufferHalf(uint32_t family, uint64_t commit_seq);
 
-  // --- replica reads; the caller holds its state lock (shared or more) ---
-
   // A consistent snapshot of the RDMA buffer decoded into records (append
   // order per family); returns the replica's visible commit sequence.
   uint64_t ParseBufferLocked(std::vector<LogRecord>* records) const;
   // The read fence (§3.5) of every replica read: rejects a read whose
   // `min_epoch` is above this replica's epoch, or whose `min_seq` is above
-  // its visible sequence, with FailedPrecondition (counted in
-  // read_rejects_epoch_ / read_rejects_seq_). On success `*records` holds
-  // the decoded buffer and `*visible` the visible sequence.
+  // its visible sequence, with FailedPrecondition. On success `*records`
+  // holds the decoded buffer and `*visible_seq` (when non-null) the visible
+  // sequence.
   Status CheckReadFenceLocked(uint64_t min_epoch, uint64_t min_seq,
-                              std::vector<LogRecord>* records, uint64_t* visible) const;
+                              std::vector<LogRecord>* records, uint64_t* visible_seq) const;
 
   // The log buffer the primary writes one-sided.
   std::shared_ptr<RegisteredBuffer> rdma_buffer_;
   const uint64_t segment_size_;
-  // Highest primary commit sequence absorbed by a log flush. Guarded by the
-  // engine's state lock.
+  // Highest primary commit sequence absorbed by a log flush (state lock).
   uint64_t flushed_commit_seq_ = 0;
-  // backup.read_rejects_{epoch,seq}, registered by the engine.
-  Counter* read_rejects_epoch_ = nullptr;
-  Counter* read_rejects_seq_ = nullptr;
+  // Epoch whose primary keying the log map reflects (state lock; guards
+  // double re-keying).
+  uint64_t log_map_epoch_ = 0;
+  // Configuration generation this replica believes it is in. Atomic: every
+  // concurrent stream checks it on every message, and readers without the
+  // state lock's writer side.
+  std::atomic<uint64_t> region_epoch_{0};
+
+  std::unique_ptr<Telemetry> owned_telemetry_;
+  Telemetry* telemetry_ = nullptr;
+  FrameCounters frame_;
 };
 
 // A replica scan from `start`: merges `overlay` — the records the replica's

@@ -15,9 +15,7 @@ namespace tebis {
 StatusOr<std::unique_ptr<SendIndexBackupRegion>> SendIndexBackupRegion::Create(
     BlockDevice* device, const KvStoreOptions& options,
     std::shared_ptr<RegisteredBuffer> rdma_buffer) {
-  if (rdma_buffer == nullptr || rdma_buffer->size() < device->segment_size()) {
-    return Status::InvalidArgument("RDMA buffer must hold at least one segment");
-  }
+  TEBIS_RETURN_IF_ERROR(CheckRdmaBuffer(device, rdma_buffer.get()));
   TEBIS_RETURN_IF_ERROR(CheckLeafAddressable(device));
   std::unique_ptr<SendIndexBackupRegion> backup(
       new SendIndexBackupRegion(device, options, std::move(rdma_buffer)));
@@ -30,9 +28,7 @@ StatusOr<std::unique_ptr<SendIndexBackupRegion>> SendIndexBackupRegion::CreateFr
     std::shared_ptr<RegisteredBuffer> rdma_buffer, std::unique_ptr<ValueLog> log,
     std::vector<BuiltTree> levels, SegmentMap log_map,
     std::vector<SegmentId> primary_flush_order, size_t replay_from) {
-  if (rdma_buffer == nullptr || rdma_buffer->size() < device->segment_size()) {
-    return Status::InvalidArgument("RDMA buffer must hold at least one segment");
-  }
+  TEBIS_RETURN_IF_ERROR(CheckRdmaBuffer(device, rdma_buffer.get()));
   if (levels.size() != options.max_levels + 1) {
     return Status::InvalidArgument("levels vector must have max_levels+1 entries");
   }
@@ -56,9 +52,7 @@ StatusOr<std::unique_ptr<SendIndexBackupRegion>> SendIndexBackupRegion::CreateFr
 
 SendIndexBackupRegion::SendIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
                                              std::shared_ptr<RegisteredBuffer> rdma_buffer)
-    : BackupRegion(std::move(rdma_buffer), device->segment_size()),
-      device_(device),
-      options_(options),
+    : BackupRegion(device, options, std::move(rdma_buffer)),
       levels_(options.max_levels + 1),
       verifiers_(options.max_levels + 1),
       origins_(options.max_levels + 1) {
@@ -66,25 +60,14 @@ SendIndexBackupRegion::SendIndexBackupRegion(BlockDevice* device, const KvStoreO
 }
 
 void SendIndexBackupRegion::InitTelemetry() {
-  telemetry_ = options_.telemetry;
-  if (telemetry_ == nullptr) {
-    owned_telemetry_ = std::make_unique<Telemetry>();
-    telemetry_ = owned_telemetry_.get();
-  }
   node_name_ = NodeLabel(options_.telemetry_labels);
-  MetricsRegistry* reg = telemetry_->metrics();
+  MetricsRegistry* reg = telemetry()->metrics();
   const MetricLabels& l = options_.telemetry_labels;
   counters_.rewrite_cpu_ns = reg->GetCounter("backup.rewrite_cpu_ns", l);
   counters_.segments_rewritten = reg->GetCounter("backup.segments_rewritten", l);
   counters_.offsets_rewritten = reg->GetCounter("backup.offsets_rewritten", l);
-  counters_.log_flushes = reg->GetCounter("backup.log_flushes", l);
-  counters_.epoch_rejected = reg->GetCounter("backup.epoch_rejected", l);
   counters_.streams_opened = reg->GetCounter("backup.streams_opened", l);
   counters_.streams_aborted = reg->GetCounter("backup.streams_aborted", l);
-  counters_.replica_gets = reg->GetCounter("backup.replica_gets", l);
-  counters_.replica_scans = reg->GetCounter("backup.replica_scans", l);
-  read_rejects_epoch_ = reg->GetCounter("backup.read_rejects_epoch", l);
-  read_rejects_seq_ = reg->GetCounter("backup.read_rejects_seq", l);
   counters_.filter_blocks_installed = reg->GetCounter("backup.filter_blocks_installed", l);
   counters_.filters = FilterCounters{reg->GetCounter("backup.filter_checks", l),
                                      reg->GetCounter("backup.filter_negatives", l),
@@ -98,7 +81,7 @@ void SendIndexBackupRegion::InitTelemetry() {
 void SendIndexBackupRegion::RecordSpan(const CompactionStream& stream, const char* name,
                                        uint64_t start_ns, uint64_t end_ns,
                                        uint64_t bytes) const {
-  TraceBuffer* traces = telemetry_->traces();
+  TraceBuffer* traces = telemetry()->traces();
   if (stream.trace == kNoTrace || !traces->enabled()) {
     return;
   }
@@ -120,14 +103,8 @@ SendIndexBackupStats SendIndexBackupRegion::stats() const {
   s.rewrite_cpu_ns = counters_.rewrite_cpu_ns->Value();
   s.segments_rewritten = counters_.segments_rewritten->Value();
   s.offsets_rewritten = counters_.offsets_rewritten->Value();
-  s.log_flushes = counters_.log_flushes->Value();
-  s.epoch_rejected = counters_.epoch_rejected->Value();
   s.streams_opened = counters_.streams_opened->Value();
   s.streams_aborted = counters_.streams_aborted->Value();
-  s.replica_gets = counters_.replica_gets->Value();
-  s.replica_scans = counters_.replica_scans->Value();
-  s.read_rejects_epoch = read_rejects_epoch_->Value();
-  s.read_rejects_seq = read_rejects_seq_->Value();
   s.filter_blocks_installed = counters_.filter_blocks_installed->Value();
   s.filter_checks = counters_.filters.checks->Value();
   s.filter_negatives = counters_.filters.negatives->Value();
@@ -139,6 +116,7 @@ SendIndexBackupStats SendIndexBackupRegion::stats() const {
   s.repair_fetches = counters_.integrity.repair_fetches->Value();
   s.repair_serves = counters_.repair_serves->Value();
   s.read_corruptions = counters_.read_corruptions->Value();
+  FillFrameStats(&s);
   return s;
 }
 
@@ -157,13 +135,9 @@ size_t SendIndexBackupRegion::replay_from() const {
   return replay_from_;
 }
 
-Status SendIndexBackupRegion::Handle(const ReplicationMessage& msg) {
-  TEBIS_RETURN_IF_ERROR(CheckEpoch(ReplicationMessageEpoch(msg)));
+Status SendIndexBackupRegion::HandleIndexMessage(const ReplicationMessage& msg) {
   return std::visit(
       Overloaded{
-          [this](const FlushLogMsg& m) {
-            return HandleLogFlush(m.primary_segment, m.commit_seq, m.family, m.tail_bytes);
-          },
           [this](const CompactionBeginMsg& m) {
             return HandleCompactionBegin(m.compaction_id, static_cast<int>(m.src_level),
                                          static_cast<int>(m.dst_level), m.stream_id,
@@ -181,32 +155,14 @@ Status SendIndexBackupRegion::Handle(const ReplicationMessage& msg) {
                                        static_cast<int>(m.dst_level), m.tree, m.stream_id,
                                        m.seg_checksums);
           },
-          [this](const TrimLogMsg& m) { return HandleTrimLog(m.segments); },
           [this](const SetReplayStartMsg& m) {
             set_replay_from(m.flushed_segment_index);
             return Status::Ok();
           },
+          // Log flushes and trims: BackupRegion::Handle applies them itself.
+          [](const auto&) { return Status::Internal("log-plane message reached the engine"); },
       },
       msg);
-}
-
-Status SendIndexBackupRegion::HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq,
-                                             uint32_t family, uint64_t tail_bytes) {
-  std::lock_guard<std::shared_mutex> lock(state_mutex_);
-  if (log_map_.Contains(primary_segment)) {
-    // Duplicate delivery (the ack was lost, not the flush). Do NOT touch the
-    // buffer here: the primary has already resumed appending the new tail
-    // into it, and those records are live.
-    return Status::Ok();
-  }
-  TEBIS_ASSIGN_OR_RETURN(Slice sealed, SealBufferHalf(family, tail_bytes));
-  // Persist the replicated tail (one write, like the primary's seal).
-  TEBIS_ASSIGN_OR_RETURN(SegmentId local, log_->AppendRawSegment(sealed));
-  TEBIS_RETURN_IF_ERROR(log_map_.Insert(primary_segment, local));
-  primary_flush_order_.push_back(primary_segment);
-  AbsorbBufferHalf(family, commit_seq);
-  counters_.log_flushes->Increment();
-  return Status::Ok();
 }
 
 Status SendIndexBackupRegion::HandleCompactionBegin(uint64_t compaction_id, int src_level,
@@ -505,35 +461,15 @@ Status SendIndexBackupRegion::HandleCompactionEnd(uint64_t compaction_id, int sr
   return status;
 }
 
-Status SendIndexBackupRegion::HandleTrimLog(size_t segments) {
-  std::lock_guard<std::shared_mutex> lock(state_mutex_);
+Status SendIndexBackupRegion::PrepareTrimLocked(size_t segments) {
   if (!streams_.empty()) {
-    // The primary drains compactions before GC; a trim racing an active
-    // stream would invalidate its log-map snapshot.
     return Status::FailedPrecondition("trim during active shipping streams");
   }
-  if (segments > primary_flush_order_.size()) {
-    return Status::InvalidArgument("trim beyond replicated log");
-  }
-  TEBIS_RETURN_IF_ERROR(log_->TrimHead(segments));
-  // Rebuild the log map without the trimmed prefix.
-  SegmentMap fresh;
-  for (size_t i = segments; i < primary_flush_order_.size(); ++i) {
-    TEBIS_ASSIGN_OR_RETURN(SegmentId local, log_map_.Lookup(primary_flush_order_[i]));
-    TEBIS_RETURN_IF_ERROR(fresh.Insert(primary_flush_order_[i], local));
-  }
-  log_map_ = std::move(fresh);
-  primary_flush_order_.erase(primary_flush_order_.begin(),
-                             primary_flush_order_.begin() + static_cast<long>(segments));
-  if (replay_from_ >= segments) {
-    replay_from_ -= segments;
-  } else {
-    replay_from_ = 0;
-  }
+  replay_from_ = replay_from_ >= segments ? replay_from_ - segments : 0;
   return Status::Ok();
 }
 
-StatusOr<std::unique_ptr<KvStore>> SendIndexBackupRegion::Promote(bool replay_rdma_buffer) {
+StatusOr<std::unique_ptr<KvStore>> SendIndexBackupRegion::ReleaseStore() {
   // Abort every half-shipped stream: free the local segments it allocated and
   // keep the previous (consistent) levels. A rewrite handler still in flight
   // holds its stream's mutex; taking it here makes the abort wait for the
@@ -562,71 +498,14 @@ StatusOr<std::unique_ptr<KvStore>> SendIndexBackupRegion::Promote(bool replay_rd
                                                   std::move(levels_)));
 
   // Rebuild L0: replay flushed segments newer than the last L0 compaction
-  // (existing offsets, no re-append)...
+  // (existing offsets, no re-append).
   for (SegmentId seg : replay_segments) {
     TEBIS_RETURN_IF_ERROR(store->value_log()->ForEachRecordIn(
         seg, IoClass::kRecovery, [&](const LogRecord& rec) {
           return store->ReplayRecord(rec.key, rec.offset, rec.tombstone);
         }));
   }
-  // ...then the unflushed RDMA buffer (records the primary acked but had not
-  // flushed). These are re-appended through the new primary's own log.
-  if (!replay_rdma_buffer) {
-    return store;
-  }
-  for (const LogRecord& rec : ValueLog::DecodeBufferImage(
-           Slice(rdma_buffer_->data(), rdma_buffer_->size()), device_->segment_size())) {
-    TEBIS_RETURN_IF_ERROR(rec.tombstone ? store->Delete(rec.key) : store->Put(rec.key, rec.value));
-  }
   return store;
-}
-
-Status SendIndexBackupRegion::CheckEpoch(uint64_t msg_epoch) {
-  const uint64_t cur = region_epoch_.load(std::memory_order_acquire);
-  if (msg_epoch < cur) {
-    counters_.epoch_rejected->Increment();
-    return Status::FailedPrecondition("stale replication epoch " + std::to_string(msg_epoch) +
-                                      " < " + std::to_string(cur));
-  }
-  if (msg_epoch > cur) {
-    set_region_epoch(msg_epoch);
-  }
-  return Status::Ok();
-}
-
-void SendIndexBackupRegion::set_region_epoch(uint64_t epoch) {
-  uint64_t cur = region_epoch_.load(std::memory_order_acquire);
-  while (epoch > cur) {
-    if (region_epoch_.compare_exchange_weak(cur, epoch, std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-      rdma_buffer_->Fence(epoch);  // raise-to-at-least, thread-safe
-      return;
-    }
-  }
-}
-
-Status SendIndexBackupRegion::AdoptNewPrimaryLogMap(const SegmentMap& new_primary_log_map,
-                                                    uint64_t epoch) {
-  std::lock_guard<std::shared_mutex> lock(state_mutex_);
-  if (epoch != 0) {
-    if (epoch <= log_map_epoch_) {
-      return Status::Ok();  // retry of an adoption this node already performed
-    }
-    set_region_epoch(epoch);
-    log_map_epoch_ = epoch;
-  }
-  TEBIS_ASSIGN_OR_RETURN(SegmentMap rekeyed, log_map_.RekeyForNewPrimary(new_primary_log_map));
-  log_map_ = std::move(rekeyed);
-  // The flush-order list must be re-keyed too.
-  std::vector<SegmentId> fresh_order;
-  for (SegmentId old_primary : primary_flush_order_) {
-    auto new_primary = new_primary_log_map.Lookup(old_primary);
-    if (new_primary.ok()) {
-      fresh_order.push_back(*new_primary);
-    }
-  }
-  primary_flush_order_ = std::move(fresh_order);
-  return Status::Ok();
 }
 
 // --- replica read path ----------------------------------------------------
@@ -693,33 +572,7 @@ StatusOr<std::string> SendIndexBackupRegion::GetFromLevelsLocked(Slice key) {
   return Status::NotFound();
 }
 
-StatusOr<std::string> SendIndexBackupRegion::Get(Slice key, uint64_t min_epoch,
-                                                 uint64_t min_seq, uint64_t* visible_seq) {
-  // The whole read runs under the state lock (shared side): HandleCompactionEnd
-  // frees the segments of replaced level trees, so a lock-free snapshot of
-  // the levels is not safe against live shipping traffic. Reads only share
-  // the lock with each other — everything below is read-only against region
-  // state, and the device/log/buffer layers carry their own synchronization —
-  // so concurrent replica gets proceed in parallel and only exclude the
-  // (rare, exclusive) shipping mutations.
-  std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  counters_.replica_gets->Increment();
-  std::vector<LogRecord> buffered;
-  uint64_t visible = 0;
-  TEBIS_RETURN_IF_ERROR(CheckReadFenceLocked(min_epoch, min_seq, &buffered, &visible));
-  if (visible_seq != nullptr) {
-    *visible_seq = visible;
-  }
-  // Newest wins: the RDMA buffer (append order, so scan backwards)...
-  for (auto rit = buffered.rbegin(); rit != buffered.rend(); ++rit) {
-    if (Slice(rit->key) == key) {
-      if (rit->tombstone) {
-        return Status::NotFound();
-      }
-      return rit->value;
-    }
-  }
-  // ...then the flushed-but-unindexed log suffix (newest segment first)...
+StatusOr<std::string> SendIndexBackupRegion::GetBelowBufferLocked(Slice key) {
   auto unindexed = FindUnindexedLocked(key);
   if (unindexed.ok()) {
     if (unindexed->tombstone) {
@@ -730,31 +583,19 @@ StatusOr<std::string> SendIndexBackupRegion::Get(Slice key, uint64_t min_epoch,
   if (!unindexed.status().IsNotFound()) {
     return unindexed.status();
   }
-  // ...then the shipped index.
   return GetFromLevelsLocked(key);
 }
 
-StatusOr<std::vector<KvPair>> SendIndexBackupRegion::Scan(Slice start, size_t limit,
-                                                          uint64_t min_epoch, uint64_t min_seq,
-                                                          uint64_t* visible_seq) {
-  std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  counters_.replica_scans->Increment();
-  std::vector<LogRecord> buffered;
-  uint64_t visible = 0;
-  TEBIS_RETURN_IF_ERROR(CheckReadFenceLocked(min_epoch, min_seq, &buffered, &visible));
-  if (visible_seq != nullptr) {
-    *visible_seq = visible;
-  }
-  // Every record the levels do not cover yet: the unindexed suffix oldest
-  // first, then the buffer, so later writes win.
-  std::map<std::string, LogRecord> overlay;
-  TEBIS_RETURN_IF_ERROR(ForEachUnindexedLocked([&overlay](const LogRecord& rec) {
-    overlay[rec.key] = rec;
+StatusOr<std::vector<KvPair>> SendIndexBackupRegion::ScanBelowBufferLocked(
+    std::map<std::string, LogRecord> overlay, Slice start, size_t limit) {
+  // The unindexed suffix (oldest first, so later writes win) is older than
+  // every buffered record: merge() moves in only the keys the buffer lacks.
+  std::map<std::string, LogRecord> unindexed;
+  TEBIS_RETURN_IF_ERROR(ForEachUnindexedLocked([&unindexed](const LogRecord& rec) {
+    unindexed[rec.key] = rec;
     return Status::Ok();
   }));
-  for (LogRecord& rec : buffered) {
-    overlay[rec.key] = std::move(rec);
-  }
+  overlay.merge(unindexed);
 
   std::vector<MergeSource*> sources;
   std::vector<std::unique_ptr<LevelMergeSource>> levels;
@@ -772,12 +613,6 @@ StatusOr<std::vector<KvPair>> SendIndexBackupRegion::Scan(Slice start, size_t li
   return ScanOverOverlay(overlay, start, limit, sources, [this](const MergeEntry& winner) {
     return ReadLevelValue(winner.key, winner.log_offset);
   });
-}
-
-uint64_t SendIndexBackupRegion::visible_seq() const {
-  std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  std::vector<LogRecord> records;
-  return ParseBufferLocked(&records);
 }
 
 StatusOr<std::string> SendIndexBackupRegion::DebugGet(Slice key) {

@@ -13,12 +13,10 @@
 #ifndef TEBIS_REPLICATION_SEND_INDEX_BACKUP_H_
 #define TEBIS_REPLICATION_SEND_INDEX_BACKUP_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -87,77 +85,14 @@ class SendIndexBackupRegion final : public BackupRegion {
   SendIndexBackupRegion(const SendIndexBackupRegion&) = delete;
   SendIndexBackupRegion& operator=(const SendIndexBackupRegion&) = delete;
 
-  // Control plane (§3.2–§3.3): checks the message's epoch (CheckEpoch), then
-  // applies it. Runs on the backup's worker threads; safe to call
-  // concurrently from different shipping streams.
-  Status Handle(const ReplicationMessage& msg) override;
-
-  // --- promotion (§3.5) ---
-
-  // Converts this backup into a primary engine: adopts the levels and value
-  // log, replays the log tail (segments after the last L0 compaction) to
-  // rebuild L0, and aborts every half-shipped compaction stream. When
-  // `replay_rdma_buffer` is set the unflushed RDMA buffer is re-applied too;
-  // pass false when the caller replays it through the wrapped PrimaryRegion
-  // instead (so the re-appends replicate to the remaining backups). The
-  // backup object is consumed.
-  StatusOr<std::unique_ptr<KvStore>> Promote(bool replay_rdma_buffer = true) override;
-
-  // A *different* backup was promoted: re-key this node's log map from
-  // old-primary segment numbers to the new primary's (§3.2, in-memory only).
-  // `epoch`, when non-zero, is the configuration generation of the promotion;
-  // re-keying is destructive if repeated, so a retry carrying an epoch this
-  // node already adopted is a no-op (reentrant recovery).
-  Status AdoptNewPrimaryLogMap(const SegmentMap& new_primary_log_map,
-                               uint64_t epoch = 0) override;
-
-  // --- epoch fencing (§3.5) ---
-
-  // Rejects control traffic stamped with an epoch older than this region's
-  // configuration generation; adopts newer epochs (and raises the RDMA-buffer
-  // fence so the deposed primary's one-sided writes stop landing too).
-  Status CheckEpoch(uint64_t msg_epoch);
-  // Raise-to-at-least; also fences the RDMA buffer at the new epoch.
-  void set_region_epoch(uint64_t epoch) override;
-  uint64_t region_epoch() const override { return region_epoch_.load(std::memory_order_acquire); }
-  uint64_t epoch_rejected() const override { return counters_.epoch_rejected->Value(); }
-
   // --- introspection ---
 
-  // Only valid while no control traffic can arrive concurrently (quiesced
-  // region — the same contract as KvStore::level()).
-  const SegmentMap& log_map() const override { return log_map_; }
   const BuiltTree& level(uint32_t i) const { return levels_[i]; }
-  ValueLog* value_log() { return log_.get(); }
+  ValueLog* value_log() override { return log_.get(); }
   SendIndexBackupStats stats() const;
-  // Telemetry plane the region's instruments live in: the shared plane from
-  // KvStoreOptions::telemetry, else a private one owned by this region.
-  Telemetry* telemetry() const { return telemetry_; }
   uint64_t l0_memory_bytes() const override { return 0; }  // the headline saving
   // Compaction streams currently mid-ship.
   size_t active_streams() const;
-
-  // --- replica read path ---
-
-  // Serves a get from the replicated log and the shipped index, fenced by the
-  // client's read fence {min_epoch, min_seq}: a read this replica cannot
-  // answer consistently yet is rejected with FailedPrecondition, exactly like
-  // a stale write. Newest wins: RDMA buffer, then unindexed flushed segments
-  // (newest first), then the device levels. On success `*visible_seq` (when
-  // non-null) is the replica's visible commit sequence, >= min_seq — the
-  // client folds it into its monotonic-read high-water mark.
-  StatusOr<std::string> Get(Slice key, uint64_t min_epoch, uint64_t min_seq,
-                            uint64_t* visible_seq) override;
-
-  // Replica scan under the same fence: the not-yet-indexed records (log
-  // suffix, then RDMA buffer) join the device levels as the newest source of
-  // the primary's newest-wins merge (MergeIterator).
-  StatusOr<std::vector<KvPair>> Scan(Slice start, size_t limit, uint64_t min_epoch,
-                                     uint64_t min_seq, uint64_t* visible_seq) override;
-
-  // Commit sequence this replica can currently serve (flushed high-water plus
-  // records sitting in the RDMA buffer).
-  uint64_t visible_seq() const;
 
   // Test/verification read path: lookup through the local device levels only
   // (backups have no L0), under the shared state lock like Get — a level
@@ -199,18 +134,29 @@ class SendIndexBackupRegion final : public BackupRegion {
   SendIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
                         std::shared_ptr<RegisteredBuffer> rdma_buffer);
 
-  // --- control-plane handlers, dispatched by Handle ---
+  // --- BackupRegion hooks ---
 
-  // §3.2 step 2c/2d: persist the RDMA buffer as a local log segment and add
-  // the <primary segment, backup segment> log-map entry. `commit_seq` is the
-  // primary's commit sequence as of this flush; the replica read path reports
-  // visible_seq = flushed high-water + records still in the buffer. `family`
-  // selects which half of the replication buffer persists: kMainLogFamily is
-  // [0, segment), kLargeLogFamily is [segment, 2*segment) and requires a
-  // 2x-segment buffer. Exactly `tail_bytes` of the half persist: the bytes
-  // the primary's seal wrote (SealBufferHalf).
-  Status HandleLogFlush(SegmentId primary_segment, uint64_t commit_seq, uint32_t family,
-                        uint64_t tail_bytes);
+  // A flushed segment joins the unindexed suffix; nothing to do.
+  Status OnLogFlushedLocked(SegmentId, Slice) override { return Status::Ok(); }
+  // Rejects a trim during active streams (it would invalidate their log-map
+  // snapshots; the primary drains compactions before GC) and shifts the L0
+  // replay start past the trimmed prefix.
+  Status PrepareTrimLocked(size_t segments) override;
+  // The compaction plane (§3.3) and the replay start.
+  Status HandleIndexMessage(const ReplicationMessage& msg) override;
+  // Newest wins: unindexed flushed segments (newest first), then the device
+  // levels.
+  StatusOr<std::string> GetBelowBufferLocked(Slice key) override;
+  // The not-yet-indexed records (log suffix under the buffer's) join the
+  // device levels as the newest source of the primary's newest-wins merge.
+  StatusOr<std::vector<KvPair>> ScanBelowBufferLocked(std::map<std::string, LogRecord> overlay,
+                                                      Slice start, size_t limit) override;
+  // Adopts the levels and value log, replays the log tail (segments after the
+  // last L0 compaction) to rebuild L0, and aborts every half-shipped
+  // compaction stream.
+  StatusOr<std::unique_ptr<KvStore>> ReleaseStore() override;
+
+  // --- control-plane handlers, dispatched by HandleIndexMessage ---
 
   // §3.3: compaction lifecycle, one state machine per `stream`.
   // `l0_boundary` (src_level == 0) is the primary's seal-time flushed-segment
@@ -235,10 +181,6 @@ class SendIndexBackupRegion final : public BackupRegion {
   Status HandleCompactionEnd(uint64_t compaction_id, int src_level, int dst_level,
                              const BuiltTree& primary_tree, StreamId stream,
                              const std::vector<SegmentChecksum>& primary_checksums);
-
-  // GC: trim the oldest `segments` local log segments (the primary moved all
-  // live data to the tail already).
-  Status HandleTrimLog(size_t segments);
 
   // Recovery/full sync (§3.5): overrides the L0-replay start point.
   void set_replay_from(size_t flushed_segment_index);
@@ -286,12 +228,8 @@ class SendIndexBackupRegion final : public BackupRegion {
     Counter* rewrite_cpu_ns = nullptr;
     Counter* segments_rewritten = nullptr;
     Counter* offsets_rewritten = nullptr;
-    Counter* log_flushes = nullptr;
-    Counter* epoch_rejected = nullptr;
     Counter* streams_opened = nullptr;
     Counter* streams_aborted = nullptr;
-    Counter* replica_gets = nullptr;
-    Counter* replica_scans = nullptr;
     Counter* filter_blocks_installed = nullptr;
     FilterCounters filters;  // backup.filter_*, summed over levels
     Counter* segments_crc_rejected = nullptr;
@@ -336,24 +274,11 @@ class SendIndexBackupRegion final : public BackupRegion {
   std::vector<int> QuarantinedLevelsLocked() const;
   void PublishQuarantineLocked();
 
-  BlockDevice* const device_;
-  const KvStoreOptions options_;
-
-  // Reader-writer lock over region state. Shipping mutations (log flush,
-  // compaction begin/end, promotion, epoch moves) take it exclusive; the
-  // replica read path (Get/Scan/DebugGet/visible_seq, and Scrub per segment)
-  // takes it shared so concurrent
-  // reads proceed in parallel — the read path touches only immutable flushed
-  // log data, the level descriptors, and layers with their own locks (device,
-  // value-log tail, RDMA buffer). Lock order: state_mutex_ before any
-  // CompactionStream::mutex. The rewrite path takes only the stream mutex
-  // (never state_mutex_ while holding it).
-  mutable std::shared_mutex state_mutex_;
-
-  // --- guarded by state_mutex_ ---
+  // --- guarded by BackupRegion::state_mutex_ (taken before any
+  // CompactionStream::mutex; the rewrite path takes only the stream mutex,
+  // never the state lock while holding it; DebugGet and each Scrub segment
+  // take it shared) ---
   std::unique_ptr<ValueLog> log_;
-  std::vector<SegmentId> primary_flush_order_;  // primary segs in flush order
-  SegmentMap log_map_;
   std::vector<BuiltTree> levels_;  // [0] unused
   // Parallel to levels_: read-path verifier per checksummed level
   // (shared_ptr so a scrub keeps it alive between its per-segment locks),
@@ -368,15 +293,7 @@ class SendIndexBackupRegion final : public BackupRegion {
   // First flushed-segment index that is NOT yet reflected in the levels; L0
   // replay starts here on promotion.
   size_t replay_from_ = 0;
-  // Epoch whose primary keying the log map reflects (guards double re-keying).
-  uint64_t log_map_epoch_ = 0;
 
-  // Configuration generation this replica believes it is in. Atomic: every
-  // concurrent stream checks it on every message.
-  std::atomic<uint64_t> region_epoch_{0};
-
-  std::unique_ptr<Telemetry> owned_telemetry_;
-  Telemetry* telemetry_ = nullptr;
   std::string node_name_;
   Instruments counters_;
 };

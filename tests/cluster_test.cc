@@ -505,5 +505,77 @@ TEST(FailoverTest, BuildIndexPrimaryFailover) {
   }
 }
 
+// Two changes of primary in a row (§3.5). The first is a crash or a graceful
+// MovePrimary; either way the remaining backups re-key their log maps to the
+// promoted node's segments, whose ids repeat the deposed primary's. The
+// second primary then overwrites every key once, and every node but the one
+// that never served as primary is crashed, so that backup is promoted last
+// and must serve every acknowledged write: a flush of the second primary it
+// had dropped as a duplicate of a first-primary segment reads back as an
+// older value.
+struct TwoFailoverCase {
+  ReplicationMode mode;
+  bool move_first;  // MovePrimary instead of a crash for the first change
+};
+
+std::string CaseName(const TwoFailoverCase& c) {
+  return std::string(c.mode == ReplicationMode::kSendIndex ? "SendIndex" : "BuildIndex") +
+         (c.move_first ? "Move" : "Crash");
+}
+
+void PrintTo(const TwoFailoverCase& c, std::ostream* os) { *os << CaseName(c); }
+
+class TwoFailoverTest : public testing::TestWithParam<TwoFailoverCase> {};
+
+TEST_P(TwoFailoverTest, SurvivingBackupKeepsAckedWritesAcrossTwoFailovers) {
+  ClusterFixture cluster(GetParam().mode, 3, 1, /*replication_factor=*/3);
+  auto client = cluster.MakeClient("client0");
+  std::map<std::string, std::string> model;
+  auto write = [&](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      std::string key = ClusterFixture::Key(i % 600);
+      std::string value = "v" + std::to_string(i) + std::string(100, 'x');
+      ASSERT_TRUE(client->Put(key, value).ok()) << i;
+      model[key] = value;
+    }
+  };
+  const RegionInfo initial = *cluster.master->current_map()->FindById(0);
+  ASSERT_EQ(initial.backups.size(), 2u);
+  const std::string survivor = initial.backups[1];
+
+  ASSERT_NO_FATAL_FAILURE(write(0, 1500));
+  if (GetParam().move_first) {
+    ASSERT_TRUE(cluster.master->MovePrimary(0, initial.backups[0]).ok());
+  } else {
+    cluster.directory.at(initial.primary)->Crash();
+  }
+  ASSERT_NE(cluster.master->current_map()->FindById(0)->primary, survivor);
+  ASSERT_NO_FATAL_FAILURE(write(1500, 2100));
+  // Crash the current primary, then whichever node is left besides the
+  // survivor.
+  cluster.directory.at(cluster.master->current_map()->FindById(0)->primary)->Crash();
+  for (const auto& [name, server] : cluster.directory) {
+    if (name != survivor && !server->crashed()) {
+      server->Crash();
+    }
+  }
+  ASSERT_EQ(cluster.master->current_map()->FindById(0)->primary, survivor);
+
+  size_t stale = 0;
+  for (const auto& [key, value] : model) {
+    auto v = client->Get(key);
+    stale += !v.ok() || *v != value ? 1 : 0;
+  }
+  EXPECT_EQ(stale, 0u) << "of " << model.size() << " keys";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, TwoFailoverTest,
+    testing::Values(TwoFailoverCase{ReplicationMode::kSendIndex, false},
+                    TwoFailoverCase{ReplicationMode::kBuildIndex, false},
+                    TwoFailoverCase{ReplicationMode::kSendIndex, true},
+                    TwoFailoverCase{ReplicationMode::kBuildIndex, true}),
+    [](const testing::TestParamInfo<TwoFailoverCase>& info) { return CaseName(info.param); });
+
 }  // namespace
 }  // namespace tebis

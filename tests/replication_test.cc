@@ -612,20 +612,23 @@ TEST(PromotionTest, HalfShippedCompactionIsAborted) {
   }
 }
 
-TEST(PromotionTest, RemainingBackupRekeysLogMap) {
-  auto cluster = MakeSendIndexCluster(2, SmallOptions());
+// Backup 0 is promoted; backup 1 re-keys its log map with backup 0's map at
+// the promotion's epoch. Every new-primary segment then maps to a segment of
+// backup 1 holding byte-identical log content, and a retried adoption at the
+// same epoch changes nothing.
+template <typename Cluster>
+void ExpectRemainingBackupRekeys(Cluster& cluster) {
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(cluster.primary->Put(Key(i), std::string(80, 'r')).ok());
   }
-  // Promote backup 0; backup 1 re-keys its log map using backup 0's map.
   SegmentMap new_primary_map = cluster.backups[0]->log_map();
   ASSERT_GT(new_primary_map.size(), 0u);
-  ASSERT_TRUE(cluster.backups[1]->AdoptNewPrimaryLogMap(new_primary_map).ok());
-  // Verify: for every new-primary segment, the mapped local segment on
-  // backup 1 holds byte-identical log content.
+  ASSERT_TRUE(cluster.backups[1]->AdoptNewPrimaryLogMap(new_primary_map, /*epoch=*/2).ok());
+  const SegmentMap rekeyed = cluster.backups[1]->log_map();
+  EXPECT_EQ(rekeyed.size(), new_primary_map.size());
   const uint64_t seg_size = kSegmentSize;
   std::string a(seg_size, 0), b(seg_size, 0);
-  for (const auto& [new_primary_seg, backup1_seg] : cluster.backups[1]->log_map().entries()) {
+  for (const auto& [new_primary_seg, backup1_seg] : rekeyed.entries()) {
     ASSERT_TRUE(cluster.backup_devices[0]
                     ->Read(cluster.backup_devices[0]->geometry().BaseOffset(new_primary_seg),
                            seg_size, a.data(), IoClass::kOther)
@@ -635,6 +638,21 @@ TEST(PromotionTest, RemainingBackupRekeysLogMap) {
                            seg_size, b.data(), IoClass::kOther)
                     .ok());
     EXPECT_EQ(a, b);
+  }
+  ASSERT_TRUE(cluster.backups[1]->AdoptNewPrimaryLogMap(new_primary_map, /*epoch=*/2).ok());
+  EXPECT_EQ(cluster.backups[1]->log_map().entries(), rekeyed.entries());
+}
+
+TEST(PromotionTest, RemainingBackupRekeysLogMap) {
+  {
+    SCOPED_TRACE("Send-Index");
+    auto cluster = MakeSendIndexCluster(2, SmallOptions());
+    ExpectRemainingBackupRekeys(cluster);
+  }
+  {
+    SCOPED_TRACE("Build-Index");
+    auto cluster = MakeBuildIndexCluster(2, SmallOptions());
+    ExpectRemainingBackupRekeys(cluster);
   }
 }
 

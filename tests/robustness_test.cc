@@ -22,6 +22,7 @@
 #include "src/cluster/coordinator.h"
 #include "src/cluster/master.h"
 #include "src/cluster/region_server.h"
+#include "src/replication/build_index_backup.h"
 #include "src/replication/local_backup_channel.h"
 #include "src/replication/primary_region.h"
 #include "src/replication/send_index_backup.h"
@@ -57,29 +58,34 @@ struct LocalPair {
   std::unique_ptr<BlockDevice> primary_device;
   std::unique_ptr<BlockDevice> backup_device;
   std::unique_ptr<PrimaryRegion> primary;
-  std::unique_ptr<SendIndexBackupRegion> backup;
+  std::unique_ptr<BackupRegion> backup;
   std::shared_ptr<RegisteredBuffer> buffer;
 };
 
-LocalPair MakeLocalPair() {
+LocalPair MakeLocalPair(ReplicationMode mode) {
   LocalPair c;
   c.primary_device = MakeDevice();
-  auto primary =
-      PrimaryRegion::Create(c.primary_device.get(), SmallOptions(), ReplicationMode::kSendIndex);
+  auto primary = PrimaryRegion::Create(c.primary_device.get(), SmallOptions(), mode);
   EXPECT_TRUE(primary.ok());
   c.primary = std::move(*primary);
   c.backup_device = MakeDevice();
   c.buffer = c.fabric->RegisterBuffer("backup0", "primary0", kSegmentSize);
-  auto backup = SendIndexBackupRegion::Create(c.backup_device.get(), SmallOptions(), c.buffer);
-  EXPECT_TRUE(backup.ok());
-  c.backup = std::move(*backup);
+  if (mode == ReplicationMode::kSendIndex) {
+    auto backup = SendIndexBackupRegion::Create(c.backup_device.get(), SmallOptions(), c.buffer);
+    EXPECT_TRUE(backup.ok());
+    c.backup = std::move(*backup);
+  } else {
+    auto backup = BuildIndexBackupRegion::Create(c.backup_device.get(), SmallOptions(), c.buffer);
+    EXPECT_TRUE(backup.ok());
+    c.backup = std::move(*backup);
+  }
   c.primary->AddBackup(std::make_unique<LocalBackupChannel>(c.fabric.get(), "primary0", c.buffer,
                                                             c.backup.get()));
   return c;
 }
 
-TEST(EpochFencingTest, DeposedPrimaryRejectedOnDataAndControlPlane) {
-  LocalPair c = MakeLocalPair();
+void ExpectDeposedPrimaryFenced(ReplicationMode mode) {
+  LocalPair c = MakeLocalPair(mode);
   c.primary->set_epoch(1);
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(c.primary->Put("key-" + std::to_string(i), "v" + std::to_string(i)).ok());
@@ -101,10 +107,10 @@ TEST(EpochFencingTest, DeposedPrimaryRejectedOnDataAndControlPlane) {
   // rejected by the backup's epoch check before its handler runs.
   LocalBackupChannel stale_channel(c.fabric.get(), "primary0", c.buffer, c.backup.get());
   stale_channel.set_epoch(1);
-  const uint64_t rejected_before = c.backup->stats().epoch_rejected;
+  const uint64_t rejected_before = c.backup->epoch_rejected();
   Status ctrl = stale_channel.Send(FlushLogMsg{});
   EXPECT_TRUE(ctrl.IsFailedPrecondition()) << ctrl.ToString();
-  EXPECT_GT(c.backup->stats().epoch_rejected, rejected_before);
+  EXPECT_GT(c.backup->epoch_rejected(), rejected_before);
 
   // Zero stale bytes: the fenced record never reached the backup.
   EXPECT_TRUE(c.backup->DebugGet("stale-key").status().IsNotFound());
@@ -118,6 +124,14 @@ TEST(EpochFencingTest, DeposedPrimaryRejectedOnDataAndControlPlane) {
   EXPECT_TRUE(stale_channel.Send(FlushLogMsg{.tail_bytes = kSegmentSize}).ok());
   EXPECT_EQ(c.backup->region_epoch(), 3u);
   EXPECT_TRUE(c.backup->DebugGet("stale-key").status().IsNotFound());
+}
+
+// The fence lives in the log-replication frame both engines share.
+TEST(EpochFencingTest, DeposedPrimaryRejectedOnDataAndControlPlane) {
+  for (ReplicationMode mode : {ReplicationMode::kSendIndex, ReplicationMode::kBuildIndex}) {
+    SCOPED_TRACE(mode == ReplicationMode::kSendIndex ? "Send-Index" : "Build-Index");
+    ExpectDeposedPrimaryFenced(mode);
+  }
 }
 
 // --- cluster fixtures -------------------------------------------------------

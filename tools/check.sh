@@ -124,6 +124,13 @@ if [[ $run_chaos -eq 1 ]]; then
   echo "== tier-1 pass 3/3: AddressSanitizer build, device read/free race rerun =="
   ctest --test-dir build-asan -R DeviceReadsRacingFreeAndRewriteSeeWholeImages --no-tests=error \
     --output-on-failure --repeat until-fail:20
+  # A Build-Index backup once skipped re-keying its log map on a failover and
+  # dropped the next primary's flushes as duplicates; failover teardown and
+  # re-attach are also where use-after-free bugs have hidden, so rerun the
+  # two-failover test (both modes, crash and handover) under ASan.
+  echo "== tier-1 pass 3/3: AddressSanitizer build, two-failover rerun =="
+  ctest --test-dir build-asan -R SurvivingBackupKeepsAckedWritesAcrossTwoFailovers \
+    --no-tests=error --output-on-failure --repeat until-fail:10
   # The replication decoder runs under every in-process control message too,
   # so its fuzzers (slow label, ~0.1 s) ride along in this pass.
   echo "== tier-1 pass 3/3: AddressSanitizer build, replication wire fuzzers =="
