@@ -24,6 +24,17 @@ Status BTreeReader::ReadNode(uint64_t offset, std::string* buf) const {
   return device_->Read(offset, node_size_, buf->data(), io_class_);
 }
 
+Status BTreeReader::ReadSegment(SegmentId segment, std::string* out) const {
+  if (verifier_ != nullptr) {
+    if (std::optional<size_t> idx = verifier_->IndexOf(segment)) {
+      return verifier_->ReadSegment(*idx, io_class_, out);
+    }
+  }
+  out->resize(device_->segment_size());
+  return device_->Read(device_->geometry().BaseOffset(segment), out->size(), out->data(),
+                       io_class_);
+}
+
 StatusOr<LeafEntry> BTreeReader::Find(Slice key, uint64_t key_hash,
                                        const FullKeyLoader& full_key) const {
   if (tree_.empty()) {
@@ -50,23 +61,45 @@ StatusOr<LeafEntry> BTreeReader::Find(Slice key, uint64_t key_hash,
 
 // --- BTreeIterator ----------------------------------------------------------
 
-BTreeIterator::BTreeIterator(const BTreeReader* reader) : reader_(reader) {}
+BTreeIterator::BTreeIterator(const BTreeReader* reader)
+    : reader_(reader), buffers_(reader->tree_.height + 1u) {}
+
+StatusOr<const char*> BTreeIterator::LoadNode(uint16_t height, uint64_t offset) {
+  HeightBuffer& buf = buffers_[height];
+  if (reader_->cache_ != nullptr) {
+    TEBIS_RETURN_IF_ERROR(reader_->ReadNode(offset, &buf.bytes));
+    return buf.bytes.data();
+  }
+  const SegmentGeometry& geometry = reader_->device_->geometry();
+  const SegmentId segment = geometry.SegmentOf(offset);
+  if (segment != buf.segment) {
+    buf.segment = kInvalidSegment;  // until the read below succeeds
+    TEBIS_RETURN_IF_ERROR(reader_->ReadSegment(segment, &buf.bytes));
+    buf.segment = segment;
+  }
+  const uint64_t in_segment = geometry.OffsetInSegment(offset);
+  if (in_segment + reader_->node_size_ > buf.bytes.size()) {
+    return Status::Corruption("node @" + std::to_string(offset) +
+                              " lies past its segment's checksummed prefix");
+  }
+  return buf.bytes.data() + in_segment;
+}
 
 Status BTreeIterator::DescendToLeaf(uint64_t offset, bool leftmost, Slice seek_key,
                                     const FullKeyLoader* full_key) {
   for (uint16_t h = reader_->tree_.height; h > 0; --h) {
     Frame frame;
-    TEBIS_RETURN_IF_ERROR(reader_->ReadNode(offset, &frame.node));
-    IndexNodeView view(frame.node.data(), reader_->node_size_);
+    TEBIS_ASSIGN_OR_RETURN(frame.node, LoadNode(h, offset));
+    IndexNodeView view(frame.node, reader_->node_size_);
     if (!view.IsValid()) {
       return Status::Corruption("expected index node");
     }
     frame.index = leftmost ? 0 : view.FindChild(seek_key);
     offset = view.child(frame.index);
-    stack_.push_back(std::move(frame));
+    stack_.push_back(frame);
   }
-  TEBIS_RETURN_IF_ERROR(reader_->ReadNode(offset, &leaf_.node));
-  LeafNodeView view(leaf_.node.data(), reader_->node_size_);
+  TEBIS_ASSIGN_OR_RETURN(leaf_.node, LoadNode(0, offset));
+  LeafNodeView view(leaf_.node, reader_->node_size_);
   if (!view.IsValid()) {
     return Status::Corruption("expected leaf node");
   }
@@ -79,7 +112,7 @@ Status BTreeIterator::DescendToLeaf(uint64_t offset, bool leftmost, Slice seek_k
 }
 
 Status BTreeIterator::LoadEntry() {
-  LeafNodeView view(leaf_.node.data(), reader_->node_size_);
+  LeafNodeView view(leaf_.node, reader_->node_size_);
   if (leaf_.index < view.num_entries()) {
     current_entry_ = view.entry(leaf_.index);
     valid_ = true;
@@ -115,25 +148,24 @@ Status BTreeIterator::Advance() {
   valid_ = false;
   while (!stack_.empty()) {
     Frame& top = stack_.back();
-    IndexNodeView view(top.node.data(), reader_->node_size_);
+    IndexNodeView view(top.node, reader_->node_size_);
     if (top.index + 1 < view.num_entries()) {
       top.index++;
       uint64_t offset = view.child(top.index);
       // Descend leftmost through the remaining height.
-      const size_t depth_below = reader_->tree_.height - stack_.size();
-      for (size_t d = 0; d < depth_below; ++d) {
+      for (size_t h = reader_->tree_.height - stack_.size(); h > 0; --h) {
         Frame frame;
-        TEBIS_RETURN_IF_ERROR(reader_->ReadNode(offset, &frame.node));
-        IndexNodeView inner(frame.node.data(), reader_->node_size_);
+        TEBIS_ASSIGN_OR_RETURN(frame.node, LoadNode(static_cast<uint16_t>(h), offset));
+        IndexNodeView inner(frame.node, reader_->node_size_);
         if (!inner.IsValid()) {
           return Status::Corruption("expected index node");
         }
         frame.index = 0;
         offset = inner.child(0);
-        stack_.push_back(std::move(frame));
+        stack_.push_back(frame);
       }
-      TEBIS_RETURN_IF_ERROR(reader_->ReadNode(offset, &leaf_.node));
-      LeafNodeView leaf_view(leaf_.node.data(), reader_->node_size_);
+      TEBIS_ASSIGN_OR_RETURN(leaf_.node, LoadNode(0, offset));
+      LeafNodeView leaf_view(leaf_.node, reader_->node_size_);
       if (!leaf_view.IsValid()) {
         return Status::Corruption("expected leaf node");
       }
@@ -155,7 +187,7 @@ Status BTreeIterator::Next() {
     return Status::FailedPrecondition("Next on invalid iterator");
   }
   leaf_.index++;
-  LeafNodeView view(leaf_.node.data(), reader_->node_size_);
+  LeafNodeView view(leaf_.node, reader_->node_size_);
   if (leaf_.index < view.num_entries()) {
     current_entry_ = view.entry(leaf_.index);
     return Status::Ok();

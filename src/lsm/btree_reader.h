@@ -1,7 +1,16 @@
 // Read paths over an on-device level index: point lookup and ordered
-// iteration. Lookups go through the page cache (Kreon's I/O cache); compaction
-// readers pass a null cache and account traffic as kCompactionRead (direct
-// I/O, paper §2).
+// iteration. Lookups read one 4 KiB node at a time through the page cache
+// (Kreon's I/O cache), and so does an iterator over a cache. An iterator
+// with a null cache streams instead: it reads each segment it touches once,
+// whole — through the level's verifier, its checksummed prefix, checked
+// against the segment's CRC (ReadAndMatch, segment_verifier.h) — and serves
+// that segment's nodes as views into the buffer. The builder lays each tree height out in
+// its own run of segments, left to right, so a forward walk touches every
+// segment of a height once and keeps one buffer per height: at most
+// (height + 1) segments in memory. Compaction streams its inputs this way
+// as IoClass::kCompactionRead (direct I/O in large units, paper §2): each
+// input segment costs one device read, and the bytes the merge uses are the
+// bytes whose CRC was checked.
 #ifndef TEBIS_LSM_BTREE_READER_H_
 #define TEBIS_LSM_BTREE_READER_H_
 
@@ -25,7 +34,8 @@ class BTreeReader {
   // tree); when set, every node read first checks its segment's CRC verdict —
   // a quarantined segment fails the read with kCorruption rather than serving
   // possibly-rotten bytes (even ones already sitting clean in the page
-  // cache, so readers and the scrubber agree). The reader owns nothing: it
+  // cache, so readers and the scrubber agree) — and a streamed segment
+  // records the verdict of its own check there. The reader owns nothing: it
   // holds `tree` by reference, so the caller keeps the tree (a level handle,
   // a read snapshot, a backup's level under its state lock) alive for the
   // reader's lifetime and that of its iterators.
@@ -37,9 +47,15 @@ class BTreeReader {
   // once per lookup and also probes each level's filter with it.
   StatusOr<LeafEntry> Find(Slice key, uint64_t key_hash, const FullKeyLoader& full_key) const;
 
+ private:
+  // One node at `offset`, through the cache when there is one.
   Status ReadNode(uint64_t offset, std::string* buf) const;
 
- private:
+  // The bytes a stream reads of `segment` in one device read: through the
+  // verifier, its checksummed prefix with the verdict recorded; without one
+  // (an unverified reader), the whole segment.
+  Status ReadSegment(SegmentId segment, std::string* out) const;
+
   BlockDevice* const device_;
   PageCache* const cache_;
   const size_t node_size_;
@@ -56,6 +72,9 @@ class BTreeReader {
 class BTreeIterator {
  public:
   BTreeIterator(const BTreeReader* reader);
+  // Frames view the iterator's own buffers, so a copy would alias them.
+  BTreeIterator(const BTreeIterator&) = delete;
+  BTreeIterator& operator=(const BTreeIterator&) = delete;
 
   Status SeekToFirst();
   // Positions at the first entry >= key.
@@ -67,18 +86,29 @@ class BTreeIterator {
 
  private:
   struct Frame {
-    std::string node;  // raw node bytes
+    const char* node;  // view into the buffer of the node's height
     uint32_t index;    // position within the node
   };
+  // The bytes the current node of one tree height lives in: that node
+  // alone when reading through the cache, or the checksummed prefix of its
+  // segment when streaming.
+  struct HeightBuffer {
+    std::string bytes;
+    SegmentId segment = kInvalidSegment;  // streamed segment held in `bytes`
+  };
 
+  // The node at `offset` on tree height `height` (0 = leaves), valid until
+  // the next node of that height is loaded.
+  StatusOr<const char*> LoadNode(uint16_t height, uint64_t offset);
   Status DescendToLeaf(uint64_t offset, bool leftmost, Slice seek_key,
                        const FullKeyLoader* full_key);
   Status LoadEntry();
   Status Advance();
 
   const BTreeReader* reader_;
-  std::vector<Frame> stack_;  // index frames, root first
-  Frame leaf_;
+  std::vector<HeightBuffer> buffers_;  // indexed by tree height
+  std::vector<Frame> stack_;           // index frames, root first
+  Frame leaf_{};
   bool valid_ = false;
   LeafEntry current_entry_{};
 };

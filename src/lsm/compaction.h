@@ -57,14 +57,19 @@ class MemtableMergeSource : public MergeSource {
 // leaf; a longer key is fetched from the value log in one read of the
 // record's header + key, sized by the key length the leaf entry records.
 // Compaction reads with a null cache as IoClass::kCompactionRead (direct
-// I/O) — precisely the read traffic Send-Index removes from backups; scans
-// read through the page cache (when the store has one) as IoClass::kLookup.
+// I/O) — precisely the read traffic Send-Index removes from backups: each
+// input segment is read once, whole, and CRC-checked on the very bytes the
+// merge then consumes (BTreeIterator, btree_reader.h), so a flipped input
+// byte fails the merge with kCorruption instead of entering the new level.
+// Scans read through the page cache (when the store has one) as
+// IoClass::kLookup, one node at a time.
 class LevelMergeSource : public MergeSource {
  public:
-  // `verifier`, when set, checks every node's segment CRC before the node is
-  // trusted, so scans and compaction reads refuse quarantined segments.
-  // `cache` may be null (direct reads); every node and key read is accounted
-  // as `io_class`.
+  // `verifier`, when set, holds the level's shared segment verdicts: a
+  // quarantined segment is refused, and a streamed segment's check records
+  // its verdict there, quarantining the level on a mismatch. `cache` may be
+  // null (a stream: up to (tree height + 1) segments buffered); every node
+  // and key read is accounted as `io_class`.
   LevelMergeSource(BlockDevice* device, size_t node_size, const BuiltTree& tree,
                    const ValueLog* log, SegmentVerifier* verifier, PageCache* cache,
                    IoClass io_class);

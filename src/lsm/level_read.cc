@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "src/common/clock.h"
-#include "src/common/crc32.h"
 #include "src/lsm/bloom_filter.h"
 #include "src/lsm/btree_reader.h"
 
@@ -126,12 +125,10 @@ StatusOr<ScrubReport> PacedScrub(BlockDevice* device, const std::vector<SegmentV
   // liveness already moved to the tail.
   if (options.include_value_log) {
     for (SegmentId seg : log.FlushedSegmentsSnapshot()) {
-      Status parsed =
-          log.ForEachRecordIn(seg, IoClass::kScrub, [](const LogRecord&) { return Status::Ok(); });
-      if (!parsed.ok() && !parsed.IsCorruption()) {
-        continue;
-      }
-      read_and_pace(device->segment_size());
+      uint64_t read = 0;
+      Status parsed = log.ForEachRecordIn(
+          seg, IoClass::kScrub, [](const LogRecord&) { return Status::Ok(); }, &read);
+      read_and_pace(read);  // the sealed prefix the walk read, not the whole segment
       if (parsed.IsCorruption()) {
         report.corruptions_found++;
       }
@@ -144,10 +141,6 @@ StatusOr<ScrubReport> PacedScrub(BlockDevice* device, const std::vector<SegmentV
   return report;
 }
 
-bool MatchesChecksum(Slice bytes, const SegmentChecksum& expected) {
-  return bytes.size() == expected.length && Crc32c(bytes.data(), bytes.size()) == expected.crc;
-}
-
 StatusOr<std::string> ReadSegmentVerified(BlockDevice* device, const BuiltTree& tree, int level,
                                           size_t seg_index) {
   const std::string name = "L" + std::to_string(level);
@@ -158,13 +151,11 @@ StatusOr<std::string> ReadSegmentVerified(BlockDevice* device, const BuiltTree& 
   if (seg_index >= tree.segments.size()) {
     return Status::InvalidArgument("segment index out of range for " + name);
   }
-  const SegmentChecksum& expected = tree.seg_checksums[seg_index];
-  std::string bytes(expected.length, '\0');
-  if (expected.length > 0) {
-    TEBIS_RETURN_IF_ERROR(device->Read(device->geometry().BaseOffset(tree.segments[seg_index]),
-                                       expected.length, bytes.data(), IoClass::kScrub));
-  }
-  if (!MatchesChecksum(Slice(bytes), expected)) {
+  std::string bytes;
+  TEBIS_ASSIGN_OR_RETURN(bool matched, ReadAndMatch(device, tree.segments[seg_index],
+                                                    tree.seg_checksums[seg_index],
+                                                    IoClass::kScrub, &bytes));
+  if (!matched) {
     return Status::Corruption("repair source segment " + std::to_string(seg_index) + " of " +
                               name + " on device " + device->name() +
                               " fails its own checksum");

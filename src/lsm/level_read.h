@@ -99,12 +99,10 @@ StatusOr<ScrubReport> PacedScrub(BlockDevice* device, const std::vector<SegmentV
                                  const IntegrityCounters& counters,
                                  const ScrubPin& pin = nullptr);
 
-// True when `bytes` are exactly the bytes `expected` fingerprints.
-bool MatchesChecksum(Slice bytes, const SegmentChecksum& expected);
-
 // Donor side of repair: the checksummed prefix of segment `seg_index` of
-// `tree` (level `level`, for messages), returned only when it matches its own
-// checksum — a corrupt donor must never propagate its rot.
+// `tree` (level `level`, for messages), read and matched by ReadAndMatch and
+// returned only when it matches its own checksum — a corrupt donor must
+// never propagate its rot.
 // FailedPrecondition for an unchecksummed tree, InvalidArgument for an index
 // out of range.
 StatusOr<std::string> ReadSegmentVerified(BlockDevice* device, const BuiltTree& tree, int level,

@@ -10,6 +10,21 @@ constexpr uint8_t kOk = 1;
 constexpr uint8_t kBad = 2;
 }  // namespace
 
+bool MatchesChecksum(Slice bytes, const SegmentChecksum& expected) {
+  return bytes.size() == expected.length && Crc32c(bytes.data(), bytes.size()) == expected.crc;
+}
+
+StatusOr<bool> ReadAndMatch(BlockDevice* device, SegmentId segment,
+                            const SegmentChecksum& expected, IoClass io_class, std::string* out) {
+  out->resize(expected.length);
+  if (expected.length == 0) {
+    return true;  // nothing written, nothing to rot
+  }
+  TEBIS_RETURN_IF_ERROR(device->Read(device->geometry().BaseOffset(segment), expected.length,
+                                     out->data(), io_class));
+  return MatchesChecksum(Slice(*out), expected);
+}
+
 SegmentVerifier::SegmentVerifier(BlockDevice* device, std::vector<SegmentId> segments,
                                  std::vector<SegmentChecksum> checksums, std::string label)
     : device_(device),
@@ -40,32 +55,39 @@ void SegmentVerifier::RecomputeQuarantine() {
   quarantined_.store(false, std::memory_order_release);
 }
 
-Status SegmentVerifier::VerifyForOffset(uint64_t node_offset, IoClass io_class) {
-  auto it = index_of_.find(device_->geometry().SegmentOf(node_offset));
+std::optional<size_t> SegmentVerifier::IndexOf(SegmentId segment) const {
+  auto it = index_of_.find(segment);
   if (it == index_of_.end()) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
+Status SegmentVerifier::VerifyForOffset(uint64_t node_offset, IoClass io_class) {
+  const std::optional<size_t> idx = IndexOf(device_->geometry().SegmentOf(node_offset));
+  if (!idx.has_value()) {
     // Not one of this level's segments — nothing to check here.
     return Status::Ok();
   }
-  return VerifySegment(it->second, io_class, /*force=*/false);
+  return VerifySegment(*idx, io_class, /*force=*/false);
 }
 
 Status SegmentVerifier::VerifySegment(size_t idx, IoClass io_class, bool force) {
   const uint8_t verdict = verdicts_[idx].load(std::memory_order_acquire);
-  if (verdict == kBad) {
-    return BadStatus(idx);
-  }
   if (verdict == kOk && !force) {
     return Status::Ok();
   }
-  const SegmentChecksum& expected = checksums_[idx];
-  if (expected.length == 0) {
-    verdicts_[idx].store(kOk, std::memory_order_release);
-    return Status::Ok();
+  std::string bytes;
+  return ReadSegment(idx, io_class, &bytes);
+}
+
+Status SegmentVerifier::ReadSegment(size_t idx, IoClass io_class, std::string* out) {
+  if (verdicts_[idx].load(std::memory_order_acquire) == kBad) {
+    return BadStatus(idx);
   }
-  const uint64_t base = device_->geometry().BaseOffset(segments_[idx]);
-  std::string buf(expected.length, '\0');
-  TEBIS_RETURN_IF_ERROR(device_->Read(base, expected.length, buf.data(), io_class));
-  if (Crc32c(buf.data(), buf.size()) != expected.crc) {
+  TEBIS_ASSIGN_OR_RETURN(bool matched,
+                         ReadAndMatch(device_, segments_[idx], checksums_[idx], io_class, out));
+  if (!matched) {
     verdicts_[idx].store(kBad, std::memory_order_release);
     quarantined_.store(true, std::memory_order_release);
     return BadStatus(idx);

@@ -1,21 +1,29 @@
 // Read-path integrity verification for one published level.
 //
-// A verifier wraps the per-segment CRC32C fingerprints a BTreeBuilder
-// recorded when it wrote the level and checks the on-device bytes against
-// them. Verification is segment-granular and lazily cached: the first node
-// read that touches a segment re-reads its used prefix once and caches the
+// A level's segments each carry the CRC32C fingerprint a BTreeBuilder
+// recorded when it wrote them (SegmentChecksum). ReadAndMatch is the one
+// check: read a segment's checksummed prefix in one device read and match
+// it. Every reader of level bytes goes through it — the first-touch check of
+// a lookup, the scrub's forced re-check, the repair donor, and a cache-less
+// level stream (BTreeIterator), which serves its nodes from the very buffer
+// it checked, so a compaction reads each input segment once.
+//
+// A SegmentVerifier keeps the per-segment verdicts of one level, shared by
+// every reader of it: the first read that checks a segment caches its
 // verdict, so steady-state lookups pay one atomic load. A mismatch marks the
 // segment bad and quarantines the level — every subsequent read through the
 // verifier fails with kCorruption until repair re-installs good bytes and
-// resets the verdict. The scrubber (PacedScrub, level_read.h) re-verifies
-// every segment through the same object with force=true, so bit-rot that
-// lands *after* the first verification is still caught.
+// resets the verdict. The scrubber (PacedScrub, level_read.h) re-checks
+// every segment through the same object with force=true, and a stream
+// re-checks each segment it reads, so bit-rot that lands *after* the first
+// verification is still caught.
 #ifndef TEBIS_LSM_SEGMENT_VERIFIER_H_
 #define TEBIS_LSM_SEGMENT_VERIFIER_H_
 
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,6 +32,16 @@
 #include "src/storage/block_device.h"
 
 namespace tebis {
+
+// True when `bytes` are exactly the bytes `expected` fingerprints.
+bool MatchesChecksum(Slice bytes, const SegmentChecksum& expected);
+
+// Reads the checksummed prefix of `segment` (expected.length bytes, one
+// device read as `io_class`; none when the prefix is empty) into `out` and
+// returns whether those bytes match `expected`. Only an I/O failure is an
+// error; a mismatch is the caller's verdict to record.
+StatusOr<bool> ReadAndMatch(BlockDevice* device, SegmentId segment,
+                            const SegmentChecksum& expected, IoClass io_class, std::string* out);
 
 class SegmentVerifier {
  public:
@@ -35,6 +53,10 @@ class SegmentVerifier {
   SegmentVerifier(const SegmentVerifier&) = delete;
   SegmentVerifier& operator=(const SegmentVerifier&) = delete;
 
+  // Index of `segment` in segments(), or nullopt when it is not one of this
+  // level's segments.
+  std::optional<size_t> IndexOf(SegmentId segment) const;
+
   // Verifies the segment containing `node_offset` (cached verdict fast path).
   // kCorruption if that segment — or a previous check of it — mismatched.
   Status VerifyForOffset(uint64_t node_offset, IoClass io_class);
@@ -42,6 +64,12 @@ class SegmentVerifier {
   // Verifies one segment by index. force=true recomputes even when a cached
   // ok verdict exists (scrub: catch damage that landed after the last check).
   Status VerifySegment(size_t idx, IoClass io_class, bool force);
+
+  // Reads segment `idx`'s checksummed prefix into `out` through ReadAndMatch
+  // and records the verdict, whatever the cached one was: kCorruption (and
+  // the level quarantined) when the bytes mismatch. A segment already marked
+  // bad fails without a read.
+  Status ReadSegment(size_t idx, IoClass io_class, std::string* out);
 
   // True once any segment failed verification and has not been repaired.
   bool quarantined() const { return quarantined_.load(std::memory_order_acquire); }

@@ -262,7 +262,8 @@ Status ValueLog::FlushTail() {
   return Status::Ok();
 }
 
-StatusOr<LogRecord> ValueLog::Decode(const char* buf, size_t available, uint64_t offset) {
+StatusOr<LogRecordView> ValueLog::DecodeView(const char* buf, size_t available,
+                                             uint64_t offset) {
   if (available < kLogRecordHeaderSize) {
     return Status::Corruption("record header truncated");
   }
@@ -283,13 +284,28 @@ StatusOr<LogRecord> ValueLog::Decode(const char* buf, size_t available, uint64_t
   if (stored_crc != crc) {
     return Status::Corruption("record crc mismatch at offset " + std::to_string(offset));
   }
-  LogRecord rec;
-  rec.key.assign(buf + kLogRecordHeaderSize, key_size);
-  rec.value.assign(buf + kLogRecordHeaderSize + key_size, value_size);
+  LogRecordView rec;
+  rec.key = Slice(buf + kLogRecordHeaderSize, key_size);
+  rec.value = Slice(buf + kLogRecordHeaderSize + key_size, value_size);
   rec.tombstone = (buf[8] & kRecordFlagTombstone) != 0;
   rec.offset = offset;
   rec.encoded_size = need;
   return rec;
+}
+
+LogRecord LogRecordView::ToRecord() const {
+  LogRecord rec;
+  rec.key = key.ToString();
+  rec.value = value.ToString();
+  rec.tombstone = tombstone;
+  rec.offset = offset;
+  rec.encoded_size = encoded_size;
+  return rec;
+}
+
+StatusOr<LogRecord> ValueLog::Decode(const char* buf, size_t available, uint64_t offset) {
+  TEBIS_ASSIGN_OR_RETURN(LogRecordView view, DecodeView(buf, available, offset));
+  return view.ToRecord();
 }
 
 Status ValueLog::ReadRecord(uint64_t offset, LogRecord* out, PageCache* cache,
@@ -447,8 +463,8 @@ StatusOr<SegmentId> ValueLog::AppendRawSegment(Slice sealed_bytes) {
   return seg;
 }
 
-Status ValueLog::ForEachRecord(Slice segment_bytes, uint64_t segment_base,
-                               const std::function<Status(const LogRecord&)>& fn) {
+Status ValueLog::WalkRecords(Slice segment_bytes, uint64_t segment_base,
+                             const std::function<Status(const LogRecordView&)>& fn) {
   size_t pos = 0;
   while (pos + kLogRecordHeaderSize <= segment_bytes.size()) {
     const char* p = segment_bytes.data() + pos;
@@ -456,7 +472,7 @@ Status ValueLog::ForEachRecord(Slice segment_bytes, uint64_t segment_base,
     if (key_size == kPadMarker || key_size == 0) {
       break;  // pad marker or zeroed remainder
     }
-    auto rec = Decode(p, segment_bytes.size() - pos, segment_base + pos);
+    auto rec = DecodeView(p, segment_bytes.size() - pos, segment_base + pos);
     if (!rec.ok()) {
       return rec.status();
     }
@@ -466,12 +482,19 @@ Status ValueLog::ForEachRecord(Slice segment_bytes, uint64_t segment_base,
   return Status::Ok();
 }
 
+Status ValueLog::ForEachRecord(Slice segment_bytes, uint64_t segment_base,
+                               const std::function<Status(const LogRecord&)>& fn) {
+  return WalkRecords(segment_bytes, segment_base,
+                     [&fn](const LogRecordView& rec) { return fn(rec.ToRecord()); });
+}
+
 size_t ValueLog::SealedPrefixLength(Slice segment_bytes) {
   return *SealedLength(segment_bytes.size(),
                        [&](size_t) -> StatusOr<const char*> { return segment_bytes.data(); });
 }
 
-StatusOr<std::string> ValueLog::ReadSealedPrefix(SegmentId segment, IoClass io_class) const {
+StatusOr<std::string> ValueLog::ReadSealedPrefix(SegmentId segment, IoClass io_class,
+                                                 uint64_t* bytes_read) const {
   // The first chunk covers a lightly used segment whole; each later one
   // quadruples what has been read, so a full segment costs a few reads.
   constexpr size_t kFirstChunk = 16 << 10;
@@ -484,6 +507,9 @@ StatusOr<std::string> ValueLog::ReadSealedPrefix(SegmentId segment, IoClass io_c
       buf.resize(std::min(size, std::max({n, kFirstChunk, 4 * have})));
       TEBIS_RETURN_IF_ERROR(
           device_->Read(base + have, buf.size() - have, buf.data() + have, io_class));
+      if (bytes_read != nullptr) {
+        *bytes_read += buf.size() - have;
+      }
     }
     return buf.data();
   };
@@ -494,26 +520,33 @@ StatusOr<std::string> ValueLog::ReadSealedPrefix(SegmentId segment, IoClass io_c
 }
 
 Status ValueLog::ForEachRecordIn(SegmentId segment, IoClass io_class,
-                                 const std::function<Status(const LogRecord&)>& fn) const {
-  TEBIS_ASSIGN_OR_RETURN(std::string sealed, ReadSealedPrefix(segment, io_class));
+                                 const std::function<Status(const LogRecord&)>& fn,
+                                 uint64_t* bytes_read) const {
+  TEBIS_ASSIGN_OR_RETURN(std::string sealed, ReadSealedPrefix(segment, io_class, bytes_read));
   return ForEachRecord(sealed, device_->geometry().BaseOffset(segment), fn);
 }
 
-std::vector<LogRecord> ValueLog::DecodeBufferImage(Slice image, uint64_t segment_size) {
-  std::vector<LogRecord> records;
-  const auto decode = [&records](Slice half) {
+void ValueLog::ForEachBufferRecord(Slice image, uint64_t segment_size,
+                                   const std::function<void(const LogRecordView&)>& fn) {
+  const auto walk = [&fn](Slice half) {
     // A corruption marks the end of valid data, so its status is dropped.
-    (void)ForEachRecord(half, /*segment_base=*/0, [&records](const LogRecord& rec) {
-      records.push_back(rec);
+    (void)WalkRecords(half, /*segment_base=*/0, [&fn](const LogRecordView& rec) {
+      fn(rec);
       return Status::Ok();
     });
   };
   if (image.size() < 2 * segment_size) {
-    decode(image);
+    walk(image);
   } else {
-    decode(Slice(image.data(), segment_size));
-    decode(Slice(image.data() + segment_size, image.size() - segment_size));
+    walk(Slice(image.data(), segment_size));
+    walk(Slice(image.data() + segment_size, image.size() - segment_size));
   }
+}
+
+std::vector<LogRecord> ValueLog::DecodeBufferImage(Slice image, uint64_t segment_size) {
+  std::vector<LogRecord> records;
+  ForEachBufferRecord(image, segment_size,
+                      [&records](const LogRecordView& rec) { records.push_back(rec.ToRecord()); });
   return records;
 }
 

@@ -39,6 +39,18 @@ struct LogRecord {
   size_t encoded_size = 0;
 };
 
+// A record decoded in place: `key` and `value` view the bytes it was
+// decoded from, so a walk that keeps few records copies none of the rest.
+struct LogRecordView {
+  Slice key;
+  Slice value;
+  bool tombstone = false;
+  uint64_t offset = kInvalidOffset;
+  size_t encoded_size = 0;
+
+  LogRecord ToRecord() const;  // copied out
+};
+
 // Log families: the main tail takes every record below the large-value
 // threshold; values at or above it go to dedicated large-value segments at
 // write time (WAL-time KV separation), so the hot tail — and everything
@@ -226,20 +238,28 @@ class ValueLog {
   // Reads the sealed prefix of flushed `segment` from the device as
   // `io_class`: the SealedPrefixLength bytes, fetched in growing chunks that
   // stop at the pad marker, so a segment sealed early costs its used bytes,
-  // not a whole segment. A damaged header reads the whole image.
-  StatusOr<std::string> ReadSealedPrefix(SegmentId segment, IoClass io_class) const;
+  // not a whole segment. A damaged header reads the whole image. When
+  // `bytes_read` is set, the bytes fetched from the device are added to it,
+  // whether or not the read then fails.
+  StatusOr<std::string> ReadSealedPrefix(SegmentId segment, IoClass io_class,
+                                         uint64_t* bytes_read = nullptr) const;
 
-  // Reads flushed `segment`'s sealed prefix (ReadSealedPrefix) and decodes
-  // its records through ForEachRecord: a read error, a corrupt record, or the
-  // first error `fn` returns ends the walk with that status.
+  // Reads flushed `segment`'s sealed prefix (ReadSealedPrefix, which adds to
+  // `bytes_read` when set) and decodes its records through ForEachRecord: a
+  // read error, a corrupt record, or the first error `fn` returns ends the
+  // walk with that status.
   Status ForEachRecordIn(SegmentId segment, IoClass io_class,
-                         const std::function<Status(const LogRecord&)>& fn) const;
+                         const std::function<Status(const LogRecord&)>& fn,
+                         uint64_t* bytes_read = nullptr) const;
 
-  // The records of a replication-buffer image in append order per family:
-  // the main-tail mirror in [0, segment_size), then, in an image of at least
-  // two segments, the large-value mirror in [segment_size, end). A record
-  // that does not decode — a torn trailing one-sided write — ends its half.
-  // Backups read and replay their RDMA buffer through this.
+  // Visits the records of a replication-buffer image in place, in append
+  // order per family: the main-tail mirror in [0, segment_size), then, in
+  // an image of at least two segments, the large-value mirror in
+  // [segment_size, end). A record that does not decode — a torn trailing
+  // one-sided write — ends its half. Offsets are relative to the half.
+  static void ForEachBufferRecord(Slice image, uint64_t segment_size,
+                                  const std::function<void(const LogRecordView&)>& fn);
+  // The same records, copied out: what promotion replays.
   static std::vector<LogRecord> DecodeBufferImage(Slice image, uint64_t segment_size);
 
  private:
@@ -266,8 +286,13 @@ class ValueLog {
   void ExtendRun(uint32_t family, SegmentId segment, uint64_t offset, size_t bytes);
   void EmitRun(uint32_t family);
 
-  // Decodes one record from `buf` (which has at least header bytes available).
+  // Decodes one record from `buf` (which has at least header bytes
+  // available), in place or copied out.
+  static StatusOr<LogRecordView> DecodeView(const char* buf, size_t available, uint64_t offset);
   static StatusOr<LogRecord> Decode(const char* buf, size_t available, uint64_t offset);
+  // ForEachRecord over records decoded in place.
+  static Status WalkRecords(Slice segment_bytes, uint64_t segment_base,
+                            const std::function<Status(const LogRecordView&)>& fn);
 
   BlockDevice* const device_;
   ValueLogObserver* observer_ = nullptr;

@@ -91,6 +91,11 @@ std::string RegisteredBuffer::SnapshotBytes(size_t len) {
   return std::string(data_.data(), len);
 }
 
+void RegisteredBuffer::ReadView(const std::function<void(Slice bytes)>& fn) {
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  fn(Slice(data_.data(), data_.size()));
+}
+
 void RegisteredBuffer::ZeroPrefix(size_t len) {
   std::lock_guard<std::mutex> lock(write_mutex_);
   if (len > data_.size()) {

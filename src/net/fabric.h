@@ -113,6 +113,12 @@ class RegisteredBuffer {
   // concurrent one-sided append is still landing.
   std::string SnapshotBytes(size_t len);
 
+  // Owner-side read of the whole buffer in place: runs `fn` on its bytes
+  // while tagged writes are held off, so `fn` never sees a record a
+  // concurrent one-sided append is still landing, and nothing is copied.
+  // `fn` must not call back into this buffer.
+  void ReadView(const std::function<void(Slice bytes)>& fn);
+
   // Owner-side scrub of the first `len` bytes (zeroes). After a log flush the
   // backup clears the absorbed tail image so buffer parsing restarts from an
   // empty prefix; a 4-byte zero key_size terminates record iteration.

@@ -171,16 +171,21 @@ void BackupRegion::AbsorbBufferHalf(uint32_t family, uint64_t commit_seq) {
   rdma_buffer_->ZeroRange(family == kLargeLogFamily ? segment_size_ : 0, sizeof(uint32_t));
 }
 
-uint64_t BackupRegion::ParseBufferLocked(std::vector<LogRecord>* records) const {
-  // SnapshotBytes serializes with the primary's tagged one-sided writes, so
-  // the image never contains a half-landed record.
-  *records = ValueLog::DecodeBufferImage(Slice(rdma_buffer_->SnapshotBytes(rdma_buffer_->size())),
-                                         segment_size_);
-  return flushed_commit_seq_ + records->size();
+uint64_t BackupRegion::ForEachBufferedLocked(const BufferVisitor& visit) const {
+  uint64_t records = 0;
+  rdma_buffer_->ReadView([&](Slice image) {
+    ValueLog::ForEachBufferRecord(image, segment_size_, [&](const LogRecordView& record) {
+      ++records;
+      if (visit) {
+        visit(record);
+      }
+    });
+  });
+  return flushed_commit_seq_ + records;
 }
 
 Status BackupRegion::CheckReadFenceLocked(uint64_t min_epoch, uint64_t min_seq,
-                                          std::vector<LogRecord>* records,
+                                          const BufferVisitor& visit,
                                           uint64_t* visible_seq) const {
   const uint64_t epoch = region_epoch();
   if (epoch < min_epoch) {
@@ -188,7 +193,7 @@ Status BackupRegion::CheckReadFenceLocked(uint64_t min_epoch, uint64_t min_seq,
     return Status::FailedPrecondition("replica epoch " + std::to_string(epoch) +
                                       " behind read fence " + std::to_string(min_epoch));
   }
-  const uint64_t visible = ParseBufferLocked(records);
+  const uint64_t visible = ForEachBufferedLocked(visit);
   if (visible < min_seq) {
     frame_.read_rejects_seq->Increment();
     return Status::FailedPrecondition("replica commit seq " + std::to_string(visible) +
@@ -209,16 +214,25 @@ StatusOr<std::string> BackupRegion::Get(Slice key, uint64_t min_epoch, uint64_t 
   // safe against live shipping traffic.
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
   frame_.replica_gets->Increment();
-  std::vector<LogRecord> buffered;
-  TEBIS_RETURN_IF_ERROR(CheckReadFenceLocked(min_epoch, min_seq, &buffered, visible_seq));
-  // Newest wins: the RDMA buffer (append order, so scan backwards)...
-  for (auto rit = buffered.rbegin(); rit != buffered.rend(); ++rit) {
-    if (Slice(rit->key) == key) {
-      if (rit->tombstone) {
-        return Status::NotFound();
-      }
-      return rit->value;
+  // Newest wins: the RDMA buffer (append order, so its last match)...
+  bool buffered = false;
+  bool tombstone = false;
+  std::string value;
+  TEBIS_RETURN_IF_ERROR(CheckReadFenceLocked(
+      min_epoch, min_seq,
+      [&](const LogRecordView& record) {
+        if (record.key == key) {
+          buffered = true;
+          tombstone = record.tombstone;
+          value.assign(record.value.data(), record.value.size());
+        }
+      },
+      visible_seq));
+  if (buffered) {
+    if (tombstone) {
+      return Status::NotFound();
     }
+    return value;
   }
   // ...then what the engine holds.
   return GetBelowBufferLocked(key);
@@ -228,19 +242,19 @@ StatusOr<std::vector<KvPair>> BackupRegion::Scan(Slice start, size_t limit, uint
                                                  uint64_t min_seq, uint64_t* visible_seq) {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
   frame_.replica_scans->Increment();
-  std::vector<LogRecord> buffered;
-  TEBIS_RETURN_IF_ERROR(CheckReadFenceLocked(min_epoch, min_seq, &buffered, visible_seq));
   std::map<std::string, LogRecord> overlay;
-  for (LogRecord& rec : buffered) {
-    overlay[rec.key] = std::move(rec);  // append order: later writes win
-  }
+  TEBIS_RETURN_IF_ERROR(CheckReadFenceLocked(
+      min_epoch, min_seq,
+      [&overlay](const LogRecordView& record) {
+        overlay[record.key.ToString()] = record.ToRecord();  // append order: later writes win
+      },
+      visible_seq));
   return ScanBelowBufferLocked(std::move(overlay), start, limit);
 }
 
 uint64_t BackupRegion::visible_seq() const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  std::vector<LogRecord> records;
-  return ParseBufferLocked(&records);
+  return ForEachBufferedLocked(nullptr);
 }
 
 namespace {

@@ -208,16 +208,20 @@ class BackupRegion : public ReplicationMessageHandler {
   // primary is blocked on the ack and is not appending the next tail yet.
   void AbsorbBufferHalf(uint32_t family, uint64_t commit_seq);
 
-  // A consistent snapshot of the RDMA buffer decoded into records (append
-  // order per family); returns the replica's visible commit sequence.
-  uint64_t ParseBufferLocked(std::vector<LogRecord>* records) const;
+  using BufferVisitor = std::function<void(const LogRecordView& record)>;
+  // Visits the records that have landed in the RDMA buffer, in place and in
+  // append order per family (ValueLog::ForEachBufferRecord), inside the
+  // buffer's read view, so a record a one-sided write is still landing is
+  // never parsed. `visit` may be null. Returns the replica's visible commit
+  // sequence: the flushed one plus the records visited.
+  uint64_t ForEachBufferedLocked(const BufferVisitor& visit) const;
   // The read fence (§3.5) of every replica read: rejects a read whose
   // `min_epoch` is above this replica's epoch, or whose `min_seq` is above
-  // its visible sequence, with FailedPrecondition. On success `*records`
-  // holds the decoded buffer and `*visible_seq` (when non-null) the visible
-  // sequence.
-  Status CheckReadFenceLocked(uint64_t min_epoch, uint64_t min_seq,
-                              std::vector<LogRecord>* records, uint64_t* visible_seq) const;
+  // its visible sequence, with FailedPrecondition. The visible sequence
+  // comes from one ForEachBufferedLocked pass with `visit`; on success
+  // `*visible_seq` (when non-null) holds it.
+  Status CheckReadFenceLocked(uint64_t min_epoch, uint64_t min_seq, const BufferVisitor& visit,
+                              uint64_t* visible_seq) const;
 
   // The log buffer the primary writes one-sided.
   std::shared_ptr<RegisteredBuffer> rdma_buffer_;

@@ -116,6 +116,94 @@ TEST(ConcurrencyTest, ReadersSeeEveryAckedKeyDuringBackgroundCompactions) {
   pool.Stop();
 }
 
+// A published level's SegmentVerifier is shared by every reader of it: Gets
+// settle verdicts on first touch, forced scrubs re-check every segment, and
+// background compactions re-check each input segment they stream. All three
+// run at once here; every acked key reads back and no clean segment is ever
+// judged bad.
+TEST(ConcurrencyTest, ScrubAndGetsShareVerifiersWithStreamingCompactions) {
+  auto dev = MakeDevice();
+  WorkerPool pool(2);
+  pool.Start();
+
+  KvStoreOptions opts;
+  opts.l0_max_entries = 512;
+  opts.cache_bytes = 1 << 18;
+  opts.compaction_pool = &pool;
+  auto store_or = KvStore::Create(dev.get(), opts);
+  ASSERT_TRUE(store_or.ok());
+  KvStore* store = store_or->get();
+
+  constexpr uint64_t kKeys = 8000;
+  std::atomic<uint64_t> watermark{0};
+  std::atomic<bool> failed{false};
+  std::atomic<uint64_t> scrubs{0};
+
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < kKeys; ++i) {
+      if (!store->Put(Key(i), Value(i)).ok()) {
+        failed.store(true);
+        return;
+      }
+      watermark.store(i + 1, std::memory_order_release);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      uint64_t x = 88172645463325252ull + r;
+      while (watermark.load(std::memory_order_acquire) < kKeys && !failed.load()) {
+        const uint64_t high = watermark.load(std::memory_order_acquire);
+        if (high == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const uint64_t i = x % high;
+        auto got = store->Get(Key(i));
+        if (!got.ok() || *got != Value(i)) {
+          failed.store(true);
+          return;
+        }
+      }
+    });
+  }
+  std::thread scrubber([&] {
+    do {
+      auto report = store->Scrub();
+      if (!report.ok() || report->corruptions_found != 0 || !report->quarantined_levels.empty()) {
+        failed.store(true);
+        return;
+      }
+      scrubs.fetch_add(1, std::memory_order_relaxed);
+    } while (watermark.load(std::memory_order_acquire) < kKeys && !failed.load());
+  });
+
+  writer.join();
+  for (auto& t : readers) {
+    t.join();
+  }
+  scrubber.join();
+  ASSERT_FALSE(failed.load());
+  ASSERT_TRUE(store->WaitForBackgroundWork().ok());
+  EXPECT_GT(scrubs.load(), 0u);
+  EXPECT_GT(store->stats().background_compactions, 0u);
+  EXPECT_GT(dev->stats().ReadBytes(IoClass::kCompactionRead), 0u);
+  EXPECT_TRUE(store->QuarantinedLevels().empty());
+  auto last = store->Scrub();
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last->corruptions_found, 0u);
+  for (uint64_t i = 0; i < kKeys; i += 97) {
+    auto got = store->Get(Key(i));
+    ASSERT_TRUE(got.ok()) << Key(i);
+    EXPECT_EQ(*got, Value(i));
+  }
+  store_or->reset();
+  pool.Stop();
+}
+
 TEST(ConcurrencyTest, ScansSeeCompleteSnapshotsAcrossLevelPublication) {
   auto dev = MakeDevice();
   WorkerPool pool(2);

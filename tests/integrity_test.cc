@@ -29,9 +29,13 @@
 #include "src/common/random.h"
 #include "src/lsm/bloom_filter.h"
 #include "src/lsm/btree_reader.h"
+#include "src/lsm/compaction.h"
 #include "src/lsm/index_codec.h"
 #include "src/lsm/kv_store.h"
+#include "src/lsm/level_read.h"
 #include "src/lsm/manifest.h"
+#include "src/lsm/segment_verifier.h"
+#include "src/lsm/value_log.h"
 #include "src/net/fabric.h"
 #include "src/net/rpc_client.h"
 #include "src/net/worker_pool.h"
@@ -489,11 +493,13 @@ TEST(IntegrityScrubTest, ScheduledScrubRunsInBackground) {
 }
 
 TEST(IntegrityScrubTest, ScrubPacingThrottlesBandwidth) {
-  auto ls = MakeLoadedStore("dev0");
+  // Scrub charges the bytes it reads, so the store must hold several
+  // segments' worth for pacing to outlast the one-segment burst.
+  auto ls = MakeLoadedStore("dev0", /*injector=*/nullptr, /*keys=*/6000);
   auto unpaced = ls.store->Scrub();
   ASSERT_TRUE(unpaced.ok());
   const uint64_t total = unpaced->bytes_scrubbed;
-  ASSERT_GT(total, 0u);
+  ASSERT_GT(total, 4 * kSegmentSize) << "too little data to pace";
 
   // Pace at ~4x-total-per-second: the scrub must take at least a significant
   // fraction of the ideal time (lower bound only — sanitizers only slow it).
@@ -505,6 +511,124 @@ TEST(IntegrityScrubTest, ScrubPacingThrottlesBandwidth) {
   ASSERT_TRUE(paced.ok());
   EXPECT_EQ(paced->bytes_scrubbed, total);
   EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 50);
+}
+
+// --- compaction inputs: the merge reads what it checks ---------------------
+
+// A compaction streams each input segment once and checks its CRC on the
+// very bytes it merges, even when an earlier read already settled the
+// segment's verdict: a flip the device serves to the compaction's own read
+// fails the merge with kCorruption and quarantines the level, and nothing is
+// published.
+TEST(IntegrityCompactionTest, RotServedToCompactionFailsItAndPublishesNothing) {
+  FaultInjector injector(ChaosSeed(29));
+  auto ls = MakeLoadedStore("dev0", &injector);
+  const uint32_t levels = SmallOptions().max_levels;
+  std::vector<BuiltTree> before;
+  for (uint32_t i = 1; i <= levels; ++i) {
+    before.push_back(ls.store->level(i));
+  }
+  ASSERT_FALSE(ls.store->level(1).empty()) << "the compaction needs an L1 input";
+  // A clean scrub settles every verdict, so no first-touch check is left to
+  // catch the flip.
+  auto clean = ls.store->Scrub();
+  ASSERT_TRUE(clean.ok());
+  ASSERT_EQ(clean->corruptions_found, 0u);
+
+  // The store's next device read is the compaction's first input read.
+  injector.CorruptNthDeviceRead("dev0", ls.device->read_seq(), /*bits=*/3);
+  Status compacted = ls.store->ForceFullCompaction();
+  ASSERT_GE(injector.stats().corruptions, 1u);
+  ASSERT_TRUE(compacted.IsCorruption()) << compacted.ToString();
+  EXPECT_EQ(ls.store->QuarantinedLevels(), std::vector<int>{1});
+  for (uint32_t i = 1; i <= levels; ++i) {
+    EXPECT_EQ(ls.store->level(i).root_offset, before[i - 1].root_offset) << "L" << i;
+    EXPECT_EQ(ls.store->level(i).segments, before[i - 1].segments) << "L" << i;
+  }
+}
+
+// The merge half of the same contract, with the level's verifier in hand:
+// the flipped input fails the merge until InstallRepairedSegment puts good
+// bytes back, and then the same merge succeeds with every entry.
+TEST(IntegrityCompactionTest, RotInMergeInputFailsUntilRepaired) {
+  FaultInjector injector(ChaosSeed(29));
+  auto device = MakeDevice("dev0");
+  device->set_fault_hook(&injector);
+  auto log = ValueLog::Create(device.get());
+  ASSERT_TRUE(log.ok());
+  const size_t node_size = SmallOptions().node_size;
+  // Inline keys: the merge reads the two levels and no log record.
+  std::map<std::string, uint64_t> model;
+  auto build = [&](uint64_t n, uint64_t step) {
+    BTreeBuilder builder(device.get(), node_size, IoClass::kCompactionWrite, nullptr);
+    for (uint64_t i = 0; i < n; ++i) {
+      const std::string key = Key(i * step);
+      auto appended = (*log)->Append(key, ValueFor(i), /*tombstone=*/false);
+      EXPECT_TRUE(appended.ok());
+      EXPECT_TRUE(builder.Add(key, appended->offset, /*tombstone=*/false).ok());
+      model.emplace(key, appended->offset);  // the newer level is built first and wins
+    }
+    auto tree = builder.Finish();
+    EXPECT_TRUE(tree.ok());
+    EXPECT_TRUE(tree->checksummed());
+    return *tree;
+  };
+  const BuiltTree newer = build(2000, 3);
+  const BuiltTree older = build(6000, 2);
+  ASSERT_TRUE((*log)->FlushTail().ok());
+  ASSERT_GT(newer.height, 0u);
+  SegmentVerifier newer_verifier(device.get(), newer.segments, newer.seg_checksums, "L1");
+  SegmentVerifier older_verifier(device.get(), older.segments, older.seg_checksums, "L2");
+  std::vector<std::string> good;
+  for (size_t i = 0; i < newer.segments.size(); ++i) {
+    auto bytes = ReadSegmentVerified(device.get(), newer, 1, i);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    good.push_back(std::move(*bytes));
+  }
+  for (size_t i = 0; i < newer.segments.size(); ++i) {
+    ASSERT_TRUE(newer_verifier.VerifySegment(i, IoClass::kScrub, /*force=*/false).ok());
+  }
+
+  auto merge = [&]() -> StatusOr<BuiltTree> {
+    LevelMergeSource a(device.get(), node_size, newer, log->get(), &newer_verifier,
+                       /*cache=*/nullptr, IoClass::kCompactionRead);
+    LevelMergeSource b(device.get(), node_size, older, log->get(), &older_verifier,
+                       /*cache=*/nullptr, IoClass::kCompactionRead);
+    TEBIS_RETURN_IF_ERROR(a.Init());
+    TEBIS_RETURN_IF_ERROR(b.Init());
+    BTreeBuilder out(device.get(), node_size, IoClass::kCompactionWrite, nullptr);
+    TEBIS_RETURN_IF_ERROR(MergeSources({&a, &b}, /*drop_tombstones=*/true, &out).status());
+    return out.Finish();
+  };
+
+  // The merge's first read is the newer level's root segment.
+  injector.CorruptNthDeviceRead("dev0", device->read_seq(), /*bits=*/3);
+  auto failed = merge();
+  ASSERT_GE(injector.stats().corruptions, 1u);
+  ASSERT_TRUE(failed.status().IsCorruption()) << failed.status().ToString();
+  EXPECT_TRUE(newer_verifier.quarantined());
+  const std::vector<size_t> bad = newer_verifier.BadSegments();
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_EQ(newer.segments[bad[0]], device->geometry().SegmentOf(newer.root_offset));
+  EXPECT_TRUE(merge().status().IsCorruption()) << "a quarantined input stays refused";
+
+  ASSERT_TRUE(InstallRepairedSegment(device.get(), /*cache=*/nullptr, &newer_verifier, bad[0],
+                                     Slice(good[bad[0]]))
+                  .ok());
+  EXPECT_FALSE(newer_verifier.quarantined());
+  auto merged = merge();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_EQ(merged->num_entries, model.size());
+  BTreeReader reader(device.get(), nullptr, node_size, *merged, IoClass::kOther);
+  BTreeIterator it(&reader);
+  ASSERT_TRUE(it.SeekToFirst().ok());
+  for (const auto& [key, offset] : model) {
+    ASSERT_TRUE(it.Valid()) << key;
+    EXPECT_EQ(it.entry().inline_key().ToString(), key);
+    EXPECT_EQ(it.entry().log_offset(), offset) << key;
+    ASSERT_TRUE(it.Next().ok());
+  }
+  EXPECT_FALSE(it.Valid());
 }
 
 // --- KvStore: online repair ------------------------------------------------
@@ -1258,9 +1382,11 @@ TEST(IntegrityWireTest, RepairFetchIsEpochFenced) {
 TEST(IntegrityWireTest, CloseDuringPacedScrubKeepsEngineAlive) {
   WireCluster cluster;
   auto client = cluster.MakeClient("loader");
-  for (int i = 0; i < 2000; ++i) {
+  // Three versions of each key of the first region: scrub charges the bytes
+  // it reads, and the region must hold several segments' worth to pace.
+  for (int i = 0; i < 6000; ++i) {
     char key[32];
-    snprintf(key, sizeof(key), "user%010d", i);
+    snprintf(key, sizeof(key), "user%010d", i % 2000);
     ASSERT_TRUE(client->Put(key, "v" + std::to_string(i)).ok());
   }
   const RegionInfo& region = cluster.map.regions().front();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
@@ -1293,9 +1294,69 @@ TEST(CompactionTest, CompactionReadsAccountedAsCompactionTraffic) {
   EXPECT_EQ(fx.device->stats().ReadBytes(IoClass::kLookup), 0u);
 }
 
+// What a compaction reads of its input levels: each segment once, whole.
+struct InputReads {
+  uint64_t bytes = 0;  // Σ checksummed prefixes
+  uint64_t ops = 0;    // segments
+};
+InputReads SegmentReads(std::initializer_list<const BuiltTree*> inputs) {
+  InputReads reads;
+  for (const BuiltTree* tree : inputs) {
+    EXPECT_TRUE(tree->checksummed());
+    for (const SegmentChecksum& sc : tree->seg_checksums) {
+      reads.bytes += sc.length;
+    }
+    reads.ops += tree->segments.size();
+  }
+  return reads;
+}
+
+// A compaction streams each input segment once: one device read of its
+// checksummed prefix, whose CRC is checked on the very bytes the merge then
+// consumes. A verdict an earlier read settled changes nothing: the merge
+// reads the same bytes either way, and nothing but the input levels.
+TEST(CompactionTest, MergeReadsEachInputSegmentOnce) {
+  for (const bool settle : {false, true}) {
+    SCOPED_TRACE(settle ? "after a settling scan" : "first touch");
+    auto dev = MakeDevice(1 << 16, 1 << 16);
+    KvStoreOptions opts;
+    opts.l0_max_entries = 1024;
+    opts.growth_factor = 4;
+    opts.max_levels = 2;
+    opts.cache_bytes = 0;
+    auto store = KvStore::Create(dev.get(), opts);  // no pool: jobs run inline
+    ASSERT_TRUE(store.ok());
+    for (uint64_t i = 0; i < 6000; ++i) {
+      ASSERT_TRUE((*store)->Put(Key(i * 2), "v" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE((*store)->ForceFullCompaction().ok());  // all in L2, the last level
+    for (uint64_t i = 0; i < 1000; ++i) {
+      ASSERT_TRUE((*store)->Put(Key(i * 3), "w" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE((*store)->FlushL0().ok());
+    const BuiltTree l1 = (*store)->level(1);
+    const BuiltTree l2 = (*store)->level(2);
+    ASSERT_EQ(l1.num_entries, 1000u);
+    ASSERT_EQ(l2.num_entries, 6000u);
+    ASSERT_GT(l2.segments.size(), 2u) << "several leaf segments and an index one";
+    if (settle) {
+      ASSERT_TRUE((*store)->Scan(Slice(), 100000).ok());
+    }
+
+    const InputReads want = SegmentReads({&l1, &l2});
+    dev->stats().Reset();
+    ASSERT_TRUE((*store)->ForceFullCompaction().ok());  // L1 + L2 -> L2
+    EXPECT_EQ(dev->stats().ReadBytes(IoClass::kCompactionRead), want.bytes);
+    EXPECT_EQ(dev->stats().ReadOps(), want.ops);
+    EXPECT_EQ(dev->stats().TotalReadBytes(), want.bytes) << "no other I/O class is read";
+    ASSERT_TRUE((*store)->level(1).empty());
+    EXPECT_EQ((*store)->level(2).num_entries, 6500u);  // 1000 keys, 500 of them overwrites
+  }
+}
+
 // A compaction merge fetches each level entry's key with one read of the
 // record's header + key, sized by the leaf's key_size: the merge's read ops
-// are the nodes it walks plus exactly one per entry.
+// are one per input segment plus exactly one per entry.
 TEST(CompactionTest, LevelKeyFetchIsOneReadPerEntry) {
   auto dev = MakeDevice(1 << 16, 1 << 16);
   KvStoreOptions opts;
@@ -1314,21 +1375,8 @@ TEST(CompactionTest, LevelKeyFetchIsOneReadPerEntry) {
   const BuiltTree l1 = (*store)->level(1);
   ASSERT_EQ(l1.num_entries, 200u);
   ASSERT_GT(l1.height, 0u);
-
-  // Nodes the merge walks: a plain leaf walk of L1 reads each node once and
-  // no log record. A full scan first settles L1's segment checksum verdicts.
-  ASSERT_TRUE((*store)->Scan(Slice(), 1000).ok());
-  uint64_t nodes = dev->stats().ReadOps();
-  {
-    BTreeReader reader(dev.get(), nullptr, opts.node_size, l1, IoClass::kOther);
-    BTreeIterator it(&reader);
-    ASSERT_TRUE(it.SeekToFirst().ok());
-    while (it.Valid()) {
-      ASSERT_TRUE(it.Next().ok());
-    }
-  }
-  nodes = dev->stats().ReadOps() - nodes;
-  ASSERT_GT(nodes, 1u);
+  const InputReads segments = SegmentReads({&l1});
+  ASSERT_GT(segments.ops, 1u);
 
   // L0 (overlapping and fresh keys) -> L1, small enough not to cascade.
   for (uint64_t i = 0; i < 200; ++i) {
@@ -1338,24 +1386,12 @@ TEST(CompactionTest, LevelKeyFetchIsOneReadPerEntry) {
   ASSERT_TRUE((*store)->FlushL0().ok());
   EXPECT_TRUE((*store)->level(2).empty());
   EXPECT_EQ(dev->stats().TotalReadBytes(), dev->stats().ReadBytes(IoClass::kCompactionRead));
-  EXPECT_EQ(dev->stats().ReadOps(), nodes + l1.num_entries);
-}
-
-// Node reads of a plain leaf walk of `tree`: each node once, no log record.
-uint64_t NodeReadOps(BlockDevice* dev, size_t node_size, const BuiltTree& tree) {
-  const uint64_t before = dev->stats().ReadOps();
-  BTreeReader reader(dev, nullptr, node_size, tree, IoClass::kOther);
-  BTreeIterator it(&reader);
-  EXPECT_TRUE(it.SeekToFirst().ok());
-  while (it.Valid()) {
-    EXPECT_TRUE(it.Next().ok());
-  }
-  return dev->stats().ReadOps() - before;
+  EXPECT_EQ(dev->stats().ReadOps(), segments.ops + l1.num_entries);
 }
 
 // The sibling of LevelKeyFetchIsOneReadPerEntry for keys of at most
 // kPrefixSize bytes (YCSB's 14-byte `user%010d`): the leaf holds each key
-// whole, so an L0 -> L1 merge reads the level's nodes and no log record.
+// whole, so an L0 -> L1 merge reads the level's segments and no log record.
 TEST(CompactionTest, InlineKeyMergeReadsNoLogRecord) {
   auto dev = MakeDevice(1 << 16, 1 << 16);
   KvStoreOptions opts;
@@ -1378,10 +1414,8 @@ TEST(CompactionTest, InlineKeyMergeReadsNoLogRecord) {
   const BuiltTree l1 = (*store)->level(1);
   ASSERT_EQ(l1.num_entries, 200u);
   ASSERT_GT(l1.height, 0u);
-  // A full scan first settles L1's segment checksum verdicts.
-  ASSERT_TRUE((*store)->Scan(Slice(), 1000).ok());
-  const uint64_t nodes = NodeReadOps(dev.get(), opts.node_size, l1);
-  ASSERT_GT(nodes, 1u);
+  const InputReads segments = SegmentReads({&l1});
+  ASSERT_GT(segments.ops, 1u);
 
   for (uint64_t i = 0; i < 200; ++i) {
     ASSERT_TRUE((*store)->Put(user_key(i * 3), "w" + std::to_string(i)).ok());
@@ -1389,8 +1423,9 @@ TEST(CompactionTest, InlineKeyMergeReadsNoLogRecord) {
   dev->stats().Reset();
   ASSERT_TRUE((*store)->FlushL0().ok());
   EXPECT_TRUE((*store)->level(2).empty());
-  EXPECT_EQ(dev->stats().TotalReadBytes(), dev->stats().ReadBytes(IoClass::kCompactionRead));
-  EXPECT_EQ(dev->stats().ReadOps(), nodes);
+  EXPECT_EQ(dev->stats().TotalReadBytes(), segments.bytes);
+  EXPECT_EQ(dev->stats().ReadBytes(IoClass::kCompactionRead), segments.bytes);
+  EXPECT_EQ(dev->stats().ReadOps(), segments.ops);
   for (uint64_t i = 0; i < 600; ++i) {
     auto v = (*store)->Get(user_key(i));
     if (i % 3 == 0) {
@@ -1407,7 +1442,7 @@ TEST(CompactionTest, InlineKeyMergeReadsNoLogRecord) {
 
 // A tombstone the leaf holds (inline key, flag in the entry) is elided when
 // its level merges into the last level, and the whole merge reads only the
-// two levels' nodes: no log record for the surviving keys, none for the
+// two levels' segments: no log record for the surviving keys, none for the
 // deleted ones.
 TEST(CompactionTest, InlineTombstoneElidedAtLastLevelWithoutLogReads) {
   auto dev = MakeDevice(1 << 16, 1 << 16);
@@ -1440,15 +1475,13 @@ TEST(CompactionTest, InlineTombstoneElidedAtLastLevelWithoutLogReads) {
       ASSERT_TRUE(it.Next().ok());
     }
   }
-  // Settle both levels' checksum verdicts, then count their node reads.
-  ASSERT_TRUE((*store)->Scan(Slice(), 1000).ok());
-  const uint64_t nodes = NodeReadOps(dev.get(), opts.node_size, l1) +
-                         NodeReadOps(dev.get(), opts.node_size, l2);
+  const InputReads segments = SegmentReads({&l1, &l2});
 
   dev->stats().Reset();
   ASSERT_TRUE((*store)->ForceFullCompaction().ok());
-  EXPECT_EQ(dev->stats().ReadOps(), nodes);
-  EXPECT_EQ(dev->stats().TotalReadBytes(), dev->stats().ReadBytes(IoClass::kCompactionRead));
+  EXPECT_EQ(dev->stats().ReadOps(), segments.ops);
+  EXPECT_EQ(dev->stats().TotalReadBytes(), segments.bytes);
+  EXPECT_EQ(dev->stats().ReadBytes(IoClass::kCompactionRead), segments.bytes);
   ASSERT_TRUE((*store)->level(1).empty());
   EXPECT_EQ((*store)->level(2).num_entries, 300u);
   for (uint64_t i = 0; i < 400; ++i) {

@@ -101,6 +101,13 @@ if [[ $run_tsan -eq 1 ]]; then
   TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ctest --test-dir build-tsan -R DeviceReadsRacingFreeAndRewriteSeeWholeImages \
     --no-tests=error --output-on-failure --repeat until-fail:20
+  # Compactions record the verdict of every input segment they stream in the
+  # level's shared SegmentVerifier, the one Gets and forced scrubs also
+  # write; rerun the three racing on one store.
+  echo "== tier-1 pass 2/3: ThreadSanitizer build, shared-verifier rerun =="
+  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    ctest --test-dir build-tsan -R ScrubAndGetsShareVerifiersWithStreamingCompactions \
+    --no-tests=error --output-on-failure --repeat until-fail:20
 fi
 
 if [[ $run_chaos -eq 1 ]]; then
