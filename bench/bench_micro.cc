@@ -26,6 +26,7 @@
 #include "src/lsm/btree_builder.h"
 #include "src/lsm/btree_node.h"
 #include "src/lsm/btree_reader.h"
+#include "src/lsm/compaction.h"
 #include "src/lsm/kv_store.h"
 #include "src/lsm/memtable.h"
 #include "src/net/message.h"
@@ -73,24 +74,37 @@ std::string BuildLeafSegment(size_t entries) {
 }
 
 void BM_IndexSegmentRewrite(benchmark::State& state) {
+  // The Send-Index backup's translation (SendIndexBackupRegion::RewriteSegment):
+  // the stream's flat log table, one offsets_rewritten add per segment. Every
+  // entry names its own log segment, as in a shuffled load.
   const size_t entries = static_cast<size_t>(state.range(0));
   const std::string segment = BuildLeafSegment(entries);
   SegmentMap log_map;
   for (uint64_t seg = 0; seg < 2 * entries + 2; ++seg) {
     (void)log_map.Insert(seg, seg + 1000000);
   }
-  SegmentGeometry geometry(1 << 18);
+  const LogSegmentTable log_table(log_map, SegmentGeometry(1 << 18));
+  Counter offsets_rewritten;
+  auto no_index = [](uint64_t) -> StatusOr<uint64_t> {
+    return Status::Internal("leaf-only segment");
+  };
   std::string scratch;
   for (auto _ : state) {
     scratch = segment;
-    OffsetTranslator translate = [&](uint64_t off) -> StatusOr<uint64_t> {
-      auto local = log_map.Lookup(geometry.SegmentOf(off));
-      return geometry.Translate(off, *local);
+    uint64_t translated = 0;
+    auto leaf_translate = [&](uint64_t offset) {
+      StatusOr<uint64_t> local = log_table.Translate(offset);
+      translated += local.ok();
+      return local;
     };
-    for (size_t off = 0; off < scratch.size(); off += kDefaultNodeSize) {
-      benchmark::DoNotOptimize(
-          RewriteLeafOffsets(scratch.data() + off, kDefaultNodeSize, translate));
-    }
+    benchmark::DoNotOptimize(TranslateNodes(scratch.data(), scratch.size(), kDefaultNodeSize,
+                                            leaf_translate, no_index));
+    benchmark::DoNotOptimize(scratch.data());
+    benchmark::ClobberMemory();
+    offsets_rewritten.Add(translated);
+  }
+  if (offsets_rewritten.Value() != state.iterations() * entries) {
+    state.SkipWithError("rewrite translated the wrong number of offsets");
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * entries));
 }
@@ -140,6 +154,50 @@ void BM_BTreeBulkLoad(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_BTreeBulkLoad)->Arg(10000)->Arg(100000);
+
+void BM_MergeSources(benchmark::State& state) {
+  // One compaction's merge and build: a 2,048-key memtable over a 6,144-key
+  // level, streamed from the device, into a new level. Memtable keys take
+  // every fourth slot, so each merges between level keys.
+  constexpr uint64_t kMemKeys = 2048;
+  constexpr uint64_t kLevelKeys = 6144;
+  auto device = MakeDevice();
+  Memtable memtable;
+  BTreeBuilder level_builder(device.get(), kDefaultNodeSize, IoClass::kCompactionWrite, nullptr);
+  uint64_t mem_added = 0;
+  uint64_t level_added = 0;
+  for (uint64_t i = 0; mem_added < kMemKeys || level_added < kLevelKeys; ++i) {
+    if (i % 4 == 3 && mem_added < kMemKeys) {
+      memtable.Put(Key(i), ValueLocation{i << 18, false});
+      mem_added++;
+    } else if (level_added < kLevelKeys) {
+      (void)level_builder.Add(Key(i), i << 18, /*tombstone=*/false);
+      level_added++;
+    }
+  }
+  auto level = level_builder.Finish();
+  for (auto _ : state) {
+    MemtableMergeSource mem_src(&memtable);
+    LevelMergeSource level_src(device.get(), kDefaultNodeSize, *level, /*log=*/nullptr,
+                               /*verifier=*/nullptr, /*cache=*/nullptr,
+                               IoClass::kCompactionRead);
+    (void)level_src.Init();
+    BTreeBuilder builder(device.get(), kDefaultNodeSize, IoClass::kCompactionWrite, nullptr);
+    MergeStageTiming timing;
+    auto written = MergeSources({&mem_src, &level_src}, /*drop_tombstones=*/false, &builder,
+                                &timing);
+    auto tree = builder.Finish();
+    if (!written.ok() || *written != kMemKeys + kLevelKeys || !tree.ok()) {
+      state.SkipWithError("merge failed");
+      break;
+    }
+    for (SegmentId seg : tree->segments) {
+      (void)device->FreeSegment(seg);
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * (kMemKeys + kLevelKeys)));
+}
+BENCHMARK(BM_MergeSources);
 
 void BM_BTreeLookup(benchmark::State& state) {
   const uint64_t n = 100000;

@@ -118,24 +118,6 @@ void LeafNodeBuilder::Reset() {
   count_ = 0;
 }
 
-Status RewriteLeafOffsets(char* data, size_t node_size, const OffsetTranslator& translate) {
-  LeafNodeView view(data, node_size);
-  if (!view.IsValid()) {
-    return Status::Corruption("not a leaf node");
-  }
-  auto* entries = reinterpret_cast<LeafEntry*>(data + sizeof(NodeHeader));
-  const uint32_t n = view.num_entries();
-  for (uint32_t i = 0; i < n; ++i) {
-    TEBIS_ASSIGN_OR_RETURN(uint64_t translated, translate(entries[i].log_offset()));
-    if (translated > kLeafOffsetMask) {
-      return Status::InvalidArgument("translated offset " + std::to_string(translated) +
-                                     " exceeds the leaf entry's 48 bits");
-    }
-    entries[i].set_log_offset(translated);
-  }
-  return Status::Ok();
-}
-
 // --- IndexNodeView ------------------------------------------------------------
 
 const char* IndexNodeView::cell(uint32_t i) const {
@@ -211,23 +193,6 @@ void IndexNodeBuilder::Reset() {
   memset(data_, 0, node_size_);
   count_ = 0;
   cell_bytes_ = 0;
-}
-
-Status RewriteIndexChildren(char* data, size_t node_size, const OffsetTranslator& translate) {
-  IndexNodeView view(data, node_size);
-  if (!view.IsValid()) {
-    return Status::Corruption("not an index node");
-  }
-  const auto* slots = reinterpret_cast<const uint16_t*>(data + sizeof(NodeHeader));
-  const uint32_t n = view.num_entries();
-  for (uint32_t i = 0; i < n; ++i) {
-    char* c = data + slots[i];
-    uint64_t child;
-    memcpy(&child, c + sizeof(uint16_t), sizeof(child));
-    TEBIS_ASSIGN_OR_RETURN(uint64_t translated, translate(child));
-    memcpy(c + sizeof(uint16_t), &translated, sizeof(translated));
-  }
-  return Status::Ok();
 }
 
 }  // namespace tebis

@@ -1,9 +1,10 @@
 // Views and builders over raw fixed-size B+ tree node buffers. These are the
 // only pieces of code that know the byte layout, so the backup-side rewrite
-// (replication/index_rewriter) reuses them to patch device offsets in place.
+// (TranslateNodes) reuses them to patch device offsets in place.
 #ifndef TEBIS_LSM_BTREE_NODE_H_
 #define TEBIS_LSM_BTREE_NODE_H_
 
+#include <cstring>
 #include <functional>
 #include <string>
 
@@ -12,9 +13,6 @@
 #include "src/lsm/format.h"
 
 namespace tebis {
-
-// Translates one device offset; used for backup rewriting.
-using OffsetTranslator = std::function<StatusOr<uint64_t>(uint64_t)>;
 
 // Loads the full key stored at a value-log offset (needed when a leaf prefix
 // ties with the probe key). `key_size` is the size the leaf entry records, so
@@ -84,10 +82,28 @@ class LeafNodeBuilder {
   uint32_t count_;
 };
 
-// Rewrites every leaf entry's log offset via `translate` (backup §3.3). Only
-// the offset bits change: key size, tombstone flag, tag and prefix stay
-// byte-identical.
-Status RewriteLeafOffsets(char* data, size_t node_size, const OffsetTranslator& translate);
+// Rewrites every leaf entry's log offset via `translate` (backup §3.3), a
+// callable uint64_t -> StatusOr<uint64_t> taken as a template parameter so
+// the per-entry call inlines. Only the offset bits change: key size,
+// tombstone flag, tag and prefix stay byte-identical.
+template <typename Translate>
+Status RewriteLeafOffsets(char* data, size_t node_size, Translate&& translate) {
+  LeafNodeView view(data, node_size);
+  if (!view.IsValid()) {
+    return Status::Corruption("not a leaf node");
+  }
+  auto* entries = reinterpret_cast<LeafEntry*>(data + sizeof(NodeHeader));
+  const uint32_t n = view.num_entries();
+  for (uint32_t i = 0; i < n; ++i) {
+    TEBIS_ASSIGN_OR_RETURN(uint64_t translated, translate(entries[i].log_offset()));
+    if (translated > kLeafOffsetMask) {
+      return Status::InvalidArgument("translated offset " + std::to_string(translated) +
+                                     " exceeds the leaf entry's 48 bits");
+    }
+    entries[i].set_log_offset(translated);
+  }
+  return Status::Ok();
+}
 
 // --- index nodes ----------------------------------------------------------------
 //
@@ -137,8 +153,53 @@ class IndexNodeBuilder {
   size_t cell_bytes_;  // bytes consumed by cells at the tail
 };
 
-// Rewrites every child pointer via `translate` (backup §3.3).
-Status RewriteIndexChildren(char* data, size_t node_size, const OffsetTranslator& translate);
+// Rewrites every child pointer via `translate` (backup §3.3), a callable
+// like RewriteLeafOffsets'.
+template <typename Translate>
+Status RewriteIndexChildren(char* data, size_t node_size, Translate&& translate) {
+  IndexNodeView view(data, node_size);
+  if (!view.IsValid()) {
+    return Status::Corruption("not an index node");
+  }
+  const auto* slots = reinterpret_cast<const uint16_t*>(data + sizeof(NodeHeader));
+  const uint32_t n = view.num_entries();
+  for (uint32_t i = 0; i < n; ++i) {
+    char* c = data + slots[i];
+    uint64_t child;
+    memcpy(&child, c + sizeof(uint16_t), sizeof(child));
+    TEBIS_ASSIGN_OR_RETURN(uint64_t translated, translate(child));
+    memcpy(c + sizeof(uint16_t), &translated, sizeof(translated));
+  }
+  return Status::Ok();
+}
+
+// Walks the nodes of one index segment image in place, applying
+// `leaf_translate` to leaf entries' value-log offsets and `index_translate`
+// to index children: the one rewrite core, shared by the Send-Index backup's
+// shipping rewrite and its repair paths' forward/reverse rewrites. A zeroed
+// node ends the walk (the zeroed tail of a partially used segment).
+template <typename LeafTranslate, typename IndexTranslate>
+Status TranslateNodes(char* bytes, size_t size, size_t node_size, LeafTranslate&& leaf_translate,
+                      IndexTranslate&& index_translate) {
+  if (size % node_size != 0) {
+    return Status::InvalidArgument("index segment is not node aligned");
+  }
+  for (size_t off = 0; off < size; off += node_size) {
+    char* node = bytes + off;
+    NodeHeader header;
+    memcpy(&header, node, sizeof(header));
+    if (header.magic == kLeafMagic) {
+      TEBIS_RETURN_IF_ERROR(RewriteLeafOffsets(node, node_size, leaf_translate));
+    } else if (header.magic == kIndexMagic) {
+      TEBIS_RETURN_IF_ERROR(RewriteIndexChildren(node, node_size, index_translate));
+    } else if (header.magic == 0) {
+      break;
+    } else {
+      return Status::Corruption("unknown node magic in shipped segment");
+    }
+  }
+  return Status::Ok();
+}
 
 }  // namespace tebis
 

@@ -122,28 +122,53 @@ Status MergeIterator::Next() {
 
 StatusOr<uint64_t> MergeSources(std::vector<MergeSource*> sources, bool drop_tombstones,
                                 BTreeBuilder* builder, MergeStageTiming* timing) {
+  // One staged winner: its key lives in `arena` at [key_begin, key_begin + key_size).
+  struct Staged {
+    size_t key_begin;
+    size_t key_size;
+    uint64_t log_offset;
+    bool tombstone;
+  };
+  std::string arena;
+  std::vector<Staged> run;
+  run.reserve(kMergeRunLength);
   uint64_t written = 0;
   MergeStageTiming local;
-  // One clock chain: picking winners and advancing sources (with their
-  // log/level reads) is merge time, feeding the builder is build time.
+  const uint64_t* sink_ns = timing != nullptr ? timing->sink_ns : nullptr;
+  // Winners move in runs, and the clock is read only when the loop switches
+  // stage: the merge stage picks up to kMergeRunLength winners and advances
+  // the sources (with their log/level reads), copying keys into the arena;
+  // the build stage feeds the run to the builder, less the time its sink
+  // spends shipping completed segments.
   uint64_t mark = NowNanos();
-  auto charge = [&mark](uint64_t* stage) {
-    const uint64_t now = NowNanos();
-    *stage += now - mark;
-    mark = now;
-  };
   MergeIterator merged(std::move(sources));
-  while (merged.Valid()) {
-    const MergeEntry& winner = merged.entry();
-    if (!winner.tombstone || !drop_tombstones) {
-      charge(&local.merge_ns);
-      TEBIS_RETURN_IF_ERROR(builder->Add(winner.key, winner.log_offset, winner.tombstone));
-      charge(&local.build_ns);
-      written++;
+  while (true) {
+    arena.clear();
+    run.clear();
+    while (merged.Valid() && run.size() < kMergeRunLength) {
+      const MergeEntry& winner = merged.entry();
+      if (!winner.tombstone || !drop_tombstones) {
+        run.push_back(
+            Staged{arena.size(), winner.key.size(), winner.log_offset, winner.tombstone});
+        arena.append(winner.key);
+      }
+      TEBIS_RETURN_IF_ERROR(merged.Next());
     }
-    TEBIS_RETURN_IF_ERROR(merged.Next());
+    const uint64_t merged_ns = NowNanos();
+    local.merge_ns += merged_ns - mark;
+    if (run.empty()) {
+      break;
+    }
+    const uint64_t sink_before = sink_ns != nullptr ? *sink_ns : 0;
+    for (const Staged& w : run) {
+      TEBIS_RETURN_IF_ERROR(builder->Add(Slice(arena.data() + w.key_begin, w.key_size),
+                                         w.log_offset, w.tombstone));
+    }
+    written += run.size();
+    mark = NowNanos();
+    const uint64_t shipped_ns = sink_ns != nullptr ? *sink_ns - sink_before : 0;
+    local.build_ns += mark - merged_ns - shipped_ns;
   }
-  charge(&local.merge_ns);
   if (timing != nullptr) {
     timing->merge_ns += local.merge_ns;
     timing->build_ns += local.build_ns;

@@ -116,10 +116,18 @@ class MergeIterator {
 // Per-stage wall-clock split of one merge pass, for the compaction pipeline
 // breakdown: `merge_ns` covers picking winners and advancing sources
 // (including their log/level reads); `build_ns` covers feeding the builder.
+// The split is taken once per run of kMergeRunLength winners, not per entry.
 struct MergeStageTiming {
   uint64_t merge_ns = 0;
   uint64_t build_ns = 0;
+  // When set, the running total of wall time the builder's SegmentSink has
+  // spent (index shipping, accounted by the sink itself); build stages
+  // exclude it, so merge, build and ship time partition the compaction.
+  const uint64_t* sink_ns = nullptr;
 };
+
+// Winners MergeSources stages before feeding them to the builder.
+inline constexpr size_t kMergeRunLength = 256;
 
 // Merges `sources` (newest first) into `builder` through a MergeIterator.
 // Returns the number of entries written. Duplicate keys keep only the newest

@@ -775,6 +775,7 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
 
   const bool drop_tombstones = dst_level == static_cast<int>(options_.max_levels);
   MergeStageTiming timing;
+  timing.sink_ns = &ship_ns;
   const uint64_t merge_start_ns = NowNanos();
   TEBIS_ASSIGN_OR_RETURN(uint64_t written,
                          MergeSources(sources, drop_tombstones, &builder, &timing));

@@ -189,7 +189,7 @@ struct KvStoreStats {
   // Compaction pipeline stages, wall time.
   uint64_t compaction_queue_wait_ns = 0;  // seal → job start
   uint64_t compaction_merge_ns = 0;       // k-way merge incl. source reads
-  uint64_t compaction_build_ns = 0;       // feeding the B+ tree builder
+  uint64_t compaction_build_ns = 0;       // feeding the B+ tree builder, less shipping
   uint64_t compaction_ship_ns = 0;        // observer callbacks (index shipping)
   // Bloom filter effectiveness, summed over levels.
   uint64_t filter_checks = 0;           // level probes that consulted a filter

@@ -13,7 +13,7 @@ Status SegmentMap::Insert(SegmentId primary, SegmentId backup) {
 StatusOr<SegmentId> SegmentMap::Lookup(SegmentId primary) const {
   auto it = entries_.find(primary);
   if (it == entries_.end()) {
-    return Status::NotFound("no mapping for primary segment " + std::to_string(primary));
+    return LogSegmentTable::Unmapped(primary);
   }
   return it->second;
 }
@@ -68,6 +68,21 @@ StatusOr<SegmentMap> SegmentMap::RekeyForNewPrimary(const SegmentMap& new_primar
     TEBIS_RETURN_IF_ERROR(rekeyed.Insert(*new_primary, mine));
   }
   return rekeyed;
+}
+
+LogSegmentTable::LogSegmentTable(const SegmentMap& map, SegmentGeometry geometry)
+    : geometry_(geometry) {
+  if (map.empty()) {
+    return;
+  }
+  local_.assign(map.entries().rbegin()->first + 1, kInvalidSegment);
+  for (const auto& [primary, local] : map.entries()) {
+    local_[primary] = local;
+  }
+}
+
+Status LogSegmentTable::Unmapped(SegmentId primary) {
+  return Status::NotFound("no mapping for primary segment " + std::to_string(primary));
 }
 
 }  // namespace tebis

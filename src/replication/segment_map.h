@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/net/wire.h"
@@ -59,6 +60,34 @@ class SegmentMap {
 
  private:
   std::map<SegmentId, SegmentId> entries_;
+};
+
+// Flat snapshot of a log map for the Send-Index rewrite (§3.3), which
+// translates every shipped leaf entry: one slot per primary segment id up to
+// the largest mapped one, so a lookup is an array read. Its size follows the
+// primary's segment ids, which its device's segment count bounds.
+class LogSegmentTable {
+ public:
+  LogSegmentTable() = default;
+  LogSegmentTable(const SegmentMap& map, SegmentGeometry geometry);
+
+  // The offset moved into its segment's local counterpart. An id absent
+  // from the snapshot, or past the end of the table, is refused exactly as
+  // SegmentMap::Lookup refuses it (NotFound).
+  StatusOr<uint64_t> Translate(uint64_t offset) const {
+    const SegmentId primary = geometry_.SegmentOf(offset);
+    if (primary >= local_.size() || local_[primary] == kInvalidSegment) {
+      return Unmapped(primary);
+    }
+    return geometry_.Translate(offset, local_[primary]);
+  }
+
+  // The refusal both this table and SegmentMap::Lookup return.
+  static Status Unmapped(SegmentId primary);
+
+ private:
+  SegmentGeometry geometry_{kDefaultSegmentSize};
+  std::vector<SegmentId> local_;  // kInvalidSegment where unmapped
 };
 
 }  // namespace tebis

@@ -199,7 +199,7 @@ Status SendIndexBackupRegion::HandleCompactionBegin(uint64_t compaction_id, int 
   fresh->src_level = src_level;
   fresh->dst_level = dst_level;
   fresh->l0_boundary = l0_boundary;
-  fresh->log_map = log_map_;
+  fresh->log_table = LogSegmentTable(log_map_, device_->geometry());
   // Same trace id the primary derived for this compaction: epoch and stream
   // ride on every shipped message, so both ends compute it independently.
   fresh->trace = MakeTraceId(region_epoch(), stream);
@@ -208,53 +208,31 @@ Status SendIndexBackupRegion::HandleCompactionBegin(uint64_t compaction_id, int 
   return Status::Ok();
 }
 
-Status SendIndexBackupRegion::TranslateNodes(char* bytes, size_t size,
-                                             const OffsetTranslator& leaf_translate,
-                                             const OffsetTranslator& index_translate) const {
-  const size_t node_size = options_.node_size;
-  if (size % node_size != 0) {
-    return Status::InvalidArgument("index segment is not node aligned");
-  }
-  for (size_t off = 0; off < size; off += node_size) {
-    char* node = bytes + off;
-    NodeHeader header;
-    memcpy(&header, node, sizeof(header));
-    if (header.magic == kLeafMagic) {
-      TEBIS_RETURN_IF_ERROR(RewriteLeafOffsets(node, node_size, leaf_translate));
-    } else if (header.magic == kIndexMagic) {
-      TEBIS_RETURN_IF_ERROR(RewriteIndexChildren(node, node_size, index_translate));
-    } else if (header.magic == 0) {
-      break;  // zeroed tail of a partially-used segment (full-sync path)
-    } else {
-      return Status::Corruption("unknown node magic in shipped segment");
-    }
-  }
-  return Status::Ok();
-}
-
 Status SendIndexBackupRegion::RewriteSegment(CompactionStream* stream, char* bytes,
                                              size_t size) {
   // Leaf entries point into the value log: translate through the stream's
-  // log-map snapshot (strict — the referenced segment must have been flushed
+  // log table (strict — the referenced segment must have been flushed
   // before the compaction began, which the primary guarantees by flushing the
   // tail before compacting). Index children point into other index segments:
   // translate through the stream's index map, reserving a local segment on
   // first sight (forward references).
-  OffsetTranslator log_translate = [this, stream](uint64_t offset) -> StatusOr<uint64_t> {
-    TEBIS_ASSIGN_OR_RETURN(SegmentId local,
-                           stream->log_map.Lookup(device_->geometry().SegmentOf(offset)));
-    counters_.offsets_rewritten->Increment();
-    return device_->geometry().Translate(offset, local);
+  uint64_t translated = 0;
+  auto log_translate = [stream, &translated](uint64_t offset) {
+    StatusOr<uint64_t> local = stream->log_table.Translate(offset);
+    translated += local.ok();
+    return local;
   };
-  OffsetTranslator index_translate = [this, stream](uint64_t offset) -> StatusOr<uint64_t> {
+  auto index_translate = [this, stream, &translated](uint64_t offset) -> StatusOr<uint64_t> {
     TEBIS_ASSIGN_OR_RETURN(
         SegmentId local,
         stream->index_map.GetOrReserve(device_->geometry().SegmentOf(offset),
                                        [this] { return device_->AllocateSegment(); }));
-    counters_.offsets_rewritten->Increment();
+    ++translated;
     return device_->geometry().Translate(offset, local);
   };
-  return TranslateNodes(bytes, size, log_translate, index_translate);
+  Status status = TranslateNodes(bytes, size, options_.node_size, log_translate, index_translate);
+  counters_.offsets_rewritten->Add(translated);
+  return status;
 }
 
 Status SendIndexBackupRegion::HandleIndexSegment(uint64_t compaction_id,
@@ -704,18 +682,18 @@ StatusOr<std::string> SendIndexBackupRegion::ServeRepairFetch(uint32_t level,
   for (size_t j = 0; j < tree.segments.size(); ++j) {
     TEBIS_RETURN_IF_ERROR(inverse_index.Insert(tree.segments[j], origin.primary_segments[j]));
   }
-  OffsetTranslator leaf_translate = [&](uint64_t offset) -> StatusOr<uint64_t> {
+  auto leaf_translate = [&](uint64_t offset) -> StatusOr<uint64_t> {
     TEBIS_ASSIGN_OR_RETURN(SegmentId primary,
                            inverse_log.Lookup(device_->geometry().SegmentOf(offset)));
     return device_->geometry().Translate(offset, primary);
   };
-  OffsetTranslator index_translate = [&](uint64_t offset) -> StatusOr<uint64_t> {
+  auto index_translate = [&](uint64_t offset) -> StatusOr<uint64_t> {
     TEBIS_ASSIGN_OR_RETURN(SegmentId primary,
                            inverse_index.Lookup(device_->geometry().SegmentOf(offset)));
     return device_->geometry().Translate(offset, primary);
   };
-  TEBIS_RETURN_IF_ERROR(TranslateNodes(bytes.data(), bytes.size(), leaf_translate,
-                                       index_translate));
+  TEBIS_RETURN_IF_ERROR(TranslateNodes(bytes.data(), bytes.size(), options_.node_size,
+                                       leaf_translate, index_translate));
   // The reconstruction must be bit-identical to what the primary built (§3.3
   // byte identity) — prove it against the retained primary checksum.
   const SegmentChecksum& primary_sum = origin.primary_checksums[seg_index];
@@ -781,12 +759,12 @@ Status SendIndexBackupRegion::RepairQuarantinedLevels(const KvStore::SegmentFetc
     for (size_t j = 0; j < tree.segments.size(); ++j) {
       TEBIS_RETURN_IF_ERROR(forward_index.Insert(origin.primary_segments[j], tree.segments[j]));
     }
-    OffsetTranslator leaf_translate = [&](uint64_t offset) -> StatusOr<uint64_t> {
+    auto leaf_translate = [&](uint64_t offset) -> StatusOr<uint64_t> {
       TEBIS_ASSIGN_OR_RETURN(SegmentId local,
                              log_map_.Lookup(device_->geometry().SegmentOf(offset)));
       return device_->geometry().Translate(offset, local);
     };
-    OffsetTranslator index_translate = [&](uint64_t offset) -> StatusOr<uint64_t> {
+    auto index_translate = [&](uint64_t offset) -> StatusOr<uint64_t> {
       TEBIS_ASSIGN_OR_RETURN(SegmentId local,
                              forward_index.Lookup(device_->geometry().SegmentOf(offset)));
       return device_->geometry().Translate(offset, local);
@@ -797,8 +775,8 @@ Status SendIndexBackupRegion::RepairQuarantinedLevels(const KvStore::SegmentFetc
                                   std::to_string(level) +
                                   " returned bytes that fail the expected checksum");
       }
-      TEBIS_RETURN_IF_ERROR(TranslateNodes(bytes.data(), bytes.size(), leaf_translate,
-                                           index_translate));
+      TEBIS_RETURN_IF_ERROR(TranslateNodes(bytes.data(), bytes.size(), options_.node_size,
+                                           leaf_translate, index_translate));
       if (!MatchesChecksum(Slice(bytes), tree.seg_checksums[idx])) {
         return Status::Corruption("rewritten repair bytes for segment " + std::to_string(idx) +
                                   " of L" + std::to_string(level) +

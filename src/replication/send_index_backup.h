@@ -186,17 +186,17 @@ class SendIndexBackupRegion final : public BackupRegion {
   void set_replay_from(size_t flushed_segment_index);
 
 
-  // One in-flight shipping stream's rewrite state machine. `log_map`
-  // is a snapshot taken at compaction begin: the primary seals its tail
-  // before compacting, so every leaf offset the stream ships references an
-  // already-mapped log segment — rewrites never need to see flushes that land
-  // mid-stream, and can run without the region state lock.
+  // One in-flight shipping stream's rewrite state machine. `log_table`
+  // is a flat snapshot of the log map taken at compaction begin: the primary
+  // seals its tail before compacting, so every leaf offset the stream ships
+  // references an already-mapped log segment — rewrites never need to see
+  // flushes that land mid-stream, and can run without the region state lock.
   struct CompactionStream {
     uint64_t id = 0;
     int src_level = 0;
     int dst_level = 1;
     SegmentMap index_map;
-    SegmentMap log_map;           // snapshot at begin
+    LogSegmentTable log_table;    // snapshot at begin
     size_t l0_boundary = 0;       // primary's seal-time boundary (L0 -> L1)
     std::mutex mutex;             // serializes rewrites within the stream
     // Filter block staged by HandleFilterBlock, installed at CompactionEnd
@@ -241,12 +241,10 @@ class SendIndexBackupRegion final : public BackupRegion {
   void InitTelemetry();
   void RecordSpan(const CompactionStream& stream, const char* name, uint64_t start_ns,
                   uint64_t end_ns, uint64_t bytes = 0) const;
+  // Translates one shipped segment's offsets into local space through the
+  // stream's tables (TranslateNodes, btree_node.h); backup.offsets_rewritten
+  // gains the count once per segment.
   Status RewriteSegment(CompactionStream* stream, char* bytes, size_t size);
-  // Walks the nodes of one index segment applying `leaf_translate` to value-log
-  // offsets and `index_translate` to child pointers (the rewrite core, shared
-  // by shipping and by the repair paths' forward/reverse rewrites).
-  Status TranslateNodes(char* bytes, size_t size, const OffsetTranslator& leaf_translate,
-                        const OffsetTranslator& index_translate) const;
   // (Re)creates verifiers_[level] from levels_[level]'s checksums (or clears
   // it for an unchecksummed tree). Requires state_mutex_ exclusive.
   void InstallVerifierLocked(int level);

@@ -213,6 +213,65 @@ TEST(IndexRewriteEdgeTest, ParentSegmentShippedBeforeChild) {
   EXPECT_EQ(*value, "only-value");
 }
 
+// The backup translates leaf offsets through a flat table of the log map
+// snapshot taken at the compaction begin. A leaf naming a log segment the
+// snapshot lacks — a hole inside the table or an id past its end — is
+// refused before anything is written.
+TEST(IndexRewriteEdgeTest, LeafNamingUnmappedLogSegmentIsRefused) {
+  constexpr SegmentId kMappedLogSegment = 5;  // the table spans ids 0..5
+  for (const SegmentId unmapped : {SegmentId{2}, SegmentId{9}}) {
+    SCOPED_TRACE("unmapped primary log segment " + std::to_string(unmapped));
+    auto backup_dev = MakeDevice();
+    Fabric fabric;
+    auto buffer = fabric.RegisterBuffer("b", "p", kSegmentSize);
+    KvStoreOptions opts = SmallOptions();
+    auto backup = SendIndexBackupRegion::Create(backup_dev.get(), opts, buffer);
+    ASSERT_TRUE(backup.ok());
+
+    // One replicated log segment, flushed as primary segment 5.
+    auto primary_dev = MakeDevice();
+    auto log = ValueLog::Create(primary_dev.get());
+    ASSERT_TRUE(log.ok());
+    auto rec = (*log)->Append("only-key", "only-value", false);
+    ASSERT_TRUE(rec.ok());
+    ASSERT_TRUE((*log)->FlushTail().ok());
+    std::string image(kSegmentSize, 0);
+    ASSERT_TRUE(primary_dev
+                    ->Read(primary_dev->geometry().BaseOffset((*log)->flushed_segments()[0]),
+                           kSegmentSize, image.data(), IoClass::kOther)
+                    .ok());
+    ASSERT_TRUE(buffer->RdmaWrite(0, image).ok());
+    ASSERT_TRUE((*backup)
+                    ->Handle(FlushLogMsg{.primary_segment = kMappedLogSegment,
+                                         .tail_bytes = ValueLog::SealedPrefixLength(image)})
+                    .ok());
+    ASSERT_TRUE(
+        (*backup)->Handle(CompactionBeginMsg{.compaction_id = 1, .src_level = 0, .dst_level = 1})
+            .ok());
+
+    // A leaf whose first entry is mapped and whose second is not.
+    SegmentGeometry geometry(kSegmentSize);
+    std::string leaf_segment(opts.node_size, 0);
+    LeafNodeBuilder leaf(leaf_segment.data(), opts.node_size);
+    leaf.Add("key-a", geometry.BaseOffset(kMappedLogSegment) + 64, false, KeyHash("key-a"));
+    leaf.Add("key-b", geometry.BaseOffset(unmapped) + 64, false, KeyHash("key-b"));
+    leaf.Finish();
+    const std::string wire = EncodeIndexSegment(leaf_segment, opts.node_size);
+    const Status refused = (*backup)->Handle(
+        IndexSegmentMsg{.compaction_id = 1,
+                        .dst_level = 1,
+                        .primary_segment = 70,
+                        .data = Slice(wire),
+                        .payload_crc = Crc32c(leaf_segment.data(), leaf_segment.size())});
+    EXPECT_TRUE(refused.IsCorruption() || refused.IsNotFound()) << refused.ToString();
+    EXPECT_NE(refused.message().find("primary segment " + std::to_string(unmapped)),
+              std::string::npos)
+        << refused.ToString();
+    EXPECT_EQ(backup_dev->stats().WriteBytes(IoClass::kIndexRewrite), 0u);
+    EXPECT_EQ((*backup)->stats().segments_rewritten, 0u);
+  }
+}
+
 // --- promotion after GC ---------------------------------------------------------
 
 TEST(GcPromotionTest, PromoteAfterTrimServesEverything) {

@@ -7,8 +7,10 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/common/crc32.h"
 #include "src/common/random.h"
 #include "src/lsm/bloom_filter.h"
@@ -1262,6 +1264,106 @@ TEST(CompactionTest, TombstonesDroppedOnlyAtLastLevel) {
     EXPECT_EQ(*written, 1u);
   }
 }
+
+// A sink that spends measurable wall time on every completed segment, as
+// index shipping does, and accounts it the way KvStore's ObserverSink does.
+class SlowShipSink : public SegmentSink {
+ public:
+  void OnSegmentComplete(int, SegmentId, Slice, uint32_t) override {
+    ScopedTimer timer(&ship_ns);
+    const uint64_t until = NowNanos() + 200'000;
+    while (NowNanos() < until) {
+    }
+    segments++;
+  }
+  uint64_t ship_ns = 0;
+  int segments = 0;
+};
+
+// MergeSources stages winners in runs of kMergeRunLength. Its output must be
+// the tree a builder fed the model's winners directly produces, byte for
+// byte, whatever falls on a run edge; and its stage timers, with the sink's
+// ship time taken out of the build stages, partition the call's wall time.
+class MergeRunTest : public testing::TestWithParam<std::tuple<size_t, bool>> {};
+
+TEST_P(MergeRunTest, OutputMatchesDirectBuildAndTimersPartition) {
+  const auto [keys, drop_tombstones] = GetParam();
+  constexpr size_t kNodeSize = 512;  // 8 nodes per 4 KiB segment: segments ship mid-merge
+  // The older source holds every key; the newer one re-versions the keys
+  // around each run edge, as a live value or a tombstone.
+  Memtable newer;
+  Memtable older;
+  std::map<std::string, ValueLocation> model;
+  for (size_t i = 0; i < keys; ++i) {
+    const ValueLocation loc{1000 + i, i == kMergeRunLength};
+    older.Put(Key(i), loc);
+    model[Key(i)] = loc;
+  }
+  for (size_t i : {size_t{0}, kMergeRunLength - 2, kMergeRunLength - 1, kMergeRunLength,
+                   keys - 1}) {
+    if (i >= keys) {
+      continue;
+    }
+    const ValueLocation loc{5000 + i, i == kMergeRunLength - 1 || i == keys - 1};
+    newer.Put(Key(i), loc);
+    model[Key(i)] = loc;
+  }
+
+  auto merged_dev = MakeDevice(4096);
+  auto direct_dev = MakeDevice(4096);
+  SlowShipSink sink;
+  BTreeBuilder merged(merged_dev.get(), kNodeSize, IoClass::kCompactionWrite, &sink);
+  BTreeBuilder direct(direct_dev.get(), kNodeSize, IoClass::kCompactionWrite, nullptr);
+  merged.EnableFilter(10);
+  direct.EnableFilter(10);
+
+  MemtableMergeSource src_new(&newer);
+  MemtableMergeSource src_old(&older);
+  MergeStageTiming timing;
+  timing.sink_ns = &sink.ship_ns;
+  const uint64_t start_ns = NowNanos();
+  auto written = MergeSources({&src_new, &src_old}, drop_tombstones, &merged, &timing);
+  const uint64_t wall_ns = NowNanos() - start_ns;
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_GT(sink.segments, 0);
+  EXPECT_GT(timing.merge_ns, 0u);
+  EXPECT_GT(timing.build_ns, 0u);
+  EXPECT_LE(timing.merge_ns + timing.build_ns + sink.ship_ns, wall_ns);
+
+  uint64_t expected = 0;
+  for (const auto& [key, loc] : model) {
+    if (loc.tombstone && drop_tombstones) {
+      continue;
+    }
+    ASSERT_TRUE(direct.Add(key, loc.log_offset, loc.tombstone).ok());
+    expected++;
+  }
+  EXPECT_EQ(*written, expected);
+
+  auto merged_tree = merged.Finish();
+  auto direct_tree = direct.Finish();
+  ASSERT_TRUE(merged_tree.ok() && direct_tree.ok());
+  EXPECT_EQ(merged_tree->root_offset, direct_tree->root_offset);
+  EXPECT_EQ(merged_tree->num_entries, direct_tree->num_entries);
+  EXPECT_EQ(merged_tree->segments, direct_tree->segments);
+  EXPECT_EQ(merged_tree->seg_checksums, direct_tree->seg_checksums);
+  ASSERT_NE(merged_tree->filter, nullptr);
+  ASSERT_NE(direct_tree->filter, nullptr);
+  EXPECT_EQ(*merged_tree->filter, *direct_tree->filter);
+  for (size_t i = 0; i < merged_tree->segments.size(); ++i) {
+    const uint64_t base = merged_dev->geometry().BaseOffset(merged_tree->segments[i]);
+    std::string a(merged_tree->seg_checksums[i].length, 0);
+    std::string b(a.size(), 0);
+    ASSERT_TRUE(merged_dev->Read(base, a.size(), a.data(), IoClass::kOther).ok());
+    ASSERT_TRUE(direct_dev->Read(base, b.size(), b.data(), IoClass::kOther).ok());
+    EXPECT_EQ(a, b) << "segment " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RunEdges, MergeRunTest,
+                         testing::Combine(testing::Values(kMergeRunLength - 1, kMergeRunLength,
+                                                          kMergeRunLength + 1),
+                                          testing::Bool()));
 
 TEST(CompactionTest, LevelMergeSourceStreamsWholeLevel) {
   TreeFixture fx = BuildTree(2000);

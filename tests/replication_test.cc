@@ -4,10 +4,12 @@
 #include <set>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/common/crc32.h"
 #include "src/common/random.h"
+#include "src/lsm/btree_node.h"
 #include "src/lsm/index_codec.h"
 #include "src/net/fabric.h"
 #include "src/replication/build_index_backup.h"
@@ -319,9 +321,52 @@ TEST(SendIndexTest, BackupIndexMatchesPrimaryAfterCompactions) {
   EXPECT_TRUE(cluster.backups[0]->DebugGet("nonexistent-key").status().IsNotFound());
 }
 
+// Forwards control messages to a backup, counting the offsets each accepted
+// index segment carries: its leaf entries plus its index children.
+class ShippedOffsetCounter final : public ReplicationMessageHandler {
+ public:
+  Status Handle(const ReplicationMessage& msg) override {
+    Status status = backup->Handle(msg);
+    const auto* segment = std::get_if<IndexSegmentMsg>(&msg);
+    if (status.ok() && segment != nullptr) {
+      std::string bytes;
+      EXPECT_TRUE(DecodeIndexSegment(segment->data, kDefaultNodeSize, kSegmentSize, &bytes).ok());
+      for (size_t off = 0; off < bytes.size(); off += kDefaultNodeSize) {
+        const LeafNodeView leaf(bytes.data() + off, kDefaultNodeSize);
+        const IndexNodeView index(bytes.data() + off, kDefaultNodeSize);
+        offsets += leaf.IsValid() ? leaf.num_entries() : index.IsValid() ? index.num_entries() : 0;
+      }
+    }
+    return status;
+  }
+
+  ReplicationMessageHandler* backup = nullptr;
+  uint64_t offsets = 0;
+};
+
 TEST(SendIndexTest, BackupDoesNoCompactionReads) {
-  auto cluster = MakeSendIndexCluster(1, SmallOptions());
-  for (int i = 0; i < 3000; ++i) {
+  ShippedOffsetCounter shipped;
+  auto cluster = MakeSendIndexCluster(0, SmallOptions());
+  cluster.backup_devices.push_back(MakeDevice());
+  auto buffer = cluster.fabric->RegisterBuffer("backup0", "primary0", kSegmentSize);
+  auto backup =
+      SendIndexBackupRegion::Create(cluster.backup_devices.back().get(), SmallOptions(), buffer);
+  ASSERT_TRUE(backup.ok());
+  cluster.backups.push_back(std::move(*backup));
+  shipped.backup = cluster.backups[0].get();
+  cluster.primary->AddBackup(std::make_unique<LocalBackupChannel>(
+      cluster.fabric.get(), "primary0", buffer, &shipped));
+
+  // One shipped compaction: every shipped offset is rewritten once.
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(cluster.primary->Put(Key(i), "value-" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(cluster.primary->FlushL0().ok());
+  ASSERT_EQ(cluster.primary->store()->stats().compactions, 1u);
+  EXPECT_GT(shipped.offsets, 200u);  // the leaf entries and the root's children
+  EXPECT_EQ(cluster.backups[0]->stats().offsets_rewritten, shipped.offsets);
+
+  for (int i = 200; i < 3000; ++i) {
     ASSERT_TRUE(cluster.primary->Put(Key(i), "value-" + std::to_string(i)).ok());
   }
   ASSERT_TRUE(cluster.primary->FlushL0().ok());
@@ -337,7 +382,7 @@ TEST(SendIndexTest, BackupDoesNoCompactionReads) {
   // And the backup keeps no L0.
   EXPECT_EQ(cluster.backups[0]->l0_memory_bytes(), 0u);
   EXPECT_GT(cluster.backups[0]->stats().segments_rewritten, 0u);
-  EXPECT_GT(cluster.backups[0]->stats().offsets_rewritten, 0u);
+  EXPECT_EQ(cluster.backups[0]->stats().offsets_rewritten, shipped.offsets);
 }
 
 // Scans are lookups on both sides: the primary's plain and prefix scans read
