@@ -1372,9 +1372,7 @@ void RunWritePathComparison() {
   constexpr int kClientThreads = 16;
   constexpr size_t kGroupSize = 16;
   constexpr int kRunsPerArm = 3;
-  // S/M/L value mixes; L crosses the WAL-time separation threshold, so that
-  // mix also exercises the large-value family end to end.
-  constexpr size_t kLargeValueThreshold = 512;
+  // S/M/L value mixes.
   struct Mix {
     const char* name;
     size_t value_bytes;
@@ -1392,7 +1390,6 @@ void RunWritePathComparison() {
   json.Set("write_path", "group_size", static_cast<double>(kGroupSize));
   json.Set("write_path", "ops_per_thread_per_arm", static_cast<double>(ops_per_thread));
   json.Set("write_path", "device_bandwidth_mb", static_cast<double>(scale.bandwidth_mb));
-  json.Set("write_path", "large_value_threshold", static_cast<double>(kLargeValueThreshold));
   json.Set("write_path", "target_speedup", 1.5);
   double worst_speedup = 0;
   bool first_mix = true;
@@ -1406,7 +1403,6 @@ void RunWritePathComparison() {
     // PR 2's experiment) from swamping the per-record vs per-group contrast
     // this A/B isolates.
     options.kv_options.l0_max_entries = std::max<uint64_t>(scale.l0_entries, 8192);
-    options.kv_options.large_value_threshold = kLargeValueThreshold;
     options.device_options.segment_size = 1 << 18;
     options.device_options.max_segments = 1 << 17;
     if (scale.bandwidth_mb > 0) {
@@ -1470,8 +1466,7 @@ void RunWritePathComparison() {
     json.Set(section, "speedup", speedup);
     // Registry-delta proof: the single arm's delta has zero wp.batch_groups
     // and doorbells == doorbell_records (coalesce ratio 1); the batched arm's
-    // delta shows one group per WriteBatch and a ~group_size coalesce ratio
-    // (plus wp.large_value_separations on the L mix).
+    // delta shows one group per WriteBatch and a ~group_size coalesce ratio.
     bench::SetFromSnapshot(&json, section + "_single_registry",
                            bench::DiffSnapshots(single_before, single_after), {"wp."});
     bench::SetFromSnapshot(&json, section + "_batched_registry",

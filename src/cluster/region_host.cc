@@ -187,9 +187,8 @@ StatusOr<std::shared_ptr<RegisteredBuffer>> RegionHost::ReplicationBuffer(
 
 std::shared_ptr<RegisteredBuffer> RegionHost::RegisterBackupBuffer(uint32_t region_id,
                                                                    const std::string& writer) {
-  // 2x a segment: main tail mirror in [0, segment), large-value tail mirror
-  // in [segment, 2*segment).
-  auto buffer = fabric_->RegisterBuffer(/*owner=*/node_, writer, 2 * device_->segment_size());
+  // One segment: the mirror of the primary's one log tail.
+  auto buffer = fabric_->RegisterBuffer(/*owner=*/node_, writer, device_->segment_size());
   InstallCommitListener(buffer.get());
   return buffer;
 }

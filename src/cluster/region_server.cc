@@ -321,8 +321,6 @@ Status RegionServer::DemoteRegion(uint32_t region_id, const SegmentMap& new_prim
   // Validate BEFORE gutting the primary: a put that raced in after the
   // coordinator's tail flush must leave the region serving (the caller
   // retries the move), not a husk whose engine was moved out and destroyed.
-  // Covers both tails: a dual-tail log may have a clean main tail but
-  // unflushed large-value records.
   if (region->primary->store()->value_log()->HasUnflushedRecords()) {
     return Status::FailedPrecondition("tail not flushed before demotion");
   }

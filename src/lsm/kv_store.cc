@@ -65,7 +65,6 @@ StatusOr<std::unique_ptr<KvStore>> KvStore::Create(BlockDevice* device,
   TEBIS_RETURN_IF_ERROR(CheckLeafAddressable(device));
   std::unique_ptr<KvStore> store(new KvStore(device, options));
   TEBIS_ASSIGN_OR_RETURN(store->log_, ValueLog::Create(device));
-  store->log_->set_large_value_threshold(options.large_value_threshold);
   return store;
 }
 
@@ -79,7 +78,6 @@ StatusOr<std::unique_ptr<KvStore>> KvStore::CreateFromParts(BlockDevice* device,
   TEBIS_RETURN_IF_ERROR(CheckLeafAddressable(device));
   std::unique_ptr<KvStore> store(new KvStore(device, options));
   store->log_ = std::move(log);
-  store->log_->set_large_value_threshold(options.large_value_threshold);
   for (size_t i = 0; i < levels.size(); ++i) {
     store->levels_[i] = store->MakeHandle(std::move(levels[i]), static_cast<int>(i));
   }
@@ -158,7 +156,6 @@ KvStore::KvStore(BlockDevice* device, const KvStoreOptions& options)
   // Write-path group commit.
   counters_.batch_groups = reg->GetCounter("wp.batch_groups", l);
   counters_.batch_ops = reg->GetCounter("wp.batch_ops", l);
-  counters_.large_value_separations = reg->GetCounter("wp.large_value_separations", l);
   counters_.batch_size = reg->GetHistogram("wp.batch_size", l);
   counters_.group_commit_latency_ns = reg->GetHistogram("wp.group_commit_latency_ns", l);
 }
@@ -269,7 +266,6 @@ KvStoreStats KvStore::stats() const {
       counters_.read_corruptions_log->Value() + counters_.read_corruptions_level->Value();
   s.batch_groups = counters_.batch_groups->Value();
   s.batch_ops = counters_.batch_ops->Value();
-  s.large_value_separations = counters_.large_value_separations->Value();
   // Live view, not the gauge: a read may quarantine a level between scrubs.
   s.quarantined_levels = QuarantinedLevels().size();
   return s;
@@ -384,14 +380,12 @@ Status KvStore::WriteBatchInner(const std::vector<BatchOp>& ops, std::vector<Sta
     }
   }
   const uint64_t start_ns = NowNanos();
-  const size_t threshold = log_->large_value_threshold();
   const size_t seg_size = device_->segment_size();
 
   // Validate up front (mirroring ValueLog::Append's checks) so the group
   // reservation only counts records that will land; an invalid op fails alone
   // and the rest of the batch proceeds.
-  size_t main_bytes = 0;
-  size_t large_bytes = 0;
+  size_t group_bytes = 0;
   for (size_t i = 0; i < ops.size(); ++i) {
     const BatchOp& op = ops[i];
     if (op.key.empty() || op.key.size() > kMaxKeySize) {
@@ -404,8 +398,7 @@ Status KvStore::WriteBatchInner(const std::vector<BatchOp>& ops, std::vector<Sta
       (*statuses)[i] = Status::InvalidArgument("record larger than a segment");
       continue;
     }
-    const bool large = threshold > 0 && !op.tombstone && op.value.size() >= threshold;
-    (large ? large_bytes : main_bytes) += need;
+    group_bytes += need;
   }
 
   bool flushed = false;
@@ -413,11 +406,10 @@ Status KvStore::WriteBatchInner(const std::vector<BatchOp>& ops, std::vector<Sta
   uint64_t appended_bytes = 0;
   uint64_t applied_puts = 0;
   uint64_t applied_deletes = 0;
-  uint64_t separations = 0;
   uint64_t cpu_ns = 0;
   {
     ScopedCpuTimer t(&cpu_ns);
-    Status begin = log_->BeginGroup(main_bytes, large_bytes, &flushed);
+    Status begin = log_->BeginGroup(group_bytes, &flushed);
     if (!begin.ok()) {
       for (size_t i = 0; i < ops.size(); ++i) {
         if ((*statuses)[i].ok()) {
@@ -454,9 +446,6 @@ Status KvStore::WriteBatchInner(const std::vector<BatchOp>& ops, std::vector<Sta
         ++applied_deletes;
       } else {
         ++applied_puts;
-        if (threshold > 0 && op.value.size() >= threshold) {
-          ++separations;
-        }
       }
     }
     log_->EndGroup();
@@ -469,7 +458,6 @@ Status KvStore::WriteBatchInner(const std::vector<BatchOp>& ops, std::vector<Sta
   counters_.deletes->Add(applied_deletes);
   counters_.batch_groups->Increment();
   counters_.batch_ops->Add(applied_puts + applied_deletes);
-  counters_.large_value_separations->Add(separations);
   counters_.batch_size->Record(applied_puts + applied_deletes);
   active_appended_bytes_ += appended_bytes;
   if (flushed && options_.auto_checkpoint) {

@@ -85,12 +85,6 @@ struct KvStoreOptions {
   bool enable_filters = true;
   uint32_t filter_bits_per_key = kDefaultFilterBitsPerKey;
 
-  // WAL-time KV separation: put values at or above this many bytes are
-  // appended to the value log's dedicated large-value tail instead of the main
-  // tail, so the hot tail — and the memtable/L0/shipped-index footprint per
-  // log byte — stays dense under value-heavy mixes. 0 disables separation.
-  size_t large_value_threshold = 0;
-
   // Compaction pool. When set, L0 spills and level cascades run as
   // long-running jobs on this pool and writes overlap compaction. The pool
   // must be Start()ed and must outlive the store. Null = each job runs inline
@@ -203,9 +197,8 @@ struct KvStoreStats {
   uint64_t read_corruptions = 0;        // reads that hit a corrupt record/segment
   uint64_t quarantined_levels = 0;      // levels currently refusing reads
   // Write-path group commit.
-  uint64_t batch_groups = 0;             // WriteBatch calls that reached the log
-  uint64_t batch_ops = 0;                // ops applied through WriteBatch
-  uint64_t large_value_separations = 0;  // puts routed to the large-value tail
+  uint64_t batch_groups = 0;  // WriteBatch calls that reached the log
+  uint64_t batch_ops = 0;     // ops applied through WriteBatch
 };
 
 struct KvPair {
@@ -484,7 +477,6 @@ class KvStore {
     // Write-path group commit.
     Counter* batch_groups = nullptr;
     Counter* batch_ops = nullptr;
-    Counter* large_value_separations = nullptr;
     HistogramInstrument* batch_size = nullptr;               // ops per group
     HistogramInstrument* group_commit_latency_ns = nullptr;  // WriteBatch wall time
   };

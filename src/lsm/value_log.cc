@@ -74,42 +74,20 @@ Status ValueLog::OpenNewTail() {
 }
 
 Status ValueLog::SealTail() {
-  return Seal(kMainLogFamily, tail_segment_, tail_buffer_.get(), tail_used_);
-}
-
-Status ValueLog::Seal(uint32_t family, SegmentId segment, char* buffer, uint64_t used) {
   // Appends always leave 4 bytes free after the last record, so the pad
   // marker fits. It sits past the published used mark, which no reader
   // touches. Only the used prefix and the marker reach the device: every
   // reader of a flushed segment stops at the marker, never looking past it.
-  EncodeU32(buffer + used, kPadMarker);
-  const Slice sealed(buffer, used + sizeof(kPadMarker));
+  EncodeU32(tail_buffer_.get() + tail_used_, kPadMarker);
+  const Slice sealed(tail_buffer_.get(), tail_used_ + sizeof(kPadMarker));
   TEBIS_RETURN_IF_ERROR(
-      device_->Write(device_->geometry().BaseOffset(segment), sealed, IoClass::kLogFlush));
+      device_->Write(device_->geometry().BaseOffset(tail_segment_), sealed, IoClass::kLogFlush));
   if (observer_ != nullptr) {
-    observer_->OnTailFlush(family, segment, sealed);
-  }
-  // Large segments join the one flushed list in seal order: GC, checkpoint,
-  // full sync, and the backups' log maps all see a single segment sequence.
-  std::lock_guard<std::mutex> lock(tail_mutex_);
-  flushed_segments_.push_back(segment);
-  return Status::Ok();
-}
-
-Status ValueLog::OpenNewLargeTail() {
-  TEBIS_ASSIGN_OR_RETURN(SegmentId fresh, device_->AllocateSegment());
-  if (large_tail_buffer_ == nullptr) {
-    large_tail_buffer_ = std::make_unique<char[]>(device_->segment_size());
+    observer_->OnTailFlush(tail_segment_, sealed);
   }
   std::lock_guard<std::mutex> lock(tail_mutex_);
-  memset(large_tail_buffer_.get(), 0, large_tail_used_ + sizeof(kPadMarker));
-  large_tail_segment_ = fresh;
-  large_tail_used_ = 0;
+  flushed_segments_.push_back(tail_segment_);
   return Status::Ok();
-}
-
-Status ValueLog::SealLargeTail() {
-  return Seal(kLargeLogFamily, large_tail_segment_, large_tail_buffer_.get(), large_tail_used_);
 }
 
 StatusOr<ValueLog::AppendResult> ValueLog::Append(Slice key, Slice value, bool tombstone) {
@@ -121,33 +99,19 @@ StatusOr<ValueLog::AppendResult> ValueLog::Append(Slice key, Slice value, bool t
   if (need + 4 > device_->segment_size()) {
     return Status::InvalidArgument("record larger than a segment");
   }
-  const bool large = large_value_threshold_ > 0 && !tombstone &&
-                     value.size() >= large_value_threshold_;
-  return AppendToFamily(key, value, tombstone, large ? kLargeLogFamily : kMainLogFamily);
-}
-
-StatusOr<ValueLog::AppendResult> ValueLog::AppendToFamily(Slice key, Slice value, bool tombstone,
-                                                          uint32_t family) {
-  const size_t need = LogRecordSize(key.size(), value.size());
-  const uint64_t seg_size = device_->segment_size();
-  const bool large = (family == kLargeLogFamily);
-  if (large && large_tail_buffer_ == nullptr) {
-    TEBIS_RETURN_IF_ERROR(OpenNewLargeTail());
-  }
 
   AppendResult result{};
-  if ((large ? large_tail_used_ : tail_used_) + need + 4 > seg_size) {
+  if (tail_used_ + need + 4 > device_->segment_size()) {
     // A mid-group seal publishes the open run first: backups must hold the
     // run's bytes before the flush message asks them to persist the segment.
-    EmitRun(family);
-    TEBIS_RETURN_IF_ERROR(large ? SealLargeTail() : SealTail());
-    TEBIS_RETURN_IF_ERROR(large ? OpenNewLargeTail() : OpenNewTail());
+    EmitRun();
+    TEBIS_RETURN_IF_ERROR(SealTail());
+    TEBIS_RETURN_IF_ERROR(OpenNewTail());
     result.flushed_segment = true;
   }
 
-  char* buf = large ? large_tail_buffer_.get() : tail_buffer_.get();
-  const uint64_t used = large ? large_tail_used_ : tail_used_;
-  char* p = buf + used;
+  const uint64_t offset_in_segment = tail_used_;
+  char* p = tail_buffer_.get() + offset_in_segment;
   EncodeU32(p, static_cast<uint32_t>(key.size()));
   EncodeU32(p + 4, static_cast<uint32_t>(value.size()));
   p[8] = tombstone ? static_cast<char>(kRecordFlagTombstone) : 0;
@@ -156,55 +120,38 @@ StatusOr<ValueLog::AppendResult> ValueLog::AppendToFamily(Slice key, Slice value
   const uint32_t crc = Crc32c(p, kLogRecordHeaderSize + key.size() + value.size());
   EncodeU32(p + need - kLogRecordTrailerSize, crc);
 
-  const uint64_t offset_in_segment = used;
-  const SegmentId segment = large ? large_tail_segment_ : tail_segment_;
-  result.offset = device_->geometry().BaseOffset(segment) | offset_in_segment;
+  result.offset = device_->geometry().BaseOffset(tail_segment_) | offset_in_segment;
   result.encoded_size = need;
   {
     // Publish the record: readers acquire tail_mutex_ before reading up to
     // the used mark, so the byte writes above happen-before any reader's copy.
     std::lock_guard<std::mutex> lock(tail_mutex_);
-    (large ? large_tail_used_ : tail_used_) += need;
+    tail_used_ += need;
   }
   total_appended_bytes_.fetch_add(need, std::memory_order_relaxed);
 
   if (group_active_) {
-    ExtendRun(family, segment, offset_in_segment, need);
+    ExtendRun(offset_in_segment, need);
   } else if (observer_ != nullptr) {
     // The +4 covers the zero terminator the append path always reserves.
-    observer_->OnAppend(family, segment, offset_in_segment, Slice(p, need + 4), 1);
+    observer_->OnAppend(tail_segment_, offset_in_segment, Slice(p, need + 4), 1);
   }
   return result;
 }
 
-Status ValueLog::BeginGroup(size_t main_bytes, size_t large_bytes, bool* flushed) {
+Status ValueLog::BeginGroup(size_t bytes, bool* flushed) {
   if (flushed != nullptr) {
     *flushed = false;
   }
-  runs_[kMainLogFamily] = GroupRun{};
-  runs_[kLargeLogFamily] = GroupRun{};
+  run_ = GroupRun{};
   const uint64_t seg_size = device_->segment_size();
-  // Reserve one contiguous extent per family: when the whole group fits a
-  // fresh segment but not the current remainder, pre-seal so the group's run
-  // lands adjacent and replicates as a single one-sided write.
-  if (main_bytes > 0 && main_bytes + 4 <= seg_size && tail_used_ > 0 &&
-      tail_used_ + main_bytes + 4 > seg_size) {
-    TEBIS_RETURN_IF_ERROR(SealTail());
-    TEBIS_RETURN_IF_ERROR(OpenNewTail());
+  // Reserve one contiguous extent: when the whole group fits a fresh segment
+  // but not the current remainder, pre-seal so the group's run lands
+  // adjacent and replicates as a single one-sided write.
+  if (bytes > 0 && bytes + 4 <= seg_size && tail_used_ > 0 && tail_used_ + bytes + 4 > seg_size) {
+    TEBIS_RETURN_IF_ERROR(FlushTail());
     if (flushed != nullptr) {
       *flushed = true;
-    }
-  }
-  if (large_bytes > 0) {
-    if (large_tail_buffer_ == nullptr) {
-      TEBIS_RETURN_IF_ERROR(OpenNewLargeTail());
-    } else if (large_bytes + 4 <= seg_size && large_tail_used_ > 0 &&
-               large_tail_used_ + large_bytes + 4 > seg_size) {
-      TEBIS_RETURN_IF_ERROR(SealLargeTail());
-      TEBIS_RETURN_IF_ERROR(OpenNewLargeTail());
-      if (flushed != nullptr) {
-        *flushed = true;
-      }
     }
   }
   group_active_ = true;
@@ -215,49 +162,32 @@ void ValueLog::EndGroup() {
   if (!group_active_) {
     return;
   }
-  EmitRun(kMainLogFamily);
-  EmitRun(kLargeLogFamily);
+  EmitRun();
   group_active_ = false;
 }
 
-void ValueLog::ExtendRun(uint32_t family, SegmentId segment, uint64_t offset, size_t bytes) {
-  GroupRun& run = runs_[family];
-  if (!run.open) {
-    run.open = true;
-    run.segment = segment;
-    run.start = offset;
-    run.bytes = 0;
-    run.count = 0;
+void ValueLog::ExtendRun(uint64_t offset, size_t bytes) {
+  if (run_.count == 0) {
+    run_.start = offset;
   }
-  run.bytes += bytes;
-  run.count++;
+  run_.bytes += bytes;
+  run_.count++;
 }
 
-void ValueLog::EmitRun(uint32_t family) {
-  GroupRun& run = runs_[family];
-  if (!run.open || run.count == 0) {
-    run = GroupRun{};
-    return;
-  }
-  if (observer_ != nullptr) {
-    char* buf =
-        (family == kLargeLogFamily) ? large_tail_buffer_.get() : tail_buffer_.get();
+void ValueLog::EmitRun() {
+  if (run_.count != 0 && observer_ != nullptr) {
     // The +4 covers the zero terminator after the run — the append path always
     // reserves it, and no later record has been written there yet.
-    observer_->OnAppend(family, run.segment, run.start, Slice(buf + run.start, run.bytes + 4),
-                        run.count);
+    observer_->OnAppend(tail_segment_, run_.start,
+                        Slice(tail_buffer_.get() + run_.start, run_.bytes + 4), run_.count);
   }
-  run = GroupRun{};
+  run_ = GroupRun{};
 }
 
 Status ValueLog::FlushTail() {
   if (tail_used_ != 0) {
     TEBIS_RETURN_IF_ERROR(SealTail());
     TEBIS_RETURN_IF_ERROR(OpenNewTail());
-  }
-  if (large_tail_used_ != 0) {
-    TEBIS_RETURN_IF_ERROR(SealLargeTail());
-    TEBIS_RETURN_IF_ERROR(OpenNewLargeTail());
   }
   return Status::Ok();
 }
@@ -324,14 +254,6 @@ Status ValueLog::ReadRecord(uint64_t offset, LogRecord* out, PageCache* cache,
           *out, Decode(tail_buffer_.get() + in_segment, tail_used_ - in_segment, offset));
       return Status::Ok();
     }
-    if (segment == large_tail_segment_ && large_tail_buffer_ != nullptr) {
-      if (in_segment >= large_tail_used_) {
-        return Status::OutOfRange("offset past large-value log tail");
-      }
-      TEBIS_ASSIGN_OR_RETURN(*out, Decode(large_tail_buffer_.get() + in_segment,
-                                          large_tail_used_ - in_segment, offset));
-      return Status::Ok();
-    }
   }
 
   // Flushed segment: read header first, then the body.
@@ -396,26 +318,14 @@ Status ValueLog::ReadKey(uint64_t offset, size_t key_size, std::string* key, boo
   bool from_tail = false;
   {
     std::lock_guard<std::mutex> lock(tail_mutex_);
-    const char* tail_ptr = nullptr;
-    uint64_t available = 0;
     if (segment == tail_segment_) {
       if (in_segment >= tail_used_) {
         return Status::OutOfRange("offset past log tail");
       }
-      tail_ptr = tail_buffer_.get() + in_segment;
-      available = tail_used_ - in_segment;
-    } else if (segment == large_tail_segment_ && large_tail_buffer_ != nullptr) {
-      if (in_segment >= large_tail_used_) {
-        return Status::OutOfRange("offset past large-value log tail");
-      }
-      tail_ptr = large_tail_buffer_.get() + in_segment;
-      available = large_tail_used_ - in_segment;
-    }
-    if (tail_ptr != nullptr) {
-      if (n > available) {
+      if (n > tail_used_ - in_segment) {
         return Status::Corruption("record key overruns log tail" + where());
       }
-      memcpy(buf, tail_ptr, n);
+      memcpy(buf, tail_buffer_.get() + in_segment, n);
       from_tail = true;
     }
   }
@@ -526,26 +436,18 @@ Status ValueLog::ForEachRecordIn(SegmentId segment, IoClass io_class,
   return ForEachRecord(sealed, device_->geometry().BaseOffset(segment), fn);
 }
 
-void ValueLog::ForEachBufferRecord(Slice image, uint64_t segment_size,
+void ValueLog::ForEachBufferRecord(Slice image,
                                    const std::function<void(const LogRecordView&)>& fn) {
-  const auto walk = [&fn](Slice half) {
-    // A corruption marks the end of valid data, so its status is dropped.
-    (void)WalkRecords(half, /*segment_base=*/0, [&fn](const LogRecordView& rec) {
-      fn(rec);
-      return Status::Ok();
-    });
-  };
-  if (image.size() < 2 * segment_size) {
-    walk(image);
-  } else {
-    walk(Slice(image.data(), segment_size));
-    walk(Slice(image.data() + segment_size, image.size() - segment_size));
-  }
+  // A corruption marks the end of valid data, so its status is dropped.
+  (void)WalkRecords(image, /*segment_base=*/0, [&fn](const LogRecordView& rec) {
+    fn(rec);
+    return Status::Ok();
+  });
 }
 
-std::vector<LogRecord> ValueLog::DecodeBufferImage(Slice image, uint64_t segment_size) {
+std::vector<LogRecord> ValueLog::DecodeBufferImage(Slice image) {
   std::vector<LogRecord> records;
-  ForEachBufferRecord(image, segment_size,
+  ForEachBufferRecord(image,
                       [&records](const LogRecordView& rec) { records.push_back(rec.ToRecord()); });
   return records;
 }

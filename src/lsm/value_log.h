@@ -51,31 +51,24 @@ struct LogRecordView {
   LogRecord ToRecord() const;  // copied out
 };
 
-// Log families: the main tail takes every record below the large-value
-// threshold; values at or above it go to dedicated large-value segments at
-// write time (WAL-time KV separation), so the hot tail — and everything
-// mirrored from it — stays dense under value-heavy mixes.
-inline constexpr uint32_t kMainLogFamily = 0;
-inline constexpr uint32_t kLargeLogFamily = 1;
-
 // Observer of log appends/flushes: the replication data plane's doorbell.
-// Callbacks run on the appending thread, tagged with the log family.
+// Callbacks run on the appending thread.
 class ValueLogObserver {
  public:
   virtual ~ValueLogObserver() = default;
 
-  // `record_count` consecutive records were appended to `family`'s tail at
+  // `record_count` consecutive records were appended to the tail at
   // `offset_in_segment` of `segment`: one record per plain append, a whole
-  // per-family run per group commit. `run_with_terminator` points into the
-  // tail buffer and covers the records plus the 4 zero bytes the log always
-  // reserves after them.
-  virtual void OnAppend(uint32_t family, SegmentId segment, uint64_t offset_in_segment,
-                        Slice run_with_terminator, size_t record_count) {}
+  // run per group commit. `run_with_terminator` points into the tail buffer
+  // and covers the records plus the 4 zero bytes the log always reserves
+  // after them.
+  virtual void OnAppend(SegmentId segment, uint64_t offset_in_segment, Slice run_with_terminator,
+                        size_t record_count) {}
 
-  // `family`'s tail segment was persisted to the device. `sealed_bytes` is
-  // exactly what the seal wrote: the used prefix followed by the 4-byte pad
-  // marker, at most one segment.
-  virtual void OnTailFlush(uint32_t family, SegmentId segment, Slice sealed_bytes) {}
+  // The tail segment was persisted to the device. `sealed_bytes` is exactly
+  // what the seal wrote: the used prefix followed by the 4-byte pad marker,
+  // at most one segment.
+  virtual void OnTailFlush(SegmentId segment, Slice sealed_bytes) {}
 };
 
 class ValueLog {
@@ -95,13 +88,6 @@ class ValueLog {
   void set_observer(ValueLogObserver* observer) { observer_ = observer; }
   const BlockDevice* device() const { return device_; }
 
-  // WAL-time KV separation: values >= `threshold` bytes are appended
-  // to the large-value tail instead of the main tail; 0 (the default)
-  // disables separation entirely — no second tail is ever allocated. Set
-  // before the first append (the engine configures it at Create/Recover).
-  void set_large_value_threshold(size_t threshold) { large_value_threshold_ = threshold; }
-  size_t large_value_threshold() const { return large_value_threshold_; }
-
   struct AppendResult {
     uint64_t offset;       // device offset of the record
     size_t encoded_size;   // bytes occupied in the log
@@ -113,19 +99,17 @@ class ValueLog {
   StatusOr<AppendResult> Append(Slice key, Slice value, bool tombstone);
 
   // Group commit: between BeginGroup and EndGroup, appends accumulate into
-  // one contiguous per-family run instead of firing per-record observer
-  // callbacks; EndGroup (or a mid-group seal) emits one OnAppend for the
-  // whole run. BeginGroup reserves one contiguous extent: when the whole
-  // group would fit a fresh segment but not the current tail remainder, the
-  // tail is pre-sealed so the group's bytes land adjacent. `main_bytes` /
-  // `large_bytes` are the encoded sizes headed to each family; `*flushed` is
+  // one contiguous run instead of firing per-record observer callbacks;
+  // EndGroup (or a mid-group seal) emits one OnAppend for the whole run.
+  // BeginGroup reserves one contiguous extent: when the group's `bytes`
+  // (encoded) would fit a fresh segment but not the current tail remainder,
+  // the tail is pre-sealed so the group's bytes land adjacent. `*flushed` is
   // set when a pre-seal flushed a segment. Single-writer, like Append.
-  Status BeginGroup(size_t main_bytes, size_t large_bytes, bool* flushed);
+  Status BeginGroup(size_t bytes, bool* flushed);
   void EndGroup();
 
-  // Forces the current tail (and the large-value tail, when open) to the
-  // device (its used prefix plus the pad marker) and opens fresh tails. No-op
-  // on empty tails.
+  // Forces the current tail to the device (its used prefix plus the pad
+  // marker) and opens a fresh tail. No-op on an empty tail.
   Status FlushTail();
 
   // Reads the record at `offset`. Serves from the in-memory tail when the
@@ -156,20 +140,9 @@ class ValueLog {
     std::lock_guard<std::mutex> lock(tail_mutex_);
     return tail_used_;
   }
-  SegmentId large_tail_segment() const {
-    std::lock_guard<std::mutex> lock(tail_mutex_);
-    return large_tail_segment_;
-  }
-  uint64_t large_tail_used() const {
-    std::lock_guard<std::mutex> lock(tail_mutex_);
-    return large_tail_used_;
-  }
-  // True while any family's tail holds unflushed records: the
-  // demotion/handover guard must cover the large-value tail too.
-  bool HasUnflushedRecords() const {
-    std::lock_guard<std::mutex> lock(tail_mutex_);
-    return tail_used_ != 0 || large_tail_used_ != 0;
-  }
+  // True while the tail holds unflushed records: the demotion/handover
+  // guard.
+  bool HasUnflushedRecords() const { return tail_used() != 0; }
   // Direct reference — only valid while no mutating call runs concurrently
   // (checkpoint, recovery, integrity checks). Concurrent readers use the
   // snapshot below.
@@ -197,18 +170,6 @@ class ValueLog {
       return std::string();
     }
     std::string image(tail_buffer_.get(), tail_used_);
-    image.append(4, '\0');
-    return image;
-  }
-
-  // Same, for the large-value tail: seeds the [segment, 2*segment)
-  // half of a freshly attached backup's replication buffer.
-  std::string LargeTailImageSnapshot() const {
-    std::lock_guard<std::mutex> lock(tail_mutex_);
-    if (large_tail_buffer_ == nullptr || large_tail_used_ == 0) {
-      return std::string();
-    }
-    std::string image(large_tail_buffer_.get(), large_tail_used_);
     image.append(4, '\0');
     return image;
   }
@@ -252,39 +213,31 @@ class ValueLog {
                          const std::function<Status(const LogRecord&)>& fn,
                          uint64_t* bytes_read = nullptr) const;
 
-  // Visits the records of a replication-buffer image in place, in append
-  // order per family: the main-tail mirror in [0, segment_size), then, in
-  // an image of at least two segments, the large-value mirror in
-  // [segment_size, end). A record that does not decode — a torn trailing
-  // one-sided write — ends its half. Offsets are relative to the half.
-  static void ForEachBufferRecord(Slice image, uint64_t segment_size,
+  // Visits the records of a replication-buffer image — the tail mirror — in
+  // place, in append order. A record that does not decode — a torn trailing
+  // one-sided write — ends the walk. Offsets are relative to the image.
+  static void ForEachBufferRecord(Slice image,
                                   const std::function<void(const LogRecordView&)>& fn);
   // The same records, copied out: what promotion replays.
-  static std::vector<LogRecord> DecodeBufferImage(Slice image, uint64_t segment_size);
+  static std::vector<LogRecord> DecodeBufferImage(Slice image);
 
  private:
   explicit ValueLog(BlockDevice* device);
   Status OpenNewTail();
-  Status SealTail();
-  Status OpenNewLargeTail();
-  Status SealLargeTail();
-  // Writes `buffer`'s `used` bytes and a pad marker to `segment`, notifies
+  // Writes the tail's used bytes and a pad marker to its segment, notifies
   // the observer and registers the segment as flushed.
-  Status Seal(uint32_t family, SegmentId segment, char* buffer, uint64_t used);
-  StatusOr<AppendResult> AppendToFamily(Slice key, Slice value, bool tombstone, uint32_t family);
+  Status SealTail();
 
-  // One in-progress group-commit run per family: the contiguous byte range
-  // the current group has appended to that family's tail. Emitted as one
-  // OnAppend either at EndGroup or just before a mid-group seal.
+  // The in-progress group-commit run: the contiguous byte range the current
+  // group has appended to the tail segment. Emitted as one OnAppend either at
+  // EndGroup or just before a mid-group seal, so it never spans two segments.
   struct GroupRun {
-    bool open = false;
-    SegmentId segment = kInvalidSegment;
     uint64_t start = 0;  // offset in segment of the first record
     uint64_t bytes = 0;  // encoded bytes of all records in the run
-    size_t count = 0;
+    size_t count = 0;    // 0 = no run open
   };
-  void ExtendRun(uint32_t family, SegmentId segment, uint64_t offset, size_t bytes);
-  void EmitRun(uint32_t family);
+  void ExtendRun(uint64_t offset, size_t bytes);
+  void EmitRun();
 
   // Decodes one record from `buf` (which has at least header bytes
   // available), in place or copied out.
@@ -296,7 +249,6 @@ class ValueLog {
 
   BlockDevice* const device_;
   ValueLogObserver* observer_ = nullptr;
-  size_t large_value_threshold_ = 0;  // 0 = separation off
 
   // Orders tail-state publication (tail_segment_, tail_used_, buffer resets,
   // flushed_segments_) against concurrent tail-path readers. Never held across
@@ -308,15 +260,9 @@ class ValueLog {
   std::unique_ptr<char[]> tail_buffer_;
   uint64_t tail_used_ = 0;
 
-  // Large-value tail: allocated lazily on the first large append so a
-  // log with separation disabled never pays a second segment.
-  SegmentId large_tail_segment_ = kInvalidSegment;
-  std::unique_ptr<char[]> large_tail_buffer_;
-  uint64_t large_tail_used_ = 0;
-
   // Group-commit state; touched only by the single writer thread.
   bool group_active_ = false;
-  GroupRun runs_[2];
+  GroupRun run_;
 
   std::vector<SegmentId> flushed_segments_;
   std::atomic<uint64_t> total_appended_bytes_{0};

@@ -96,25 +96,6 @@ void RegisteredBuffer::ReadView(const std::function<void(Slice bytes)>& fn) {
   fn(Slice(data_.data(), data_.size()));
 }
 
-void RegisteredBuffer::ZeroPrefix(size_t len) {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  if (len > data_.size()) {
-    len = data_.size();
-  }
-  memset(data_.data(), 0, len);
-}
-
-std::string RegisteredBuffer::SnapshotRange(size_t offset, size_t len) {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  if (offset >= data_.size()) {
-    return std::string();
-  }
-  if (len > data_.size() - offset) {
-    len = data_.size() - offset;
-  }
-  return std::string(data_.data() + offset, len);
-}
-
 void RegisteredBuffer::ZeroRange(size_t offset, size_t len) {
   std::lock_guard<std::mutex> lock(write_mutex_);
   if (offset >= data_.size()) {

@@ -119,16 +119,10 @@ class RegisteredBuffer {
   // `fn` must not call back into this buffer.
   void ReadView(const std::function<void(Slice bytes)>& fn);
 
-  // Owner-side scrub of the first `len` bytes (zeroes). After a log flush the
-  // backup clears the absorbed tail image so buffer parsing restarts from an
-  // empty prefix; a 4-byte zero key_size terminates record iteration.
-  void ZeroPrefix(size_t len);
-
-  // Ranged variants: the replication buffer carries two tail
-  // mirrors — main at [0, segment) and large-value at [segment, 2*segment) —
-  // so backups snapshot and scrub each region independently. Out-of-range
-  // requests clamp to the buffer like the prefix forms.
-  std::string SnapshotRange(size_t offset, size_t len);
+  // Owner-side scrub of [offset, offset + len), clamped to the buffer. The
+  // replication buffer is one tail mirror at [0, segment): after a log flush
+  // the backup zeroes its first header, so buffer parsing restarts from an
+  // empty prefix (a 4-byte zero key_size terminates record iteration).
   void ZeroRange(size_t offset, size_t len);
   // Owner-side store of `bytes` at `offset`, serialized with tagged writes
   // like the scrubs; no traffic is accounted. The range must fit the buffer.

@@ -79,14 +79,14 @@ Status BackupRegion::HandleLogFlush(const FlushLogMsg& msg) {
     // into it, and those records are live.
     return Status::Ok();
   }
-  TEBIS_ASSIGN_OR_RETURN(Slice sealed, SealBufferHalf(msg.family, msg.tail_bytes));
+  TEBIS_ASSIGN_OR_RETURN(Slice sealed, SealBuffer(msg.tail_bytes));
   // Persist the replicated tail (one write, like the primary's seal).
   TEBIS_ASSIGN_OR_RETURN(SegmentId local, value_log()->AppendRawSegment(sealed));
   TEBIS_RETURN_IF_ERROR(log_map_.Insert(msg.primary_segment, local));
   primary_flush_order_.push_back(msg.primary_segment);
   frame_.log_flushes->Increment();
   TEBIS_RETURN_IF_ERROR(OnLogFlushedLocked(local, sealed));
-  AbsorbBufferHalf(msg.family, msg.commit_seq);
+  AbsorbBuffer(msg.commit_seq);
   return Status::Ok();
 }
 
@@ -140,8 +140,8 @@ StatusOr<std::unique_ptr<KvStore>> BackupRegion::Promote(bool replay_rdma_buffer
     return store;
   }
   // Re-appended through the new primary's own log.
-  for (const LogRecord& rec : ValueLog::DecodeBufferImage(
-           Slice(rdma_buffer_->data(), rdma_buffer_->size()), segment_size_)) {
+  for (const LogRecord& rec :
+       ValueLog::DecodeBufferImage(Slice(rdma_buffer_->data(), rdma_buffer_->size()))) {
     TEBIS_RETURN_IF_ERROR(rec.tombstone ? store->Delete(rec.key) : store->Put(rec.key, rec.value));
   }
   return store;
@@ -149,32 +149,28 @@ StatusOr<std::unique_ptr<KvStore>> BackupRegion::Promote(bool replay_rdma_buffer
 
 // --- log buffer -------------------------------------------------------------------
 
-StatusOr<Slice> BackupRegion::SealBufferHalf(uint32_t family, uint64_t tail_bytes) {
+StatusOr<Slice> BackupRegion::SealBuffer(uint64_t tail_bytes) {
   if (tail_bytes < sizeof(kPadMarker) || tail_bytes > segment_size_) {
     return Status::InvalidArgument("log flush of " + std::to_string(tail_bytes) +
                                    " bytes outside [4, segment size]");
   }
-  const uint64_t half = family == kLargeLogFamily ? segment_size_ : 0;
-  if (rdma_buffer_->size() < half + segment_size_) {
-    return Status::InvalidArgument("large-family flush needs a 2x-segment replication buffer");
-  }
   char marker[sizeof(kPadMarker)];
   memcpy(marker, &kPadMarker, sizeof(marker));
-  rdma_buffer_->StoreRange(half + tail_bytes - sizeof(marker), Slice(marker, sizeof(marker)));
-  return Slice(rdma_buffer_->data() + half, tail_bytes);
+  rdma_buffer_->StoreRange(tail_bytes - sizeof(marker), Slice(marker, sizeof(marker)));
+  return Slice(rdma_buffer_->data(), tail_bytes);
 }
 
-void BackupRegion::AbsorbBufferHalf(uint32_t family, uint64_t commit_seq) {
+void BackupRegion::AbsorbBuffer(uint64_t commit_seq) {
   if (commit_seq > flushed_commit_seq_) {
     flushed_commit_seq_ = commit_seq;
   }
-  rdma_buffer_->ZeroRange(family == kLargeLogFamily ? segment_size_ : 0, sizeof(uint32_t));
+  rdma_buffer_->ZeroRange(0, sizeof(uint32_t));
 }
 
 uint64_t BackupRegion::ForEachBufferedLocked(const BufferVisitor& visit) const {
   uint64_t records = 0;
   rdma_buffer_->ReadView([&](Slice image) {
-    ValueLog::ForEachBufferRecord(image, segment_size_, [&](const LogRecordView& record) {
+    ValueLog::ForEachBufferRecord(image, [&](const LogRecordView& record) {
       ++records;
       if (visit) {
         visit(record);

@@ -136,7 +136,7 @@ class BackupRegion : public ReplicationMessageHandler {
   // --- engine hooks ---
 
   // Runs after a log flush persisted the primary's sealed `image` as local
-  // segment `local`, before the buffer half is absorbed; the state lock is
+  // segment `local`, before the buffer is absorbed; the state lock is
   // held exclusive. Send-Index has nothing to do; Build-Index replays the
   // records into its engine.
   virtual Status OnLogFlushedLocked(SegmentId local, Slice image) = 0;
@@ -184,33 +184,32 @@ class BackupRegion : public ReplicationMessageHandler {
     Counter* read_rejects_seq = nullptr;    // reads fenced: commit seq behind fence
   };
 
-  // §3.2 step 2c/2d: persists exactly `tail_bytes` of `family`'s buffer half
-  // — the bytes the primary's seal wrote (SealBufferHalf) — as a local log
-  // segment and maps `primary_segment` to it. `commit_seq` is the primary's
-  // commit sequence as of this flush.
+  // §3.2 step 2c/2d: persists exactly `tail_bytes` of the buffer — the bytes
+  // the primary's seal wrote (SealBuffer) — as a local log segment and maps
+  // `primary_segment` to it. `commit_seq` is the primary's commit sequence as
+  // of this flush.
   Status HandleLogFlush(const FlushLogMsg& msg);
   // GC: drops the oldest `segments` flushed segments (the primary moved all
   // live data to the tail already) and their log-map entries.
   Status HandleTrimLog(size_t segments);
 
-  // The image a flush of `tail_bytes` persists from `family`'s buffer half
-  // (main at [0, segment), large-value at [segment, 2*segment)). Puts the
-  // pad marker in the image's last 4 bytes, where the buffer holds the zero
-  // terminator of the tail's last append, so the image equals the bytes the
-  // primary's seal wrote. InvalidArgument — not FailedPrecondition, which
-  // means "you are deposed" on this wire — for `tail_bytes` below 4 or
-  // above a segment, or a large-family flush into a one-segment buffer.
-  StatusOr<Slice> SealBufferHalf(uint32_t family, uint64_t tail_bytes);
+  // The image a flush of `tail_bytes` persists: the buffer's [0, tail_bytes),
+  // the tail mirror. Puts the pad marker in the image's last 4 bytes, where
+  // the buffer holds the zero terminator of the tail's last append, so the
+  // image equals the bytes the primary's seal wrote. InvalidArgument — not
+  // FailedPrecondition, which means "you are deposed" on this wire — for
+  // `tail_bytes` below 4 or above a segment.
+  StatusOr<Slice> SealBuffer(uint64_t tail_bytes);
   // After the sealed image is persisted: raises the flushed commit sequence
-  // to `commit_seq` and scrubs the half's first header, so buffer parsing
+  // to `commit_seq` and scrubs the buffer's first header, so buffer parsing
   // restarts empty rather than counting the absorbed records twice toward
   // the visible sequence. Safe exactly then: FlushLog is synchronous, so the
   // primary is blocked on the ack and is not appending the next tail yet.
-  void AbsorbBufferHalf(uint32_t family, uint64_t commit_seq);
+  void AbsorbBuffer(uint64_t commit_seq);
 
   using BufferVisitor = std::function<void(const LogRecordView& record)>;
   // Visits the records that have landed in the RDMA buffer, in place and in
-  // append order per family (ValueLog::ForEachBufferRecord), inside the
+  // append order (ValueLog::ForEachBufferRecord), inside the
   // buffer's read view, so a record a one-sided write is still landing is
   // never parsed. `visit` may be null. Returns the replica's visible commit
   // sequence: the flushed one plus the records visited.

@@ -78,7 +78,6 @@ void PrimaryRegion::InitTelemetry() {
   // (shared with the engine's wp.batch_* counters).
   repl_.doorbells = reg->GetCounter("wp.doorbells", l);
   repl_.doorbell_records = reg->GetCounter("wp.doorbell_records", l);
-  repl_.large_records_replicated = reg->GetCounter("wp.large_records_replicated", l);
 }
 
 ReplicationStats PrimaryRegion::replication_stats() const {
@@ -99,7 +98,6 @@ ReplicationStats PrimaryRegion::replication_stats() const {
   s.flow_wait_ns = repl_.flow_wait_ns->Value();
   s.doorbells = repl_.doorbells->Value();
   s.doorbell_records = repl_.doorbell_records->Value();
-  s.large_records_replicated = repl_.large_records_replicated->Value();
   return s;
 }
 
@@ -177,20 +175,6 @@ void PrimaryRegion::AddBackup(std::unique_ptr<BackupChannel> channel) {
       // An unseeded backup is worse than a parked region: it acks flushes it
       // cannot honor. (Epoch fences mean *we* are deposed; the master will
       // tear this attach down, so they don't park.)
-      ParkLocked(s);
-    }
-  }
-  // Same invariant for the large-value tail: its mirror lives in the
-  // second half of the backup's (2x segment) replication buffer.
-  std::string large_image = store_->value_log()->LargeTailImageSnapshot();
-  if (!large_image.empty()) {
-    Status s = slot->channel->RdmaWriteLog(device_->segment_size(), Slice(large_image));
-    constexpr int kSeedRetryLimit = 8;
-    for (int retry = 0; retry < kSeedRetryLimit && s.IsUnavailable(); ++retry) {
-      repl_.append_retries->Increment();
-      s = slot->channel->RdmaWriteLog(device_->segment_size(), Slice(large_image));
-    }
-    if (!s.ok() && !s.IsFailedPrecondition()) {
       ParkLocked(s);
     }
   }
@@ -575,11 +559,8 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
 }
 
 Status PrimaryRegion::ReplayBufferImage(Slice image) {
-  // Within each family, order is append order. Across families the halves
-  // replay sequentially, so a small overwrite of a still-unflushed large
-  // value can replay before it — see DESIGN.md "write path" for why
-  // promotions tolerate this window.
-  for (const LogRecord& rec : ValueLog::DecodeBufferImage(image, device_->segment_size())) {
+  // Append order: a later overwrite replays after the record it replaces.
+  for (const LogRecord& rec : ValueLog::DecodeBufferImage(image)) {
     TEBIS_RETURN_IF_ERROR(rec.tombstone ? Delete(rec.key) : Put(rec.key, rec.value));
   }
   return Status::Ok();
@@ -587,7 +568,7 @@ Status PrimaryRegion::ReplayBufferImage(Slice image) {
 
 // --- data plane (§3.2) ---------------------------------------------------------
 
-void PrimaryRegion::OnAppend(uint32_t family, SegmentId segment, uint64_t offset_in_segment,
+void PrimaryRegion::OnAppend(SegmentId segment, uint64_t offset_in_segment,
                              Slice run_with_terminator, size_t record_count) {
   std::lock_guard<std::mutex> lock(region_mutex_);
   // Every append advances the commit sequence, replicated or not: the token a
@@ -607,27 +588,21 @@ void PrimaryRegion::OnAppend(uint32_t family, SegmentId segment, uint64_t offset
     // after them. Those act as an end-of-data terminator in the backup's RDMA
     // buffer, so promotion never replays stale bytes from a previous tail
     // image.
-    const uint64_t offset = family == kLargeLogFamily
-                                ? device_->segment_size() + offset_in_segment
-                                : offset_in_segment;
     constexpr int kAppendRetryLimit = 8;
     DataPlaneFanOutLocked([&](BackupChannel* channel) {
-      Status s = channel->RdmaWriteLog(offset, run_with_terminator);
+      Status s = channel->RdmaWriteLog(offset_in_segment, run_with_terminator);
       // One-sided writes dropped by a transient fabric fault are simply
       // re-posted; a halted/partitioned peer keeps failing and the error
       // parks.
       for (int retry = 0; retry < kAppendRetryLimit && s.IsUnavailable(); ++retry) {
         repl_.append_retries->Increment();
-        s = channel->RdmaWriteLog(offset, run_with_terminator);
+        s = channel->RdmaWriteLog(offset_in_segment, run_with_terminator);
       }
       return s;
     });
   }
   repl_.log_replication_cpu_ns->Add(cpu_ns);
   repl_.log_records_replicated->Add(record_count);
-  if (family == kLargeLogFamily) {
-    repl_.large_records_replicated->Add(record_count);
-  }
   repl_.doorbells->Increment();
   repl_.doorbell_records->Add(record_count);
   if (stages != nullptr) {
@@ -635,7 +610,7 @@ void PrimaryRegion::OnAppend(uint32_t family, SegmentId segment, uint64_t offset
   }
 }
 
-void PrimaryRegion::OnTailFlush(uint32_t family, SegmentId segment, Slice sealed_bytes) {
+void PrimaryRegion::OnTailFlush(SegmentId segment, Slice sealed_bytes) {
   std::lock_guard<std::mutex> lock(region_mutex_);
   if (backups_.empty()) {
     return;
@@ -647,7 +622,6 @@ void PrimaryRegion::OnTailFlush(uint32_t family, SegmentId segment, Slice sealed
     // carried every record and the zero terminator it replaces.
     const FlushLogMsg msg{.primary_segment = segment,
                           .commit_seq = commit_seq_,
-                          .family = family,
                           .tail_bytes = sealed_bytes.size()};
     DataPlaneFanOutLocked([&](BackupChannel* channel) { return channel->Send(msg); });
   }

@@ -65,7 +65,6 @@ struct ReplicationStats {
   // those writes carried. records/doorbells is the coalesce ratio.
   uint64_t doorbells = 0;
   uint64_t doorbell_records = 0;
-  uint64_t large_records_replicated = 0;  // records mirrored to the large-value half
 };
 
 // Per-replica health policy (§3.5 "slow-not-dead"). A control/data call that
@@ -242,15 +241,14 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
     Counter* flow_wait_ns = nullptr;
     Counter* doorbells = nullptr;
     Counter* doorbell_records = nullptr;
-    Counter* large_records_replicated = nullptr;
   };
 
   // ValueLogObserver (data plane). Each append run is one doorbell: a single
-  // one-sided write of the run. The large-value family mirrors into the
-  // [segment, 2*segment) half of each backup's replication buffer.
-  void OnAppend(uint32_t family, SegmentId segment, uint64_t offset_in_segment,
-                Slice run_with_terminator, size_t record_count) override;
-  void OnTailFlush(uint32_t family, SegmentId segment, Slice sealed_bytes) override;
+  // one-sided write of the run at its tail offset in each backup's
+  // replication buffer.
+  void OnAppend(SegmentId segment, uint64_t offset_in_segment, Slice run_with_terminator,
+                size_t record_count) override;
+  void OnTailFlush(SegmentId segment, Slice sealed_bytes) override;
 
   // CompactionObserver (index shipping). May run on several compaction
   // workers concurrently — one stream each; fan-outs drop region_mutex_

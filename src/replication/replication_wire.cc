@@ -5,15 +5,13 @@ namespace tebis {
 namespace {
 
 void Write(WireWriter* w, const FlushLogMsg& msg) {
-  w->U64(msg.epoch).U64(msg.primary_segment).U64(msg.commit_seq).U32(msg.family);
-  w->U64(msg.tail_bytes);
+  w->U64(msg.epoch).U64(msg.primary_segment).U64(msg.commit_seq).U64(msg.tail_bytes);
 }
 
 Status Read(WireReader* r, FlushLogMsg* out) {
   TEBIS_RETURN_IF_ERROR(r->U64(&out->epoch));
   TEBIS_RETURN_IF_ERROR(r->U64(&out->primary_segment));
   TEBIS_RETURN_IF_ERROR(r->U64(&out->commit_seq));
-  TEBIS_RETURN_IF_ERROR(r->U32(&out->family));
   return r->U64(&out->tail_bytes);
 }
 

@@ -29,10 +29,8 @@ struct FlushLogMsg {
   // Primary's commit sequence as of this flush: the backup's read path
   // derives its visible sequence from the highest commit_seq it has absorbed.
   uint64_t commit_seq = 0;
-  // Which tail sealed: kMainLogFamily (0) or kLargeLogFamily (1).
-  uint32_t family = 0;
   // Bytes the primary's seal wrote: the tail's used prefix plus the 4-byte
-  // pad marker. The backup persists exactly this much of its buffer half; a
+  // pad marker. The backup persists exactly this much of its buffer; a
   // value below 4 or above the segment size is rejected.
   uint64_t tail_bytes = 0;
 };

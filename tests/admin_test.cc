@@ -49,9 +49,8 @@ TEST(AdminTest, ReplicationBufferOnlyForBackups) {
   EXPECT_TRUE(server.GetReplicationBuffer(1).status().IsNotFound());  // primary role
   auto buffer = server.GetReplicationBuffer(2);
   ASSERT_TRUE(buffer.ok());
-  // 2x segment since PR 9: [0, seg) mirrors the main log tail, [seg, 2*seg)
-  // the large-value tail.
-  EXPECT_EQ((*buffer)->size(), 2 * SmallServerOptions().device_options.segment_size);
+  // One segment: the mirror of the primary's one log tail.
+  EXPECT_EQ((*buffer)->size(), SmallServerOptions().device_options.segment_size);
   EXPECT_TRUE(server.GetReplicationBuffer(99).status().IsNotFound());
   server.Stop();
 }

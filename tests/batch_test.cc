@@ -1,6 +1,6 @@
 // Write-path group commit (PR 9): engine WriteBatch semantics (per-op
 // statuses, committed-prefix durability), coalesced replication doorbells,
-// WAL-time large-value separation across the 2x replication buffer, client
+// tail seeding of a late backup's one-segment replication buffer, client
 // kKvBatch coalescing end to end, and the group-commit crash points added to
 // the PR 1 matrix.
 #include <gtest/gtest.h>
@@ -137,33 +137,7 @@ TEST(EngineBatchTest, HardFailureMidGroupKeepsCommittedPrefix) {
   }
 }
 
-TEST(EngineBatchTest, LargeValuesSeparateAtWalTime) {
-  auto dev = MakeDevice();
-  KvStoreOptions opts = SmallOptions();
-  opts.large_value_threshold = 512;
-  auto store = KvStore::Create(dev.get(), opts);
-  ASSERT_TRUE(store.ok());
-  const std::string small(64, 's');
-  const std::string large(2048, 'L');
-  std::vector<std::pair<std::string, std::string>> kvs = {
-      {Key(0), small}, {Key(1), large}, {Key(2), small}, {Key(3), large}};
-  std::vector<Status> statuses;
-  ASSERT_TRUE((*store)->WriteBatch(MakeOps(kvs), &statuses).ok());
-  for (const Status& s : statuses) {
-    EXPECT_TRUE(s.ok()) << s.ToString();
-  }
-  EXPECT_EQ((*store)->stats().large_value_separations, 2u);
-  for (const auto& [key, value] : kvs) {
-    auto got = (*store)->Get(key);
-    ASSERT_TRUE(got.ok()) << key;
-    EXPECT_EQ(*got, value);
-  }
-  // Large records live in their own segment family, so the main tail holds
-  // only the two small records.
-  EXPECT_TRUE((*store)->value_log()->HasUnflushedRecords());
-}
-
-// --- replication: one doorbell per group, both families mirrored ---------------
+// --- replication: one doorbell per group ---------------------------------------
 
 struct GroupCluster {
   std::unique_ptr<Fabric> fabric = std::make_unique<Fabric>();
@@ -182,10 +156,7 @@ GroupCluster MakeGroupCluster(int num_backups, const KvStoreOptions& opts,
   c.primary = std::move(*primary);
   for (int i = 0; i < num_backups; ++i) {
     c.backup_devices.push_back(MakeDevice("backup" + std::to_string(i) + "-dev"));
-    // 2x a segment: [0, seg) mirrors the main tail, [seg, 2*seg) the
-    // large-value tail.
-    auto buffer =
-        c.fabric->RegisterBuffer("backup" + std::to_string(i), "primary0", 2 * kSegmentSize);
+    auto buffer = c.fabric->RegisterBuffer("backup" + std::to_string(i), "primary0", kSegmentSize);
     auto backup = SendIndexBackupRegion::Create(c.backup_devices.back().get(), opts, buffer);
     EXPECT_TRUE(backup.ok());
     c.backups.push_back(std::move(*backup));
@@ -246,48 +217,10 @@ TEST(GroupCommitTest, PartialGroupReplicatesOnlyAppliedOps) {
   EXPECT_EQ(cluster.primary->replication_stats().doorbell_records, 7u);
 }
 
-TEST(GroupCommitTest, LargeFamilyMirrorsToSecondBufferHalfAndPromotes) {
-  KvStoreOptions opts = SmallOptions();
-  opts.large_value_threshold = 512;
-  auto cluster = MakeGroupCluster(1, opts);
-  const std::string small(64, 's');
-  const std::string large(4000, 'L');
-  std::map<std::string, std::string> model;
-  for (int g = 0; g < 6; ++g) {
-    std::vector<std::pair<std::string, std::string>> kvs;
-    for (int i = 0; i < 4; ++i) {
-      const int id = g * 4 + i;
-      kvs.emplace_back(Key(id), i % 2 == 0 ? small + std::to_string(id)
-                                           : large + std::to_string(id));
-    }
-    std::vector<Status> statuses;
-    ASSERT_TRUE(cluster.primary->WriteBatch(MakeOps(kvs), &statuses).ok());
-    for (auto& [key, value] : kvs) {
-      model[key] = value;
-    }
-  }
-  EXPECT_GT(cluster.primary->replication_stats().large_records_replicated, 0u);
-  // Unflushed large records are served from the second buffer half.
-  for (const auto& [key, value] : model) {
-    auto got = cluster.backups[0]->Get(key, 0, 0, nullptr);
-    ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
-    EXPECT_EQ(*got, value);
-  }
-  // Promotion replays both halves into the recovered engine.
-  auto promoted = cluster.backups[0]->Promote();
-  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
-  for (const auto& [key, value] : model) {
-    auto got = (*promoted)->Get(key);
-    ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
-    EXPECT_EQ(*got, value);
-  }
-}
-
-TEST(GroupCommitTest, BackupAttachedMidTailSeesBothFamilies) {
-  // AddBackup seeds both tail images, so a backup attached after writes (the
+TEST(GroupCommitTest, BackupAttachedMidTailSeesAckedRecords) {
+  // AddBackup seeds the tail image, so a backup attached after writes (the
   // promote -> re-attach window) cannot hold a hole over acked records.
   KvStoreOptions opts = SmallOptions();
-  opts.large_value_threshold = 512;
   auto cluster = MakeGroupCluster(0, opts);
   std::vector<std::pair<std::string, std::string>> kvs;
   for (int i = 0; i < 6; ++i) {
@@ -295,9 +228,10 @@ TEST(GroupCommitTest, BackupAttachedMidTailSeesBothFamilies) {
   }
   std::vector<Status> statuses;
   ASSERT_TRUE(cluster.primary->WriteBatch(MakeOps(kvs), &statuses).ok());
-  // Attach a backup now, mid-tail on both families.
+  // Attach a backup now, mid-tail, with a one-segment buffer: the seed is
+  // the whole replication image.
   cluster.backup_devices.push_back(MakeDevice("late-dev"));
-  auto buffer = cluster.fabric->RegisterBuffer("late", "primary0", 2 * kSegmentSize);
+  auto buffer = cluster.fabric->RegisterBuffer("late", "primary0", kSegmentSize);
   auto backup = SendIndexBackupRegion::Create(cluster.backup_devices.back().get(), opts, buffer);
   ASSERT_TRUE(backup.ok());
   cluster.backups.push_back(std::move(*backup));
@@ -385,14 +319,12 @@ TEST(GroupCommitCrashTest, DeathAfterDoorbellKeepsGroupOnReplica) {
 // --- client batching end to end ------------------------------------------------
 
 struct BatchClusterFixture {
-  explicit BatchClusterFixture(int num_servers = 3, uint32_t num_regions = 4,
-                               size_t large_value_threshold = 0) {
+  explicit BatchClusterFixture(int num_servers = 3, uint32_t num_regions = 4) {
     RegionServerOptions options;
     options.device_options.segment_size = kSegmentSize;
     options.device_options.max_segments = 1 << 16;
     options.kv_options.l0_max_entries = 256;
     options.kv_options.max_levels = 3;
-    options.kv_options.large_value_threshold = large_value_threshold;
     options.replication_mode = ReplicationMode::kSendIndex;
     std::vector<std::string> names;
     for (int i = 0; i < num_servers; ++i) {
@@ -582,26 +514,6 @@ TEST(ClientBatchingTest, BatchSizeOneStaysOnSingleOpWire) {
   EXPECT_EQ(client->stats().batches_sent, 0u);
   EXPECT_EQ(client->stats().batched_ops, 0u);
   EXPECT_EQ(client->stats().puts, 40u);
-}
-
-TEST(ClientBatchingTest, LargeValuesSeparateThroughTheWire) {
-  BatchClusterFixture cluster(/*num_servers=*/3, /*num_regions=*/4,
-                              /*large_value_threshold=*/512);
-  auto client = cluster.MakeClient("client0");
-  client->set_batching(4, /*batch_bytes=*/1 << 20);
-  const std::string large(4000, 'L');
-  std::vector<TebisClient::OpHandle> handles;
-  for (int i = 0; i < 32; ++i) {
-    auto h = client->PutAsync(BatchClusterFixture::UserKey(i),
-                              i % 2 == 0 ? "small-" + std::to_string(i) : large);
-    ASSERT_TRUE(h.ok());
-  }
-  ASSERT_TRUE(client->WaitAll().ok());
-  for (int i = 0; i < 32; ++i) {
-    auto v = client->Get(BatchClusterFixture::UserKey(i));
-    ASSERT_TRUE(v.ok()) << i << ": " << v.status().ToString();
-    EXPECT_EQ(*v, i % 2 == 0 ? "small-" + std::to_string(i) : large);
-  }
 }
 
 TEST(ClientBatchingTest, DeletesRideBatchesWithPuts) {

@@ -68,7 +68,7 @@ std::vector<ReplicationMessage> RandomReplicationMessages(Random* rng, const std
     }
   }
   return {
-      FlushLogMsg{rng->Next(), rng->Next(), rng->Next(), u32(), rng->Next()},
+      FlushLogMsg{rng->Next(), rng->Next(), rng->Next(), rng->Next()},
       CompactionBeginMsg{rng->Next(), rng->Next(), u32(), u32(), u32(), rng->Next()},
       IndexSegmentMsg{rng->Next(), rng->Next(), u32(), u32(), rng->Next(), Slice(data), u32(),
                       Crc32c(data.data(), data.size())},

@@ -114,12 +114,11 @@ TEST(ValueLogTest, SegmentRolloverAndReadFromFlushed) {
 
 class TrackingLogObserver : public ValueLogObserver {
  public:
-  void OnAppend(uint32_t family, SegmentId seg, uint64_t off, Slice bytes,
-                size_t record_count) override {
+  void OnAppend(SegmentId seg, uint64_t off, Slice bytes, size_t record_count) override {
     appends += static_cast<int>(record_count);
     append_bytes += bytes.size();
   }
-  void OnTailFlush(uint32_t family, SegmentId seg, Slice bytes) override {
+  void OnTailFlush(SegmentId seg, Slice bytes) override {
     flushes++;
     flushed_segments.push_back(seg);
     sealed.push_back(bytes.ToString());

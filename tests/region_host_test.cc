@@ -6,11 +6,14 @@
 // trail the RPC server's does.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/cluster/region_host.h"
+#include "src/lsm/format.h"
 #include "src/net/fabric.h"
 #include "src/replication/local_backup_channel.h"
 #include "src/storage/block_device.h"
@@ -186,6 +189,83 @@ TEST(RegionHostTest, FailedBatchIsObservedFailedPutIsNot) {
   std::vector<SlowOpRecord> records = hosts.telemetry.slow_ops()->Snapshot();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].type, SlowOpType::kBatch);
+}
+
+// The backup mirrors the primary's one log tail in a buffer of exactly one
+// segment. A tail filled to the last byte seals a full segment: the backup
+// writes the pad marker into its buffer's last four bytes and persists the
+// whole buffer. The records appended after that seal land at the buffer's
+// start, and a promotion replays them over the persisted segment, so every
+// acknowledged record survives.
+TEST(RegionHostTest, OneSegmentBufferSealsAFullSegmentAndPromotes) {
+  TwoHosts hosts;
+  const uint64_t segment_size = hosts.device_b->segment_size();
+  auto buffer = hosts.backup_host->ReplicationBuffer(kRegion);
+  ASSERT_TRUE(buffer.ok());
+  EXPECT_EQ((*buffer)->size(), segment_size);
+
+  auto key = [](int i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "k%06d", i);
+    return std::string(buf);
+  };
+  std::map<std::string, std::string> acked;
+  int next = 0;
+  auto put = [&](size_t value_size) {
+    const std::string k = key(next++);
+    const std::string v(value_size, static_cast<char>('a' + next % 26));
+    ASSERT_TRUE(hosts.primary_host->Put(kRegion, k, v, kNoTrace, nullptr).ok()) << k;
+    acked[k] = v;
+  };
+  // Fill the tail to segment_size - 4 bytes, the most it can hold: the last
+  // record takes whatever the fixed-size ones leave. Fewer records than
+  // l0_max_entries, so no spill seals the tail early.
+  constexpr size_t kValueSize = 1000;
+  const size_t key_size = key(0).size();
+  const uint64_t fill = segment_size - sizeof(kPadMarker);
+  uint64_t used = 0;
+  while (fill - used >= 2 * LogRecordSize(key_size, kValueSize)) {
+    put(kValueSize);
+    used += LogRecordSize(key_size, kValueSize);
+  }
+  put(fill - used - LogRecordSize(key_size, 0));
+  {
+    auto primary = hosts.primary_host->Lock(kRegion, RegionHost::Role::kPrimary);
+    ASSERT_TRUE(primary.ok());
+    EXPECT_EQ((*primary)->primary->store()->value_log()->tail_used(), fill);
+  }
+  EXPECT_EQ(hosts.device_b->stats().WriteBytes(IoClass::kLogFlush), 0u);
+  // The next record does not fit: the seal writes exactly one segment on
+  // both replicas, then the record opens the next tail.
+  put(kValueSize);
+  EXPECT_EQ(hosts.device_a->stats().WriteBytes(IoClass::kLogFlush), segment_size);
+  EXPECT_EQ(hosts.device_b->stats().WriteBytes(IoClass::kLogFlush), segment_size);
+  put(kValueSize);
+  put(kValueSize);
+
+  // Promote the backup as RegionServer does: fence and snapshot the buffer,
+  // wrap the engine as a primary, then replay the buffer image through it.
+  std::string image;
+  {
+    auto backup = hosts.backup_host->Lock(kRegion, RegionHost::Role::kBackup);
+    ASSERT_TRUE(backup.ok());
+    image = (*backup)->replication_buffer->FenceAndSnapshot(/*min_epoch=*/2);
+    auto store = (*backup)->backup->Promote(/*replay_rdma_buffer=*/false);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(hosts.backup_host
+                    ->BecomePrimary(backup->handle.get(), kRegion, std::move(*store), 2)
+                    .ok());
+  }
+  {
+    auto promoted = hosts.backup_host->Lock(kRegion, RegionHost::Role::kPrimary);
+    ASSERT_TRUE(promoted.ok());
+    ASSERT_TRUE((*promoted)->primary->ReplayBufferImage(image).ok());
+  }
+  for (const auto& [k, v] : acked) {
+    auto got = hosts.backup_host->Get(kRegion, k, kNoTrace);
+    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+    EXPECT_EQ(*got, v) << k;
+  }
 }
 
 }  // namespace

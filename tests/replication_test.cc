@@ -131,7 +131,7 @@ TEST(ReplicationWireTest, EveryMessageRoundTrips) {
   const uint32_t crc = Crc32c(leaf_segment.data(), leaf_segment.size());
   // Each message next to its encoded size: every field is always on the wire.
   const std::vector<std::pair<ReplicationMessage, size_t>> cases = {
-      {FlushLogMsg{1, 42, 900, kLargeLogFamily, 4097}, 36},
+      {FlushLogMsg{1, 42, 900, 4097}, 32},
       {CompactionBeginMsg{2, 9, 1, 2, 4, 17}, 36},
       {IndexSegmentMsg{3, 4, 2, 1, 77, Slice(wire), 5, crc}, 78},
       {FilterBlockMsg{4, 4, 2, Slice(data), 5}, 28 + data.size()},

@@ -252,10 +252,10 @@ def aggregate_metrics(metrics, wanted_prefix):
 
 def print_write_path_summary(metrics):
     """Derived write-path health (PR 9): group-commit batching on the engine
-    (wp.batch_* from KvStore::WriteBatch), doorbell coalescing on the
-    replication plane (wp.doorbell* from PrimaryRegion), and WAL-time
-    large-value separation. Histogram samples arrive as name{labels}_count/
-    _p50/_p99/_max keys. Raw-counter ratios, so unaffected by --raw."""
+    (wp.batch_* from KvStore::WriteBatch) and doorbell coalescing on the
+    replication plane (wp.doorbell* from PrimaryRegion). Histogram samples
+    arrive as name{labels}_count/_p50/_p99/_max keys. Raw-counter ratios, so
+    unaffected by --raw."""
     totals, hists = aggregate_metrics(metrics, "wp.")
     if not totals and not hists:
         return
@@ -280,11 +280,6 @@ def print_write_path_summary(metrics):
     if doorbells:
         print(f"  doorbells         {doorbells} writes carried {records} records"
               f" ({records / doorbells:.1f} records/doorbell coalesced)")
-    separations = totals.get("wp.large_value_separations", 0)
-    if separations or totals.get("wp.large_records_replicated", 0):
-        print(f"  large values      {separations} separated at WAL time,"
-              f" {totals.get('wp.large_records_replicated', 0)} mirrored to the"
-              " large-log family")
 
 
 # The health gauge family (PR 10): HealthWatchdog publishes one gauge per
