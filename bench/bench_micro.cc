@@ -283,7 +283,9 @@ struct PipelineRunResult {
   double wall_seconds = 0;
   Histogram put_latency;
   uint64_t reads = 0;
-  KvStoreStats stats;
+  // The store's private telemetry plane at the end of the run: it holds this
+  // store's instruments only, so a name's sum is the store's value.
+  MetricsSnapshot metrics;
 };
 
 PipelineRunResult RunPipeline(WorkerPool* pool, uint64_t records, uint64_t l0_entries,
@@ -359,7 +361,7 @@ PipelineRunResult RunPipeline(WorkerPool* pool, uint64_t records, uint64_t l0_en
   result.wall_seconds = static_cast<double>(wall_ns) / 1e9;
   result.put_kops_per_sec = static_cast<double>(records) / 1e3 / result.wall_seconds;
   result.reads = reads.load(std::memory_order_relaxed);
-  result.stats = store->stats();
+  result.metrics = store->telemetry()->metrics()->Snapshot();
   store.reset();  // drains background work before the pool stops
   return result;
 }
@@ -372,9 +374,9 @@ void ReportPipelineRun(const char* name, const PipelineRunResult& r) {
          static_cast<double>(r.put_latency.Percentile(99)) / 1000.0,
          static_cast<double>(r.put_latency.max()) / 1000.0,
          static_cast<unsigned long long>(r.reads),
-         static_cast<unsigned long long>(r.stats.background_compactions),
-         static_cast<unsigned long long>(r.stats.write_slowdowns),
-         static_cast<unsigned long long>(r.stats.write_stalls));
+         static_cast<unsigned long long>(r.metrics.Sum("kv.background_compactions")),
+         static_cast<unsigned long long>(r.metrics.Sum("kv.write_slowdowns")),
+         static_cast<unsigned long long>(r.metrics.Sum("kv.write_stalls")));
 }
 
 void SetPipelineJson(bench::BenchJson* json, const std::string& section,
@@ -388,15 +390,15 @@ void SetPipelineJson(bench::BenchJson* json, const std::string& section,
   json->Set(section, "put_max_us", static_cast<double>(r.put_latency.max()) / 1000.0);
   json->Set(section, "reads", static_cast<double>(r.reads));
   json->Set(section, "background_compactions",
-            static_cast<double>(r.stats.background_compactions));
-  json->Set(section, "write_slowdowns", static_cast<double>(r.stats.write_slowdowns));
-  json->Set(section, "write_stalls", static_cast<double>(r.stats.write_stalls));
+            static_cast<double>(r.metrics.Sum("kv.background_compactions")));
+  json->Set(section, "write_slowdowns", static_cast<double>(r.metrics.Sum("kv.write_slowdowns")));
+  json->Set(section, "write_stalls", static_cast<double>(r.metrics.Sum("kv.write_stalls")));
   json->Set(section, "compaction_queue_wait_ms",
-            static_cast<double>(r.stats.compaction_queue_wait_ns) / 1e6);
+            static_cast<double>(r.metrics.Sum("kv.compaction_queue_wait_ns")) / 1e6);
   json->Set(section, "compaction_merge_ms",
-            static_cast<double>(r.stats.compaction_merge_ns) / 1e6);
+            static_cast<double>(r.metrics.Sum("kv.compaction_merge_ns")) / 1e6);
   json->Set(section, "compaction_build_ms",
-            static_cast<double>(r.stats.compaction_build_ns) / 1e6);
+            static_cast<double>(r.metrics.Sum("kv.compaction_build_ns")) / 1e6);
 }
 
 // Median of 3 runs by put throughput — single-box scheduling noise is large
@@ -517,13 +519,15 @@ ShippingRunResult RunShipping(uint32_t max_background, uint64_t records, uint64_
   ShippingRunResult result;
   result.wall_seconds = static_cast<double>(wall_ns) / 1e9;
   result.put_kops_per_sec = static_cast<double>(records) / 1e3 / result.wall_seconds;
-  const ReplicationStats rs = cluster->region(0)->replication_stats();
-  result.index_bytes_shipped = rs.index_bytes_shipped;
-  result.streams_opened = rs.streams_opened;
-  result.flow_wait_ns = rs.flow_wait_ns;
+  const PrimaryRegion* region = cluster->region(0);
+  const MetricsSnapshot metrics = region->telemetry()->metrics()->Snapshot();
+  const MetricLabels& labels = region->telemetry_labels();
+  result.index_bytes_shipped = metrics.Sum("repl.index_bytes_shipped", labels);
+  result.streams_opened = metrics.Sum("repl.streams_opened", labels);
+  result.flow_wait_ns = metrics.Sum("repl.flow_wait_ns", labels);
   result.ship_mb_per_sec =
-      static_cast<double>(rs.index_bytes_shipped) / (1024.0 * 1024.0) / result.wall_seconds;
-  result.concurrent_peak = cluster->region(0)->store()->stats().concurrent_compaction_peak;
+      static_cast<double>(result.index_bytes_shipped) / (1024.0 * 1024.0) / result.wall_seconds;
+  result.concurrent_peak = metrics.Sum("kv.concurrent_compaction_peak", labels);
   return result;
 }
 

@@ -6,6 +6,7 @@
 //
 //   ./build/examples/index_shipping_tour
 #include <cstdio>
+#include <string>
 
 #include "src/net/fabric.h"
 #include "src/replication/local_backup_channel.h"
@@ -23,6 +24,19 @@ std::unique_ptr<BlockDevice> MakeDevice() {
   options.max_segments = 1 << 16;
   auto device = BlockDevice::Create(options);
   return std::move(*device);
+}
+
+// Reads that came back other than the tour expects; main exits non-zero if
+// any did.
+int misses = 0;
+
+// A read's value, or "MISS (<status>)" counted as a miss.
+std::string Shown(const StatusOr<std::string>& read) {
+  if (read.ok()) {
+    return *read;
+  }
+  ++misses;
+  return "MISS (" + read.status().ToString() + ")";
 }
 
 }  // namespace
@@ -60,19 +74,22 @@ int main() {
   printf("\nstep 2: force the L0 compaction — the primary merges, builds L1 bottom-up\n");
   printf("        and ships each sealed index segment; the backup rewrites offsets\n");
   (void)primary->FlushL0();
-  const ReplicationStats& replication = primary->replication_stats();
-  const SendIndexBackupStats& rewriting = backup->stats();
+  // Each side counts in its own telemetry plane, under its own labels.
+  const MetricsSnapshot shipped = primary->telemetry()->metrics()->Snapshot();
+  const MetricsSnapshot rewritten = backup->telemetry()->metrics()->Snapshot();
   printf("        shipped %llu segments (%.1f KB); backup rewrote %llu offsets\n",
-         (unsigned long long)replication.index_segments_shipped,
-         static_cast<double>(replication.index_bytes_shipped) / 1024.0,
-         (unsigned long long)rewriting.offsets_rewritten);
+         (unsigned long long)shipped.Sum("repl.index_segments_shipped",
+                                         primary->telemetry_labels()),
+         static_cast<double>(shipped.Sum("repl.index_bytes_shipped",
+                                         primary->telemetry_labels())) / 1024.0,
+         (unsigned long long)rewritten.Sum("backup.offsets_rewritten",
+                                           backup->telemetry_labels()));
 
   printf("\nstep 3: the backup never compacted, yet serves the data from its device:\n");
   for (int i : {0, 2499, 4999}) {
     char key[32];
     snprintf(key, sizeof(key), "user%010d", i);
-    auto value = backup->DebugGet(key);
-    printf("        backup get %s -> %s\n", key, value.ok() ? value->c_str() : "MISS");
+    printf("        backup get %s -> %s\n", key, Shown(backup->DebugGet(key)).c_str());
   }
   printf("        backup compaction reads: %llu bytes (Build-Index would pay these)\n",
          (unsigned long long)backup_device->stats().ReadBytes(IoClass::kCompactionRead));
@@ -86,15 +103,14 @@ int main() {
     fprintf(stderr, "promotion failed: %s\n", promoted.status().ToString().c_str());
     return 1;
   }
-  auto value = (*promoted)->Get("user0000004999");
   printf("        new primary get user0000004999 -> %s\n",
-         value.ok() ? value->c_str() : "MISS");
+         Shown((*promoted)->Get("user0000004999")).c_str());
   (void)(*promoted)->Put("user0000005000", "written-after-promotion");
   printf("        new primary accepts writes: %s\n",
-         (*promoted)->Get("user0000005000")->c_str());
+         Shown((*promoted)->Get("user0000005000")).c_str());
 
   printf("\nnetwork cost of all this: %.1f KB over the fabric (the Send-Index trade)\n",
          static_cast<double>(fabric.TotalBytes()) / 1024.0);
   printf("\ndone.\n");
-  return 0;
+  return misses == 0 ? 0 : 1;
 }

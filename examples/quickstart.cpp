@@ -3,11 +3,30 @@
 //
 //   ./build/examples/quickstart
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "src/lsm/kv_store.h"
 #include "src/storage/block_device.h"
 
 using namespace tebis;
+
+namespace {
+
+// Reads that came back other than the demo expects; main exits non-zero if
+// any did.
+int misses = 0;
+
+// A read's value, or "MISS (<status>)" counted as a miss.
+std::string Shown(const StatusOr<std::string>& read) {
+  if (read.ok()) {
+    return *read;
+  }
+  ++misses;
+  return "MISS (" + read.status().ToString() + ")";
+}
+
+}  // namespace
 
 int main() {
   // A simulated NVMe device with 64 KB segments (the paper uses 2 MB; small
@@ -37,15 +56,18 @@ int main() {
   (void)(*store)->Put("city:paris", "2.1M");
   (void)(*store)->Put("city:athens", "660K");
   (void)(*store)->Put("city:heraklion", "180K");  // where Tebis was built
-  auto population = (*store)->Get("city:heraklion");
-  printf("get city:heraklion -> %s\n", population.ok() ? population->c_str() : "miss");
+  printf("get city:heraklion -> %s\n", Shown((*store)->Get("city:heraklion")).c_str());
 
   // Overwrites keep the newest version; deletes hide keys.
   (void)(*store)->Put("city:paris", "2.2M");
   (void)(*store)->Delete("city:athens");
-  printf("get city:paris     -> %s (after overwrite)\n", (*store)->Get("city:paris")->c_str());
-  printf("get city:athens    -> %s (after delete)\n",
-         (*store)->Get("city:athens").status().ToString().c_str());
+  printf("get city:paris     -> %s (after overwrite)\n",
+         Shown((*store)->Get("city:paris")).c_str());
+  const Status athens = (*store)->Get("city:athens").status();
+  printf("get city:athens    -> %s (after delete)\n", athens.ToString().c_str());
+  if (!athens.IsNotFound()) {
+    ++misses;
+  }
 
   // Load enough data to trigger L0 spills and level compactions.
   printf("\nLoading 10000 keys...\n");
@@ -62,15 +84,21 @@ int main() {
   // Ordered scans merge L0 with every on-device level.
   auto scan = (*store)->Scan("user0000004997", 4);
   printf("scan from user0000004997:\n");
-  for (const auto& kv : *scan) {
+  if (!scan.ok() || scan->size() != 4) {
+    ++misses;
+  }
+  for (const auto& kv : scan.ok() ? *scan : std::vector<KvPair>{}) {
     printf("  %s -> %s\n", kv.key.c_str(), kv.value.c_str());
   }
 
-  // A look inside the LSM.
-  const KvStoreStats& stats = (*store)->stats();
+  // A look inside the LSM: the store's counters live in its telemetry
+  // plane, under its labels — the instruments a scrape exports.
+  const MetricsSnapshot metrics = (*store)->telemetry()->metrics()->Snapshot();
+  const MetricLabels& labels = (*store)->options().telemetry_labels;
   printf("\nLSM internals:\n");
   printf("  puts=%llu  compactions=%llu  L0 entries=%llu\n",
-         (unsigned long long)stats.puts, (unsigned long long)stats.compactions,
+         (unsigned long long)metrics.Sum("kv.puts", labels),
+         (unsigned long long)metrics.Sum("kv.compactions", labels),
          (unsigned long long)(*store)->l0_entries());
   for (uint32_t level = 1; level <= options.max_levels; ++level) {
     const BuiltTree& tree = (*store)->level(level);
@@ -112,9 +140,8 @@ int main() {
       fprintf(stderr, "recover: %s\n", recovered.status().ToString().c_str());
       return 1;
     }
-    auto back = (*recovered)->Get("durable:1999");
     printf("  recovered store get durable:1999 -> %s\n",
-           back.ok() ? back->c_str() : "MISS");
+           Shown((*recovered)->Get("durable:1999")).c_str());
   }
-  return 0;
+  return misses == 0 ? 0 : 1;
 }

@@ -85,17 +85,23 @@ int main() {
       return 1;
     }
   }
+  // Reads that came back other than the demo expects; main exits non-zero
+  // if any did.
+  int misses = 0;
   auto value = client.Get("user0000000000");
-  printf("get user0000000000 -> %s\n", value.ok() ? value->c_str() : "miss");
+  printf("get user0000000000 -> %s\n",
+         value.ok() ? value->c_str() : ("MISS (" + value.status().ToString() + ")").c_str());
+  misses += value.ok() ? 0 : 1;
 
   // A value too large for the default reply allocation: the server replies
   // with the needed size and the client retries (paper section 3.4.1).
   std::string big(8000, 'X');
   (void)client.Put("user0000000777", big);
   auto big_read = client.Get("user0000000777");
+  const bool intact = big_read.ok() && *big_read == big;
   printf("8000-byte value read back: %s (%llu truncation retries)\n",
-         big_read.ok() && *big_read == big ? "intact" : "BROKEN",
-         (unsigned long long)client.stats().truncated_retries);
+         intact ? "intact" : "BROKEN", (unsigned long long)client.stats().truncated_retries);
+  misses += intact ? 0 : 1;
 
   // What the cluster did underneath.
   printf("\ncluster internals:\n");
@@ -113,5 +119,5 @@ int main() {
     server->Stop();
   }
   printf("\ndone.\n");
-  return 0;
+  return misses == 0 ? 0 : 1;
 }

@@ -338,30 +338,10 @@ Status Master::ExecutePrimaryFailover(RegionMap* map, uint32_t region_id,
   if (region == nullptr) {
     return Status::NotFound("region " + std::to_string(region_id));
   }
-  RegionServer* new_primary = directory_.at(promoted);
-  SegmentMap new_primary_log_map;
-  if (!new_primary->IsPrimaryFor(region_id)) {
-    TEBIS_RETURN_IF_ERROR(new_primary->PromoteRegion(region_id, &new_primary_log_map, epoch));
-  } else {
-    // A previous leader already promoted this server; re-fetch the log map it
-    // produced and continue from the re-attach step.
-    TEBIS_ASSIGN_OR_RETURN(new_primary_log_map, new_primary->GetPromotionLogMap(region_id));
-  }
-  if (!Step("failover-promoted:" + std::to_string(region_id))) {
-    return Status::Unavailable("master died at failpoint failover-promoted");
-  }
-  // Remaining backups re-key their log maps (§3.2) and re-attach to the new
-  // primary; then the new primary replays the unflushed buffer, replicated.
-  // Every step is an equal-epoch no-op when a resumed intent repeats it.
-  for (const auto& backup : region->backups) {
-    if (backup == promoted || backup == failed || !ServerAlive(backup)) {
-      continue;
-    }
-    RegionServer* server = directory_.at(backup);
-    TEBIS_RETURN_IF_ERROR(server->AdoptNewPrimaryLogMap(region_id, new_primary_log_map, epoch));
-    TEBIS_RETURN_IF_ERROR(new_primary->AttachBackup(region_id, server, epoch));
-  }
-  TEBIS_RETURN_IF_ERROR(new_primary->ReplayPromotionBuffer(region_id));
+  TEBIS_RETURN_IF_ERROR(
+      PromoteAndReattach(*region, failed, promoted, "failover-promoted", epoch).status());
+  // The new primary replays the unflushed buffer, replicated.
+  TEBIS_RETURN_IF_ERROR(directory_.at(promoted)->ReplayPromotionBuffer(region_id));
 
   std::erase(region->backups, promoted);
   if (std::find(region->backups.begin(), region->backups.end(), failed) ==
@@ -376,6 +356,37 @@ Status Master::ExecutePrimaryFailover(RegionMap* map, uint32_t region_id,
   region->primary = promoted;
   region->epoch = epoch;
   return Status::Ok();
+}
+
+StatusOr<SegmentMap> Master::PromoteAndReattach(const RegionInfo& region,
+                                                const std::string& old_primary,
+                                                const std::string& new_primary,
+                                                const std::string& failpoint, uint64_t epoch) {
+  const uint32_t region_id = region.region_id;
+  RegionServer* new_server = directory_.at(new_primary);
+  SegmentMap new_primary_log_map;
+  if (!new_server->IsPrimaryFor(region_id)) {
+    TEBIS_RETURN_IF_ERROR(new_server->PromoteRegion(region_id, &new_primary_log_map, epoch));
+  } else {
+    // A previous leader already promoted this server; re-fetch the log map it
+    // produced and continue from the re-attach step.
+    TEBIS_ASSIGN_OR_RETURN(new_primary_log_map, new_server->GetPromotionLogMap(region_id));
+  }
+  if (!Step(failpoint + ":" + std::to_string(region_id))) {
+    return Status::Unavailable("master died at failpoint " + failpoint);
+  }
+  // Remaining backups re-key their log maps (§3.2) and re-attach to the new
+  // primary. Every step is an equal-epoch no-op when a resumed intent
+  // repeats it.
+  for (const auto& backup : region.backups) {
+    if (backup == new_primary || backup == old_primary || !ServerAlive(backup)) {
+      continue;
+    }
+    RegionServer* server = directory_.at(backup);
+    TEBIS_RETURN_IF_ERROR(server->AdoptNewPrimaryLogMap(region_id, new_primary_log_map, epoch));
+    TEBIS_RETURN_IF_ERROR(new_server->AttachBackup(region_id, server, epoch));
+  }
+  return new_primary_log_map;
 }
 
 Status Master::WriteIntent(const RecoveryIntent& intent) {
@@ -610,24 +621,9 @@ Status Master::ExecuteMovePrimary(RegionMap* map, uint32_t region_id,
   // old primary is fenced: the promoted buffer rejects its one-sided writes,
   // so a write racing the handover fails un-acked and the client retries
   // against the refreshed map.
-  SegmentMap new_primary_log_map;
-  if (!new_server->IsPrimaryFor(region_id)) {
-    TEBIS_RETURN_IF_ERROR(new_server->PromoteRegion(region_id, &new_primary_log_map, epoch));
-  } else {
-    TEBIS_ASSIGN_OR_RETURN(new_primary_log_map, new_server->GetPromotionLogMap(region_id));
-  }
-  if (!Step("move-promoted:" + std::to_string(region_id))) {
-    return Status::Unavailable("master died at failpoint move-promoted");
-  }
-  // Remaining backups re-key and re-attach, adopting the new epoch.
-  for (const auto& backup : region->backups) {
-    if (backup == new_primary || !ServerAlive(backup)) {
-      continue;
-    }
-    RegionServer* server = directory_.at(backup);
-    TEBIS_RETURN_IF_ERROR(server->AdoptNewPrimaryLogMap(region_id, new_primary_log_map, epoch));
-    TEBIS_RETURN_IF_ERROR(new_server->AttachBackup(region_id, server, epoch));
-  }
+  TEBIS_ASSIGN_OR_RETURN(
+      const SegmentMap new_primary_log_map,
+      PromoteAndReattach(*region, old_primary, new_primary, "move-promoted", epoch));
   // Demote the old primary to a backup. A write that raced the handover may
   // have landed in its tail after the seal; it was never acked (the promoted
   // buffer fenced its replication), so when the demotion refuses the dirty

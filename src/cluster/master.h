@@ -109,6 +109,15 @@ class Master {
   Status HandleServerFailure(const std::string& failed);
   Status HandlePrimaryFailure(RegionMap* map, uint32_t region_id, const std::string& failed);
   Status HandleBackupFailure(RegionMap* map, uint32_t region_id, const std::string& failed);
+  // The promotion every primary change shares: promotes `new_primary` for
+  // `region` under `epoch` (or, on resume, re-fetches the log map an earlier
+  // promotion produced), passes the `<failpoint>:<region>` step, then re-keys
+  // and re-attaches every live backup other than the old and new primary.
+  // Returns the new primary's log map.
+  StatusOr<SegmentMap> PromoteAndReattach(const RegionInfo& region,
+                                          const std::string& old_primary,
+                                          const std::string& new_primary,
+                                          const std::string& failpoint, uint64_t epoch);
   // The promote/re-key/re-attach/replay sequence, written to be idempotent so
   // both the original leader and a resuming standby can run it.
   Status ExecutePrimaryFailover(RegionMap* map, uint32_t region_id, const std::string& failed,

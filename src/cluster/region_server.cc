@@ -370,18 +370,6 @@ bool RegionServer::IsPrimaryFor(uint32_t region_id) const {
   return host_ != nullptr && host_->IsPrimary(region_id);
 }
 
-StatusOr<uint64_t> RegionServer::BackupEpochRejected(uint32_t region_id) const {
-  TEBIS_ASSIGN_OR_RETURN(RegionHost::Locked region,
-                         LockRegion(region_id, RegionHost::Role::kBackup));
-  return region->backup->epoch_rejected();
-}
-
-StatusOr<ReplicationStats> RegionServer::PrimaryReplicationStats(uint32_t region_id) const {
-  TEBIS_ASSIGN_OR_RETURN(RegionHost::Locked region,
-                         LockRegion(region_id, RegionHost::Role::kPrimary));
-  return region->primary->replication_stats();
-}
-
 // --- request handling --------------------------------------------------------
 
 void RegionServer::HandleRequest(const MessageHeader& header, std::string payload,

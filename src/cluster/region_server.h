@@ -171,12 +171,6 @@ class RegionServer {
   // The kStatsScrape reply payload: {"node", "metrics", "spans"} JSON.
   std::string ScrapeJson() const { return telemetry_->ScrapeJson(name_); }
 
-  // Observability for fencing/health tests: control messages this server's
-  // backup engine rejected as stale-epoch, and the primary-side replication
-  // stats (detaches, strikes, fence errors).
-  StatusOr<uint64_t> BackupEpochRejected(uint32_t region_id) const;
-  StatusOr<ReplicationStats> PrimaryReplicationStats(uint32_t region_id) const;
-
  private:
   void HandleRequest(const MessageHeader& header, std::string payload, ReplyContext ctx);
   // Decode → host → encode for one region-addressed request.

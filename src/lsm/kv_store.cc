@@ -230,47 +230,6 @@ uint64_t KvStore::l0_memory_bytes() const {
   return n;
 }
 
-KvStoreStats KvStore::stats() const {
-  // Thin view over the registry instruments: the same atomics a telemetry
-  // scrape samples, so the legacy struct and a snapshot can never disagree.
-  KvStoreStats s;
-  s.puts = counters_.puts->Value();
-  s.gets = counters_.gets->Value();
-  s.deletes = counters_.deletes->Value();
-  s.scans = counters_.scans->Value();
-  s.compactions = counters_.compactions->Value();
-  s.background_compactions = counters_.background_compactions->Value();
-  s.insert_l0_cpu_ns = counters_.insert_l0_cpu_ns->Value();
-  s.compaction_cpu_ns = counters_.compaction_cpu_ns->Value();
-  s.get_cpu_ns = counters_.get_cpu_ns->Value();
-  s.write_slowdowns = counters_.write_slowdowns->Value();
-  s.write_slowdown_ns = counters_.write_slowdown_ns->Value();
-  s.write_stalls = counters_.write_stalls->Value();
-  s.write_stall_ns = counters_.write_stall_ns->Value();
-  s.concurrent_compaction_peak =
-      static_cast<uint64_t>(counters_.concurrent_compaction_peak->Value());
-  s.compaction_queue_wait_ns = counters_.compaction_queue_wait_ns->Value();
-  s.compaction_merge_ns = counters_.compaction_merge_ns->Value();
-  s.compaction_build_ns = counters_.compaction_build_ns->Value();
-  s.compaction_ship_ns = counters_.compaction_ship_ns->Value();
-  for (uint32_t i = 1; i <= options_.max_levels; ++i) {
-    s.filter_checks += counters_.filters[i].checks->Value();
-    s.filter_negatives += counters_.filters[i].negatives->Value();
-    s.filter_false_positives += counters_.filters[i].false_positives->Value();
-  }
-  s.scrub_bytes = counters_.integrity.scrub_bytes->Value();
-  s.corruptions_found = counters_.integrity.corruptions_found->Value();
-  s.corruptions_repaired = counters_.integrity.corruptions_repaired->Value();
-  s.repair_fetches = counters_.integrity.repair_fetches->Value();
-  s.read_corruptions =
-      counters_.read_corruptions_log->Value() + counters_.read_corruptions_level->Value();
-  s.batch_groups = counters_.batch_groups->Value();
-  s.batch_ops = counters_.batch_ops->Value();
-  // Live view, not the gauge: a read may quarantine a level between scrubs.
-  s.quarantined_levels = QuarantinedLevels().size();
-  return s;
-}
-
 KvStore::ReadSnapshot KvStore::TakeReadSnapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   ReadSnapshot snap;
@@ -380,25 +339,20 @@ Status KvStore::WriteBatchInner(const std::vector<BatchOp>& ops, std::vector<Sta
     }
   }
   const uint64_t start_ns = NowNanos();
-  const size_t seg_size = device_->segment_size();
 
-  // Validate up front (mirroring ValueLog::Append's checks) so the group
+  // Validate up front with the log's own record-size rule so the group
   // reservation only counts records that will land; an invalid op fails alone
   // and the rest of the batch proceeds.
   size_t group_bytes = 0;
   for (size_t i = 0; i < ops.size(); ++i) {
     const BatchOp& op = ops[i];
-    if (op.key.empty() || op.key.size() > kMaxKeySize) {
-      (*statuses)[i] =
-          Status::InvalidArgument("key size must be in [1, " + std::to_string(kMaxKeySize) + "]");
+    StatusOr<size_t> need =
+        log_->CheckedRecordSize(op.key.size(), op.tombstone ? 0 : op.value.size());
+    if (!need.ok()) {
+      (*statuses)[i] = need.status();
       continue;
     }
-    const size_t need = LogRecordSize(op.key.size(), op.tombstone ? 0 : op.value.size());
-    if (need + 4 > seg_size) {
-      (*statuses)[i] = Status::InvalidArgument("record larger than a segment");
-      continue;
-    }
-    group_bytes += need;
+    group_bytes += *need;
   }
 
   bool flushed = false;

@@ -108,10 +108,11 @@ struct KvStoreOptions {
   uint32_t max_background_compactions = 0;
 
   // Telemetry plane. Null = the store owns a private Telemetry, so a
-  // standalone store's stats() view stays per-store. Node owners (SimCluster,
+  // standalone store's instruments are its own. Node owners (SimCluster,
   // RegionServer) pass their shared plane instead and MUST stamp each store
   // with unique telemetry_labels ({node, region, role}), or instruments merge
-  // across stores.
+  // across stores; a reader picks one store's instruments out of the plane
+  // with MetricsSnapshot::Sum(name, telemetry_labels).
   Telemetry* telemetry = nullptr;
   MetricLabels telemetry_labels;
 };
@@ -158,47 +159,6 @@ class CompactionObserver {
   // The compaction produced `new_tree` for dst_level; src and old-dst
   // segments have been freed on the primary device.
   virtual void OnCompactionEnd(const CompactionInfo& info, const BuiltTree& new_tree) {}
-};
-
-struct KvStoreStats {
-  uint64_t puts = 0;
-  uint64_t gets = 0;
-  uint64_t deletes = 0;
-  uint64_t scans = 0;
-  uint64_t compactions = 0;
-  // Compactions that ran on the background pool (subset of `compactions`).
-  uint64_t background_compactions = 0;
-  // Per-thread CPU time per component (Table 3 breakdown).
-  uint64_t insert_l0_cpu_ns = 0;   // Put path excluding compaction work
-  uint64_t compaction_cpu_ns = 0;  // merge + build + I/O issue (incl. observer time)
-  uint64_t get_cpu_ns = 0;
-  // Write backpressure (slowdown token bucket, hard stall).
-  uint64_t write_slowdowns = 0;    // puts that entered the slowdown band
-  uint64_t write_slowdown_ns = 0;  // wall time slept by the token bucket
-  uint64_t write_stalls = 0;       // puts that hard-stalled on the L0 flush
-  uint64_t write_stall_ns = 0;     // wall time spent hard-stalled
-  // High-water mark of compactions in flight at once; >= 2
-  // proves disjoint level pairs really ran concurrently.
-  uint64_t concurrent_compaction_peak = 0;
-  // Compaction pipeline stages, wall time.
-  uint64_t compaction_queue_wait_ns = 0;  // seal → job start
-  uint64_t compaction_merge_ns = 0;       // k-way merge incl. source reads
-  uint64_t compaction_build_ns = 0;       // feeding the B+ tree builder, less shipping
-  uint64_t compaction_ship_ns = 0;        // observer callbacks (index shipping)
-  // Bloom filter effectiveness, summed over levels.
-  uint64_t filter_checks = 0;           // level probes that consulted a filter
-  uint64_t filter_negatives = 0;        // probes the filter excluded (tree skipped)
-  uint64_t filter_false_positives = 0;  // filter said maybe, tree said NotFound
-  // End-to-end integrity.
-  uint64_t scrub_bytes = 0;             // bytes read back and CRC-checked by scrubs
-  uint64_t corruptions_found = 0;       // segments whose CRC check failed
-  uint64_t corruptions_repaired = 0;    // segments rewritten from a peer and re-verified
-  uint64_t repair_fetches = 0;          // peer fetches issued during repair
-  uint64_t read_corruptions = 0;        // reads that hit a corrupt record/segment
-  uint64_t quarantined_levels = 0;      // levels currently refusing reads
-  // Write-path group commit.
-  uint64_t batch_groups = 0;  // WriteBatch calls that reached the log
-  uint64_t batch_ops = 0;     // ops applied through WriteBatch
 };
 
 struct KvPair {
@@ -389,9 +349,9 @@ class KvStore {
   // after WaitForBackgroundWork with no writers).
   const BuiltTree& level(uint32_t i) const { return levels_[i]->tree; }
   uint32_t max_levels() const { return options_.max_levels; }
-  KvStoreStats stats() const;
 
-  // The telemetry plane this store reports into (shared or privately owned).
+  // The telemetry plane this store reports into (shared or privately owned),
+  // under options().telemetry_labels.
   Telemetry* telemetry() const { return telemetry_; }
   // Replication epoch folded into new trace ids (PrimaryRegion::set_epoch
   // forwards here). Compactions already in flight keep their old trace.
@@ -443,11 +403,9 @@ class KvStore {
     uint64_t imm_bytes = 0;
   };
 
-  // Registry instruments behind every KvStoreStats field: resolved
-  // once at construction against the telemetry plane's MetricsRegistry (with
-  // this store's labels), updated lock-free. stats() is a thin view that
-  // reads these same instruments, so scrape totals and the legacy struct can
-  // never diverge.
+  // The store's registry instruments ("kv.*", "wp.batch_*", "integrity.*"):
+  // resolved once at construction against the telemetry plane's
+  // MetricsRegistry (with this store's labels), updated lock-free.
   struct Instruments {
     Counter* puts = nullptr;
     Counter* gets = nullptr;

@@ -90,15 +90,20 @@ Status ValueLog::SealTail() {
   return Status::Ok();
 }
 
-StatusOr<ValueLog::AppendResult> ValueLog::Append(Slice key, Slice value, bool tombstone) {
-  if (key.empty() || key.size() > kMaxKeySize) {
+StatusOr<size_t> ValueLog::CheckedRecordSize(size_t key_size, size_t value_size) const {
+  if (key_size == 0 || key_size > kMaxKeySize) {
     return Status::InvalidArgument("key size must be in [1, " + std::to_string(kMaxKeySize) + "]");
   }
-  const size_t need = LogRecordSize(key.size(), value.size());
-  // +4 so there is always room for a pad marker after the record.
-  if (need + 4 > device_->segment_size()) {
+  const size_t need = LogRecordSize(key_size, value_size);
+  // Room for a pad marker always stays after the record.
+  if (need + sizeof(kPadMarker) > device_->segment_size()) {
     return Status::InvalidArgument("record larger than a segment");
   }
+  return need;
+}
+
+StatusOr<ValueLog::AppendResult> ValueLog::Append(Slice key, Slice value, bool tombstone) {
+  TEBIS_ASSIGN_OR_RETURN(const size_t need, CheckedRecordSize(key.size(), value.size()));
 
   AppendResult result{};
   if (tail_used_ + need + 4 > device_->segment_size()) {

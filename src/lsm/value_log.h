@@ -94,6 +94,12 @@ class ValueLog {
     bool flushed_segment;  // true if this append sealed the previous tail
   };
 
+  // The one record-size rule: the key holds [1, kMaxKeySize] bytes and the
+  // encoded record plus the pad marker fits one segment. Returns the encoded
+  // size, or InvalidArgument. Append checks it; a group's writer checks it
+  // up front so one bad op can fail alone.
+  StatusOr<size_t> CheckedRecordSize(size_t key_size, size_t value_size) const;
+
   // Appends one record and returns its device offset. May flush the tail
   // (allocating a new one) when the record does not fit.
   StatusOr<AppendResult> Append(Slice key, Slice value, bool tombstone);

@@ -83,28 +83,9 @@ std::string RegisteredBuffer::FenceAndSnapshot(uint64_t min_epoch) {
   return std::string(data_.data(), data_.size());
 }
 
-std::string RegisteredBuffer::SnapshotBytes(size_t len) {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  if (len > data_.size()) {
-    len = data_.size();
-  }
-  return std::string(data_.data(), len);
-}
-
 void RegisteredBuffer::ReadView(const std::function<void(Slice bytes)>& fn) {
   std::lock_guard<std::mutex> lock(write_mutex_);
   fn(Slice(data_.data(), data_.size()));
-}
-
-void RegisteredBuffer::ZeroRange(size_t offset, size_t len) {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  if (offset >= data_.size()) {
-    return;
-  }
-  if (len > data_.size() - offset) {
-    len = data_.size() - offset;
-  }
-  memset(data_.data() + offset, 0, len);
 }
 
 void RegisteredBuffer::StoreRange(size_t offset, Slice bytes) {

@@ -108,24 +108,18 @@ class RegisteredBuffer {
   const char* data() const { return data_.data(); }
   char* mutable_data() { return data_.data(); }
 
-  // Owner-side consistent copy of the first `len` bytes. Serializes with
-  // tagged writes, so a replica read never parses a record a
-  // concurrent one-sided append is still landing.
-  std::string SnapshotBytes(size_t len);
-
   // Owner-side read of the whole buffer in place: runs `fn` on its bytes
   // while tagged writes are held off, so `fn` never sees a record a
   // concurrent one-sided append is still landing, and nothing is copied.
   // `fn` must not call back into this buffer.
   void ReadView(const std::function<void(Slice bytes)>& fn);
 
-  // Owner-side scrub of [offset, offset + len), clamped to the buffer. The
-  // replication buffer is one tail mirror at [0, segment): after a log flush
-  // the backup zeroes its first header, so buffer parsing restarts from an
-  // empty prefix (a 4-byte zero key_size terminates record iteration).
-  void ZeroRange(size_t offset, size_t len);
-  // Owner-side store of `bytes` at `offset`, serialized with tagged writes
-  // like the scrubs; no traffic is accounted. The range must fit the buffer.
+  // Owner-side store of `bytes` at `offset`, serialized with tagged writes;
+  // no traffic is accounted. The range must fit the buffer. The replication
+  // buffer is one tail mirror at [0, segment): a log flush seals it by
+  // storing the pad marker after the tail, then zeroes the first header, so
+  // buffer parsing restarts from an empty prefix (a 4-byte zero key_size
+  // terminates record iteration).
   void StoreRange(size_t offset, Slice bytes);
 
   const std::string& owner() const { return owner_; }

@@ -14,30 +14,22 @@ RpcClient::RpcClient(Fabric* fabric, std::string name, ServerEndpoint* server, s
     : fabric_(fabric),
       name_(std::move(name)),
       send_ring_(buffer_size),
-      reply_ring_(buffer_size) {
+      reply_ring_(buffer_size),
+      telemetry_(telemetry),
+      labels_(std::move(labels)) {
   ServerEndpoint::ConnectionHandles handles = server->Accept(name_, buffer_size);
   request_buffer_ = handles.request_buffer;
   reply_buffer_ = handles.reply_buffer;
-  if (telemetry == nullptr) {
+  if (telemetry_ == nullptr) {
     owned_telemetry_ = std::make_unique<Telemetry>();
-    telemetry = owned_telemetry_.get();
+    telemetry_ = owned_telemetry_.get();
   }
-  MetricsRegistry* reg = telemetry->metrics();
-  stats_.calls = reg->GetCounter("net.rpc_calls", labels);
-  stats_.attempts = reg->GetCounter("net.rpc_attempts", labels);
-  stats_.send_failures = reg->GetCounter("net.rpc_send_failures", labels);
-  stats_.reply_timeouts = reg->GetCounter("net.rpc_reply_timeouts", labels);
-  stats_.exhausted = reg->GetCounter("net.rpc_exhausted", labels);
-}
-
-RpcClientStats RpcClient::stats() const {
-  RpcClientStats s;
-  s.calls = stats_.calls->Value();
-  s.attempts = stats_.attempts->Value();
-  s.send_failures = stats_.send_failures->Value();
-  s.reply_timeouts = stats_.reply_timeouts->Value();
-  s.exhausted = stats_.exhausted->Value();
-  return s;
+  MetricsRegistry* reg = telemetry_->metrics();
+  stats_.calls = reg->GetCounter("net.rpc_calls", labels_);
+  stats_.attempts = reg->GetCounter("net.rpc_attempts", labels_);
+  stats_.send_failures = reg->GetCounter("net.rpc_send_failures", labels_);
+  stats_.reply_timeouts = reg->GetCounter("net.rpc_reply_timeouts", labels_);
+  stats_.exhausted = reg->GetCounter("net.rpc_exhausted", labels_);
 }
 
 void RpcClient::Poll() {

@@ -39,22 +39,12 @@ struct RpcRetryPolicy {
   uint64_t max_backoff_ns = 50'000'000;  // 50ms
 };
 
-// View over the client's "net.rpc_*" registry instruments; returned by value
-// so a reader never races the caller thread mutating them.
-struct RpcClientStats {
-  uint64_t calls = 0;           // Call() invocations
-  uint64_t attempts = 0;        // send attempts across all calls
-  uint64_t send_failures = 0;   // SendRequest errors (any attempt)
-  uint64_t reply_timeouts = 0;  // WaitReply timeouts (any attempt)
-  uint64_t exhausted = 0;       // calls that failed after the last attempt
-};
-
 class RpcClient {
  public:
   // Establishes a connection to `server` under the client's `name`.
   // `telemetry` (optional) is the plane the client's "net.rpc_*" instruments
   // register in, stamped with `labels`; null means a private plane, keeping
-  // stats() per-connection.
+  // the instruments per-connection.
   RpcClient(Fabric* fabric, std::string name, ServerEndpoint* server,
             size_t buffer_size = kDefaultConnectionBufferSize,
             Telemetry* telemetry = nullptr, MetricLabels labels = {});
@@ -92,7 +82,11 @@ class RpcClient {
 
   const RpcRetryPolicy& retry_policy() const { return retry_policy_; }
   void set_retry_policy(const RpcRetryPolicy& policy) { retry_policy_ = policy; }
-  RpcClientStats stats() const;
+
+  // The plane and labels the "net.rpc_*" instruments (calls, attempts,
+  // send_failures, reply_timeouts, exhausted) register under.
+  Telemetry* telemetry() const { return telemetry_; }
+  const MetricLabels& telemetry_labels() const { return labels_; }
 
  private:
   struct Instruments {
@@ -127,6 +121,8 @@ class RpcClient {
   size_t default_reply_alloc_ = 1024;
   RpcRetryPolicy retry_policy_;
   std::unique_ptr<Telemetry> owned_telemetry_;
+  Telemetry* telemetry_ = nullptr;
+  const MetricLabels labels_;
   Instruments stats_;
   std::map<uint64_t, Pending> pending_;
   std::map<uint64_t, RpcReply> completed_;

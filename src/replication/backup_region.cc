@@ -164,7 +164,8 @@ void BackupRegion::AbsorbBuffer(uint64_t commit_seq) {
   if (commit_seq > flushed_commit_seq_) {
     flushed_commit_seq_ = commit_seq;
   }
-  rdma_buffer_->ZeroRange(0, sizeof(uint32_t));
+  const char empty_header[sizeof(uint32_t)] = {};
+  rdma_buffer_->StoreRange(0, Slice(empty_header, sizeof(empty_header)));
 }
 
 uint64_t BackupRegion::ForEachBufferedLocked(const BufferVisitor& visit) const {

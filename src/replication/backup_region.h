@@ -68,8 +68,6 @@ class BackupRegion : public ReplicationMessageHandler {
   // Raise-to-at-least; also fences the RDMA buffer at the new epoch.
   void set_region_epoch(uint64_t epoch);
   uint64_t region_epoch() const { return region_epoch_.load(std::memory_order_acquire); }
-  // Control messages rejected as stale-epoch.
-  uint64_t epoch_rejected() const { return frame_.epoch_rejected->Value(); }
 
   // --- promotion (§3.5) ---
 
@@ -97,8 +95,10 @@ class BackupRegion : public ReplicationMessageHandler {
   virtual uint64_t l0_memory_bytes() const = 0;
   const RegisteredBuffer* rdma_buffer() const { return rdma_buffer_.get(); }
   // Telemetry plane the region's instruments live in: the shared plane from
-  // KvStoreOptions::telemetry, else a private one owned by this region.
+  // KvStoreOptions::telemetry, else a private one owned by this region. The
+  // instruments carry KvStoreOptions::telemetry_labels.
   Telemetry* telemetry() const { return telemetry_; }
+  const MetricLabels& telemetry_labels() const { return options_.telemetry_labels; }
 
   // --- integrity: scrub and online repair ---
 
@@ -121,17 +121,6 @@ class BackupRegion : public ReplicationMessageHandler {
   // InvalidArgument unless `rdma_buffer` holds at least one of `device`'s
   // segments; every engine factory checks it before constructing.
   static Status CheckRdmaBuffer(const BlockDevice* device, const RegisteredBuffer* rdma_buffer);
-
-  // Copies the frame's counters into an engine's stats view.
-  template <typename Stats>
-  void FillFrameStats(Stats* s) const {
-    s->log_flushes = frame_.log_flushes->Value();
-    s->epoch_rejected = frame_.epoch_rejected->Value();
-    s->replica_gets = frame_.replica_gets->Value();
-    s->replica_scans = frame_.replica_scans->Value();
-    s->read_rejects_epoch = frame_.read_rejects_epoch->Value();
-    s->read_rejects_seq = frame_.read_rejects_seq->Value();
-  }
 
   // --- engine hooks ---
 

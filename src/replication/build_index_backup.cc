@@ -35,14 +35,6 @@ BuildIndexBackupRegion::BuildIndexBackupRegion(BlockDevice* device, const KvStor
   records_inserted_ = reg->GetCounter("backup.records_inserted", options_.telemetry_labels);
 }
 
-BuildIndexBackupStats BuildIndexBackupRegion::stats() const {
-  BuildIndexBackupStats s;
-  s.insert_cpu_ns = insert_cpu_ns_->Value();
-  s.records_inserted = records_inserted_->Value();
-  FillFrameStats(&s);
-  return s;
-}
-
 Status BuildIndexBackupRegion::OnLogFlushedLocked(SegmentId local, Slice image) {
   // The baseline's work: every record goes through the in-memory L0 index
   // ("in-memory sorting") and, when L0 fills, a full local compaction with

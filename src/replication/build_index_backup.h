@@ -18,17 +18,6 @@
 
 namespace tebis {
 
-struct BuildIndexBackupStats {
-  uint64_t insert_cpu_ns = 0;  // re-inserting flushed records into L0
-  uint64_t records_inserted = 0;
-  uint64_t log_flushes = 0;
-  uint64_t epoch_rejected = 0;  // control messages fenced as stale (§3.5)
-  uint64_t replica_gets = 0;    // gets served from this replica
-  uint64_t replica_scans = 0;   // scans served from this replica
-  uint64_t read_rejects_epoch = 0;  // reads fenced: replica epoch too old
-  uint64_t read_rejects_seq = 0;    // reads fenced: commit seq behind fence
-};
-
 class BuildIndexBackupRegion final : public BackupRegion {
  public:
   static StatusOr<std::unique_ptr<BuildIndexBackupRegion>> Create(
@@ -51,9 +40,6 @@ class BuildIndexBackupRegion final : public BackupRegion {
 
   KvStore* store() { return store_.get(); }
   ValueLog* value_log() override { return store_->value_log(); }
-  // By value: each field is an atomic registry instrument, so the snapshot is
-  // safe to take while a flush handler is mutating the counters.
-  BuildIndexBackupStats stats() const;
   uint64_t l0_memory_bytes() const override { return store_->l0_memory_bytes(); }
 
   // --- integrity: nothing shipped to scrub or repair (see BackupRegion) ---

@@ -80,27 +80,6 @@ void PrimaryRegion::InitTelemetry() {
   repl_.doorbell_records = reg->GetCounter("wp.doorbell_records", l);
 }
 
-ReplicationStats PrimaryRegion::replication_stats() const {
-  ReplicationStats s;
-  s.log_replication_cpu_ns = repl_.log_replication_cpu_ns->Value();
-  s.send_index_cpu_ns = repl_.send_index_cpu_ns->Value();
-  s.log_records_replicated = repl_.log_records_replicated->Value();
-  s.log_flushes = repl_.log_flushes->Value();
-  s.append_retries = repl_.append_retries->Value();
-  s.index_segments_shipped = repl_.index_segments_shipped->Value();
-  s.index_bytes_shipped = repl_.index_bytes_shipped->Value();
-  s.filter_blocks_shipped = repl_.filter_blocks_shipped->Value();
-  s.filter_bytes_shipped = repl_.filter_bytes_shipped->Value();
-  s.backups_detached = repl_.backups_detached->Value();
-  s.slow_call_strikes = repl_.slow_call_strikes->Value();
-  s.fence_errors = repl_.fence_errors->Value();
-  s.streams_opened = repl_.streams_opened->Value();
-  s.flow_wait_ns = repl_.flow_wait_ns->Value();
-  s.doorbells = repl_.doorbells->Value();
-  s.doorbell_records = repl_.doorbell_records->Value();
-  return s;
-}
-
 void PrimaryRegion::RecordSpan(const CompactionInfo& info, const char* name, uint64_t start_ns,
                                uint64_t end_ns, uint64_t bytes) const {
   TraceBuffer* traces = store_->telemetry()->traces();

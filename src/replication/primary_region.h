@@ -42,31 +42,6 @@ enum class ReplicationMode {
 
 const char* ReplicationModeName(ReplicationMode mode);
 
-// Thin view over the region's "repl.*" registry instruments: the same
-// atomics a telemetry scrape samples, kept as a struct so existing callers
-// and bench harnesses read one coherent copy.
-struct ReplicationStats {
-  uint64_t log_replication_cpu_ns = 0;  // Table 3 "KV log replication"
-  uint64_t send_index_cpu_ns = 0;       // Table 3 "Send index"
-  uint64_t log_records_replicated = 0;
-  uint64_t log_flushes = 0;
-  uint64_t append_retries = 0;  // transient data-plane write failures retried
-  uint64_t index_segments_shipped = 0;
-  uint64_t index_bytes_shipped = 0;    // encoded wire bytes, once per segment
-  uint64_t filter_blocks_shipped = 0;  // bloom filter blocks fanned out
-  uint64_t filter_bytes_shipped = 0;
-  uint64_t backups_detached = 0;   // replicas dropped by the health policy
-  uint64_t slow_call_strikes = 0;  // calls that blew the per-call deadline
-  uint64_t fence_errors = 0;       // calls rejected as stale-epoch (deposed)
-  uint64_t streams_opened = 0;     // shipping streams allocated
-  uint64_t flow_wait_ns = 0;       // time streams waited for shipping credit
-  // Write-path group commit: doorbells are one-sided data-plane writes
-  // issued per backup-visible event; doorbell_records counts the log records
-  // those writes carried. records/doorbells is the coalesce ratio.
-  uint64_t doorbells = 0;
-  uint64_t doorbell_records = 0;
-};
-
 // Per-replica health policy (§3.5 "slow-not-dead"). A control/data call that
 // fails or overruns `call_deadline_ns` is a strike; `max_consecutive_failures`
 // strikes in a row — counted per shipping stream, so a stalled stream cannot
@@ -151,11 +126,10 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
     return std::move(store_);
   }
   ReplicationMode mode() const { return mode_; }
-  // By value; callers may poll while fan-outs run (each field is an atomic
-  // registry instrument, so no lock is needed).
-  ReplicationStats replication_stats() const;
-  // The telemetry plane this region reports into (the engine's).
+  // The telemetry plane this region reports into and the labels its
+  // instruments carry: the engine's.
   Telemetry* telemetry() const { return store_->telemetry(); }
+  const MetricLabels& telemetry_labels() const { return store_->options().telemetry_labels; }
   size_t num_backups() const {
     std::lock_guard<std::mutex> lock(region_mutex_);
     return backups_.size();
@@ -222,8 +196,8 @@ class PrimaryRegion : public ValueLogObserver, public CompactionObserver {
     Gauge* credits_in_flight = nullptr;  // repl.credits_in_flight{backup}
   };
 
-  // Counter instruments behind ReplicationStats, resolved once against the
-  // engine's telemetry plane (same labels as the store).
+  // The region's "repl.*" and "wp.doorbell*" counters, resolved once against
+  // the engine's telemetry plane (same labels as the store).
   struct ReplInstruments {
     Counter* log_replication_cpu_ns = nullptr;
     Counter* send_index_cpu_ns = nullptr;

@@ -98,28 +98,6 @@ void SendIndexBackupRegion::RecordSpan(const CompactionStream& stream, const cha
   traces->Record(std::move(span));
 }
 
-SendIndexBackupStats SendIndexBackupRegion::stats() const {
-  SendIndexBackupStats s;
-  s.rewrite_cpu_ns = counters_.rewrite_cpu_ns->Value();
-  s.segments_rewritten = counters_.segments_rewritten->Value();
-  s.offsets_rewritten = counters_.offsets_rewritten->Value();
-  s.streams_opened = counters_.streams_opened->Value();
-  s.streams_aborted = counters_.streams_aborted->Value();
-  s.filter_blocks_installed = counters_.filter_blocks_installed->Value();
-  s.filter_checks = counters_.filters.checks->Value();
-  s.filter_negatives = counters_.filters.negatives->Value();
-  s.filter_false_positives = counters_.filters.false_positives->Value();
-  s.segments_crc_rejected = counters_.segments_crc_rejected->Value();
-  s.scrub_bytes = counters_.integrity.scrub_bytes->Value();
-  s.corruptions_found = counters_.integrity.corruptions_found->Value();
-  s.corruptions_repaired = counters_.integrity.corruptions_repaired->Value();
-  s.repair_fetches = counters_.integrity.repair_fetches->Value();
-  s.repair_serves = counters_.repair_serves->Value();
-  s.read_corruptions = counters_.read_corruptions->Value();
-  FillFrameStats(&s);
-  return s;
-}
-
 size_t SendIndexBackupRegion::active_streams() const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
   return streams_.size();

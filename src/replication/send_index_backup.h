@@ -35,34 +35,6 @@
 
 namespace tebis {
 
-struct SendIndexBackupStats {
-  uint64_t rewrite_cpu_ns = 0;  // Table 3 "Rewrite index"
-  uint64_t segments_rewritten = 0;
-  uint64_t offsets_rewritten = 0;
-  uint64_t log_flushes = 0;
-  uint64_t epoch_rejected = 0;   // control messages fenced as stale (§3.5)
-  uint64_t streams_opened = 0;   // compaction streams begun
-  uint64_t streams_aborted = 0;  // streams abandoned by promotion
-  uint64_t replica_gets = 0;     // gets served from this replica
-  uint64_t replica_scans = 0;    // scans served from this replica
-  uint64_t read_rejects_epoch = 0;  // reads fenced: replica epoch too old
-  uint64_t read_rejects_seq = 0;    // reads fenced: commit seq behind fence
-  // Shipped bloom filters: probes against filters installed from the
-  // primary's exact bytes, aggregated over levels.
-  uint64_t filter_blocks_installed = 0;
-  uint64_t filter_checks = 0;
-  uint64_t filter_negatives = 0;
-  uint64_t filter_false_positives = 0;
-  // End-to-end integrity.
-  uint64_t segments_crc_rejected = 0;  // shipped segments failing their wire CRC
-  uint64_t scrub_bytes = 0;
-  uint64_t corruptions_found = 0;
-  uint64_t corruptions_repaired = 0;
-  uint64_t repair_fetches = 0;  // fetches this replica issued to heal itself
-  uint64_t repair_serves = 0;   // fetches this replica answered for a peer
-  uint64_t read_corruptions = 0;
-};
-
 class SendIndexBackupRegion final : public BackupRegion {
  public:
   // `rdma_buffer` is the log replication buffer the primary writes with
@@ -89,7 +61,6 @@ class SendIndexBackupRegion final : public BackupRegion {
 
   const BuiltTree& level(uint32_t i) const { return levels_[i]; }
   ValueLog* value_log() override { return log_.get(); }
-  SendIndexBackupStats stats() const;
   uint64_t l0_memory_bytes() const override { return 0; }  // the headline saving
   // Compaction streams currently mid-ship.
   size_t active_streams() const;
@@ -222,8 +193,8 @@ class SendIndexBackupRegion final : public BackupRegion {
     std::vector<SegmentChecksum> primary_checksums;
   };
 
-  // Mirrors SendIndexBackupStats as registry instruments ("backup.*" names);
-  // the struct view in stats() reads their values.
+  // The engine's own registry instruments ("backup.*", "integrity.*"), beside
+  // the frame's.
   struct Instruments {
     Counter* rewrite_cpu_ns = nullptr;
     Counter* segments_rewritten = nullptr;

@@ -63,21 +63,26 @@ bool MetricSample::HasLabel(std::string_view key, std::string_view value_match) 
   return false;
 }
 
-uint64_t MetricsSnapshot::Sum(std::string_view name) const {
-  uint64_t total = 0;
-  for (const MetricSample& sample : samples_) {
-    if (sample.name == name) {
-      total += static_cast<uint64_t>(sample.value);
+bool MetricSample::HasLabels(const MetricLabels& subset) const {
+  for (const auto& [key, value] : subset) {
+    if (!HasLabel(key, value)) {
+      return false;
     }
   }
-  return total;
+  return true;
 }
+
+uint64_t MetricsSnapshot::Sum(std::string_view name) const { return Sum(name, MetricLabels{}); }
 
 uint64_t MetricsSnapshot::Sum(std::string_view name, std::string_view key,
                               std::string_view value) const {
+  return Sum(name, MetricLabels{{std::string(key), std::string(value)}});
+}
+
+uint64_t MetricsSnapshot::Sum(std::string_view name, const MetricLabels& subset) const {
   uint64_t total = 0;
   for (const MetricSample& sample : samples_) {
-    if (sample.name == name && sample.HasLabel(key, value)) {
+    if (sample.name == name && sample.HasLabels(subset)) {
       total += static_cast<uint64_t>(sample.value);
     }
   }

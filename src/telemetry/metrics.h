@@ -1,9 +1,8 @@
 // Unified metrics plane: a lock-sharded registry of named instruments
 // — monotonic counters, gauges, and mergeable histograms — each identified by
-// (name, labels). Every pre-existing `*Stats` struct in lsm/replication/net/
-// cluster is a thin view over these instruments: hot paths update atomics,
-// and a scrape walks the registry for a consistent snapshot instead of each
-// harness hand-plucking struct fields.
+// (name, labels). The registry is the one definition of every engine
+// counter: hot paths update atomics, and tests, benches and the scrape all
+// read the same instruments through a snapshot.
 //
 // Naming scheme (DESIGN.md §6): dotted `<subsystem>.<counter>` names —
 // `kv.puts`, `repl.index_bytes_shipped`, `backup.rewrite_cpu_ns` — with low-
@@ -129,6 +128,8 @@ struct MetricSample {
   std::vector<HistogramExemplar> exemplars;  // kHistogram only; often empty
 
   bool HasLabel(std::string_view key, std::string_view value_match) const;
+  // True when the sample carries every (key, value) pair of `subset`.
+  bool HasLabels(const MetricLabels& subset) const;
 };
 
 // A consistent point-in-time walk of the registry: every sample is an atomic
@@ -143,6 +144,10 @@ class MetricsSnapshot {
   uint64_t Sum(std::string_view name) const;
   // Sum restricted to samples carrying label `key` == `value`.
   uint64_t Sum(std::string_view name, std::string_view key, std::string_view value) const;
+  // Sum restricted to samples carrying every label of `subset`. With the
+  // labels one object registered under, this reads that object's instrument
+  // summed over any extra labels it adds (per-level filters, sources).
+  uint64_t Sum(std::string_view name, const MetricLabels& subset) const;
   // First sample matching name (+ optional label filter); nullptr if none.
   const MetricSample* Find(std::string_view name) const;
   const MetricSample* Find(std::string_view name, std::string_view key,

@@ -4,8 +4,10 @@
 // stay native (IoStats, page caches) and are sampled live instead of
 // migrated. It also keeps a bounded slow-op log and an optional health watchdog
 // whose `health.*` gauges ride every snapshot. SimCluster and RegionServer
-// each own one; a standalone KvStore creates a private one so its stats()
-// view stays per-store.
+// each own one; a standalone KvStore creates a private one so its
+// instruments stay per-store. Every engine counter has one definition, its
+// registry instrument: tests, benches and the scrape all read it through
+// metrics()->Snapshot().
 #ifndef TEBIS_TELEMETRY_TELEMETRY_H_
 #define TEBIS_TELEMETRY_TELEMETRY_H_
 

@@ -22,6 +22,7 @@
 #include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
 #include "src/testing/fault_injector.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -76,12 +77,14 @@ TEST(EngineBatchTest, InvalidOpFailsAloneRestOfGroupCommits) {
   }
   kvs[3].first = "";                            // invalid: empty key
   kvs[5].first = std::string(400, 'k');        // invalid: key > kMaxKeySize
+  // Invalid: the record cannot fit one log segment.
+  kvs.emplace_back(Key(8), std::string(dev->segment_size(), 'x'));
   std::vector<KvStore::BatchOp> ops = MakeOps(kvs);
   std::vector<Status> statuses;
   ASSERT_TRUE((*store)->WriteBatch(ops, &statuses).ok());
   ASSERT_EQ(statuses.size(), ops.size());
   for (size_t i = 0; i < statuses.size(); ++i) {
-    if (i == 3 || i == 5) {
+    if (i == 3 || i == 5 || i == 8) {
       EXPECT_EQ(statuses[i].code(), StatusCode::kInvalidArgument)
           << i << ": " << statuses[i].ToString();
     } else {
@@ -91,9 +94,10 @@ TEST(EngineBatchTest, InvalidOpFailsAloneRestOfGroupCommits) {
       EXPECT_EQ(*got, kvs[i].second);
     }
   }
-  const KvStoreStats stats = (*store)->stats();
-  EXPECT_EQ(stats.batch_groups, 1u);
-  EXPECT_EQ(stats.batch_ops, 6u);  // the two invalid ops never reached the log
+  EXPECT_NE(statuses[8].ToString().find("record larger than a segment"), std::string::npos)
+      << statuses[8].ToString();
+  EXPECT_EQ(Metric(**store, "wp.batch_groups"), 1u);
+  EXPECT_EQ(Metric(**store, "wp.batch_ops"), 6u);  // the three invalid ops never reached the log
 }
 
 TEST(EngineBatchTest, HardFailureMidGroupKeepsCommittedPrefix) {
@@ -174,10 +178,9 @@ TEST(GroupCommitTest, OneDoorbellCoversTheWholeGroup) {
   }
   std::vector<Status> statuses;
   ASSERT_TRUE(cluster.primary->WriteBatch(MakeOps(kvs), &statuses).ok());
-  const ReplicationStats stats = cluster.primary->replication_stats();
-  EXPECT_EQ(stats.doorbells, 1u);
-  EXPECT_EQ(stats.doorbell_records, 16u);
-  EXPECT_EQ(stats.log_records_replicated, 16u);
+  EXPECT_EQ(Metric(*cluster.primary, "wp.doorbells"), 1u);
+  EXPECT_EQ(Metric(*cluster.primary, "wp.doorbell_records"), 16u);
+  EXPECT_EQ(Metric(*cluster.primary, "repl.log_records_replicated"), 16u);
   // Unflushed tail records are served from the replica's buffer mirror
   // (DebugGet only sees the shipped index; the fenced read path sees the
   // tail — fence zero, so nothing is rejected).
@@ -190,9 +193,8 @@ TEST(GroupCommitTest, OneDoorbellCoversTheWholeGroup) {
   for (int i = 16; i < 32; ++i) {
     ASSERT_TRUE(cluster.primary->Put(Key(i), ValueFor(i)).ok());
   }
-  const ReplicationStats after = cluster.primary->replication_stats();
-  EXPECT_EQ(after.doorbells, 1u + 16u);
-  EXPECT_EQ(after.doorbell_records, 32u);
+  EXPECT_EQ(Metric(*cluster.primary, "wp.doorbells"), 1u + 16u);
+  EXPECT_EQ(Metric(*cluster.primary, "wp.doorbell_records"), 32u);
 }
 
 TEST(GroupCommitTest, PartialGroupReplicatesOnlyAppliedOps) {
@@ -214,7 +216,7 @@ TEST(GroupCommitTest, PartialGroupReplicatesOnlyAppliedOps) {
     ASSERT_TRUE(got.ok()) << i << ": " << got.status().ToString();
     EXPECT_EQ(*got, kvs[i].second);
   }
-  EXPECT_EQ(cluster.primary->replication_stats().doorbell_records, 7u);
+  EXPECT_EQ(Metric(*cluster.primary, "wp.doorbell_records"), 7u);
 }
 
 TEST(GroupCommitTest, BackupAttachedMidTailSeesAckedRecords) {

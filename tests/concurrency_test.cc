@@ -20,6 +20,7 @@
 #include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
 #include "src/ycsb/sim_cluster.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -103,9 +104,8 @@ TEST(ConcurrencyTest, ReadersSeeEveryAckedKeyDuringBackgroundCompactions) {
   ASSERT_FALSE(failed.load());
   ASSERT_TRUE(store->WaitForBackgroundWork().ok());
 
-  const KvStoreStats stats = store->stats();
-  EXPECT_GT(stats.background_compactions, 0u);
-  EXPECT_GT(stats.compactions, 0u);
+  EXPECT_GT(Metric(*store, "kv.background_compactions"), 0u);
+  EXPECT_GT(Metric(*store, "kv.compactions"), 0u);
   // Spot-check after the pipeline drains.
   for (uint64_t i = 0; i < kKeys; i += 997) {
     auto got = store->Get(Key(i));
@@ -189,7 +189,7 @@ TEST(ConcurrencyTest, ScrubAndGetsShareVerifiersWithStreamingCompactions) {
   ASSERT_FALSE(failed.load());
   ASSERT_TRUE(store->WaitForBackgroundWork().ok());
   EXPECT_GT(scrubs.load(), 0u);
-  EXPECT_GT(store->stats().background_compactions, 0u);
+  EXPECT_GT(Metric(*store, "kv.background_compactions"), 0u);
   EXPECT_GT(dev->stats().ReadBytes(IoClass::kCompactionRead), 0u);
   EXPECT_TRUE(store->QuarantinedLevels().empty());
   auto last = store->Scrub();
@@ -474,8 +474,7 @@ TEST(ConcurrencyTest, BackpressureEngagesWhenFlushFallsBehind) {
   }
   ASSERT_TRUE(store->WaitForBackgroundWork().ok());
 
-  const KvStoreStats stats = store->stats();
-  EXPECT_GT(stats.write_slowdowns + stats.write_stalls, 0u)
+  EXPECT_GT(Metric(*store, "kv.write_slowdowns") + Metric(*store, "kv.write_stalls"), 0u)
       << "writer never hit the slowdown or stall band";
   // The active L0 never grows past the hard-stop bound.
   EXPECT_LE(store->l0_entries(), 2 * opts.l0_max_entries + opts.l0_max_entries);

@@ -19,6 +19,7 @@
 #include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
 #include "src/ycsb/sim_cluster.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -268,7 +269,7 @@ TEST(IndexRewriteEdgeTest, LeafNamingUnmappedLogSegmentIsRefused) {
               std::string::npos)
         << refused.ToString();
     EXPECT_EQ(backup_dev->stats().WriteBytes(IoClass::kIndexRewrite), 0u);
-    EXPECT_EQ((*backup)->stats().segments_rewritten, 0u);
+    EXPECT_EQ(Metric(**backup, "backup.segments_rewritten"), 0u);
   }
 }
 

@@ -20,6 +20,7 @@
 #include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
 #include "src/testing/fault_injector.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -314,9 +315,9 @@ TEST_F(RpcFaultTest, RetryRecoversFromInjectedSendFault) {
   auto reply = client.Call(MessageType::kPut, 0, "ping", 64);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->payload, "ping");
-  EXPECT_EQ(client.stats().send_failures, 1u);
-  EXPECT_EQ(client.stats().attempts, 2u);
-  EXPECT_EQ(client.stats().exhausted, 0u);
+  EXPECT_EQ(Metric(client, "net.rpc_send_failures"), 1u);
+  EXPECT_EQ(Metric(client, "net.rpc_attempts"), 2u);
+  EXPECT_EQ(Metric(client, "net.rpc_exhausted"), 0u);
 }
 
 TEST_F(RpcFaultTest, FailFastWithoutRetryPolicy) {
@@ -324,7 +325,7 @@ TEST_F(RpcFaultTest, FailFastWithoutRetryPolicy) {
   injector_.FailNth(FaultSite::kRpcSend, 0);
   auto reply = client.Call(MessageType::kPut, 0, "ping", 64);
   EXPECT_TRUE(reply.status().IsUnavailable());
-  EXPECT_EQ(client.stats().exhausted, 1u);
+  EXPECT_EQ(Metric(client, "net.rpc_exhausted"), 1u);
 }
 
 TEST_F(RpcFaultTest, PartitionExhaustsRetriesThenHealRestores) {
@@ -336,8 +337,8 @@ TEST_F(RpcFaultTest, PartitionExhaustsRetriesThenHealRestores) {
   injector_.Partition("client0", "server0");
   auto reply = client.Call(MessageType::kPut, 0, "lost", 64);
   EXPECT_TRUE(reply.status().IsUnavailable());
-  EXPECT_EQ(client.stats().exhausted, 1u);
-  EXPECT_EQ(client.stats().attempts, 3u);
+  EXPECT_EQ(Metric(client, "net.rpc_exhausted"), 1u);
+  EXPECT_EQ(Metric(client, "net.rpc_attempts"), 3u);
   injector_.Heal("client0", "server0");
   auto healed = client.Call(MessageType::kPut, 0, "back", 64);
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
@@ -453,7 +454,7 @@ TEST(ChannelRetryTest, TransientFabricFaultsSurvivedByAppendRetry) {
     ASSERT_TRUE(cluster.primary->Put(Key(i), ValueFor(i)).ok()) << i;
   }
   ASSERT_TRUE(cluster.primary->FlushL0().ok());
-  EXPECT_GT(cluster.primary->replication_stats().append_retries, 0u);
+  EXPECT_GT(Metric(*cluster.primary, "repl.append_retries"), 0u);
   cluster.fabric->set_fault_injector(nullptr);
   for (int i = 0; i < 2000; i += 111) {
     auto got = cluster.backups[0]->DebugGet(Key(i));

@@ -25,6 +25,7 @@
 #include "src/replication/primary_region.h"
 #include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -271,7 +272,7 @@ TEST(ManifestVersionTest, CheckpointRecoverPreservesFilters) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_TRUE((*recovered)->Get(Key(5'000'000 + i)).status().IsNotFound());
   }
-  EXPECT_GT((*recovered)->stats().filter_negatives, 0u);
+  EXPECT_GT(Metric(**recovered, "kv.filter_negatives"), 0u);
 }
 
 TEST(ManifestVersionTest, FiltersOffBuildsNullFilters) {
@@ -290,7 +291,7 @@ TEST(ManifestVersionTest, FiltersOffBuildsNullFilters) {
   // Reads stay correct, they just never skip.
   EXPECT_TRUE((*store)->Get(Key(17)).ok());
   EXPECT_TRUE((*store)->Get(Key(4'000'000)).status().IsNotFound());
-  EXPECT_EQ((*store)->stats().filter_checks, 0u);
+  EXPECT_EQ(Metric(**store, "kv.filter_checks"), 0u);
 }
 
 // --- primary read path -------------------------------------------------------
@@ -307,11 +308,12 @@ TEST(PrimaryFilterTest, NegativeGetsSkipLevels) {
   for (int i = 0; i < 500; ++i) {
     EXPECT_TRUE((*store)->Get(Key(9'000'000 + i)).status().IsNotFound());
   }
-  KvStoreStats stats = (*store)->stats();
-  EXPECT_GT(stats.filter_checks, 0u);
-  EXPECT_GT(stats.filter_negatives, 0u);
+  const uint64_t checks = Metric(**store, "kv.filter_checks");
+  const uint64_t negatives = Metric(**store, "kv.filter_negatives");
+  EXPECT_GT(checks, 0u);
+  EXPECT_GT(negatives, 0u);
   // Nearly all absent-key probes are answered by the filter.
-  EXPECT_GT(stats.filter_negatives * 10, stats.filter_checks * 5);
+  EXPECT_GT(negatives * 10, checks * 5);
 
   // Present keys still resolve (no false negatives through the gate).
   for (int i = 0; i < 3000; i += 97) {
@@ -339,12 +341,12 @@ TEST(PrimaryFilterTest, ScanPrefixSkipsAbsentPrefixes) {
   }
 
   // An absent prefix comes back empty and the filters answered some levels.
-  KvStoreStats before = (*store)->stats();
+  const uint64_t checks_before = Metric(**store, "kv.filter_checks");
   std::string absent = Key(8'000'000).substr(0, kFilterPrefixSize);
   auto empty_rows = (*store)->ScanPrefix(absent, /*limit=*/100);
   ASSERT_TRUE(empty_rows.ok());
   EXPECT_TRUE(empty_rows->empty());
-  EXPECT_GT((*store)->stats().filter_checks, before.filter_checks);
+  EXPECT_GT(Metric(**store, "kv.filter_checks"), checks_before);
 }
 
 // --- shipped filters ---------------------------------------------------------
@@ -409,10 +411,10 @@ TEST(ShippedFilterTest, BackupInstallsPrimaryExactFilterBytes) {
   KvStoreOptions opts = SmallOptions();
   auto cluster = MakeSendIndexCluster(1, opts);
   LoadAndFlush(&cluster, 3000, 800);
-  ASSERT_GT(cluster.primary->store()->stats().compactions, 0u);
+  ASSERT_GT(Metric(*cluster.primary->store(), "kv.compactions"), 0u);
 
   EXPECT_GT(CountMatchingFilterLevels(cluster, opts.max_levels), 0);
-  EXPECT_GT(cluster.backups[0]->stats().filter_blocks_installed, 0u);
+  EXPECT_GT(Metric(*cluster.backups[0], "backup.filter_blocks_installed"), 0u);
 }
 
 TEST(ShippedFilterTest, BackupNegativeLookupsUseShippedFilters) {
@@ -431,10 +433,11 @@ TEST(ShippedFilterTest, BackupNegativeLookupsUseShippedFilters) {
   for (int i = 0; i < 500; ++i) {
     EXPECT_TRUE(cluster.backups[0]->DebugGet(Key(7'000'000 + i)).status().IsNotFound());
   }
-  SendIndexBackupStats stats = cluster.backups[0]->stats();
-  EXPECT_GT(stats.filter_checks, 0u);
-  EXPECT_GT(stats.filter_negatives, 0u);
-  EXPECT_GT(stats.filter_negatives * 10, stats.filter_checks * 5);
+  const uint64_t checks = Metric(*cluster.backups[0], "backup.filter_checks");
+  const uint64_t negatives = Metric(*cluster.backups[0], "backup.filter_negatives");
+  EXPECT_GT(checks, 0u);
+  EXPECT_GT(negatives, 0u);
+  EXPECT_GT(negatives * 10, checks * 5);
 }
 
 TEST(ShippedFilterTest, PromotedStoreCarriesShippedFilters) {
@@ -457,7 +460,7 @@ TEST(ShippedFilterTest, PromotedStoreCarriesShippedFilters) {
   for (int i = 0; i < 300; ++i) {
     EXPECT_TRUE((*promoted)->Get(Key(6'000'000 + i)).status().IsNotFound());
   }
-  EXPECT_GT((*promoted)->stats().filter_negatives, 0u);
+  EXPECT_GT(Metric(**promoted, "kv.filter_negatives"), 0u);
   EXPECT_TRUE((*promoted)->Get(Key(5)).ok());
 }
 
@@ -483,7 +486,7 @@ TEST(ShippedFilterTest, FullSyncReattachInstallsFilters) {
   cluster.primary->AddBackup(std::move(channel));
 
   EXPECT_GT(CountMatchingFilterLevels(cluster, opts.max_levels), 0);
-  EXPECT_GT(cluster.backups[0]->stats().filter_blocks_installed, 0u);
+  EXPECT_GT(Metric(*cluster.backups[0], "backup.filter_blocks_installed"), 0u);
 
   // New traffic keeps shipping filters to the re-attached backup.
   for (int i = 0; i < 3000; ++i) {
@@ -502,13 +505,13 @@ TEST(ShippedFilterTest, FiltersOffShipsNothingAndStaysCorrect) {
   for (uint32_t i = 1; i <= opts.max_levels; ++i) {
     EXPECT_EQ(cluster.backups[0]->level(i).filter, nullptr) << i;
   }
-  EXPECT_EQ(cluster.backups[0]->stats().filter_blocks_installed, 0u);
-  EXPECT_EQ(cluster.primary->replication_stats().filter_blocks_shipped, 0u);
+  EXPECT_EQ(Metric(*cluster.backups[0], "backup.filter_blocks_installed"), 0u);
+  EXPECT_EQ(Metric(*cluster.primary, "repl.filter_blocks_shipped"), 0u);
 
   // Presence-gated reads: no filter, no skip, same answers.
   EXPECT_TRUE(cluster.backups[0]->DebugGet(Key(5)).ok());
   EXPECT_TRUE(cluster.backups[0]->DebugGet(Key(7'000'000)).status().IsNotFound());
-  EXPECT_EQ(cluster.backups[0]->stats().filter_checks, 0u);
+  EXPECT_EQ(Metric(*cluster.backups[0], "backup.filter_checks"), 0u);
 }
 
 TEST(ShippedFilterTest, ShipCountersTrackFilterTraffic) {
@@ -516,12 +519,11 @@ TEST(ShippedFilterTest, ShipCountersTrackFilterTraffic) {
   auto cluster = MakeSendIndexCluster(2, opts);
   LoadAndFlush(&cluster, 3000, 800);
 
-  ReplicationStats repl = cluster.primary->replication_stats();
-  EXPECT_GT(repl.filter_blocks_shipped, 0u);
-  EXPECT_GT(repl.filter_bytes_shipped, 0u);
+  EXPECT_GT(Metric(*cluster.primary, "repl.filter_blocks_shipped"), 0u);
+  EXPECT_GT(Metric(*cluster.primary, "repl.filter_bytes_shipped"), 0u);
   // Both backups installed blocks.
-  EXPECT_GT(cluster.backups[0]->stats().filter_blocks_installed, 0u);
-  EXPECT_GT(cluster.backups[1]->stats().filter_blocks_installed, 0u);
+  EXPECT_GT(Metric(*cluster.backups[0], "backup.filter_blocks_installed"), 0u);
+  EXPECT_GT(Metric(*cluster.backups[1], "backup.filter_blocks_installed"), 0u);
 }
 
 }  // namespace

@@ -47,6 +47,7 @@
 #include "src/telemetry/health.h"
 #include "src/telemetry/telemetry.h"
 #include "src/testing/fault_injector.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -150,7 +151,7 @@ LoadedStore MakeLoadedStore(const std::string& device_name, FaultInjector* injec
 
 TEST(IntegrityBuildTest, CompactionProducesChecksummedLevels) {
   auto ls = MakeLoadedStore("dev0");
-  ASSERT_GT(ls.store->stats().compactions, 0u);
+  ASSERT_GT(Metric(*ls.store, "kv.compactions"), 0u);
   const int level = DeepestChecksummedLevel(*ls.store, SmallOptions().max_levels);
   ASSERT_GE(level, 1) << "no checksummed level was published";
   const BuiltTree& tree = ls.store->level(level);
@@ -192,8 +193,8 @@ TEST(IntegrityReadTest, ReadPathDetectsBitRotAndQuarantines) {
   }
   ASSERT_FALSE(corrupt_key.empty()) << "no read ever touched the rotten segment";
   EXPECT_EQ(ls.store->QuarantinedLevels(), std::vector<int>{level});
-  EXPECT_GE(ls.store->stats().read_corruptions, 1u);
-  EXPECT_EQ(ls.store->stats().quarantined_levels, 1u);
+  EXPECT_GE(Metric(*ls.store, "kv.read_corruptions"), 1u);
+  EXPECT_EQ(ls.store->QuarantinedLevels().size(), 1u);
   // Quarantine is sticky: the same key keeps failing, never serves rot.
   EXPECT_TRUE(ls.store->Get(corrupt_key).status().IsCorruption());
   // Writes keep flowing while the level is quarantined (degraded, not down).
@@ -235,7 +236,7 @@ TEST(IntegrityReadTest, ValueLogRotSurfacesAsReadCorruption) {
     }
   }
   ASSERT_GT(corrupt_reads, 0u) << "no read landed in a rotten record";
-  EXPECT_GE(ls.store->stats().read_corruptions, corrupt_reads);
+  EXPECT_GE(Metric(*ls.store, "kv.read_corruptions"), corrupt_reads);
 
   // The value-log scrub walk detects the rot too (the catch-all for damage
   // reads happen to dodge); the value log is not a level, so nothing
@@ -420,13 +421,13 @@ TEST(IntegrityReadTest, WrongRecordUnderLiveKeyIsCorruption) {
   const std::string donor = CopyOtherRecordOver(ls.device.get(), flushed, offset);
   ASSERT_FALSE(donor.empty()) << "no same-size record to copy";
 
-  const uint64_t corruptions = ls.store->stats().read_corruptions;
+  const uint64_t corruptions = Metric(*ls.store, "kv.read_corruptions");
   auto got = ls.store->Get(key);
   ASSERT_TRUE(got.status().IsCorruption()) << (got.ok() ? *got : got.status().ToString());
   EXPECT_NE(got.status().ToString().find("dev0"), std::string::npos) << got.status().ToString();
   EXPECT_NE(got.status().ToString().find(std::to_string(offset)), std::string::npos)
       << got.status().ToString();
-  EXPECT_EQ(ls.store->stats().read_corruptions, corruptions + 1);
+  EXPECT_EQ(Metric(*ls.store, "kv.read_corruptions"), corruptions + 1);
 }
 
 // --- KvStore: scrub --------------------------------------------------------
@@ -450,8 +451,8 @@ TEST(IntegrityScrubTest, ScrubFindsSeededRotAndQuarantines) {
   EXPECT_GE(report->corruptions_found, 1u);
   EXPECT_EQ(report->quarantined_levels, std::vector<int>{level});
   EXPECT_EQ(ls.store->QuarantinedLevels(), std::vector<int>{level});
-  EXPECT_GE(ls.store->stats().corruptions_found, 1u);
-  EXPECT_GT(ls.store->stats().scrub_bytes, clean->bytes_scrubbed);
+  EXPECT_GE(Metric(*ls.store, "integrity.corruptions_found"), 1u);
+  EXPECT_GT(Metric(*ls.store, "integrity.scrub_bytes"), clean->bytes_scrubbed);
   // Scrub reads are accounted to their own I/O class (observable pacing).
   EXPECT_GT(ls.device->stats().ReadBytes(IoClass::kScrub), 0u);
 }
@@ -665,9 +666,9 @@ TEST(IntegrityRepairTest, OnlineRepairRestoresLevelFromFetchedBytes) {
                   .ok());
   EXPECT_GE(fetches, 1u);
   EXPECT_TRUE(ls.store->QuarantinedLevels().empty());
-  EXPECT_GE(ls.store->stats().corruptions_repaired, 1u);
-  EXPECT_GE(ls.store->stats().repair_fetches, fetches);
-  EXPECT_EQ(ls.store->stats().quarantined_levels, 0u);
+  EXPECT_GE(Metric(*ls.store, "integrity.corruptions_repaired"), 1u);
+  EXPECT_GE(Metric(*ls.store, "integrity.repair_fetches"), fetches);
+  EXPECT_EQ(ls.store->QuarantinedLevels().size(), 0u);
   for (const auto& [key, value] : ls.model) {
     auto got = ls.store->Get(key);
     ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
@@ -921,13 +922,13 @@ TEST(IntegrityShipTest, BackupRejectsMangledShippedSegment) {
                           .payload_crc = Crc32c("not the payload", 15)};
   Status s = backup->Handle(segment);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  EXPECT_EQ(backup->stats().segments_crc_rejected, 1u);
+  EXPECT_EQ(Metric(*backup, "backup.segments_crc_rejected"), 1u);
   // Bytes that are no encoding at all fail to decode: the same rejection.
   segment.data = Slice(garbage);
   segment.payload_crc = Crc32c(garbage.data(), garbage.size());
   s = backup->Handle(segment);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  EXPECT_EQ(backup->stats().segments_crc_rejected, 2u);
+  EXPECT_EQ(Metric(*backup, "backup.segments_crc_rejected"), 2u);
   // Nothing reached the backup's device.
   EXPECT_EQ(cluster.backup_devices[0]->stats().WriteBytes(IoClass::kIndexRewrite), 0u);
   // With a matching CRC the wire check passes; the same bytes now fail the
@@ -936,7 +937,7 @@ TEST(IntegrityShipTest, BackupRejectsMangledShippedSegment) {
   segment.data = Slice(wire);
   Status structural = backup->Handle(segment);
   EXPECT_FALSE(structural.ok());
-  EXPECT_EQ(backup->stats().segments_crc_rejected, 2u);
+  EXPECT_EQ(Metric(*backup, "backup.segments_crc_rejected"), 2u);
 }
 
 // The backup's level reads compare the record they read with the probe key
@@ -987,7 +988,7 @@ TEST(IntegrityShipTest, BackupLevelReadRejectsAnotherKeysRecord) {
   EXPECT_EQ(*before, model[key]);
   ASSERT_FALSE(CopyOtherRecordOver(device, flushed, offset).empty()) << "no same-size record";
 
-  const uint64_t corruptions = backup->stats().read_corruptions;
+  const uint64_t corruptions = Metric(*backup, "backup.read_corruptions");
   for (int round = 0; round < 2; ++round) {
     auto got = round == 0 ? backup->Get(key, /*min_epoch=*/0, /*min_seq=*/0, nullptr)
                           : backup->DebugGet(key);
@@ -997,13 +998,13 @@ TEST(IntegrityShipTest, BackupLevelReadRejectsAnotherKeysRecord) {
     EXPECT_NE(got.status().ToString().find(std::to_string(offset)), std::string::npos)
         << got.status().ToString();
   }
-  EXPECT_EQ(backup->stats().read_corruptions, corruptions + 2);
+  EXPECT_EQ(Metric(*backup, "backup.read_corruptions"), corruptions + 2);
 }
 
 TEST(IntegrityShipTest, ShippedLevelsAreChecksummedOnTheBackup) {
   auto cluster = MakeSendIndexCluster(1, SmallOptions());
   LoadCluster(&cluster);
-  ASSERT_GT(cluster.primary->store()->stats().compactions, 0u);
+  ASSERT_GT(Metric(*cluster.primary->store(), "kv.compactions"), 0u);
   const int level =
       DeepestChecksummedLevel(*cluster.backups[0], SmallOptions().max_levels);
   ASSERT_GE(level, 1) << "backup installed no checksummed level";
@@ -1050,8 +1051,8 @@ TEST(IntegrityShipTest, BackupScrubsAndRepairsFromPrimary) {
                   })
                   .ok());
   EXPECT_TRUE(backup->QuarantinedLevels().empty());
-  EXPECT_GE(backup->stats().corruptions_repaired, 1u);
-  EXPECT_GE(backup->stats().repair_fetches, 1u);
+  EXPECT_GE(Metric(*backup, "integrity.corruptions_repaired"), 1u);
+  EXPECT_GE(Metric(*backup, "integrity.repair_fetches"), 1u);
   for (const auto& [key, value] : model) {
     auto got = backup->DebugGet(key);
     ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
@@ -1073,7 +1074,7 @@ TEST(IntegrityShipTest, BackupScrubsAndRepairsFromPrimary) {
                   })
                   .ok());
   EXPECT_TRUE(backup->QuarantinedLevels().empty());
-  EXPECT_GE(donor->stats().repair_serves, 1u);
+  EXPECT_GE(Metric(*donor, "integrity.repair_serves"), 1u);
   for (const auto& [key, value] : model) {
     auto got = backup->DebugGet(key);
     ASSERT_TRUE(got.ok()) << key;
@@ -1169,7 +1170,7 @@ TEST(IntegrityShipTest, UnindexedSuffixRotIsCorruptionNotAnOlderVersion) {
   char probe = 0;
   ASSERT_TRUE(device->Read(offset, 1, &probe, IoClass::kOther).ok());
 
-  const uint64_t corruptions = backup->stats().read_corruptions;
+  const uint64_t corruptions = Metric(*backup, "backup.read_corruptions");
   auto got = backup->Get(key, /*min_epoch=*/0, /*min_seq=*/0, nullptr);
   EXPECT_TRUE(got.status().IsCorruption()) << (got.ok() ? "read " + *got : got.status().ToString());
   auto scanned = backup->Scan(key, 10, /*min_epoch=*/0, /*min_seq=*/0, nullptr);
@@ -1177,7 +1178,7 @@ TEST(IntegrityShipTest, UnindexedSuffixRotIsCorruptionNotAnOlderVersion) {
       << (scanned.ok() ? std::to_string(scanned->size()) + " pairs, first " +
                              (scanned->empty() ? "" : (*scanned)[0].value)
                        : scanned.status().ToString());
-  EXPECT_EQ(backup->stats().read_corruptions, corruptions + 2);
+  EXPECT_EQ(Metric(*backup, "backup.read_corruptions"), corruptions + 2);
 }
 
 TEST(IntegrityShipTest, PrimaryRepairsFromBackupReplica) {
@@ -1201,7 +1202,7 @@ TEST(IntegrityShipTest, PrimaryRepairsFromBackupReplica) {
                   })
                   .ok());
   EXPECT_TRUE(store->QuarantinedLevels().empty());
-  EXPECT_GE(cluster.backups[0]->stats().repair_serves, 1u);
+  EXPECT_GE(Metric(*cluster.backups[0], "integrity.repair_serves"), 1u);
   for (const auto& [key, value] : model) {
     auto got = cluster.primary->Get(key);
     ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();

@@ -25,6 +25,7 @@
 #include "src/lsm/page_cache.h"
 #include "src/lsm/value_log.h"
 #include "src/storage/block_device.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -1675,7 +1676,7 @@ TEST(KvStoreTest, CompactionTriggersWhenL0Full) {
   for (int i = 0; i < 300; ++i) {
     ASSERT_TRUE((*store)->Put(Key(i), "value").ok());
   }
-  EXPECT_GE((*store)->stats().compactions, 1u);
+  EXPECT_GE(Metric(**store, "kv.compactions"), 1u);
   EXPECT_LT((*store)->l0_entries(), 256u);
   EXPECT_FALSE((*store)->level(1).empty());
   // Everything still readable.
@@ -1697,7 +1698,7 @@ TEST(KvStoreTest, LargeWorkloadWithOverwritesStaysConsistent) {
     ASSERT_TRUE((*store)->Put(key, value).ok());
     model[key] = value;
   }
-  EXPECT_GT((*store)->stats().compactions, 5u);
+  EXPECT_GT(Metric(**store, "kv.compactions"), 5u);
   for (const auto& [key, value] : model) {
     auto v = (*store)->Get(key);
     ASSERT_TRUE(v.ok()) << key;
@@ -1885,11 +1886,10 @@ TEST(KvStoreTest, StatsAccumulate) {
     ASSERT_TRUE((*store)->Put(Key(i), "v").ok());
   }
   ASSERT_TRUE((*store)->Get(Key(5)).ok());
-  const KvStoreStats& st = (*store)->stats();
-  EXPECT_EQ(st.puts, 300u);
-  EXPECT_EQ(st.gets, 1u);
-  EXPECT_GT(st.insert_l0_cpu_ns, 0u);
-  EXPECT_GT(st.compaction_cpu_ns, 0u);
+  EXPECT_EQ(Metric(**store, "kv.puts"), 300u);
+  EXPECT_EQ(Metric(**store, "kv.gets"), 1u);
+  EXPECT_GT(Metric(**store, "kv.insert_l0_cpu_ns"), 0u);
+  EXPECT_GT(Metric(**store, "kv.compaction_cpu_ns"), 0u);
 }
 
 TEST(KvStoreTest, RejectsBadOptions) {

@@ -205,7 +205,9 @@ void CheckReads(Pair* p, const Model& model, const std::vector<std::string>& key
     coverage->checks_with_unindexed_suffix++;
   }
   // A non-zero first record header: acked records wait in the RDMA buffer.
-  if (p->buffer->SnapshotBytes(1) != std::string(1, '\0')) {
+  bool buffered = false;
+  p->buffer->ReadView([&](Slice bytes) { buffered = bytes[0] != '\0'; });
+  if (buffered) {
     coverage->checks_with_buffered_records++;
   }
   if (BackupLevels(*p) >= 2) {

@@ -36,6 +36,7 @@
 #include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
 #include "src/telemetry/telemetry.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -441,11 +442,10 @@ TEST(ReplicaReadsTest, FenceRejectsStaleEpochAndSequence) {
   auto future_epoch = backup->Get(Key(7), /*min_epoch=*/99, 0, nullptr);
   ASSERT_FALSE(future_epoch.ok());
   EXPECT_TRUE(future_epoch.status().IsFailedPrecondition());
-  const SendIndexBackupStats stats = backup->stats();
-  EXPECT_EQ(stats.read_rejects_seq, 1u);
-  EXPECT_EQ(stats.read_rejects_epoch, 1u);
+  EXPECT_EQ(Metric(*backup, "backup.read_rejects_seq"), 1u);
+  EXPECT_EQ(Metric(*backup, "backup.read_rejects_epoch"), 1u);
   // Every attempt counted, including the rejected ones.
-  EXPECT_EQ(stats.replica_gets, 4u);
+  EXPECT_EQ(Metric(*backup, "backup.replica_gets"), 4u);
 }
 
 // --- chaos: replica reads during a fenced-primary failover -------------------
@@ -623,7 +623,7 @@ TEST(ReplicaReadsChaosTest, HalfShippedStreamNeverLeaksIntoReads) {
   uint64_t version = 0;
   for (int i = 0; i < 1200; ++i) {
     const std::string key = Key(i % 300);
-    if (primary->replication_stats().backups_detached == 0) {
+    if (Metric(*primary, "repl.backups_detached") == 0) {
       backup_floor = committed;
     }
     ++version;
@@ -634,7 +634,7 @@ TEST(ReplicaReadsChaosTest, HalfShippedStreamNeverLeaksIntoReads) {
   ASSERT_GT(ships.load(), 0u);
   // The drop struck the replica out: the primary detached it mid-stream and
   // kept serving (degraded mode).
-  ASSERT_EQ(primary->replication_stats().backups_detached, 1u);
+  ASSERT_EQ(Metric(*primary, "repl.backups_detached"), 1u);
   ASSERT_FALSE(backup_floor.empty());
 
   // Every replica read must now return data the primary committed — from
@@ -671,7 +671,7 @@ TEST(ReplicaReadsChaosTest, HalfShippedStreamNeverLeaksIntoReads) {
   // data (same floor/ceiling bounds through the new primary engine).
   auto promoted = backup->Promote();
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
-  EXPECT_GT(backup->stats().streams_aborted, 0u);
+  EXPECT_GT(Metric(*backup, "backup.streams_aborted"), 0u);
   auto new_primary = PrimaryRegion::CreateFromStore(
       backup_device.get(), ReplicationMode::kSendIndex, std::move(*promoted));
   ASSERT_TRUE(new_primary.ok());

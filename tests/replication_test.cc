@@ -19,6 +19,7 @@
 #include "src/replication/segment_map.h"
 #include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -310,7 +311,7 @@ TEST(SendIndexTest, BackupIndexMatchesPrimaryAfterCompactions) {
   // Push everything into device levels so the backup's (L0-less) view covers
   // all keys.
   ASSERT_TRUE(cluster.primary->FlushL0().ok());
-  ASSERT_GT(cluster.primary->store()->stats().compactions, 0u);
+  ASSERT_GT(Metric(*cluster.primary->store(), "kv.compactions"), 0u);
 
   for (const auto& [key, value] : model) {
     auto got = cluster.backups[0]->DebugGet(key);
@@ -362,9 +363,9 @@ TEST(SendIndexTest, BackupDoesNoCompactionReads) {
     ASSERT_TRUE(cluster.primary->Put(Key(i), "value-" + std::to_string(i)).ok());
   }
   ASSERT_TRUE(cluster.primary->FlushL0().ok());
-  ASSERT_EQ(cluster.primary->store()->stats().compactions, 1u);
+  ASSERT_EQ(Metric(*cluster.primary->store(), "kv.compactions"), 1u);
   EXPECT_GT(shipped.offsets, 200u);  // the leaf entries and the root's children
-  EXPECT_EQ(cluster.backups[0]->stats().offsets_rewritten, shipped.offsets);
+  EXPECT_EQ(Metric(*cluster.backups[0], "backup.offsets_rewritten"), shipped.offsets);
 
   for (int i = 200; i < 3000; ++i) {
     ASSERT_TRUE(cluster.primary->Put(Key(i), "value-" + std::to_string(i)).ok());
@@ -381,8 +382,8 @@ TEST(SendIndexTest, BackupDoesNoCompactionReads) {
   EXPECT_EQ(backup_io.WriteBytes(IoClass::kCompactionWrite), 0u);
   // And the backup keeps no L0.
   EXPECT_EQ(cluster.backups[0]->l0_memory_bytes(), 0u);
-  EXPECT_GT(cluster.backups[0]->stats().segments_rewritten, 0u);
-  EXPECT_EQ(cluster.backups[0]->stats().offsets_rewritten, shipped.offsets);
+  EXPECT_GT(Metric(*cluster.backups[0], "backup.segments_rewritten"), 0u);
+  EXPECT_EQ(Metric(*cluster.backups[0], "backup.offsets_rewritten"), shipped.offsets);
 }
 
 // Scans are lookups on both sides: the primary's plain and prefix scans read
@@ -491,8 +492,8 @@ TEST(SendIndexTest, NetworkTrafficExceedsBuildIndex) {
   ASSERT_TRUE(send.primary->FlushL0().ok());
   ASSERT_TRUE(build.primary->FlushL0().ok());
   EXPECT_GT(send.fabric->TotalBytes(), build.fabric->TotalBytes());
-  EXPECT_GT(send.primary->replication_stats().index_bytes_shipped, 0u);
-  EXPECT_EQ(build.primary->replication_stats().index_bytes_shipped, 0u);
+  EXPECT_GT(Metric(*send.primary, "repl.index_bytes_shipped"), 0u);
+  EXPECT_EQ(Metric(*build.primary, "repl.index_bytes_shipped"), 0u);
   // Backup device I/O: Build-Index reads for compactions, Send-Index doesn't.
   EXPECT_GT(build.backup_devices[0]->stats().ReadBytes(IoClass::kCompactionRead), 0u);
   EXPECT_EQ(send.backup_devices[0]->stats().ReadBytes(IoClass::kCompactionRead), 0u);
@@ -519,7 +520,7 @@ TEST(BuildIndexTest, BackupStoreMatchesPrimary) {
     ASSERT_TRUE(got.ok()) << key << " " << got.status().ToString();
     EXPECT_EQ(*got, value);
   }
-  EXPECT_GT(cluster.backups[0]->stats().records_inserted, 0u);
+  EXPECT_GT(Metric(*cluster.backups[0], "backup.records_inserted"), 0u);
   // Build-Index keeps an L0 (the memory cost Send-Index avoids).
   EXPECT_GT(cluster.backups[0]->l0_memory_bytes(), 0u);
 }
@@ -530,7 +531,7 @@ TEST(BuildIndexTest, BackupRunsItsOwnCompactions) {
     ASSERT_TRUE(cluster.primary->Put(Key(i), std::string(40, 'b')).ok());
   }
   ASSERT_TRUE(cluster.primary->store()->value_log()->FlushTail().ok());
-  EXPECT_GT(cluster.backups[0]->store()->stats().compactions, 0u);
+  EXPECT_GT(Metric(*cluster.backups[0]->store(), "kv.compactions"), 0u);
 }
 
 // --- promotion (§3.5) -------------------------------------------------------------

@@ -28,6 +28,7 @@
 #include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
 #include "src/testing/fault_injector.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -98,19 +99,19 @@ void ExpectDeposedPrimaryFenced(ReplicationMode mode) {
   Status fenced = c.primary->Put("stale-key", "stale-value");
   EXPECT_TRUE(fenced.IsFailedPrecondition()) << fenced.ToString();
   EXPECT_GT(c.buffer->stale_write_rejects(), 0u);
-  EXPECT_GT(c.primary->replication_stats().fence_errors, 0u);
+  EXPECT_GT(Metric(*c.primary, "repl.fence_errors"), 0u);
   // ...and fencing is not a health strike: the replica is fine, WE are stale.
-  EXPECT_EQ(c.primary->replication_stats().slow_call_strikes, 0u);
-  EXPECT_EQ(c.primary->replication_stats().backups_detached, 0u);
+  EXPECT_EQ(Metric(*c.primary, "repl.slow_call_strikes"), 0u);
+  EXPECT_EQ(Metric(*c.primary, "repl.backups_detached"), 0u);
 
   // Control plane too: a control message stamped with the stale generation is
   // rejected by the backup's epoch check before its handler runs.
   LocalBackupChannel stale_channel(c.fabric.get(), "primary0", c.buffer, c.backup.get());
   stale_channel.set_epoch(1);
-  const uint64_t rejected_before = c.backup->epoch_rejected();
+  const uint64_t rejected_before = Metric(*c.backup, "backup.epoch_rejected");
   Status ctrl = stale_channel.Send(FlushLogMsg{});
   EXPECT_TRUE(ctrl.IsFailedPrecondition()) << ctrl.ToString();
-  EXPECT_GT(c.backup->epoch_rejected(), rejected_before);
+  EXPECT_GT(Metric(*c.backup, "backup.epoch_rejected"), rejected_before);
 
   // Zero stale bytes: the fenced record never reached the backup.
   EXPECT_TRUE(c.backup->DebugGet("stale-key").status().IsNotFound());
@@ -217,6 +218,12 @@ struct RobustCluster {
   std::unique_ptr<Master> master;
 };
 
+// The {node, region, role} labels a RegionServer stamps on a region engine
+// when it opens it.
+MetricLabels RegionLabels(const RegionServer* server, uint32_t region, const char* role) {
+  return {{"node", server->name()}, {"region", std::to_string(region)}, {"role", role}};
+}
+
 // Polls `predicate` until it holds or ~10 s pass (generous for sanitizers).
 bool WaitFor(const std::function<bool()>& predicate) {
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -266,9 +273,11 @@ TEST(DeposedPrimaryTest, StaleEpochTrafficNeverLandsOnBackups) {
   EXPECT_FALSE(stale_put.ok());
   EXPECT_TRUE(stale_put.IsUnavailable()) << stale_put.ToString();
   EXPECT_GE(stale_client->stats().failover_retries, 1u);
-  auto deposed_stats = deposed->PrimaryReplicationStats(0);
-  ASSERT_TRUE(deposed_stats.ok());
-  EXPECT_GT(deposed_stats->fence_errors, 0u);
+  ASSERT_TRUE(deposed->IsPrimaryFor(0));
+  const MetricLabels deposed_labels = RegionLabels(deposed, 0, "primary");
+  const uint64_t fence_before =
+      ReadMetric(deposed->telemetry(), "repl.fence_errors", deposed_labels);
+  EXPECT_GT(fence_before, 0u);
 
   // One-sided writes were rejected before the memcpy on every surviving node.
   uint64_t stale_rejects = 0;
@@ -288,17 +297,15 @@ TEST(DeposedPrimaryTest, StaleEpochTrafficNeverLandsOnBackups) {
   // refuses them outright as replication ops on a primary). The local flush
   // itself succeeds — the fence error parks inside the region and shows up
   // in its stats.
-  const uint64_t fence_before = deposed_stats->fence_errors;
   (void)deposed->FlushRegionTail(0);
-  auto flushed_stats = deposed->PrimaryReplicationStats(0);
-  ASSERT_TRUE(flushed_stats.ok());
-  EXPECT_GT(flushed_stats->fence_errors, fence_before);
+  ASSERT_TRUE(deposed->IsPrimaryFor(0));
+  EXPECT_GT(ReadMetric(deposed->telemetry(), "repl.fence_errors", deposed_labels), fence_before);
   uint64_t epoch_rejected = 0;
   for (const auto& backup : after->FindById(0)->backups) {
-    auto rejected = cluster.directory.at(backup)->BackupEpochRejected(0);
-    if (rejected.ok()) {
-      epoch_rejected += *rejected;
-    }
+    // A listed backup whose server no longer hosts the replica adds nothing.
+    RegionServer* server = cluster.directory.at(backup);
+    epoch_rejected += server->telemetry()->metrics()->Snapshot().Sum(
+        "backup.epoch_rejected", RegionLabels(server, 0, "backup"));
   }
   EXPECT_GT(epoch_rejected, 0u);
 
@@ -340,6 +347,12 @@ TEST(StuckBackupTest, StalledBackupDetachedAndReplacedWhileWritesFlow) {
   ASSERT_EQ(map->FindById(0)->backups.size(), 1u);
   const std::string stuck = map->FindById(0)->backups[0];
   RegionServer* primary = cluster.directory.at(primary_name);
+  const MetricLabels primary_labels = RegionLabels(primary, 0, "primary");
+  ASSERT_EQ(ReadMetric(primary->telemetry(), "repl.backups_detached", primary_labels), 0u);
+  // Polled after every put below: the instrument itself, not a snapshot of
+  // the whole plane (the read above proved the series exists).
+  const Counter* backups_detached =
+      primary->telemetry()->metrics()->GetCounter("repl.backups_detached", primary_labels);
   const std::string value(100, 'x');
 
   for (int i = 0; i < 200; ++i) {
@@ -360,15 +373,13 @@ TEST(StuckBackupTest, StalledBackupDetachedAndReplacedWhileWritesFlow) {
     const auto elapsed = std::chrono::steady_clock::now() - start;
     max_put_nanos = std::max<uint64_t>(
         max_put_nanos, std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    auto stats = primary->PrimaryReplicationStats(0);
-    ASSERT_TRUE(stats.ok());
-    detached = stats->backups_detached > 0;
+    ASSERT_TRUE(primary->IsPrimaryFor(0));
+    detached = backups_detached->Value() > 0;
   }
   ASSERT_TRUE(detached) << "health policy never detached the stalled backup";
-  auto stats = primary->PrimaryReplicationStats(0);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->backups_detached, 1u);
-  EXPECT_GE(stats->slow_call_strikes, 3u);
+  ASSERT_TRUE(primary->IsPrimaryFor(0));
+  EXPECT_EQ(ReadMetric(primary->telemetry(), "repl.backups_detached", primary_labels), 1u);
+  EXPECT_GE(ReadMetric(primary->telemetry(), "repl.slow_call_strikes", primary_labels), 3u);
   // Degraded-mode puts are bounded by a handful of stalled control calls, not
   // by the stall forever (generous ceiling for sanitizer builds).
   EXPECT_LT(max_put_nanos, 2'000'000'000ull);

@@ -30,6 +30,7 @@
 #include "src/storage/block_device.h"
 #include "src/testing/fault_injector.h"
 #include "src/ycsb/sim_cluster.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -142,7 +143,7 @@ TEST(ShippingStreamsTest, DisjointLevelPairsCompactConcurrently) {
   ASSERT_TRUE(gate.done()) << "no deep (src >= 2) compaction ever ran";
   EXPECT_TRUE(gate.overlapped())
       << "an L0 spill never began while a deep compaction was mid-ship";
-  EXPECT_GE(store->stats().concurrent_compaction_peak, 2u);
+  EXPECT_GE(Metric(*store, "kv.concurrent_compaction_peak"), 2u);
 
   // The interleaved compactions must not have corrupted anything.
   auto report = store->CheckIntegrity();
@@ -190,8 +191,8 @@ TEST(ShippingStreamsTest, MultiplexedShippingKeepsBackupsConsistent) {
 
   uint64_t streams_opened = 0, background = 0;
   for (int r = 0; r < cluster->num_regions(); ++r) {
-    streams_opened += cluster->region(r)->replication_stats().streams_opened;
-    background += cluster->region(r)->store()->stats().background_compactions;
+    streams_opened += Metric(*cluster->region(r), "repl.streams_opened");
+    background += Metric(*cluster->region(r)->store(), "kv.background_compactions");
   }
   EXPECT_GE(streams_opened, 8u);
   EXPECT_GE(background, 1u);
@@ -300,11 +301,11 @@ TEST(ShippingStreamsTest, HaltedBackupDetachesWhileSurvivorCommits) {
     if (cluster->Put(UserKey(i), Value(static_cast<int>(i))).ok()) {
       keys.push_back(UserKey(i));
     }
-    if (cluster->region(0)->replication_stats().backups_detached >= 1) {
+    if (Metric(*cluster->region(0), "repl.backups_detached") >= 1) {
       break;
     }
   }
-  ASSERT_GE(cluster->region(0)->replication_stats().backups_detached, 1u)
+  ASSERT_GE(Metric(*cluster->region(0), "repl.backups_detached"), 1u)
       << "halted backup was never detached";
   EXPECT_EQ(cluster->region(0)->num_backups(), 1u);
 
@@ -496,7 +497,7 @@ TEST(ShippingStreamsTest, MidShipFailureDetachesOnlyThatReplica) {
   ASSERT_TRUE(primary->FlushL0().ok());
 
   EXPECT_GE(ship_calls.load(), 1u);
-  EXPECT_EQ(primary->replication_stats().backups_detached, 1u);
+  EXPECT_EQ(Metric(*primary, "repl.backups_detached"), 1u);
   EXPECT_EQ(primary->num_backups(), 1u);
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -596,7 +597,7 @@ TEST(ShippingStreamsTest, SealTimeL0BoundaryKeepsPostSealFlushesReadable) {
 
   gate->Open();
   ASSERT_TRUE(primary->store()->WaitForBackgroundWork().ok());
-  EXPECT_EQ(primary->store()->stats().compactions, 1u);
+  EXPECT_EQ(Metric(*primary->store(), "kv.compactions"), 1u);
   EXPECT_EQ(backup->replay_from(), boundary);
   for (size_t i = 0; i < values.size(); ++i) {
     auto got = backup->Get(Key(static_cast<int>(i)), 0, 0, nullptr);
@@ -660,7 +661,7 @@ TEST(ShippingStreamsTest, PromoteAbortsActiveStreams) {
 
   auto promoted_or = backup->Promote();
   ASSERT_TRUE(promoted_or.ok()) << promoted_or.status().ToString();
-  EXPECT_EQ(backup->stats().streams_aborted, 2u);
+  EXPECT_EQ(Metric(*backup, "backup.streams_aborted"), 2u);
   EXPECT_EQ(backup->active_streams(), 0u);
 
   // The promoted engine serves the full replicated dataset.

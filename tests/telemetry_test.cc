@@ -3,6 +3,7 @@
 // a SimCluster compaction, span ring-buffer eviction order, the scrape RPC,
 // and the chaos case — a fenced stale primary shows up in scrapes as
 // repl.fence_errors / backup.epoch_rejected.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,12 +19,14 @@
 #include "src/cluster/coordinator.h"
 #include "src/cluster/master.h"
 #include "src/cluster/region_server.h"
+#include "src/lsm/kv_store.h"
 #include "src/replication/local_backup_channel.h"
 #include "src/replication/primary_region.h"
 #include "src/replication/send_index_backup.h"
 #include "src/storage/block_device.h"
 #include "src/telemetry/telemetry.h"
 #include "src/ycsb/sim_cluster.h"
+#include "tests/metric_reader.h"
 
 namespace tebis {
 namespace {
@@ -120,6 +123,165 @@ TEST(MetricsRegistryTest, SnapshotConsistentUnderConcurrentWriters) {
   }
 }
 
+// --- label-subset reads ----------------------------------------------------------
+
+std::unique_ptr<BlockDevice> MakeStoreDevice() {
+  BlockDeviceOptions options;
+  options.segment_size = 1 << 16;
+  options.max_segments = 1 << 12;
+  auto device = BlockDevice::Create(options);
+  return std::move(*device);
+}
+
+// A store on `plane` stamped with the {node, region, role} labels a
+// RegionServer would give it. No L0 spill unless the test flushes.
+std::unique_ptr<KvStore> MakeLabeledStore(BlockDevice* device, Telemetry* plane,
+                                          const std::string& node, int region,
+                                          const std::string& role) {
+  KvStoreOptions options;
+  options.l0_max_entries = 1 << 20;
+  options.max_levels = 3;
+  options.telemetry = plane;
+  options.telemetry_labels = {{"node", node}, {"region", std::to_string(region)}, {"role", role}};
+  auto store = KvStore::Create(device, options);
+  return std::move(*store);
+}
+
+// The value of the one series named `name` whose labels are exactly `labels`.
+uint64_t SeriesValue(const MetricsSnapshot& snap, std::string_view name,
+                     const MetricLabels& labels) {
+  const std::string key = CanonicalMetricKey(name, labels);
+  for (const MetricSample& sample : snap.samples()) {
+    if (CanonicalMetricKey(sample.name, sample.labels) == key) {
+      return static_cast<uint64_t>(sample.value);
+    }
+  }
+  ADD_FAILURE() << "no series " << key;
+  return 0;
+}
+
+MetricLabels With(MetricLabels labels, std::string key, std::string value) {
+  labels.emplace_back(std::move(key), std::move(value));
+  return labels;
+}
+
+TEST(MetricLabelReadTest, RegionLabelsPickOutOneStoreOnASharedPlane) {
+  // Four stores whose labels overlap pairwise (same node, same region or same
+  // role): only the full {node, region, role} set names one of them.
+  Telemetry plane;
+  const std::tuple<std::string, int, std::string> ids[] = {
+      {"s0", 0, "primary"}, {"s0", 1, "primary"}, {"s1", 0, "primary"}, {"s0", 0, "backup"}};
+  std::vector<std::unique_ptr<BlockDevice>> devices;
+  std::vector<std::unique_ptr<KvStore>> stores;
+  uint64_t total = 0;
+  for (size_t i = 0; i < std::size(ids); ++i) {
+    const auto& [node, region, role] = ids[i];
+    devices.push_back(MakeStoreDevice());
+    stores.push_back(MakeLabeledStore(devices.back().get(), &plane, node, region, role));
+    for (size_t n = 0; n < 10 * (i + 1); ++n) {
+      ASSERT_TRUE(stores.back()->Put(Key(static_cast<int>(n)), "v").ok());
+    }
+    total += 10 * (i + 1);
+  }
+  const MetricsSnapshot snap = plane.metrics()->Snapshot();
+  for (size_t i = 0; i < stores.size(); ++i) {
+    const MetricLabels& labels = stores[i]->options().telemetry_labels;
+    EXPECT_EQ(snap.Sum("kv.puts", labels), 10 * (i + 1)) << CanonicalMetricKey("", labels);
+    EXPECT_EQ(Metric(*stores[i], "kv.puts"), 10 * (i + 1));
+  }
+  // A subset of the labels sums every store that carries it.
+  EXPECT_EQ(snap.Sum("kv.puts", {{"node", "s0"}}), 10u + 20u + 40u);
+  EXPECT_EQ(snap.Sum("kv.puts", {{"region", "0"}, {"role", "primary"}}), 10u + 30u);
+  EXPECT_EQ(snap.Sum("kv.puts", MetricLabels{}), total);
+  EXPECT_EQ(snap.Sum("kv.puts"), total);
+}
+
+TEST(MetricLabelReadTest, ReaderFailsWhenNoSeriesCarriesTheLabels) {
+  // Instruments register at construction, so a store that never counted
+  // still has a zero series; a misspelt name or label has none and must not
+  // read as 0.
+  Telemetry plane;
+  auto device = MakeStoreDevice();
+  auto store = MakeLabeledStore(device.get(), &plane, "s0", 0, "primary");
+  EXPECT_EQ(Metric(*store, "kv.puts"), 0u);
+  EXPECT_NONFATAL_FAILURE(Metric(*store, "kv.putz"), "no series kv.putz");
+  EXPECT_NONFATAL_FAILURE(ReadMetric(&plane, "kv.puts", {{"node", "s9"}}),
+                          "no series kv.puts{node=s9}");
+}
+
+TEST(MetricLabelReadTest, FilterAndReadCorruptionSumsEqualTheirPerSeriesTotals) {
+  // The per-level filter counters and the two kv.read_corruptions sources are
+  // extra labels under the store's own; a read by the store's labels sums
+  // them. A second store on the plane must not leak into the sums.
+  Telemetry plane;
+  auto device = MakeStoreDevice();
+  auto store = MakeLabeledStore(device.get(), &plane, "s0", 0, "primary");
+  auto other_device = MakeStoreDevice();
+  auto other = MakeLabeledStore(other_device.get(), &plane, "s0", 1, "primary");
+  const std::string value(200, 'v');
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(store->Put(Key(i), value).ok());
+    ASSERT_TRUE(other->Put(Key(i), value).ok());
+  }
+  ASSERT_TRUE(store->FlushL0().ok());
+  ASSERT_TRUE(other->FlushL0().ok());
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_TRUE(store->Get(Key(1'000'000 + i)).status().IsNotFound());
+    EXPECT_TRUE(other->Get(Key(2'000'000 + i)).status().IsNotFound());
+  }
+
+  // Level rot: a forced scrub quarantines L1 and every read through it
+  // counts a level-sourced corruption.
+  const BuiltTree& l1 = store->level(1);
+  ASSERT_FALSE(l1.segments.empty());
+  const std::string garbage(64, '\xa5');
+  ASSERT_TRUE(device->Write(device->geometry().BaseOffset(l1.segments[0]), garbage,
+                            IoClass::kOther).ok());
+  ASSERT_TRUE(store->Scrub().ok());
+  EXPECT_TRUE(store->Get(Key(0)).status().IsCorruption());
+
+  // Log rot: records behind memtable entries fail their CRC on the value
+  // read, a log-sourced corruption.
+  for (int i = 5000; i < 5600; ++i) {
+    ASSERT_TRUE(store->Put(Key(i), value).ok());
+  }
+  const std::vector<SegmentId> flushed = store->value_log()->flushed_segments();
+  ASSERT_FALSE(flushed.empty());
+  const uint64_t log_base = device->geometry().BaseOffset(flushed.back());
+  for (uint64_t offset = 0; offset < device->segment_size() / 2; offset += 4096) {
+    ASSERT_TRUE(device->Write(log_base + offset, garbage, IoClass::kOther).ok());
+  }
+  bool log_rot_seen = false;
+  for (int i = 5000; i < 5600; ++i) {
+    log_rot_seen = log_rot_seen || store->Get(Key(i)).status().IsCorruption();
+  }
+  EXPECT_TRUE(log_rot_seen);
+
+  const MetricsSnapshot snap = plane.metrics()->Snapshot();
+  const MetricLabels& labels = store->options().telemetry_labels;
+  for (const char* name : {"kv.filter_checks", "kv.filter_negatives", "kv.filter_false_positives"}) {
+    uint64_t per_level = 0;
+    for (uint32_t level = 1; level <= store->max_levels(); ++level) {
+      per_level += SeriesValue(snap, name, With(labels, "level", "L" + std::to_string(level)));
+    }
+    EXPECT_EQ(snap.Sum(name, labels), per_level) << name;
+    EXPECT_EQ(Metric(*store, name), per_level) << name;
+  }
+  EXPECT_GT(SeriesValue(snap, "kv.filter_checks", With(labels, "level", "L1")), 0u);
+  const uint64_t log_corruptions =
+      SeriesValue(snap, "kv.read_corruptions", With(labels, "source", "value_log"));
+  const uint64_t level_corruptions =
+      SeriesValue(snap, "kv.read_corruptions", With(labels, "source", "level"));
+  EXPECT_GT(log_corruptions, 0u);
+  EXPECT_GT(level_corruptions, 0u);
+  EXPECT_EQ(snap.Sum("kv.read_corruptions", labels), log_corruptions + level_corruptions);
+  EXPECT_EQ(Metric(*store, "kv.read_corruptions"), log_corruptions + level_corruptions);
+  // The clean neighbour counted filter probes but no corruption.
+  EXPECT_GT(Metric(*other, "kv.filter_checks"), 0u);
+  EXPECT_EQ(Metric(*other, "kv.read_corruptions"), 0u);
+  EXPECT_EQ(store->QuarantinedLevels(), std::vector<int>{1});
+}
+
 // --- span ring buffer ----------------------------------------------------------
 
 SpanRecord MakeSpan(uint64_t i) {
@@ -156,7 +318,7 @@ TEST(TraceBufferTest, ZeroCapacityDisablesRecording) {
   EXPECT_EQ(buffer.dropped(), 0u);
 }
 
-// --- SimCluster: snapshot vs legacy structs, trace propagation -----------------
+// --- SimCluster: snapshot vs per-object reads, trace propagation ---------------
 
 SimClusterOptions SmallClusterOptions(int regions, int workers) {
   SimClusterOptions options;
@@ -177,8 +339,9 @@ SimClusterOptions SmallClusterOptions(int regions, int workers) {
 TEST(SimClusterTelemetryTest, RegistryTotalsMatchLegacyStructsUnderConcurrentStreams) {
   // Multiple regions + background workers = concurrent shipping streams all
   // updating the shared plane. After the run drains, the registry totals must
-  // equal the legacy per-object struct views exactly: no counter lost to the
-  // migration, none double-counted.
+  // equal the sum of each object's own instruments, read by its labels,
+  // exactly: no counter lost, none double-counted, no object's labels
+  // picking up another object's series.
   auto cluster_or = SimCluster::Create(SmallClusterOptions(/*regions=*/4, /*workers=*/2));
   ASSERT_TRUE(cluster_or.ok()) << cluster_or.status().ToString();
   auto cluster = std::move(*cluster_or);
@@ -189,28 +352,26 @@ TEST(SimClusterTelemetryTest, RegistryTotalsMatchLegacyStructsUnderConcurrentStr
   ASSERT_TRUE(cluster->FlushAll().ok());
 
   MetricsSnapshot snap = cluster->MetricsNow();
-  uint64_t struct_segments = 0, struct_bytes = 0, struct_streams = 0, struct_log_flushes = 0;
-  uint64_t struct_rewritten = 0, struct_backup_streams = 0;
+  uint64_t object_segments = 0, object_bytes = 0, object_streams = 0, object_log_flushes = 0;
+  uint64_t object_rewritten = 0, object_backup_streams = 0;
   for (int r = 0; r < cluster->num_regions(); ++r) {
-    const ReplicationStats rs = cluster->region(r)->replication_stats();
-    struct_segments += rs.index_segments_shipped;
-    struct_bytes += rs.index_bytes_shipped;
-    struct_streams += rs.streams_opened;
-    struct_log_flushes += rs.log_flushes;
+    const PrimaryRegion& primary = *cluster->region(r);
+    object_segments += Metric(primary, "repl.index_segments_shipped");
+    object_bytes += Metric(primary, "repl.index_bytes_shipped");
+    object_streams += Metric(primary, "repl.streams_opened");
+    object_log_flushes += Metric(primary, "repl.log_flushes");
     for (size_t b = 0; b < cluster->num_backups(r); ++b) {
-      const SendIndexBackupStats bs =
-          static_cast<SendIndexBackupRegion*>(cluster->backup(r, b))->stats();
-      struct_rewritten += bs.segments_rewritten;
-      struct_backup_streams += bs.streams_opened;
+      object_rewritten += Metric(*cluster->backup(r, b), "backup.segments_rewritten");
+      object_backup_streams += Metric(*cluster->backup(r, b), "backup.streams_opened");
     }
   }
-  EXPECT_GT(struct_segments, 0u);
-  EXPECT_EQ(snap.Sum("repl.index_segments_shipped"), struct_segments);
-  EXPECT_EQ(snap.Sum("repl.index_bytes_shipped"), struct_bytes);
-  EXPECT_EQ(snap.Sum("repl.streams_opened"), struct_streams);
-  EXPECT_EQ(snap.Sum("repl.log_flushes"), struct_log_flushes);
-  EXPECT_EQ(snap.Sum("backup.segments_rewritten"), struct_rewritten);
-  EXPECT_EQ(snap.Sum("backup.streams_opened"), struct_backup_streams);
+  EXPECT_GT(object_segments, 0u);
+  EXPECT_EQ(snap.Sum("repl.index_segments_shipped"), object_segments);
+  EXPECT_EQ(snap.Sum("repl.index_bytes_shipped"), object_bytes);
+  EXPECT_EQ(snap.Sum("repl.streams_opened"), object_streams);
+  EXPECT_EQ(snap.Sum("repl.log_flushes"), object_log_flushes);
+  EXPECT_EQ(snap.Sum("backup.segments_rewritten"), object_rewritten);
+  EXPECT_EQ(snap.Sum("backup.streams_opened"), object_backup_streams);
   // The primary engines' put counters carry the whole workload, once.
   EXPECT_EQ(snap.Sum("kv.puts", "role", "primary"), static_cast<uint64_t>(kPuts));
 }
@@ -426,9 +587,9 @@ TEST(ChaosScrapeTest, StalePrimaryFencingShowsInScrape) {
   EXPECT_GT(snap.Sum("repl.fence_errors"), 0u);
   EXPECT_GT(snap.Sum("backup.epoch_rejected"), 0u);
   EXPECT_EQ(snap.Sum("repl.fence_errors", "node", "p0"), snap.Sum("repl.fence_errors"));
-  // Registry view == legacy struct view, even mid-chaos.
-  EXPECT_EQ(snap.Sum("repl.fence_errors"), primary->replication_stats().fence_errors);
-  EXPECT_EQ(snap.Sum("backup.epoch_rejected"), backup->stats().epoch_rejected);
+  // Plane totals == the two engines' own reads by their labels, even mid-chaos.
+  EXPECT_EQ(snap.Sum("repl.fence_errors"), Metric(*primary, "repl.fence_errors"));
+  EXPECT_EQ(snap.Sum("backup.epoch_rejected"), Metric(*backup, "backup.epoch_rejected"));
   const std::string scrape = plane.ScrapeJson("p0");
   EXPECT_NE(scrape.find("repl.fence_errors"), std::string::npos);
   EXPECT_NE(scrape.find("backup.epoch_rejected"), std::string::npos);
