@@ -44,16 +44,13 @@ struct BuiltTree {
   // through publication, checkpointing, shipping and promotion, and the
   // filter must travel with every copy.
   std::shared_ptr<const std::string> filter;
-  // Parallel to `segments`: per-segment checksums in the same device
-  // space as the offsets in `segments`. Empty = unchecksummed (trees
-  // assembled without checksums); read-path verification then degrades to the
-  // structural node checks.
+  // Parallel to `segments`, always as long: per-segment checksums in the
+  // same device space as the offsets in `segments`. They are the level's one
+  // integrity record — every read path, the scrub, recovery and the repair
+  // donor check level bytes against them.
   std::vector<SegmentChecksum> seg_checksums;
 
   bool empty() const { return root_offset == kInvalidOffset; }
-  bool checksummed() const {
-    return !segments.empty() && seg_checksums.size() == segments.size();
-  }
 };
 
 // Observes completed index segments as they are produced.

@@ -30,15 +30,16 @@ class SegmentVerifier;
 
 class BTreeReader {
  public:
-  // `cache` may be null (direct reads). `verifier` may be null (unchecksummed
-  // tree); when set, every node read first checks its segment's CRC verdict —
-  // a quarantined segment fails the read with kCorruption rather than serving
-  // possibly-rotten bytes (even ones already sitting clean in the page
-  // cache, so readers and the scrubber agree) — and a streamed segment
-  // records the verdict of its own check there. The reader owns nothing: it
-  // holds `tree` by reference, so the caller keeps the tree (a level handle,
-  // a read snapshot, a backup's level under its state lock) alive for the
-  // reader's lifetime and that of its iterators.
+  // `cache` may be null (direct reads). `verifier` may be null (an unverified
+  // read, as CheckIntegrity makes on purpose); when set, every node read
+  // first checks its segment's CRC verdict — a quarantined segment fails the
+  // read with kCorruption rather than serving possibly-rotten bytes (even
+  // ones already sitting clean in the page cache, so readers and the
+  // scrubber agree) — and a streamed segment records the verdict of its own
+  // check there. The reader owns nothing: it holds `tree` by reference, so
+  // the caller keeps the tree (a level handle, a read snapshot, a backup's
+  // level under its state lock) alive for the reader's lifetime and that of
+  // its iterators.
   BTreeReader(BlockDevice* device, PageCache* cache, size_t node_size, const BuiltTree& tree,
               IoClass io_class, SegmentVerifier* verifier = nullptr);
 

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/common/clock.h"
-#include "src/common/crc32.h"
 #include "src/common/logging.h"
 #include "src/lsm/btree_reader.h"
 #include "src/lsm/compaction.h"
@@ -87,11 +86,8 @@ StatusOr<std::unique_ptr<KvStore>> KvStore::CreateFromParts(BlockDevice* device,
 KvStore::KvStore(BlockDevice* device, const KvStoreOptions& options)
     : device_(device),
       options_(options),
-      l0_slowdown_entries_(options.l0_slowdown_entries != 0
-                               ? options.l0_slowdown_entries
-                               : options.l0_max_entries + options.l0_max_entries / 2),
-      l0_stop_entries_(options.l0_stop_entries != 0 ? options.l0_stop_entries
-                                                    : 2 * options.l0_max_entries),
+      l0_slowdown_entries_(options.l0_max_entries + options.l0_max_entries / 2),
+      l0_stop_entries_(2 * options.l0_max_entries),
       pool_(options.compaction_pool),
       active_(std::make_shared<Memtable>()) {
   if (options.cache_bytes > 0) {
@@ -508,7 +504,7 @@ void KvStore::SlowdownDelay(size_t record_bytes) {
       return;  // the bucket absorbs this record, no sleep
     }
     sleep_ns = static_cast<uint64_t>(-slowdown_tokens_ * 1e9 / static_cast<double>(rate));
-    // The hard stall at l0_stop_entries bounds total debt; cap a single
+    // The hard stall at 2 × l0_max_entries bounds total debt; cap a single
     // sleep so one huge value cannot freeze the writer.
     const uint64_t cap_ns = 5'000'000;
     if (sleep_ns > cap_ns) {
@@ -689,7 +685,7 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
   ObserverSink sink(observer_, job.info, &ship_ns);
   BTreeBuilder builder(device_, options_.node_size, IoClass::kCompactionWrite, &sink);
   if (options_.enable_filters) {
-    builder.EnableFilter(options_.filter_bits_per_key);
+    builder.EnableFilter(kDefaultFilterBitsPerKey);
   }
 
   std::unique_ptr<MemtableMergeSource> mem_src;
@@ -702,14 +698,14 @@ Status KvStore::RunCompaction(const CompactionJob& job) {
     sources.push_back(mem_src.get());
   } else if (src_ref != nullptr && !src_ref->tree.empty()) {
     src_src = std::make_unique<LevelMergeSource>(device_, options_.node_size, src_ref->tree,
-                                                 log_.get(), src_ref->verifier.get(),
+                                                 log_.get(), &src_ref->verifier,
                                                  /*cache=*/nullptr, IoClass::kCompactionRead);
     TEBIS_RETURN_IF_ERROR(src_src->Init());
     sources.push_back(src_src.get());
   }
   if (!dst_ref->tree.empty()) {
     dst_src = std::make_unique<LevelMergeSource>(device_, options_.node_size, dst_ref->tree,
-                                                 log_.get(), dst_ref->verifier.get(),
+                                                 log_.get(), &dst_ref->verifier,
                                                  /*cache=*/nullptr, IoClass::kCompactionRead);
     TEBIS_RETURN_IF_ERROR(dst_src->Init());
     sources.push_back(dst_src.get());
@@ -858,9 +854,9 @@ StatusOr<ValueLocation> KvStore::FindLocation(Slice key, const ReadSnapshot& sna
   FullKeyLoader loader = LookupKeyLoader(log_.get(), cache_.get());
   const uint64_t key_hash = KeyHash(key);
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
-    const TreeHandle& level = *snap.levels[i];
+    TreeHandle& level = *snap.levels[i];
     auto found = ProbeLevel(device_, options_.node_size, cache_.get(), level.tree,
-                            level.verifier.get(), key, key_hash, loader, counters_.filters[i]);
+                            &level.verifier, key, key_hash, loader, counters_.filters[i]);
     if (found.ok()) {
       return ValueLocation{found->log_offset(), found->tombstone()};
     }
@@ -943,7 +939,7 @@ StatusOr<std::vector<KvPair>> KvStore::ScanRange(Slice start, Slice prefix, size
       }
     }
     auto src = std::make_unique<LevelMergeSource>(device_, options_.node_size, tree, log_.get(),
-                                                  snap.levels[i]->verifier.get(), cache_.get(),
+                                                  &snap.levels[i]->verifier, cache_.get(),
                                                   IoClass::kLookup);
     TEBIS_RETURN_IF_ERROR(src->Init(start));
     owned.push_back(std::move(src));
@@ -1101,7 +1097,7 @@ std::vector<int> KvStore::QuarantinedLevels() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<int> out;
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
-    if (levels_[i]->verifier != nullptr && levels_[i]->verifier->quarantined()) {
+    if (levels_[i]->verifier.quarantined()) {
       out.push_back(static_cast<int>(i));
     }
   }
@@ -1114,7 +1110,7 @@ StatusOr<KvStore::ScrubReport> KvStore::Scrub(const ScrubOptions& options) {
   ReadSnapshot snap = TakeReadSnapshot();
   std::vector<SegmentVerifier*> verifiers;
   for (const TreeRef& level : snap.levels) {
-    verifiers.push_back(level->verifier.get());
+    verifiers.push_back(&level->verifier);
   }
   return PacedScrub(device_, verifiers, *log_, options, counters_.integrity);
 }
@@ -1164,8 +1160,8 @@ Status KvStore::RepairQuarantinedLevels(const SegmentFetcher& fetch) {
       std::lock_guard<std::mutex> lock(mutex_);
       ref = levels_[i];
     }
-    SegmentVerifier* verifier = ref->verifier.get();
-    if (verifier == nullptr || !verifier->quarantined()) {
+    SegmentVerifier* verifier = &ref->verifier;
+    if (!verifier->quarantined()) {
       continue;
     }
     for (size_t idx : verifier->BadSegments()) {
@@ -1204,21 +1200,9 @@ StatusOr<SegmentId> KvStore::Checkpoint() {
     manifest.levels.push_back(h->tree);
   }
   manifest.log_flushed_segments = log_->FlushedSegmentsSnapshot();
-  // Chained CRC over each level's on-device segments, so recovery can tell a
-  // torn/lost index write from an intact level.
-  manifest.level_crcs.assign(manifest.levels.size(), 0);
-  {
-    std::string seg_buf(device_->segment_size(), 0);
-    for (size_t i = 1; i < manifest.levels.size(); ++i) {
-      uint32_t crc = 0;
-      for (SegmentId seg : manifest.levels[i].segments) {
-        TEBIS_RETURN_IF_ERROR(device_->Read(device_->geometry().BaseOffset(seg), seg_buf.size(),
-                                            seg_buf.data(), IoClass::kOther));
-        crc = Crc32c(seg_buf.data(), seg_buf.size(), crc);
-      }
-      manifest.level_crcs[i] = crc;
-    }
-  }
+  // The levels' segment checksums travel in the manifest and are all
+  // recovery needs to tell a torn or lost index write from an intact level,
+  // so a checkpoint reads no level bytes.
   const std::string body = manifest.Encode();
   // Layout in the checkpoint segment: [u32 length][manifest bytes].
   if (body.size() + 4 > device_->segment_size()) {
@@ -1262,24 +1246,24 @@ StatusOr<std::unique_ptr<KvStore>> KvStore::Recover(BlockDevice* device,
   }
   TEBIS_RETURN_IF_ERROR(device->AdoptAllocated(owned));
 
-  // Verify the level CRCs against the device. A mismatch means an index write
-  // was torn or lost after the checkpoint: drop every level and rebuild the
-  // whole index by replaying the (authoritative, per-record-CRC'd) value log.
+  // Check every level segment's checksummed prefix against its checksum. A
+  // mismatch means an index write was torn or lost after the checkpoint:
+  // drop every level and rebuild the whole index by replaying the
+  // (authoritative, per-record-CRC'd) value log.
   bool levels_intact = true;
   {
-    std::string seg_buf(device->segment_size(), 0);
+    std::string seg_buf;
     for (size_t i = 1; i < manifest.levels.size() && levels_intact; ++i) {
       const BuiltTree& tree = manifest.levels[i];
-      uint32_t crc = 0;
-      for (SegmentId seg : tree.segments) {
-        TEBIS_RETURN_IF_ERROR(device->Read(device->geometry().BaseOffset(seg), seg_buf.size(),
-                                           seg_buf.data(), IoClass::kRecovery));
-        crc = Crc32c(seg_buf.data(), seg_buf.size(), crc);
-      }
-      if (i < manifest.level_crcs.size() && crc != manifest.level_crcs[i]) {
-        TEBIS_LOG(kWarn) << "level " << i
-                            << " crc mismatch on recovery; rebuilding index from the value log";
-        levels_intact = false;
+      for (size_t s = 0; s < tree.segments.size() && levels_intact; ++s) {
+        TEBIS_ASSIGN_OR_RETURN(levels_intact,
+                               ReadAndMatch(device, tree.segments[s], tree.seg_checksums[s],
+                                            IoClass::kRecovery, &seg_buf));
+        if (!levels_intact) {
+          TEBIS_LOG(kWarn) << "level " << i << " segment " << s
+                              << " fails its checksum on recovery; rebuilding index from the "
+                                 "value log";
+        }
       }
     }
   }

@@ -26,8 +26,9 @@
 //    waits for L1).
 //  * With KvStoreOptions::compaction_pool set, jobs run on the pool and
 //    writes overlap them. Writers slow down when the fresh L0 grows past
-//    l0_slowdown_entries (token-bucket paced against the measured L0 drain
-//    rate) and hard-stall at l0_stop_entries until the sealed memtable drains.
+//    3/2 × l0_max_entries (token-bucket paced against the measured L0 drain
+//    rate) and hard-stall at 2 × l0_max_entries until the sealed memtable
+//    drains.
 //  * With a null pool each job runs inline on the thread that claimed it, one
 //    job at a time, lowest level first — single-threaded and deterministic
 //    (fault-injection crash points stay reproducible).
@@ -80,22 +81,18 @@ struct KvStoreOptions {
   // Per-level bloom filters: compactions fingerprint every merged key
   // (plus its kFilterPrefixSize prefix) and attach a filter block to the built
   // tree; point lookups and prefix scans consult it before descending the
-  // level. Send-Index primaries ship the block so backups answer membership
-  // probes from the primary's exact bytes.
+  // level, at kDefaultFilterBitsPerKey. Send-Index primaries ship the block
+  // so backups answer membership probes from the primary's exact bytes.
   bool enable_filters = true;
-  uint32_t filter_bits_per_key = kDefaultFilterBitsPerKey;
 
   // Compaction pool. When set, L0 spills and level cascades run as
   // long-running jobs on this pool and writes overlap compaction. The pool
   // must be Start()ed and must outlive the store. Null = each job runs inline
   // on the thread that claimed it (the writer or a maintenance call).
+  // While a flush is in flight, writers are paced once the active L0 exceeds
+  // 3/2 × l0_max_entries and block until the flush finishes once it reaches
+  // 2 × l0_max_entries.
   WorkerPool* compaction_pool = nullptr;
-  // Writers sleep briefly per operation once the active L0 exceeds this while
-  // a flush is already in flight (0 = 3/2 × l0_max_entries).
-  uint64_t l0_slowdown_entries = 0;
-  // Writers block until the in-flight flush finishes once the active L0
-  // reaches this (0 = 2 × l0_max_entries).
-  uint64_t l0_stop_entries = 0;
   // Slowdown-band pacing: writers are paced by a token bucket charged
   // per record byte and refilled at the measured L0 drain rate, so the delay
   // adapts to the value-size mix. Until a drain measurement exists (and as
@@ -303,17 +300,21 @@ class KvStore {
 
   // --- checkpoint / local recovery ---------------------------------------
 
-  // Persists a manifest (levels, flushed log segments, L0 replay boundary)
-  // into a dedicated segment and returns its id; the previous checkpoint
-  // segment is freed. The id is the store's "superblock" handle — keep it
-  // somewhere durable (Recover needs it). Safe to call from the writer thread
-  // or the background job concurrently with readers.
+  // Persists a manifest (levels with their segment checksums, flushed log
+  // segments, L0 replay boundary) into a dedicated segment and returns its
+  // id; it reads no level bytes. The previous checkpoint segment is freed.
+  // The id is the store's "superblock" handle — keep it somewhere durable
+  // (Recover needs it). Safe to call from the writer thread or the background
+  // job concurrently with readers.
   StatusOr<SegmentId> Checkpoint();
 
   // Rebuilds a store from `checkpoint_segment` on a device whose backing file
   // was reopened (BlockDeviceOptions::reopen_existing). Restores every record
   // in flushed log segments — the in-memory tail is not local state; in Tebis
-  // it comes back from the replicas via promotion (§3.5).
+  // it comes back from the replicas via promotion (§3.5). Every level segment
+  // is checked against its checksum (IoClass::kRecovery, the checksummed
+  // prefix only); any mismatch drops every level and rebuilds the index from
+  // the value log.
   static StatusOr<std::unique_ptr<KvStore>> Recover(BlockDevice* device,
                                                     const KvStoreOptions& options,
                                                     SegmentId checkpoint_segment);
@@ -371,14 +372,18 @@ class KvStore {
     BlockDevice* device = nullptr;
     PageCache* cache = nullptr;
     BuiltTree tree;
-    // Non-null when the tree carries segment checksums: shared verdict
-    // state for every reader of this publication. Readers check it per node;
-    // the scrubber force-re-verifies through it; repair resets it.
-    std::unique_ptr<SegmentVerifier> verifier;
+    // Shared verdict state over the tree's segment checksums for every reader
+    // of this publication (an empty level's covers no segments). Readers
+    // check it per node; the scrubber force-re-verifies through it; repair
+    // resets it. `level` labels it for corruption messages and telemetry.
+    SegmentVerifier verifier;
     std::atomic<bool> retire{false};
 
-    TreeHandle(BlockDevice* d, PageCache* c, BuiltTree t)
-        : device(d), cache(c), tree(std::move(t)) {}
+    TreeHandle(BlockDevice* d, PageCache* c, BuiltTree t, int level)
+        : device(d),
+          cache(c),
+          tree(std::move(t)),
+          verifier(d, tree.segments, tree.seg_checksums, "L" + std::to_string(level)) {}
     ~TreeHandle();
   };
   using TreeRef = std::shared_ptr<TreeHandle>;
@@ -441,17 +446,8 @@ class KvStore {
 
   KvStore(BlockDevice* device, const KvStoreOptions& options);
 
-  // `level` (when >= 0) labels the verifier for corruption messages and
-  // telemetry; checksummed trees get a SegmentVerifier, legacy (manifest v3)
-  // trees read unverified.
-  TreeRef MakeHandle(BuiltTree tree, int level = -1) {
-    auto handle = std::make_shared<TreeHandle>(device_, cache_.get(), std::move(tree));
-    if (handle->tree.checksummed()) {
-      handle->verifier = std::make_unique<SegmentVerifier>(
-          device_, handle->tree.segments, handle->tree.seg_checksums,
-          level >= 0 ? "L" + std::to_string(level) : "level");
-    }
-    return handle;
+  TreeRef MakeHandle(BuiltTree tree, int level) {
+    return std::make_shared<TreeHandle>(device_, cache_.get(), std::move(tree), level);
   }
 
   ReadSnapshot TakeReadSnapshot() const;

@@ -92,9 +92,6 @@ StatusOr<ScrubReport> PacedScrub(BlockDevice* device, const std::vector<SegmentV
   // damage that landed after a read cached an ok verdict is still caught.
   for (size_t level = 1; level < levels.size(); ++level) {
     SegmentVerifier* verifier = levels[level];
-    if (verifier == nullptr) {
-      continue;
-    }
     const size_t bad_before = verifier->BadSegments().size();
     for (size_t idx = 0; idx < verifier->segments().size(); ++idx) {
       Status checked;
@@ -144,10 +141,6 @@ StatusOr<ScrubReport> PacedScrub(BlockDevice* device, const std::vector<SegmentV
 StatusOr<std::string> ReadSegmentVerified(BlockDevice* device, const BuiltTree& tree, int level,
                                           size_t seg_index) {
   const std::string name = "L" + std::to_string(level);
-  if (!tree.checksummed()) {
-    return Status::FailedPrecondition("level " + std::to_string(level) +
-                                      " has no segment checksums");
-  }
   if (seg_index >= tree.segments.size()) {
     return Status::InvalidArgument("segment index out of range for " + name);
   }

@@ -85,7 +85,7 @@ using ScrubPin = std::function<bool(int level, const SegmentVerifier* verifier,
                                     const std::function<void()>& verify)>;
 
 // Force-re-verifies every segment of every level (`levels[i]` is level i's
-// verifier, null when unchecksummed; entry 0 unused), then, when
+// verifier, never null; entry 0 unused), then, when
 // options.include_value_log, parses every flushed segment of `log`. Reads
 // are IoClass::kScrub, paced by a token bucket refilled at
 // options.bytes_per_sec with a one-segment burst and charged per byte read.
@@ -102,9 +102,7 @@ StatusOr<ScrubReport> PacedScrub(BlockDevice* device, const std::vector<SegmentV
 // Donor side of repair: the checksummed prefix of segment `seg_index` of
 // `tree` (level `level`, for messages), read and matched by ReadAndMatch and
 // returned only when it matches its own checksum — a corrupt donor must
-// never propagate its rot.
-// FailedPrecondition for an unchecksummed tree, InvalidArgument for an index
-// out of range.
+// never propagate its rot. InvalidArgument for an index out of range.
 StatusOr<std::string> ReadSegmentVerified(BlockDevice* device, const BuiltTree& tree, int level,
                                           size_t seg_index);
 

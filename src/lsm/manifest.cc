@@ -9,17 +9,15 @@ std::string Manifest::Encode() const {
   WireWriter w;
   w.U32(kManifestMagic).U32(kManifestVersion);
   w.U32(static_cast<uint32_t>(levels.size()));
-  for (size_t i = 0; i < levels.size(); ++i) {
-    const BuiltTree& tree = levels[i];
+  for (const BuiltTree& tree : levels) {
     w.U64(tree.root_offset).U16(tree.height).U64(tree.num_entries).U64(tree.bytes_written);
     w.U32(static_cast<uint32_t>(tree.segments.size()));
     for (SegmentId seg : tree.segments) {
       w.U64(seg);
     }
-    w.U32(i < level_crcs.size() ? level_crcs[i] : 0);
     // Per-level filter block, empty when the tree carries none.
     w.Bytes(tree.filter != nullptr ? Slice(*tree.filter) : Slice());
-    // Per-segment checksums; 0 entries when the tree is unchecksummed.
+    // Per-segment checksums, one per segment.
     w.U32(static_cast<uint32_t>(tree.seg_checksums.size()));
     for (const SegmentChecksum& sc : tree.seg_checksums) {
       w.U32(sc.crc).U32(sc.length);
@@ -74,9 +72,6 @@ StatusOr<Manifest> Manifest::Decode(Slice data) {
       TEBIS_RETURN_IF_ERROR(r.U64(&seg));
       tree.segments.push_back(seg);
     }
-    uint32_t level_crc;
-    TEBIS_RETURN_IF_ERROR(r.U32(&level_crc));
-    manifest.level_crcs.push_back(level_crc);
     std::string filter;
     TEBIS_RETURN_IF_ERROR(r.Bytes(&filter));
     if (!filter.empty()) {
@@ -84,7 +79,7 @@ StatusOr<Manifest> Manifest::Decode(Slice data) {
     }
     uint32_t num_checksums;
     TEBIS_RETURN_IF_ERROR(r.U32(&num_checksums));
-    if (num_checksums != 0 && num_checksums != num_segments) {
+    if (num_checksums != num_segments) {
       return Status::Corruption("manifest segment-checksum count mismatch");
     }
     for (uint32_t s = 0; s < num_checksums; ++s) {

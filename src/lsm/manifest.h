@@ -17,29 +17,28 @@
 namespace tebis {
 
 inline constexpr uint32_t kManifestMagic = 0x5442'4D46;  // "TBMF"
-// Per level: the tree descriptor, a content CRC (torn index-segment
-// detection on recovery), the bloom filter block and per-segment
-// {crc, length} checksums. The version also names the leaf layout the levels
-// were built with: v6 leaves pack a 48-bit offset, the key size and a
-// tombstone flag into one word and hold keys of up to 14 bytes whole
-// (format.h). An older leaf would read back with wrong offsets and sizes, so
-// Decode accepts v6 only.
-inline constexpr uint32_t kManifestVersion = 6;
-inline constexpr uint32_t kMinManifestVersion = 6;
+// Per level: the tree descriptor, the bloom filter block and one
+// {crc, length} checksum per segment — the level's one integrity record,
+// which recovery checks the level's bytes against. The version also names
+// the leaf layout the levels were built with: leaves pack a 48-bit offset,
+// the key size and a tombstone flag into one word and hold keys of up to 14
+// bytes whole (format.h). An older leaf would read back with wrong offsets
+// and sizes, and a v6 image still carries a per-level CRC word between the
+// segment list and the filter, so Decode accepts v7 only.
+inline constexpr uint32_t kManifestVersion = 7;
+inline constexpr uint32_t kMinManifestVersion = 7;
 
 struct Manifest {
   // levels[0] unused, mirroring KvStore.
   std::vector<BuiltTree> levels;
-  // Chained CRC32C over each level's segments in order (0 for empty levels).
-  // Recovery re-reads the segments and compares: a mismatch means a torn or
-  // lost index write, and the level must be rebuilt from the value log.
-  std::vector<uint32_t> level_crcs;
   std::vector<SegmentId> log_flushed_segments;
   // Index into log_flushed_segments: records from here on are not yet in the
   // levels and must be replayed into L0.
   uint64_t l0_replay_from = 0;
 
   std::string Encode() const;
+  // kCorruption for a damaged image or a level whose checksum count is not
+  // its segment count.
   static StatusOr<Manifest> Decode(Slice data);
 };
 

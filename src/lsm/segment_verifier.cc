@@ -1,6 +1,7 @@
 #include "src/lsm/segment_verifier.h"
 
 #include "src/common/crc32.h"
+#include "src/common/logging.h"
 
 namespace tebis {
 
@@ -32,6 +33,9 @@ SegmentVerifier::SegmentVerifier(BlockDevice* device, std::vector<SegmentId> seg
       checksums_(std::move(checksums)),
       label_(std::move(label)),
       verdicts_(std::make_unique<std::atomic<uint8_t>[]>(segments_.size())) {
+  TEBIS_CHECK(checksums_.size() == segments_.size()) << label_ << ": " << checksums_.size()
+                                                     << " checksums for " << segments_.size()
+                                                     << " segments";
   for (size_t i = 0; i < segments_.size(); ++i) {
     index_of_[segments_[i]] = i;
     verdicts_[i].store(kUnverified, std::memory_order_relaxed);

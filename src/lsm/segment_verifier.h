@@ -46,7 +46,7 @@ StatusOr<bool> ReadAndMatch(BlockDevice* device, SegmentId segment,
 class SegmentVerifier {
  public:
   // `label` names the level in corruption messages ("L2"). The segment and
-  // checksum vectors must be parallel (BuiltTree::checksummed()).
+  // checksum vectors must be parallel, as every BuiltTree's are.
   SegmentVerifier(BlockDevice* device, std::vector<SegmentId> segments,
                   std::vector<SegmentChecksum> checksums, std::string label);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/clock.h"
-#include "src/common/crc32.h"
 #include "src/common/logging.h"
 #include "src/lsm/index_codec.h"
 
@@ -471,8 +470,7 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
   //    own shipping stream; the backup rewrites them exactly like live
   //    shipments.
   if (mode_ == ReplicationMode::kSendIndex) {
-    const uint64_t seg_size = device_->segment_size();
-    std::string buf(seg_size, 0);
+    std::string buf(device_->segment_size(), 0);
     for (uint32_t i = 1; i <= store_->max_levels(); ++i) {
       const BuiltTree& tree = store_->level(i);
       if (tree.empty()) {
@@ -493,25 +491,21 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
                                                                .l0_boundary = l0_boundary()}));
         for (size_t s = 0; s < tree.segments.size(); ++s) {
           const SegmentId seg = tree.segments[s];
-          // A checksummed level ships exactly its fingerprinted used prefix,
-          // stamped with the stored CRC, and the backup retains the primary
-          // checksums for repair interchange; an unchecksummed one ships
-          // whole segments, CRC'd here. Either way the segment travels
-          // encoded and the backup verifies the bytes it decodes.
-          const uint64_t length = tree.checksummed() ? tree.seg_checksums[s].length : seg_size;
-          TEBIS_RETURN_IF_ERROR(device_->Read(device_->geometry().BaseOffset(seg), length,
+          // Each segment ships exactly its fingerprinted used prefix, encoded
+          // and stamped with the stored CRC; the backup verifies the bytes it
+          // decodes and retains the primary checksums for repair interchange.
+          const SegmentChecksum& sum = tree.seg_checksums[s];
+          TEBIS_RETURN_IF_ERROR(device_->Read(device_->geometry().BaseOffset(seg), sum.length,
                                               buf.data(), IoClass::kRecovery));
-          const uint32_t crc =
-              tree.checksummed() ? tree.seg_checksums[s].crc : Crc32c(buf.data(), length);
           const std::string wire =
-              EncodeIndexSegment(Slice(buf.data(), length), store_->options().node_size);
+              EncodeIndexSegment(Slice(buf.data(), sum.length), store_->options().node_size);
           TEBIS_RETURN_IF_ERROR(channel->Send(IndexSegmentMsg{.compaction_id = sync_id,
                                                               .dst_level = i,
                                                               .tree_level = 0,
                                                               .primary_segment = seg,
                                                               .data = Slice(wire),
                                                               .stream_id = stream,
-                                                              .payload_crc = crc}));
+                                                              .payload_crc = sum.crc}));
         }
         if (tree.filter != nullptr) {
           TEBIS_RETURN_IF_ERROR(channel->Send(FilterBlockMsg{.compaction_id = sync_id,
@@ -523,8 +517,7 @@ Status PrimaryRegion::FullSync(BackupChannel* channel) {
                                               .src_level = 0,
                                               .dst_level = i,
                                               .tree = tree,
-                                              .stream_id = stream,
-                                              .seg_checksums = tree.seg_checksums});
+                                              .stream_id = stream});
       }();
       {
         std::lock_guard<std::mutex> lock(region_mutex_);
@@ -706,8 +699,7 @@ void PrimaryRegion::OnCompactionEnd(const CompactionInfo& info, const BuiltTree&
                                .src_level = static_cast<uint32_t>(info.src_level),
                                .dst_level = static_cast<uint32_t>(info.dst_level),
                                .tree = new_tree,
-                               .stream_id = stream,
-                               .seg_checksums = new_tree.seg_checksums};
+                               .stream_id = stream};
     FanOut(stream, /*flow_bytes=*/0, [&](BackupChannel* channel) { return channel->Send(msg); });
   }
   {

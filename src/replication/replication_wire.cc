@@ -73,8 +73,8 @@ void Write(WireWriter* w, const CompactionEndMsg& msg) {
     w->U64(seg);
   }
   w->U32(msg.stream_id);
-  w->U32(static_cast<uint32_t>(msg.seg_checksums.size()));
-  for (const SegmentChecksum& sc : msg.seg_checksums) {
+  w->U32(static_cast<uint32_t>(msg.tree.seg_checksums.size()));
+  for (const SegmentChecksum& sc : msg.tree.seg_checksums) {
     w->U32(sc.crc).U32(sc.length);
   }
 }
@@ -98,14 +98,14 @@ Status Read(WireReader* r, CompactionEndMsg* out) {
   TEBIS_RETURN_IF_ERROR(r->U32(&out->stream_id));
   uint32_t num_checksums;
   TEBIS_RETURN_IF_ERROR(r->U32(&num_checksums));
-  if (num_checksums != 0 && num_checksums != n) {
+  if (num_checksums != n) {
     return Status::Corruption("CompactionEnd segment-checksum count mismatch");
   }
   for (uint32_t i = 0; i < num_checksums; ++i) {
     SegmentChecksum sc;
     TEBIS_RETURN_IF_ERROR(r->U32(&sc.crc));
     TEBIS_RETURN_IF_ERROR(r->U32(&sc.length));
-    out->seg_checksums.push_back(sc);
+    out->tree.seg_checksums.push_back(sc);
   }
   return Status::Ok();
 }

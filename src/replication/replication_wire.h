@@ -84,12 +84,11 @@ struct CompactionEndMsg {
   uint64_t compaction_id = 0;
   uint32_t src_level = 0;
   uint32_t dst_level = 0;
-  BuiltTree tree{};  // the primary's tree description (root, height, segments)
+  // The primary's tree description: root, height, segments and their
+  // checksums, which the backup keeps to serve (and validate) repair fetches
+  // in primary space. The wire form omits the filter (FilterBlockMsg).
+  BuiltTree tree{};
   StreamId stream_id = 0;
-  // Per-segment checksums of the primary's level bytes, parallel to
-  // tree.segments, or empty for an unchecksummed tree. The backup keeps them
-  // to serve (and validate) repair fetches in primary space.
-  std::vector<SegmentChecksum> seg_checksums{};
 };
 
 // GC coordination (paper §4: backups "only perform the trim").

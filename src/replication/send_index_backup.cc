@@ -17,8 +17,8 @@ StatusOr<std::unique_ptr<SendIndexBackupRegion>> SendIndexBackupRegion::Create(
     std::shared_ptr<RegisteredBuffer> rdma_buffer) {
   TEBIS_RETURN_IF_ERROR(CheckRdmaBuffer(device, rdma_buffer.get()));
   TEBIS_RETURN_IF_ERROR(CheckLeafAddressable(device));
-  std::unique_ptr<SendIndexBackupRegion> backup(
-      new SendIndexBackupRegion(device, options, std::move(rdma_buffer)));
+  std::unique_ptr<SendIndexBackupRegion> backup(new SendIndexBackupRegion(
+      device, options, std::move(rdma_buffer), std::vector<BuiltTree>(options.max_levels + 1)));
   TEBIS_ASSIGN_OR_RETURN(backup->log_, ValueLog::Create(device));
   return backup;
 }
@@ -33,30 +33,30 @@ StatusOr<std::unique_ptr<SendIndexBackupRegion>> SendIndexBackupRegion::CreateFr
     return Status::InvalidArgument("levels vector must have max_levels+1 entries");
   }
   TEBIS_RETURN_IF_ERROR(CheckLeafAddressable(device));
+  // Levels carried over from the demoted primary stay verified on this
+  // node's read path. Their bytes are OLD-primary space though, so origins_
+  // stays empty: they cannot serve primary-space repair interchange until the
+  // new primary ships them afresh.
   std::unique_ptr<SendIndexBackupRegion> backup(
-      new SendIndexBackupRegion(device, options, std::move(rdma_buffer)));
+      new SendIndexBackupRegion(device, options, std::move(rdma_buffer), std::move(levels)));
   backup->log_ = std::move(log);
-  backup->levels_ = std::move(levels);
   backup->log_map_ = std::move(log_map);
   backup->primary_flush_order_ = std::move(primary_flush_order);
   backup->replay_from_ = replay_from;
-  // Checksummed levels carried over from the demoted primary stay verified on
-  // this node's read path. Their bytes are OLD-primary space though, so
-  // origins_ stays empty: they cannot serve primary-space repair interchange
-  // until the new primary ships them afresh.
-  for (size_t i = 0; i < backup->levels_.size(); ++i) {
-    backup->InstallVerifierLocked(static_cast<int>(i));
-  }
   return backup;
 }
 
 SendIndexBackupRegion::SendIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
-                                             std::shared_ptr<RegisteredBuffer> rdma_buffer)
+                                             std::shared_ptr<RegisteredBuffer> rdma_buffer,
+                                             std::vector<BuiltTree> levels)
     : BackupRegion(device, options, std::move(rdma_buffer)),
-      levels_(options.max_levels + 1),
-      verifiers_(options.max_levels + 1),
-      origins_(options.max_levels + 1) {
+      levels_(std::move(levels)),
+      verifiers_(levels_.size()),
+      origins_(levels_.size()) {
   InitTelemetry();
+  for (size_t i = 0; i < levels_.size(); ++i) {
+    InstallVerifierLocked(static_cast<int>(i));
+  }
 }
 
 void SendIndexBackupRegion::InitTelemetry() {
@@ -130,8 +130,7 @@ Status SendIndexBackupRegion::HandleIndexMessage(const ReplicationMessage& msg) 
           },
           [this](const CompactionEndMsg& m) {
             return HandleCompactionEnd(m.compaction_id, static_cast<int>(m.src_level),
-                                       static_cast<int>(m.dst_level), m.tree, m.stream_id,
-                                       m.seg_checksums);
+                                       static_cast<int>(m.dst_level), m.tree, m.stream_id);
           },
           [this](const SetReplayStartMsg& m) {
             set_replay_from(m.flushed_segment_index);
@@ -315,8 +314,7 @@ Status SendIndexBackupRegion::FreeTree(const BuiltTree& tree) {
 
 Status SendIndexBackupRegion::HandleCompactionEnd(uint64_t compaction_id, int src_level,
                                                   int dst_level, const BuiltTree& primary_tree,
-                                                  StreamId stream,
-                                                  const std::vector<SegmentChecksum>& primary_checksums) {
+                                                  StreamId stream) {
   std::lock_guard<std::shared_mutex> lock(state_mutex_);
   auto it = streams_.find(stream);
   if (it == streams_.end()) {
@@ -361,24 +359,28 @@ Status SendIndexBackupRegion::HandleCompactionEnd(uint64_t compaction_id, int sr
       if (primary_tree.segments.size() != s->index_map.size()) {
         return Status::Corruption("reserved index segments never shipped");
       }
-      // Install the LOCAL checksums recorded at rewrite time, in the
-      // primary's segment order — only when every listed segment was
-      // rewritten (one reserved by a forward reference but never shipped has
-      // no checksum).
-      for (SegmentId seg : primary_tree.segments) {
-        auto crc = s->local_crcs.find(seg);
-        if (crc == s->local_crcs.end()) {
-          local_tree.seg_checksums.clear();
-          break;
-        }
-        local_tree.seg_checksums.push_back(crc->second);
+    }
+    if (primary_tree.seg_checksums.size() != primary_tree.segments.size()) {
+      return Status::Corruption("CompactionEnd segment-checksum count mismatch");
+    }
+    // Install the LOCAL checksums recorded at rewrite time, in the primary's
+    // segment order. A rewrite is in place, so each segment keeps the length
+    // the primary fingerprinted.
+    for (size_t i = 0; i < local_tree.segments.size(); ++i) {
+      auto crc = s->local_crcs.find(primary_tree.segments[i]);
+      if (crc == s->local_crcs.end()) {
+        return Status::Corruption("reserved index segment never rewritten");
       }
+      if (crc->second.length != primary_tree.seg_checksums[i].length) {
+        return Status::Corruption("rewritten index segment length differs from the primary's");
+      }
+      local_tree.seg_checksums.push_back(crc->second);
     }
     // Retire inputs exactly like the primary did.
     if (src_level >= 1) {
       TEBIS_RETURN_IF_ERROR(FreeTree(levels_[src_level]));
       levels_[src_level] = BuiltTree{};
-      verifiers_[src_level] = nullptr;
+      InstallVerifierLocked(src_level);
       origins_[src_level] = LevelOrigin{};
     } else {
       // L0 -> L1 finished: everything below the primary's seal-time
@@ -390,22 +392,8 @@ Status SendIndexBackupRegion::HandleCompactionEnd(uint64_t compaction_id, int sr
     levels_[dst_level] = local_tree;
     InstallVerifierLocked(dst_level);
     PublishQuarantineLocked();  // a replaced quarantined level no longer counts
-    // Retain the level's primary-space identity for repair interchange:
-    // valid only when the primary shipped its checksums and the rewrite kept
-    // every segment's length (it always does — rewrites are in place).
-    origins_[dst_level] = LevelOrigin{};
-    if (local_tree.checksummed() &&
-        primary_checksums.size() == primary_tree.segments.size()) {
-      bool lengths_match = true;
-      for (size_t i = 0; i < primary_checksums.size(); ++i) {
-        lengths_match =
-            lengths_match && primary_checksums[i].length == local_tree.seg_checksums[i].length;
-      }
-      if (lengths_match) {
-        origins_[dst_level].primary_segments = primary_tree.segments;
-        origins_[dst_level].primary_checksums = primary_checksums;
-      }
-    }
+    // Retain the level's primary-space identity for repair interchange.
+    origins_[dst_level] = LevelOrigin{primary_tree.segments, primary_tree.seg_checksums};
     return Status::Ok();
   }();
   counters_.rewrite_cpu_ns->Add(cpu_ns);
@@ -580,12 +568,8 @@ StatusOr<std::string> SendIndexBackupRegion::DebugGet(Slice key) {
 
 void SendIndexBackupRegion::InstallVerifierLocked(int level) {
   const BuiltTree& tree = levels_[level];
-  if (tree.checksummed()) {
-    verifiers_[level] = std::make_shared<SegmentVerifier>(
-        device_, tree.segments, tree.seg_checksums, "L" + std::to_string(level));
-  } else {
-    verifiers_[level] = nullptr;
-  }
+  verifiers_[level] = std::make_shared<SegmentVerifier>(device_, tree.segments, tree.seg_checksums,
+                                                        "L" + std::to_string(level));
 }
 
 std::vector<int> SendIndexBackupRegion::QuarantinedLevels() const {
@@ -596,7 +580,7 @@ std::vector<int> SendIndexBackupRegion::QuarantinedLevels() const {
 std::vector<int> SendIndexBackupRegion::QuarantinedLevelsLocked() const {
   std::vector<int> out;
   for (uint32_t i = 1; i <= options_.max_levels; ++i) {
-    if (verifiers_[i] != nullptr && verifiers_[i]->quarantined()) {
+    if (verifiers_[i]->quarantined()) {
       out.push_back(static_cast<int>(i));
     }
   }
@@ -643,8 +627,7 @@ StatusOr<std::string> SendIndexBackupRegion::ServeRepairFetch(uint32_t level,
   }
   const BuiltTree& tree = levels_[level];
   const LevelOrigin& origin = origins_[level];
-  if (!tree.checksummed() || origin.primary_segments.size() != tree.segments.size() ||
-      origin.primary_checksums.size() != tree.segments.size()) {
+  if (origin.primary_segments.size() != tree.segments.size()) {
     return Status::FailedPrecondition("no primary-space origin retained for level " +
                                       std::to_string(level));
   }
@@ -698,13 +681,10 @@ Status SendIndexBackupRegion::RepairQuarantinedLevels(const KvStore::SegmentFetc
     {
       std::shared_lock<std::shared_mutex> rlock(state_mutex_);
       SegmentVerifier* verifier = verifiers_[level].get();
-      if (verifier == nullptr || !verifier->quarantined()) {
+      if (!verifier->quarantined()) {
         continue;
       }
-      const BuiltTree& tree = levels_[level];
-      const LevelOrigin& origin = origins_[level];
-      if (origin.primary_segments.size() != tree.segments.size() ||
-          origin.primary_checksums.size() != tree.segments.size()) {
+      if (origins_[level].primary_segments.size() != levels_[level].segments.size()) {
         return Status::FailedPrecondition("no primary-space origin retained for quarantined L" +
                                           std::to_string(level));
       }

@@ -102,8 +102,10 @@ class SendIndexBackupRegion final : public BackupRegion {
   Status RepairQuarantinedLevels(const KvStore::SegmentFetcher& fetch) override;
 
  private:
+  // `levels` has max_levels + 1 entries; each gets its verifier here.
   SendIndexBackupRegion(BlockDevice* device, const KvStoreOptions& options,
-                        std::shared_ptr<RegisteredBuffer> rdma_buffer);
+                        std::shared_ptr<RegisteredBuffer> rdma_buffer,
+                        std::vector<BuiltTree> levels);
 
   // --- BackupRegion hooks ---
 
@@ -146,12 +148,12 @@ class SendIndexBackupRegion final : public BackupRegion {
   // tree. Unlike index segments the bytes install verbatim — filters hold key
   // fingerprints, not device offsets, so no rewrite.
   Status HandleFilterBlock(uint64_t compaction_id, Slice bytes, StreamId stream);
-  // `primary_checksums`, when non-empty, are the primary's per-segment CRCs
-  // parallel to primary_tree.segments; the backup retains them so it can
-  // serve — and validate — repair fetches in primary space.
+  // primary_tree.seg_checksums are the primary's per-segment CRCs; the
+  // backup retains them so it can serve — and validate — repair fetches in
+  // primary space. kCorruption when a listed segment was never rewritten or
+  // its rewrite changed its length.
   Status HandleCompactionEnd(uint64_t compaction_id, int src_level, int dst_level,
-                             const BuiltTree& primary_tree, StreamId stream,
-                             const std::vector<SegmentChecksum>& primary_checksums);
+                             const BuiltTree& primary_tree, StreamId stream);
 
   // Recovery/full sync (§3.5): overrides the L0-replay start point.
   void set_replay_from(size_t flushed_segment_index);
@@ -216,8 +218,8 @@ class SendIndexBackupRegion final : public BackupRegion {
   // stream's tables (TranslateNodes, btree_node.h); backup.offsets_rewritten
   // gains the count once per segment.
   Status RewriteSegment(CompactionStream* stream, char* bytes, size_t size);
-  // (Re)creates verifiers_[level] from levels_[level]'s checksums (or clears
-  // it for an unchecksummed tree). Requires state_mutex_ exclusive.
+  // (Re)creates verifiers_[level] from levels_[level]'s checksums. Requires
+  // state_mutex_ exclusive.
   void InstallVerifierLocked(int level);
   Status FreeTree(const BuiltTree& tree);
 
@@ -249,9 +251,9 @@ class SendIndexBackupRegion final : public BackupRegion {
   // take it shared) ---
   std::unique_ptr<ValueLog> log_;
   std::vector<BuiltTree> levels_;  // [0] unused
-  // Parallel to levels_: read-path verifier per checksummed level
-  // (shared_ptr so a scrub keeps it alive between its per-segment locks),
-  // and the primary-space origin backing repair interchange.
+  // Parallel to levels_: read-path verifier per level, never null (shared_ptr
+  // so a scrub keeps it alive between its per-segment locks), and the
+  // primary-space origin backing repair interchange.
   std::vector<std::shared_ptr<SegmentVerifier>> verifiers_;
   std::vector<LevelOrigin> origins_;
   // In-flight streams; shared_ptr so a handler can keep working on a stream

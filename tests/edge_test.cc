@@ -196,17 +196,30 @@ TEST(IndexRewriteEdgeTest, ParentSegmentShippedBeforeChild) {
   ASSERT_TRUE(
       (*backup)->Handle(CompactionBeginMsg{.compaction_id = 1, .src_level = 0, .dst_level = 1})
           .ok());
-  ASSERT_TRUE(ship(1, index_seg, index_segment).ok());
-  ASSERT_TRUE(ship(0, leaf_seg, leaf_segment).ok());
   BuiltTree primary_tree;
   primary_tree.root_offset = geometry.BaseOffset(index_seg);
   primary_tree.height = 1;
   primary_tree.num_entries = 1;
   primary_tree.segments = {leaf_seg, index_seg};
-  ASSERT_TRUE((*backup)
-                  ->Handle(CompactionEndMsg{
-                      .compaction_id = 1, .src_level = 0, .dst_level = 1, .tree = primary_tree})
-                  .ok());
+  primary_tree.seg_checksums = {
+      {Crc32c(leaf_segment.data(), leaf_segment.size()), static_cast<uint32_t>(opts.node_size)},
+      {Crc32c(index_segment.data(), index_segment.size()), static_cast<uint32_t>(opts.node_size)}};
+  auto end = [&](const BuiltTree& tree) {
+    return (*backup)->Handle(
+        CompactionEndMsg{.compaction_id = 1, .src_level = 0, .dst_level = 1, .tree = tree});
+  };
+  ASSERT_TRUE(ship(1, index_seg, index_segment).ok());
+  // The leaf segment is reserved but has no bytes yet: a level naming it
+  // would have no checksum for it, so the end is refused and installs nothing.
+  Status early = end(primary_tree);
+  EXPECT_TRUE(early.IsCorruption()) << early.ToString();
+  ASSERT_TRUE(ship(0, leaf_seg, leaf_segment).ok());
+  // A rewrite is in place: a primary checksum of another length is refused.
+  BuiltTree wrong_length = primary_tree;
+  wrong_length.seg_checksums[0].length -= 1;
+  Status mismatched = end(wrong_length);
+  EXPECT_TRUE(mismatched.IsCorruption()) << mismatched.ToString();
+  ASSERT_TRUE(end(primary_tree).ok());
 
   // The backup serves the key through its rewritten two-level tree.
   auto value = (*backup)->DebugGet("only-key");

@@ -161,20 +161,19 @@ TEST(FilterBlockTest, ParseRejectsCorruption) {
 Manifest MakeManifestWithFilters() {
   Manifest m;
   m.levels.resize(3);
-  m.level_crcs.assign(3, 0);
   for (int level = 1; level <= 2; ++level) {
     BuiltTree& tree = m.levels[level];
     tree.root_offset = 0x1000 * level;
     tree.height = 1;
     tree.num_entries = 100 * level;
     tree.segments = {SegmentId(10 * level)};
+    tree.seg_checksums = {{static_cast<uint32_t>(0xabcd + level), 4096}};
     tree.bytes_written = 4096;
     BloomFilterBuilder builder;
     for (uint64_t i = 0; i < tree.num_entries; ++i) {
       builder.AddKey(Key(level * 100000 + i));
     }
     tree.filter = std::make_shared<const std::string>(builder.Finish());
-    m.level_crcs[level] = 0xabcd + level;
   }
   m.log_flushed_segments = {SegmentId(1), SegmentId(2)};
   m.l0_replay_from = 1;

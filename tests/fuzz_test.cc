@@ -57,15 +57,10 @@ std::vector<ReplicationMessage> RandomReplicationMessages(Random* rng, const std
   tree.height = static_cast<uint16_t>(1 + rng->Uniform(4));
   tree.num_entries = rng->Uniform(1000);
   tree.bytes_written = rng->Next();
-  // Checksummed and unchecksummed trees both, so the prefix invariant covers
-  // an empty and a full checksum list.
-  const bool checksummed = rng->Uniform(2) == 0;
-  std::vector<SegmentChecksum> checksums;
+  // One checksum per segment, as every tree carries.
   for (uint64_t i = 0, n = rng->Uniform(6); i < n; ++i) {
     tree.segments.push_back(rng->Next());
-    if (checksummed) {
-      checksums.push_back({u32(), static_cast<uint32_t>(1 + rng->Uniform(1 << 16))});
-    }
+    tree.seg_checksums.push_back({u32(), static_cast<uint32_t>(1 + rng->Uniform(1 << 16))});
   }
   return {
       FlushLogMsg{rng->Next(), rng->Next(), rng->Next(), rng->Next()},
@@ -73,7 +68,7 @@ std::vector<ReplicationMessage> RandomReplicationMessages(Random* rng, const std
       IndexSegmentMsg{rng->Next(), rng->Next(), u32(), u32(), rng->Next(), Slice(data), u32(),
                       Crc32c(data.data(), data.size())},
       FilterBlockMsg{rng->Next(), rng->Next(), u32(), Slice(data), u32()},
-      CompactionEndMsg{rng->Next(), rng->Next(), u32(), u32(), tree, u32(), checksums},
+      CompactionEndMsg{rng->Next(), rng->Next(), u32(), u32(), tree, u32()},
       TrimLogMsg{rng->Next(), u32()},
       SetReplayStartMsg{rng->Next(), rng->Next()},
   };
@@ -524,7 +519,6 @@ TEST(ManifestFuzzTest, CorruptedV4ManifestsAreRejected) {
   Random rng(77);
   Manifest m;
   m.levels.resize(3);
-  m.level_crcs = {0, 0x1234, 0x5678};
   for (uint32_t lvl = 1; lvl < 3; ++lvl) {
     BuiltTree& tree = m.levels[lvl];
     tree.root_offset = rng.Next();

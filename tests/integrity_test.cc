@@ -94,12 +94,12 @@ uint64_t ChaosSeed(uint64_t fallback) {
   return fallback;
 }
 
-// The deepest published level with at least one checksummed segment, or -1.
+// The deepest published level with at least one segment, or -1.
 template <typename Engine>
-int DeepestChecksummedLevel(const Engine& engine, int max_levels) {
+int DeepestNonEmptyLevel(const Engine& engine, int max_levels) {
   for (int level = max_levels - 1; level >= 1; --level) {
     const BuiltTree& tree = engine.level(level);
-    if (!tree.segments.empty() && tree.checksummed()) {
+    if (!tree.segments.empty()) {
       return level;
     }
   }
@@ -112,7 +112,7 @@ int DeepestChecksummedLevel(const Engine& engine, int max_levels) {
 void BurnFlipsIntoSegment(BlockDevice* device, FaultInjector* injector, const BuiltTree& tree,
                           size_t seg_index, int bits = 3) {
   ASSERT_LT(seg_index, tree.segments.size());
-  ASSERT_TRUE(tree.checksummed());
+  ASSERT_EQ(tree.seg_checksums.size(), tree.segments.size());
   const SegmentChecksum& sc = tree.seg_checksums[seg_index];
   ASSERT_GT(sc.length, 0u);
   const uint64_t base = device->geometry().BaseOffset(tree.segments[seg_index]);
@@ -152,7 +152,7 @@ LoadedStore MakeLoadedStore(const std::string& device_name, FaultInjector* injec
 TEST(IntegrityBuildTest, CompactionProducesChecksummedLevels) {
   auto ls = MakeLoadedStore("dev0");
   ASSERT_GT(Metric(*ls.store, "kv.compactions"), 0u);
-  const int level = DeepestChecksummedLevel(*ls.store, SmallOptions().max_levels);
+  const int level = DeepestNonEmptyLevel(*ls.store, SmallOptions().max_levels);
   ASSERT_GE(level, 1) << "no checksummed level was published";
   const BuiltTree& tree = ls.store->level(level);
   ASSERT_EQ(tree.seg_checksums.size(), tree.segments.size());
@@ -173,7 +173,7 @@ TEST(IntegrityBuildTest, CompactionProducesChecksummedLevels) {
 TEST(IntegrityReadTest, ReadPathDetectsBitRotAndQuarantines) {
   FaultInjector injector;
   auto ls = MakeLoadedStore("dev0", &injector);
-  const int level = DeepestChecksummedLevel(*ls.store, SmallOptions().max_levels);
+  const int level = DeepestNonEmptyLevel(*ls.store, SmallOptions().max_levels);
   ASSERT_GE(level, 1);
   BurnFlipsIntoSegment(ls.device.get(), &injector, ls.store->level(level), 0);
   ASSERT_GE(injector.stats().corruptions, 1u);
@@ -435,7 +435,7 @@ TEST(IntegrityReadTest, WrongRecordUnderLiveKeyIsCorruption) {
 TEST(IntegrityScrubTest, ScrubFindsSeededRotAndQuarantines) {
   FaultInjector injector;
   auto ls = MakeLoadedStore("dev0", &injector);
-  const int level = DeepestChecksummedLevel(*ls.store, SmallOptions().max_levels);
+  const int level = DeepestNonEmptyLevel(*ls.store, SmallOptions().max_levels);
   ASSERT_GE(level, 1);
 
   // A clean store scrubs clean.
@@ -473,7 +473,7 @@ TEST(IntegrityScrubTest, ScheduledScrubRunsInBackground) {
     ASSERT_TRUE(store->Put(Key(i % 1000), ValueFor(i)).ok());
   }
   ASSERT_TRUE(store->FlushL0().ok());
-  const int level = DeepestChecksummedLevel(*store, SmallOptions().max_levels);
+  const int level = DeepestNonEmptyLevel(*store, SmallOptions().max_levels);
   ASSERT_GE(level, 1);
   BurnFlipsIntoSegment(device.get(), &injector, store->level(level), 0);
 
@@ -571,7 +571,7 @@ TEST(IntegrityCompactionTest, RotInMergeInputFailsUntilRepaired) {
     }
     auto tree = builder.Finish();
     EXPECT_TRUE(tree.ok());
-    EXPECT_TRUE(tree->checksummed());
+    EXPECT_EQ(tree->seg_checksums.size(), tree->segments.size());
     return *tree;
   };
   const BuiltTree newer = build(2000, 3);
@@ -637,7 +637,7 @@ TEST(IntegrityCompactionTest, RotInMergeInputFailsUntilRepaired) {
 TEST(IntegrityRepairTest, OnlineRepairRestoresLevelFromFetchedBytes) {
   FaultInjector injector;
   auto ls = MakeLoadedStore("dev0", &injector);
-  const int level = DeepestChecksummedLevel(*ls.store, SmallOptions().max_levels);
+  const int level = DeepestNonEmptyLevel(*ls.store, SmallOptions().max_levels);
   ASSERT_GE(level, 1);
   const BuiltTree& tree = ls.store->level(level);
 
@@ -683,7 +683,7 @@ TEST(IntegrityRepairTest, OnlineRepairRestoresLevelFromFetchedBytes) {
 TEST(IntegrityRepairTest, RepairRejectsBytesThatFailTheExpectedCrc) {
   FaultInjector injector;
   auto ls = MakeLoadedStore("dev0", &injector);
-  const int level = DeepestChecksummedLevel(*ls.store, SmallOptions().max_levels);
+  const int level = DeepestNonEmptyLevel(*ls.store, SmallOptions().max_levels);
   ASSERT_GE(level, 1);
   BurnFlipsIntoSegment(ls.device.get(), &injector, ls.store->level(level), 0);
   ASSERT_TRUE(ls.store->Scrub().ok());
@@ -743,7 +743,6 @@ TEST(IntegrityManifestTest, PreTagManifestIsRejected) {
   m.levels[1].num_entries = 100;
   m.levels[1].segments = {7, 8};
   m.levels[1].seg_checksums = {{0xdead, 512}, {0xbeef, 1024}};
-  m.level_crcs = {0, 0x1234, 0};
   m.log_flushed_segments = {3, 4, 5};
   m.l0_replay_from = 1;
 
@@ -754,7 +753,6 @@ TEST(IntegrityManifestTest, PreTagManifestIsRejected) {
   ASSERT_EQ(current->levels[1].seg_checksums.size(), 2u);
   EXPECT_EQ(current->levels[1].seg_checksums[0].crc, 0xdeadu);
   EXPECT_EQ(current->levels[1].seg_checksums[1].length, 1024u);
-  EXPECT_TRUE(current->levels[1].checksummed());
 
   // Bit flips anywhere in a current image are caught by the manifest's CRC.
   Random rng(99);
@@ -767,9 +765,10 @@ TEST(IntegrityManifestTest, PreTagManifestIsRejected) {
     }
   }
 
-  // A store whose checkpoint carries a v4 manifest (leaves without key tags)
-  // or a v5 one (leaves with a 12-byte prefix and unpacked offsets) does not
-  // open: it is refused, not misread.
+  // A store whose checkpoint carries a v4 manifest (leaves without key tags),
+  // a v5 one (leaves with a 12-byte prefix and unpacked offsets) or a v6 one
+  // (a level CRC word before each filter) does not open: it is refused, not
+  // misread.
   auto ls = MakeLoadedStore("dev0");
   ASSERT_TRUE(ls.store->value_log()->FlushTail().ok());
   auto checkpoint = ls.store->Checkpoint();
@@ -780,7 +779,7 @@ TEST(IntegrityManifestTest, PreTagManifestIsRejected) {
                                 IoClass::kOther).ok());
   std::string image(length, 0);
   ASSERT_TRUE(ls.device->Read(base + 4, length, image.data(), IoClass::kOther).ok());
-  for (uint32_t old_version : {4u, 5u}) {
+  for (uint32_t old_version : {4u, 5u, 6u}) {
     SCOPED_TRACE(old_version);
     ASSERT_TRUE(ls.device
                     ->Write(base + 4, Slice(WithManifestVersion(image, old_version)),
@@ -800,14 +799,14 @@ TEST(IntegrityManifestTest, PreTagManifestIsRejected) {
 TEST(IntegrityCrashTest, CrashDuringRepairRecoversIdempotently) {
   // Extends the PR 1 crash-point matrix: the machine dies on the repair's
   // first segment rewrite. The snapshot still has the rotten level on flash;
-  // recovery must detect it (level CRC mismatch) and come back serving every
+  // recovery must detect it (segment checksum mismatch) and come back serving every
   // checkpointed record — and the live store's finished repair must be clean.
   FaultInjector injector;
   auto ls = MakeLoadedStore("dev0", &injector);
   ASSERT_TRUE(ls.store->value_log()->FlushTail().ok());
   auto checkpoint = ls.store->Checkpoint();
   ASSERT_TRUE(checkpoint.ok());
-  const int level = DeepestChecksummedLevel(*ls.store, SmallOptions().max_levels);
+  const int level = DeepestNonEmptyLevel(*ls.store, SmallOptions().max_levels);
   ASSERT_GE(level, 1);
   const BuiltTree& tree = ls.store->level(level);
 
@@ -837,7 +836,7 @@ TEST(IntegrityCrashTest, CrashDuringRepairRecoversIdempotently) {
   ASSERT_TRUE(post.ok());
   EXPECT_EQ(post->corruptions_found, 0u);
 
-  // The crashed image recovers: the level CRC mismatch is detected and the
+  // The crashed image recovers: the segment checksum mismatch is detected and the
   // level rebuilt from the value log, so recovery is repair-idempotent.
   auto recovered = KvStore::Recover(snapshot.get(), SmallOptions(), *checkpoint);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
@@ -1006,7 +1005,7 @@ TEST(IntegrityShipTest, ShippedLevelsAreChecksummedOnTheBackup) {
   LoadCluster(&cluster);
   ASSERT_GT(Metric(*cluster.primary->store(), "kv.compactions"), 0u);
   const int level =
-      DeepestChecksummedLevel(*cluster.backups[0], SmallOptions().max_levels);
+      DeepestNonEmptyLevel(*cluster.backups[0], SmallOptions().max_levels);
   ASSERT_GE(level, 1) << "backup installed no checksummed level";
   const BuiltTree& local = cluster.backups[0]->level(level);
   const BuiltTree& primary = cluster.primary->store()->level(level);
@@ -1021,7 +1020,7 @@ TEST(IntegrityShipTest, BackupScrubsAndRepairsFromPrimary) {
   auto cluster = MakeSendIndexCluster(2, SmallOptions(), &injector);
   auto model = LoadCluster(&cluster);
   auto* backup = cluster.backups[0].get();
-  const int level = DeepestChecksummedLevel(*backup, SmallOptions().max_levels);
+  const int level = DeepestNonEmptyLevel(*backup, SmallOptions().max_levels);
   ASSERT_GE(level, 1);
 
   BurnFlipsIntoSegment(cluster.backup_devices[0].get(), &injector, backup->level(level), 0);
@@ -1106,7 +1105,7 @@ TEST(IntegrityShipTest, QuarantinedBackupLevelTurnsItsWatchdogRed) {
   EXPECT_EQ(gauge, 0);
   EXPECT_EQ(color, kHealthGreen);
 
-  const int level = DeepestChecksummedLevel(*backup, SmallOptions().max_levels);
+  const int level = DeepestNonEmptyLevel(*backup, SmallOptions().max_levels);
   ASSERT_GE(level, 1);
   BurnFlipsIntoSegment(cluster.backup_devices[0].get(), &injector, backup->level(level), 0);
   ASSERT_TRUE(backup->Scrub().ok());
@@ -1186,7 +1185,7 @@ TEST(IntegrityShipTest, PrimaryRepairsFromBackupReplica) {
   auto cluster = MakeSendIndexCluster(1, SmallOptions(), &injector);
   auto model = LoadCluster(&cluster);
   KvStore* store = cluster.primary->store();
-  const int level = DeepestChecksummedLevel(*store, SmallOptions().max_levels);
+  const int level = DeepestNonEmptyLevel(*store, SmallOptions().max_levels);
   ASSERT_GE(level, 1);
 
   BurnFlipsIntoSegment(cluster.primary_device.get(), &injector, store->level(level), 0);
@@ -1486,8 +1485,8 @@ TEST(IntegrityChaosTest, CorruptionSoakDetectsAndHealsEveryInjectedFlip) {
   // Replica r: 0 = primary, 1..2 = backups. All three must end byte-clean.
   auto engine_level = [&](int r) {
     return r == 0
-               ? DeepestChecksummedLevel(*cluster.primary->store(), SmallOptions().max_levels)
-               : DeepestChecksummedLevel(*cluster.backups[r - 1], SmallOptions().max_levels);
+               ? DeepestNonEmptyLevel(*cluster.primary->store(), SmallOptions().max_levels)
+               : DeepestNonEmptyLevel(*cluster.backups[r - 1], SmallOptions().max_levels);
   };
   auto engine_tree = [&](int r, int level) -> const BuiltTree& {
     return r == 0 ? cluster.primary->store()->level(level)

@@ -53,6 +53,7 @@ TEST(ManifestTest, EncodeDecodeRoundTrip) {
   manifest.levels[1].height = 2;
   manifest.levels[1].num_entries = 999;
   manifest.levels[1].segments = {7, 8, 9};
+  manifest.levels[1].seg_checksums = {{0x17, 512}, {0x18, 1024}, {0x19, 96}};
   manifest.log_flushed_segments = {1, 2, 3, 4};
   manifest.l0_replay_from = 2;
   std::string encoded = manifest.Encode();
@@ -61,8 +62,19 @@ TEST(ManifestTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->levels.size(), 4u);
   EXPECT_EQ(decoded->levels[1].root_offset, 0x12345u);
   EXPECT_EQ(decoded->levels[1].segments, (std::vector<SegmentId>{7, 8, 9}));
+  EXPECT_EQ(decoded->levels[1].seg_checksums, manifest.levels[1].seg_checksums);
   EXPECT_EQ(decoded->log_flushed_segments, (std::vector<SegmentId>{1, 2, 3, 4}));
   EXPECT_EQ(decoded->l0_replay_from, 2u);
+
+  // Every level carries one checksum per segment: an image listing none, or
+  // one too few, for a non-empty level is corrupt.
+  for (const size_t count : {size_t{0}, manifest.levels[1].segments.size() - 1}) {
+    Manifest short_list = manifest;
+    short_list.levels[1].seg_checksums.resize(count);
+    auto rejected = Manifest::Decode(short_list.Encode());
+    ASSERT_FALSE(rejected.ok()) << count << " checksums accepted";
+    EXPECT_TRUE(rejected.status().IsCorruption()) << rejected.status().ToString();
+  }
 }
 
 TEST(ManifestTest, CorruptionDetected) {
@@ -114,6 +126,29 @@ TEST(RecoveryTest, SameDeviceCheckpointRecover) {
   for (SegmentId seg : manifest->log_flushed_segments) {
     EXPECT_TRUE(dev->get()->IsAllocated(seg));
   }
+}
+
+TEST(RecoveryTest, CheckpointReadsNoLevelBytes) {
+  // The manifest carries every level's segment checksums, which is all
+  // recovery checks the levels against, so a checkpoint reads nothing back.
+  auto dev = BlockDevice::Create(DeviceOptions());
+  ASSERT_TRUE(dev.ok());
+  auto store = KvStore::Create(dev->get(), StoreOptions());
+  ASSERT_TRUE(store.ok());
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE((*store)->Put(Key(i), "cp-" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE((*store)->value_log()->FlushTail().ok());
+  int non_empty = 0;
+  for (uint32_t level = 1; level <= StoreOptions().max_levels; ++level) {
+    non_empty += !(*store)->level(level).segments.empty();
+  }
+  ASSERT_GE(non_empty, 2);
+
+  const uint64_t read_before = dev->get()->stats().TotalReadBytes();
+  auto checkpoint = (*store)->Checkpoint();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  EXPECT_EQ(dev->get()->stats().TotalReadBytes(), read_before);
 }
 
 TEST(RecoveryTest, FileBackedFullRestart) {
@@ -403,7 +438,7 @@ TEST(IntegrityTest, DetectsWrongLeafTombstoneFlag) {
   ASSERT_TRUE((*log)->FlushTail().ok());
   auto tree = builder.Finish();
   ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(tree->checksummed());
+  ASSERT_EQ(tree->seg_checksums.size(), tree->segments.size());
 
   // The first node of the tree's first segment is its leftmost leaf.
   const uint64_t base = dev->get()->geometry().BaseOffset(tree->segments[0]);
@@ -565,8 +600,10 @@ TEST(TornWriteTest, TornValueLogTailIsTruncatedNotFatal) {
 TEST(TornWriteTest, TornIndexSegmentRebuildsFromValueLog) {
   // The level indexes are redundant with the (per-record CRC'd) value log, so
   // a torn/corrupted index segment — e.g. the last shipped segment of a
-  // Send-Index rewrite — is survivable: the manifest's per-level CRC detects
-  // it and recovery rebuilds the whole index by replaying the log.
+  // Send-Index rewrite — is survivable: recovery checks each segment's
+  // checksummed prefix against the manifest's checksum and, on a mismatch,
+  // rebuilds the whole index by replaying the log. Bytes past the prefix
+  // belong to no node, so damage there keeps the levels.
   auto dev = BlockDevice::Create(DeviceOptions());
   ASSERT_TRUE(dev.ok());
   auto store = KvStore::Create(dev->get(), StoreOptions());
@@ -579,31 +616,64 @@ TEST(TornWriteTest, TornIndexSegmentRebuildsFromValueLog) {
   auto checkpoint = (*store)->Checkpoint();
   ASSERT_TRUE(checkpoint.ok());
 
-  // Corrupt the last segment of the deepest non-empty level at a random spot.
+  // The victim: the deepest level's last segment whose checksummed prefix
+  // leaves room for a 64-byte flip after it.
+  constexpr uint64_t kFlip = 64;
   SegmentId victim = kInvalidSegment;
-  for (uint32_t level = StoreOptions().max_levels; level >= 1; --level) {
-    if (!(*store)->level(level).segments.empty()) {
-      victim = (*store)->level(level).segments.back();
-      break;
+  uint64_t prefix = 0;
+  for (uint32_t level = StoreOptions().max_levels; level >= 1 && victim == kInvalidSegment;
+       --level) {
+    const BuiltTree& tree = (*store)->level(level);
+    for (size_t s = tree.segments.size(); s-- > 0;) {
+      if (tree.seg_checksums[s].length >= kFlip &&
+          tree.seg_checksums[s].length + kFlip <= kSegmentSize) {
+        victim = tree.segments[s];
+        prefix = tree.seg_checksums[s].length;
+        break;
+      }
     }
   }
-  ASSERT_NE(victim, kInvalidSegment) << "no on-device level to corrupt";
-  Random rng(77);
-  const uint64_t off = dev->get()->geometry().BaseOffset(victim) + rng.Uniform(kSegmentSize - 64);
-  char bytes[64];
-  ASSERT_TRUE(dev->get()->Read(off, sizeof(bytes), bytes, IoClass::kOther).ok());
-  for (char& b : bytes) b ^= 0x5a;
-  ASSERT_TRUE(dev->get()->Write(off, Slice(bytes, sizeof(bytes)), IoClass::kOther).ok());
+  ASSERT_NE(victim, kInvalidSegment) << "no on-device level segment to corrupt";
 
-  auto cloned = dev->get()->CloneContents();
-  ASSERT_TRUE(cloned.ok());
-  auto recovered = KvStore::Recover(cloned->get(), StoreOptions(), *checkpoint);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  // Nothing lost: every record came back from the log.
-  for (int i = 0; i < kRecords; ++i) {
-    auto v = (*recovered)->Get(Key(i));
-    ASSERT_TRUE(v.ok()) << Key(i) << ": " << v.status().ToString();
-    EXPECT_EQ(*v, "lv-" + std::to_string(i));
+  Random rng(77);
+  const struct {
+    const char* name;
+    uint64_t offset;  // into the victim segment
+    bool levels_kept;
+  } kCases[] = {
+      {"inside the checksummed prefix", rng.Uniform(prefix - kFlip + 1), false},
+      {"past the checksummed prefix", prefix + rng.Uniform(kSegmentSize - prefix - kFlip + 1),
+       true},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.name);
+    // Flip, clone the damaged image, then flip back for the next case.
+    const uint64_t off = dev->get()->geometry().BaseOffset(victim) + c.offset;
+    char bytes[kFlip];
+    ASSERT_TRUE(dev->get()->Read(off, sizeof(bytes), bytes, IoClass::kOther).ok());
+    for (char& b : bytes) b ^= 0x5a;
+    ASSERT_TRUE(dev->get()->Write(off, Slice(bytes, sizeof(bytes)), IoClass::kOther).ok());
+    auto cloned = dev->get()->CloneContents();
+    ASSERT_TRUE(cloned.ok());
+    for (char& b : bytes) b ^= 0x5a;
+    ASSERT_TRUE(dev->get()->Write(off, Slice(bytes, sizeof(bytes)), IoClass::kOther).ok());
+
+    auto recovered = KvStore::Recover(cloned->get(), StoreOptions(), *checkpoint);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    for (uint32_t level = 1; level <= StoreOptions().max_levels; ++level) {
+      if (c.levels_kept) {
+        EXPECT_EQ((*recovered)->level(level).segments, (*store)->level(level).segments)
+            << "L" << level;
+      } else {
+        EXPECT_TRUE((*recovered)->level(level).empty()) << "L" << level;
+      }
+    }
+    // Nothing lost: every record reads back, from the levels or the log.
+    for (int i = 0; i < kRecords; ++i) {
+      auto v = (*recovered)->Get(Key(i));
+      ASSERT_TRUE(v.ok()) << Key(i) << ": " << v.status().ToString();
+      EXPECT_EQ(*v, "lv-" + std::to_string(i));
+    }
   }
 }
 

@@ -117,6 +117,7 @@ TEST(ReplicationWireTest, EveryMessageRoundTrips) {
   tree.num_entries = 777;
   tree.bytes_written = 4096;
   tree.segments = {5, 6, 7};
+  tree.seg_checksums = {{11, 100}, {12, 200}, {13, 300}};
   // A one-leaf index segment of three 13-byte keys travels encoded: a 2 B
   // size, the leaf's tag and count, 18 B for the first entry (whole key, 1 B
   // offset), then 6 B for each same-size neighbour sharing 12 bytes (2 B
@@ -136,8 +137,7 @@ TEST(ReplicationWireTest, EveryMessageRoundTrips) {
       {CompactionBeginMsg{2, 9, 1, 2, 4, 17}, 36},
       {IndexSegmentMsg{3, 4, 2, 1, 77, Slice(wire), 5, crc}, 78},
       {FilterBlockMsg{4, 4, 2, Slice(data), 5}, 28 + data.size()},
-      {CompactionEndMsg{5, 9, 1, 2, tree, 6, {{11, 100}, {12, 200}, {13, 300}}}, 110},
-      {CompactionEndMsg{5, 9, 1, 2, tree, 6, {}}, 86},  // unchecksummed tree
+      {CompactionEndMsg{5, 9, 1, 2, tree, 6}, 110},
       {TrimLogMsg{6, 12}, 12},
       {SetReplayStartMsg{7, 31}, 16},
   };
@@ -155,6 +155,16 @@ TEST(ReplicationWireTest, EveryMessageRoundTrips) {
     covered.insert(msg.index());
   }
   EXPECT_EQ(covered.size(), std::variant_size_v<ReplicationMessage>);
+  // Every tree carries one checksum per segment: a CompactionEnd listing
+  // none, or one too few, is corrupt.
+  for (const size_t count : {size_t{0}, tree.segments.size() - 1}) {
+    CompactionEndMsg short_list{5, 9, 1, 2, tree, 6};
+    short_list.tree.seg_checksums.resize(count);
+    auto decoded =
+        DecodeReplicationMessage(MessageType::kCompactionEnd, EncodeReplicationMessage(short_list));
+    ASSERT_FALSE(decoded.ok()) << count << " checksums accepted";
+    EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+  }
   // Only replication requests decode.
   const std::string segment_bytes = EncodeReplicationMessage(cases[2].first);
   EXPECT_FALSE(DecodeReplicationMessage(MessageType::kFlushLogReply, segment_bytes).ok());
@@ -170,7 +180,7 @@ TEST(ReplicationWireTest, CompactionEndRoundTrip) {
   msg.tree.num_entries = 777;
   msg.tree.bytes_written = 4096;
   msg.tree.segments = {5, 6, 7};
-  msg.seg_checksums = {{11, 100}, {12, 200}, {13, 300}};
+  msg.tree.seg_checksums = {{11, 100}, {12, 200}, {13, 300}};
   const std::string encoded = EncodeReplicationMessage(msg);
   auto decoded = DecodeReplicationMessage(MessageType::kCompactionEnd, encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -179,8 +189,8 @@ TEST(ReplicationWireTest, CompactionEndRoundTrip) {
   EXPECT_EQ(out.tree.root_offset, 0x123456u);
   EXPECT_EQ(out.tree.height, 3u);
   EXPECT_EQ(out.tree.segments, (std::vector<SegmentId>{5, 6, 7}));
-  ASSERT_EQ(out.seg_checksums.size(), 3u);
-  EXPECT_EQ(out.seg_checksums[2].length, 300u);
+  ASSERT_EQ(out.tree.seg_checksums.size(), 3u);
+  EXPECT_EQ(out.tree.seg_checksums[2].length, 300u);
 }
 
 TEST(ReplicationWireTest, IndexSegmentRoundTrip) {

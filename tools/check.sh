@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the fast test label, run twice — once plain, once under
-# ThreadSanitizer — plus the chaos label and the replication wire fuzzers
-# under AddressSanitizer. Compactions run on background threads, so a plain
+# ThreadSanitizer — plus the chaos label and the replication wire and manifest
+# fuzzers under AddressSanitizer. Compactions run on background threads, so a plain
 # pass alone does not prove the absence of data races; TSan over the same
 # suite does. The chaos label replays the
 # deterministic fault-injection matrix (crash, partition, stall,
@@ -15,7 +15,7 @@
 #   tools/check.sh            # all three passes
 #   tools/check.sh --plain    # plain pass: fast label, coverage/history gates, src/ line count
 #   tools/check.sh --tsan     # TSan pass: fast label
-#   tools/check.sh --chaos    # ASan pass: chaos label + wire fuzzers
+#   tools/check.sh --chaos    # ASan pass: chaos label + wire and manifest fuzzers
 #
 # Build trees: build/ (plain), build-tsan/ (TEBIS_SANITIZE=thread) and
 # build-asan/ (TEBIS_SANITIZE=address). The rest of the slow label
@@ -145,10 +145,11 @@ if [[ $run_chaos -eq 1 ]]; then
   ctest --test-dir build-asan -R LeafNamingUnmappedLogSegmentIsRefused --no-tests=error \
     --output-on-failure --repeat until-fail:5
   # The replication decoder runs under every in-process control message too,
-  # so its fuzzers (slow label, ~0.1 s) ride along in this pass.
-  echo "== tier-1 pass 3/3: AddressSanitizer build, replication wire fuzzers =="
-  ctest --test-dir build-asan -L slow -R WireFuzzTest --no-tests=error --output-on-failure \
-    -j "$jobs"
+  # so its fuzzers (slow label, ~0.1 s) ride along in this pass, with the
+  # manifest decoder's, which every recovery runs.
+  echo "== tier-1 pass 3/3: AddressSanitizer build, replication wire and manifest fuzzers =="
+  ctest --test-dir build-asan -L slow -R 'WireFuzzTest|ManifestFuzzTest' --no-tests=error \
+    --output-on-failure -j "$jobs"
 fi
 
 echo "== tier-1 gate: OK =="
